@@ -36,9 +36,9 @@ class PlacementMixin:
         return self.ring.home_host(segid, providers)
 
     def _on_probe_hit(self, payload: dict, src: str) -> None:
-        ev = self._probe_waiters.get(payload["nonce"])
-        if ev is not None and not ev.triggered:
-            ev.succeed((payload["owner"], payload["version"]))
+        waiter = self._probe_waiters.get(payload["nonce"])
+        if waiter is not None:  # first answer wins; later ones are ignored
+            waiter.resolve((payload["owner"], payload["version"]))
 
     def _locate(self, segid: int, read: Optional[dict] = None,
                 refresh: bool = False):
@@ -89,15 +89,15 @@ class PlacementMixin:
         """Backup scheme: ask everybody over multicast."""
         self.stats["probe_fallbacks"] += 1
         nonce = next(_nonces)
-        ev = self.sim.event()
-        self._probe_waiters[nonce] = ev
+        waiter = self._probe_waiters[nonce] = self.sim.reply(
+            self.params.rpc_timeout)
         self.rpc.multicast(LOCATION_GROUP, "loc_probe",
                            {"segid": segid, "nonce": nonce}, size=48)
-        won = yield self.sim.wait_any(ev, self.params.rpc_timeout)
-        self._probe_waiters.pop(nonce, None)
-        if not won:
+        owner = yield waiter
+        del self._probe_waiters[nonce]
+        if owner is None:
             raise TimeoutError(f"no owner responded for segment {segid:#x}")
-        return ev.value
+        return owner
 
     def _pick_owner(self, owners: List[Tuple[str, int]]) -> Tuple[str, int]:
         """Choose among the newest-version owners at random (load spread).

@@ -18,7 +18,7 @@ from repro.core.location import ClientLocationCache, TtlCache
 from repro.core.membership import MembershipManager
 from repro.core.params import SorrentoParams
 from repro.runtime import CACHE
-from repro.sim import Event
+from repro.sim import Reply
 
 
 class SorrentoClient(NamespaceOpsMixin, PlacementMixin, DataPathMixin,
@@ -61,7 +61,7 @@ class SorrentoClient(NamespaceOpsMixin, PlacementMixin, DataPathMixin,
         self.membership.on_join.append(self.ring.add_host)
         self.membership.on_leave.append(self.ring.remove_host)
         self.ids = IdGenerator(node.hostid, self.rng, clock=lambda: self.sim.now)
-        self._probe_waiters: Dict[int, Event] = {}
+        self._probe_waiters: Dict[int, Reply] = {}
         if "loc_probe_hit" not in self.rpc.handlers:
             self.rpc.register("loc_probe_hit", self._on_probe_hit)
         self.stats = {"opens": 0, "reads": 0, "writes": 0, "commits": 0,

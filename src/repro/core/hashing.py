@@ -14,17 +14,22 @@ sort, which beats per-host passes when most of the ring is changing
 anyway.  Either way the arrays end up identical to a from-scratch
 ``sorted((point, host) for ...)`` construction, so lookups are
 bit-compatible with the original per-view rebuild.  Vnode hash points
-are computed once per host ever seen and cached, so churn (a host
-leaving and rejoining) re-hashes nothing.
+are a pure function of ``(host, vnodes)`` and memoised for the whole
+process: churn (a host leaving and rejoining) re-hashes nothing, and
+neither does the second ring over the same hosts — every client and
+provider keeps its own ring.
 """
 
 from __future__ import annotations
 
 import bisect
 import hashlib
-from typing import Dict, Iterable, List, Sequence
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 DEFAULT_VNODES = 64
+
+#: (host, vnodes) -> sorted vnode points; shared by every ring, read-only.
+_vnode_points: Dict[Tuple[str, int], List[int]] = {}
 
 
 def _point(data: str) -> int:
@@ -36,8 +41,8 @@ class HashRing:
 
     One ring, maintained by splicing.  ``stats`` records the maintenance
     work actually done — the churn regression test pins ``bulk_builds``
-    to the single initial build and bounds ``point_hashes`` by
-    hosts-ever-seen × vnodes.
+    to the single initial build and bounds ``point_hashes`` (hashes this
+    ring had to compute itself) by hosts-ever-seen × vnodes.
     """
 
     def __init__(self, vnodes: int = DEFAULT_VNODES):
@@ -49,17 +54,17 @@ class HashRing:
         self._current: set = set()       # intended membership
         self._built: set = set()         # hosts physically in the arrays
         self._dirty = False
-        self._vnode_points: Dict[str, List[int]] = {}  # per-host, sorted
         self._last_members: object = None  # identity fast path (see below)
         self.stats = {"splices": 0, "point_hashes": 0, "reconciles": 0,
                       "bulk_builds": 0}
 
     # ------------------------------------------------------- maintenance
     def _host_points(self, host: str) -> List[int]:
-        pts = self._vnode_points.get(host)
+        key = (host, self.vnodes)
+        pts = _vnode_points.get(key)
         if pts is None:
             pts = sorted(_point(f"{host}#{i}") for i in range(self.vnodes))
-            self._vnode_points[host] = pts
+            _vnode_points[key] = pts
             self.stats["point_hashes"] += self.vnodes
         return pts
 

@@ -68,30 +68,9 @@ def nfs_on(spec: ClusterSpec, seed: int = 0) -> NFSDeployment:
 
 
 def run_until_done(sim, procs, max_time: float = 1e7) -> None:
-    """Advance the sim until every process finishes.
-
-    Unlike ``sim.run(until=horizon)`` this does not grind through hours
-    of heartbeat events after the workload completes.  Completion is a
-    callback countdown, so the driver adds O(1) work per event instead
-    of scanning every process per step.
-    """
-    remaining = len(procs)
-
-    def _one_done(_ev):
-        nonlocal remaining
-        remaining -= 1
-
-    for p in procs:
-        if p.triggered:
-            remaining -= 1
-        else:
-            p.add_callback(_one_done)
-    while remaining > 0:
-        if not sim.pending_events:
-            raise RuntimeError("deadlock: processes pending, no events")
-        if sim.now > max_time:
-            raise RuntimeError(f"exceeded {max_time} simulated seconds")
-        sim.step()
+    """Advance the sim until every process finishes (the kernel's fused
+    ``run_until`` loop), failing loudly on deadlock or past ``max_time``."""
+    sim.run_until(procs, max_time)
 
 
 # ------------------------------------------------------------ RPC metrics

@@ -32,15 +32,28 @@ class WalRecord:
 
 
 def _value_bytes(value: Any) -> int:
-    if value is None:
-        return 0
-    if isinstance(value, (str, bytes)):
-        return len(value)
-    if isinstance(value, dict):
-        return 16 + sum(_value_bytes(k) + _value_bytes(v) for k, v in value.items())
-    if isinstance(value, (list, tuple)):
-        return 8 + sum(_value_bytes(v) for v in value)
-    return 16
+    """Footprint of a (possibly nested) value: strings by length, other
+    scalars 16, a dict 16 and a list/tuple 8 plus their contents.  One
+    flat walk — a namespace entry is a 13-field dict logged on every
+    ``put``, and a call per field was most of what logging it cost."""
+    total = 0
+    todo = [value]
+    while todo:
+        v = todo.pop()
+        if v is None:
+            continue
+        if isinstance(v, (str, bytes)):
+            total += len(v)
+        elif isinstance(v, dict):
+            total += 16
+            todo.extend(v)
+            todo.extend(v.values())
+        elif isinstance(v, (list, tuple)):
+            total += 8
+            todo.extend(v)
+        else:
+            total += 16
+    return total
 
 
 class WriteAheadLog:

@@ -6,11 +6,12 @@ links (NICs) and a fixed per-hop propagation/switching latency are
 modelled.  Multicast groups deliver a copy to every subscribed live host
 (charging each receiver's rx link).
 
-Delivery is callback-based: each copy rides a single kernel timeout that
-fires at its arrival instant — no per-delivery process, no bootstrap
-event.  The fabric owns the message envelope after ``send`` and returns
-it to the :mod:`repro.network.message` free-list once the last copy has
-been handed to (or dropped by) its receiver.
+Delivery is one kernel event per copy: ``sim.call_later`` dispatches
+straight into :meth:`Fabric._deliver_copy` at the arrival instant — no
+per-delivery process, closure or callback list.  The fabric owns the
+message envelope after ``send`` and returns it to the
+:mod:`repro.network.message` free-list once the last copy has been
+handed to (or dropped by) its receiver.
 """
 
 from __future__ import annotations
@@ -179,9 +180,9 @@ class Fabric:
         elif msg.dst == msg.src:
             # Loopback: co-located client and daemon skip the NIC entirely
             # ("data transfers do not need to go through network", §3.7.2).
-            self.sim.timeout(LOOPBACK_LATENCY,
-                             lane=delivery_lane(msg.src, msg.src)).add_callback(
-                lambda _ev, host=src, m=msg: self._deliver_loopback(host, m))
+            msg._refs = 1
+            self.sim.call_later(LOOPBACK_LATENCY, self._deliver_copy, src, msg,
+                                lane=delivery_lane(msg.src, msg.src))
             return
         else:
             targets = (msg.dst,)
@@ -242,9 +243,8 @@ class Fabric:
                 _rx_start, rx_done = dst.nic.rx.reserve(
                     msg.wire_size, not_before=tx_start + self.latency + extra)
                 arrive = max(tx_done + self.latency + extra, rx_done)
-                sim.timeout(arrive - now,
-                            lane=delivery_lane(msg.src, hostid)).add_callback(
-                    lambda _ev, d=dst, m=msg: self._deliver_copy(d, m))
+                sim.call_later(arrive - now, self._deliver_copy, dst, msg,
+                               lane=delivery_lane(msg.src, hostid))
                 copies += 1
         # Nothing fires before the next sim.step(), so the refcount is
         # safely published after the loop.
@@ -262,8 +262,3 @@ class Fabric:
         msg._refs -= 1
         if msg._refs <= 0:
             release_message(msg)
-
-    def _deliver_loopback(self, host: Host, msg: Message) -> None:
-        if host.alive and host.deliver is not None:
-            host.deliver(msg)
-        release_message(msg)

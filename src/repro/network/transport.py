@@ -9,16 +9,17 @@ how the paper's observation that "it takes two TCP roundtrips to open a file
 and three to close" is modelled without a full TCP state machine.
 
 Hot-path discipline: messages come from the module free-list (the fabric
-releases them after the last delivery), RPC deadlines are cancellable
-pooled timers behind ``sim.wait_any``, and the request handler never sees
-the Message object — payload, source, and request id are unpacked at
-delivery so the envelope can be recycled immediately.
+releases them after the last delivery); the thing in ``_pending`` is one
+``sim.reply``, answer slot and deadline in one; a handler's generator
+starts inside the delivery that carried the request and never sees the
+Message object, so the envelope is recycled when the delivery returns.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import deque
+from types import GeneratorType
 from typing import Any, Callable, Dict, Generator, Set, Tuple, Union
 
 from repro.network.message import (
@@ -106,28 +107,38 @@ class Endpoint:
         Raises :class:`RpcTimeout` if no response arrives in ``timeout``
         seconds and :class:`RpcRemoteError` if the handler raised.
         """
-        for _ in range(max(0, rtts - 1)):
-            yield from self._exchange(dst, "ping", None, PING_BYTES, timeout, service)
-        resp = yield from self._exchange(dst, "req", (service, payload), size, timeout, service)
-        return resp
+        for left in range(max(1, rtts), 0, -1):
+            req_id, reply = self.post(dst, service, payload, size, timeout,
+                                      ping=left > 1)
+            answer = yield reply
+            if answer is None:
+                self.abandon(req_id)
+                raise RpcTimeout(dst, service, timeout)
+            if answer[0] == "err":
+                raise RpcRemoteError(dst, service, answer[1])
+        return answer[1]
 
-    def _exchange(self, dst, kind, body, size, timeout, service):
-        sim = self.sim
+    def post(self, dst: str, service: str, payload: Any, size: int,
+             timeout: float, ping: bool = False):
+        """Put one exchange on the wire — the request proper, or one of
+        the ``rtts`` pings before it — and return ``(req_id, reply)``.
+        ``reply`` resumes its waiter with ``(kind, payload)``, or with
+        ``None`` after ``timeout`` seconds, when the waiter must
+        :meth:`abandon` the exchange."""
         req_id = next(_req_ids)
-        ev = sim.event()
-        self._pending[req_id] = ev
-        self.fabric.send(
-            acquire_message(src=self.hostid, dst=dst, kind=kind, payload=body,
-                            size=size, req_id=req_id)
-        )
-        won = yield sim.wait_any(ev, timeout)
-        if not won:
-            self._pending.pop(req_id, None)
-            raise RpcTimeout(dst, service, timeout)
-        kind_back, value = ev.value
-        if kind_back == "err":
-            raise RpcRemoteError(dst, service, value)
-        return value
+        reply = self._pending[req_id] = self.sim.reply(timeout)
+        if ping:
+            msg = acquire_message(self.host.hostid, dst, "ping", None,
+                                  PING_BYTES, req_id=req_id)
+        else:
+            msg = acquire_message(self.host.hostid, dst, "req",
+                                  (service, payload), size, req_id=req_id)
+        self.fabric.send(msg)
+        return req_id, reply
+
+    def abandon(self, req_id: int) -> None:
+        """Give up on a timed-out exchange: a late response finds nobody."""
+        self._pending.pop(req_id, None)
 
     def send(self, dst: str, service: str, payload: Any = None, size: int = 0) -> None:
         """Fire-and-forget one-way message to ``dst``'s ``service`` handler."""
@@ -159,9 +170,9 @@ class Endpoint:
             return
         kind = msg.kind
         if kind == "resp" or kind == "err":
-            ev = self._pending.pop(msg.req_id, None)
-            if ev is not None and not ev.triggered:
-                ev.succeed((kind, msg.payload))
+            reply = self._pending.pop(msg.req_id, None)
+            if reply is not None:
+                reply.resolve((kind, msg.payload))
         elif kind == "req":
             key = (msg.src, msg.req_id)
             if key in self._recent_set:
@@ -176,7 +187,7 @@ class Endpoint:
                 self._reply(msg.src, msg.req_id,
                             "err", f"no such service {service!r}", 64)
                 return
-            self.sim.process(
+            self.sim.start(
                 self._run_handler(handler, payload, msg.src, msg.req_id),
                 name=self._proc_names[service])
         elif kind == "oneway":
@@ -184,16 +195,16 @@ class Endpoint:
             handler = self.handlers.get(service)
             if handler is not None:
                 result = handler(payload, msg.src)
-                if isinstance(result, Generator):
-                    self.sim.process(result, name=self._proc_names[service])
+                if type(result) is GeneratorType:
+                    self.sim.start(result, name=self._proc_names[service])
         elif kind == "ping":
             self._reply(msg.src, msg.req_id, "resp", None, PING_BYTES)
 
     def _run_handler(self, handler: Handler, payload: Any, src: str, req_id: int):
         try:
             result = handler(payload, src)
-            if isinstance(result, Generator):
-                result = yield from _drive(result)
+            if type(result) is GeneratorType:
+                result = yield from result
         except Exception as exc:  # noqa: BLE001 - shipped back to the caller
             self._reply(src, req_id, "err", f"{type(exc).__name__}: {exc}", 64)
             return
@@ -207,12 +218,6 @@ class Endpoint:
             acquire_message(src=self.hostid, dst=dst, kind=kind,
                             payload=payload, size=size, req_id=req_id)
         )
-
-
-def _drive(gen: Generator):
-    """``yield from`` a handler generator, capturing its return value."""
-    result = yield from gen
-    return result
 
 
 def _split_result(result: HandlerResult) -> Tuple[Any, int]:

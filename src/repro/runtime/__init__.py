@@ -11,13 +11,6 @@ See ``docs/runtime.md`` for the architecture walkthrough.
 """
 
 from repro.runtime.metrics import CACHE, CLIENT, SERVER, MetricsRegistry, OpStats
-from repro.runtime.middleware import (
-    CallContext,
-    MetricsMiddleware,
-    RetryMiddleware,
-    TracingMiddleware,
-    compose,
-)
 from repro.runtime.policy import DEFAULT_POLICY, RPC_DEADLINE, CallPolicy
 from repro.runtime.service import ServiceRuntime
 from repro.runtime.trace import Span, Tracer
@@ -26,17 +19,12 @@ __all__ = [
     "CACHE",
     "CLIENT",
     "SERVER",
-    "CallContext",
     "CallPolicy",
     "DEFAULT_POLICY",
-    "MetricsMiddleware",
     "MetricsRegistry",
     "OpStats",
     "RPC_DEADLINE",
-    "RetryMiddleware",
     "ServiceRuntime",
     "Span",
     "Tracer",
-    "TracingMiddleware",
-    "compose",
 ]

@@ -1,4 +1,4 @@
-"""Per-service operation metrics, recorded by the runtime middleware.
+"""Per-service operation metrics, recorded by the service runtime.
 
 A :class:`MetricsRegistry` holds one :class:`OpStats` per
 ``(scope, service)`` pair.  Scope ``"client"`` counts outbound RPCs and

@@ -7,8 +7,10 @@ test.  It adds, without changing wire behaviour:
 
 * a default :class:`~repro.runtime.policy.CallPolicy` (the Figure-13
   deadline) so call sites stop re-spelling timeouts;
-* the middleware stack of :mod:`repro.runtime.middleware` on the client
-  side (metrics → tracing → retry → transport);
+* on the client side, one generator per call that carries the whole
+  invocation — ``rtts`` pings, the request, per-attempt timeouts and
+  retries — and records one scope-``"client"`` observation and one
+  ``rpc:<service>`` span for it, however many attempts it took;
 * handler instrumentation on the server side (per-service handler time
   and response bytes, recorded under scope ``"server"``);
 * idempotent re-registration via ``register(..., replace=True)`` for
@@ -20,17 +22,12 @@ deployments wire them after nodes (and their daemons) exist.
 
 from __future__ import annotations
 
+from types import GeneratorType
 from typing import Any, Generator, Optional
 
+from repro.network.message import RpcRemoteError, RpcTimeout
 from repro.network.transport import Endpoint, Handler, _split_result
 from repro.runtime.metrics import CLIENT, SERVER, MetricsRegistry
-from repro.runtime.middleware import (
-    CallContext,
-    MetricsMiddleware,
-    RetryMiddleware,
-    TracingMiddleware,
-    compose,
-)
 from repro.runtime.policy import DEFAULT_POLICY, CallPolicy
 from repro.runtime.trace import Tracer
 
@@ -49,7 +46,6 @@ class ServiceRuntime:
         self.registry = registry
         self.tracer = tracer
         self.policy = policy
-        self._rebuild()
 
     # ------------------------------------------------------------- wiring
     @property
@@ -69,41 +65,73 @@ class ServiceRuntime:
             self.tracer = tracer
         if policy is not _UNSET:
             self.policy = policy
-        self._rebuild()
         return self
-
-    def _rebuild(self) -> None:
-        stack = []
-        if self.registry is not None:
-            stack.append(MetricsMiddleware(self.registry, CLIENT))
-        if self.tracer is not None:
-            stack.append(TracingMiddleware(self.tracer))
-        stack.append(RetryMiddleware())
-        self._invoke = compose(stack, self._transport)
-
-    def _transport(self, ctx: CallContext):
-        result = yield from self.endpoint.call(
-            ctx.dst, ctx.service, ctx.payload, size=ctx.size,
-            timeout=ctx.attempt_timeout, rtts=ctx.rtts,
-        )
-        return result
 
     # -------------------------------------------------------- client side
     def call(self, dst: str, service: str, payload: Any = None,
              size: int = 0, timeout: Optional[float] = None, rtts: int = 1,
              policy: Optional[CallPolicy] = None):
-        """Generator: an RPC through the middleware stack.
+        """Generator: one RPC invocation, start to finish.
 
-        ``timeout`` overrides the per-attempt deadline only; ``policy``
-        overrides the whole retry/timeout behaviour for this call.
+        ``rtts - 1`` ping exchanges precede the request proper (the
+        paper's TCP round-trips).  An attempt whose ping or request gets
+        no answer by its deadline is re-issued from the first ping, after
+        the policy's backoff, up to ``policy.attempts`` — only time-outs:
+        a remote error is a handler answering "no", and repeating the
+        question does not change it.  ``timeout`` overrides the
+        per-attempt deadline only; ``policy`` overrides the whole
+        retry/timeout behaviour for this call.
+
+        However many attempts it takes, the invocation is one OpStats
+        observation (latency is what the caller felt) and one
+        ``rpc:<service>`` span carrying a ``retries`` attribute.
         """
-        ctx = CallContext(
-            sim=self.sim, dst=dst, service=service, payload=payload,
-            size=size, rtts=rtts, policy=policy or self.policy,
-            timeout=timeout,
-        )
-        result = yield from self._invoke(ctx)
-        return result
+        policy = policy or self.policy
+        if timeout is None:
+            timeout = policy.timeout
+        sim, endpoint, tracer = self.sim, self.endpoint, self.tracer
+        t0 = sim.now
+        span = None if tracer is None else tracer.start("rpc:" + service, dst=dst)
+        attempt, left = 1, rtts
+        try:
+            while True:
+                req_id, reply = endpoint.post(dst, service, payload, size,
+                                              timeout, ping=left > 1)
+                answer = yield reply
+                if answer is None:
+                    endpoint.abandon(req_id)
+                    if attempt >= policy.attempts:
+                        raise RpcTimeout(dst, service, timeout)
+                    delay = policy.delay_before_retry(attempt)
+                    attempt, left = attempt + 1, rtts
+                    if delay > 0:
+                        yield sim.timeout(delay)
+                elif answer[0] == "err":
+                    raise RpcRemoteError(dst, service, answer[1])
+                elif left > 1:
+                    left -= 1
+                else:
+                    break
+        except Exception as exc:
+            self._record_client(service, t0, size, attempt - 1, span, exc)
+            raise
+        self._record_client(service, t0, size, attempt - 1, span, None)
+        return answer[1]
+
+    def _record_client(self, service: str, t0: float, size: int,
+                       retries: int, span, exc: Optional[Exception]) -> None:
+        # An Interrupt thrown into the caller closes the span but is not
+        # an RPC outcome, so it is not observed.
+        if self.registry is not None and (
+                exc is None or isinstance(exc, (RpcTimeout, RpcRemoteError))):
+            self.registry.stats(CLIENT, service).observe(
+                self.sim.now - t0, ok=exc is None,
+                timeout=isinstance(exc, RpcTimeout),
+                retries=retries, bytes_out=size)
+        if span is not None:
+            span.attrs["retries"] = retries
+            self.tracer.finish(
+                span, status="ok" if exc is None else type(exc).__name__)
 
     def send(self, dst: str, service: str, payload: Any = None,
              size: int = 0) -> None:
@@ -156,7 +184,7 @@ class ServiceRuntime:
             except Exception:
                 self._record_server(service, t0, None, ok=False)
                 raise
-            if isinstance(result, Generator):
+            if type(result) is GeneratorType:
                 return self._drive(service, result, t0)
             self._record_server(service, t0, result, ok=True)
             return result

@@ -1,17 +1,21 @@
 """Trace spans over virtual time.
 
-A :class:`Tracer` records :class:`Span` trees: the tracing middleware
+A :class:`Tracer` records :class:`Span` trees: ``ServiceRuntime.call``
 opens a span per RPC, and any component may open spans around larger
 units of work (a commit, a migration round).  Parenthood follows the
 *simulated process* that is running when a span starts — the kernel
 exposes :attr:`Simulator.active_process` for exactly this — so nested
 ``yield from`` calls inside one process chain up naturally.
 
-Handlers execute in their own sim process, so a server-side span is a
-root unless linked explicitly (pass ``parent=``).  The same holds for
-sub-processes spawned via ``gather``; explicit linking is deliberate,
-because an automatic cross-process parent would have to survive process
-interleaving and would lie about causality more often than not.
+Handlers execute in their own sim process — the transport starts the
+handler's generator inside the delivery event that carried the request
+(``Simulator.start``), but as a :class:`~repro.sim.Process` of its own,
+which is ``active_process`` whenever the handler runs — so a server-side
+span is a root unless linked explicitly (pass ``parent=``).  The same
+holds for sub-processes spawned via ``gather``; explicit linking is
+deliberate, because an automatic cross-process parent would have to
+survive process interleaving and would lie about causality more often
+than not.
 """
 
 from __future__ import annotations

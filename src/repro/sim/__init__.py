@@ -16,9 +16,8 @@ from repro.sim.events import (
     Event,
     EventFailed,
     Interrupt,
+    Reply,
     Timeout,
-    Timer,
-    WaitAny,
 )
 from repro.sim.kernel import Process, Simulator, gather
 from repro.sim.resources import BandwidthPipe, Barrier, Resource, Store
@@ -33,12 +32,11 @@ __all__ = [
     "EventFailed",
     "Interrupt",
     "Process",
+    "Reply",
     "Resource",
     "RngStreams",
     "Simulator",
     "Store",
     "Timeout",
-    "Timer",
-    "WaitAny",
     "gather",
 ]

@@ -5,9 +5,10 @@ on events by ``yield``-ing them; the kernel resumes the process with the
 event's value (or raises its exception) once the event triggers.
 
 Hot-path discipline: events carry no eagerly-built name strings (names are
-lazy, computed in ``__repr__``), deadline :class:`Timer` objects are
-cancellable and pooled by the simulator, and callback removal tombstones
-instead of compacting the list.
+lazy, computed in ``__repr__``), callback removal tombstones instead of
+compacting the list, and the two per-message shapes — "call this at that
+instant" (:class:`Callback`) and "an answer or a deadline, whichever is
+first" (:class:`Reply`) — are one event each.
 """
 
 from __future__ import annotations
@@ -17,9 +18,8 @@ from typing import Any, Callable, Iterable, Optional
 PENDING = "pending"
 SUCCEEDED = "succeeded"
 FAILED = "failed"
-#: A triggered-but-undispatched timer whose deadline no longer matters;
-#: the kernel sweeps it from the heap without dispatching (and recycles
-#: :class:`Timer` instances through its free-list).
+#: A scheduled deadline that no longer matters (an answered
+#: :class:`Reply`): the kernel sweeps it from the heap without dispatching.
 CANCELLED = "cancelled"
 
 
@@ -50,6 +50,8 @@ class Event:
     __slots__ = ("sim", "state", "value", "_callbacks", "_name")
 
     def __init__(self, sim: "Simulator", name: str = ""):  # noqa: F821
+        # Hot subclasses (Timeout, Reply, Process) set these five fields
+        # themselves rather than pay a super().__init__() frame per event.
         self.sim = sim
         self.state = PENDING
         self.value: Any = None
@@ -103,9 +105,8 @@ class Event:
     def remove_callback(self, fn: Callable[["Event"], None]) -> None:
         """Detach ``fn`` by tombstoning its slot (swept at dispatch).
 
-        No list compaction: interrupts and ``wait_any`` cleanup hit this
-        on the hot path, and shifting the tail is the expensive part of
-        ``list.remove``.
+        No list compaction: interrupts hit this on the hot path, and
+        shifting the tail is the expensive part of ``list.remove``.
         """
         cbs = self._callbacks
         if cbs is not None:
@@ -126,25 +127,20 @@ class Event:
 
 
 class Timeout(Event):
-    """An event that triggers ``delay`` simulated seconds after creation.
-
-    ``lane`` feeds the kernel's same-instant arbitration: 0 (the default)
-    for ordinary local events, a stable ``delivery_lane(src, dst)`` value
-    for wire deliveries — so two events colliding at one ``(time,
-    priority)`` order by content, never by scheduling order.
-    """
+    """An event that triggers ``delay`` simulated seconds after creation."""
 
     __slots__ = ("delay",)
 
-    def __init__(self, sim: "Simulator", delay: float, value: Any = None,  # noqa: F821
-                 lane: int = 0):
+    def __init__(self, sim: "Simulator", delay: float, value: Any = None):  # noqa: F821
         if delay < 0:
             raise ValueError(f"negative timeout delay: {delay}")
-        super().__init__(sim)
-        self.delay = delay
+        self.sim = sim
         self.state = SUCCEEDED
         self.value = value
-        sim._schedule(self, delay, lane=lane)
+        self._callbacks = []
+        self._name = ""
+        self.delay = delay
+        sim._schedule(self, delay)
 
     @property
     def name(self) -> str:
@@ -156,71 +152,64 @@ class Timeout(Event):
         self._name = value
 
 
-class Timer(Event):
-    """A cancellable deadline, pooled by the simulator.
+class Callback(Event):
+    """A plain call at a later instant (``Simulator.call_later``):
+    dispatch *is* ``fn(a, b)`` — no callback list, closure or value.  It
+    never leaves the kernel, so nothing can wait on it and only the field
+    the run loop reads (``state``) is initialised."""
 
-    Like :class:`Timeout` it is born in the succeeded state and fires
-    ``delay`` seconds after scheduling — but :meth:`cancel` turns the
-    pending heap entry into a tombstone the kernel sweeps (and recycles)
-    without dispatching.  Acquire through ``Simulator.timer()``; never
-    hold a reference past cancellation, the object is reused.
-    """
+    __slots__ = ("fn", "a", "b")
 
-    __slots__ = ("delay",)
-
-    def __init__(self, sim: "Simulator", delay: float, value: Any = None):  # noqa: F821
-        super().__init__(sim)
-        self.delay = delay
+    def __init__(self, fn: Callable[[Any, Any], None], a: Any, b: Any):
         self.state = SUCCEEDED
-        self.value = value
+        self.fn = fn
+        self.a = a
+        self.b = b
 
-    def cancel(self) -> None:
-        """Void the deadline; a no-op once the timer has dispatched."""
-        if self.state is SUCCEEDED and self._callbacks is not None:
-            self.state = CANCELLED
-            self._callbacks = None
-            self.sim._note_cancelled()
+    def _dispatch(self) -> None:
+        self.fn(self.a, self.b)
 
-    @property
-    def name(self) -> str:
-        return self._name or f"timer({self.delay:g})"
-
-    @name.setter
-    def name(self, value: str) -> None:
-        self._name = value
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return f"<Callback {self.fn!r}>"
 
 
-class WaitAny(Event):
-    """First-of-(event, deadline) without an :class:`AnyOf` allocation.
+class Reply(Event):
+    """An answer slot that is its own deadline (``Simulator.reply``).
 
-    Fires with value ``True`` if the child event triggered first and
-    ``False`` if the deadline expired; the losing side is detached
-    (deadline cancelled, or the child's callback tombstoned).  A child
-    *failure* is treated as silence, matching ``AnyOf``'s behaviour of
-    only failing once every child has failed — with a deadline present,
-    that surfaces as a timeout.  Built via ``Simulator.wait_any()``.
+    Born scheduled ``deadline`` seconds ahead with value ``None``: a
+    waiter resumed with ``None`` timed out.  :meth:`resolve` delivers an
+    answer (any non-``None`` value) at the current instant instead; once
+    that has dispatched, the deadline's heap entry is a tombstone the
+    kernel sweeps un-dispatched (and compacts away in bulk when
+    tombstones outnumber live entries) — so ``state`` reads *cancelled*
+    on an answered reply, and ``value`` is the thing to test.
     """
 
-    __slots__ = ("_child", "_timer")
+    __slots__ = ()
 
-    def _arm(self, child: Event, timer: Timer) -> None:
-        self._child = child
-        self._timer = timer
-        child.add_callback(self._on_child)  # may fire inline if in the past
-        if self.state is PENDING:
-            timer.add_callback(self._on_timer)
-        else:
-            timer.cancel()
+    def __init__(self, sim: "Simulator", deadline: float):  # noqa: F821
+        self.sim = sim
+        self.state = SUCCEEDED
+        self.value = None
+        self._callbacks = []
+        self._name = ""
+        sim._schedule(self, deadline)
 
-    def _on_child(self, ev: Event) -> None:
-        if self.state is PENDING and ev.state is not FAILED:
-            self._timer.cancel()
-            self.succeed(True)
+    def resolve(self, value: Any) -> None:
+        """Wake the waiter with ``value`` now.  Ignored once the reply
+        has dispatched (timed out, or already answered)."""
+        if self._callbacks is not None and self.value is None:
+            self.value = value
+            self.sim._schedule(self)
 
-    def _on_timer(self, _timer: Event) -> None:
-        if self.state is PENDING:
-            self._child.remove_callback(self._on_child)
-            self.succeed(False)
+    def _dispatch(self) -> None:
+        callbacks, self._callbacks = self._callbacks, None
+        if self.value is not None:
+            self.state = CANCELLED
+            self.sim._note_cancelled()
+        for fn in callbacks:
+            if fn is not None:
+                fn(self)
 
 
 class _Condition(Event):

@@ -7,20 +7,27 @@ on, so the per-event taxes are explicit):
   priority-0 "urgent" events (process bootstrap, interrupts) and one for
   ordinary same-tick triggers — preserving exactly the ``(time,
   priority, lane, seq)`` order the heap would have produced;
-* deadlines are :class:`~repro.sim.events.Timer` objects that callers
-  cancel on completion; cancelled entries are tombstones, swept (and the
-  timer recycled through a free-list) when popped, and compacted in bulk
-  when they outnumber the live heap;
+* a deadline that lost its race (an answered
+  :class:`~repro.sim.events.Reply`) is a tombstone: swept un-dispatched
+  when popped, and compacted in bulk when tombstones outnumber the live
+  heap;
 * bootstrap/interrupt kick events are pooled (:class:`_Kick`);
-* :meth:`Simulator.wait_any` waits for first-of-(event, deadline)
-  without the per-call ``AnyOf`` allocation the RPC path used to pay.
+* one message is one event: a wire delivery is a ``Callback``
+  (:meth:`Simulator.call_later`), an RPC's answer-or-deadline one
+  ``Reply`` (:meth:`Simulator.reply`), a handler's generator starts
+  inside its delivery (:meth:`Simulator.start`), and a process nobody
+  waits on finishes without scheduling anything;
+* every driver (``run``, ``run_until``, ``run_process``) is
+  :meth:`Simulator.run_window`'s fused peek + pop + dispatch frame;
+  :meth:`Simulator.step` is the one-event reference it is tested against.
 """
 
 from __future__ import annotations
 
 import heapq
 from collections import deque
-from typing import Any, Generator, Optional
+from math import inf, nextafter
+from typing import Any, Callable, Generator, Iterable, Optional
 
 from repro.sim.events import (
     CANCELLED,
@@ -29,15 +36,15 @@ from repro.sim.events import (
     SUCCEEDED,
     AllOf,
     AnyOf,
+    Callback,
     Event,
     EventFailed,
     Interrupt,
+    Reply,
     Timeout,
-    Timer,
-    WaitAny,
 )
 
-#: Upper bound on the timer/kick free-lists (beyond this, garbage collect).
+#: Upper bound on the kick free-list (beyond this, garbage collect).
 _POOL_MAX = 1024
 #: Minimum tombstone count before a bulk heap compaction is considered.
 _COMPACT_MIN = 64
@@ -49,6 +56,12 @@ class _Kick(Event):
     nothing outside the kernel ever holds one."""
 
     __slots__ = ()
+
+
+#: What a process started in place (:meth:`Simulator.start`) is resumed
+#: with: a succeeded, valueless trigger.
+_STARTED = _Kick(None)
+_STARTED.state = SUCCEEDED
 
 
 class Simulator:
@@ -77,11 +90,10 @@ class Simulator:
         self._imm1: deque = deque()  # zero-delay, priority 1
         self._seq: int = 0
         self._nprocessed: int = 0
-        self._nswept: int = 0        # tombstoned timers removed un-dispatched
+        self._nswept: int = 0        # voided deadlines removed un-dispatched
         self._ntomb: int = 0         # cancelled entries still in containers
         self._npending: int = 0
         self._peak_pending: int = 0
-        self._timer_pool: list = []
         self._kick_pool: list = []
         #: Cooperative break for :meth:`run_window`: a callback fired
         #: mid-window (e.g. "my last local process completed") sets this
@@ -151,49 +163,23 @@ class Simulator:
         if n > self._peak_pending:
             self._peak_pending = n
 
-    def timeout(self, delay: float, value: Any = None,
-                lane: int = 0) -> Timeout:
-        """An event firing after ``delay`` simulated seconds.
+    def timeout(self, delay: float, value: Any = None) -> Timeout:
+        """An event firing after ``delay`` simulated seconds."""
+        return Timeout(self, delay, value)
 
-        ``lane`` is the same-instant arbitration lane (0 for ordinary
-        local events; wire deliveries pass their (src, dst) lane so ties
-        resolve insertion-order-independently).
-        """
-        return Timeout(self, delay, value, lane=lane)
+    def call_later(self, delay: float, fn: Callable[[Any, Any], None],
+                   a: Any, b: Any, lane: int = 0) -> None:
+        """Call ``fn(a, b)`` after ``delay`` seconds: one slotted event
+        whose dispatch is the call itself (a wire delivery).  ``lane`` is
+        the same-instant arbitration lane — 0 for local work; deliveries
+        pass their (src, dst) lane so ties resolve by content."""
+        self._schedule(Callback(fn, a, b), delay, 1, lane)
 
-    def timer(self, delay: float, value: Any = None) -> Timer:
-        """A cancellable deadline, drawn from the kernel's free-list.
-
-        Cancel it (``timer.cancel()``) the moment the thing it guards
-        completes: the heap entry becomes a tombstone and the object is
-        recycled.  Do not keep references to a cancelled timer.
-        """
-        if delay < 0:
-            raise ValueError(f"negative timer delay: {delay}")
-        pool = self._timer_pool
-        if pool:
-            t = pool.pop()
-            t.state = SUCCEEDED
-            t.value = value
-            t._callbacks = []
-            t.delay = delay
-        else:
-            t = Timer(self, delay, value)
-        self._schedule(t, delay)
-        return t
-
-    def wait_any(self, event: Event, deadline: float) -> Event:
-        """An event firing when ``event`` triggers or ``deadline`` seconds
-        pass, whichever is first; its value is True if ``event`` won.
-
-        This is the RPC hot path's replacement for
-        ``AnyOf(sim, [ev, sim.timeout(deadline)])``: the deadline is a
-        pooled cancellable timer, so a completed RPC leaves no dead event
-        behind on the heap.
-        """
-        w = WaitAny(self)
-        w._arm(event, self.timer(deadline))
-        return w
+    def reply(self, deadline: float) -> Reply:
+        """An answer slot that fires with ``None`` after ``deadline``
+        seconds unless :meth:`~repro.sim.events.Reply.resolve` answers it
+        first — one event per RPC exchange."""
+        return Reply(self, deadline)
 
     def event(self, name: str = "") -> Event:
         """A fresh untriggered event."""
@@ -206,15 +192,27 @@ class Simulator:
     def any_of(self, events) -> Event:
         """An event firing as soon as any event in ``events`` fires.
 
-        For the two-way (event, deadline) case prefer :meth:`wait_any`,
-        which cancels the losing deadline instead of leaving it on the
-        heap.
+        For "an answer or a deadline" use :meth:`reply`, which leaves a
+        swept tombstone instead of a live timeout on the heap.
         """
         return AnyOf(self, events)
 
     def process(self, gen: Generator, name: str = "") -> "Process":
-        """Run a generator as a process; returns its Process event."""
-        return Process(self, gen, name)
+        """Run a generator as a process, starting at the current instant
+        once the running event has finished; returns its Process event."""
+        proc = Process(self, gen, name)
+        self._kick(proc._resume_cb)
+        return proc
+
+    def start(self, gen: Generator, name: str = "") -> "Process":
+        """Run a generator as a process, executing it up to its first
+        wait *before returning* — for callers with nothing left to do in
+        the current event (a delivery handing a request to its handler):
+        the kick :meth:`process` schedules would be the next event anyway.
+        """
+        proc = Process(self, gen, name)
+        proc._resume(_STARTED)
+        return proc
 
     def _kick(self, callback) -> None:
         """Schedule ``callback`` to run at the current instant with urgent
@@ -230,22 +228,13 @@ class Simulator:
         self._schedule(k, 0.0, 0)
 
     def _note_cancelled(self) -> None:
-        """Called by Timer.cancel(); compacts the heap when tombstones
-        outnumber live entries (amortized O(1) per cancellation)."""
+        """A scheduled entry became a tombstone; compacts the heap when
+        tombstones outnumber live entries (amortized O(1) each)."""
         self._ntomb += 1
         heap = self._heap
         if self._ntomb < _COMPACT_MIN or self._ntomb * 2 < len(heap):
             return
-        pool = self._timer_pool
-        live = []
-        for entry in heap:
-            ev = entry[4]
-            if ev.state is CANCELLED:
-                if type(ev) is Timer and len(pool) < _POOL_MAX:
-                    ev.value = None
-                    pool.append(ev)
-            else:
-                live.append(entry)
+        live = [entry for entry in heap if entry[4].state is not CANCELLED]
         removed = len(heap) - len(live)
         heapq.heapify(live)
         self._heap = live
@@ -278,9 +267,6 @@ class Simulator:
             self._nswept += 1
             if self._ntomb:
                 self._ntomb -= 1
-            if type(event) is Timer and len(self._timer_pool) < _POOL_MAX:
-                event.value = None
-                self._timer_pool.append(event)
             return
         self._nprocessed += 1
         event._dispatch()
@@ -290,12 +276,11 @@ class Simulator:
     def run_window(self, t_end: float, grid: float = 0.0) -> int:
         """Process every event strictly before ``t_end`` in one fused loop.
 
-        The conservative-parallel harness used to alternate
-        ``next_event_time()`` + ``step()``, peeking all three containers
-        twice per event; with multi-window grants this *is* the worker
-        hot loop, so the peek and the pop are fused here.  Selection
-        order is identical to :meth:`step` (lexicographically smallest
-        ``(time, priority, lane, seq)`` across the FIFOs and the heap).
+        Peek, pop and dispatch share one frame: this is the hot loop of
+        every driver (:meth:`run`, :meth:`run_until`, the partition
+        workers' grants).  Selection order is identical to :meth:`step`
+        (lexicographically smallest ``(time, priority, lane, seq)``
+        across the FIFOs and the heap).
 
         Returns the number of distinct grid-aligned windows of width
         ``grid`` that contained at least one processed event (0 when
@@ -335,9 +320,6 @@ class Simulator:
                 self._nswept += 1
                 if self._ntomb:
                     self._ntomb -= 1
-                if type(event) is Timer and len(self._timer_pool) < _POOL_MAX:
-                    event.value = None
-                    self._timer_pool.append(event)
                 continue
             self._nprocessed += 1
             if grid and when >= edge:
@@ -351,31 +333,47 @@ class Simulator:
 
     def run(self, until: Optional[float] = None) -> None:
         """Run until no events remain or virtual time passes ``until``."""
-        if until is not None:
-            while True:
-                t = self.next_event_time()
-                if t is None or t > until:
-                    break
-                self.step()
-            self.now = max(self.now, until)
+        if until is None:
+            self.run_window(inf)
         else:
-            while self._npending:
-                self.step()
+            # "<= until" is "strictly before the next float".
+            self.run_window(nextafter(until, inf))
+            self.now = max(self.now, until)
+
+    def run_until(self, events: Iterable[Event], max_time: float = inf) -> None:
+        """Run until every event in ``events`` has dispatched — unlike
+        ``run(until=horizon)``, no grinding through hours of heartbeats
+        after the workload completes.  A callback countdown breaks the
+        fused loop, so the driver adds no work per event.  Raises
+        :class:`RuntimeError` on deadlock or past ``max_time``."""
+        remaining = 0
+
+        def _one_done(_ev):
+            nonlocal remaining
+            remaining -= 1
+            if not remaining:
+                self.window_break = True
+
+        for ev in events:
+            if ev._callbacks is not None:  # not yet dispatched
+                remaining += 1
+                ev.add_callback(_one_done)
+        if not remaining:
+            return
+        self.run_window(nextafter(max_time, inf))
+        self.window_break = False
+        if remaining:
+            if not self._npending:
+                raise RuntimeError(
+                    f"deadlock: {remaining} events pending and nothing "
+                    f"scheduled at t={self.now:g}")
+            raise RuntimeError(f"exceeded {max_time:g} simulated seconds "
+                               f"with {remaining} events pending")
 
     def run_process(self, proc: "Process", until: Optional[float] = None) -> Any:
         """Run until ``proc`` finishes; return its value (raise on failure)."""
-        while not proc.triggered:
-            if not self._npending:
-                raise RuntimeError(
-                    f"deadlock: process {proc.name!r} never finished and no "
-                    f"events remain at t={self.now:g}"
-                )
-            if until is not None and self.next_event_time() > until:
-                raise RuntimeError(
-                    f"process {proc.name!r} still pending at t={until:g}"
-                )
-            self.step()
-        if proc.state == FAILED:
+        self.run_until((proc,), inf if until is None else until)
+        if proc.state is FAILED:
             raise proc.value
         return proc.value
 
@@ -422,16 +420,19 @@ class Process(Event):
     __slots__ = ("_gen", "_waiting_on", "_interrupts", "_resume_cb")
 
     def __init__(self, sim: Simulator, gen: Generator, name: str = ""):
-        super().__init__(sim, name=name or getattr(gen, "__name__", "process"))
+        """Wrap ``gen``; :meth:`Simulator.process` / :meth:`Simulator.start`
+        decide when it first runs."""
+        self.sim = sim
+        self.state = PENDING
+        self.value = None
+        self._callbacks = []
+        self._name = name or getattr(gen, "__name__", "process")
         self._gen = gen
         self._waiting_on: Optional[Event] = None
         self._interrupts: Optional[list] = None  # built lazily; rare
         # One bound method for the process's lifetime: registering and
         # tombstoning callbacks then never re-allocates it per yield.
         self._resume_cb = self._resume
-        # Bootstrap: start the generator at the current sim time via a
-        # pooled immediate kick.
-        sim._kick(self._resume_cb)
 
     @property
     def is_alive(self) -> bool:
@@ -453,50 +454,60 @@ class Process(Event):
 
     # -- internal ---------------------------------------------------------
     def _resume(self, trigger: Event) -> None:
+        """Drive the generator from ``trigger`` to its next real wait."""
         self._waiting_on = None
-        prev = self.sim.active_process
-        self.sim.active_process = self
-        try:
-            self._step(trigger)
-        finally:
-            self.sim.active_process = prev
-
-    def _step(self, trigger: Event) -> None:
+        sim = self.sim
+        prev = sim.active_process
+        sim.active_process = self
         gen = self._gen
-        while True:
-            try:
-                if self._interrupts:
-                    target = gen.throw(self._interrupts.pop(0))
-                elif trigger.state is FAILED:
-                    exc = trigger.value
-                    if not isinstance(exc, BaseException):
-                        exc = EventFailed(exc)
-                    target = gen.throw(exc)
-                else:
-                    target = gen.send(trigger.value)
-            except StopIteration as stop:
-                if self.state is PENDING:
-                    self.succeed(stop.value)
-                return
-            except Interrupt:
-                # Uncaught interrupt kills the process silently: this is the
-                # normal fate of daemon loops on a crashed node.
-                if self.state is PENDING:
-                    self.succeed(None)
-                return
-            except BaseException as exc:  # noqa: BLE001 - propagate to waiters
-                if self.state is PENDING:
-                    self.fail(exc)
+        try:
+            while True:
+                try:
+                    if self._interrupts:
+                        target = gen.throw(self._interrupts.pop(0))
+                    elif trigger.state is FAILED:
+                        exc = trigger.value
+                        if not isinstance(exc, BaseException):
+                            exc = EventFailed(exc)
+                        target = gen.throw(exc)
+                    else:
+                        target = gen.send(trigger.value)
+                except StopIteration as stop:
+                    self._finish(SUCCEEDED, stop.value)
                     return
-                raise
-            if not isinstance(target, Event):
-                raise TypeError(
-                    f"process {self.name!r} yielded {target!r}, not an Event"
-                )
-            if target.triggered and target._callbacks is None:
-                # Already dispatched in the past: loop and consume inline.
-                trigger = target
-                continue
-            self._waiting_on = target
-            target.add_callback(self._resume_cb)
-            return
+                except Interrupt:
+                    # Uncaught interrupt kills the process silently: this
+                    # is the normal fate of daemon loops on a crashed node.
+                    self._finish(SUCCEEDED, None)
+                    return
+                except BaseException as exc:  # noqa: BLE001 - propagate to waiters
+                    if self.state is not PENDING:
+                        raise
+                    self._finish(FAILED, exc)
+                    return
+                if not isinstance(target, Event):
+                    raise TypeError(
+                        f"process {self.name!r} yielded {target!r}, not an Event"
+                    )
+                callbacks = target._callbacks
+                if callbacks is None:
+                    # Already dispatched in the past: consume inline.
+                    trigger = target
+                    continue
+                self._waiting_on = target
+                callbacks.append(self._resume_cb)
+                return
+        finally:
+            sim.active_process = prev
+
+    def _finish(self, state: str, value: Any) -> None:
+        """Settle the process event.  With waiters it is scheduled like
+        any trigger; with none it is marked dispatched on the spot — a
+        later ``yield``/``add_callback`` consumes it inline either way."""
+        if self.state is PENDING:
+            self.state = state
+            self.value = value
+            if self._callbacks:
+                self.sim._schedule(self)
+            else:
+                self._callbacks = None

@@ -312,9 +312,8 @@ class Transit:
         # Same lane as a direct fabric delivery: cross-cut copies tie-break
         # against local events identically in serial-with-map and windowed
         # runs.
-        self.sim.timeout(final - self.sim.now,
-                         lane=delivery_lane(src_id, dst_id)).add_callback(
-            lambda _e, d=dst, m=msg: fabric._deliver_copy(d, m))
+        self.sim.call_later(final - self.sim.now, fabric._deliver_copy,
+                            dst, msg, lane=delivery_lane(src_id, dst_id))
 
     # -- reporting ------------------------------------------------------
     def cross_matrix(self) -> Dict[str, List[int]]:

@@ -47,7 +47,7 @@ from __future__ import annotations
 import zlib
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro.sim import Event, Simulator
+from repro.sim import Event, Reply, Simulator
 from repro.storage.disk import DiskIOError
 
 MB = 1 << 20
@@ -104,7 +104,7 @@ class StorageEngine:
         self._queue: List[_IoReq] = []
         self._plugged = False
         self._seq = 0
-        self._kick: Optional[Event] = None
+        self._kick: Optional[Reply] = None
         # Deterministic per-host flusher phase; consumes no RNG stream.
         self._stagger = (zlib.crc32(host.encode()) % 997) / 997.0
         self.stats = {
@@ -257,17 +257,16 @@ class StorageEngine:
 
     def request_flush(self) -> None:
         """Wake the background flusher early (high-watermark trigger)."""
-        kick = self._kick
-        if kick is not None and not kick.triggered:
-            kick.succeed()
+        if self._kick is not None:
+            self._kick.resolve(True)
 
     def flush_loop(self):
         """Background flusher process (spawn via ``node.spawn`` so it
         dies with the node and restarts with the provider)."""
         yield self.sim.timeout(self._stagger * self.flush_interval)
         while True:
-            self._kick = self.sim.event("flush-kick")
-            yield self.sim.wait_any(self._kick, self.flush_interval)
+            self._kick = self.sim.reply(self.flush_interval)
+            yield self._kick
             self._kick = None
             yield from self._flush_round()
 

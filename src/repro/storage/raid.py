@@ -53,6 +53,14 @@ class Raid0:
             raise ValueError("negative I/O size")
         if len(self.disks) == 1:
             return self.disks[0].io(nbytes, sequential)
+        if 0 < nbytes <= self.stripe:
+            # One stripe unit (every journal append, most small-file
+            # I/O): the whole request is the next member's.  Still
+            # wrapped like the striped case, so completion takes the same
+            # hop through the kernel whatever the request size.
+            i = self._next
+            self._next = (i + 1) % len(self.disks)
+            return self.sim.all_of((self.disks[i].io(nbytes, sequential),))
         # Split into per-disk byte counts, stripe unit at a time.
         per_disk = [0] * len(self.disks)
         remaining = nbytes

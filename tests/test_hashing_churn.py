@@ -142,3 +142,20 @@ def test_hosts_for_resolves_the_ring_once_per_batch():
     assert ring.stats["reconciles"] == before["reconciles"]  # same view
     assert ring.stats["point_hashes"] == before["point_hashes"]
     assert batch == {k: ring.home_host(k, members) for k in KEYS[:200]}
+
+
+def test_second_ring_over_the_same_hosts_hashes_nothing():
+    """Every client and provider keeps its own ring over the same
+    cluster; vnode points are a pure function of (host, vnodes) and are
+    computed once per process, not once per ring."""
+    members = sorted(f"shared-memo-{i}" for i in range(30))
+    first, second, other = HashRing(vnodes=16), HashRing(vnodes=16), \
+        HashRing(vnodes=8)
+    first.home_host(KEYS[0], members)
+    assert first.stats["point_hashes"] == 30 * 16
+    assert all(second.home_host(k, members) == first.home_host(k, members)
+               for k in KEYS[:100])
+    assert second.stats["point_hashes"] == 0
+    assert second.stats["bulk_builds"] == 1  # it still built its own arrays
+    other.home_host(KEYS[0], members)  # a different vnode count is new work
+    assert other.stats["point_hashes"] == 30 * 8

@@ -1,7 +1,8 @@
 """Tests for the instrumented service-runtime layer.
 
-Covers the satellite checklist: middleware ordering, retry-with-backoff
-under injected timeouts, metric counter correctness, trace parent/child
+Covers the call contract (one observation and one span per invocation,
+whatever pings and retries it took), retry-with-backoff under injected
+timeouts, metric counter correctness, trace parent/child
 nesting in virtual time, idempotent handler registration, and the
 end-to-end assertion that a real experiment driver's read/write/open
 paths show up in the deployment registry.
@@ -15,14 +16,12 @@ from repro.runtime import (
     CACHE,
     CLIENT,
     SERVER,
-    CallContext,
     CallPolicy,
     MetricsRegistry,
     ServiceRuntime,
     Tracer,
-    compose,
 )
-from repro.sim import Simulator
+from repro.sim import Interrupt, Simulator
 
 
 def make_runtimes(n=3, rate=12.5e6, latency=80e-6):
@@ -36,34 +35,65 @@ def make_runtimes(n=3, rate=12.5e6, latency=80e-6):
     return sim, fabric, rts
 
 
-# ------------------------------------------------------------ composition
-def test_compose_runs_middlewares_outermost_first():
-    sim = Simulator()
-    events = []
+# ---------------------------------------------------------- call contract
+def test_one_observation_and_one_span_cover_pings_and_retries():
+    """rtts=3 is two pings and the request; an attempt that times out in
+    a ping starts over from the first ping; the caller still sees one
+    invocation — one OpStats row entry, one span, same interval."""
+    sim, fabric, rts = make_runtimes()
+    registry, tracer = MetricsRegistry(), Tracer(sim)
+    rts["n0"].configure(registry=registry, tracer=tracer)
+    rts["n1"].register("echo", lambda payload, src: (payload, 8))
+    fabric.hosts["n1"].alive = False
 
-    def recorder(tag):
-        def mw(ctx, nxt):
-            events.append(f"{tag}:pre")
-            result = yield from nxt(ctx)
-            events.append(f"{tag}:post")
-            return result
-        return mw
+    def reviver():
+        yield sim.timeout(0.7)  # first attempt's first ping dies at 0.5
+        fabric.hosts["n1"].alive = True
 
-    def terminal(ctx):
-        events.append("terminal")
-        return 42
-        yield  # pragma: no cover - makes this a generator
+    def client():
+        resp = yield from rts["n0"].call(
+            "n1", "echo", "x", size=16, rtts=3,
+            policy=CallPolicy(timeout=0.5, attempts=3, backoff=0.25))
+        return resp, sim.now
 
-    invoke = compose([recorder("outer"), recorder("inner")], terminal)
-    ctx = CallContext(sim=sim, dst="n1", service="x")
+    sim.process(reviver())
+    sent0 = fabric.messages_sent
+    resp, t = sim.run_process(sim.process(client()))
+    assert resp == "x"
+    # One lost ping, then ping/ack, ping/ack, req/resp.
+    assert fabric.messages_sent - sent0 == 1 + 6
+    st = registry.stats(CLIENT, "echo")
+    assert (st.calls, st.ok, st.timeouts, st.retries) == (1, 1, 0, 1)
+    assert st.bytes_out == 16
+    assert st.latency_total == pytest.approx(t)
+    (span,) = tracer.spans("rpc:echo")
+    assert span.status == "ok" and span.attrs["retries"] == 1
+    assert (span.start, span.end) == (0.0, t)
+    assert t > 0.75  # 0.5 deadline + 0.25 backoff + three round-trips
 
-    def drive():
-        result = yield from invoke(ctx)
-        return result
 
-    assert sim.run_process(sim.process(drive())) == 42
-    assert events == ["outer:pre", "inner:pre", "terminal",
-                      "inner:post", "outer:post"]
+def test_interrupted_call_closes_its_span_but_is_not_an_rpc_outcome():
+    sim, fabric, rts = make_runtimes()
+    registry, tracer = MetricsRegistry(), Tracer(sim)
+    rts["n0"].configure(registry=registry, tracer=tracer)
+    fabric.hosts["n1"].alive = False
+
+    def client():
+        with pytest.raises(Interrupt):
+            yield from rts["n0"].call("n1", "echo", "x")
+        return sim.now
+
+    proc = sim.process(client())
+
+    def killer():
+        yield sim.timeout(1.0)
+        proc.interrupt("crash")
+
+    sim.process(killer())
+    assert sim.run_process(proc) == pytest.approx(1.0)
+    (span,) = tracer.spans("rpc:echo")
+    assert span.status == "Interrupt"
+    assert registry.get(CLIENT, "echo") is None
 
 
 def test_stock_stack_order_metrics_outside_retry():
@@ -277,6 +307,36 @@ def test_trace_server_side_span_is_a_root():
     assert rpc.parent is tracer.spans("app")[0]
 
 
+def test_trace_parentage_survives_a_handler_started_mid_event():
+    """A loopback-free proof at the kernel seam: a process started in
+    place (what a delivery does with a request handler) opens a root
+    span of its own, and the starter's next span still parents under the
+    starter's open span."""
+    sim = Simulator()
+    tracer = Tracer(sim)
+
+    def handler():
+        span = tracer.start("server:work")
+        yield sim.timeout(0.002)
+        tracer.finish(span)
+
+    def client():
+        app = tracer.start("app")
+        sim.start(handler(), name="handle:work")
+        inner = tracer.start("app:after")
+        yield sim.timeout(0.001)
+        tracer.finish(inner)
+        tracer.finish(app)
+
+    sim.run_process(sim.process(client()))
+    sim.run()
+    (server,) = tracer.spans("server:work")
+    (inner,) = tracer.spans("app:after")
+    assert server.parent is None
+    assert inner.parent is tracer.spans("app")[0]
+    assert server.start == inner.start == 0.0
+
+
 def test_trace_failed_call_records_error_status():
     sim, fabric, rts = make_runtimes()
     fabric.hosts["n1"].alive = False
@@ -315,6 +375,47 @@ def test_register_duplicate_is_loud_unless_replaced():
 
     assert sim.run_process(sim.process(client())) == "new"
     assert seen == ["x"]
+
+
+def test_register_keeps_sync_handlers_sync_and_drives_generators():
+    """Handlers are plain functions or plain generator functions (told
+    apart by exact type): a sync one-way handler has run by the time its
+    delivery returns, a generator handler is driven to its end, and both
+    answer RPCs and land in the server-scope stats."""
+    sim, fabric, rts = make_runtimes()
+    registry = MetricsRegistry()
+    rts["n1"].configure(registry=registry)
+    seen = []
+
+    def slow(payload, src):
+        yield sim.timeout(0.25)
+        seen.append(("slow", payload, sim.now))
+        return payload * 2, 8
+
+    def quick(payload, src):
+        seen.append(("quick", payload, sim.now))
+        return payload + 1, 8
+
+    rts["n1"].register("slow", slow)
+    rts["n1"].register("quick", quick)
+
+    def client():
+        a = yield from rts["n0"].call("n1", "slow", 21)
+        b = yield from rts["n0"].call("n1", "quick", 41)
+        return a, b
+
+    assert sim.run_process(sim.process(client())) == (42, 42)
+    t_rpc = sim.now
+    rts["n0"].send("n1", "quick", 1)
+    rts["n0"].send("n1", "slow", 2)
+    sim.run()
+    assert [s[:2] for s in seen] == [("slow", 21), ("quick", 41),
+                                     ("quick", 1), ("slow", 2)]
+    assert seen[3][2] - seen[2][2] == pytest.approx(0.25)
+    assert seen[2][2] > t_rpc
+    assert registry.stats(SERVER, "slow").calls == 2
+    assert registry.stats(SERVER, "slow").latency_total == pytest.approx(0.5)
+    assert registry.stats(SERVER, "quick").latency_total == 0.0
 
 
 def test_configure_after_register_still_records_server_stats():

@@ -1,143 +1,42 @@
-"""Tests for the kernel's hot-path machinery: cancellable timers,
-``wait_any``, the zero-delay FIFOs, callback tombstoning, and the
-timer/kick free-lists."""
+"""Tests for the kernel's hot-path machinery: voided deadlines, the
+zero-delay FIFOs, callback tombstoning, the kick free-list, the
+one-event shapes (``call_later``, ``reply``, ``start``,
+silent process completion) and the fused run loop."""
 
-import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.sim import Simulator, Timer, WaitAny
+from repro.sim import Simulator
 from repro.sim.events import CANCELLED
 
 
-# ------------------------------------------------------------- timers
-def test_timer_fires_like_a_timeout():
-    sim = Simulator()
-
-    def proc():
-        v = yield sim.timer(2.0, value="ding")
-        return (sim.now, v)
-
-    assert sim.run_process(sim.process(proc())) == (2.0, "ding")
-
-
-def test_cancelled_timer_never_dispatches():
+# ------------------------------------------------------ voided deadlines
+def test_answered_reply_is_swept_not_dispatched():
     sim = Simulator()
     fired = []
-    t = sim.timer(5.0)
-    t.add_callback(lambda ev: fired.append(sim.now))
-    t.cancel()
+    r = sim.reply(5.0)
+    r.add_callback(lambda ev: fired.append((sim.now, ev.value)))
+    r.resolve("early")
     sim.run()
-    assert fired == []
-    assert t.state is CANCELLED
-    assert sim._nswept == 1
+    assert fired == [(0.0, "early")]        # once, at the answer
+    assert r.state is CANCELLED and r.value == "early"
+    assert sim._nprocessed == 1 and sim._nswept == 1
     assert sim.pending_events == 0
 
 
-def test_cancelled_timer_is_recycled():
+def test_mass_answering_compacts_the_heap():
     sim = Simulator()
-    t = sim.timer(5.0)
-    t.cancel()
-    sim.run()  # sweeps the tombstone into the free-list
-    t2 = sim.timer(1.0)
-    assert t2 is t  # same object, reborn from the pool
-
-    def proc():
-        yield t2
-
-    sim.run_process(sim.process(proc()))
-    assert sim.now == pytest.approx(6.0)  # swept at 5.0, reborn +1.0
-
-
-def test_cancel_after_dispatch_is_noop():
-    sim = Simulator()
-    t = sim.timer(1.0)
-    sim.run()
-    t.cancel()
-    assert t.ok  # still a successfully dispatched event
-    assert sim._nswept == 0
-
-
-def test_mass_cancellation_compacts_the_heap():
-    sim = Simulator()
-    timers = [sim.timer(10.0 + i) for i in range(300)]
+    replies = [sim.reply(10.0 + i) for i in range(300)]
     assert sim.pending_events == 300
-    for t in timers:
-        t.cancel()
-    # Compaction kicks in long before the run: the heap must not hold
-    # 300 tombstones until t=10.
-    assert sim.pending_events < 300
+    for r in replies:
+        r.resolve(True)
+    sim.run(until=1.0)
+    # Compaction kicked in long before t=10: the heap does not hold 300
+    # tombstones until their deadlines.
+    assert sim.pending_events < 150
     sim.run()
     assert sim.pending_events == 0
-    assert sim._nswept == 300
-
-
-# ------------------------------------------------------------ wait_any
-def test_wait_any_event_wins():
-    sim = Simulator()
-    ev = sim.event()
-
-    def trigger():
-        yield sim.timeout(1.0)
-        ev.succeed("fast")
-
-    def proc():
-        won = yield sim.wait_any(ev, 5.0)
-        return (won, sim.now, ev.value)
-
-    sim.process(trigger())
-    assert sim.run_process(sim.process(proc())) == (True, 1.0, "fast")
-    sim.run()
-    assert sim._nswept == 1  # the losing deadline was swept, not dispatched
-
-
-def test_wait_any_deadline_wins():
-    sim = Simulator()
-    ev = sim.event()
-
-    def proc():
-        won = yield sim.wait_any(ev, 2.0)
-        return (won, sim.now)
-
-    assert sim.run_process(sim.process(proc())) == (False, 2.0)
-    ev.succeed("late")  # must not blow up on the tombstoned callback
-    sim.run()
-
-
-def test_wait_any_with_already_dispatched_event():
-    sim = Simulator()
-    ev = sim.event()
-    ev.succeed("past")
-    sim.run()
-
-    def proc():
-        won = yield sim.wait_any(ev, 5.0)
-        return (won, sim.now)
-
-    assert sim.run_process(sim.process(proc())) == (True, 0.0)
-
-
-def test_wait_any_failure_is_silence():
-    """A failed child behaves like AnyOf's all-must-fail rule: with a
-    deadline present, the failure surfaces as a timeout."""
-    sim = Simulator()
-    ev = sim.event()
-
-    def trigger():
-        yield sim.timeout(1.0)
-        ev.fail(RuntimeError("dead"))
-
-    def proc():
-        won = yield sim.wait_any(ev, 3.0)
-        return (won, sim.now)
-
-    sim.process(trigger())
-    assert sim.run_process(sim.process(proc())) == (False, 3.0)
-
-
-def test_wait_any_is_a_pooled_composition():
-    sim = Simulator()
-    w = sim.wait_any(sim.event(), 1.0)
-    assert isinstance(w, WaitAny)
-    assert isinstance(w._timer, Timer)
+    assert (sim._nprocessed, sim._nswept) == (300, 300)
 
 
 # ------------------------------------------------- zero-delay FIFO order
@@ -227,3 +126,177 @@ def test_peak_pending_tracks_high_water_mark():
     sim.run()
     assert sim.pending_events == 0
     assert sim.peak_pending == 10
+
+
+# ------------------------------------------------- one event per message
+def test_call_later_is_one_event_ordered_by_lane():
+    """Dispatch is the call itself; same-instant deliveries order by
+    lane, after the instant's lane-0 (local) events."""
+    sim = Simulator()
+    order = []
+    note = lambda tag, t: order.append((tag, t, sim.now))  # noqa: E731
+    sim.call_later(1.0, note, "lane9", 1, lane=9)
+    sim.call_later(1.0, note, "lane3", 2, lane=3)
+    sim.timeout(1.0).add_callback(lambda _e: order.append("local"))
+    sim.call_later(0.0, note, "now", 3)
+    assert sim.pending_events == 4
+    sim.run()
+    assert order == [("now", 3, 0.0), "local",
+                     ("lane3", 2, 1.0), ("lane9", 1, 1.0)]
+    assert sim._nprocessed == 4
+
+
+def test_reply_answered_or_expired_exactly_once():
+    sim = Simulator()
+    got = []
+
+    def waiter(reply):
+        got.append(((yield reply), sim.now))
+
+    answered, expired = sim.reply(2.0), sim.reply(2.0)
+    sim.process(waiter(answered))
+    sim.process(waiter(expired))
+
+    def answer():
+        yield sim.timeout(0.5)
+        answered.resolve(("resp", 7))
+        answered.resolve(("resp", 8))       # a duplicate changes nothing
+        yield sim.timeout(3.0)
+        expired.resolve(("resp", 9))        # too late: already fired None
+        answered.resolve(("resp", 10))
+
+    sim.process(answer())
+    sim.run()
+    assert got == [(("resp", 7), 0.5), (None, 2.0)]
+    assert sim._nswept == 1                 # answered's voided deadline
+    assert sim.pending_events == 0
+
+
+def test_start_runs_to_the_first_wait_and_restores_the_active_process():
+    sim = Simulator()
+    trail = []
+
+    def child():
+        trail.append(("child", sim.active_process.name, sim._nprocessed))
+        yield sim.timeout(1.0)
+        return "done"
+
+    def parent():
+        me = sim.active_process
+        proc = sim.start(child(), name="kid")
+        trail.append(("parent", sim.active_process is me, sim._nprocessed))
+        return (yield proc)
+
+    assert sim.run_process(sim.process(parent(), name="mum")) == "done"
+    # The child's first segment ran inside the parent's event.
+    assert trail == [("child", "kid", 1), ("parent", True, 1)]
+    assert sim.active_process is None
+
+
+def test_process_nobody_waits_on_finishes_without_an_event():
+    sim = Simulator()
+
+    def quick():
+        yield sim.timeout(1.0)
+        return 42
+
+    proc = sim.process(quick())
+    sim.run()
+    assert sim._nprocessed == 2             # bootstrap kick + the timeout
+    assert proc.ok and proc.value == 42
+    # Late interest is served inline, like any past event.
+    late = []
+    proc.add_callback(lambda ev: late.append(ev.value))
+
+    def waiter():
+        return (yield proc)
+
+    assert sim.run_process(sim.process(waiter())) == 42
+    assert late == [42]
+
+    def boom():
+        raise ValueError("unheard")
+        yield  # pragma: no cover - makes this a generator
+
+    failed = sim.process(boom())
+    sim.run()
+    assert not failed.ok and isinstance(failed.value, ValueError)
+
+
+# --------------------------------------------------------- the fused loop
+_DELAYS = st.sampled_from([0.0, 0.25, 0.5, 0.5, 1.0, 1.5])
+_ITEMS = st.lists(
+    st.tuples(_DELAYS, st.sampled_from(["timeout", "later", "event",
+                                        "process", "reply"]),
+              st.integers(0, 3), _DELAYS),
+    min_size=1, max_size=30)
+
+
+def _program(sim, items, log):
+    """Schedule ``items`` (and a mid-run mass cancellation that forces a
+    heap compaction); every dispatch appends ``(now, tag)`` to ``log``."""
+    doomed = [sim.reply(0.75 + 0.001 * i) for i in range(150)]
+
+    def note(tag, _b=None):
+        log.append((sim.now, tag))
+
+    def massacre(_a, _b):
+        note("massacre")
+        for r in doomed:
+            r.resolve(True)
+
+    sim.call_later(0.6, massacre, None, None)
+    for i, (delay, kind, lane, extra) in enumerate(items):
+        if kind == "timeout":
+            sim.timeout(delay).add_callback(lambda _e, i=i: note(i))
+        elif kind == "later":
+            sim.call_later(delay, note, i, None, lane=lane)
+        elif kind == "event":
+            ev = sim.event()
+            ev.add_callback(lambda _e, i=i: note(i))
+            sim.call_later(delay, lambda ev, _b: ev.succeed(), ev, None)
+        elif kind == "reply":
+            r = sim.reply(delay + extra)
+            r.add_callback(lambda e, i=i: note((i, e.value)))
+            if lane % 2:                    # answered before (or as) it fires
+                sim.call_later(delay, lambda r, _b: r.resolve("x"), r, None)
+        else:
+            def proc(i=i, delay=delay, extra=extra):
+                note((i, "a"))
+                yield sim.timeout(delay)
+                note((i, "b"))
+                if extra:
+                    sim.start(proc(i + 1000, extra, 0.0))
+            sim.process(proc())
+
+
+@given(_ITEMS, st.sampled_from(["run", "run_until", "windows"]))
+@settings(max_examples=120, deadline=None)
+def test_fused_loop_dispatches_exactly_what_repeated_step_does(items, how):
+    ref, fused = Simulator(), Simulator()
+    ref_log, fused_log = [], []
+    _program(ref, items, ref_log)
+    _program(fused, items, fused_log)
+    while ref.pending_events:
+        ref.step()
+    if how == "run":
+        fused.run(until=0.5)                # inclusive horizon, mid-run
+        assert fused.now == 0.5
+        assert fused_log == [e for e in ref_log if e[0] <= 0.5]
+    elif how == "run_until":
+        marker = fused.timeout(0.7)         # shares its instant with nothing
+        fused.run_until([marker])
+        assert fused.now == 0.7 and not fused.window_break
+    else:
+        for edge in (0.25, 0.5, 0.75, 2.0):
+            fused.run_window(edge)          # exclusive edges
+    fused.run()
+    if how == "run_until":
+        # The marker consumed one seq and one event in the fused sim.
+        assert fused._nprocessed == ref._nprocessed + 1
+    else:
+        assert fused._nprocessed == ref._nprocessed
+    assert fused_log == ref_log
+    assert (fused._nswept, fused.now) == (ref._nswept, ref.now)
+    assert ref._nswept >= 150               # the compaction did happen
+    assert fused.pending_events == ref.pending_events == 0

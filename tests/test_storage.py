@@ -103,6 +103,28 @@ def test_raid0_single_member_passthrough():
     assert run(sim, proc()) == pytest.approx(disk.service_time(MB))
 
 
+def test_raid0_sub_stripe_requests_rotate_over_members():
+    """A request of at most one stripe unit is one member's, whole, and
+    the rotation continues where striping would have left it — byte for
+    byte what splitting into stripe units does."""
+    sim = Simulator()
+    disks = [cheetah(sim) for _ in range(3)]
+    raid = Raid0(sim, disks)
+
+    def proc():
+        yield raid.io(4096)
+        yield raid.io(raid.stripe)
+        yield raid.io(raid.stripe + 1)       # two units: members 2 and 0
+        yield raid.io(12 * 1024)
+        return sim.now
+
+    run(sim, proc())
+    assert [d.bytes_done for d in disks] == [4096 + 1,
+                                             raid.stripe + 12 * 1024,
+                                             raid.stripe]
+    assert [d.requests for d in disks] == [2, 2, 1]
+
+
 def test_raid0_requires_members():
     with pytest.raises(ValueError):
         Raid0(Simulator(), [])
