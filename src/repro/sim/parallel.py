@@ -33,14 +33,18 @@ them with a conservative bounded-window (YAWNS-style) barrier protocol:
   phase having executed exactly the events below it.  Grid alignment
   makes phase-transition times a pure function of *model* quantities
   (max process-completion time), which is what lets a serial run of the
-  same partitioned model reproduce the parallel run bit for bit.  In
-  the mp backend, record batches ride a shared-memory ring per worker
-  (:class:`_ShmChannel`); the pipes carry only small control tuples.
+  same partitioned model reproduce the parallel run bit for bit.
+* **mp topology** — caller -> *leader* -> workers 1..K-1.  The leader
+  hosts partition 0 and runs the grant loop, so only grants for the
+  other partitions cross a process boundary: one fixed-width control
+  frame each way over the raw pipe fd, record batches through a
+  shared-memory ring pair per worker (:class:`_ShmChannel`).  The caller
+  blocks on one pipe until the leader ships the outcome.
 
 Determinism contract: with a fixed partition map and seed, the
 ``serial`` (one Simulator hosting every partition), ``inproc`` (K
 Simulators stepped round-robin in one process), and ``mp`` (K forked
-worker processes) backends produce identical event interleavings per
+processes) backends produce identical event interleavings per
 host, hence identical results.  Installing a map *changes the model*
 (cross-partition messages become store-and-forward with the uplink
 latency added), so unpartitioned goldens are untouched; partitioned
@@ -53,8 +57,10 @@ cross-edge traffic matrix — the self-clustering heuristic.
 
 from __future__ import annotations
 
+import contextlib
 import heapq
 import math
+import os
 import pickle
 import struct
 import time
@@ -619,203 +625,292 @@ def _decode_records(buf, off: int, count: int) -> List[tuple]:
 
 
 class _ShmChannel:
-    """Shared-memory transit lane for one mp worker (fork start method).
+    """Shared-memory transit lanes between the leader and one forked worker.
 
     Cross-cut records ride a pair of single-writer byte rings in
-    ``multiprocessing.shared_memory`` — coordinator→worker for grant
-    inbounds, worker→coordinator for barrier flushes — so the pipe
-    carries only small fixed-shape control tuples.  The strict
-    request/reply protocol means a ring is always fully drained before
-    its writer runs again, so each batch is written contiguously: at the
+    ``multiprocessing.shared_memory``: ring 0 is written by the leader
+    (the records a grant injects into the worker), ring 1 by the worker
+    (its barrier flush).  The caller of :func:`run_partitioned` creates
+    and unlinks them — a killed leader leaks nothing — but never touches
+    their pages; leader and worker inherit the mapping through fork.
+    Request and reply alternate, so a ring is always drained before its
+    writer runs again and each batch is written contiguously: at the
     ring's running offset when it fits before the end, else wrapped to
-    offset 0.  The descriptor (offset, byte count, record counts) rides
-    the pipe command, whose syscall ordering also fences the
-    shared-memory writes.  A batch larger than the ring falls back to an
-    inline pipe payload (counted, never fatal).
+    offset 0.  The descriptor (offset, one ``(dst_pid, count, nbytes)``
+    section per destination) rides the control frame, whose syscall
+    ordering also fences the shared-memory writes.  A batch larger than
+    the ring travels as the frame's pickled tail (counted, never fatal).
     """
 
     def __init__(self, capacity: int = 1 << 22):
         from multiprocessing import shared_memory
 
         self.capacity = capacity
-        self._c2w = shared_memory.SharedMemory(create=True, size=capacity)
-        self._w2c = shared_memory.SharedMemory(create=True, size=capacity)
-        self._off = {id(self._c2w): 0, id(self._w2c): 0}
-        # Parent-side accounting (the forked child's copies diverge).
+        self._rings = [shared_memory.SharedMemory(create=True, size=capacity)
+                       for _writer in ("leader", "worker")]
+        self._off = [0, 0]
+        # Leader-side accounting (the forked worker's copies diverge).
         self.batches = 0
         self.bytes_shipped = 0
         self.fallbacks = 0
 
-    def _write(self, shm, payload: bytes) -> Optional[int]:
-        n = len(payload)
+    def ship(self, ring: int, out: Dict[int, List[tuple]]) -> tuple:
+        """Write ``{dst_pid: records}`` to ``ring``; returns the control
+        frame's ``(off, sections, tail)`` describing it."""
+        if not out:
+            return 0, (), None
+        encs = [_encode_records(recs) for recs in out.values()]
+        n = sum(map(len, encs))
         if n > self.capacity:
-            return None
-        off = self._off[id(shm)]
+            self.fallbacks += 1
+            return 0, (), out
+        off = self._off[ring]
         if off + n > self.capacity:
             off = 0
-        shm.buf[off:off + n] = payload
-        self._off[id(shm)] = off + n
-        return off
+        self._rings[ring].buf[off:off + n] = b"".join(encs)
+        self._off[ring] = off + n
+        self.batches += 1
+        self.bytes_shipped += n
+        return off, [(dst, len(recs), len(enc))
+                     for (dst, recs), enc in zip(out.items(), encs)], None
 
-    # -- coordinator side ----------------------------------------------
-    def write_grant(self, records: Sequence[tuple]) -> Optional[tuple]:
-        enc = _encode_records(records)
-        off = self._write(self._c2w, enc)
-        if off is None:
+    def fetch(self, ring: int, off: int, sections: Sequence[tuple],
+              tail) -> Dict[int, List[tuple]]:
+        """The ``{dst_pid: records}`` batch a received frame describes."""
+        if tail is not None:
             self.fallbacks += 1
-            return None
-        self.batches += 1
-        self.bytes_shipped += len(enc)
-        return ("shm", off, len(enc), len(records))
-
-    def read_flush(self, off: int, sections: Sequence[tuple]
-                   ) -> Dict[int, List[tuple]]:
+            return tail
         out: Dict[int, List[tuple]] = {}
-        buf = self._w2c.buf
-        self.batches += 1
+        buf = self._rings[ring].buf
         for dst_pid, count, nbytes in sections:
             out[dst_pid] = _decode_records(buf, off, count)
             off += nbytes
             self.bytes_shipped += nbytes
+        self.batches += bool(sections)
         return out
 
-    # -- worker side ----------------------------------------------------
-    def read_grant(self, off: int, nbytes: int, count: int) -> List[tuple]:
-        return _decode_records(self._c2w.buf, off, count)
-
-    def write_flush(self, out: Dict[int, List[tuple]]) -> Optional[tuple]:
-        sections = []
-        parts = []
-        for dst_pid, recs in out.items():
-            enc = _encode_records(recs)
-            sections.append((dst_pid, len(recs), len(enc)))
-            parts.append(enc)
-        payload = b"".join(parts)
-        off = self._write(self._w2c, payload)
-        if off is None:
-            return None
-        return ("shm", off, sections)
-
-    # -- lifecycle ------------------------------------------------------
-    def close_child(self) -> None:
-        try:
-            self._c2w.close()
-            self._w2c.close()
-        except OSError:  # pragma: no cover
-            pass
-
-    def close(self) -> None:
-        for shm in (self._c2w, self._w2c):
-            try:
-                shm.close()
+    def close(self, unlink: bool) -> None:
+        for shm in self._rings:
+            shm.close()
+            if unlink:
                 shm.unlink()
-            except (OSError, FileNotFoundError):  # pragma: no cover
-                pass
+
+
+# --------------------------------------------------------- control frames
+#: The one message shape on every control pipe, either direction: tag u1,
+#: done u1, section count u2, n u4 (windows executed | phase index), t f8
+#: (grant end | phase start | next event time), done_t f8, stop_t f8, shm
+#: offset i8, tail length u4; then the ``(dst_pid u4, count u4, nbytes
+#: i8)`` sections of the record batch at that offset of the writer's ring;
+#: then a pickled tail, on the rare frames only (result, error, a batch
+#: too big for its ring).  ``None`` times travel as NaN.
+_FRAME = struct.Struct("<BBHIdddqI")
+_SECTION = struct.Struct("<IIq")
+_WIN, _STATUS, _PHASE, _RESULT, _ERR, _STOP = range(6)
+
+
+def _encode_frame(tag: int, t=None, done=False, done_t=0.0, stop_t=None,
+                  n=0, off=0, sections=(), tail=None) -> bytes:
+    body = b"" if tail is None else pickle.dumps(tail, pickle.HIGHEST_PROTOCOL)
+    head = _FRAME.pack(tag, done, len(sections), n,
+                       math.nan if t is None else t, done_t,
+                       math.nan if stop_t is None else stop_t, off, len(body))
+    return b"".join([head, *(_SECTION.pack(*sec) for sec in sections), body])
+
+
+def _decode_frame(buf: bytes) -> Optional[tuple]:
+    """``(tag, t, done, done_t, stop_t, n, off, sections, tail)``, or None
+    while ``buf`` is still short of a whole frame."""
+    if len(buf) < _FRAME.size:
+        return None
+    tag, done, nsec, n, t, done_t, stop_t, off, tail_len = _FRAME.unpack_from(buf)
+    pos = _FRAME.size + nsec * _SECTION.size
+    if len(buf) < pos + tail_len:
+        return None
+    sections = list(_SECTION.iter_unpack(buf[_FRAME.size:pos]))
+    tail = pickle.loads(buf[pos:pos + tail_len]) if tail_len else None
+    return (tag, None if t != t else t, bool(done), done_t,
+            None if stop_t != stop_t else stop_t, n, off, sections, tail)
+
+
+def _send(fd: int, frame: bytes) -> None:
+    while frame:
+        frame = frame[os.write(fd, frame):]
+
+
+def _recv(fd: int) -> tuple:
+    """The next frame on ``fd`` (one ``os.read`` unless a tail outgrows it:
+    request and reply alternate); EOFError when the peer is gone."""
+    buf = os.read(fd, 4096)
+    while (frame := _decode_frame(buf)) is None:
+        chunk = os.read(fd, 1 << 20)
+        if not chunk:
+            raise EOFError("control pipe closed")
+        buf += chunk
+    return frame
 
 
 # ------------------------------------------------------------- endpoints
+class PartitionError(RuntimeError):
+    """A partition of an mp run failed or died; the message names it."""
+
+
 class _LocalEndpoint:
-    """In-process coordinator<->worker link (serial/inproc backends)."""
+    """In-process coordinator<->worker link (serial, inproc, the leader's
+    own partition).  The command runs in :meth:`wait`, so a round's remote
+    grants are all on their way before the local one executes."""
+
+    remote = False
 
     def __init__(self, worker: _Worker):
         self.worker = worker
-        self._reply = None
+        self._cmd: Optional[tuple] = None
 
     def post(self, cmd: tuple) -> None:
-        self._reply = self.worker.handle(cmd)
+        self._cmd = cmd
 
     def wait(self):
-        reply, self._reply = self._reply, None
-        return reply
-
-    def stop(self) -> None:
-        pass
+        cmd, self._cmd = self._cmd, None
+        return self.worker.handle(cmd)
 
 
 class _PipeEndpoint:
-    """Fork-per-partition link: low-rate control commands ride one Pipe;
-    bulk transit records ride the shared-memory channel when present."""
+    """Leader<->forked-worker link: one control frame each way per command
+    over the raw pipe fd; record batches ride the worker's shm rings."""
 
-    def __init__(self, conn, proc, channel: Optional[_ShmChannel] = None):
+    remote = True
+
+    def __init__(self, pid: int, conn, proc, channel: _ShmChannel):
+        self.pid = pid
         self.conn = conn
+        self.fd = conn.fileno()
         self.proc = proc
         self.channel = channel
 
     def post(self, cmd: tuple) -> None:
         if cmd[0] == "win":
-            _op, t_end, inbound = cmd
-            spec = None
-            if inbound and self.channel is not None:
-                spec = self.channel.write_grant(inbound)
-            if spec is None:
-                spec = ("inl", inbound)
-            self.conn.send(("win", t_end, spec))
-            return
-        self.conn.send(cmd)
+            off, sections, tail = self.channel.ship(
+                0, {self.pid: cmd[2]} if cmd[2] else {})
+            frame = _encode_frame(_WIN, cmd[1], off=off, sections=sections, tail=tail)
+        elif cmd[0] == "phase":
+            frame = _encode_frame(_PHASE, cmd[2], n=cmd[1])
+        else:
+            frame = _encode_frame(_RESULT)
+        with contextlib.suppress(ConnectionError):  # dead? wait() says so
+            _send(self.fd, frame)
 
     def wait(self):
-        reply = self.conn.recv()
-        if isinstance(reply, tuple) and reply:
-            if reply[0] == "err":
-                raise RuntimeError(f"partition worker failed: {reply[1]}")
-            if reply[0] == "s":
-                spec = reply[6]
-                if spec[0] == "shm":
-                    out = self.channel.read_flush(spec[1], spec[2])
-                else:
-                    out = spec[1]
-                return reply[:6] + (out,)
-        return reply
+        try:
+            frame = _recv(self.fd)
+        except (EOFError, ConnectionError):
+            raise PartitionError(f"partition {self.pid}: worker died") from None
+        if frame[0] == _ERR:
+            raise PartitionError(f"partition {self.pid} failed: {frame[-1]}")
+        if frame[0] == _RESULT:
+            return frame[-1]
+        return ("s", *frame[1:6], self.channel.fetch(1, *frame[6:]))
 
     def stop(self) -> None:
-        try:
-            self.conn.send(("stop",))
-            self.conn.close()
-        except (BrokenPipeError, OSError):
-            pass
+        with contextlib.suppress(ConnectionError):
+            _send(self.fd, _encode_frame(_STOP))
+        self.conn.close()
         self.proc.join(timeout=30)
         if self.proc.is_alive():
             self.proc.terminate()
-        if self.channel is not None:
-            self.channel.close()
 
 
-def _mp_worker_main(conn, builder, args, pid,
-                    channel: Optional[_ShmChannel] = None) -> None:
+def _mp_worker_main(conn, inherited, builder, args, pid: int,
+                    channel: _ShmChannel) -> None:
+    for c in inherited:     # other processes' pipe ends the fork copied:
+        c.close()           # held open they would hide a death from readers
+    fd = conn.fileno()
     try:
-        program = builder(*args, local_pid=pid)
-        worker = _Worker(program)
-    except Exception as exc:  # noqa: BLE001 - ship the failure to the parent
-        conn.send(("err", f"{type(exc).__name__}: {exc}"))
-        return
-    while True:
-        cmd = conn.recv()
-        if cmd[0] == "stop":
-            if channel is not None:
-                channel.close_child()
-            return
-        try:
-            if cmd[0] == "win":
-                spec = cmd[2]
-                if spec[0] == "shm":
-                    inbound = channel.read_grant(spec[1], spec[2], spec[3])
-                else:
-                    inbound = spec[1]
-                reply = worker.handle(("win", cmd[1], inbound))
+        worker = _Worker(builder(*args, local_pid=pid))
+        while True:
+            tag, t, _d, _dt, _st, n, off, sections, tail = _recv(fd)
+            if tag == _WIN:
+                inbound = channel.fetch(0, off, sections, tail).get(pid)
+                reply = worker.handle(("win", t, inbound))
+            elif tag == _PHASE:
+                reply = worker.handle(("phase", n, t))
+            elif tag == _RESULT:
+                _send(fd, _encode_frame(_RESULT, tail=worker.handle(("result",))))
+                continue
             else:
-                reply = worker.handle(cmd)
-            if isinstance(reply, tuple) and reply and reply[0] == "s":
-                out = reply[6]
-                spec = None
-                if out and channel is not None:
-                    spec = channel.write_flush(out)
-                if spec is None:
-                    spec = ("inl", out)
-                reply = reply[:6] + (spec,)
-            conn.send(reply)
-        except Exception as exc:  # noqa: BLE001
-            conn.send(("err", f"{type(exc).__name__}: {exc}"))
-            return
+                return
+            _send(fd, _encode_frame(_STATUS, *reply[1:6],
+                                    *channel.ship(1, reply[6])))
+    except (EOFError, ConnectionError):
+        pass        # the leader is gone, nobody left to tell
+    except Exception as exc:  # noqa: BLE001 - ship the failure to the leader
+        with contextlib.suppress(ConnectionError):
+            _send(fd, _encode_frame(_ERR, tail=f"{type(exc).__name__}: {exc}"))
+    finally:
+        channel.close(unlink=False)
+
+
+def _leader_main(conn, caller_conn, channels: List[_ShmChannel], builder,
+                 args, *coordinate_args) -> None:
+    """The mp backend's leader process: fork workers 1..K-1, *then* build
+    partition 0 (so they do not inherit its model), run the coordinator
+    loop over a local endpoint plus the pipes, ship the outcome once."""
+    import multiprocessing as mp
+
+    caller_conn.close()
+    ctx = mp.get_context("fork")
+    remotes: List[_PipeEndpoint] = []
+    try:
+        try:
+            for p, channel in enumerate(channels, 1):
+                mine, theirs = ctx.Pipe()
+                proc = ctx.Process(
+                    target=_mp_worker_main, daemon=True,
+                    args=(theirs, [conn, mine] + [ep.conn for ep in remotes],
+                          builder, args, p, channel))
+                proc.start()
+                theirs.close()
+                remotes.append(_PipeEndpoint(p, mine, proc, channel))
+            local = _LocalEndpoint(_Worker(builder(*args, local_pid=0)))
+            out = _coordinate([local] + remotes, *coordinate_args)
+        finally:
+            for ep in remotes:
+                ep.stop()
+        frame = _encode_frame(_RESULT, tail=out)
+    except Exception as exc:  # noqa: BLE001 - ship the failure to the caller
+        frame = _encode_frame(_ERR, tail=str(exc) if isinstance(
+            exc, PartitionError) else
+            f"partition 0 (leader) failed: {type(exc).__name__}: {exc}")
+    _send(conn.fileno(), frame)
+
+
+def _run_under_leader(n_partitions: int, *leader_args) -> Dict[str, Any]:
+    """Fork the leader (non-daemonic: it has children of its own) and block
+    on its one pipe until the run's outcome, or its death, arrives."""
+    import multiprocessing as mp
+
+    ctx = mp.get_context("fork")
+    channels = [_ShmChannel() for _p in range(1, n_partitions)]
+    mine, theirs = ctx.Pipe()
+    leader = ctx.Process(target=_leader_main,
+                         args=(theirs, mine, channels, *leader_args))
+    leader.start()
+    theirs.close()
+    frame = None
+    try:
+        with contextlib.suppress(EOFError, ConnectionError):
+            frame = _recv(mine.fileno())
+    finally:
+        if frame is None:   # it died, or we are being interrupted
+            leader.terminate()
+        leader.join()
+        mine.close()
+        for channel in channels:
+            channel.close(unlink=True)
+    if frame is None:
+        raise PartitionError("partition 0 (leader) died")
+    if frame[0] == _ERR:
+        raise PartitionError(frame[-1])
+    return frame[-1]
 
 
 # ----------------------------------------------------------- coordinator
@@ -825,7 +920,8 @@ class RunStats:
     n_partitions: int = 1
     windows: int = 0                # grid windows granted (sum over grants)
     barriers: int = 0               # coordination rounds
-    grants: int = 0                 # "win" commands issued (round trips)
+    grants: int = 0                 # "win" commands issued
+    ipc_round_trips: int = 0        # ... of which crossed a process boundary
     windows_executed: int = 0       # granted windows that contained events
     windows_per_grant: float = 0.0  # windows / grants
     fallback_rounds: int = 0        # classic-window rounds (stall escape)
@@ -882,40 +978,28 @@ def run_partitioned(builder: Callable, args: tuple, pmap: PartitionMap,
     """
     t_wall0 = time.perf_counter()
     stats = RunStats(backend=backend, n_partitions=pmap.n_partitions)
-
-    endpoints: List[Any] = []
-    if backend == "serial":
-        program = builder(*args, local_pid=None)
-        endpoints.append(_LocalEndpoint(_Worker(program)))
-        L = program.transit.lookahead
-    elif backend == "inproc":
-        for p in range(pmap.n_partitions):
-            program = builder(*args, local_pid=p)
-            endpoints.append(_LocalEndpoint(_Worker(program)))
-        L = endpoints[0].worker.transit.lookahead
-    elif backend == "mp":
-        import multiprocessing as mp
-
-        try:
-            ctx = mp.get_context("fork")
-        except ValueError:  # pragma: no cover - non-POSIX fallback
-            ctx = mp.get_context("spawn")
-        use_shm = ctx.get_start_method() == "fork"
-        for p in range(pmap.n_partitions):
-            parent_conn, child_conn = ctx.Pipe()
-            channel = _ShmChannel() if use_shm else None
-            proc = ctx.Process(target=_mp_worker_main,
-                               args=(child_conn, builder, args, p, channel),
-                               daemon=True)
-            proc.start()
-            child_conn.close()
-            endpoints.append(_PipeEndpoint(parent_conn, proc, channel))
+    rest = (phase_meta, stats, horizon, max_grant_windows)
+    if backend == "mp":
         if fabric_latency is None:
             raise ValueError("mp backend needs fabric_latency for lookahead")
-        L = pmap.lookahead(fabric_latency)
+        out = _run_under_leader(pmap.n_partitions, builder, args,
+                                pmap.lookahead(fabric_latency), *rest)
+    elif backend in ("serial", "inproc"):
+        pids = [None] if backend == "serial" else range(pmap.n_partitions)
+        endpoints = [_LocalEndpoint(_Worker(builder(*args, local_pid=p)))
+                     for p in pids]
+        out = _coordinate(endpoints, endpoints[0].worker.transit.lookahead,
+                          *rest)
     else:
         raise ValueError(f"unknown backend {backend!r}")
+    out["stats"].wall_s = time.perf_counter() - t_wall0
+    return out
 
+
+def _coordinate(endpoints: List[Any], L: float, phase_meta, stats: RunStats,
+                horizon: float, max_grant_windows) -> Dict[str, Any]:
+    """The grant loop of :func:`run_partitioned` over ready endpoints
+    (endpoint ``i`` drives partition ``i``); returns its result dict."""
     n = len(endpoints)
     INF = math.inf
     adaptive = max_grant_windows is None
@@ -928,6 +1012,7 @@ def run_partitioned(builder: Callable, args: tuple, pmap: PartitionMap,
     done_t = [0.0] * n
     # Records generated in one grant, injected with the receiver's next.
     pending: Dict[int, List[tuple]] = {i: [] for i in range(n)}
+    pending_min = [INF] * n     # earliest arrival among pending[i]
 
     def absorb(i: int, reply: tuple) -> None:
         _tag, next_t, dn, dt, stop_t, wexec, out = reply
@@ -938,172 +1023,167 @@ def run_partitioned(builder: Callable, args: tuple, pmap: PartitionMap,
             pos[i] = stop_t
         stats.windows_executed += wexec
         for dst_pid, recs in out.items():
-            pending[dst_pid if n > 1 else 0].extend(recs)
+            dst = dst_pid if n > 1 else 0
+            pending[dst].extend(recs)
+            pending_min[dst] = min(pending_min[dst], min(r[0] for r in recs))
             stats.records_shipped += len(recs)
 
     def act(i: int) -> float:
         """Earliest instant endpoint i could possibly execute anything."""
         a = nev[i]
-        a = INF if a is None else a
-        recs = pending[i]
-        if recs:
-            first = min(rec[0] for rec in recs)
-            if first < a:
-                a = first
-        return a
+        first = pending_min[i]
+        return first if a is None or first < a else a
 
-    try:
-        t_cursor = 0.0
-        for idx, (kind, until_t) in enumerate(phase_meta):
-            t_phase0 = time.perf_counter()
-            t_phase_start = t_cursor
-            rounds0 = stats.barriers
-            for ep in endpoints:
-                ep.post(("phase", idx, t_cursor))
-            for i, ep in enumerate(endpoints):
-                absorb(i, ep.wait())
-            for i in range(n):
-                pos[i] = t_cursor
-            if kind == "call":
-                stats.phase_log.append({
-                    "kind": kind, "t_start": round(t_phase_start, 9),
-                    "t_end": round(t_cursor, 9), "rounds": 0,
-                    "wall_s": round(time.perf_counter() - t_phase0, 3),
-                })
-                continue
-            if kind == "until":
-                target: Optional[float] = max(_grid_ceil(until_t, L), t_cursor)
-            elif kind == "procs":
-                target = None   # set once every local process completed
-            else:
-                raise ValueError(f"unknown phase kind {kind!r}")
-            while True:
-                acts = [act(i) for i in range(n)]
-                t_min = min(acts)
-                if target is None:
-                    if all(done):
-                        # Phase-end barrier: drain every partition to the
-                        # grid point above the last completion, so each
-                        # backend enters the next phase having executed
-                        # exactly the events below it.
-                        target = _grid_next(max(done_t), L)
-                        continue
-                elif t_min >= target:
-                    t_cursor = target
-                    break
-                if t_min == INF:
-                    raise RuntimeError(
-                        f"phase {idx}: processes pending but no events "
-                        "in any partition (deadlock)")
-                if t_min > horizon:
-                    raise RuntimeError(
-                        f"phase {idx}: exceeded horizon {horizon}s")
-                # Earliest possible *action* per endpoint, chained
-                # through the cut: a worker with no imminent event can
-                # still react to the earliest actor's sends one lookahead
-                # hop later, so ``ea(V) = min(act(V), min over U != V of
-                # ea(U) + L)``.  The fixpoint closes after one relaxation
-                # against the global minimum (longer chains only add more
-                # ``L``), and bounding grants by it is what keeps a
-                # request->reply chain from landing a record inside a
-                # span the requester was already granted.
-                bound = t_min + L
-                ea = [a if a <= bound else bound for a in acts]
-                lo1 = lo2 = INF
-                lo1i = -1
-                for i, e in enumerate(ea):
-                    if e < lo1:
-                        lo2 = lo1
-                        lo1 = e
-                        lo1i = i
-                    elif e < lo2:
-                        lo2 = e
-                contact: List[Tuple[int, float]] = []
-                for i in range(n):
-                    if n > 1:
-                        ob = lo2 if i == lo1i else lo1
-                    else:
-                        ob = INF
-                    a_i = acts[i]
-                    if ob == INF:
-                        g = INF
-                    else:
-                        g = _grid_next(ob, L)
-                    # Cap the windows of potential work (from the first
-                    # thing i could do) per grant, in grid units.
-                    if a_i < INF:
-                        base = max(round(pos[i] / L), math.floor(a_i / L))
-                        lim = (base + cap[i]) * L
-                        if g > lim:
-                            g = lim
-                    elif g == INF:
-                        continue    # nothing to do, nothing to bound
-                    if target is not None and g > target:
-                        g = target
-                    t_send = g if g > pos[i] else pos[i]
-                    if a_i < t_send:
-                        contact.append((i, t_send))
-                    elif t_send > pos[i]:
-                        # No work below the grant: an empty window never
-                        # touches the worker, so advance the frontier
-                        # without the round trip.
-                        pos[i] = t_send
-                if not contact:
-                    # Mutually-pinned unfinished-idle workers can stall the
-                    # grant rule (each pins the other's b at pos - L).
-                    # Fall back to one classic global window: safe for the
-                    # same reason the single-window protocol was.
-                    t_end = _grid_next(t_min, L)
-                    if target is not None and t_end > target:
-                        t_end = target
-                    contact = [(i, t_end if t_end > pos[i] else pos[i])
-                               for i in range(n)
-                               if acts[i] < max(t_end, pos[i])]
-                    stats.fallback_rounds += 1
-                    if not contact:
-                        raise RuntimeError(
-                            f"phase {idx}: grant scheduler stalled at "
-                            f"t_min={t_min!r} (coordinator bug)")
-                t_b0 = time.perf_counter()
-                for i, t_send in contact:
-                    inbound = pending[i]
-                    if inbound:
-                        pending[i] = []
-                        if adaptive and cap[i] > 1:
-                            cap[i] >>= 1
-                    elif adaptive and cap[i] < 4096:
-                        cap[i] <<= 1
-                    stats.grants += 1
-                    stats.windows += max(0, round((t_send - pos[i]) / L))
-                    endpoints[i].post(("win", t_send, inbound))
-                for i, _t in contact:
-                    absorb(i, endpoints[i].wait())
-                stats.barriers += 1
-                stats.barrier_wall_s += time.perf_counter() - t_b0
+    t_cursor = 0.0
+    for idx, (kind, until_t) in enumerate(phase_meta):
+        t_phase0 = time.perf_counter()
+        t_phase_start = t_cursor
+        rounds0 = stats.barriers
+        for ep in endpoints:
+            ep.post(("phase", idx, t_cursor))
+        for i, ep in enumerate(endpoints):
+            absorb(i, ep.wait())
+        for i in range(n):
+            pos[i] = t_cursor
+        if kind == "call":
             stats.phase_log.append({
                 "kind": kind, "t_start": round(t_phase_start, 9),
-                "t_end": round(t_cursor, 9),
-                "rounds": stats.barriers - rounds0,
+                "t_end": round(t_cursor, 9), "rounds": 0,
                 "wall_s": round(time.perf_counter() - t_phase0, 3),
             })
-        for ep in endpoints:
-            ep.post(("result",))
-        replies = [ep.wait() for ep in endpoints]
-    finally:
-        for ep in endpoints:
-            ep.stop()
+            continue
+        if kind == "until":
+            target: Optional[float] = max(_grid_ceil(until_t, L), t_cursor)
+        elif kind == "procs":
+            target = None   # set once every local process completed
+        else:
+            raise ValueError(f"unknown phase kind {kind!r}")
+        while True:
+            acts = [act(i) for i in range(n)]
+            t_min = min(acts)
+            if target is None:
+                if all(done):
+                    # Phase-end barrier: drain every partition to the
+                    # grid point above the last completion, so each
+                    # backend enters the next phase having executed
+                    # exactly the events below it.
+                    target = _grid_next(max(done_t), L)
+                    continue
+            elif t_min >= target:
+                t_cursor = target
+                break
+            if t_min == INF:
+                raise RuntimeError(
+                    f"phase {idx}: processes pending but no events "
+                    "in any partition (deadlock)")
+            if t_min > horizon:
+                raise RuntimeError(
+                    f"phase {idx}: exceeded horizon {horizon}s")
+            # Earliest possible *action* per endpoint, chained
+            # through the cut: a worker with no imminent event can
+            # still react to the earliest actor's sends one lookahead
+            # hop later, so ``ea(V) = min(act(V), min over U != V of
+            # ea(U) + L)``.  The fixpoint closes after one relaxation
+            # against the global minimum (longer chains only add more
+            # ``L``), and bounding grants by it is what keeps a
+            # request->reply chain from landing a record inside a
+            # span the requester was already granted.
+            bound = t_min + L
+            ea = [a if a <= bound else bound for a in acts]
+            lo1 = lo2 = INF
+            lo1i = -1
+            for i, e in enumerate(ea):
+                if e < lo1:
+                    lo2 = lo1
+                    lo1 = e
+                    lo1i = i
+                elif e < lo2:
+                    lo2 = e
+            contact: List[Tuple[int, float]] = []
+            for i in range(n):
+                if n > 1:
+                    ob = lo2 if i == lo1i else lo1
+                else:
+                    ob = INF
+                a_i = acts[i]
+                if ob == INF:
+                    g = INF
+                else:
+                    g = _grid_next(ob, L)
+                # Cap the windows of potential work (from the first
+                # thing i could do) per grant, in grid units.
+                if a_i < INF:
+                    base = max(round(pos[i] / L), math.floor(a_i / L))
+                    lim = (base + cap[i]) * L
+                    if g > lim:
+                        g = lim
+                elif g == INF:
+                    continue    # nothing to do, nothing to bound
+                if target is not None and g > target:
+                    g = target
+                t_send = g if g > pos[i] else pos[i]
+                if a_i < t_send:
+                    contact.append((i, t_send))
+                elif t_send > pos[i]:
+                    # No work below the grant: an empty window never
+                    # touches the worker, so advance the frontier
+                    # without the round trip.
+                    pos[i] = t_send
+            if not contact:
+                # Mutually-pinned unfinished-idle workers can stall the
+                # grant rule (each pins the other's b at pos - L).
+                # Fall back to one classic global window: safe for the
+                # same reason the single-window protocol was.
+                t_end = _grid_next(t_min, L)
+                if target is not None and t_end > target:
+                    t_end = target
+                contact = [(i, t_end if t_end > pos[i] else pos[i])
+                           for i in range(n)
+                           if acts[i] < max(t_end, pos[i])]
+                stats.fallback_rounds += 1
+                if not contact:
+                    raise RuntimeError(
+                        f"phase {idx}: grant scheduler stalled at "
+                        f"t_min={t_min!r} (coordinator bug)")
+            t_b0 = time.perf_counter()
+            for i, t_send in contact:
+                # Never the live list: later absorbs must not reach
+                # into a command an endpoint has yet to execute.
+                inbound = pending[i] or None
+                if inbound:
+                    pending[i] = []
+                    pending_min[i] = INF
+                    if adaptive and cap[i] > 1:
+                        cap[i] >>= 1
+                elif adaptive and cap[i] < 4096:
+                    cap[i] <<= 1
+                stats.grants += 1
+                stats.ipc_round_trips += endpoints[i].remote
+                stats.windows += max(0, round((t_send - pos[i]) / L))
+                endpoints[i].post(("win", t_send, inbound))
+            for i, _t in contact:
+                absorb(i, endpoints[i].wait())
+            stats.barriers += 1
+            stats.barrier_wall_s += time.perf_counter() - t_b0
+        stats.phase_log.append({
+            "kind": kind, "t_start": round(t_phase_start, 9),
+            "t_end": round(t_cursor, 9),
+            "rounds": stats.barriers - rounds0,
+            "wall_s": round(time.perf_counter() - t_phase0, 3),
+        })
+    for ep in endpoints:
+        ep.post(("result",))
+    replies = [ep.wait() for ep in endpoints]
 
-    stats.wall_s = time.perf_counter() - t_wall0
     stats.busy_wall_s = [r["busy_wall_s"] for r in replies]
     stats.events = [r["events"] for r in replies]
     if stats.grants:
         stats.windows_per_grant = round(stats.windows / stats.grants, 3)
     for ep in endpoints:
-        ch = getattr(ep, "channel", None)
-        if ch is not None:
-            stats.shm_batches += ch.batches
-            stats.shm_bytes += ch.bytes_shipped
-            stats.shm_fallbacks += ch.fallbacks
+        if ep.remote:
+            stats.shm_batches += ep.channel.batches
+            stats.shm_bytes += ep.channel.bytes_shipped
+            stats.shm_fallbacks += ep.channel.fallbacks
     return {
         "results": [r["result"] for r in replies],
         "clocks": [r["clock"] for r in replies],

@@ -4,13 +4,17 @@ serial-vs-parallel determinism contract.
 The contract under test: with a fixed partition map and seed, the
 ``serial`` backend (one Simulator hosting every partition of the
 partitioned model), the ``inproc`` backend (K Simulators in one
-process), and the ``mp`` backend (K forked workers) produce identical
+process), and the ``mp`` backend (K forked processes) produce identical
 results — down to per-session completion timestamps, which are floats
 and therefore only equal when every event interleaving matches.
 """
 
+import glob
 import math
+import multiprocessing
+import os
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -24,9 +28,14 @@ from repro.experiments.partitioned import (
     run_fig10_partitioned,
 )
 from repro.sim.parallel import (
+    PartitionError,
     PartitionMap,
+    _FRAME,
+    _decode_frame,
+    _encode_frame,
     _grid_ceil,
     _grid_next,
+    _ShmChannel,
     plan_partitions,
     refine,
     run_partitioned,
@@ -95,14 +104,26 @@ def test_refine_migrates_chatterer_and_respects_cap():
 
 
 # --------------------------------------------------- determinism contract
-def _scale_outcome(pmap, backend):
-    """Per-session (idx, completion time, ok) rows — float-exact."""
-    out = run_partitioned(build_scale_program,
+def _scale_run(pmap, backend, builder=build_scale_program):
+    """(per-session (idx, completion time, ok) rows — float-exact,
+    the whole ``run_partitioned`` output)."""
+    out = run_partitioned(builder,
                           (SCALE_POINT, 0, True, pmap), pmap, SCALE_PHASES,
                           backend=backend, fabric_latency=80e-6)
     rows = sorted(r for res in out["results"] for r in res["rows"])
     assert len(rows) == SCALE_POINT[2]
-    return rows
+    return rows, out
+
+
+def _scale_outcome(pmap, backend):
+    return _scale_run(pmap, backend)[0]
+
+
+def _scale_pmap(k):
+    spec = small_cluster(SCALE_POINT[0], n_compute=20,
+                         capacity_per_node=4 * GB,
+                         name=f"scale-{SCALE_POINT[0]}")
+    return partition_for_spec(spec, k, cross_latency=5e-3)
 
 
 @settings(max_examples=5, deadline=None)
@@ -116,12 +137,25 @@ def test_random_partition_maps_reproduce_serial_order(pids):
     assert _scale_outcome(pmap, "serial") == _scale_outcome(pmap, "inproc")
 
 
-def test_mp_backend_matches_serial():
-    spec = small_cluster(SCALE_POINT[0], n_compute=20,
-                         capacity_per_node=4 * GB,
-                         name=f"scale-{SCALE_POINT[0]}")
-    pmap = partition_for_spec(spec, 2, cross_latency=5e-3)
-    assert _scale_outcome(pmap, "serial") == _scale_outcome(pmap, "mp")
+@pytest.mark.parametrize("k, ipc_round_trips", [(2, 139), (3, 236)])
+def test_mp_backend_matches_serial(k, ipc_round_trips):
+    """serial == inproc == mp rows; inproc and mp run the same protocol
+    (same grants, rounds, windows, records) and differ only in how many
+    grants cross a process boundary: none, against every grant addressed
+    to a partition the leader does not host.  K = 3 relays worker ->
+    worker records through the leader."""
+    pmap = _scale_pmap(k)
+    inproc_rows, inproc = _scale_run(pmap, "inproc")
+    mp_rows, mp = _scale_run(pmap, "mp")
+    assert _scale_outcome(pmap, "serial") == inproc_rows == mp_rows
+    for name in ("grants", "barriers", "windows", "windows_executed",
+                 "records_shipped", "fallback_rounds", "shm_fallbacks"):
+        assert getattr(inproc["stats"], name) == getattr(mp["stats"], name), name
+    assert inproc["stats"].ipc_round_trips == 0
+    assert mp["stats"].ipc_round_trips == ipc_round_trips == sum(
+        t["grants"] for t in mp["transit"][1:])
+    assert mp["stats"].grants == sum(t["grants"] for t in mp["transit"])
+    assert mp["stats"].shm_batches > 0
 
 
 def test_fig10_partitioned_golden():
@@ -217,6 +251,115 @@ def test_grants_never_deliver_into_executed_span(monkeypatch):
                           backend="inproc", fabric_latency=80e-6)
     assert sum(grants) == out["stats"].records_shipped
     assert out["stats"].records_shipped > 0
+
+
+def test_posted_inbound_is_never_the_live_pending_list(monkeypatch):
+    """A local endpoint executes in ``wait()``, after later endpoints
+    were posted and earlier ones absorbed: a command that aliased the
+    coordinator's pending list would see records absorbed in between —
+    injected one round early *and* shipped again with the next grant."""
+    from repro.sim import parallel
+
+    posted = {}
+    orig_post = parallel._LocalEndpoint.post
+    orig_win = parallel._Worker._run_window
+    seen = []
+
+    def post(self, cmd):
+        if cmd[0] == "win":
+            posted[id(self.worker)] = len(cmd[2] or ())
+        orig_post(self, cmd)
+
+    def run_window(self, t_end, inbound):
+        assert len(inbound or ()) == posted[id(self)]
+        seen.extend(rec[1:3] for rec in inbound or ())
+        return orig_win(self, t_end, inbound)
+
+    monkeypatch.setattr(parallel._LocalEndpoint, "post", post)
+    monkeypatch.setattr(parallel._Worker, "_run_window", run_window)
+    _rows, out = _scale_run(_scale_pmap(2), "inproc")
+    assert len(seen) == len(set(seen)) == out["stats"].records_shipped > 0
+
+
+# ---------------------------------------------------------- control frames
+_TIMES = st.one_of(st.none(), st.just(math.inf),
+                   st.floats(0, 1e7, allow_nan=False))
+_SECTIONS = st.lists(st.tuples(st.integers(0, 7), st.integers(0, 2**32 - 1),
+                               st.integers(0, 2**40)), max_size=8)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 5), _TIMES, st.booleans(), st.floats(0, 1e7), _TIMES,
+       st.integers(0, 2**32 - 1), st.integers(0, 2**40), _SECTIONS,
+       st.one_of(st.none(), st.text(), st.dictionaries(
+           st.integers(0, 7), st.lists(st.tuples(st.floats(0, 9), st.text())))))
+def test_control_frame_round_trip(tag, t, done, done_t, stop_t, n, off,
+                                  sections, tail):
+    """Every field survives the codec, ``None`` times included (NaN on
+    the wire, never in the decoded frame); a frame cut short decodes to
+    None rather than to garbage."""
+    frame = _encode_frame(tag, t, done, done_t, stop_t, n, off, sections, tail)
+    assert _decode_frame(frame) == (tag, t, done, done_t, stop_t, n, off,
+                                    sections, tail)
+    assert _decode_frame(frame[:-1]) is None
+    assert (len(frame) == _FRAME.size) == (not sections and tail is None)
+
+
+def test_batch_larger_than_the_ring_rides_the_frame_tail():
+    rec = (1.5, 0, 1, "s01", "c00", "seg_write", {"data": b"x" * 300}, 300,
+           None, 7)
+    channel = _ShmChannel(capacity=1024)
+    try:
+        small = {1: [rec]}
+        off, sections, tail = channel.ship(0, small)
+        assert tail is None and [s[:2] for s in sections] == [(1, 1)]
+        assert channel.fetch(0, off, sections, tail) == small
+        assert (channel.batches, channel.fallbacks) == (2, 0)
+        big = {1: [rec] * 4, 2: [rec]}
+        off, sections, tail = channel.ship(1, big)
+        assert (off, sections, tail) == (0, (), big)
+        frame = _decode_frame(_encode_frame(1, 2.0, off=off, sections=sections,
+                                            tail=tail))
+        assert channel.fetch(1, *frame[-3:]) == big
+        assert (channel.batches, channel.fallbacks) == (2, 2)
+    finally:
+        channel.close(unlink=True)
+
+
+# ------------------------------------------------------- failure handling
+def _builder_raising_in_1(point, seed, probe, pmap, local_pid=None):
+    if local_pid == 1:
+        raise ValueError("no model for you")
+    return build_scale_program(point, seed, probe, pmap, local_pid=local_pid)
+
+
+def _builder_dying_in(victim):
+    def builder(point, seed, probe, pmap, local_pid=None):
+        program = build_scale_program(point, seed, probe, pmap,
+                                      local_pid=local_pid)
+        if local_pid == victim:
+            phases = list(program.phases())
+            phases[1] = ("call", lambda _program: os._exit(1))
+            program.phases = lambda: phases
+        return program
+    return builder
+
+
+@pytest.mark.parametrize("builder, message", [
+    (_builder_raising_in_1, "partition 1 failed: ValueError: no model"),
+    (_builder_dying_in(0), r"partition 0 \(leader\) died"),
+    (_builder_dying_in(2), "partition 2: worker died"),
+])
+def test_mp_failure_names_the_partition_and_leaves_nothing(builder, message):
+    """A builder exception, a worker killed mid-run and a dead leader all
+    surface in the caller as an error naming the partition — never a
+    hang — with every process reaped and every shm ring unlinked."""
+    rings = set(glob.glob("/dev/shm/psm_*"))
+    children = set(multiprocessing.active_children())
+    with pytest.raises(PartitionError, match=message):
+        _scale_run(_scale_pmap(3), "mp", builder)
+    assert set(multiprocessing.active_children()) == children
+    assert set(glob.glob("/dev/shm/psm_*")) == rings
 
 
 # ------------------------------------------------------ substrate details
