@@ -13,7 +13,7 @@ processes (``yield from client.open(...)``).  The stub implements:
 * a versioning-off mode for applications managing their own consistency.
 
 The implementation is split into cohesive modules — ``handle`` (session
-state), ``router`` (shard/partition/failover routing),
+state), ``router`` (namespace shard routing and failover),
 ``namespace_ops`` (pathname RPCs), ``placement`` (locate/place),
 ``io`` (the data path), ``versioning`` (shadow/commit/close) — combined
 by ``stub.SorrentoClient``.  This package re-exports the public names so

@@ -41,13 +41,14 @@ class WrongShardError(SorrentoError):
     only see one if redirects exceed ``ns_redirect_limit``, which means
     the shard map is churning faster than the client can chase it.
 
-    ``owner`` is the redirecting server's view of the owning shard and
-    ``epoch`` its shard-map epoch (0 when the reply did not carry one).
+    ``path`` is the path the server refused (a rename names two),
+    ``owner`` the redirecting server's view of the shard that owns it
+    and ``epoch`` its shard-map epoch.
     """
 
-    def __init__(self, message: str, owner: Optional[str] = None,
-                 epoch: int = 0):
+    def __init__(self, message: str, path: str, owner: str, epoch: int):
         super().__init__(message)
+        self.path = path
         self.owner = owner
         self.epoch = epoch
 

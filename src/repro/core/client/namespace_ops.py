@@ -1,18 +1,18 @@
 """Pathname operations against the namespace server(s) (Section 3.1).
 
-All routing — primary/standby failover, the legacy directory-tree
-partitioning variant, and the sharded namespace with redirect chasing —
-lives in :class:`repro.core.client.router.NamespaceRouter`; this mixin
-is the operation vocabulary on top of it.  Cross-shard rename/link run
-a two-phase commit over the owning shards' staged-mutation handlers.
+All routing — the (epoch, prefix) route cache, per-shard standby
+failover and redirect chasing — lives in
+:class:`repro.core.client.router.NamespaceRouter`; this mixin is the
+operation vocabulary on top of it.  Cross-shard rename/link run a
+two-phase commit over the owning shards' staged-mutation handlers.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Optional
 
-from repro.core.client.handle import ConflictError
-from repro.core.client.router import _namespace_error  # noqa: F401  (compat)
+from repro.core.client.handle import ConflictError, WrongShardError
+from repro.core.client.router import _namespace_error
 from repro.core.twophase import CommitAborted, two_phase_commit
 from repro.sim import gather
 
@@ -26,30 +26,6 @@ def _parent_dir(path: str) -> str:
 
 class NamespaceOpsMixin:
     """Namespace RPCs: lookup, create, directories, leases, milestones."""
-
-    # ------------------------------------------------------------ routing
-    # Routing state lives on self.router; these properties keep the
-    # client's historical surface (tests and tools poke at them).
-    @property
-    def ns_host(self) -> str:
-        """The namespace server currently targeted (failover-aware)."""
-        return self.router.ns_hosts[self.router._active]
-
-    @property
-    def ns_hosts(self) -> List[str]:
-        return self.router.ns_hosts
-
-    @property
-    def _ns_active(self) -> int:
-        return self.router._active
-
-    @property
-    def ns_partitions(self) -> Optional[List[str]]:
-        return self.router.partitions
-
-    def _ns_for(self, payload) -> Optional[str]:
-        """Partitioned namespace routing: hash the top-level directory."""
-        return self.router.partition_for(payload)
 
     def _entry_key(self, path: str):
         """Entry-cache key: (shard-epoch, path), so a ring change
@@ -73,47 +49,27 @@ class NamespaceOpsMixin:
         return result
 
     def listdir(self, path: str):
-        fanout = None
-        if path == "/":
-            if self.router.sharded:
-                # The root spans every shard: ask each primary.
-                fanout = [hosts[0] for hosts in self.router.shards.values()]
-            elif self.ns_partitions is not None:
-                fanout = self.ns_partitions
-        if fanout is not None:
-            # The root spans every partition: fan out and merge.
-            def list_on(host):
-                names = yield from self.rpc.call(host, "ns_list", "/", size=64)
-                return names
+        if path != "/":
+            result = yield from self._call_ns("ns_list", path)
+            return result
+        # The root spans every shard: ask each one and merge.  Servers
+        # piggyback their shard-map snapshot on root listings (the one
+        # namespace op that cannot redirect) so a stale client discovers
+        # shards it has never been bounced to.
+        router = self.router
 
-            parts = yield from gather(
-                self.sim, [list_on(h) for h in fanout])
-            merged = set()
-            best_epoch, best_shards = -1, None
-            for part in parts:
-                if isinstance(part, dict):
-                    # Sharded servers piggyback their shard-map snapshot
-                    # on root listings (the one namespace op that cannot
-                    # redirect) so a stale client discovers shards it
-                    # has never been bounced to.
-                    merged.update(part["names"])
-                    if part["epoch"] > best_epoch:
-                        best_epoch = part["epoch"]
-                        best_shards = part["shards"]
-                else:
-                    merged.update(part)
-            if best_shards is not None:
-                new = self.router.learn_shards(best_epoch, best_shards)
-                extra = [s for s in new if s not in fanout]
-                if extra:
-                    parts = yield from gather(
-                        self.sim, [list_on(h) for h in extra])
-                    for part in parts:
-                        merged.update(part["names"]
-                                      if isinstance(part, dict) else part)
-            return sorted(merged)
-        result = yield from self._call_ns("ns_list", path)
-        return result
+        def list_on(shard):
+            reply = yield from router.call("ns_list", "/", shard=shard)
+            return reply
+
+        parts = yield from gather(
+            self.sim, [list_on(s) for s in router.shards])
+        newest = max(parts, key=lambda part: part["epoch"])
+        unasked = router.learn_shards(newest["epoch"], newest["shards"])
+        if unasked:
+            parts += yield from gather(
+                self.sim, [list_on(s) for s in unasked])
+        return sorted({name for part in parts for name in part["names"]})
 
     def stat(self, path: str):
         """The file's namespace entry (FileID, version, policy)."""
@@ -146,20 +102,13 @@ class NamespaceOpsMixin:
     def rename(self, src_path: str, dst_path: str):
         """Atomically move a file entry to a new path.
 
-        Same-shard (and unsharded/partitioned-same-server) renames are
-        one ``ns_rename`` RPC; when the two paths hash to different
-        namespace servers the move runs as a two-phase commit over both
-        shards' staged-mutation handlers, so either both the delete of
-        the old name and the insert of the new one land, or neither.
+        Same-shard renames are one ``ns_rename`` RPC; when the two paths
+        hash to different shards the move runs as a two-phase commit
+        over both shards' staged-mutation handlers, so either both the
+        delete of the old name and the insert of the new one land, or
+        neither.
         """
-        src_target = self.router.route_host(src_path)
-        dst_target = self.router.route_host(dst_path)
-        if src_target == dst_target:
-            moved = yield from self._call_ns(
-                "ns_rename", {"path": src_path, "dst": dst_path}, size=96)
-        else:
-            moved = yield from self._cross_shard_move(
-                src_path, dst_path, keep_source=False)
+        moved = yield from self._move(src_path, dst_path, keep_source=False)
         self.entry_cache.evict(self._entry_key(src_path))
         self.entry_cache.evict(self._entry_key(dst_path))
         return moved
@@ -167,30 +116,52 @@ class NamespaceOpsMixin:
     def link(self, src_path: str, dst_path: str):
         """Alias a file under a second path (both resolve to the same
         FileID).  Cross-shard links use the same 2PC as rename."""
-        src_target = self.router.route_host(src_path)
-        dst_target = self.router.route_host(dst_path)
-        if src_target == dst_target:
-            alias = yield from self._call_ns(
-                "ns_link", {"path": src_path, "dst": dst_path}, size=96)
-        else:
-            alias = yield from self._cross_shard_move(
-                src_path, dst_path, keep_source=True)
+        alias = yield from self._move(src_path, dst_path, keep_source=True)
         self.entry_cache.evict(self._entry_key(dst_path))
         return alias
 
-    def _cross_shard_move(self, src_path: str, dst_path: str, *,
-                          keep_source: bool):
-        entry = yield from self._call_ns("ns_lookup", src_path)
+    def _move(self, src_path: str, dst_path: str, *, keep_source: bool):
+        # A shard that refuses a path it no longer owns (this client's
+        # routes predate a split or merge) has by then taught the router
+        # the owner, which can turn a cross-shard move into a same-shard
+        # one or the reverse: plan again, at most ns_redirect_limit
+        # times.  So can the cross-shard move's own source lookup, which
+        # is routed and redirected like any call.
+        route_host = self.router.route_host
+        entry = None
+        replans = 0
+        while True:
+            src_host, dst_host = route_host(src_path), route_host(dst_path)
+            try:
+                if src_host == dst_host:
+                    moved = yield from self._call_ns(
+                        "ns_link" if keep_source else "ns_rename",
+                        {"path": src_path, "dst": dst_path}, size=96)
+                    return moved
+                if entry is None:
+                    entry = yield from self._call_ns("ns_lookup", src_path)
+                    continue
+                moved = yield from self._cross_shard_move(
+                    entry, src_host, dst_path, dst_host, keep_source)
+                return moved
+            except WrongShardError:
+                replans += 1
+                if replans > self.params.ns_redirect_limit:
+                    raise
+
+    def _cross_shard_move(self, entry: dict, src_host: str, dst_path: str,
+                          dst_host: str, keep_source: bool):
+        src_path = entry["path"]
         moved = dict(entry, path=dst_path)
         txid = self.ids.new_id()
         src_ops = [] if keep_source else [{"op": "del", "key": "f:" + src_path}]
         participants = [
-            (self.router.route_host(src_path), {
+            (src_host, {
                 "txid": txid,
                 "checks": [{"key": "f:" + src_path, "must": "present"}],
                 "ops": src_ops,
             }),
-            (self.router.route_host(dst_path), {
+            (dst_host, {
                 "txid": txid,
                 "checks": [
                     {"key": "f:" + dst_path, "must": "absent"},
@@ -203,6 +174,12 @@ class NamespaceOpsMixin:
             yield from two_phase_commit(self.rpc, participants, req_size=192,
                                         services=NS_2PC_SERVICES)
         except CommitAborted as exc:
+            stale = [err for err in map(_namespace_error, exc.refusals)
+                     if isinstance(err, WrongShardError)]
+            for err in stale:
+                self.router.redirected(err)
+            if stale:
+                raise stale[-1] from exc
             raise ConflictError(
                 f"rename {src_path} -> {dst_path} aborted: {exc}") from exc
         return moved

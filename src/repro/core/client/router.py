@@ -1,24 +1,20 @@
 """Client-side namespace routing: the metadata front door's core.
 
 Every namespace RPC a :class:`SorrentoClient` issues goes through one
-:class:`NamespaceRouter`, which supports three deployments:
-
-- **sharded** — the directory tree is partitioned across N shard
-  servers by top-level prefix on a consistent-hash ring.  The router
-  keeps its own ring snapshot plus a TTL'd route cache keyed by
-  *(shard-epoch, prefix)*; when a ring change makes a cached route
-  stale, the server's ``EWRONGSHARD`` redirect carries the owner and
-  the new epoch, the router learns both, and the epoch in the cache key
-  strands every stale entry at once (no redirect loops).
-- **partitioned** (legacy) — stateless hash of the top-level directory
-  over a fixed host list.
-- **single / failover** — one primary plus optional hot standbys,
-  rotating to the next host on RPC timeout.
+:class:`NamespaceRouter`, and there is one way to route it: the
+directory tree is partitioned across the volume's shard servers (one by
+default) by top-level prefix on a consistent-hash ring.  The router
+keeps its own ring snapshot plus a TTL'd route cache keyed by
+*(shard-epoch, prefix)*; when a ring change makes a cached route stale,
+the server's ``EWRONGSHARD`` redirect carries the owner and the new
+epoch, the router learns both, and the epoch in the cache key strands
+every stale entry at once (no redirect loops).  Each shard is a
+failover list ``[primary, standby, ...]``; an RPC time-out rotates to
+the next host.
 """
 
 from __future__ import annotations
 
-import hashlib
 from typing import Callable, Dict, List, Optional
 
 from repro.core.client.handle import (
@@ -30,7 +26,7 @@ from repro.core.client.handle import (
 )
 from repro.core.hashing import HashRing
 from repro.core.location import TtlCache
-from repro.core.namespace import _prefix_point, shard_prefix
+from repro.core.namespace import ROOT, _prefix_point, shard_prefix
 from repro.network.message import RpcRemoteError, RpcTimeout
 
 #: Metadata ops a read-only namespace mirror can answer (bounded-stale
@@ -38,24 +34,29 @@ from repro.network.message import RpcRemoteError, RpcTimeout
 #: authoritative shard).
 READ_ONLY = frozenset({"ns_lookup", "ns_list"})
 
+#: How a remote handler's ``NamespaceError`` arrives in
+#: ``RpcRemoteError.error``: the exception's type name, then its text.
+NS_ERROR = "NamespaceError: "
+
 
 def _namespace_error(error: str) -> SorrentoError:
-    """Map a remote ``NamespaceError`` string onto the typed hierarchy."""
-    if "EWRONGSHARD" in error:
-        owner: Optional[str] = None
-        epoch = 0
-        for tok in error.split():
-            if tok.startswith("owner="):
-                owner = tok[len("owner="):]
-            elif tok.startswith("epoch="):
-                try:
-                    epoch = int(tok[len("epoch="):])
-                except ValueError:
-                    pass
-        return WrongShardError(error, owner=owner, epoch=epoch)
-    if "ENOENT" in error:
+    """Map a remote ``NamespaceError`` string onto the typed hierarchy.
+
+    Classified by the code token that follows ``NamespaceError: `` and
+    nothing else: the rest of the message is a caller-chosen path, which
+    may spell any code, ``owner=`` or a space.
+    """
+    code, _, rest = error.partition(NS_ERROR)[2].partition(" ")
+    if code == "EWRONGSHARD":
+        # "<path> owner=<shard> epoch=<n>": shard names and integers
+        # hold no spaces, so the two fields are split off the right.
+        path, owner, epoch = rest.rsplit(" ", 2)
+        return WrongShardError(error, path=path,
+                               owner=owner[len("owner="):],
+                               epoch=int(epoch[len("epoch="):]))
+    if code == "ENOENT":
         return NotFoundError(error)
-    if "EEXIST" in error or "ENOTEMPTY" in error:
+    if code in ("EEXIST", "ENOTEMPTY"):
         return ConflictError(error)
     return SorrentoError(error)
 
@@ -64,64 +65,38 @@ class NamespaceRouter:
     """Resolves the namespace server that owns a path and calls it.
 
     ``shards`` maps shard name (the primary's hostid) to the failover
-    host list ``[primary, standby, ...]`` for that shard.  ``note`` is
-    the client's cache-stats hook (``route_hits`` / ``route_misses`` /
-    ``ns_redirects``).
+    host list ``[primary, standby, ...]`` for that shard, ``epoch`` is
+    the deployment's shard-map epoch when the snapshot was taken.
+    ``note`` is the client's cache-stats hook (``route_hits`` /
+    ``route_misses`` / ``ns_redirects`` / ``mirror_*``).
     """
 
-    def __init__(self, rpc, sim, params, ns_hosts,
-                 partitions: Optional[List[str]] = None,
-                 shards: Optional[Dict[str, List[str]]] = None,
-                 epoch: int = 1,
-                 note: Optional[Callable[..., None]] = None):
+    def __init__(self, rpc, sim, params, shards: Dict[str, List[str]],
+                 epoch: int, note: Callable[..., None]):
         self.rpc = rpc
         self.sim = sim
         self.params = params
-        self.ns_hosts: List[str] = ([ns_hosts] if isinstance(ns_hosts, str)
-                                    else list(ns_hosts))
-        self._active = 0
-        self.partitions = list(partitions) if partitions else None
         self.shards: Dict[str, List[str]] = {
-            name: list(hosts) for name, hosts in (shards or {}).items()
+            name: list(hosts) for name, hosts in shards.items()
         }
-        self.sharded = bool(self.shards)
-        # Epoch 0 = unsharded (a constant, so epoch-composed cache keys
-        # degenerate to plain path keys); sharded routers start at the
-        # deployment's epoch and advance as redirects teach them.
-        self.epoch = epoch if self.sharded else 0
+        self.epoch = epoch
         self._ring = HashRing(params.ns_shard_vnodes)
         self._route_cache = TtlCache(params.ns_route_cache_ttl,
                                      params.ns_route_cache_capacity)
         self._shard_active: Dict[str, int] = {}
-        self._note = note or (lambda counter, n=1: None)
+        self._note = note
         # Geo-aware reads: a full-tree namespace mirror (usually on this
         # client's own tier) preferred for read-only metadata ops, so a
         # WAN satellite resolves lookups without a central roundtrip.
         self.mirror: Optional[str] = None
 
     # ------------------------------------------------------------ resolve
-    def partition_for(self, payload) -> Optional[str]:
-        """Legacy partitioned routing: hash the top-level directory."""
-        if self.partitions is None:
-            return None
-        path = payload if isinstance(payload, str) else payload.get("path", "")
-        top = path.split("/", 2)[1] if path.startswith("/") else path
-        idx = int.from_bytes(
-            hashlib.sha1(top.encode()).digest()[:4], "big"
-        ) % len(self.partitions)
-        return self.partitions[idx]
-
-    def owner_shard(self, path: str) -> Optional[str]:
-        """Best-known owning shard, bypassing the route cache (used for
-        same-shard vs cross-shard decisions); None when not sharded."""
-        if not self.sharded:
-            return None
-        return self._ring.home_host(_prefix_point(shard_prefix(path)),
-                                    sorted(self.shards))
-
     def shard_for(self, path: str) -> str:
-        """Owning shard for ``path``, through the (epoch, prefix) cache."""
-        prefix = shard_prefix(path)
+        """Owning shard for ``path``, through the (epoch, prefix) cache
+        — the one resolver: what :meth:`call` routes on is what
+        :meth:`route_host` reports."""
+        # shard_prefix(path), spelled out: see NamespaceShardMap.owner_of.
+        prefix = path.strip("/").split("/", 1)[0] or ROOT
         now = self.sim.now
         cached = self._route_cache.get((self.epoch, prefix), now)
         if cached is not None:
@@ -135,27 +110,21 @@ class NamespaceRouter:
 
     def route_host(self, path: str) -> str:
         """The single host a path-addressed RPC would go to right now."""
-        if self.sharded:
-            shard = self.owner_shard(path)
-            hosts = self.shards.get(shard) or [shard]
-            return hosts[self._shard_active.get(shard, 0) % len(hosts)]
-        partition = self.partition_for(path)
-        if partition is not None:
-            return partition
-        return self.ns_hosts[self._active]
+        shard = self.shard_for(path)
+        hosts = self.shards[shard]
+        return hosts[self._shard_active.get(shard, 0) % len(hosts)]
 
-    def learn(self, path: str, owner: Optional[str], epoch: int) -> None:
+    def redirected(self, err: WrongShardError) -> None:
         """Absorb an ``EWRONGSHARD`` redirect: adopt the newer epoch
         (stranding every route cached under the old one) and pin the
-        prefix to the named owner."""
-        if epoch > self.epoch:
-            self.epoch = epoch
-        if owner is None:
-            return
-        if owner not in self.shards:
-            self.shards[owner] = [owner]
-        self._route_cache.put((self.epoch, shard_prefix(path)), owner,
-                              self.sim.now)
+        refused path's prefix to the named owner."""
+        self._note("ns_redirects")
+        if err.epoch > self.epoch:
+            self.epoch = err.epoch
+        if err.owner not in self.shards:
+            self.shards[err.owner] = [err.owner]
+        self._route_cache.put((self.epoch, shard_prefix(err.path)),
+                              err.owner, self.sim.now)
 
     def learn_shards(self, epoch: int, shards: List[str]) -> List[str]:
         """Absorb a shard-map snapshot (piggybacked on a root-listing
@@ -175,16 +144,21 @@ class NamespaceRouter:
         return new
 
     # --------------------------------------------------------------- call
-    def call(self, service: str, payload, size: int = 64, rtts: int = 1):
-        """Issue one namespace RPC, routing/failing over/redirecting as
-        the deployment requires.  Raises the typed client errors."""
-        if self.mirror is not None and service in READ_ONLY:
+    def call(self, service: str, payload, size: int = 64, rtts: int = 1,
+             shard: Optional[str] = None):
+        """Issue one namespace RPC: prefer the mirror for read-only ops,
+        route on the payload's path (or to ``shard`` when the caller
+        names one — the root listing, which every shard answers), rotate
+        through the shard's failover list on time-out, and chase
+        ``EWRONGSHARD`` redirects.  Raises the typed client errors."""
+        if self.mirror is not None and shard is None \
+                and service in READ_ONLY:
             try:
                 result = yield from self.rpc.call(
                     self.mirror, service, payload, size=size, rtts=rtts,
                 )
             except RpcRemoteError as exc:
-                if "NamespaceError" not in exc.error:
+                if not exc.error.startswith(NS_ERROR):
                     raise
                 err = _namespace_error(exc.error)
                 if not isinstance(err, NotFoundError):
@@ -198,50 +172,14 @@ class NamespaceRouter:
             else:
                 self._note("mirror_hits")
                 return result
-        if self.sharded:
-            result = yield from self._call_sharded(service, payload,
-                                                   size, rtts)
-            return result
-        partition = self.partition_for(payload)
-        if partition is not None:
-            try:
-                result = yield from self.rpc.call(
-                    partition, service, payload, size=size, rtts=rtts,
-                )
-                return result
-            except RpcRemoteError as exc:
-                if "NamespaceError" in exc.error:
-                    raise _namespace_error(exc.error) from exc
-                raise
-        last_exc = None
-        for _attempt in range(len(self.ns_hosts)):
-            try:
-                result = yield from self.rpc.call(
-                    self.ns_hosts[self._active], service, payload,
-                    size=size, rtts=rtts,
-                )
-                return result
-            except RpcRemoteError as exc:
-                if "NamespaceError" in exc.error:
-                    raise _namespace_error(exc.error) from exc
-                raise
-            except RpcTimeout as exc:
-                # Primary unreachable: fail over to the standby replica.
-                last_exc = exc
-                self._active = (self._active + 1) % len(self.ns_hosts)
-        raise TimeoutError(
-            f"namespace server unreachable: {last_exc}"
-        ) from last_exc
-
-    def _call_sharded(self, service: str, payload, size: int, rtts: int):
         path = payload if isinstance(payload, str) else payload.get("path", "")
         redirects = 0
         while True:
-            shard = self.shard_for(path)
-            hosts = self.shards.get(shard) or [shard]
+            target = shard or self.shard_for(path)
+            hosts = self.shards[target]
             last_exc = None
             for _attempt in range(len(hosts)):
-                active = self._shard_active.get(shard, 0) % len(hosts)
+                active = self._shard_active.get(target, 0) % len(hosts)
                 try:
                     result = yield from self.rpc.call(
                         hosts[active], service, payload,
@@ -249,22 +187,25 @@ class NamespaceRouter:
                     )
                     return result
                 except RpcRemoteError as exc:
-                    if "NamespaceError" not in exc.error:
+                    if not exc.error.startswith(NS_ERROR):
                         raise
                     err = _namespace_error(exc.error)
-                    if isinstance(err, WrongShardError):
-                        redirects += 1
-                        self._note("ns_redirects")
-                        self.learn(path, err.owner, err.epoch)
-                        if redirects > self.params.ns_redirect_limit:
-                            raise err from exc
-                        break  # re-resolve against the repaired route
-                    raise err from exc
+                    if not isinstance(err, WrongShardError):
+                        raise err from exc
+                    self.redirected(err)
+                    redirects += 1
+                    # A refusal about another path of the request (a
+                    # rename's destination) is the caller's to re-plan:
+                    # re-routing on this one would reach the same shard.
+                    if err.path != path \
+                            or redirects > self.params.ns_redirect_limit:
+                        raise err from exc
+                    break  # re-resolve against the repaired route
                 except RpcTimeout as exc:
                     # Shard primary unreachable: rotate to its standby.
                     last_exc = exc
-                    self._shard_active[shard] = (active + 1) % len(hosts)
+                    self._shard_active[target] = (active + 1) % len(hosts)
             else:
                 raise TimeoutError(
-                    f"namespace shard {shard} unreachable: {last_exc}"
+                    f"namespace shard {target} unreachable: {last_exc}"
                 ) from last_exc

@@ -17,7 +17,7 @@ from repro.core.ids import IdGenerator
 from repro.core.location import ClientLocationCache, TtlCache
 from repro.core.membership import MembershipManager
 from repro.core.params import SorrentoParams
-from repro.runtime import CACHE
+from repro.runtime import CACHE, OpStats
 from repro.sim import Reply
 
 
@@ -29,11 +29,10 @@ class SorrentoClient(NamespaceOpsMixin, PlacementMixin, DataPathMixin,
     inside sim processes (``yield from client.open(...)``).
     """
 
-    def __init__(self, node, ns_host, params: Optional[SorrentoParams] = None,
+    def __init__(self, node, ns_shards: Dict[str, List[str]],
+                 params: Optional[SorrentoParams] = None,
                  rng: Optional[random.Random] = None,
                  membership: Optional[MembershipManager] = None,
-                 ns_partitions: Optional[List[str]] = None,
-                 ns_shards: Optional[Dict[str, List[str]]] = None,
                  ns_shard_epoch: int = 1):
         self.node = node
         self.sim = node.sim
@@ -43,13 +42,11 @@ class SorrentoClient(NamespaceOpsMixin, PlacementMixin, DataPathMixin,
         self.rng = rng or random.Random(zlib.crc32(node.hostid.encode()) & 0xFFFFFF)
         self.rpc = node.runtime
         self.rpc.configure(policy=self.params.rpc_policy())
-        # All namespace routing — failover, legacy partitioning, and the
-        # sharded ring with redirect chasing — lives in the router.
-        # ns_host may be a single hostid or a failover list
-        # [primary, standby, ...] when namespace replication is on.
+        # All namespace routing lives in the router.  ns_shards is the
+        # deployment's shard-map snapshot at epoch ns_shard_epoch: shard
+        # name -> [primary, standby, ...].
         self.router = NamespaceRouter(
-            self.rpc, self.sim, self.params, ns_host,
-            partitions=ns_partitions, shards=ns_shards,
+            self.rpc, self.sim, self.params, ns_shards,
             epoch=ns_shard_epoch, note=self._cache_note,
         )
         self.membership = membership or MembershipManager(
@@ -86,19 +83,23 @@ class SorrentoClient(NamespaceOpsMixin, PlacementMixin, DataPathMixin,
                                     self.params.entry_cache_capacity)
         self.meta_cache = TtlCache(self.params.meta_cache_ttl,
                                    self.params.meta_cache_capacity)
+        self._cache_cells: Dict[str, OpStats] = {}
         self.membership.on_leave.append(self._on_member_death)
 
     # -------------------------------------------------------- cache plane
     def _cache_note(self, counter: str, n: int = 1) -> None:
         """Count a cache event both locally and in the deployment registry
         (scope "cache"), where it lands in metrics_rows next to the RPCs
-        it saved."""
+        it saved.  Every namespace RPC counts a route hit here, so the
+        registry cell is looked up once per counter and kept."""
         self.stats[counter] += n
-        registry = self.rpc.registry
-        if registry is not None:
-            cell = registry.stats(CACHE, counter)
-            for _ in range(n):
-                cell.observe_oneway()
+        cell = self._cache_cells.get(counter)
+        if cell is None:
+            registry = self.rpc.registry
+            if registry is None:
+                return
+            cell = self._cache_cells[counter] = registry.stats(CACHE, counter)
+        cell.oneways += n
 
     def _on_member_death(self, hostid: str) -> None:
         """Membership death event: drop every cached claim by the node."""

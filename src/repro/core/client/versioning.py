@@ -313,7 +313,7 @@ class VersioningMixin:
     def drop(self, fh: FileHandle):
         """Abandon the session's shadow copies without committing."""
         if fh.dirty:
-            index_owner = fh.index_owner or self.ns_host
+            index_owner = fh.index_owner or self.router.route_host(fh.path)
             yield from self._abort_shadows(fh, index_owner, fh.base_version + 1)
         fh.closed = True
 

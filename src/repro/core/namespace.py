@@ -1,9 +1,11 @@
 """The namespace server (Sections 3.1 and 3.5).
 
-One daemon per volume.  It maps pathnames to file entries — the Sorrento
-inode: a 128-bit FileID (= the index segment's SegID), the file's latest
-version, and timestamps — and arbitrates version commits.  It deliberately
-does **not** track where data segments live; that is the distributed
+One daemon per shard of a volume's tree (one shard by default, the
+paper's "one namespace server per volume").  It maps pathnames to file
+entries — the Sorrento inode: a 128-bit FileID (= the index segment's
+SegID), the file's latest version, and timestamps — and arbitrates
+version commits.  It deliberately does **not** track where data
+segments live; that is the distributed
 location scheme's job, which keeps this server small and fast ("a single
 namespace server is able to handle 1300 namespace operations per second").
 
@@ -11,13 +13,14 @@ The directory tree lives in the embedded KV store (the paper used
 Berkeley DB) with write-ahead logging, group commit, and periodic
 checkpoints for recovery.
 
-Sharding extension: the tree can be partitioned across N shard servers
-by top-level directory.  :class:`NamespaceShardMap` is the authoritative
-prefix -> shard assignment (a consistent-hash ring over shard names with
-a monotonically increasing *epoch*); every shard server holds a
-reference and answers requests for paths it does not own with an
-``EWRONGSHARD`` redirect naming the owner and the current epoch, which
-the client-side router uses to repair its stale route cache.  Cross-
+The tree is partitioned across the volume's shard servers by top-level
+directory.  :class:`NamespaceShardMap` is the authoritative prefix ->
+shard assignment (a consistent-hash ring over shard names with a
+monotonically increasing *epoch*); every server holds a reference and
+answers requests for paths it does not own with an ``EWRONGSHARD``
+redirect naming the owner and the current epoch, which the client-side
+router uses to repair its stale route cache.  With one shard the map
+assigns every prefix to it and no redirect is ever sent.  Cross-
 shard renames/links run through staged prepare/commit/abort handlers
 driven by the generic two-phase coordinator in ``core/twophase.py``.
 """
@@ -103,9 +106,7 @@ def shard_prefix(path: str) -> str:
     checks and directory listings stay shard-local; only the root
     listing fans out across shards.
     """
-    if path == ROOT:
-        return ROOT
-    return path.strip("/").split("/", 1)[0]
+    return path.strip("/").split("/", 1)[0] or ROOT
 
 
 def _prefix_point(prefix: str) -> int:
@@ -120,29 +121,44 @@ class NamespaceShardMap:
     named by their primary's hostid, and every membership change bumps
     ``epoch``.  The epoch travels inside ``EWRONGSHARD`` redirects so
     stale client route caches self-invalidate instead of looping.
+
+    Every namespace RPC asks :meth:`owner_of` on the serving side, so
+    the prefix -> owner answers of the current epoch are memoised: the
+    hash and ring walk run once per top-level directory per epoch.
     """
 
     def __init__(self, shards, vnodes: int = 16):
         self.ring = HashRing(vnodes)
         self.shards: List[str] = list(shards)
         self.epoch = 1
+        self._owners: Dict[str, str] = {}
 
     def owner_of(self, path: str) -> str:
-        return self.ring.home_host(_prefix_point(shard_prefix(path)),
-                                   self.shards)
+        # shard_prefix(path), spelled out: this and the router's twin
+        # run once per namespace RPC, where a call costs what they do.
+        prefix = path.strip("/").split("/", 1)[0] or ROOT
+        owner = self._owners.get(prefix)
+        if owner is None:
+            owner = self._owners[prefix] = self.ring.home_host(
+                _prefix_point(prefix), self.shards)
+        return owner
 
     # Membership changes build a NEW list: the ring's reconcile has an
     # identity fast path, so mutating the list it was last shown would
-    # leave the ring stale.
+    # leave the ring stale.  The memo belongs to the old epoch and is
+    # replaced with it.
     def add_shard(self, name: str) -> None:
         if name not in self.shards:
-            self.shards = self.shards + [name]
-            self.epoch += 1
+            self._advance(self.shards + [name])
 
     def remove_shard(self, name: str) -> None:
         if name in self.shards:
-            self.shards = [s for s in self.shards if s != name]
-            self.epoch += 1
+            self._advance([s for s in self.shards if s != name])
+
+    def _advance(self, shards: List[str]) -> None:
+        self.shards = shards
+        self.epoch += 1
+        self._owners = {}
 
 
 @dataclass
@@ -180,10 +196,13 @@ class NamespaceServer:
         self._staged: Dict[int, dict] = {}    # txid -> staged cross-shard tx
         self._flush_queue = Store(self.sim)
         self.ops_served = 0
-        self.standby: Optional[str] = None    # first hot-standby hostid
         self.standbys: List[_StandbyLink] = []
-        self.shard_map: Optional[NamespaceShardMap] = None
-        self.shard_name: Optional[str] = None
+        # Until the deployment places it in the volume's map, a server
+        # is the only shard of a map of its own and so answers for every
+        # path — which is also what a full-tree mirror stays.
+        self.shard_name: str = node.hostid
+        self.shard_map = NamespaceShardMap([node.hostid],
+                                           self.params.ns_shard_vnodes)
         self._ship_seq = 0
         self.applied_seq = 0                  # standby side: last seq applied
         self.shipped_batches = 0
@@ -202,14 +221,14 @@ class NamespaceServer:
     # --------------------------------------------------------- sharding
     def configure_shard(self, shard_map: NamespaceShardMap,
                         shard_name: str) -> None:
-        """Make this server one shard of a partitioned namespace.  It
-        answers only for paths the map assigns to ``shard_name``;
-        anything else gets an ``EWRONGSHARD`` redirect."""
+        """Make this server a shard (primary or standby) of the volume's
+        namespace.  It answers only for paths the map assigns to
+        ``shard_name``; anything else gets an ``EWRONGSHARD`` redirect."""
         self.shard_map = shard_map
         self.shard_name = shard_name
 
     def _check_owner(self, path: str) -> None:
-        if self.shard_map is None or path == ROOT:
+        if path == ROOT:
             return
         owner = self.shard_map.owner_of(path)
         if owner != self.shard_name:
@@ -230,8 +249,6 @@ class NamespaceServer:
         scheduled WAN-replication mode satellite-tier mirrors use."""
         link = _StandbyLink(hostid, interval)
         self.standbys.append(link)
-        if interval is None and self.standby is None:
-            self.standby = hostid
         if interval is not None:
             self.node.spawn(self._batch_ship_loop(link),
                             name=f"ns-ship-{hostid}")
@@ -425,16 +442,16 @@ class NamespaceServer:
         if self.db.get(_dir_key(path)) is None:
             raise NamespaceError(f"ENOENT {path}")
         names = self._list_children(path)
-        if self.shard_map is not None and path == "/":
-            # Root listings legitimately span every shard, so they can
-            # never redirect — piggyback the shard-map snapshot instead,
-            # letting a stale client discover shards it has never been
-            # redirected to and re-fan before merging.
-            reply = {"names": names, "epoch": self.shard_map.epoch,
-                     "shards": list(self.shard_map.shards)}
-            return reply, (64 + 16 * len(names)
-                           + 16 * len(self.shard_map.shards))
-        return names, 64 + 16 * len(names)
+        if path != ROOT:
+            return names, 64 + 16 * len(names)
+        # Root listings legitimately span every shard, so they can
+        # never redirect — piggyback the shard-map snapshot instead,
+        # letting a stale client discover shards it has never been
+        # redirected to and re-fan before merging.
+        reply = {"names": names, "epoch": self.shard_map.epoch,
+                 "shards": list(self.shard_map.shards)}
+        return reply, (64 + 16 * len(names)
+                       + 16 * len(self.shard_map.shards))
 
     def _list_children(self, path: str) -> List[str]:
         prefix = path if path.endswith("/") else path + "/"
@@ -450,26 +467,16 @@ class NamespaceServer:
     def _h_rename(self, req: dict, src: str):
         """Move a file entry within one shard (cross-shard renames go
         through the staged prepare/commit handlers instead)."""
-        yield from self._charge_cpu()
-        path, dst = req["path"], req["dst"]
-        self._check_owner(path)
-        self._check_owner(dst)
-        entry = self.db.get(_file_key(path))
-        if entry is None:
-            raise NamespaceError(f"ENOENT {path}")
-        if self.db.get(_file_key(dst)) is not None:
-            raise NamespaceError(f"EEXIST {dst}")
-        if self.db.get(_dir_key(_parent(dst))) is None:
-            raise NamespaceError(f"ENOENT parent of {dst}")
-        moved = dict(entry, path=dst)
-        self._delete(_file_key(path))
-        self._put(_file_key(dst), moved)
-        yield from self._durable()
-        return dict(moved), 128
+        moved = yield from self._place(req, keep_source=False)
+        return moved
 
     def _h_link(self, req: dict, src: str):
         """Alias a file entry under a second path (same FileID, so both
         names resolve to the same index segment and data)."""
+        alias = yield from self._place(req, keep_source=True)
+        return alias
+
+    def _place(self, req: dict, keep_source: bool):
         yield from self._charge_cpu()
         path, dst = req["path"], req["dst"]
         self._check_owner(path)
@@ -481,10 +488,12 @@ class NamespaceServer:
             raise NamespaceError(f"EEXIST {dst}")
         if self.db.get(_dir_key(_parent(dst))) is None:
             raise NamespaceError(f"ENOENT parent of {dst}")
-        alias = dict(entry, path=dst)
-        self._put(_file_key(dst), alias)
+        placed = dict(entry, path=dst)
+        if not keep_source:
+            self._delete(_file_key(path))
+        self._put(_file_key(dst), placed)
         yield from self._durable()
-        return dict(alias), 128
+        return dict(placed), 128
 
     # ------------------------------------- cross-shard transactions (2PC)
     # Generic staged-mutation participant driven by two_phase_commit()
@@ -494,12 +503,17 @@ class NamespaceServer:
     def _h_prepare(self, req: dict, src: str):
         yield from self._charge_cpu()
         txid = req["txid"]
+        checks = req.get("checks", ())
+        # Keys are "f:<path>" / "d:<path>": a coordinator whose routes
+        # predate a split or merge is told so, like any other caller.
+        for item in (*checks, *req["ops"]):
+            self._check_owner(item["key"][2:])
         keys = {op["key"] for op in req["ops"]}
         for tx in self._staged.values():
             if tx["expires_at"] > self.sim.now \
                     and not keys.isdisjoint(tx["keys"]):
                 return False, 32
-        for check in req.get("checks", ()):
+        for check in checks:
             value = self.db.get(check["key"])
             if check["must"] == "absent" and value is not None:
                 return False, 32

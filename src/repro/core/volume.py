@@ -1,10 +1,13 @@
 """Volume deployment: wire a Sorrento cluster out of a hardware spec.
 
-``SorrentoDeployment`` builds the simulator, fabric, nodes, one namespace
-server, one storage provider per exporting node, and client stubs — the
-"configured and maintained incrementally" cluster of Section 2.2.  It also
-exposes the failure-injection hooks the experiments use (crash a provider,
-add a fresh one at runtime).
+``SorrentoDeployment`` builds the simulator, fabric, nodes, the namespace
+(a :class:`NamespaceShardMap` with one server per shard — one shard unless
+configured otherwise), one storage provider per exporting node, and client
+stubs — the "configured and maintained incrementally" cluster of Section
+2.2.  It also exposes the failure-injection hooks the experiments use
+(crash a provider, add a fresh one at runtime) and the only accessors to
+namespace server state (:meth:`SorrentoDeployment.namespace_for`,
+:meth:`SorrentoDeployment.namespace_servers`).
 """
 
 from __future__ import annotations
@@ -36,26 +39,13 @@ class SorrentoConfig:
     trace: bool = False                 # attach a Tracer to every runtime
     n_providers: Optional[int] = None   # cap exporting nodes used (paper's
     #                                     "each experiment may not use all")
-    ns_on: Optional[str] = None         # hostid for the namespace server
-    ns_standby_on: Optional[str] = None  # hot-standby namespace replica
-    #                                      (the §3.1 availability extension)
-    ns_partitions_on: Optional[List[str]] = None  # directory-tree
-    #                                      partitioning: one namespace
-    #                                      server per listed host, each
-    #                                      owning a shard of the top-level
-    #                                      directories (§3.1's other
-    #                                      scaling approach)
-    namespace_shards: int = 1           # >1: shard the namespace over the
-    #                                      first N storage hosts (the routed
-    #                                      metadata API; default off so the
-    #                                      recorded goldens stay identical)
-    ns_shards_on: Optional[List[str]] = None  # explicit shard primary hosts
-    #                                      (overrides namespace_shards)
-    ns_shard_standbys_on: Optional[List[str]] = None  # per-shard standby
-    #                                      hosts, parallel to the shard list
-    ns_ship_interval: Optional[float] = None  # shard-standby WAL shipping:
-    #                                      None = hot (per-mutation),
-    #                                      a float = scheduled bulk batches
+    namespace_shards: int = 1           # shard the namespace tree over the
+    #                                      first N storage hosts (one shard
+    #                                      is the paper's single server)
+    ns_shard_standbys_on: Optional[List[str]] = None  # per-shard hot
+    #                                      standby hosts, parallel to the
+    #                                      shard list (the §3.1
+    #                                      availability extension)
     partition: Optional["PartitionMap"] = None  # conservative-parallel
     #                                      model cut (repro.sim.parallel):
     #                                      installs the store-and-forward
@@ -126,106 +116,36 @@ class SorrentoDeployment:
                     announce=False,
                 )
 
-        # Sharded namespace: resolve the shard primary list first, since
-        # the default ns host becomes the first shard's primary.
-        shard_hosts = list(self.config.ns_shards_on or [])
-        if not shard_hosts and self.config.namespace_shards > 1:
-            shard_hosts = [s.name for s in
-                           storage_specs[:self.config.namespace_shards]]
-
-        # Namespace server: by default the first non-exporting node with a
-        # disk preference, else the first storage node.
-        ns_host = self.config.ns_on
-        if ns_host is None:
-            ns_host = (shard_hosts[0] if shard_hosts
-                       else storage_specs[0].name if storage_specs
-                       else spec.nodes[0].name)
-        if shard_hosts and ns_host not in shard_hosts:
-            raise ValueError(
-                "ns_on must name one of the shard hosts when the "
-                "namespace is sharded")
-        ns_node = self.nodes[ns_host]
-        if ns_node.fs is None:
-            raise ValueError(
-                f"namespace server host {ns_host} needs a local disk"
-            )
-        self.ns = NamespaceServer(ns_node, self.config.volume, self.params)
-        self.ns_host = ns_host
-        self.ns_standby: Optional[NamespaceServer] = None
-        self.ns_hosts = [ns_host]
-        # Directory-tree partitioning: extra namespace servers, each
-        # owning the top-level directories that hash to it.
-        self.ns_partition_servers: Dict[str, NamespaceServer] = {}
-        self.ns_partition_hosts: Optional[List[str]] = None
-        if self.config.ns_partitions_on:
-            if self.config.ns_standby_on:
-                raise ValueError(
-                    "namespace partitioning and standby replication are "
-                    "separate deployments; pick one"
-                )
-            self.ns_partition_hosts = list(self.config.ns_partitions_on)
-            for host in self.ns_partition_hosts:
-                if host == ns_host:
-                    self.ns_partition_servers[host] = self.ns
-                    continue
-                pnode = self.nodes[host]
-                if pnode.fs is None:
-                    raise ValueError(
-                        f"namespace partition host {host} needs a disk")
-                self.ns_partition_servers[host] = NamespaceServer(
-                    pnode, self.config.volume, self.params)
-        if self.config.ns_standby_on is not None:
-            standby_node = self.nodes[self.config.ns_standby_on]
-            if standby_node.fs is None:
-                raise ValueError("namespace standby host needs a local disk")
-            self.ns_standby = NamespaceServer(
-                standby_node, self.config.volume, self.params)
-            self.ns.attach_standby(self.config.ns_standby_on)
-            self.ns_hosts.append(self.config.ns_standby_on)
-
-        # Sharded namespace: one server per shard primary (plus optional
-        # per-shard standbys), all sharing one authoritative shard map.
-        self.ns_shard_map: Optional[NamespaceShardMap] = None
+        # Namespace: one server per shard primary (plus an optional hot
+        # standby each), all sharing one authoritative shard map.  The
+        # shards are the first ``namespace_shards`` storage hosts.
+        if self.config.namespace_shards < 1:
+            raise ValueError("namespace_shards must be at least 1")
+        shard_hosts = [s.name for s in
+                       storage_specs[:self.config.namespace_shards]] \
+            or [spec.nodes[0].name]
+        standbys = list(self.config.ns_shard_standbys_on or [])
+        self.ns_shard_map = NamespaceShardMap(
+            shard_hosts, vnodes=self.params.ns_shard_vnodes)
         self.ns_shard_servers: Dict[str, NamespaceServer] = {}
         self.ns_shard_standby_servers: Dict[str, NamespaceServer] = {}
-        self.ns_shards: Optional[Dict[str, List[str]]] = None
+        self.ns_shards: Dict[str, List[str]] = {}
         self.ns_mirrors: Dict[str, NamespaceServer] = {}
-        if shard_hosts:
-            if self.ns_partition_hosts or self.ns_standby is not None:
-                raise ValueError(
-                    "namespace sharding replaces the legacy partitioning/"
-                    "standby deployments; pick one"
-                )
-            self.ns_shard_map = NamespaceShardMap(
-                shard_hosts, vnodes=self.params.ns_shard_vnodes)
-            standbys = list(self.config.ns_shard_standbys_on or [])
-            self.ns_shards = {}
-            for i, host in enumerate(shard_hosts):
-                if host == ns_host:
-                    server = self.ns
-                else:
-                    snode = self.nodes[host]
-                    if snode.fs is None:
-                        raise ValueError(
-                            f"namespace shard host {host} needs a disk")
-                    server = NamespaceServer(
-                        snode, self.config.volume, self.params)
-                server.configure_shard(self.ns_shard_map, host)
-                self.ns_shard_servers[host] = server
-                self.ns_shards[host] = [host]
-                if i < len(standbys):
-                    sb_host = standbys[i]
-                    sb_node = self.nodes[sb_host]
-                    if sb_node.fs is None:
-                        raise ValueError(
-                            f"namespace shard standby {sb_host} needs a disk")
-                    sb = NamespaceServer(
-                        sb_node, self.config.volume, self.params)
-                    sb.configure_shard(self.ns_shard_map, host)
-                    server.attach_standby(
-                        sb_host, interval=self.config.ns_ship_interval)
-                    self.ns_shard_standby_servers[host] = sb
-                    self.ns_shards[host].append(sb_host)
+        for i, host in enumerate(shard_hosts):
+            server = self._namespace_server(host)
+            server.configure_shard(self.ns_shard_map, host)
+            self.ns_shard_servers[host] = server
+            self.ns_shards[host] = [host]
+            if i < len(standbys):
+                standby = self._namespace_server(standbys[i])
+                standby.configure_shard(self.ns_shard_map, host)
+                server.attach_standby(standbys[i])
+                self.ns_shard_standby_servers[host] = standby
+                self.ns_shards[host].append(standbys[i])
+        # The first shard's host and server, under the names they had
+        # when a volume had exactly one.
+        self.ns_host = shard_hosts[0]
+        self.ns = self.ns_shard_servers[self.ns_host]
 
         # All exporting hosts, dormant or not: segment homes and preload
         # placement are functions of the *full* member list, which must be
@@ -245,18 +165,35 @@ class SorrentoDeployment:
             )
             self.memberships[name] = self.providers[name].membership
 
+    # ---------------------------------------------------------- namespace
+    def _namespace_server(self, hostid: str) -> NamespaceServer:
+        node = self.nodes[hostid]
+        if node.fs is None:
+            raise ValueError(
+                f"namespace server host {hostid} needs a local disk")
+        return NamespaceServer(node, self.config.volume, self.params)
+
+    def namespace_for(self, path: str) -> NamespaceServer:
+        """The authoritative server for ``path`` under the current map
+        — how anything outside the RPC path (preloading, inspection,
+        experiment set-up) reaches a namespace entry."""
+        return self.ns_shard_servers[self.ns_shard_map.owner_of(path)]
+
+    def namespace_servers(self) -> List[NamespaceServer]:
+        """Every authoritative server, drained shards included (their
+        DBs are empty but they still redirect stragglers).  Standbys and
+        mirrors are replicas, not truth, and are left out."""
+        return list(self.ns_shard_servers.values())
+
     # ------------------------------------------------------------ clients
     def client_on(self, hostid: str) -> SorrentoClient:
         """A client stub running on the given node."""
         node = self.nodes[hostid]
         client = SorrentoClient(
-            node, self.ns_hosts, self.params,
+            node, self.ns_shards, self.params,
             rng=self.rngs.py(f"client:{hostid}:{len(self.clients)}"),
             membership=self.memberships.get(hostid),
-            ns_partitions=self.ns_partition_hosts,
-            ns_shards=self.ns_shards,
-            ns_shard_epoch=(self.ns_shard_map.epoch
-                            if self.ns_shard_map is not None else 1),
+            ns_shard_epoch=self.ns_shard_map.epoch,
         )
         if hostid in self.ns_mirrors:
             # Geo-aware reads: a client co-located with a namespace
@@ -302,15 +239,9 @@ class SorrentoDeployment:
         advances, affected prefixes' entries migrate between shard DBs
         (state surgery, not simulated I/O), and clients with stale
         routes repair themselves through ``EWRONGSHARD`` redirects."""
-        if self.ns_shard_map is None:
-            raise ValueError("namespace sharding is not enabled")
         server = self.ns_shard_servers.get(hostid)
         if server is None:
-            node = self.nodes[hostid]
-            if node.fs is None:
-                raise ValueError(
-                    f"namespace shard host {hostid} needs a disk")
-            server = NamespaceServer(node, self.config.volume, self.params)
+            server = self._namespace_server(hostid)
             server.configure_shard(self.ns_shard_map, hostid)
             self.ns_shard_servers[hostid] = server
             self.ns_shards[hostid] = [hostid]
@@ -321,39 +252,32 @@ class SorrentoDeployment:
     def remove_namespace_shard(self, hostid: str) -> None:
         """Merge: drain a shard out of the map.  Its server stays up to
         redirect stragglers; its entries move to their new owners."""
-        if self.ns_shard_map is None:
-            raise ValueError("namespace sharding is not enabled")
         self.ns_shard_map.remove_shard(hostid)
         self._migrate_shard_entries()
 
     def _migrate_shard_entries(self) -> None:
         moves = []
-        for host, server in self.ns_shard_servers.items():
+        for server in self.namespace_servers():
             for key, value in list(server.db.items()):
                 path = key[2:]
                 if path == "/":
                     continue  # the root dir lives on every shard
-                owner = self.ns_shard_map.owner_of(path)
-                if owner != host:
+                owner = self.namespace_for(path)
+                if owner is not server:
                     moves.append((server, owner, key, value))
         for server, owner, key, value in moves:
             server.db.delete(key)
-            self.ns_shard_servers[owner].db.put(key, value)
+            owner.db.put(key, value)
 
     def add_namespace_mirror(self, hostid: str,
                              interval: float) -> NamespaceServer:
         """A full-tree namespace mirror fed by scheduled bulk WAL
-        batches from every shard (or the single primary) — the
-        satellite-tier metadata replica of the tiered topology.  The
-        mirror is not a shard: it answers for any path, serving the
+        batches from every shard — the satellite-tier metadata replica
+        of the tiered topology.  The mirror is not a shard of the
+        volume's map: it answers for any path, serving the
         (bounded-staleness) view the last batch shipped."""
-        node = self.nodes[hostid]
-        if node.fs is None:
-            raise ValueError(f"namespace mirror host {hostid} needs a disk")
-        mirror = NamespaceServer(node, self.config.volume, self.params)
-        sources = (list(self.ns_shard_servers.values())
-                   if self.ns_shard_servers else [self.ns])
-        for server in sources:
+        mirror = self._namespace_server(hostid)
+        for server in self.namespace_servers():
             server.attach_standby(hostid, interval=interval)
         self.ns_mirrors[hostid] = mirror
         return mirror
@@ -445,13 +369,9 @@ class SorrentoDeployment:
                           ctime=self.sim.now, mtime=self.sim.now,
                           degree=degree, alpha=alpha,
                           placement=placement).to_dict()
-        if self.ns_shard_map is not None:
-            owner = self.ns_shard_map.owner_of(path)
-            shard = self.ns_shard_servers[owner]
-            if not shard.node.dormant:
-                shard.db.put(_file_key(path), entry)
-        elif not self.ns.node.dormant:
-            self.ns.db.put(_file_key(path), entry)
+        server = self.namespace_for(path)
+        if not server.node.dormant:
+            server.db.put(_file_key(path), entry)
         return entry
 
     def preload_files(self, files, degree: int = 1, alpha: float = 0.5,
@@ -504,9 +424,7 @@ class SorrentoDeployment:
         ring = self._preload_ring
         now = self.sim.now
         get_provider = self.providers.get
-        shard_map = self.ns_shard_map
-        shard_servers = self.ns_shard_servers
-        flat_ns = None if shard_map is not None else self.ns
+        namespace_for = self.namespace_for
         nreps = min(degree, nhosts)
         # Segment objects differ only in segid/size/meta/extents; build
         # them from a prototype __dict__ instead of re-running the
@@ -660,14 +578,9 @@ class SorrentoDeployment:
                     entry["path"] = path
                     entry["fileid"] = fileid
                 wal_bytes = key_base + val_base + 2 * len(path)
-                if shard_map is not None:
-                    shard = shard_servers[shard_map.owner_of(path)]
-                    if not shard.node.dormant:
-                        shard.db.put(_file_key(path), entry,
-                                     nbytes=wal_bytes)
-                elif not flat_ns.node.dormant:
-                    flat_ns.db.put(_file_key(path), entry,
-                                   nbytes=wal_bytes)
+                server = namespace_for(path)
+                if not server.node.dormant:
+                    server.db.put(_file_key(path), entry, nbytes=wal_bytes)
                 count += 1
         finally:
             if gc_was:

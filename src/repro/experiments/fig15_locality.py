@@ -86,7 +86,8 @@ def _count_local(dep, hosts, asg, sizes) -> int:
     for p, parts in enumerate(asg):
         reader = hosts[p % len(hosts)]
         for part in parts:
-            entry = dep.ns.db.get("f:" + psm.partition_path(part))
+            path = psm.partition_path(part)
+            entry = dep.namespace_for(path).db.get("f:" + path)
             if entry is None:
                 continue
             meta = insp._index_meta(entry["fileid"])

@@ -202,8 +202,7 @@ def _satellite_sync(dep, sat: str, client, seen: Dict[str, int],
 def _lag_sampler(dep, sats: List[str], series: Dict[str, List[tuple]],
                  stop_at: float):
     """Sample each mirror's unshipped-mutation backlog every SAMPLE s."""
-    sources = (list(dep.ns_shard_servers.values())
-               if dep.ns_shard_servers else [dep.ns])
+    sources = dep.namespace_servers()
     while dep.sim.now < stop_at:
         yield dep.sim.timeout(SAMPLE)
         for s in sats:
@@ -273,8 +272,7 @@ def run(scale: float = 1.0, duration: float = 90.0, n_shards: int = 2,
 
     times = [(i + 1) * SAMPLE for i in range(int(duration / SAMPLE))]
     central_rate = _bucket(central_progress, t0, duration, 1.0 / MB / SAMPLE)
-    sources = (list(dep.ns_shard_servers.values())
-               if dep.ns_shard_servers else [dep.ns])
+    sources = dep.namespace_servers()
     central_entries = sum(
         1 for srv in sources for key, _ in srv.db.items()
         if isinstance(key, str) and key.startswith("f:"))

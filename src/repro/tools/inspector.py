@@ -84,24 +84,23 @@ class ClusterInspector:
         return report
 
     # ------------------------------------------------------------ orphans
-    def _namespace_dbs(self):
-        """Every authoritative namespace DB: all shards, or the single
-        server (mirrors are excluded — they are replicas, not truth)."""
-        shard_servers = getattr(self.dep, "ns_shard_servers", None)
-        if shard_servers:
-            return [srv.db for srv in shard_servers.values()]
-        return [self.dep.ns.db]
+    def file_entries(self):
+        """``(path, entry)`` for every file in the namespace, across
+        all shards (mirrors are excluded — they are replicas, not
+        truth)."""
+        for server in self.dep.namespace_servers():
+            for key, entry in server.db.items(low="f:", high="f;"):
+                yield key[2:], entry
 
     def referenced_segments(self) -> Set[int]:
         """Every SegID reachable from the namespace (index + data)."""
         refs: Set[int] = set()
-        for db in self._namespace_dbs():
-            for key, entry in db.items(low="f:", high="f;"):
-                fileid = entry["fileid"]
-                refs.add(fileid)
-                meta = self._index_meta(fileid)
-                if meta and meta.get("layout") is not None:
-                    refs.update(r.segid for r in meta["layout"].segments)
+        for _path, entry in self.file_entries():
+            fileid = entry["fileid"]
+            refs.add(fileid)
+            meta = self._index_meta(fileid)
+            if meta and meta.get("layout") is not None:
+                refs.update(r.segid for r in meta["layout"].segments)
         return refs
 
     def _index_meta(self, fileid: int) -> Optional[dict]:
@@ -241,17 +240,11 @@ class ClusterInspector:
     # ----------------------------------------------------------- namespace
     def namespace_report(self) -> Dict[str, object]:
         """The routed-metadata plane: shard map, per-shard load, standby
-        shipping, mirrors, and how often clients were redirected.
-
-        Works for every deployment shape; ``sharded`` is False for the
-        classic single-server (or legacy-partitioned) namespace.
-        """
+        shipping, mirrors, and how often clients were redirected."""
         dep = self.dep
-        shard_servers = getattr(dep, "ns_shard_servers", None) or {}
-        shard_map = getattr(dep, "ns_shard_map", None)
+        active = set(dep.ns_shard_map.shards)
         report: Dict[str, object] = {
-            "sharded": bool(shard_servers),
-            "epoch": shard_map.epoch if shard_map is not None else 0,
+            "epoch": dep.ns_shard_map.epoch,
             "shards": {},
             "mirrors": {},
             "client_redirects": sum(c.stats.get("ns_redirects", 0)
@@ -261,12 +254,10 @@ class ClusterInspector:
             "route_misses": sum(c.stats.get("route_misses", 0)
                                 for c in dep.clients),
         }
-        servers = shard_servers or {dep.ns_host: dep.ns}
-        active = (set(shard_map.shards) if shard_map is not None
-                  else set(servers))
-        for host, srv in sorted(servers.items()):
-            report["shards"][host] = {
-                "in_map": host in active,
+        for srv in sorted(dep.namespace_servers(),
+                          key=lambda s: s.shard_name):
+            report["shards"][srv.shard_name] = {
+                "in_map": srv.shard_name in active,
                 "entries": len(srv.db),
                 "ops_served": srv.ops_served,
                 "standbys": [link.hostid for link in srv.standbys],
@@ -274,7 +265,7 @@ class ClusterInspector:
                 "shipped_batches": srv.shipped_batches,
                 "staged_txns": len(srv._staged),
             }
-        for host, mirror in getattr(dep, "ns_mirrors", {}).items():
+        for host, mirror in dep.ns_mirrors.items():
             report["mirrors"][host] = {
                 "entries": len(mirror.db),
                 "applied_seq": mirror.applied_seq,
@@ -388,16 +379,15 @@ class ClusterInspector:
                 f"coalesced {disk['coalesced']} requests "
                 f"(queue peak {disk['queue_peak']})")
         ns = self.namespace_report()
-        if ns["sharded"]:
-            shards = ns["shards"]
-            ops = ", ".join(f"{h} {row['ops_served']} ops"
-                            for h, row in shards.items())
-            line = (f"namespace: {sum(row['in_map'] for row in shards.values())}"
-                    f" shards (epoch {ns['epoch']}): {ops}; "
-                    f"{ns['client_redirects']} client redirects")
-            if ns["mirrors"]:
-                line += f"; {len(ns['mirrors'])} mirrors"
-            lines.append(line)
+        shards = ns["shards"]
+        ops = ", ".join(f"{h} {row['ops_served']} ops"
+                        for h, row in shards.items())
+        line = (f"namespace: {sum(row['in_map'] for row in shards.values())}"
+                f" shards (epoch {ns['epoch']}): {ops}; "
+                f"{ns['client_redirects']} client redirects")
+        if ns["mirrors"]:
+            line += f"; {len(ns['mirrors'])} mirrors"
+        lines.append(line)
         part = self.partition_report()
         if part:
             lines.append(

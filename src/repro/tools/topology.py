@@ -79,8 +79,7 @@ def availability_after_failure(deployment, failed: List[str]) -> Dict[str, List]
             degraded.append(segid)
     lost_set = set(lost)
     lost_files: List[str] = []
-    for key, entry in deployment.ns.db.items(low="f:", high="f;"):
-        path = key[2:]
+    for path, entry in insp.file_entries():
         fileid = entry["fileid"]
         if fileid in lost_set:
             lost_files.append(path)

@@ -88,4 +88,4 @@ def create_shared_file(dep, path: str = "/btio/solution", scale: float = 1.0,
         if isinstance(entry, dict):
             entry["versioning"] = False
             from repro.core.namespace import _file_key
-            dep.ns.db.put(_file_key(path), entry)
+            dep.namespace_for(path).db.put(_file_key(path), entry)

@@ -277,7 +277,7 @@ def test_namespace_endpoints_only_behind_the_router():
 def test_namespace_servers_are_built_only_by_the_deployment():
     """Experiments, baselines, and tests get their namespace service
     from the deployment config (``namespace_shards`` /
-    ``ns_partitions_on`` / ``ns_standby_on``) and the ``connect()`` /
+    ``ns_shard_standbys_on``) and the ``connect()`` /
     ``client_on()`` front door — never by hand-constructing a
     ``NamespaceServer``.  Allowed: the deployment itself and the
     server's own module; ``tests/test_namespace.py`` unit-tests the
@@ -300,6 +300,33 @@ def test_namespace_servers_are_built_only_by_the_deployment():
     assert offenders == [], (
         "NamespaceServer constructed outside the deployment: "
         + ", ".join(offenders)
+    )
+
+
+def test_namespace_state_is_reached_through_the_deployment_accessors():
+    """A namespace entry lives on the shard its path hashes to, so code
+    that reaches into ``dep.ns.db`` reads and writes shard 0 whatever
+    the path, and code that walks ``ns_shard_servers`` re-derives what
+    ``SorrentoDeployment.namespace_for(path)`` /
+    ``namespace_servers()`` already answer.  Only the deployment itself
+    touches either (the attributes stay: ``bench/layers.py`` reads
+    them)."""
+    offenders = []
+    for path in SRC.rglob("*.py"):
+        mod = ".".join(path.relative_to(SRC.parent).with_suffix("").parts)
+        if mod == "repro.core.volume":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Attribute):
+                continue
+            if node.attr == "ns_shard_servers" or (
+                    node.attr == "db"
+                    and isinstance(node.value, ast.Attribute)
+                    and node.value.attr == "ns"):
+                offenders.append(f"{mod}:{node.lineno}")
+    assert offenders == [], (
+        "namespace state reached around namespace_for()/"
+        "namespace_servers(): " + ", ".join(offenders)
     )
 
 

@@ -1,4 +1,5 @@
-"""Tests for the namespace-replication extension (hot standby, §3.1)."""
+"""Tests for the namespace-replication extension (hot standby, §3.1):
+the default one-shard namespace with a standby behind its shard."""
 
 import pytest
 
@@ -14,7 +15,7 @@ def deploy(seed=91):
     dep = SorrentoDeployment(
         spec,
         SorrentoConfig(params=SorrentoParams(default_degree=2), seed=seed,
-                       ns_standby_on=spec.storage_nodes[1].name),
+                       ns_shard_standbys_on=[spec.storage_nodes[1].name]),
     )
     dep.warm_up()
     return dep
@@ -35,7 +36,8 @@ def test_standby_mirrors_mutations():
 
     dep.run(work())
     dep.sim.run(until=dep.sim.now + 2)  # shipping drains
-    primary, standby = dep.ns.db, dep.ns_standby.db
+    primary = dep.ns.db
+    standby = dep.ns_shard_standby_servers[dep.ns_host].db
     assert standby.get("f:/d/f") is None
     assert standby.get("f:/d/g") == primary.get("f:/d/g")
     assert standby.get("d:/d") is not None
@@ -71,7 +73,24 @@ def test_failover_serves_lookups_and_commits():
     assert before_version == 1
     assert after_version == 2
     # The client settled on the standby.
-    assert client.ns_host == dep.ns_hosts[1]
+    assert client.router.route_host("/ha-ns") == dep.ns_shards[dep.ns_host][1]
+
+
+def test_root_listing_fails_over_with_the_shard():
+    """The root listing is addressed per shard, not by path, and still
+    rotates to the shard's standby when the primary is gone."""
+    dep = deploy()
+    client = dep.client_on("c00")
+
+    def setup():
+        yield from client.mkdir("/a")
+        yield from client.mkdir("/b")
+
+    dep.run(setup())
+    dep.sim.run(until=dep.sim.now + 2)  # shipping drains
+    dep.crash_provider(dep.ns_host)
+    listing = dep.run(client.listdir("/"), until=dep.sim.now + 60)
+    assert listing == ["a/", "b/"]
 
 
 def test_failover_is_transparent_to_atomic_append():

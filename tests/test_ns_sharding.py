@@ -1,8 +1,10 @@
-"""Tests for the sharded namespace behind the routed metadata API.
+"""Tests for the namespace behind the routed metadata API — the one
+path every deployment takes, with one shard by default.
 
 Covers the shard map, the typed ``EWRONGSHARD`` redirect surface, the
-deployment-level routing (including runtime split/merge with epoch
-adoption), cross-shard rename/link over the namespace 2PC, a
+deployment-level routing at one and two shards (including runtime
+split/merge with epoch adoption), cross-shard rename/link over the
+namespace 2PC and their re-planning after a map change, a
 shard(1) == shard(N) equivalence property, and standby failover for a
 crashed shard on the fault plane.
 """
@@ -13,9 +15,20 @@ from hypothesis import strategies as st
 
 from repro.cluster import small_cluster
 from repro.core import SorrentoConfig, SorrentoDeployment
-from repro.core.client import ConflictError, WrongShardError
+from repro.core.client import (
+    CommitConflict,
+    ConflictError,
+    NotFoundError,
+    SorrentoError,
+    WrongShardError,
+)
 from repro.core.client.router import _namespace_error
-from repro.core.namespace import NamespaceShardMap, shard_prefix
+from repro.core.namespace import (
+    NamespaceError,
+    NamespaceServer,
+    NamespaceShardMap,
+    shard_prefix,
+)
 from repro.core.params import SorrentoParams
 from repro.faults import FaultController, FaultPlan, NodeCrash
 
@@ -73,19 +86,78 @@ def test_wrong_shard_error_parses_owner_and_epoch():
     err = _namespace_error(
         "NamespaceError: EWRONGSHARD /x/y owner=s02 epoch=7")
     assert isinstance(err, WrongShardError)
-    assert err.owner == "s02"
-    assert err.epoch == 7
+    assert (err.path, err.owner, err.epoch) == ("/x/y", "s02", 7)
+    # The fields come off the right of the message; the path is the
+    # caller's and may hold a space or spell ``owner=`` itself.
+    err = _namespace_error(
+        "NamespaceError: EWRONGSHARD /a owner=evil b owner=s02 epoch=7")
+    assert (err.path, err.owner, err.epoch) == ("/a owner=evil b", "s02", 7)
 
 
 def test_wrong_shard_error_is_typed_and_exported():
     from repro.api import WrongShardError as api_wse
 
     assert api_wse is WrongShardError
+    # Only the code token after "NamespaceError: " classifies: a path
+    # that spells another code is still just a path.
+    assert type(_namespace_error(
+        "NamespaceError: EEXIST /ENOENT")) is ConflictError
+    assert type(_namespace_error(
+        "NamespaceError: ENOENT /EWRONGSHARD/x")) is NotFoundError
+    assert type(_namespace_error(
+        "NamespaceError: no commit grant for /EEXIST")) is SorrentoError
 
 
 # ------------------------------------------------------ deployment routing
-def test_sharded_deployment_routes_and_merges_root_listing():
-    dep = deploy(n_shards=2)
+def test_default_deployment_is_one_shard_on_the_routed_path():
+    spec = small_cluster(4, n_compute=1, capacity_per_node=8 << 30)
+    dep = SorrentoDeployment(spec)
+    assert dep.ns_shard_map.shards == [dep.ns_host]
+    assert dep.ns_shard_map.epoch == 1
+    assert dep.namespace_servers() == [dep.ns]
+    assert dep.namespace_for("/any/path") is dep.ns
+    assert dep.client_on("c00").router.shards == {dep.ns_host: [dep.ns_host]}
+
+
+def test_determinism_scenario_stays_on_its_one_shard(monkeypatch):
+    """The tests/test_determinism.py scenario (writes, an unlink, a
+    provider crash, a minute of repair) on the default deployment: one
+    shard at epoch 1, no EWRONGSHARD reply from the namespace server,
+    and no client ever redirected."""
+    from tests import test_determinism as scenario
+
+    built = []
+
+    class Recorded(SorrentoDeployment):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self)
+
+    refused = []
+    check_owner = NamespaceServer._check_owner
+
+    def recording_check(self, path):
+        try:
+            check_owner(self, path)
+        except NamespaceError:
+            refused.append(path)
+            raise
+
+    monkeypatch.setattr(scenario, "SorrentoDeployment", Recorded)
+    monkeypatch.setattr(NamespaceServer, "_check_owner", recording_check)
+    scenario.run_scenario(5)
+    (dep,) = built
+    assert dep.ns_shard_map.shards == [dep.ns_host]
+    assert dep.ns_shard_map.epoch == 1
+    assert dep.ns.ops_served > 0
+    assert refused == []
+    assert sum(c.stats["ns_redirects"] for c in dep.clients) == 0
+    assert all(c.router.epoch == 1 for c in dep.clients)
+
+
+@pytest.mark.parametrize("n_shards", [1, 2])
+def test_deployment_routes_and_merges_root_listing(n_shards):
+    dep = deploy(n_shards=n_shards)
     client = dep.client_on("c00")
 
     def work():
@@ -101,11 +173,81 @@ def test_sharded_deployment_routes_and_merges_root_listing():
     assert listing == ["alpha/", "beta/", "delta/", "epsilon/", "gamma/"]
     assert entry["path"] == "/alpha/f"
     counts = [sum(1 for k, _ in srv.db.items(low="f:", high="f;"))
-              for srv in dep.ns_shard_servers.values()]
+              for srv in dep.namespace_servers()]
+    assert len(counts) == n_shards
     assert sum(counts) == 5
     assert all(c > 0 for c in counts), counts
     # No stale routes at steady state: the snapshot ring matches the map.
     assert sum(c.stats["ns_redirects"] for c in dep.clients) == 0
+
+
+@pytest.mark.parametrize("n_shards", [1, 2])
+def test_full_file_lifecycle(n_shards):
+    dep = deploy(n_shards=n_shards)
+    client = dep.client_on("c00")
+
+    def work():
+        yield from client.mkdir("/p")
+        fh = yield from client.open("/p/file", "w", create=True)
+        yield from client.write(fh, 0, 1 * MB)
+        v = yield from client.close(fh)
+        assert v == 1
+        rfh = yield from client.open("/p/file", "r")
+        yield from client.read(rfh, 0, 64 * 1024)
+        yield from client.close(rfh)
+        yield from client.unlink("/p/file")
+        with pytest.raises(SorrentoError):
+            yield from client.open("/p/file", "r")
+
+    dep.run(work())
+
+
+@pytest.mark.parametrize("n_shards", [1, 2])
+def test_commit_arbitration_stays_with_the_owning_shard(n_shards):
+    """Conflicts are still detected: both writers reach the same server."""
+    dep = deploy(n_shards=n_shards)
+    a, b = dep.client_on("c00"), dep.client_on("c01")
+
+    def scenario():
+        fh = yield from a.open("/racef", "w", create=True)
+        yield from a.write(fh, 0, 128)
+        yield from a.close(fh)
+        fa = yield from a.open("/racef", "w")
+        fb = yield from b.open("/racef", "w")
+        yield from a.write(fa, 0, 128)
+        yield from a.close(fa)
+        try:
+            yield from b.write(fb, 0, 128)
+            yield from b.close(fb)
+        except CommitConflict:
+            return "conflict"
+        return "none"
+
+    assert dep.run(scenario()) == "conflict"
+
+
+@pytest.mark.parametrize("n_shards", [1, 2])
+def test_shards_split_the_namespace_load(n_shards):
+    """Sharding splits the op stream (and its WAL/disk load) roughly
+    evenly across the servers.  (Throughput only improves once a single
+    server saturates — which, as the paper notes, takes far more clients
+    than these tests run; the scaling property to check here is the
+    load split.)"""
+    from repro.experiments.common import run_until_done
+
+    dep = deploy(n_shards=n_shards, seed=123)
+
+    def hammer(c, tag):
+        for i in range(60):
+            yield from c.mkdir(f"/{tag}x{i}")
+
+    procs = [dep.sim.process(hammer(dep.client_on(f"c0{j}"), f"t{j}"))
+             for j in range(2)]
+    run_until_done(dep.sim, procs)
+    served = [srv.ops_served for srv in dep.namespace_servers()]
+    assert len(served) == n_shards
+    assert sum(served) >= 120
+    assert min(served) > 0.25 * sum(served), served
 
 
 def test_split_redirects_and_epoch_adoption():
@@ -191,7 +333,7 @@ def test_entry_cache_keys_carry_the_epoch():
             yield from client.close(fh)
 
     dep.run(setup())
-    owners_before = {i: client.router.owner_shard(f"/ec{i}")
+    owners_before = {i: client.router.shard_for(f"/ec{i}")
                      for i in range(12)}
     new_host = dep.provider_names[2]
     dep.add_namespace_shard(new_host)
@@ -265,7 +407,7 @@ def test_cross_shard_rename_and_link():
     assert alias["fileid"] == entry["fileid"]
     # The tx ran through the staged prepare/commit handlers and left
     # nothing behind.
-    assert all(not srv._staged for srv in dep.ns_shard_servers.values())
+    assert all(not srv._staged for srv in dep.namespace_servers())
 
 
 def test_cross_shard_rename_aborts_cleanly_on_conflict():
@@ -287,7 +429,89 @@ def test_cross_shard_rename_aborts_cleanly_on_conflict():
 
     entry = dep.run(work())
     assert entry["path"] == f"{src_dir}/f"
-    assert all(not srv._staged for srv in dep.ns_shard_servers.values())
+    assert all(not srv._staged for srv in dep.namespace_servers())
+
+
+def _merged_dirs(dep, drained, n=60):
+    """A top-level dir the drained shard owns now, and one that is —
+    and stays — on the shard that will inherit it."""
+    now = dep.ns_shard_map
+    merged = NamespaceShardMap([s for s in now.shards if s != drained])
+    moving = next(f"/m{i}" for i in range(n)
+                  if now.owner_of(f"/m{i}") == drained)
+    staying = next(f"/k{i}" for i in range(n)
+                   if now.owner_of(f"/k{i}") == merged.owner_of(moving))
+    return moving, staying
+
+
+@pytest.mark.parametrize("op", ["rename", "link"])
+@pytest.mark.parametrize("stale", ["source", "destination"])
+def test_move_after_a_merge_is_replanned_not_refused(op, stale):
+    """A client whose routes predate a shard merge still sees two shards
+    where the map now has one: the drained shard's EWRONGSHARD refusal
+    of its 2PC prepare re-plans the move as the single-shard one it is,
+    instead of surfacing as a spurious ConflictError."""
+    dep = deploy(n_shards=3)
+    client = dep.client_on("c00")
+    drained = dep.provider_names[2]
+    moving, staying = _merged_dirs(dep, drained)
+    src_dir, dst_dir = ((moving, staying) if stale == "source"
+                        else (staying, moving))
+
+    def setup():
+        yield from client.mkdir(src_dir)
+        yield from client.mkdir(dst_dir)
+        yield from client.create(f"{src_dir}/f")
+
+    dep.run(setup())
+    dep.remove_namespace_shard(drained)
+    assert dep.namespace_for(src_dir) is dep.namespace_for(dst_dir)
+
+    def move():
+        yield from getattr(client, op)(f"{src_dir}/f", f"{dst_dir}/g")
+        moved = yield from client.stat(f"{dst_dir}/g")
+        if op == "rename":
+            with pytest.raises(NotFoundError):
+                yield from client.stat(f"{src_dir}/f")
+        else:
+            yield from client.stat(f"{src_dir}/f")
+        return moved
+
+    moved = dep.run(move())
+    assert moved["path"] == f"{dst_dir}/g"
+    assert client.stats["ns_redirects"] >= 1
+    assert client.router.epoch == dep.ns_shard_map.epoch
+    assert all(not srv._staged for srv in dep.namespace_servers())
+
+
+def test_move_after_a_split_becomes_cross_shard():
+    """The reverse re-plan: a stale client sends one ns_rename to a
+    shard that still owns the source but no longer the destination."""
+    dep = deploy(n_shards=2, n_storage=4)
+    client = dep.client_on("c00")
+    new_host = dep.provider_names[2]
+    dirs = [f"/s{i}" for i in range(60)]
+    before = dep.ns_shard_map.owner_of
+    after = NamespaceShardMap(dep.ns_shard_map.shards + [new_host]).owner_of
+    dst_dir = next(d for d in dirs if after(d) == new_host)
+    src_dir = next(d for d in dirs
+                   if after(d) == before(d) == before(dst_dir))
+
+    def setup():
+        yield from client.mkdir(src_dir)
+        yield from client.mkdir(dst_dir)
+        yield from client.create(f"{src_dir}/f")
+
+    dep.run(setup())
+    dep.add_namespace_shard(new_host)
+
+    def move():
+        yield from client.rename(f"{src_dir}/f", f"{dst_dir}/g")
+        return (yield from client.stat(f"{dst_dir}/g"))
+
+    assert dep.run(move())["path"] == f"{dst_dir}/g"
+    assert dep.namespace_for(dst_dir).db.get(f"f:{dst_dir}/g") is not None
+    assert dep.namespace_for(src_dir).db.get(f"f:{src_dir}/f") is None
 
 
 # ------------------------------------------------- shard(1) == shard(N)

@@ -39,19 +39,13 @@ def deploy(n_storage=6, **over):
 
 
 def _ns_items(dep):
-    """Every namespace (key, entry) pair, across shards if sharded."""
-    if dep.ns_shard_map is not None:
-        items = []
-        for shard in dep.ns_shard_servers.values():
-            items.extend(shard.db.items())
-        return sorted(items)
-    return sorted(dep.ns.db.items())
+    """Every namespace (key, entry) pair, across shards."""
+    return sorted(item for server in dep.namespace_servers()
+                  for item in server.db.items())
 
 
 def _wal_logs(dep):
-    if dep.ns_shard_map is not None:
-        return [s.db._wal for s in dep.ns_shard_servers.values()]
-    return [dep.ns.db._wal]
+    return [server.db._wal for server in dep.namespace_servers()]
 
 
 @pytest.mark.parametrize("degree", [1, 2])

@@ -137,6 +137,28 @@ def test_availability_after_failure_degree2():
     assert all_gone["lost_files"]           # everything dies with everyone
 
 
+def test_lost_files_are_reported_from_every_shard():
+    """The lost-file scan walks every shard's DB (it used to read shard
+    0's only, reporting nothing for files the other shards own)."""
+    dep = SorrentoDeployment(
+        small_cluster(4, n_compute=1, capacity_per_node=8 << 30),
+        SorrentoConfig(params=SorrentoParams(), seed=61, namespace_shards=2),
+    )
+    dep.warm_up()
+    victim, safe = sorted(dep.providers)[-2:]
+    doomed = {}
+    for i in range(40):
+        path = f"/t{i}/f"
+        doomed.setdefault(dep.namespace_for(path).shard_name, path)
+    assert len(doomed) == 2
+    for path in doomed.values():
+        dep.preload_file(path, 1 * MB, on=[victim])
+    dep.preload_file("/kept/f", 1 * MB, on=[safe])
+    dep.crash_provider(victim, wipe=True)
+    report = availability_after_failure(dep, [victim])
+    assert report["lost_files"] == sorted(doomed.values())
+
+
 def test_max_survivable_failures():
     dep = deploy(degree=2)
     populate(dep, n_files=2)

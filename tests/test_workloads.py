@@ -177,6 +177,26 @@ def test_btio_replay_smoke():
         assert p.value.errors == 0
 
 
+def test_btio_shared_file_is_unversioned_on_whichever_shard_owns_it():
+    """The versioning=False patch lands on the shard the path hashes to
+    (it used to be written into shard 0's DB whatever the path)."""
+    dep = SorrentoDeployment(
+        small_cluster(4, n_compute=1, capacity_per_node=8 << 30),
+        SorrentoConfig(params=SorrentoParams(), seed=3, namespace_shards=2),
+    )
+    dep.warm_up()
+    client = dep.client_on("c00")
+    paths = {}
+    for i in range(40):
+        path = f"/btio{i}/solution"
+        paths.setdefault(dep.namespace_for(path).shard_name, path)
+    assert len(paths) == 2
+    for path in paths.values():
+        btio.create_shared_file(dep, path=path, scale=0.002)
+        assert dep.run(client.stat(path))["versioning"] is False
+    assert dep.ns.db.get("f:" + paths[dep.provider_names[1]]) is None
+
+
 # ------------------------------------------------------------------- PSM
 def test_psm_partitions_and_assignment():
     sizes = psm.partition_sizes(scale=1.0)
