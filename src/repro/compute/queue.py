@@ -38,7 +38,7 @@ TTL, not the job.
 
 The ablation knob: ``policy`` ∈ {``locality``, ``random``,
 ``round_robin``} — the latter two ignore the score and are the
-baselines the bench compares against.
+baselines ``experiments.compute`` compares against.
 """
 
 from __future__ import annotations

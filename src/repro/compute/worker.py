@@ -13,7 +13,7 @@ Byte attribution: before reading, the worker resolves each input piece
 to the owner the read will hit and splits the range into *local* bytes
 (owner is this very node) and *remote* bytes (pulled over the fabric).
 ``task_done`` carries the split back to the queue — that, plus the
-queue's own pre-staging counter, is the bench's network-bytes headline.
+queue's own pre-staging counter, is the ablation's network-bytes headline.
 The split is exact at replication degree 1; with replicas it is the
 scheduler-visible expectation (the read may land on another replica).
 

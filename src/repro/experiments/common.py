@@ -73,6 +73,44 @@ def run_until_done(sim, procs, max_time: float = 1e7) -> None:
     sim.run_until(procs, max_time)
 
 
+# --------------------------------------------------- CLI budgets (CI gates)
+def peak_rss_mb(tree: bool = False) -> float:
+    """Peak resident set in MB of this process — with ``tree``, of its
+    exited children (forked ``mp`` workers) too; 0.0 if unsupported.
+    ``ru_maxrss`` never falls, so run one point per process for a
+    per-point number."""
+    try:
+        import resource
+    except ImportError:  # non-POSIX
+        return 0.0
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    if tree:
+        peak = max(peak,
+                   resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
+    return peak / 1024.0
+
+
+def add_budget_args(parser) -> None:
+    """The ``--budget-*`` flags the experiment CLIs share (CI smoke jobs)."""
+    parser.add_argument("--budget-wall", type=float, default=None,
+                        help="fail if wall_s exceeds this")
+    parser.add_argument("--budget-rss-mb", type=float, default=None,
+                        help="fail if peak RSS exceeds this")
+
+
+def over_budget(args, label: str, wall_s: float, rss_mb: float) -> List[str]:
+    """One message per set-and-exceeded budget; ``label`` names the row
+    (empty for a single-row run)."""
+    prefix = f"{label}: " if label else ""
+    bad = []
+    if args.budget_wall is not None and wall_s > args.budget_wall:
+        bad.append(f"{prefix}wall {wall_s}s over budget {args.budget_wall}s")
+    if args.budget_rss_mb is not None and rss_mb > args.budget_rss_mb:
+        bad.append(f"{prefix}peak RSS {rss_mb}MB over budget "
+                   f"{args.budget_rss_mb}MB")
+    return bad
+
+
 # ------------------------------------------------------------ RPC metrics
 def metrics_rows(registry: MetricsRegistry,
                  scope: Optional[str] = None) -> List[Sequence]:

@@ -19,8 +19,8 @@ data-locality scheduling buys.  Three scenarios:
 
 Every scenario runs under each scheduling ``policy`` — ``locality``
 (score = resident bytes + access-history affinity, with migration
-pre-staging), ``random``, and ``round_robin`` — which is the ablation
-recorded by ``repro.bench.compute_bench``.
+pre-staging), ``random``, and ``round_robin`` — the ablation in
+EXPERIMENTS.md.
 
 Runs standalone::
 
@@ -41,8 +41,14 @@ from typing import Dict, List, Optional
 from repro.api.session import connect
 from repro.cluster import small_cluster
 from repro.compute import POLICIES, start_compute
-from repro.experiments.common import format_table, run_until_done, sorrento_on
-from repro.experiments.scale import peak_rss_mb
+from repro.experiments.common import (
+    add_budget_args,
+    format_table,
+    over_budget,
+    peak_rss_mb,
+    run_until_done,
+    sorrento_on,
+)
 
 GB = 1 << 30
 MB = 1 << 20
@@ -242,10 +248,7 @@ def _cli(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=11)
     parser.add_argument("--json", action="store_true",
                         help="print one machine-readable dict per row")
-    parser.add_argument("--budget-wall", type=float, default=None,
-                        help="fail if any row's wall time exceeds this")
-    parser.add_argument("--budget-rss-mb", type=float, default=None,
-                        help="fail if peak RSS exceeds this")
+    add_budget_args(parser)
     args = parser.parse_args(argv)
 
     overrides = {}
@@ -269,15 +272,8 @@ def _cli(argv=None) -> int:
 
     problems = checks(rows)
     for row in rows:
-        if args.budget_wall is not None and row["wall_s"] > args.budget_wall:
-            problems.append(
-                f"{row['scenario']}/{row['policy']}: wall {row['wall_s']}s "
-                f"over budget {args.budget_wall}s")
-        if args.budget_rss_mb is not None \
-                and row["peak_rss_mb"] > args.budget_rss_mb:
-            problems.append(
-                f"{row['scenario']}/{row['policy']}: peak RSS "
-                f"{row['peak_rss_mb']}MB over budget {args.budget_rss_mb}MB")
+        problems += over_budget(args, f"{row['scenario']}/{row['policy']}",
+                                row["wall_s"], row["peak_rss_mb"])
     for problem in problems:
         print(f"COMPUTE BUDGET/SHAPE VIOLATION: {problem}", file=sys.stderr)
     return 1 if problems else 0

@@ -2,7 +2,7 @@
 
 This module is the bridge between the window engine in
 :mod:`repro.sim.parallel` and the repo's experiments: it packages the
-scale suite and the reduced Figure-10 benchmark as *partition programs*
+scale suite and the reduced Figure-10 run as *partition programs*
 — builders that construct one partition's share of the simulated
 cluster plus a phase list the coordinator drives under conservative
 windows.
@@ -33,7 +33,7 @@ from typing import Dict, Optional
 from repro.cluster import ClusterSpec, small_cluster
 from repro.core import SorrentoConfig, SorrentoDeployment
 from repro.core.params import SorrentoParams
-from repro.experiments.common import cluster_a_like
+from repro.experiments.common import cluster_a_like, peak_rss_mb
 from repro.experiments.scale_model import (
     ARRIVAL_BINS,
     FILE_SIZE,
@@ -75,18 +75,6 @@ def _digest(obj) -> str:
     """Short stable digest of a picklable result (repr is exact for the
     ints/floats/strs these rows contain)."""
     return hashlib.sha256(repr(obj).encode()).hexdigest()[:16]
-
-
-def _rss_tree_mb() -> float:
-    """Peak RSS high-water mark across this process and exited children
-    (the forked mp workers), in MB."""
-    try:
-        import resource
-    except ImportError:  # non-POSIX
-        return 0.0
-    own = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    kids = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
-    return max(own, kids) / 1024.0
 
 
 class _PartitionProgram:
@@ -131,9 +119,10 @@ def _scale_session(client, idx, path, delay, counters, rows):
         rows.append((idx, client.sim.now, 0))
 
 
-def build_scale_program(point, seed, smoke_preload, pmap,
+def build_scale_program(point, seed, probe, pmap,
                         local_pid: Optional[int] = None) -> _PartitionProgram:
-    """One partition's share of a scale-suite point (top-level for mp)."""
+    """One partition's share of a scale-suite point (top-level for mp);
+    ``probe`` plants the adapt probe's capped file population."""
     n_providers, n_files, n_sessions, duration = point
     params = scale_params(n_providers)
     spec = small_cluster(n_providers, n_compute=N_CLIENT_STUBS + 4,
@@ -142,7 +131,7 @@ def build_scale_program(point, seed, smoke_preload, pmap,
     dep = SorrentoDeployment(spec, SorrentoConfig(
         params=params, seed=seed,
         partition=pmap, local_partition=local_pid))
-    fpt = files_per_tenant(n_files, smoke_preload)
+    fpt = files_per_tenant(n_files, probe)
     counters = {"done": 0, "failed": 0}
     rows = []
 
@@ -194,7 +183,6 @@ def run_scale_point_partitioned(n_providers: int, n_files: int,
                                 backend: str = "mp",
                                 cross_latency: Optional[float] = None,
                                 adapt: bool = False,
-                                smoke_preload: bool = False,
                                 ) -> Dict[str, object]:
     """One scale point under the partitioned kernel; returns a metrics
     row shaped like :func:`repro.experiments.scale.run_point`'s, plus
@@ -223,7 +211,7 @@ def run_scale_point_partitioned(n_providers: int, n_files: int,
                              probe["traffic_in"])
     point = (n_providers, n_files, n_sessions, duration)
     out = run_partitioned(
-        build_scale_program, (point, seed, smoke_preload, pmap), pmap,
+        build_scale_program, (point, seed, False, pmap), pmap,
         phase_meta, backend=backend, fabric_latency=spec.latency)
     stats = out["stats"]
     meas = stats.phase_log[2]
@@ -233,7 +221,7 @@ def run_scale_point_partitioned(n_providers: int, n_files: int,
     rows = sorted(r for res in out["results"] for r in res["rows"])
     return {
         "providers": n_providers,
-        "files": N_TENANTS * files_per_tenant(n_files, smoke_preload),
+        "files": N_TENANTS * files_per_tenant(n_files),
         "sessions_done": sum(r["done"] for r in out["results"]),
         "sessions_failed": sum(r["failed"] for r in out["results"]),
         "sim_s": round(sim_elapsed, 3),
@@ -243,7 +231,7 @@ def run_scale_point_partitioned(n_providers: int, n_files: int,
         "events_per_s": round(events / wall, 1),
         "preload_wall_s": stats.phase_log[1]["wall_s"],
         "total_wall_s": round(time.perf_counter() - t_build, 3),
-        "peak_rss_mb": round(_rss_tree_mb(), 1),
+        "peak_rss_mb": round(peak_rss_mb(tree=True), 1),
         "workers": pmap.n_partitions,
         "backend": backend,
         "lookahead_us": round(pmap.lookahead(spec.latency) * 1e6, 1),
@@ -303,9 +291,9 @@ def run_fig10_partitioned(n_clients: int = 6, duration: float = 8.0,
                           workers: int = 2, backend: str = "mp",
                           cross_latency: Optional[float] = None,
                           ) -> Dict[str, object]:
-    """The reduced Figure-10 benchmark on the partitioned kernel;
-    returns a macro-suite-compatible row."""
-    t0 = time.perf_counter()
+    """The reduced Figure-10 run on the partitioned kernel; returns the
+    session counts and their equivalence digest (pinned across backends
+    by ``tests/test_parallel.py``)."""
     spec = cluster_a_like(n_storage=n_storage, n_clients=n_clients)
     xlat = DEFAULT_CROSS_LATENCY if cross_latency is None else cross_latency
     pmap = partition_for_spec(spec, workers, cross_latency=xlat)
@@ -315,31 +303,17 @@ def run_fig10_partitioned(n_clients: int = 6, duration: float = 8.0,
         (n_clients, duration, n_storage, seed, pmap), pmap,
         phase_meta, backend=backend, fabric_latency=spec.latency)
     stats = out["stats"]
-    sessions = sum(r["sessions"] for r in out["results"])
     tags: Dict[str, int] = {}
     for r in out["results"]:
         tags.update(r["tags"])
-    meas = stats.phase_log[2]
-    wall = max(meas["wall_s"], 1e-9)
-    events = sum(stats.events)
+    sessions = sum(r["sessions"] for r in out["results"])
     return {
-        "wall_s": round(wall, 4),
-        "sim_time_s": round(meas["t_end"], 6),
-        "events": events,
-        "events_per_s": round(events / wall, 1),
-        "ops": sessions,
-        "ops_per_s": round(sessions / wall, 1),
-        "peak_pending": max(out["peaks"]),
         "sessions": sessions,
         "sessions_per_sim_s": round(sessions / duration, 1),
         "workers": pmap.n_partitions,
         "backend": backend,
         "windows": stats.windows,
         "records_shipped": stats.records_shipped,
-        "barrier_wall_s": round(stats.barrier_wall_s, 4),
-        "busy_wall_s": [round(b, 4) for b in stats.busy_wall_s],
-        "worker_events": stats.events,
-        "total_wall_s": round(time.perf_counter() - t0, 4),
         "digest": _digest(sorted(tags.items())),
         "tags": dict(sorted(tags.items())),
     }

@@ -1,4 +1,4 @@
-"""Regenerate every paper table/figure in one go.
+"""Regenerate every table/figure in EXPERIMENTS.md in one go.
 
 Usage::
 
@@ -49,6 +49,8 @@ def sections(quick: bool = False):
         ("Tiered (WAN partition)", "tiered",
          {"variant": "wanpart", "duration": 90.0}),
         ("Scale", "scale", {"quick": quick}),
+        ("Namespace shard curve", "ns_shard_curve", {"quick": quick}),
+        ("Compute", "compute", {"quick": quick}),
     ]
 
 

@@ -22,17 +22,16 @@ Runs standalone::
     python -m repro.experiments.scale [--quick] [--point N]
         [--files F] [--sessions S] [--duration D] [--json]
         [--workers N] [--backend mp|inproc|serial] [--adapt]
-        [--smoke-preload] [--cross-latency S]
-        [--budget-wall S] [--budget-rss-mb M]
+        [--cross-latency S] [--budget-wall S] [--budget-rss-mb M]
 
 ``--workers N`` runs the point on the conservative-parallel kernel:
 the cluster is partitioned across N event loops (see
 ``repro.sim.parallel`` and ``repro.experiments.partitioned``).
 
-``--json`` prints one machine-readable result dict per point (used by
-``repro.bench.scale_bench``, which forks one process per point so peak
-RSS is attributable).  The ``--budget-*`` flags make the process exit
-non-zero when a budget is exceeded (the CI ``scale-smoke`` job).
+``--json`` prints one machine-readable result dict per point (run one
+``--point`` per process and peak RSS is attributable to it).  The
+``--budget-*`` flags make the process exit non-zero when a budget is
+exceeded (the CI ``scale-smoke`` job).
 """
 
 from __future__ import annotations
@@ -45,10 +44,15 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.cluster import small_cluster
 from repro.core import SorrentoConfig, SorrentoDeployment
-from repro.experiments.common import format_table, run_until_done
+from repro.experiments.common import (
+    add_budget_args,
+    format_table,
+    over_budget,
+    peak_rss_mb,
+    run_until_done,
+)
 from repro.experiments.scale_model import (
     ARRIVAL_BINS,
-    SMOKE_FILES_PER_TENANT,
     FILE_SIZE,
     N_CLIENT_STUBS,
     N_TENANTS,
@@ -74,20 +78,6 @@ QUICK_POINTS: Tuple[Tuple[int, int, int, float], ...] = (
     (100, 20_000, 500, 6.0),
 )
 
-def peak_rss_mb() -> float:
-    """Peak resident set of this process in MB (0.0 if unsupported).
-
-    ``ru_maxrss`` is monotone over the process lifetime, so a multi-point
-    in-process run attributes every point the high-water mark of the
-    whole run; ``scale_bench`` forks one process per point to get
-    honest per-size numbers.
-    """
-    try:
-        import resource
-    except ImportError:  # non-POSIX
-        return 0.0
-    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
-
 
 def _session(client, path: str, delay: float, counters: Dict[str, int]):
     """One user session: arrive, open, read, close."""
@@ -102,8 +92,7 @@ def _session(client, path: str, delay: float, counters: Dict[str, int]):
 
 
 def run_point(n_providers: int, n_files: int, n_sessions: int,
-              duration: float, seed: int = 0,
-              smoke_preload: bool = False) -> Dict[str, float]:
+              duration: float, seed: int = 0) -> Dict[str, float]:
     """Build, preload, and drive one cluster size; returns the metrics row."""
     params = scale_params(n_providers)
     t_build = time.perf_counter()
@@ -120,7 +109,7 @@ def run_point(n_providers: int, n_files: int, n_sessions: int,
     # bulk fast path: no simulated I/O, so sim.now does not advance and
     # no protocol traffic fires).
     t_preload = time.perf_counter()
-    fpt = files_per_tenant(n_files, smoke_preload)
+    fpt = files_per_tenant(n_files)
     dep.preload_files(
         ((_tenant_file(tenant, i), FILE_SIZE)
          for tenant in range(N_TENANTS) for i in range(fpt)),
@@ -170,8 +159,8 @@ def run_point(n_providers: int, n_files: int, n_sessions: int,
 
 
 def run(points: Optional[Sequence[Tuple[int, int, int, float]]] = None,
-        quick: bool = False, seed: int = 0, smoke_preload: bool = False,
-        workers: int = 0, backend: str = "mp", adapt: bool = False,
+        quick: bool = False, seed: int = 0, workers: int = 0,
+        backend: str = "mp", adapt: bool = False,
         cross_latency: Optional[float] = None) -> Dict[int, Dict[str, float]]:
     """Returns {n_providers: metrics row}.
 
@@ -193,11 +182,10 @@ def run(points: Optional[Sequence[Tuple[int, int, int, float]]] = None,
             results[n_providers] = run_scale_point_partitioned(
                 n_providers, n_files, n_sessions, duration, seed=seed,
                 workers=workers, backend=backend, adapt=adapt,
-                cross_latency=cross_latency, smoke_preload=smoke_preload)
+                cross_latency=cross_latency)
         else:
             results[n_providers] = run_point(
-                n_providers, n_files, n_sessions, duration, seed=seed,
-                smoke_preload=smoke_preload)
+                n_providers, n_files, n_sessions, duration, seed=seed)
     return results
 
 
@@ -255,16 +243,9 @@ def _cli(argv=None) -> int:
     parser.add_argument("--cross-latency", type=float, default=None,
                         help="extra one-way seconds on cut edges "
                              "(default: repro.sim.parallel uplink model)")
-    parser.add_argument("--smoke-preload", action="store_true",
-                        help=f"cap preload at {SMOKE_FILES_PER_TENANT} "
-                             "files/tenant so CI smoke budget goes to the "
-                             "measured region, not setup")
     parser.add_argument("--json", action="store_true",
                         help="machine-readable rows on stdout")
-    parser.add_argument("--budget-wall", type=float, default=None,
-                        help="fail if any point's wall_s exceeds this")
-    parser.add_argument("--budget-rss-mb", type=float, default=None,
-                        help="fail if peak RSS exceeds this")
+    add_budget_args(parser)
     args = parser.parse_args(argv)
 
     points = QUICK_POINTS if args.quick else SCALE_POINTS
@@ -277,8 +258,7 @@ def _cli(argv=None) -> int:
         points = [(n, args.files or f, args.sessions or s,
                    args.duration or d) for n, f, s, d in points]
 
-    results = run(points=points, seed=args.seed,
-                  smoke_preload=args.smoke_preload, workers=args.workers,
+    results = run(points=points, seed=args.seed, workers=args.workers,
                   backend=args.backend, adapt=args.adapt,
                   cross_latency=args.cross_latency)
     if args.json:
@@ -289,13 +269,8 @@ def _cli(argv=None) -> int:
 
     failures = checks(results)
     for n, row in sorted(results.items()):
-        if args.budget_wall is not None and row["wall_s"] > args.budget_wall:
-            failures.append(f"{n} providers: wall {row['wall_s']}s over "
-                            f"budget {args.budget_wall}s")
-        if args.budget_rss_mb is not None \
-                and row["peak_rss_mb"] > args.budget_rss_mb:
-            failures.append(f"{n} providers: peak RSS {row['peak_rss_mb']}MB "
-                            f"over budget {args.budget_rss_mb}MB")
+        failures += over_budget(args, f"{n} providers", row["wall_s"],
+                                row["peak_rss_mb"])
     for problem in failures:
         print(f"SCALE BUDGET/SHAPE VIOLATION: {problem}", file=sys.stderr)
     return 1 if failures else 0

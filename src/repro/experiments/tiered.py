@@ -51,7 +51,12 @@ from repro.cluster import ClusterSpec, NodeSpec
 from repro.core import SorrentoConfig, SorrentoDeployment
 from repro.core.client.handle import SorrentoError
 from repro.core.params import SorrentoParams
-from repro.experiments.common import format_table
+from repro.experiments.common import (
+    add_budget_args,
+    format_table,
+    over_budget,
+    peak_rss_mb,
+)
 from repro.faults import (
     FaultController,
     FaultPlan,
@@ -415,10 +420,7 @@ def _cli(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--json", action="store_true",
                         help="machine-readable result on stdout")
-    parser.add_argument("--budget-wall", type=float, default=None,
-                        help="fail if wall_s exceeds this")
-    parser.add_argument("--budget-rss-mb", type=float, default=None,
-                        help="fail if peak RSS exceeds this")
+    add_budget_args(parser)
     args = parser.parse_args(argv)
 
     res = run(scale=args.scale, duration=args.duration,
@@ -429,16 +431,8 @@ def _cli(argv=None) -> int:
     else:
         print(report(res))
 
-    failures = checks(res)
-    if args.budget_wall is not None and res["wall_s"] > args.budget_wall:
-        failures.append(f"wall {res['wall_s']}s over budget "
-                        f"{args.budget_wall}s")
-    if args.budget_rss_mb is not None:
-        from repro.experiments.scale import peak_rss_mb
-        rss = peak_rss_mb()
-        if rss > args.budget_rss_mb:
-            failures.append(f"peak RSS {rss:.0f}MB over budget "
-                            f"{args.budget_rss_mb}MB")
+    failures = checks(res) + over_budget(args, "", res["wall_s"],
+                                         round(peak_rss_mb()))
     for problem in failures:
         print(f"TIERED BUDGET/SHAPE VIOLATION: {problem}", file=sys.stderr)
     return 1 if failures else 0

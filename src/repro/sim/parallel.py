@@ -924,7 +924,8 @@ class RunStats:
     ipc_round_trips: int = 0        # ... of which crossed a process boundary
     windows_executed: int = 0       # granted windows that contained events
     windows_per_grant: float = 0.0  # windows / grants
-    fallback_rounds: int = 0        # classic-window rounds (stall escape)
+    fallback_rounds: int = 0        # always 0; kept because bench/worker.py
+                                    # and CI parallel-smoke read the field
     records_shipped: int = 0
     shm_batches: int = 0            # record batches through the shm channel
     shm_bytes: int = 0
@@ -1130,21 +1131,12 @@ def _coordinate(endpoints: List[Any], L: float, phase_meta, stats: RunStats,
                     # without the round trip.
                     pos[i] = t_send
             if not contact:
-                # Mutually-pinned unfinished-idle workers can stall the
-                # grant rule (each pins the other's b at pos - L).
-                # Fall back to one classic global window: safe for the
-                # same reason the single-window protocol was.
-                t_end = _grid_next(t_min, L)
-                if target is not None and t_end > target:
-                    t_end = target
-                contact = [(i, t_end if t_end > pos[i] else pos[i])
-                           for i in range(n)
-                           if acts[i] < max(t_end, pos[i])]
-                stats.fallback_rounds += 1
-                if not contact:
-                    raise RuntimeError(
-                        f"phase {idx}: grant scheduler stalled at "
-                        f"t_min={t_min!r} (coordinator bug)")
+                # The earliest actor's grant reaches _grid_next(t_min) or
+                # target (cap >= 1 and its peers act no earlier), so an
+                # empty round means the grid arithmetic did not advance.
+                raise RuntimeError(
+                    f"phase {idx}: grant scheduler stalled at "
+                    f"t_min={t_min!r} (coordinator bug)")
             t_b0 = time.perf_counter()
             for i, t_send in contact:
                 # Never the live list: later absorbs must not reach

@@ -357,3 +357,20 @@ def test_fault_injection_goes_through_the_fault_plane():
     assert offenders == [], (
         "ad-hoc fault injection outside repro.faults: " + ", ".join(offenders)
     )
+
+
+def test_no_source_file_mentions_the_deleted_benchmark_package():
+    """``bench/`` + ``BENCHMARK.json`` are the one speed instrument and
+    ``docs/history/`` holds the old trajectory files; a docstring under
+    ``src/repro`` that still points at the deleted package or at a
+    root-level trajectory file sends the reader to nothing."""
+    # Spelled in pieces so a repo-wide grep for them skips this file.
+    stale = ("repro." "bench", "scale_" "bench", "BENCH_")
+    offenders = [
+        f"{path.relative_to(SRC.parent)}:{lineno}"
+        for path in SRC.rglob("*.py")
+        for lineno, line in enumerate(path.read_text().splitlines(), 1)
+        if any(word in line for word in stale)
+    ]
+    assert offenders == [], "stale benchmark references: " + ", ".join(
+        offenders)

@@ -1,12 +1,20 @@
-"""Tests for the experiment plumbing (builders, tables, run_until_done)."""
+"""Tests for the experiment plumbing (builders, tables, run_until_done,
+CLI budgets, the run_all section list)."""
+
+import argparse
+import importlib
+import inspect
 
 import pytest
 
+from repro.experiments import run_all
 from repro.experiments.common import (
+    add_budget_args,
     cluster_a_like,
     cluster_b_like,
     format_table,
     nfs_on,
+    over_budget,
     pvfs_on,
     run_until_done,
     series_to_text,
@@ -105,3 +113,28 @@ def test_run_until_done_detects_runaway():
     p = sim.process(forever())
     with pytest.raises(RuntimeError, match="exceeded"):
         run_until_done(sim, [p], max_time=100.0)
+
+
+def test_over_budget_reports_each_exceeded_budget_and_nothing_when_unset():
+    parser = argparse.ArgumentParser()
+    add_budget_args(parser)
+    unset = parser.parse_args([])
+    assert over_budget(unset, "100 providers", 1e9, 1e9) == []
+    both = parser.parse_args(["--budget-wall", "2", "--budget-rss-mb", "64"])
+    assert over_budget(both, "", 1.5, 64.0) == []
+    assert over_budget(both, "", 2.5, 10.0) == [
+        "wall 2.5s over budget 2.0s"]
+    assert over_budget(both, "100 providers", 2.5, 80.5) == [
+        "100 providers: wall 2.5s over budget 2.0s",
+        "100 providers: peak RSS 80.5MB over budget 64.0MB"]
+
+
+@pytest.mark.parametrize("quick", [True, False])
+def test_every_run_all_section_names_a_main_that_takes_its_kwargs(quick):
+    """``_run_section`` turns an import or signature error into a
+    "FAILED" line in a report nobody diffs; catch it here instead."""
+    for title, modname, kwargs in run_all.sections(quick=quick):
+        mod = importlib.import_module(f"repro.experiments.{modname}")
+        inspect.signature(mod.main).bind(**kwargs)
+    listed = {modname for _t, modname, _k in run_all.sections(quick=quick)}
+    assert {"ns_shard_curve", "compute"} <= listed

@@ -30,6 +30,7 @@ from repro.core.namespace import (
     shard_prefix,
 )
 from repro.core.params import SorrentoParams
+from repro.experiments import ns_shard_curve
 from repro.faults import FaultController, FaultPlan, NodeCrash
 
 MB = 1 << 20
@@ -604,3 +605,26 @@ def test_shard_crash_fails_over_to_standby():
     # progress during the outage window only if target dirs spread; the
     # victim-owned dir itself must pause at most one deadline).
     assert len(after) >= 10
+
+
+# ------------------------------------------------- the shard-curve experiment
+def test_shard_curve_point_completes_without_failures_or_redirects():
+    row = ns_shard_curve.run_point(2, 8, duration=2.0)
+    assert row["ops"] > 0 and row["md_ops_per_s"] > 0
+    assert row["failed"] == 0
+    # Clients learn the map at start-up and nothing changes it: a
+    # redirect here would be the router mis-hashing a prefix.
+    assert row["ns_redirects"] == 0
+
+
+def test_shard_curve_checks_flag_both_shape_claims():
+    def curve(cells):
+        return {key: {"md_ops_per_s": v} for key, v in cells.items()}
+
+    recorded = curve({(1, 32): 3920.0, (2, 32): 3963.0,
+                      (1, 64): 4651.0, (2, 64): 7813.0})
+    assert ns_shard_curve.checks(recorded) == []
+    slower = curve({(1, 64): 4651.0, (2, 64): 4100.0})
+    assert any("1.6x" in p for p in ns_shard_curve.checks(slower))
+    apart = curve({(1, 8): 996.0, (2, 8): 500.0})
+    assert any("coincide" in p for p in ns_shard_curve.checks(apart))
