@@ -160,13 +160,17 @@ class NamespaceRouter:
             except RpcRemoteError as exc:
                 if not exc.error.startswith(NS_ERROR):
                     raise
-                err = _namespace_error(exc.error)
-                if not isinstance(err, NotFoundError):
-                    raise err from exc
-                # Not in the mirror (yet): bounded staleness means the
-                # entry may exist centrally — fall through and ask the
-                # authoritative server over the WAN.
-                self._note("mirror_fallbacks")
+                # Raised unnamed, here and below: a typed error kept in
+                # a local of the frame that raises it is a cycle through
+                # its own traceback, pinning every frame up to the
+                # catcher (the caller's handle, layout and reply).
+                try:
+                    raise _namespace_error(exc.error) from exc
+                except NotFoundError:
+                    # Not in the mirror (yet): bounded staleness means
+                    # the entry may exist centrally — fall through and
+                    # ask the authoritative server over the WAN.
+                    self._note("mirror_fallbacks")
             except RpcTimeout:
                 self._note("mirror_fallbacks")
             else:
@@ -177,8 +181,7 @@ class NamespaceRouter:
         while True:
             target = shard or self.shard_for(path)
             hosts = self.shards[target]
-            last_exc = None
-            for _attempt in range(len(hosts)):
+            for attempts_left in reversed(range(len(hosts))):
                 active = self._shard_active.get(target, 0) % len(hosts)
                 try:
                     result = yield from self.rpc.call(
@@ -189,23 +192,23 @@ class NamespaceRouter:
                 except RpcRemoteError as exc:
                     if not exc.error.startswith(NS_ERROR):
                         raise
-                    err = _namespace_error(exc.error)
-                    if not isinstance(err, WrongShardError):
-                        raise err from exc
-                    self.redirected(err)
-                    redirects += 1
-                    # A refusal about another path of the request (a
-                    # rename's destination) is the caller's to re-plan:
-                    # re-routing on this one would reach the same shard.
-                    if err.path != path \
-                            or redirects > self.params.ns_redirect_limit:
-                        raise err from exc
+                    try:
+                        raise _namespace_error(exc.error) from exc
+                    except WrongShardError as err:
+                        self.redirected(err)
+                        redirects += 1
+                        # A refusal about another path of the request (a
+                        # rename's destination) is the caller's to
+                        # re-plan: re-routing on this one would reach
+                        # the same shard.
+                        if err.path != path \
+                                or redirects > self.params.ns_redirect_limit:
+                            raise
                     break  # re-resolve against the repaired route
                 except RpcTimeout as exc:
                     # Shard primary unreachable: rotate to its standby.
-                    last_exc = exc
                     self._shard_active[target] = (active + 1) % len(hosts)
-            else:
-                raise TimeoutError(
-                    f"namespace shard {target} unreachable: {last_exc}"
-                ) from last_exc
+                    if not attempts_left:
+                        raise TimeoutError(
+                            f"namespace shard {target} unreachable: {exc}"
+                        ) from exc

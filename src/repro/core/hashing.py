@@ -17,7 +17,8 @@ bit-compatible with the original per-view rebuild.  Vnode hash points
 are a pure function of ``(host, vnodes)`` and memoised for the whole
 process: churn (a host leaving and rejoining) re-hashes nothing, and
 neither does the second ring over the same hosts — every client and
-provider keeps its own ring.
+provider keeps its own ring — which also adopts the arrays the last
+bulk build sorted instead of sorting them again.
 """
 
 from __future__ import annotations
@@ -30,6 +31,10 @@ DEFAULT_VNODES = 64
 
 #: (host, vnodes) -> sorted vnode points; shared by every ring, read-only.
 _vnode_points: Dict[Tuple[str, int], List[int]] = {}
+
+#: ``((vnodes, hosts), points, hosts array)`` of the latest bulk build.
+#: Rings share the arrays freely: they are replaced, never mutated.
+_last_bulk: tuple = (None, [], [])
 
 
 def _point(data: str) -> int:
@@ -113,6 +118,7 @@ class HashRing:
 
     def _flush(self) -> None:
         """Apply pending membership changes to the point arrays."""
+        global _last_bulk
         if not self._dirty:
             return
         to_add = self._current - self._built
@@ -120,11 +126,15 @@ class HashRing:
         churn = (len(to_add) + len(to_remove)) * self.vnodes
         if churn >= max(len(self._points), 1):
             # Most of the ring is changing (initial build, mass
-            # reconcile): one sort beats per-host passes.
-            pairs = sorted(
-                (p, h) for h in self._current for p in self._host_points(h))
-            self._points = [p for p, _ in pairs]
-            self._hosts = [h for _, h in pairs]
+            # reconcile): one sort beats per-host passes — and the next
+            # ring over the same hosts takes the sorted arrays as they are.
+            key = (self.vnodes, frozenset(self._current))
+            if _last_bulk[0] != key:
+                pairs = sorted((p, h) for h in self._current
+                               for p in self._host_points(h))
+                _last_bulk = (key, [p for p, _ in pairs],
+                              [h for _, h in pairs])
+            _, self._points, self._hosts = _last_bulk
             self.stats["bulk_builds"] += 1
         else:
             for host in sorted(to_remove):

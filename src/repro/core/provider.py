@@ -103,7 +103,9 @@ class StorageProvider:
         self.membership.on_leave.append(self._on_leave)
         # "we only allow one active data migration process per node"
         self.transfer_lock = Resource(self.sim, 1)
-        self._repair_recent: Dict[Tuple[int, str, str], float] = {}
+        #: (segid, action) -> {host: when sent}: a supervision check reads
+        #: one segment's history, not the node's.
+        self._repair_recent: Dict[Tuple[int, str], Dict[str, float]] = {}
         self._recheck_pending: set = set()
         self._trim_pending: set = set()
         self._locality_recent: Dict[int, float] = {}
@@ -672,11 +674,7 @@ class StorageProvider:
                     name=f"recheck:{segid:x}")
             return
         # Replications already in flight (sent recently, not yet owners).
-        pending = {
-            h for (sid, action, h), t in self._repair_recent.items()
-            if sid == segid and action == "repl" and h not in owners
-            and t > now - self.params.repair_cooldown
-        }
+        pending = self._sent_recently(segid, "repl", now) - owners
         deficit = degree - len(owners) - len(pending)
         if deficit > 0:
             members = self._members()
@@ -735,16 +733,25 @@ class StorageProvider:
         self._recheck_pending.discard(segid)
         yield from self._supervise(segid)
 
+    def _sent_recently(self, segid: int, action: str, now: float) -> set:
+        """Hosts ``action`` on ``segid`` was sent to within the cooldown."""
+        cutoff = now - self.params.repair_cooldown
+        sent = self._repair_recent.get((segid, action), {})
+        return {h for h, t in sent.items() if t > cutoff}
+
     def _repair_throttled(self, segid: int, action: str, host: str,
                           now: float) -> bool:
-        key = (segid, action, host)
-        if self._repair_recent.get(key, -1e18) > now - self.params.repair_cooldown:
+        """Whether ``action`` on ``segid`` went to ``host`` within the
+        cooldown; records it as sent now if not."""
+        cutoff = now - self.params.repair_cooldown
+        sent = self._repair_recent.setdefault((segid, action), {})
+        if sent.get(host, -1e18) > cutoff:
             return True
-        self._repair_recent[key] = now
+        sent[host] = now
         if len(self._repair_recent) > 10000:
-            cutoff = now - self.params.repair_cooldown
             self._repair_recent = {
-                k: t for k, t in self._repair_recent.items() if t > cutoff
+                k: live for k, hosts in self._repair_recent.items()
+                if (live := {h: t for h, t in hosts.items() if t > cutoff})
             }
         return False
 

@@ -61,12 +61,6 @@ class SorrentoConfig:
 class SorrentoDeployment:
     """A running Sorrento volume on a simulated cluster."""
 
-    #: :meth:`preload_files` populations at least this large are moved
-    #: into the permanent gc generation after the load (they are cluster
-    #: state that lives until process exit); smaller loads — unit tests,
-    #: fixtures — leave collector state untouched.
-    _FREEZE_THRESHOLD = 50_000
-
     def __init__(self, spec: ClusterSpec, config: Optional[SorrentoConfig] = None):
         self.spec = spec
         self.config = config or SorrentoConfig()
@@ -391,13 +385,12 @@ class SorrentoDeployment:
 
         The cyclic collector is paused for the duration of the load
         (and restored after): the planted population is millions of
-        live objects, and letting each generation-0 sweep rescan it
-        turns an O(files) load into an O(files²)-flavored one.  Large
-        populations (≥ ``_FREEZE_THRESHOLD`` files) are then frozen
-        into the permanent generation — they are cluster state that
-        lives until process exit, so exempting them keeps later
-        collections (during the measured traffic window) from
-        rescanning them forever.
+        live objects that all survive, so the collector keeps
+        scheduling full collections that re-walk everything planted so
+        far — an O(files) load turns O(files²)-flavored.  On the way
+        out the population is handed to the oldest generation unwalked;
+        keeping it out of later collections is the run's business, not
+        the load's (:func:`repro.sim.kernel.collector_exempt`).
         """
         import gc
 
@@ -584,13 +577,16 @@ class SorrentoDeployment:
                 count += 1
         finally:
             if gc_was:
-                if count >= self._FREEZE_THRESHOLD:
-                    # The population is permanent cluster state; move it
-                    # (and everything else currently alive) into the
-                    # permanent generation so the traffic window's
-                    # collections never rescan it.
-                    gc.freeze()
                 gc.enable()
+                # What was planted is still "young": the next burst of
+                # allocations would walk it twice and then owe a full
+                # collection.  Inside a run's bracket it joins the
+                # frozen model; otherwise freeze + unfreeze hands it to
+                # the oldest generation, unwalked either way.
+                in_bracket = gc.get_freeze_count()
+                gc.freeze()
+                if not in_bracket:
+                    gc.unfreeze()
         return count
 
     # ------------------------------------------------------------- metrics

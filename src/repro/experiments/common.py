@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import gc
+import time
+from contextlib import contextmanager
 from typing import Dict, List, Optional, Sequence
 
 from repro.baselines import NFSDeployment, PVFSDeployment
@@ -71,6 +74,29 @@ def run_until_done(sim, procs, max_time: float = 1e7) -> None:
     """Advance the sim until every process finishes (the kernel's fused
     ``run_until`` loop), failing loudly on deadlock or past ``max_time``."""
     sim.run_until(procs, max_time)
+
+
+@contextmanager
+def collector_time():
+    """Time the cyclic collector over the block (``gc.callbacks``);
+    yields the dict it fills in (full = generation 2)."""
+    seen = {"gc_wall_s": 0.0, "gc_collections": 0, "gc_full": 0}
+    t0 = 0.0
+
+    def _on_gc(phase, info):
+        nonlocal t0
+        if phase == "start":
+            t0 = time.perf_counter()
+        else:
+            seen["gc_wall_s"] += time.perf_counter() - t0
+            seen["gc_collections"] += 1
+            seen["gc_full"] += info["generation"] == 2
+
+    gc.callbacks.append(_on_gc)
+    try:
+        yield seen
+    finally:
+        gc.callbacks.remove(_on_gc)
 
 
 # --------------------------------------------------- CLI budgets (CI gates)

@@ -46,6 +46,7 @@ from repro.cluster import small_cluster
 from repro.core import SorrentoConfig, SorrentoDeployment
 from repro.experiments.common import (
     add_budget_args,
+    collector_time,
     format_table,
     over_budget,
     peak_rss_mb,
@@ -138,7 +139,9 @@ def run_point(n_providers: int, n_files: int, n_sessions: int,
 
     t_run = time.perf_counter()
     sim_start = dep.sim.now
-    run_until_done(dep.sim, procs, max_time=dep.sim.now + duration + 300.0)
+    with collector_time() as collector:
+        run_until_done(dep.sim, procs,
+                       max_time=dep.sim.now + duration + 300.0)
     wall = time.perf_counter() - t_run
     sim_elapsed = dep.sim.now - sim_start
 
@@ -152,6 +155,9 @@ def run_point(n_providers: int, n_files: int, n_sessions: int,
         "sim_per_wall": round(sim_elapsed / max(wall, 1e-9), 3),
         "events": dep.sim._nprocessed,
         "events_per_s": round(dep.sim._nprocessed / max(wall, 1e-9), 1),
+        # What the cyclic collector took of wall_s (CI bounds the share).
+        "gc_wall_s": round(collector["gc_wall_s"], 3),
+        "gc_full": collector["gc_full"],
         "preload_wall_s": round(preload_wall, 3),
         "total_wall_s": round(time.perf_counter() - t_build, 3),
         "peak_rss_mb": round(peak_rss_mb(), 1),

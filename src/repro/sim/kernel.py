@@ -19,13 +19,18 @@ on, so the per-event taxes are explicit):
   waits on finishes without scheduling anything;
 * every driver (``run``, ``run_until``, ``run_process``) is
   :meth:`Simulator.run_window`'s fused peek + pop + dispatch frame;
-  :meth:`Simulator.step` is the one-event reference it is tested against.
+  :meth:`Simulator.step` is the one-event reference it is tested against;
+* the cyclic collector has nothing to do: a finished process holds no
+  reference to itself, and for the length of a run everything built
+  before it is out of the collector's reach (:func:`collector_exempt`).
 """
 
 from __future__ import annotations
 
+import gc
 import heapq
 from collections import deque
+from contextlib import contextmanager
 from math import inf, nextafter
 from typing import Any, Callable, Generator, Iterable, Optional
 
@@ -48,6 +53,27 @@ from repro.sim.events import (
 _POOL_MAX = 1024
 #: Minimum tombstone count before a bulk heap compaction is considered.
 _COMPACT_MIN = 64
+
+
+@contextmanager
+def collector_exempt():
+    """Keep everything alive on entry out of the cyclic collector's reach
+    until exit (``gc.freeze()`` / ``gc.unfreeze()``).
+
+    The model a run works on is static and large, and every *full*
+    collection re-walks all of it; frozen, collections inside the block
+    see only what the run allocated.  A process already frozen (by its
+    caller, by an enclosing run) is left exactly as found.  Freezing
+    zeroes the young-generation counters, so bracket a whole run, never
+    each of many short grants, or the young collector starves."""
+    if gc.get_freeze_count():
+        yield
+        return
+    gc.freeze()
+    try:
+        yield
+    finally:
+        gc.unfreeze()
 
 
 class _Kick(Event):
@@ -333,11 +359,10 @@ class Simulator:
 
     def run(self, until: Optional[float] = None) -> None:
         """Run until no events remain or virtual time passes ``until``."""
-        if until is None:
-            self.run_window(inf)
-        else:
+        with collector_exempt():
             # "<= until" is "strictly before the next float".
-            self.run_window(nextafter(until, inf))
+            self.run_window(inf if until is None else nextafter(until, inf))
+        if until is not None:
             self.now = max(self.now, until)
 
     def run_until(self, events: Iterable[Event], max_time: float = inf) -> None:
@@ -360,7 +385,8 @@ class Simulator:
                 ev.add_callback(_one_done)
         if not remaining:
             return
-        self.run_window(nextafter(max_time, inf))
+        with collector_exempt():
+            self.run_window(nextafter(max_time, inf))
         self.window_break = False
         if remaining:
             if not self._npending:
@@ -507,6 +533,10 @@ class Process(Event):
         if self.state is PENDING:
             self.state = state
             self.value = value
+            # The process's reference to itself; without it a finished
+            # process is freed by reference count.  (``_gen`` stays: a
+            # stale kick — a second interrupt — still resumes it, a no-op.)
+            self._resume_cb = None
             if self._callbacks:
                 self.sim._schedule(self)
             else:

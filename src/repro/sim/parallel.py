@@ -73,7 +73,7 @@ from repro.network.message import (
     delivery_lane,
 )
 from repro.sim.events import SUCCEEDED, Event
-from repro.sim.kernel import Simulator
+from repro.sim.kernel import Simulator, collector_exempt
 
 #: Extra one-way latency charged on cut edges: the store-and-forward hop
 #: through the inter-switch uplink that cross-partition traffic now
@@ -826,20 +826,21 @@ def _mp_worker_main(conn, inherited, builder, args, pid: int,
     fd = conn.fileno()
     try:
         worker = _Worker(builder(*args, local_pid=pid))
-        while True:
-            tag, t, _d, _dt, _st, n, off, sections, tail = _recv(fd)
-            if tag == _WIN:
-                inbound = channel.fetch(0, off, sections, tail).get(pid)
-                reply = worker.handle(("win", t, inbound))
-            elif tag == _PHASE:
-                reply = worker.handle(("phase", n, t))
-            elif tag == _RESULT:
-                _send(fd, _encode_frame(_RESULT, tail=worker.handle(("result",))))
-                continue
-            else:
-                return
-            _send(fd, _encode_frame(_STATUS, *reply[1:6],
-                                    *channel.ship(1, reply[6])))
+        with collector_exempt():    # once per process, never per grant
+            while True:
+                tag, t, _d, _dt, _st, n, off, sections, tail = _recv(fd)
+                if tag == _WIN:
+                    inbound = channel.fetch(0, off, sections, tail).get(pid)
+                    reply = worker.handle(("win", t, inbound))
+                elif tag == _PHASE:
+                    reply = worker.handle(("phase", n, t))
+                elif tag == _RESULT:
+                    _send(fd, _encode_frame(_RESULT, tail=worker.handle(("result",))))
+                    continue
+                else:
+                    return
+                _send(fd, _encode_frame(_STATUS, *reply[1:6],
+                                        *channel.ship(1, reply[6])))
     except (EOFError, ConnectionError):
         pass        # the leader is gone, nobody left to tell
     except Exception as exc:  # noqa: BLE001 - ship the failure to the leader
@@ -997,10 +998,12 @@ def run_partitioned(builder: Callable, args: tuple, pmap: PartitionMap,
     return out
 
 
+@collector_exempt()
 def _coordinate(endpoints: List[Any], L: float, phase_meta, stats: RunStats,
                 horizon: float, max_grant_windows) -> Dict[str, Any]:
     """The grant loop of :func:`run_partitioned` over ready endpoints
-    (endpoint ``i`` drives partition ``i``); returns its result dict."""
+    (endpoint ``i`` drives partition ``i``); returns its result dict.
+    Exempt once for the whole loop, like a forked worker's serve loop."""
     n = len(endpoints)
     INF = math.inf
     adaptive = max_grant_windows is None

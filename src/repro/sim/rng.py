@@ -9,8 +9,10 @@ from __future__ import annotations
 
 import hashlib
 import random
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:   # numpy is ~70 ms of import that only np() callers owe
+    import numpy as np
 
 
 def _derive(seed: int, name: str) -> int:
@@ -37,5 +39,6 @@ class RngStreams:
         """A numpy Generator stream, created on first use."""
         rng = self._np.get(name)
         if rng is None:
-            rng = self._np[name] = np.random.default_rng(_derive(self.seed, name))
+            from numpy.random import default_rng
+            rng = self._np[name] = default_rng(_derive(self.seed, name))
         return rng

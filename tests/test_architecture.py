@@ -2,7 +2,10 @@
 paper's Figure 2 component layering (and stay acyclic)."""
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import networkx as nx
 
@@ -373,4 +376,44 @@ def test_no_source_file_mentions_the_deleted_benchmark_package():
         if any(word in line for word in stale)
     ]
     assert offenders == [], "stale benchmark references: " + ", ".join(
+        offenders)
+
+
+def test_the_simulator_imports_without_numpy_or_scipy():
+    """numpy is ~70 ms of a ~250 ms set-up and nothing on the simulator's
+    path calls it (``RngStreams.np`` imports it on first use; scipy
+    belongs to ``repro.tools``)."""
+    code = ("import sys; import repro.core, repro.experiments.common, "
+            "repro.sim.parallel; "
+            "print([m for m in ('numpy', 'scipy') if m in sys.modules])")
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(SRC.parent)}, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_the_collector_is_handled_in_four_places_only():
+    """One rule — a run exempts the model (``sim.kernel``, used by
+    ``sim.parallel``), a bulk load pauses the collector and hands over
+    what it planted (``core.volume``) — and one timer
+    (``experiments.common.collector_time``).  A ``gc`` call anywhere
+    else is a second rule."""
+    allowed = {"sim/kernel.py", "sim/parallel.py", "core/volume.py",
+               "experiments/common.py"}
+    offenders = []
+    for path in SRC.rglob("*.py"):
+        rel = path.relative_to(SRC).as_posix()
+        if rel in allowed:
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module]
+            else:
+                continue
+            if "gc" in names:
+                offenders.append(f"{rel}:{node.lineno}")
+    assert offenders == [], "gc imported outside the four: " + ", ".join(
         offenders)

@@ -156,6 +156,24 @@ def test_second_ring_over_the_same_hosts_hashes_nothing():
     assert all(second.home_host(k, members) == first.home_host(k, members)
                for k in KEYS[:100])
     assert second.stats["point_hashes"] == 0
-    assert second.stats["bulk_builds"] == 1  # it still built its own arrays
+    assert second.stats["bulk_builds"] == 1  # replaced its arrays wholesale, once
     other.home_host(KEYS[0], members)  # a different vnode count is new work
     assert other.stats["point_hashes"] == 30 * 8
+
+
+def test_second_ring_adopts_the_sorted_arrays_and_never_writes_them():
+    """The second bulk build over the same (vnodes, hosts) takes the
+    arrays the first one sorted; churn on either ring splices into fresh
+    lists, so the shared ones stay as built."""
+    members = sorted(f"adopt-{i}" for i in range(12))
+    first, second = HashRing(vnodes=16), HashRing(vnodes=16)
+    first.home_host(KEYS[0], members)
+    second.home_host(KEYS[0], members)
+    assert second._points is first._points and second._hosts is first._hosts
+    shared = list(first._points), list(first._hosts)
+    second.home_host(KEYS[0], members[1:])              # a leave...
+    second.home_host(KEYS[0], members + ["adopt-new"])  # ...and two joins
+    assert (first._points, first._hosts) == shared
+    fresh = HashRing(vnodes=16)
+    assert all(fresh.home_host(k, members) == first.home_host(k, members)
+               for k in KEYS[:100])

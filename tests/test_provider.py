@@ -1,6 +1,10 @@
 """Provider-daemon behaviour tests: location protocol, repair, migration."""
 
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cluster import small_cluster
 from repro.core import SorrentoConfig, SorrentoDeployment
@@ -203,3 +207,82 @@ def test_crashed_provider_leaves_membership_everywhere():
         if h == victim:
             continue
         assert victim not in p.membership.live_providers()
+
+
+# ------------------------------------------------- repair-history index
+class _FlatRepairHistory:
+    """The repair history as one flat dict scanned whole per check — the
+    shape the per-segment index replaced, kept as its oracle."""
+
+    def __init__(self, cooldown):
+        self.cooldown = cooldown
+        self.recent = {}
+
+    def throttled(self, segid, action, host, now):
+        key = (segid, action, host)
+        if self.recent.get(key, -1e18) > now - self.cooldown:
+            return True
+        self.recent[key] = now
+        if len(self.recent) > 10000:
+            cutoff = now - self.cooldown
+            self.recent = {k: t for k, t in self.recent.items() if t > cutoff}
+        return False
+
+    def pending(self, segid, owners, now):
+        return {
+            h for (sid, action, h), t in self.recent.items()
+            if sid == segid and action == "repl" and h not in owners
+            and t > now - self.cooldown
+        }
+
+
+def _drive_both_histories(provider, seed, n_segments, n_hosts, max_step):
+    """One random throttle history through the provider's index and the
+    flat oracle: same verdicts, same in-flight replication sets.  Returns
+    whether the index shrank on the way (its prune dropped something)."""
+    provider._repair_recent = {}
+    flat = _FlatRepairHistory(provider.params.repair_cooldown)
+    rng = random.Random(seed)
+    hosts = [f"h{i}" for i in range(n_hosts)]
+    now = 0.0
+    pruned = False
+    for step in range(16_000):
+        now += rng.random() * max_step
+        segid = rng.randrange(n_segments)
+        action = rng.choice(("repl", "repl", "sync", "trim"))
+        host = rng.choice(hosts)
+        groups = len(provider._repair_recent)
+        assert provider._repair_throttled(segid, action, host, now) \
+            == flat.throttled(segid, action, host, now)
+        pruned = pruned or len(provider._repair_recent) < groups
+        if step % 16 == 0:
+            probe = rng.randrange(n_segments)
+            owners = set(rng.sample(hosts, rng.randrange(n_hosts)))
+            assert provider._sent_recently(probe, "repl", now) - owners \
+                == flat.pending(probe, owners, now)
+    return pruned
+
+
+@pytest.fixture(scope="module")
+def repair_provider():
+    return deploy().providers["s00"]
+
+
+@settings(max_examples=6, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n_segments=st.integers(50, 8000),
+       n_hosts=st.integers(2, 6), max_step=st.floats(0.006, 0.03))
+def test_indexed_repair_history_matches_the_flat_scan(
+        repair_provider, seed, n_segments, n_hosts, max_step):
+    """Few segments: entries repeat, throttle and expire.  Many: groups
+    pile up past either structure's 10 000-entry prune.  (The step keeps
+    fewer than 10 000 entries inside one cooldown: past that the flat
+    oracle rebuilds its dict on every insert.)"""
+    _drive_both_histories(repair_provider, seed, n_segments, n_hosts,
+                          max_step)
+
+
+def test_indexed_repair_history_matches_across_its_prune(repair_provider):
+    """80 simulated seconds over 8 000 segments: the index passes 10 000
+    groups with most of them a cooldown old, so the prune must bite."""
+    assert _drive_both_histories(repair_provider, seed=1, n_segments=8000,
+                                 n_hosts=3, max_step=0.01)
