@@ -22,7 +22,7 @@ def test_claim_namespace_server_ops_per_second(once):
 
         def hammer(client):
             for i in range(n_ops):
-                yield from client.endpoint.call(
+                yield from client.runtime.call(
                     "s00", "ns_mkdir", f"/{client.hostid}-{i}", size=64)
 
         from repro.experiments.common import run_until_done
@@ -88,9 +88,9 @@ def test_substrate_event_throughput(benchmark):
 
 
 def test_substrate_rpc_throughput(benchmark):
-    """Engineering: end-to-end RPC cost through fabric + endpoints."""
-    from repro.network import Endpoint
+    """Engineering: end-to-end RPC cost through fabric + runtimes."""
     from repro.network.switch import Host
+    from repro.runtime import ServiceRuntime
 
     def spin():
         sim = Simulator()
@@ -98,7 +98,7 @@ def test_substrate_rpc_throughput(benchmark):
         hosts = [Host(sim, f"n{i}") for i in range(2)]
         for h in hosts:
             fabric.attach(h)
-        a, b = (Endpoint(sim, fabric, h) for h in hosts)
+        a, b = (ServiceRuntime(sim, fabric, h) for h in hosts)
         b.register("echo", lambda p, s: (p, 64))
 
         def client():

@@ -13,7 +13,6 @@ from typing import List, Optional
 
 from repro.cluster.spec import NodeSpec
 from repro.network.switch import Fabric, Host
-from repro.network.transport import Endpoint
 from repro.runtime import ServiceRuntime
 from repro.sim import BandwidthPipe, Event, Process, Simulator
 from repro.storage import DISK_SPECS, Disk, LocalFS, Raid0
@@ -36,7 +35,7 @@ class LoadSample:
 
 
 class Node(Host):
-    """A cluster node: CPU pipe + optional local FS + network endpoint."""
+    """A cluster node: CPU pipe + optional local FS + RPC runtime."""
 
     def __init__(self, sim: Simulator, fabric: Fabric, spec: NodeSpec,
                  dormant: bool = False):
@@ -52,10 +51,9 @@ class Node(Host):
         # never delivered here.
         self.dormant = dormant
         fabric.attach(self)
-        self.endpoint = Endpoint(sim, fabric, self)
-        # Daemons talk RPC through the runtime, never the raw endpoint;
-        # both survive crash()/restart() (services stay registered).
-        self.runtime = ServiceRuntime(self.endpoint)
+        # The node's one RPC object; it survives crash()/restart()
+        # (services stay registered).
+        self.runtime = ServiceRuntime(sim, fabric, self)
         # CPU: a FIFO pipe whose "bytes" are reference-GHz-seconds of work.
         self.cpu_pipe = BandwidthPipe(sim, rate=spec.cpus * spec.cpu_ghz)
         # Storage device + local FS, if this node exports storage.

@@ -52,31 +52,19 @@ class DataPathMixin:
             raise SorrentoError("historical versions are read-only")
         self.stats["opens"] += 1
         yield self.node.cpu(self.params.client_op_cpu)
-        # Plain read opens may reuse a recently-seen namespace entry; any
-        # write-mode, historical, or unlink-bound open always asks the
-        # namespace server (a stale base version would surface as spurious
-        # commit conflicts, not just a stale snapshot).
-        entry = None
-        cacheable = (mode == "r" and version is None and not meta_only
-                     and self.params.entry_cache_enabled)
-        if cacheable:
-            entry = self.entry_cache.get(self._entry_key(path), self.sim.now)
-            self._cache_note("entry_hits" if entry is not None
-                             else "entry_misses")
-        if entry is None:
+        # Every open asks the namespace server: a stale base version would
+        # surface as spurious commit conflicts, not just a stale snapshot.
+        try:
+            entry = yield from self._call_ns(
+                "ns_lookup", path, rtts=self.params.open_rtts)
+        except NotFoundError:
+            if not (create and mode == "w"):
+                raise
             try:
-                entry = yield from self._call_ns(
-                    "ns_lookup", path, rtts=self.params.open_rtts)
-            except NotFoundError:
-                if not (create and mode == "w"):
-                    raise
-                try:
-                    entry = yield from self.create(path, **create_params)
-                except ConflictError:
-                    # Lost a create race: the other writer's entry is ours too.
-                    entry = yield from self._call_ns("ns_lookup", path)
-            if self.params.entry_cache_enabled:
-                self.entry_cache.put(self._entry_key(path), entry, self.sim.now)
+                entry = yield from self.create(path, **create_params)
+            except ConflictError:
+                # Lost a create race: the other writer's entry is ours too.
+                entry = yield from self._call_ns("ns_lookup", path)
         if version is not None:
             if not 0 < version <= entry["version"]:
                 raise NotFoundError(
@@ -581,8 +569,6 @@ class DataPathMixin:
             "ns_complete_commit", {"path": fh.path, "new_version": 1}, size=96)
         fh.entry = entry
         fh.base_version = 1
-        if self.params.entry_cache_enabled:
-            self.entry_cache.put(self._entry_key(fh.path), entry, self.sim.now)
 
     # ============================================================== unlink
     def unlink(self, path: str):
@@ -598,7 +584,6 @@ class DataPathMixin:
         segids = [ref.segid for ref in fh.layout.segments] + [entry["fileid"]]
         # The file is gone: drop every cached trace of it (organic
         # invalidation, not staleness — no counter).
-        self.entry_cache.evict(self._entry_key(path))
         self.meta_cache.evict(entry["fileid"])
         for segid in segids:
             self.loc_cache.evict(segid)

@@ -27,11 +27,6 @@ def _parent_dir(path: str) -> str:
 class NamespaceOpsMixin:
     """Namespace RPCs: lookup, create, directories, leases, milestones."""
 
-    def _entry_key(self, path: str):
-        """Entry-cache key: (shard-epoch, path), so a ring change
-        strands every entry cached under the old routing at once."""
-        return (self.router.epoch, path)
-
     def _call_ns(self, service: str, payload, size: int = 64, rtts: int = 1):
         result = yield from self.router.call(service, payload,
                                              size=size, rtts=rtts)
@@ -109,15 +104,12 @@ class NamespaceOpsMixin:
         neither.
         """
         moved = yield from self._move(src_path, dst_path, keep_source=False)
-        self.entry_cache.evict(self._entry_key(src_path))
-        self.entry_cache.evict(self._entry_key(dst_path))
         return moved
 
     def link(self, src_path: str, dst_path: str):
         """Alias a file under a second path (both resolve to the same
         FileID).  Cross-shard links use the same 2PC as rename."""
         alias = yield from self._move(src_path, dst_path, keep_source=True)
-        self.entry_cache.evict(self._entry_key(dst_path))
         return alias
 
     def _move(self, src_path: str, dst_path: str, *, keep_source: bool):

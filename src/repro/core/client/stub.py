@@ -64,7 +64,6 @@ class SorrentoClient(NamespaceOpsMixin, PlacementMixin, DataPathMixin,
         self.stats = {"opens": 0, "reads": 0, "writes": 0, "commits": 0,
                       "conflicts": 0, "probe_fallbacks": 0,
                       "loc_hits": 0, "loc_misses": 0, "loc_stale": 0,
-                      "entry_hits": 0, "entry_misses": 0,
                       "meta_hits": 0, "meta_misses": 0,
                       "vec_rpcs": 0, "vec_pieces": 0,
                       "route_hits": 0, "route_misses": 0, "ns_redirects": 0,
@@ -75,12 +74,10 @@ class SorrentoClient(NamespaceOpsMixin, PlacementMixin, DataPathMixin,
         # spread is the paper's behaviour); compute workers switch it on so
         # a pre-staged input is actually read locally.
         self.prefer_local = False
-        # The caching-and-batching plane: location/entry/meta caches plus
+        # The caching-and-batching plane: location and meta caches plus
         # the membership hook that evicts a dead owner's claims.
         self.loc_cache = ClientLocationCache(self.params.loc_cache_ttl,
                                              self.params.loc_cache_capacity)
-        self.entry_cache = TtlCache(self.params.entry_cache_ttl,
-                                    self.params.entry_cache_capacity)
         self.meta_cache = TtlCache(self.params.meta_cache_ttl,
                                    self.params.meta_cache_capacity)
         self._cache_cells: Dict[str, OpStats] = {}

@@ -156,8 +156,6 @@ class VersioningMixin:
             for segid, owner in fh.new_segments.items():
                 self.loc_cache.learn(segid, owner, 1, now)
             self.loc_cache.learn(fh.fileid, index_owner, index_version, now)
-        if self.params.entry_cache_enabled:
-            self.entry_cache.put(self._entry_key(fh.path), entry, self.sim.now)
         if self.params.meta_cache_enabled and fh.versioning:
             self.meta_cache.put(fh.fileid, (new_version, meta, index_owner),
                                 self.sim.now)

@@ -279,7 +279,7 @@ class TtlCache:
     """A bounded TTL'd map (insertion-order eviction, deterministic).
 
     Shared plumbing for the client-side caches: segment locations,
-    namespace entries, and index-segment metadata.  Expiry is checked
+    namespace routes, and index-segment metadata.  Expiry is checked
     lazily on ``get``; capacity overflow drops the oldest insertion.
     """
 

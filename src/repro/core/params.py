@@ -74,16 +74,6 @@ class SorrentoParams:
     loc_cache_enabled: bool = True           # per-client location cache
     loc_cache_ttl: float = 30.0              # owner/version entry lifetime
     loc_cache_capacity: int = 4096           # entries per client
-    entry_cache_enabled: bool = False        # namespace entries ("r" opens).
-    #                                          Opt-in: relaxes "open sees the
-    #                                          latest commit" to within-TTL
-    #                                          (NFS-attribute-cache style);
-    #                                          there is no cross-client
-    #                                          invalidation channel for
-    #                                          namespace entries.
-    entry_cache_ttl: float = 2.0             # short: bounds cross-client
-    #                                          staleness of open("r")
-    entry_cache_capacity: int = 1024
     meta_cache_enabled: bool = True          # index-segment metadata,
     #                                          version-gated (exact match
     #                                          against the namespace entry)

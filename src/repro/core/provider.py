@@ -208,14 +208,9 @@ class StorageProvider:
         yield from self._charge(length)
         existing = self.store.get(segid, version)
         sequential = existing is not None and req["offset"] >= existing.extents.end
-        if req.get("in_place"):
-            seg = yield from self.store.write_in_place(
-                segid, version, req["offset"], length,
-                data=req.get("data"), sequential=sequential)
-        else:
-            seg = yield from self.store.write(
-                segid, version, req["offset"], length,
-                data=req.get("data"), sequential=sequential)
+        seg = yield from self.store.write(
+            segid, version, req["offset"], length, data=req.get("data"),
+            sequential=sequential, in_place=req.get("in_place", False))
         self.history.record(segid, src, length)
         self.stats["writes"] += 1
         return {"version": seg.version, "size": seg.size}, 48

@@ -271,33 +271,21 @@ class SegmentStore:
 
     # -- mutation ---------------------------------------------------------
     def write(self, segid: int, version: int, offset: int, length: int,
-              data: Optional[bytes] = None, sequential: bool = False):
-        """Write a range into an uncommitted shadow (or a brand-new v1)."""
+              data: Optional[bytes] = None, sequential: bool = False,
+              in_place: bool = False):
+        """Write a range into an uncommitted shadow (or a brand-new v1).
+
+        ``in_place`` is the versioning-disabled write: it mutates a
+        committed segment directly.  Used when an application opts out
+        of versioning (Section 3.5), e.g. for the parallel byte-range
+        sharing primitive; replication is the caller's problem (it is
+        disabled in that mode).
+        """
         seg = self._require(segid, version)
-        if seg.committed:
+        if seg.committed and not in_place:
             raise SegmentError(
                 f"segment {segid:#x} v{version} is committed (immutable)"
             )
-        if data is not None and len(data) != length:
-            raise SegmentError("data/length mismatch")
-        if length > 0:
-            self._bytes += seg.extents.set_range(
-                offset, offset + length,
-                (offset, bytes(data)) if data is not None else SYNTHETIC)
-        seg.size = max(seg.size, offset + length)
-        seg.last_access = self.sim.now
-        yield from self.fs.write(seg.fs_name, offset, length, sequential)
-        return seg
-
-    def write_in_place(self, segid: int, version: int, offset: int, length: int,
-                       data: Optional[bytes] = None, sequential: bool = False):
-        """Versioning-disabled write: mutate a committed segment directly.
-
-        Used when an application opts out of versioning (Section 3.5),
-        e.g. for the parallel byte-range sharing primitive; replication
-        is the caller's problem (it is disabled in that mode).
-        """
-        seg = self._require(segid, version)
         if data is not None and len(data) != length:
             raise SegmentError("data/length mismatch")
         if length > 0:

@@ -40,7 +40,7 @@ def two_phase_commit(rpc, participants: List[Tuple[str, Any]],
                      services: Tuple[str, str, str] = SEG_SERVICES):
     """Generator: run 2PC over ``participants``: (hostid, payload) pairs.
 
-    ``rpc`` is anything with an Endpoint-shaped ``call``/``sim`` — normally
+    ``rpc`` is anything with a ``call`` generator and a ``sim`` — normally
     a :class:`repro.runtime.ServiceRuntime`, whose policy supplies the RPC
     deadline when ``timeout`` is None.  ``services`` names the
     (prepare, commit, abort) triple the participants expose.

@@ -30,22 +30,20 @@ import hashlib
 import time
 from typing import Dict, Optional
 
-from repro.cluster import ClusterSpec, small_cluster
+from repro.cluster import ClusterSpec
 from repro.core import SorrentoConfig, SorrentoDeployment
 from repro.core.params import SorrentoParams
 from repro.experiments.common import cluster_a_like, peak_rss_mb
 from repro.experiments.scale_model import (
-    ARRIVAL_BINS,
     FILE_SIZE,
     N_CLIENT_STUBS,
     N_TENANTS,
     READ_SIZE,
-    ZIPF_S,
-    _diurnal_cum_weights,
     _tenant_file,
-    _zipf_cum_weights,
+    draw_sessions,
     files_per_tenant,
     scale_params,
+    scale_spec,
 )
 from repro.sim.parallel import (
     DEFAULT_CROSS_LATENCY,
@@ -55,8 +53,6 @@ from repro.sim.parallel import (
     run_partitioned,
 )
 from repro.workloads.smallfile import session_loop
-
-GB = 1 << 30
 
 
 def partition_for_spec(spec: ClusterSpec, n_partitions: int,
@@ -124,12 +120,8 @@ def build_scale_program(point, seed, probe, pmap,
     """One partition's share of a scale-suite point (top-level for mp);
     ``probe`` plants the adapt probe's capped file population."""
     n_providers, n_files, n_sessions, duration = point
-    params = scale_params(n_providers)
-    spec = small_cluster(n_providers, n_compute=N_CLIENT_STUBS + 4,
-                         capacity_per_node=4 * GB,
-                         name=f"scale-{n_providers}")
-    dep = SorrentoDeployment(spec, SorrentoConfig(
-        params=params, seed=seed,
+    dep = SorrentoDeployment(scale_spec(n_providers), SorrentoConfig(
+        params=scale_params(n_providers), seed=seed,
         partition=pmap, local_partition=local_pid))
     fpt = files_per_tenant(n_files, probe)
     counters = {"done": 0, "failed": 0}
@@ -149,19 +141,10 @@ def build_scale_program(point, seed, probe, pmap,
         d = prog.dep
         rng = d.rngs.py("scale-sessions")
         clients = d.clients_on_compute(N_CLIENT_STUBS)
-        tenant_cum = _zipf_cum_weights(N_TENANTS, ZIPF_S)
-        diurnal_cum = _diurnal_cum_weights(ARRIVAL_BINS)
-        tenants = rng.choices(range(N_TENANTS), cum_weights=tenant_cum,
-                              k=n_sessions)
-        arrival_bins = rng.choices(range(ARRIVAL_BINS),
-                                   cum_weights=diurnal_cum, k=n_sessions)
         procs = []
-        for i in range(n_sessions):
-            # Draws first, ownership filter second: the stream position
-            # after session i is identical on every worker.
-            path = _tenant_file(tenants[i], rng.randrange(fpt))
-            arrival = (arrival_bins[i] + rng.random()) \
-                * (duration / ARRIVAL_BINS)
+        for i, path, arrival in draw_sessions(rng, n_sessions, duration, fpt):
+            # The draws are made for every session; only the ownership
+            # filter is local.
             client = clients[i % N_CLIENT_STUBS]
             if client.node.dormant:
                 continue
@@ -190,9 +173,7 @@ def run_scale_point_partitioned(n_providers: int, n_files: int,
     busy wall and event counts, shipped records, equivalence digest)."""
     t_build = time.perf_counter()
     params = scale_params(n_providers)
-    spec = small_cluster(n_providers, n_compute=N_CLIENT_STUBS + 4,
-                         capacity_per_node=4 * GB,
-                         name=f"scale-{n_providers}")
+    spec = scale_spec(n_providers)
     xlat = DEFAULT_CROSS_LATENCY if cross_latency is None else cross_latency
     pmap = partition_for_spec(spec, workers, cross_latency=xlat)
     warm = params.join_refresh_delay_max + 1.0

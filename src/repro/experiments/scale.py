@@ -42,7 +42,6 @@ import sys
 import time
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.cluster import small_cluster
 from repro.core import SorrentoConfig, SorrentoDeployment
 from repro.experiments.common import (
     add_budget_args,
@@ -53,21 +52,18 @@ from repro.experiments.common import (
     run_until_done,
 )
 from repro.experiments.scale_model import (
-    ARRIVAL_BINS,
     FILE_SIZE,
     N_CLIENT_STUBS,
     N_TENANTS,
     READ_SIZE,
-    ZIPF_S,
-    _diurnal_cum_weights,
     _tenant_file,
-    _zipf_cum_weights,
+    draw_sessions,
     files_per_tenant,
     scale_params,
+    scale_spec,
 )
 
 KB = 1 << 10
-GB = 1 << 30
 
 #: (providers, files, sessions, sim-seconds of measured traffic).
 SCALE_POINTS: Tuple[Tuple[int, int, int, float], ...] = (
@@ -97,9 +93,8 @@ def run_point(n_providers: int, n_files: int, n_sessions: int,
     """Build, preload, and drive one cluster size; returns the metrics row."""
     params = scale_params(n_providers)
     t_build = time.perf_counter()
-    spec = small_cluster(n_providers, n_compute=N_CLIENT_STUBS + 4,
-                         capacity_per_node=4 * GB, name=f"scale-{n_providers}")
-    dep = SorrentoDeployment(spec, SorrentoConfig(params=params, seed=seed))
+    dep = SorrentoDeployment(scale_spec(n_providers),
+                             SorrentoConfig(params=params, seed=seed))
 
     # One heartbeat round populates every membership view, and the P^2
     # cluster-formation join-refresh storm drains while every store is
@@ -121,21 +116,12 @@ def run_point(n_providers: int, n_files: int, n_sessions: int,
     # multiplexed over a fixed pool of client stubs.
     rng = dep.rngs.py("scale-sessions")
     clients = dep.clients_on_compute(N_CLIENT_STUBS)
-    tenant_cum = _zipf_cum_weights(N_TENANTS, ZIPF_S)
-    bins = ARRIVAL_BINS
-    diurnal_cum = _diurnal_cum_weights(bins)
-    tenants = rng.choices(range(N_TENANTS), cum_weights=tenant_cum,
-                          k=n_sessions)
-    arrival_bins = rng.choices(range(bins), cum_weights=diurnal_cum,
-                               k=n_sessions)
     counters = {"done": 0, "failed": 0}
-    procs = []
-    for i in range(n_sessions):
-        path = _tenant_file(tenants[i],
-                            rng.randrange(fpt))
-        arrival = (arrival_bins[i] + rng.random()) * (duration / bins)
-        procs.append(dep.sim.process(_session(
-            clients[i % N_CLIENT_STUBS], path, arrival, counters)))
+    procs = [
+        dep.sim.process(_session(
+            clients[i % N_CLIENT_STUBS], path, arrival, counters))
+        for i, path, arrival in draw_sessions(rng, n_sessions, duration, fpt)
+    ]
 
     t_run = time.perf_counter()
     sim_start = dep.sim.now

@@ -12,11 +12,13 @@ dispatches *to* the parallel one; the reverse edge would be a cycle).
 from __future__ import annotations
 
 import math
-from typing import List
+from typing import Iterator, List, Tuple
 
+from repro.cluster import ClusterSpec, small_cluster
 from repro.core.params import SorrentoParams
 
 KB = 1 << 10
+GB = 1 << 30
 
 N_TENANTS = 64
 ZIPF_S = 1.1           # tenant popularity exponent
@@ -69,6 +71,12 @@ def scale_params(n_providers: int) -> SorrentoParams:
     )
 
 
+def scale_spec(n_providers: int) -> ClusterSpec:
+    """The suite's cluster: the providers plus a fixed compute pool."""
+    return small_cluster(n_providers, n_compute=N_CLIENT_STUBS + 4,
+                         capacity_per_node=4 * GB, name=f"scale-{n_providers}")
+
+
 def _tenant_file(tenant: int, i: int) -> str:
     return f"/t{tenant:02d}/f{i:06d}"
 
@@ -91,3 +99,22 @@ def _diurnal_cum_weights(bins: int) -> List[float]:
         total += max(rate, 0.05)
         cum.append(total)
     return cum
+
+
+def draw_sessions(rng, n_sessions: int, duration: float,
+                  fpt: int) -> Iterator[Tuple[int, str, float]]:
+    """Yield ``(i, path, arrival)`` for every session: Zipf tenant skew
+    and a diurnal arrival wave, to be multiplexed over the client stubs
+    as ``clients[i % N_CLIENT_STUBS]``.  Every draw happens whether or
+    not the consumer keeps the session, so the stream position after
+    session ``i`` is identical on every partition worker."""
+    tenants = rng.choices(range(N_TENANTS),
+                          cum_weights=_zipf_cum_weights(N_TENANTS, ZIPF_S),
+                          k=n_sessions)
+    arrival_bins = rng.choices(range(ARRIVAL_BINS),
+                               cum_weights=_diurnal_cum_weights(ARRIVAL_BINS),
+                               k=n_sessions)
+    for i in range(n_sessions):
+        path = _tenant_file(tenants[i], rng.randrange(fpt))
+        arrival = (arrival_bins[i] + rng.random()) * (duration / ARRIVAL_BINS)
+        yield i, path, arrival

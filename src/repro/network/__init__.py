@@ -1,4 +1,4 @@
-"""Simulated cluster network: NICs, switch fabric, and transports.
+"""Simulated cluster network: NICs, switch fabric, and the message envelope.
 
 Models what mattered in the paper's testbed (Figure 8): Fast Ethernet links
 (100 Mb/s full duplex) from each node into non-blocking switches, small
@@ -14,10 +14,8 @@ from repro.network.message import (
 )
 from repro.network.nic import NIC, FAST_ETHERNET_BPS, GIGABIT_BPS
 from repro.network.switch import Fabric, LinkFault
-from repro.network.transport import Endpoint
 
 __all__ = [
-    "Endpoint",
     "Fabric",
     "LinkFault",
     "FAST_ETHERNET_BPS",

@@ -2,10 +2,11 @@
 
 :class:`Message` is the hottest allocation in the simulation (several per
 RPC), so it is a ``__slots__`` class recycled through a free-list: the
-transport acquires via :func:`acquire_message`, and the fabric releases a
-message once its last delivery callback has run.  Handlers never see the
-Message object itself (the endpoint unpacks payload/src/req_id before
-dispatching), which is what makes the release point safe.
+sender (``runtime.ServiceRuntime``) acquires via :func:`acquire_message`,
+and the fabric releases a message once its last delivery callback has run.
+Handlers never see the Message object itself (the receiving runtime unpacks
+payload/src/req_id before dispatching), which is what makes the release
+point safe.
 """
 
 from __future__ import annotations

@@ -39,7 +39,8 @@ class Host:
     """A network attachment point: a NIC plus liveness and a dispatcher.
 
     Cluster nodes wrap or subclass this; the fabric only needs ``hostid``,
-    ``alive``, ``nic``, and the deliver callback installed by the endpoint.
+    ``alive``, ``nic``, and the deliver callback installed by the host's
+    ``runtime.ServiceRuntime``.
     """
 
     def __init__(self, sim: Simulator, hostid: str, rate: float = FAST_ETHERNET_BPS):

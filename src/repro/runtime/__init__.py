@@ -1,11 +1,12 @@
-"""The instrumented service-runtime layer.
+"""The RPC layer.
 
-Sits between the network transport and the protocol daemons: every
-component issues RPCs and registers handlers through a per-node
-:class:`ServiceRuntime` instead of the raw endpoint, gaining a uniform
-timeout/retry policy (:class:`CallPolicy`, carrying the paper's
-Figure-13 5 s deadline), per-service metrics (:class:`MetricsRegistry`),
-and trace spans over virtual time (:class:`Tracer`).
+Sits between the network fabric and the protocol daemons: every
+component issues RPCs and registers handlers through its node's one
+:class:`ServiceRuntime`, which dispatches the host's messages and gives
+every call a uniform timeout/retry policy (:class:`CallPolicy`, carrying
+the paper's Figure-13 5 s deadline), per-service metrics
+(:class:`MetricsRegistry`), and trace spans over virtual time
+(:class:`Tracer`).
 
 See ``docs/runtime.md`` for the architecture walkthrough.
 """

@@ -2,9 +2,9 @@
 
 The paper gives exactly one RPC deadline — Figure 13's 5 seconds, after
 which "requests issued to the failed node are all timed out".  That
-number lives in one place (:data:`RPC_DEADLINE`, aliased from the
-transport) and flows to every component through a :class:`CallPolicy`
-instead of being re-spelled per call site.
+number lives in one place (:data:`RPC_DEADLINE`) and flows to every
+component through a :class:`CallPolicy` instead of being re-spelled per
+call site.
 
 Retries default to *off* (``attempts=1``): Sorrento's protocols handle
 failure above the RPC layer (probe fallback, namespace failover,
@@ -14,12 +14,12 @@ Components that do want them opt in per call or per runtime.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
-from repro.network.transport import DEFAULT_RPC_TIMEOUT
-
-#: The paper's Figure-13 RPC deadline (seconds).
-RPC_DEADLINE = DEFAULT_RPC_TIMEOUT
+#: The paper's Figure-13 RPC deadline (seconds): failed-node requests
+#: surface as timeouts at this horizon ("requests issued to the failed
+#: node are all timed out").
+RPC_DEADLINE = 5.0
 
 
 @dataclass(frozen=True)
@@ -42,10 +42,6 @@ class CallPolicy:
     def delay_before_retry(self, failed_attempts: int) -> float:
         """Backoff after ``failed_attempts`` tries have failed (>= 1)."""
         return self.backoff * self.backoff_factor ** (failed_attempts - 1)
-
-    def with_timeout(self, timeout: float) -> "CallPolicy":
-        """This policy with a different per-attempt deadline."""
-        return replace(self, timeout=timeout)
 
 
 #: The stock policy: Figure-13 deadline, no retries.

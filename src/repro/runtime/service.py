@@ -1,62 +1,94 @@
-"""ServiceRuntime: the one façade every daemon uses to talk RPC.
+"""ServiceRuntime: a node's one RPC object.
 
-One runtime wraps one :class:`~repro.network.transport.Endpoint` (one
-per node) and is the only sanctioned way to issue ``call``/``send``/
-``multicast`` or to register handlers — enforced by an architecture
-test.  It adds, without changing wire behaviour:
+Every daemon issues ``call``/``send``/``multicast`` and registers its
+handlers here; the runtime owns the host's message dispatcher
+(``host.deliver``), the service table and the answer slots of the calls
+in flight.  RPCs are used from inside sim processes with ``yield from``::
 
-* a default :class:`~repro.runtime.policy.CallPolicy` (the Figure-13
-  deadline) so call sites stop re-spelling timeouts;
-* on the client side, one generator per call that carries the whole
-  invocation — ``rtts`` pings, the request, per-attempt timeouts and
-  retries — and records one scope-``"client"`` observation and one
-  ``rpc:<service>`` span for it, however many attempts it took;
-* handler instrumentation on the server side (per-service handler time
-  and response bytes, recorded under scope ``"server"``);
-* idempotent re-registration via ``register(..., replace=True)`` for
-  daemons that restart on a surviving node.
+    resp = yield from runtime.call("node3", "read_segment", req, size=64)
 
-Registry/tracer/policy are late-bound through :meth:`configure`:
-deployments wire them after nodes (and their daemons) exist.
+``rtts`` charges extra small round-trips before the request proper — this is
+how the paper's observation that "it takes two TCP roundtrips to open a file
+and three to close" is modelled without a full TCP state machine.
+
+One generator carries each call — pings, the request, per-attempt
+deadlines from the :class:`~repro.runtime.policy.CallPolicy` (the
+Figure-13 deadline unless overridden, so call sites stop re-spelling
+timeouts), retries — and one carries each handled request; each records
+one observation, scope ``"client"`` / ``"server"``, and a call one
+``rpc:<service>`` span.  Registry/tracer/policy are late-bound through
+:meth:`configure`: deployments wire them after nodes (and their daemons)
+exist.
+
+Hot-path discipline: messages come from the module free-list (the fabric
+releases them after the last delivery); the thing in ``_pending`` is one
+``sim.reply``, answer slot and deadline in one; a handler's generator
+starts inside the delivery that carried the request and never sees the
+Message object, so the envelope is recycled when the delivery returns.
 """
 
 from __future__ import annotations
 
+import itertools
+from collections import deque
 from types import GeneratorType
-from typing import Any, Generator, Optional
+from typing import Any, Callable, Dict, Generator, Optional, Set, Tuple, Union
 
-from repro.network.message import RpcRemoteError, RpcTimeout
-from repro.network.transport import Endpoint, Handler, _split_result
+from repro.network.message import (
+    MULTICAST,
+    RpcRemoteError,
+    RpcTimeout,
+    acquire_message,
+)
+from repro.network.switch import Fabric, Host
 from repro.runtime.metrics import CLIENT, SERVER, MetricsRegistry
 from repro.runtime.policy import DEFAULT_POLICY, CallPolicy
 from repro.runtime.trace import Tracer
+from repro.sim import Simulator
+
+#: Size of a ping/ack exchange used to charge extra round-trips.
+PING_BYTES = 64
+
+HandlerResult = Union[None, Any, Tuple[Any, int]]
+Handler = Callable[[Any, str], Union[HandlerResult, Generator]]
+
+_req_ids = itertools.count(1)
+
+#: How many recent (src, req_id) pairs each runtime remembers.  The
+#: window only needs to outlast one round-trip; duplicates injected by a
+#: degraded link (repro.faults LinkDegrade) arrive within microseconds
+#: of the original.
+_DEDUP_WINDOW = 512
 
 _UNSET = object()
 
 
 class ServiceRuntime:
-    """Instrumented service layer over one node's endpoint."""
+    """Per-host message dispatcher with named, instrumented RPC services."""
 
-    def __init__(self, endpoint: Endpoint,
+    def __init__(self, sim: Simulator, fabric: Fabric, host: Host,
                  registry: Optional[MetricsRegistry] = None,
                  tracer: Optional[Tracer] = None,
                  policy: CallPolicy = DEFAULT_POLICY):
-        self.endpoint = endpoint
-        self.sim = endpoint.sim
+        self.sim = sim
+        self.fabric = fabric
+        self.host = host
+        self.hostid = host.hostid
         self.registry = registry
         self.tracer = tracer
         self.policy = policy
+        self.handlers: Dict[str, Handler] = {}
+        self._proc_names: Dict[str, str] = {}
+        self._pending: Dict[int, Any] = {}
+        # At-most-once request execution: a degraded link may deliver the
+        # same envelope twice, but handlers have side effects, so recent
+        # (src, req_id) pairs are remembered and repeats are ignored.
+        # (Duplicate responses are already safe: _pending.pop dedups.)
+        self._recent_reqs: deque = deque()
+        self._recent_set: Set[Tuple[str, int]] = set()
+        host.deliver = self._on_message
 
     # ------------------------------------------------------------- wiring
-    @property
-    def hostid(self) -> str:
-        return self.endpoint.hostid
-
-    @property
-    def handlers(self):
-        """The endpoint's live service table (read-only use)."""
-        return self.endpoint.handlers
-
     def configure(self, registry=_UNSET, tracer=_UNSET, policy=_UNSET) -> "ServiceRuntime":
         """Re-wire observability/policy; omitted fields keep their value."""
         if registry is not _UNSET:
@@ -66,6 +98,32 @@ class ServiceRuntime:
         if policy is not _UNSET:
             self.policy = policy
         return self
+
+    def register(self, service: str, handler: Handler,
+                 replace: bool = False) -> None:
+        """Install an RPC/oneway handler under a service name.
+
+        ``replace=True`` makes re-registration idempotent (a daemon
+        restarting on a surviving node); the default keeps accidental
+        collisions loud.
+        """
+        if not replace and service in self.handlers:
+            raise ValueError(f"service {service!r} already registered")
+        self.handlers[service] = handler
+        self._proc_names[service] = "handle:" + service
+
+    def unregister(self, service: str) -> None:
+        """Remove a handler (no-op if absent)."""
+        self.handlers.pop(service, None)
+        self._proc_names.pop(service, None)
+
+    def subscribe(self, group: str) -> None:
+        """Join a multicast group."""
+        self.fabric.subscribe(group, self.hostid)
+
+    def unsubscribe(self, group: str) -> None:
+        """Leave a multicast group."""
+        self.fabric.unsubscribe(group, self.hostid)
 
     # -------------------------------------------------------- client side
     def call(self, dst: str, service: str, payload: Any = None,
@@ -82,26 +140,40 @@ class ServiceRuntime:
         per-attempt deadline only; ``policy`` overrides the whole
         retry/timeout behaviour for this call.
 
-        However many attempts it takes, the invocation is one OpStats
-        observation (latency is what the caller felt) and one
-        ``rpc:<service>`` span carrying a ``retries`` attribute.
+        Raises :class:`RpcTimeout` if the last attempt gets no answer
+        and :class:`RpcRemoteError` if the handler raised.  However many
+        attempts it takes, the invocation is one OpStats observation
+        (latency is what the caller felt) and one ``rpc:<service>`` span
+        carrying a ``retries`` attribute.
         """
         policy = policy or self.policy
         if timeout is None:
             timeout = policy.timeout
-        sim, endpoint, tracer = self.sim, self.endpoint, self.tracer
+        sim, tracer, pending = self.sim, self.tracer, self._pending
+        src, send = self.hostid, self.fabric.send
         t0 = sim.now
         span = None if tracer is None else tracer.start("rpc:" + service, dst=dst)
         attempt, left = 1, rtts
         try:
             while True:
-                req_id, reply = endpoint.post(dst, service, payload, size,
-                                              timeout, ping=left > 1)
+                # One exchange — a ping, or the request proper — is one
+                # answer slot and one message on the wire.  ``reply``
+                # resumes us with ``(kind, payload)``, or with ``None``
+                # after ``timeout`` seconds.
+                req_id = next(_req_ids)
+                reply = pending[req_id] = sim.reply(timeout)
+                if left > 1:
+                    send(acquire_message(src, dst, "ping", None,
+                                         PING_BYTES, req_id=req_id))
+                else:
+                    send(acquire_message(src, dst, "req", (service, payload),
+                                         size, req_id=req_id))
                 answer = yield reply
                 if answer is None:
-                    endpoint.abandon(req_id)
                     if attempt >= policy.attempts:
                         raise RpcTimeout(dst, service, timeout)
+                    # Given up on: a late response finds nobody.
+                    pending.pop(req_id, None)
                     delay = policy.delay_before_retry(attempt)
                     attempt, left = attempt + 1, rtts
                     if delay > 0:
@@ -113,6 +185,10 @@ class ServiceRuntime:
                 else:
                     break
         except Exception as exc:
+            # Whatever ended the call — the last time-out, or an
+            # Interrupt thrown into the waiting caller — nobody is left
+            # to answer; an answered slot was popped by the answer.
+            pending.pop(req_id, None)
             self._record_client(service, t0, size, attempt - 1, span, exc)
             raise
         self._record_client(service, t0, size, attempt - 1, span, None)
@@ -135,75 +211,120 @@ class ServiceRuntime:
 
     def send(self, dst: str, service: str, payload: Any = None,
              size: int = 0) -> None:
-        """Fire-and-forget one-way message (counted, never traced)."""
+        """Fire-and-forget one-way message to ``dst``'s ``service``
+        handler (counted, never traced)."""
         if self.registry is not None:
             self.registry.stats(CLIENT, service).observe_oneway(size)
-        self.endpoint.send(dst, service, payload, size=size)
+        self.fabric.send(
+            acquire_message(src=self.hostid, dst=dst, kind="oneway",
+                            payload=(service, payload), size=size)
+        )
 
     def multicast(self, group: str, service: str, payload: Any = None,
                   size: int = 0) -> None:
-        """One-way message to a multicast group."""
+        """One-way message to every subscriber of ``group`` (except self)."""
         if self.registry is not None:
             self.registry.stats(CLIENT, service).observe_oneway(size)
-        self.endpoint.multicast(group, service, payload, size=size)
-
-    def subscribe(self, group: str) -> None:
-        self.endpoint.subscribe(group)
-
-    def unsubscribe(self, group: str) -> None:
-        self.endpoint.unsubscribe(group)
+        self.fabric.send(
+            acquire_message(src=self.hostid, dst=MULTICAST, group=group,
+                            kind="oneway", payload=(service, payload), size=size)
+        )
 
     # -------------------------------------------------------- server side
-    def register(self, service: str, handler: Handler,
-                 replace: bool = False, instrument: bool = True) -> None:
-        """Install a handler, wrapped for server-side metrics.
+    def _on_message(self, msg) -> None:
+        # Everything needed past this frame is unpacked here; the fabric
+        # recycles ``msg`` as soon as delivery callbacks return.
+        if not self.host.alive:
+            return
+        kind = msg.kind
+        if kind == "resp" or kind == "err":
+            reply = self._pending.pop(msg.req_id, None)
+            if reply is not None:
+                reply.resolve((kind, msg.payload))
+        elif kind == "req":
+            key = (msg.src, msg.req_id)
+            if key in self._recent_set:
+                return  # duplicated in flight; the first copy answers
+            if len(self._recent_reqs) >= _DEDUP_WINDOW:
+                self._recent_set.discard(self._recent_reqs.popleft())
+            self._recent_reqs.append(key)
+            self._recent_set.add(key)
+            service, payload = msg.payload
+            handler = self.handlers.get(service)
+            if handler is None:
+                self._reply(msg.src, msg.req_id,
+                            "err", f"no such service {service!r}", 64)
+                return
+            self.sim.start(
+                self._serve(service, handler, payload, msg.src, msg.req_id),
+                name=self._proc_names[service])
+        elif kind == "oneway":
+            service, payload = msg.payload
+            handler = self.handlers.get(service)
+            if handler is not None:
+                # A sync handler has run when this delivery returns; only
+                # a generator one-way handler becomes a process.
+                t0 = self.sim.now
+                try:
+                    result = handler(payload, msg.src)
+                except Exception:
+                    self._record_server(service, t0, 0, ok=False)
+                    raise
+                if type(result) is GeneratorType:
+                    self.sim.start(self._finish_oneway(service, result, t0),
+                                   name=self._proc_names[service])
+                else:
+                    self._record_server(service, t0, _split_result(result)[1],
+                                        ok=True)
+        elif kind == "ping":
+            self._reply(msg.src, msg.req_id, "resp", None, PING_BYTES)
 
-        ``replace=True`` makes re-registration idempotent (restarted
-        daemons); the default still fails loudly on accidental collision.
-        """
-        if instrument:
-            handler = self._instrumented(service, handler)
-        self.endpoint.register(service, handler, replace=replace)
-
-    def unregister(self, service: str) -> None:
-        self.endpoint.unregister(service)
-
-    def _instrumented(self, service: str, handler: Handler) -> Handler:
-        """Wrap a handler to record scope-"server" stats at call time.
-
-        The wrapper preserves the sync/generator duality the endpoint's
-        one-way path relies on (sync handlers must stay sync), and reads
-        ``self.registry`` late so deployments can attach it after the
-        daemons registered their services.
-        """
-
-        def wrapped(payload: Any, src: str):
-            t0 = self.sim.now
-            try:
-                result = handler(payload, src)
-            except Exception:
-                self._record_server(service, t0, None, ok=False)
-                raise
+    def _serve(self, service: str, handler: Handler, payload: Any,
+               src: str, req_id: int):
+        """Generator: one handled request — run the handler (delegating
+        to it if it is a generator), observe it, answer.  ``registry`` is
+        read when the handler finishes, so deployments may attach it
+        after the daemons registered."""
+        t0 = self.sim.now
+        try:
+            result = handler(payload, src)
             if type(result) is GeneratorType:
-                return self._drive(service, result, t0)
-            self._record_server(service, t0, result, ok=True)
-            return result
+                result = yield from result
+        except Exception as exc:  # noqa: BLE001 - shipped back to the caller
+            self._record_server(service, t0, 0, ok=False)
+            self._reply(src, req_id, "err", f"{type(exc).__name__}: {exc}", 64)
+            return
+        resp_payload, resp_size = _split_result(result)
+        self._record_server(service, t0, resp_size, ok=True)
+        self._reply(src, req_id, "resp", resp_payload, resp_size)
 
-        return wrapped
-
-    def _drive(self, service: str, gen: Generator, t0: float):
+    def _finish_oneway(self, service: str, gen: Generator, t0: float):
         try:
             result = yield from gen
         except Exception:
-            self._record_server(service, t0, None, ok=False)
+            self._record_server(service, t0, 0, ok=False)
             raise
-        self._record_server(service, t0, result, ok=True)
-        return result
+        self._record_server(service, t0, _split_result(result)[1], ok=True)
 
-    def _record_server(self, service: str, t0: float, result: Any,
+    def _record_server(self, service: str, t0: float, nbytes: int,
                        ok: bool) -> None:
-        if self.registry is None:
+        if self.registry is not None:
+            self.registry.stats(SERVER, service).observe(
+                self.sim.now - t0, ok=ok, bytes_in=nbytes)
+
+    def _reply(self, dst: str, req_id: int, kind: str, payload: Any, size: int) -> None:
+        if not self.host.alive:
             return
-        nbytes = _split_result(result)[1] if ok else 0
-        self.registry.stats(SERVER, service).observe(
-            self.sim.now - t0, ok=ok, bytes_in=nbytes)
+        self.fabric.send(
+            acquire_message(src=self.hostid, dst=dst, kind=kind,
+                            payload=payload, size=size, req_id=req_id)
+        )
+
+
+def _split_result(result: HandlerResult) -> Tuple[Any, int]:
+    """Handlers may return None, a payload, or ``(payload, size_bytes)``."""
+    if result is None:
+        return None, 32
+    if isinstance(result, tuple) and len(result) == 2 and isinstance(result[1], int):
+        return result
+    return result, 64

@@ -7,8 +7,8 @@ units of work (a commit, a migration round).  Parenthood follows the
 exposes :attr:`Simulator.active_process` for exactly this — so nested
 ``yield from`` calls inside one process chain up naturally.
 
-Handlers execute in their own sim process — the transport starts the
-handler's generator inside the delivery event that carried the request
+Handlers execute in their own sim process — the runtime starts the
+request's generator inside the delivery event that carried the request
 (``Simulator.start``), but as a :class:`~repro.sim.Process` of its own,
 which is ``active_process`` whenever the handler runs — so a server-side
 span is a root unless linked explicitly (pass ``parent=``).  The same

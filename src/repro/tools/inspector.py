@@ -201,8 +201,7 @@ class ClusterInspector:
         "cache" scope holds the same numbers when a registry is wired).
         """
         keys = ("loc_hits", "loc_misses", "loc_stale",
-                "entry_hits", "entry_misses", "meta_hits", "meta_misses",
-                "vec_rpcs", "vec_pieces")
+                "meta_hits", "meta_misses", "vec_rpcs", "vec_pieces")
         totals = dict.fromkeys(keys, 0)
         for client in getattr(self.dep, "clients", []):
             stats = getattr(client, "stats", None)

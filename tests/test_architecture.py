@@ -4,6 +4,7 @@ paper's Figure 2 component layering (and stay acyclic)."""
 import ast
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -121,31 +122,25 @@ def test_kernel_primitives_stay_behind_the_sim_facade():
     )
 
 
-def test_only_the_runtime_layer_touches_the_raw_endpoint():
-    """Every RPC goes through ServiceRuntime: outside ``repro/runtime/``
-    (and the transport package itself), nothing may invoke
-    ``<...>.endpoint.call/send/multicast/register`` directly."""
-    rpc_methods = {"call", "send", "multicast", "register", "unregister"}
-    offenders = []
+def test_one_dispatcher():
+    """A node has one RPC object: ``ServiceRuntime`` is the only thing
+    that installs itself as a host's message dispatcher, the network
+    package stays below it, and nothing resurrects the transport module
+    or its ``Endpoint`` class beside it."""
+    installers, mentions = [], []
     for path in SRC.rglob("*.py"):
-        pkg = path.relative_to(SRC).parts[0]
-        if pkg in ("runtime", "network"):
-            continue
-        mod = ".".join(path.relative_to(SRC.parent).with_suffix("").parts)
-        tree = ast.parse(path.read_text())
-        for node in ast.walk(tree):
-            if not (isinstance(node, ast.Call)
-                    and isinstance(node.func, ast.Attribute)
-                    and node.func.attr in rpc_methods):
-                continue
-            target = node.func.value  # the object the method is called on
-            if (isinstance(target, ast.Name) and target.id == "endpoint") \
-                    or (isinstance(target, ast.Attribute)
-                        and target.attr == "endpoint"):
-                offenders.append(f"{mod}:{node.lineno}")
-    assert offenders == [], (
-        "raw Endpoint RPC calls outside repro/runtime/: " + ", ".join(offenders)
-    )
+        rel = path.relative_to(SRC).as_posix()
+        text = path.read_text()
+        if re.search(r"\.deliver\s*=[^=]", text):
+            installers.append(rel)
+        if re.search(r"\bEndpoint\(|network\.transport", text):
+            mentions.append(rel)
+    assert installers == ["runtime/service.py"]
+    assert mentions == []
+    assert not (SRC / "network" / "transport.py").exists()
+    for src, dst in import_graph().edges:
+        if package_of(src) == "network":
+            assert package_of(dst) != "runtime", (src, dst)
 
 
 def test_scalar_segment_rpcs_only_in_fallback_paths():

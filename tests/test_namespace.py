@@ -21,7 +21,7 @@ def build(commit_ttl=5.0):
 
 def call(sim, node, service, payload):
     def gen():
-        result = yield from node.endpoint.call("s00", service, payload)
+        result = yield from node.runtime.call("s00", service, payload)
         return result
 
     return sim.run_process(sim.process(gen()))
@@ -204,12 +204,12 @@ def test_throughput_is_bounded_by_cpu():
 
     def hammer(n):
         for i in range(n):
-            yield from a.endpoint.call("s00", "ns_lookup", "/missing" if False else "/", size=64)
+            yield from a.runtime.call("s00", "ns_lookup", "/missing" if False else "/", size=64)
 
     # Use mkdir ops (mutations) on distinct paths for a realistic mix.
     def workload():
         for i in range(200):
-            yield from a.endpoint.call("s00", "ns_mkdir", f"/d{i}", size=64)
+            yield from a.runtime.call("s00", "ns_mkdir", f"/d{i}", size=64)
 
     t0 = sim.now
     sim.run_process(sim.process(workload()))

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.network import (
-    Endpoint,
     Fabric,
     Message,
     RpcRemoteError,
@@ -11,6 +10,7 @@ from repro.network import (
 )
 from repro.network.message import HEADER_BYTES
 from repro.network.switch import Host
+from repro.runtime import ServiceRuntime
 from repro.sim import Simulator
 
 
@@ -21,7 +21,7 @@ def make_net(n=3, rate=12.5e6, latency=80e-6):
     for i in range(n):
         host = Host(sim, f"n{i}", rate=rate)
         fabric.attach(host)
-        eps[f"n{i}"] = Endpoint(sim, fabric, host)
+        eps[f"n{i}"] = ServiceRuntime(sim, fabric, host)
     return sim, fabric, eps
 
 

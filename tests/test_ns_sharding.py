@@ -314,59 +314,6 @@ def test_stale_client_root_listing_sees_entries_on_new_shards():
     assert new_host in client.router.shards
 
 
-def test_entry_cache_keys_carry_the_epoch():
-    """Ring changes strand cached entries instead of serving them from
-    the wrong epoch (the path-only-key bug)."""
-    params = SorrentoParams(entry_cache_enabled=True)
-    spec = small_cluster(4, n_compute=2, capacity_per_node=8 << 30)
-    dep = SorrentoDeployment(
-        spec, SorrentoConfig(params=params, seed=3, namespace_shards=2))
-    dep.warm_up()
-    client = dep.client_on("c00")
-
-    def setup():
-        for i in range(12):
-            yield from client.mkdir(f"/ec{i}")
-            fh = yield from client.open(f"/ec{i}/f", "w", create=True)
-            yield from client.write(fh, 0, 4096)
-            yield from client.close(fh)
-            fh = yield from client.open(f"/ec{i}/f", "r")
-            yield from client.close(fh)
-
-    dep.run(setup())
-    owners_before = {i: client.router.shard_for(f"/ec{i}")
-                     for i in range(12)}
-    new_host = dep.provider_names[2]
-    dep.add_namespace_shard(new_host)
-    # A dir the split moved: its cached entry must not be served.
-    moved = next(i for i in range(12)
-                 if dep.ns_shard_map.owner_of(f"/ec{i}")
-                 != owners_before[i])
-    key_before = client._entry_key(f"/ec{moved}/f")
-    assert client.entry_cache.get(key_before, dep.sim.now) is not None
-
-    # An uncached op hits the old owner, gets redirected, and teaches
-    # the router the new epoch...
-    dep.run(client.stat(f"/ec{moved}/f"))
-    assert client.stats["ns_redirects"] >= 1
-    assert client.router.epoch == 2
-    # ...which strands every entry cached under the old epoch: the key
-    # changed, so the next read-open misses and refetches instead of
-    # serving a pre-split mapping.
-    key_after = client._entry_key(f"/ec{moved}/f")
-    assert key_after != key_before
-    assert client.entry_cache.get(key_after, dep.sim.now) is None
-    misses_before = client.stats["entry_misses"]
-
-    def reopen():
-        fh = yield from client.open(f"/ec{moved}/f", "r")
-        yield from client.close(fh)
-
-    dep.run(reopen())
-    assert client.stats["entry_misses"] == misses_before + 1
-    assert client.entry_cache.get(key_after, dep.sim.now) is not None
-
-
 # --------------------------------------------------- cross-shard 2PC ops
 def _owned_dirs(dep, n=40):
     """Two top-level dirs owned by different shards."""

@@ -169,7 +169,7 @@ def test_over_replication_trimmed_eventually():
 
     def inject():
         owner = holders(dep, segid)[0]
-        yield from dep.providers[spare].node.endpoint.call(
+        yield from dep.providers[spare].node.runtime.call(
             spare, "seg_replicate",
             {"segid": segid, "version": 2 if False else 1, "from": owner},
             size=48)
@@ -196,6 +196,38 @@ def test_provider_restart_rebuilds_location_table():
     dep.sim.run(until=dep.sim.now + 30)
     assert dep.providers[victim].node.alive
     assert victim in dep.providers[dep.ns_host].membership.live_providers()
+
+
+def test_no_answer_slot_survives_a_provider_crash_and_restart():
+    """A daemon loop waiting in a call when its node crashes is
+    interrupted; the answer it was waiting for must not sit in the
+    restarted provider's runtime for the rest of the run."""
+    from repro.sim import Interrupt
+
+    dep = deploy()
+    victim, other = [h for h in sorted(dep.providers) if h != dep.ns_host][:2]
+    node = dep.providers[victim].node
+
+    def stall(payload, src):
+        yield dep.sim.timeout(2.0)
+
+    dep.providers[other].node.runtime.register("stall", stall)
+
+    def daemon():
+        try:
+            yield from node.runtime.call(other, "stall")
+        except Interrupt:
+            pass
+
+    node.spawn(daemon(), name="stalled")
+    dep.sim.run(until=dep.sim.now + 1)
+    waiting = set(node.runtime._pending)
+    assert waiting
+    dep.crash_provider(victim)
+    dep.sim.run(until=dep.sim.now + 15)
+    dep.restart_provider(victim)
+    dep.sim.run(until=dep.sim.now + 30)
+    assert waiting.isdisjoint(node.runtime._pending)
 
 
 def test_crashed_provider_leaves_membership_everywhere():

@@ -10,7 +10,7 @@ paths show up in the deployment registry.
 
 import pytest
 
-from repro.network import Endpoint, Fabric, RpcRemoteError, RpcTimeout
+from repro.network import Fabric, RpcRemoteError, RpcTimeout
 from repro.network.switch import Host
 from repro.runtime import (
     CACHE,
@@ -31,7 +31,7 @@ def make_runtimes(n=3, rate=12.5e6, latency=80e-6):
     for i in range(n):
         host = Host(sim, f"n{i}", rate=rate)
         fabric.attach(host)
-        rts[f"n{i}"] = ServiceRuntime(Endpoint(sim, fabric, host))
+        rts[f"n{i}"] = ServiceRuntime(sim, fabric, host)
     return sim, fabric, rts
 
 
@@ -73,6 +73,8 @@ def test_one_observation_and_one_span_cover_pings_and_retries():
 
 
 def test_interrupted_call_closes_its_span_but_is_not_an_rpc_outcome():
+    """...and releases its answer slot: every daemon loop on
+    ``Node.crash()`` ends this way, and nobody is left to answer."""
     sim, fabric, rts = make_runtimes()
     registry, tracer = MetricsRegistry(), Tracer(sim)
     rts["n0"].configure(registry=registry, tracer=tracer)
@@ -94,6 +96,8 @@ def test_interrupted_call_closes_its_span_but_is_not_an_rpc_outcome():
     (span,) = tracer.spans("rpc:echo")
     assert span.status == "Interrupt"
     assert registry.get(CLIENT, "echo") is None
+    sim.run(until=20.0)
+    assert rts["n0"]._pending == {}
 
 
 def test_stock_stack_order_metrics_outside_retry():

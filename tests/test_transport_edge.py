@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro.network import Endpoint, Fabric, RpcTimeout
+from repro.network import Fabric, RpcTimeout
 from repro.network.switch import Host
+from repro.runtime import ServiceRuntime
 from repro.sim import Simulator
 
 
@@ -14,7 +15,7 @@ def make_net(n=2):
     for i in range(n):
         host = Host(sim, f"n{i}")
         fabric.attach(host)
-        eps[f"n{i}"] = Endpoint(sim, fabric, host)
+        eps[f"n{i}"] = ServiceRuntime(sim, fabric, host)
     return sim, fabric, eps
 
 
@@ -206,6 +207,46 @@ def test_request_handler_runs_in_its_own_process_started_at_delivery():
     # Same event count inside the handler's first segment as in the
     # delivery that started it, and no process is active afterwards.
     assert delivered == ("delivered", "req", start[1], None)
+
+
+def test_a_handled_request_is_one_generator_deep():
+    """The request's process delegates straight to a generator handler
+    (nothing re-entered per resume in between), and a sync handler is
+    called from the process's own frame."""
+    import sys
+
+    sim, fabric, eps = make_net()
+    seen = {}
+
+    def body(payload):
+        seen["proc"] = sim.active_process
+        yield sim.timeout(0.25)
+        return (payload, 8)
+
+    def gen_handler(payload, src):
+        seen["gen"] = body(payload)
+        return seen["gen"]
+
+    def sync_handler(payload, src):
+        seen["sync"] = sys._getframe(1) is sim.active_process._gen.gi_frame
+        return (payload, 8)
+
+    eps["n1"].register("gen", gen_handler)
+    eps["n1"].register("sync", sync_handler)
+
+    def probe():
+        yield sim.timeout(0.125)            # the handler is mid-wait
+        return seen["proc"]._gen.gi_yieldfrom is seen["gen"]
+
+    def client():
+        a = yield from eps["n0"].call("n1", "gen", "a")
+        b = yield from eps["n0"].call("n1", "sync", "b")
+        return a, b
+
+    direct = sim.process(probe())
+    assert sim.run_process(sim.process(client())) == ("a", "b")
+    assert direct.value is True
+    assert seen["sync"] is True
 
 
 def test_handler_that_raises_before_its_first_wait_answers_err():

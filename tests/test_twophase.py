@@ -3,8 +3,9 @@
 import pytest
 
 from repro.core.twophase import CommitAborted, two_phase_commit
-from repro.network import Endpoint, Fabric
+from repro.network import Fabric
 from repro.network.switch import Host
+from repro.runtime import ServiceRuntime
 from repro.sim import Simulator
 
 
@@ -15,7 +16,7 @@ class Participant:
         host = Host(sim, hostid)
         fabric.attach(host)
         self.host = host
-        self.ep = Endpoint(sim, fabric, host)
+        self.ep = ServiceRuntime(sim, fabric, host)
         self.vote = vote
         self.events = []
         self.ep.register("seg_prepare", self._prepare)
@@ -40,7 +41,7 @@ def build(votes):
     fabric = Fabric(sim)
     coord_host = Host(sim, "coord")
     fabric.attach(coord_host)
-    coord = Endpoint(sim, fabric, coord_host)
+    coord = ServiceRuntime(sim, fabric, coord_host)
     parts = [Participant(sim, fabric, f"p{i}", vote=v)
              for i, v in enumerate(votes)]
     return sim, coord, parts
