@@ -26,11 +26,9 @@ HEARTBEAT_BYTES = 96
 
 @dataclass(frozen=True, slots=True)
 class ProviderInfo:
-    """Soft state about one live storage provider.
-
-    Frozen: the manager replaces whole records on heartbeat instead of
-    mutating, which is what lets :meth:`MembershipManager.snapshot` be a
-    plain dict copy on the hot placement path."""
+    """Soft state about one live storage provider, as it announced
+    itself.  Frozen: one record per announcement is shared by every
+    node's view (and every :meth:`MembershipManager.snapshot`)."""
 
     hostid: str
     load: float = 0.0             # combined CPU + I/O-wait load, [0, 1]
@@ -38,7 +36,7 @@ class ProviderInfo:
     available: int = 0            # free bytes
     utilization: float = 0.0      # consumed-space fraction
     rack: str = ""                # failure domain (rack-aware placement)
-    last_seen: float = 0.0
+    last_seen: float = 0.0        # when the provider announced this
 
 
 class MembershipManager:
@@ -46,10 +44,8 @@ class MembershipManager:
 
     Scale-mindful internals:
 
-    * Death checks use an *expiry wheel*: hosts are bucketed by the
-      heartbeat tick ``int(last_seen / interval)``, and each check pass
-      drains only the buckets whose tick can contain an expired host —
-      O(expired) per pass instead of scanning every member.
+    * When each member was last *heard* is a flat ``{hostid: instant}``
+      in member order: a death check is one ``min()``, a scan on expiry.
     * ``snapshot()`` and ``live_providers()`` are generation-cached:
       the hot placement path stops copying the full member dict per
       call.  The returned objects are *shared and read-only* (the
@@ -65,10 +61,8 @@ class MembershipManager:
         self.on_join: List[Callable[[str], None]] = []
         self.on_leave: List[Callable[[str], None]] = []
         self.announce = announce
-        # Expiry wheel: tick → set of hosts whose last_seen falls in it.
-        self._wheel: Dict[int, set] = {}
-        self._tick: Dict[str, int] = {}
-        self._min_tick = 0
+        # hostid → when this node last heard it; ``members``' keys and order.
+        self._seen: Dict[str, float] = {}
         # Generation counters: _gen bumps on any member change, _key_gen
         # only when the *set* of hosts changes (join/death).
         self._gen = 0
@@ -79,7 +73,7 @@ class MembershipManager:
         self._live_gen = -1
         self.rpc = node.runtime
         self.rpc.subscribe(HEARTBEAT_GROUP)
-        self.rpc.register("heartbeat", self._on_heartbeat)
+        self.rpc.register("heartbeat", self._observe)
         self.start()
 
     def start(self) -> None:
@@ -95,9 +89,7 @@ class MembershipManager:
         state and rebuilds from heartbeats).  Fires no leave callbacks —
         a restart is not a death verdict on everyone else."""
         self.members.clear()
-        self._wheel.clear()
-        self._tick.clear()
-        self._min_tick = int(self.sim.now / self.interval)
+        self._seen.clear()
         self._gen += 1
         self._key_gen += 1
 
@@ -116,13 +108,18 @@ class MembershipManager:
     def info(self, hostid: str) -> Optional[ProviderInfo]:
         return self.members.get(hostid)
 
+    def last_heard(self, hostid: str) -> Optional[float]:
+        """When this node last received ``hostid``'s heartbeat (the
+        death check's clock), or None for a non-member."""
+        return self._seen.get(hostid)
+
     def snapshot(self) -> Dict[str, ProviderInfo]:
         """A stable view of the current membership — cached per
         generation, rebuilt only after a membership mutation.
 
-        The values are immutable (``_observe``/``_on_heartbeat`` always
-        install *new* frozen ``ProviderInfo`` objects) and no caller
-        mutates the dict, so one shared object serves every placement
+        The values are immutable (the senders' own frozen records,
+        shared by every view) and no caller mutates the dict — a
+        per-generation copy — so one object serves every placement
         decision between heartbeats."""
         if self._snap_gen != self._gen:
             self._snap = dict(self.members)
@@ -154,32 +151,13 @@ class MembershipManager:
             yield self.sim.timeout(self.interval)
 
     # -- reception ----------------------------------------------------------
-    def _on_heartbeat(self, info: ProviderInfo, src: str) -> None:
-        # Build the stamped copy directly: dataclasses.replace() costs a
-        # field-introspection round per heartbeat and this path runs
-        # providers x interval times per simulated second.
-        arrived = ProviderInfo(info.hostid, info.load, info.io_wait,
-                               info.available, info.utilization, info.rack,
-                               self.sim.now)
-        self._observe(arrived)
-
-    def _observe(self, info: ProviderInfo) -> None:
+    def _observe(self, info: ProviderInfo, src: str = "") -> None:
+        # The heartbeat handler: the sender's record as is, stamped here.
         hostid = info.hostid
         is_new = hostid not in self.members
         self.members[hostid] = info
+        self._seen[hostid] = self.sim.now
         self._gen += 1
-        # Re-bucket on the expiry wheel.
-        tick = int(info.last_seen / self.interval)
-        old = self._tick.get(hostid)
-        if old != tick:
-            if old is not None:
-                bucket = self._wheel.get(old)
-                if bucket is not None:
-                    bucket.discard(hostid)
-                    if not bucket:
-                        del self._wheel[old]
-            self._wheel.setdefault(tick, set()).add(hostid)
-            self._tick[hostid] = tick
         if is_new:
             self._key_gen += 1
             for cb in list(self.on_join):
@@ -189,37 +167,15 @@ class MembershipManager:
         while True:
             yield self.sim.timeout(self.interval)
             deadline = self.sim.now - DEATH_FACTOR * self.interval
-            # Only buckets up to the deadline's tick can hold an expired
-            # host; the boundary bucket needs the exact float compare
-            # (its hosts may sit either side of the deadline).
-            limit = int(deadline / self.interval)
-            if limit < self._min_tick:
+            seen = self._seen
+            if not seen or min(seen.values()) >= deadline:
                 continue
-            dead_set = set()
-            for t in range(self._min_tick, limit + 1):
-                bucket = self._wheel.get(t)
-                if not bucket:
-                    self._wheel.pop(t, None)
-                    continue
-                expired = [h for h in bucket
-                           if self.members[h].last_seen < deadline]
-                for h in expired:
-                    bucket.discard(h)
-                    del self._tick[h]
-                    dead_set.add(h)
-                if not bucket:
-                    del self._wheel[t]
-            # Advance past fully drained ticks (the boundary bucket may
-            # legitimately keep fresh-enough hosts).
-            self._min_tick = limit if limit in self._wheel else limit + 1
-            if not dead_set:
-                continue
-            # Deaths fire in member-insertion order — the order the old
-            # full scan produced; replay goldens depend on it.
-            dead = [h for h in self.members if h in dead_set]
+            # In member order: replay goldens depend on how deaths fire.
+            dead = [h for h, t in seen.items() if t < deadline]
             self._gen += 1
             self._key_gen += 1
             for hostid in dead:
                 del self.members[hostid]
+                del seen[hostid]
                 for cb in list(self.on_leave):
                     cb(hostid)

@@ -13,7 +13,7 @@ troughs) — then reports how fast the simulation itself runs
 rate).
 
 These numbers are the regression surface for the scale-out state
-refactor: incremental hash ring, indexed segment store, expiry-wheel
+refactor: incremental hash ring, indexed segment store, generation-cached
 membership, and owner-indexed location tables.  Before that refactor, a
 1000-provider point did not finish in CI-feasible time.
 

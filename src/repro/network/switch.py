@@ -6,9 +6,10 @@ links (NICs) and a fixed per-hop propagation/switching latency are
 modelled.  Multicast groups deliver a copy to every subscribed live host
 (charging each receiver's rx link).
 
-Delivery is one kernel event per copy: ``sim.call_later`` dispatches
-straight into :meth:`Fabric._deliver_copy` at the arrival instant — no
-per-delivery process, closure or callback list.  The fabric owns the
+Delivery is one kernel dispatch per copy, straight into
+:meth:`Fabric._deliver_copy` at the arrival instant, and one heap entry
+per send: ``sim.call_later`` for one destination, one ``sim.call_fanout``
+train per distinct arrival instant for several.  The fabric owns the
 message envelope after ``send`` and returns it to the
 :mod:`repro.network.message` free-list once the last copy has been
 handed to (or dropped by) its receiver.
@@ -150,11 +151,6 @@ class Fabric:
             raise ValueError(f"duplicate hostid {host.hostid!r}")
         self.hosts[host.hostid] = host
 
-    def detach(self, hostid: str) -> None:
-        self.hosts.pop(hostid, None)
-        for members in self.groups.values():
-            members.pop(hostid, None)
-
     def subscribe(self, group: str, hostid: str) -> None:
         self.groups.setdefault(group, {})[hostid] = None
 
@@ -202,6 +198,9 @@ class Fabric:
         tx_start, tx_done = src.nic.tx.reserve(msg.wire_size)
         copies = 0
         xcopies = None
+        # A multi-destination message rides one train per arrival
+        # instant: {instant: [(lane, dst)]}, copies in send order.
+        trains = {} if len(targets) > 1 else None
         for hostid in targets:
             # Partition: the copy leaves the sender's NIC and dies in the
             # switch — tx time is charged, the receiver sees nothing.
@@ -244,12 +243,22 @@ class Fabric:
                 _rx_start, rx_done = dst.nic.rx.reserve(
                     msg.wire_size, not_before=tx_start + self.latency + extra)
                 arrive = max(tx_done + self.latency + extra, rx_done)
-                sim.call_later(arrive - now, self._deliver_copy, dst, msg,
-                               lane=delivery_lane(msg.src, hostid))
+                lane = delivery_lane(msg.src, hostid)
+                if trains is None:
+                    sim.call_later(arrive - now, self._deliver_copy, dst, msg,
+                                   lane=lane)
+                else:
+                    # Keyed by the float ``call_later`` would have stored
+                    # (not always ``arrive``), so ties fall where they did.
+                    trains.setdefault(now + (arrive - now), []).append(
+                        (lane, dst))
                 copies += 1
         # Nothing fires before the next sim.step(), so the refcount is
         # safely published after the loop.
         msg._refs = copies
+        if trains:
+            for when, stops in trains.items():
+                sim.call_fanout(when, self._deliver_copy, stops, msg)
         if xcopies:
             # Transit copies the fields out synchronously; it never holds
             # the envelope, so releasing on copies == 0 below stays safe.

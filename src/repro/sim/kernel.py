@@ -12,11 +12,12 @@ on, so the per-event taxes are explicit):
   when popped, and compacted in bulk when tombstones outnumber the live
   heap;
 * bootstrap/interrupt kick events are pooled (:class:`_Kick`);
-* one message is one event: a wire delivery is a ``Callback``
-  (:meth:`Simulator.call_later`), an RPC's answer-or-deadline one
-  ``Reply`` (:meth:`Simulator.reply`), a handler's generator starts
-  inside its delivery (:meth:`Simulator.start`), and a process nobody
-  waits on finishes without scheduling anything;
+* one message is one heap entry: a wire delivery is a ``Callback``
+  (:meth:`Simulator.call_later`), a multicast's same-instant copies one
+  ``Fanout`` (:meth:`Simulator.call_fanout`, a dispatch per copy), an
+  RPC's answer-or-deadline one ``Reply`` (:meth:`Simulator.reply`), a
+  handler's generator starts inside its delivery (:meth:`Simulator.start`),
+  and a process nobody waits on finishes without scheduling anything;
 * every driver (``run``, ``run_until``, ``run_process``) is
   :meth:`Simulator.run_window`'s fused peek + pop + dispatch frame;
   :meth:`Simulator.step` is the one-event reference it is tested against;
@@ -44,6 +45,7 @@ from repro.sim.events import (
     Callback,
     Event,
     EventFailed,
+    Fanout,
     Interrupt,
     Reply,
     Timeout,
@@ -200,6 +202,24 @@ class Simulator:
         the same-instant arbitration lane — 0 for local work; deliveries
         pass their (src, dst) lane so ties resolve by content."""
         self._schedule(Callback(fn, a, b), delay, 1, lane)
+
+    def call_fanout(self, when: float, fn: Callable[[Any, Any], None],
+                    stops: Iterable[tuple], b: Any) -> None:
+        """Call ``fn(a, b)`` at the *absolute* instant ``when >= now``
+        once per ``(lane, a)`` in ``stops`` (≥ 1), through one heap entry.
+        Stops take ``seq`` in the order given, so every dispatch falls
+        where a ``call_later`` per stop, in that order, would put it."""
+        train = [(lane, seq, a) for seq, (lane, a)
+                 in enumerate(stops, self._seq + 1)]
+        self._seq += len(train)
+        train.sort(reverse=True)
+        lane, seq, _a = train[-1]
+        heapq.heappush(self._heap,
+                       (when, 1, lane, seq, Fanout(self, fn, train, b)))
+        n = self._npending + 1
+        self._npending = n
+        if n > self._peak_pending:
+            self._peak_pending = n
 
     def reply(self, deadline: float) -> Reply:
         """An answer slot that fires with ``None`` after ``deadline``

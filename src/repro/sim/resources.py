@@ -57,11 +57,6 @@ class Resource:
         if ev in self._waiters and ev.state is PENDING:
             self._waiters.remove(ev)
 
-    @property
-    def queue_length(self) -> int:
-        """Pending (unserved) requests."""
-        return len(self._waiters)
-
 
 class Store:
     """An unbounded FIFO queue of items; ``get`` blocks until one arrives."""
@@ -171,10 +166,6 @@ class BandwidthPipe:
         """Queue ``nbytes`` and return an event for its completion."""
         _start, done = self.reserve(nbytes)
         return self.sim.timeout(done - self.sim.now)
-
-    def busy_until(self) -> float:
-        """When the pipe's queued work drains."""
-        return max(self.sim.now, self._ready_at)
 
     @property
     def backlog_seconds(self) -> float:

@@ -169,13 +169,6 @@ class LocalFS:
             raise FileNotFoundError(name)
         return f.size
 
-    def allocated_of(self, name: str) -> int:
-        """Block-backed bytes (≤ logical size for sparse files)."""
-        f = self.files.get(name)
-        if f is None:
-            raise FileNotFoundError(name)
-        return f.allocated
-
     # -- data operations --------------------------------------------------
     def write(self, name: str, offset: int, nbytes: int, sequential: bool = False):
         """Write ``nbytes`` at ``offset``, growing the file if needed.

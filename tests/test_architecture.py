@@ -97,7 +97,8 @@ def test_kernel_primitives_stay_behind_the_sim_facade():
     through the Simulator facade (``sim.event/timeout/call_later/reply/
     all_of/any_of``).  Outside ``repro/sim/``, source must not import
     ``heapq`` or construct kernel primitives directly."""
-    ctors = {"Event", "Timeout", "Callback", "Reply", "AllOf", "AnyOf"}
+    ctors = {"Event", "Timeout", "Callback", "Fanout", "Reply", "AllOf",
+             "AnyOf"}
     offenders = []
     for path in SRC.rglob("*.py"):
         if path.relative_to(SRC).parts[0] == "sim":

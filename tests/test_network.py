@@ -1,5 +1,7 @@
 """Tests for the network substrate: fabric, NIC pipes, RPC, multicast."""
 
+import random
+
 import pytest
 
 from repro.network import (
@@ -7,9 +9,10 @@ from repro.network import (
     Message,
     RpcRemoteError,
     RpcTimeout,
+    switch,
 )
-from repro.network.message import HEADER_BYTES
-from repro.network.switch import Host
+from repro.network.message import HEADER_BYTES, MULTICAST
+from repro.network.switch import Host, LinkFault
 from repro.runtime import ServiceRuntime
 from repro.sim import Simulator
 
@@ -145,6 +148,82 @@ def test_multicast_reaches_subscribers_not_sender():
     eps["n0"].multicast("hb", "beat", None, size=64)
     sim.run()
     assert sorted(seen) == [("n1", "n0"), ("n2", "n0")]
+
+
+class _CountingRng(random.Random):
+    draws = 0
+
+    def random(self):
+        self.draws += 1
+        return super().random()
+
+
+def _faulted_multicasts(fault, as_unicasts, monkeypatch):
+    """25 sends from n0 to the five other members of one group: every
+    link degraded by ``fault``, n2 and n3 partitioned away, n5 down from
+    just after the 10th send (before it arrives) until the 15th."""
+    sim = Simulator()
+    fabric = Fabric(sim)
+    log, released = [], []
+    for i in range(6):
+        host = Host(sim, f"n{i}")
+        fabric.attach(host)
+        fabric.subscribe("g", host.hostid)
+        host.deliver = lambda msg, h=host.hostid: log.append((sim.now, h))
+
+    def spy(msg):
+        assert msg._refs <= 0
+        released.append(msg.msg_id)
+
+    monkeypatch.setattr(switch, "release_message", spy)
+    rng = _CountingRng(5)
+    fabric.degrade_link("n0", "*", LinkFault(rng=rng, **fault))
+    fabric.partition(["n0"], ["n2", "n3"])
+    sent = []
+
+    def send(_a, _b):
+        targets = [h for h in fabric.groups["g"] if h != "n0"]
+        for dst in (targets if as_unicasts else [MULTICAST]):
+            msg = Message("n0", dst, "oneway", size=96, group="g")
+            sent.append(msg.msg_id)
+            fabric.send(msg)
+
+    def set_alive(host, alive):
+        host.alive = alive
+
+    for k in range(25):
+        sim.call_later(k * 1e-3, send, None, None)
+    sim.call_later(10e-3 + 20e-6, set_alive, fabric.hosts["n5"], False)
+    sim.call_later(15e-3 + 20e-6, set_alive, fabric.hosts["n5"], True)
+    sim.run()
+    assert sim.pending_events == 0
+    assert sorted(released) == sent         # every envelope, exactly once
+    nics = {h: (host.nic.tx.bytes_transferred, host.nic.rx.bytes_transferred)
+            for h, host in fabric.hosts.items()}
+    return (log, fabric.messages_dropped, fabric.messages_duplicated,
+            rng.draws, nics, sim._nprocessed, sim.peak_pending)
+
+
+@pytest.mark.parametrize("fault", [
+    dict(jitter=40e-6, duplicate=0.3, drop=0.3),            # 1-stop trains
+    dict(extra_latency=30e-6, duplicate=0.3, drop=0.3),     # shared instants
+], ids=["jitter", "no-jitter"])
+def test_multicast_is_its_unicasts_in_group_order(fault, monkeypatch):
+    """A multicast's copies ride ``call_fanout`` trains; what arrives,
+    where and when, what is dropped or duplicated, and how the fault
+    stream is consumed must be what the same message sent as unicasts in
+    group order gives (one admission rule, applied per copy)."""
+    log, dropped, duped, draws, nics, nproc, peak = _faulted_multicasts(
+        fault, False, monkeypatch)
+    ref = _faulted_multicasts(fault, True, monkeypatch)
+    assert (log, dropped, duped, draws) == ref[:4]
+    assert len(log) > 40 and dropped > 50 and duped > 10
+    assert any(h == "n5" for _t, h in log) and \
+        not any(h in ("n2", "n3") for _t, h in log)
+    # The sender's tx link carries a multicast once, a unicast per target.
+    ref_nics = dict(ref[4], n0=(ref[4]["n0"][0] // 5, 0))
+    assert nics == ref_nics
+    assert nproc == ref[5] and peak <= ref[6]
 
 
 def test_dead_host_drops_messages():

@@ -141,7 +141,7 @@ def test_byte_counter_tracks_truncate_and_drop():
     drive(sim, scenario())
 
 
-# ================================================= membership expiry wheel
+# ====================================================== membership expiry
 def build_membership(n_providers=4, interval=1.0):
     sim = Simulator()
     fabric = Fabric(sim)
