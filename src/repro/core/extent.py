@@ -53,6 +53,11 @@ class RangeMap:
         0 when the whole range was already mapped)."""
         if start >= end:
             raise ValueError(f"empty range [{start}, {end})")
+        if not self._spans:   # first write into a new segment
+            self._starts = [start]
+            self._spans = [(start, end, value)]
+            self._covered = end - start
+            return self._covered
         new_spans: List[Span] = []
         overlapped = 0
         for s, e, v in self._spans:
@@ -71,19 +76,6 @@ class RangeMap:
         added = (end - start) - overlapped
         self._covered += added
         return added
-
-    def fill(self, end: int, value: Any) -> int:
-        """Map [0, end) to ``value`` in one shot — the bulk-preload fast
-        path for a *fresh* map, equivalent to ``set_range(0, end, value)``
-        without the rebuild machinery."""
-        if end <= 0:
-            raise ValueError(f"empty range [0, {end})")
-        if self._spans:
-            return self.set_range(0, end, value)
-        self._starts = [0]
-        self._spans = [(0, end, value)]
-        self._covered = end
-        return end
 
     def clear_range(self, start: int, end: int) -> int:
         """Unmap [start, end); returns the number of bytes uncovered."""

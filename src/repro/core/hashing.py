@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import bisect
 import hashlib
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 DEFAULT_VNODES = 64
 
@@ -148,7 +148,7 @@ class HashRing:
     def _reconcile(self, members: Sequence[str]) -> None:
         """Diff an explicit member view against the ring and mark the
         difference pending.  When the same (unmutated) view object is
-        passed repeatedly — the batch refresh path, preloading — the
+        passed repeatedly — the refresh cycle, preloading — the
         identity check skips even the set compare."""
         if members is self._last_members:
             return
@@ -180,17 +180,3 @@ class HashRing:
             raise ValueError("no live providers")
         self._flush()
         return self._locate(segid)
-
-    def hosts_for(self, segids: Iterable[int],
-                  members: Sequence[str]) -> Dict[int, str]:
-        """Batch mapping (used by the periodic refresh cycle).
-
-        The member view is reconciled once for the whole batch and each
-        segid is hashed exactly once.
-        """
-        self._reconcile(members)
-        if not self._current:
-            raise ValueError("no live providers")
-        self._flush()
-        locate = self._locate
-        return {s: locate(s) for s in segids}

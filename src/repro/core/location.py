@@ -13,8 +13,9 @@ owner/version claims, populated from ``loc_lookup`` responses and the
 owner hints piggybacked on data-path replies, and evicted on version
 mismatch, RPC timeout, and membership death events.
 
-This module is the pure data structures; the surrounding protocols live
-in :mod:`repro.core.provider` and :mod:`repro.core.client`.
+This module is the pure data structures (plain dicts, no secondary
+index: see :class:`LocationTable`); the surrounding protocols live in
+:mod:`repro.core.provider` and :mod:`repro.core.client`.
 """
 
 from __future__ import annotations
@@ -36,32 +37,19 @@ class OwnerRecord:
 class LocationTable:
     """SegID → {owner → OwnerRecord} with age-based garbage collection.
 
-    Two auxiliary indices keep the table's cluster-event paths
-    proportional to the work at hand rather than the table size:
-
-    * ``_by_owner`` (owner → segid set) makes ``drop_owner`` — fired on
-      every membership death, on every provider — O(segments that host
-      actually owned), not a sweep of every entry homed here.
-    * a refresh wheel (records bucketed by ``int(last_refresh /
-      _WHEEL_TICK)``) makes ``purge`` O(stale records found), not a
-      sweep: refreshed records migrate to young buckets on update, so
-      old buckets hold only garbage.
+    One dict of rows (plus when each segid was first heard of) and no
+    secondary index: the two paths an index could serve are rare and
+    small.  ``purge`` runs once per refresh cycle (15 min) per provider
+    and ``drop_owner`` once per membership death; each is one pass over
+    this home host's rows — ≈ 0.1 ms at the few hundred to few thousand
+    rows a table holds — where a refresh wheel and an owner index cost
+    every ``update`` more than that in total (docs/performance.md
+    § Location table).
     """
-
-    #: Refresh-wheel bucket width (sim-seconds).  Purge ages are multiples
-    #: of the refresh cycle (seconds to minutes), so 1 s buckets keep the
-    #: boundary-bucket exact check cheap while bounding bucket counts.
-    _WHEEL_TICK = 1.0
 
     def __init__(self) -> None:
         self._entries: Dict[int, Dict[str, OwnerRecord]] = {}
         self._first_seen: Dict[int, float] = {}
-        self._by_owner: Dict[str, set] = {}
-        self._ins_seq: Dict[int, int] = {}   # segid → insertion sequence
-        self._next_seq = 0
-        self._rwheel: Dict[int, set] = {}    # tick → {(segid, owner)}
-        self._rtick: Dict[Tuple[int, str], int] = {}
-        self._rmin = 0
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -72,42 +60,6 @@ class LocationTable:
     def segids(self) -> List[int]:
         return list(self._entries)
 
-    # -- index plumbing -----------------------------------------------------
-    def _rebucket(self, segid: int, owner: str, when: float) -> None:
-        key = (segid, owner)
-        tick = int(when / self._WHEEL_TICK)
-        old = self._rtick.get(key)
-        if old == tick:
-            return
-        if old is not None:
-            bucket = self._rwheel.get(old)
-            if bucket is not None:
-                bucket.discard(key)
-                if not bucket:
-                    del self._rwheel[old]
-        self._rwheel.setdefault(tick, set()).add(key)
-        self._rtick[key] = tick
-
-    def _unindex(self, segid: int, owner: str) -> None:
-        segids = self._by_owner.get(owner)
-        if segids is not None:
-            segids.discard(segid)
-            if not segids:
-                del self._by_owner[owner]
-        key = (segid, owner)
-        old = self._rtick.pop(key, None)
-        if old is not None:
-            bucket = self._rwheel.get(old)
-            if bucket is not None:
-                bucket.discard(key)
-                if not bucket:
-                    del self._rwheel[old]
-
-    def _drop_segid(self, segid: int) -> None:
-        del self._entries[segid]
-        self._first_seen.pop(segid, None)
-        self._ins_seq.pop(segid, None)
-
     # -- updates ------------------------------------------------------------
     def update(self, segid: int, owner: str, version: int, degree: int,
                size: int, now: float) -> None:
@@ -116,75 +68,34 @@ class LocationTable:
         if owners is None:
             owners = self._entries[segid] = {}
             self._first_seen[segid] = now
-            self._ins_seq[segid] = self._next_seq
-            self._next_seq += 1
         rec = owners.get(owner)
-        if rec is None:
-            self._by_owner.setdefault(owner, set()).add(segid)
         if rec is None or version >= rec.version:
             owners[owner] = OwnerRecord(version, degree, size, now)
         else:
             rec.last_refresh = now  # stale announce still proves liveness
-        self._rebucket(segid, owner, now)
-
-    def plant(self, segid: int, owner: str, version: int, degree: int,
-              size: int, now: float) -> None:
-        """:meth:`update` for a ``(segid, owner)`` pair this map has
-        never seen — the bulk-preload fast path.  Skips the staleness
-        comparison and the rebucket old-tick probe; the resulting state
-        is identical to ``update()`` of a fresh record."""
-        owners = self._entries.get(segid)
-        if owners is None:
-            owners = self._entries[segid] = {}
-            self._first_seen[segid] = now
-            self._ins_seq[segid] = self._next_seq
-            self._next_seq += 1
-        owners[owner] = OwnerRecord(version, degree, size, now)
-        owned = self._by_owner.get(owner)
-        if owned is None:
-            owned = self._by_owner[owner] = set()
-        owned.add(segid)
-        key = (segid, owner)
-        tick = int(now / self._WHEEL_TICK)
-        bucket = self._rwheel.get(tick)
-        if bucket is None:
-            bucket = self._rwheel[tick] = set()
-        bucket.add(key)
-        self._rtick[key] = tick
 
     def remove(self, segid: int, owner: str) -> None:
         """Drop one owner's record (segment deleted or migrated away)."""
         owners = self._entries.get(segid)
         if owners is None:
             return
-        if owners.pop(owner, None) is not None:
-            self._unindex(segid, owner)
+        owners.pop(owner, None)
         if not owners:
-            self._drop_segid(segid)
+            del self._entries[segid]
+            del self._first_seen[segid]
 
     def drop_owner(self, hostid: str) -> List[int]:
         """Node departure: purge every record owned by ``hostid``.
 
         Returns the SegIDs affected (the provider re-checks their
-        replication degree afterwards), in table-insertion order — the
-        order the pre-index full scan produced.
+        replication degree afterwards) in table-insertion order, which
+        is the dict's own: a segid enters ``_entries`` with its first
+        row and leaves with its last.
         """
-        segids = self._by_owner.pop(hostid, None)
-        if not segids:
-            return []
-        affected = sorted(segids, key=self._ins_seq.__getitem__)
+        affected = [s for s, owners in self._entries.items()
+                    if hostid in owners]
         for segid in affected:
-            owners = self._entries[segid]
-            del owners[hostid]
-            key = (segid, hostid)
-            old = self._rtick.pop(key)
-            bucket = self._rwheel.get(old)
-            if bucket is not None:
-                bucket.discard(key)
-                if not bucket:
-                    del self._rwheel[old]
-            if not owners:
-                self._drop_segid(segid)
+            self.remove(segid, hostid)
         return affected
 
     # -- queries ------------------------------------------------------------
@@ -230,15 +141,6 @@ class LocationTable:
         stale = [h for h, rec in owners.items() if rec.version < latest]
         return latest, current, stale
 
-    def under_replicated(self, segid: int) -> int:
-        """How many replicas short of the desired degree (0 if satisfied)."""
-        owners = self._entries.get(segid, {})
-        if not owners:
-            return 0
-        latest, current, _stale = self.discrepancies(segid)
-        degree = max(rec.degree for rec in owners.values())
-        return max(0, degree - len(owners))
-
     # -- garbage collection -------------------------------------------------
     def purge(self, now: float, max_age: float) -> int:
         """Remove records not refreshed within ``max_age``; returns count.
@@ -248,31 +150,13 @@ class LocationTable:
         based on their ages and eventually be purged."
         """
         cutoff = now - max_age
-        limit = int(cutoff / self._WHEEL_TICK)
-        if limit < self._rmin:
-            return 0
-        purged = 0
-        for t in range(self._rmin, limit + 1):
-            bucket = self._rwheel.get(t)
-            if not bucket:
-                self._rwheel.pop(t, None)
-                continue
-            # Only the boundary bucket can mix fresh and stale records;
-            # the exact compare keeps float-edge behaviour identical to
-            # the old full scan.
-            stale = [(s, h) for (s, h) in bucket
-                     if self._entries[s][h].last_refresh < cutoff]
-            for segid, host in stale:
-                owners = self._entries[segid]
-                del owners[host]
-                self._unindex(segid, host)
-                purged += 1
-                if not owners:
-                    self._drop_segid(segid)
-            if not self._rwheel.get(t):
-                self._rwheel.pop(t, None)
-        self._rmin = limit if limit in self._rwheel else limit + 1
-        return purged
+        stale = [(segid, host)
+                 for segid, owners in self._entries.items()
+                 for host, rec in owners.items()
+                 if rec.last_refresh < cutoff]
+        for segid, host in stale:
+            self.remove(segid, host)
+        return len(stale)
 
 
 class TtlCache:

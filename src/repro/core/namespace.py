@@ -65,10 +65,6 @@ class FileEntry:
     def to_dict(self) -> dict:
         return dict(self.__dict__)
 
-    @staticmethod
-    def from_dict(d: dict) -> "FileEntry":
-        return FileEntry(**d)
-
 
 @dataclass
 class _CommitGrant:

@@ -61,10 +61,6 @@ class StoredSegment:
         """The native-FS file name backing this version."""
         return f"{self.segid:032x}.{self.version}"
 
-    def written_bytes(self) -> int:
-        """Bytes of extent data recorded in this version alone."""
-        return self.extents.covered_bytes()
-
 
 class SegmentStore:
     """All segment versions on one provider, backed by its local FS.
@@ -105,14 +101,21 @@ class SegmentStore:
     def _add(self, key: Tuple[int, int], seg: StoredSegment) -> None:
         """Insert a version and index it (the only write path to _segs)."""
         self._segs[key] = seg
-        self._seq[key] = self._next_seq
-        self._next_seq += 1
-        vers = self._versions.setdefault(seg.segid, [])
-        i = bisect.bisect_left(vers, seg.version)
-        vers.insert(i, seg.version)
+        sq = self._seq[key] = self._next_seq
+        self._next_seq = sq + 1
         self._bytes += seg.extents.covered_bytes()
-        if seg.committed:
-            self._note_committed(seg)
+        segid = seg.segid
+        if segid not in self._versions:
+            # First version of its segid here (every create, new-segment
+            # ingest and preloaded segment): nothing to order against.
+            self._versions[segid] = [seg.version]
+            if seg.committed:
+                self._latest[segid] = seg
+                self._commit_seq[segid] = sq
+        else:
+            bisect.insort(self._versions[segid], seg.version)
+            if seg.committed:
+                self._note_committed(seg)
 
     def _note_committed(self, seg: StoredSegment) -> None:
         """Index a committed version (at insert or at commit time)."""
@@ -655,31 +658,6 @@ class SegmentStore:
         if key in self._segs:
             raise SegmentError(f"already hold {seg.segid:#x} v{seg.version}")
         self._add(key, seg)
-        return seg
-
-    def plant_fresh(self, seg: StoredSegment) -> StoredSegment:
-        """:meth:`plant` for a segid this store has never seen.
-
-        Bulk-preload fast path: the version is the first this store
-        holds of its segid, so every index update is a straight-line
-        insert — no bisect into the version list, no committed-cache
-        comparison.  Falls back to :meth:`plant` when the segid turns
-        out not to be fresh; the resulting state is identical either
-        way (``check_index_invariants`` covers both in the tests).
-        """
-        segid = seg.segid
-        if segid in self._versions:
-            return self.plant(seg)
-        key = (segid, seg.version)
-        self._segs[key] = seg
-        sq = self._next_seq
-        self._seq[key] = sq
-        self._next_seq = sq + 1
-        self._versions[segid] = [seg.version]
-        self._bytes += seg.extents.covered_bytes()
-        if seg.committed:
-            self._latest[segid] = seg
-            self._commit_seq[segid] = sq
         return seg
 
     def lose_segment(self, segid: int) -> None:

@@ -373,15 +373,17 @@ class SorrentoDeployment:
                       on: Optional[List[str]] = None) -> int:
         """Plant many committed files directly into provider state.
 
-        The bulk fast path for :meth:`preload_file`: the planted
-        structures are identical in shape (segment stores, filesystem
-        accounting, location maps, namespace entries), but id/placement
-        draws come from one shared ``"preload-bulk"`` stream with a
-        fixed draw count per file — so every partition worker replaying
-        the same file list stays stream-aligned regardless of which
-        nodes are local — and the per-entry WAL byte walk is computed
-        once.  ``files`` is an iterable of ``(path, size)``.  Returns
-        the number of files planted.
+        The bulk path for :meth:`preload_file`: the planted structures
+        are identical in shape (segment stores, filesystem accounting,
+        location maps, namespace entries) and go in through the same
+        public inserts (``SegmentStore.plant``, ``LocationTable.update``,
+        ``RangeMap.set_range``), but id/placement draws come from one
+        shared ``"preload-bulk"`` stream with a fixed draw count per
+        file — so every partition worker replaying the same file list
+        stays stream-aligned regardless of which nodes are local — and
+        the per-entry WAL byte walk is computed once.  ``files`` is an
+        iterable of ``(path, size)``.  Returns the number of files
+        planted.
 
         The cyclic collector is paused for the duration of the load
         (and restored after): the planted population is millions of
@@ -399,7 +401,6 @@ class SorrentoDeployment:
         from repro.core.segment import SYNTHETIC, StoredSegment
 
         from repro.core.hashing import HashRing
-        from repro.core.location import OwnerRecord
         from repro.kvstore.wal import _value_bytes
         from repro.storage.filesystem import _File
 
@@ -428,7 +429,6 @@ class SorrentoDeployment:
             placement=placement, last_access=now).__dict__)
         del proto["extents"]
         new_seg = StoredSegment.__new__
-        new_map = RangeMap.__new__
         locate = None
 
         # Entries differ only in path and fileid; fileids and timestamps
@@ -438,16 +438,8 @@ class SorrentoDeployment:
         entry_template: Optional[dict] = None
         val_base = key_base = 0
 
-        # Per-provider bound state, resolved once per host: the two
-        # per-segment plants (segment store + home location table) are
-        # the loop's hottest calls, so the store's fresh-insert fast
-        # path (:meth:`SegmentStore.plant_fresh`) is cached as a bound
-        # method and the body of :meth:`LocationTable.plant` is inlined
-        # against cached dict references (state-identical; a non-fresh
-        # segid falls back to the real method).  The refresh-wheel
-        # bucket is also constant for the whole batch (one ``now``),
-        # so each table's bucket is resolved once instead of per
-        # record.
+        # Per-host bound state, resolved once: the store's ``plant`` with
+        # its FS, and the home table's ``update`` (False: a dormant shell).
         store_ctx: dict = {}
         loc_ctx: dict = {}
 
@@ -495,8 +487,7 @@ class SorrentoDeployment:
                             else:
                                 pfs = provider.node.fs
                                 ctx = store_ctx[owner] = (
-                                    provider.store.plant_fresh,
-                                    pfs, pfs.files)
+                                    provider.store.plant, pfs, pfs.files)
                         if ctx:
                             seg = new_seg(StoredSegment)
                             sd = seg.__dict__
@@ -504,16 +495,9 @@ class SorrentoDeployment:
                             sd["segid"] = segid
                             sd["size"] = seg_size
                             sd["meta"] = meta
-                            em = new_map(RangeMap)
+                            em = sd["extents"] = RangeMap()
                             if seg_size > 0:
-                                em._starts = [0]
-                                em._spans = [(0, seg_size, SYNTHETIC)]
-                                em._covered = seg_size
-                            else:
-                                em._starts = []
-                                em._spans = []
-                                em._covered = 0
-                            sd["extents"] = em
+                                em.set_range(0, seg_size, SYNTHETIC)
                             ctx[0](seg)
                             # == seg.fs_name (version is always 1 here);
                             # bytes.hex() beats the f-string %032x format
@@ -524,39 +508,14 @@ class SorrentoDeployment:
                             ] = _File(size=seg_size, allocated=seg_size)
                             ctx[1].used += seg_size
                         home = locate(segid)
-                        lctx = loc_ctx.get(home)
-                        if lctx is None:
+                        update = loc_ctx.get(home)
+                        if update is None:
                             home_p = get_provider(home)
-                            if home_p is None:
-                                lctx = loc_ctx[home] = False
-                            else:
-                                loc = home_p.loc
-                                tick = int(now / loc._WHEEL_TICK)
-                                bucket = loc._rwheel.get(tick)
-                                if bucket is None:
-                                    bucket = loc._rwheel[tick] = set()
-                                lctx = loc_ctx[home] = (
-                                    loc, loc._entries, loc._first_seen,
-                                    loc._ins_seq, loc._by_owner,
-                                    bucket, loc._rtick, tick)
-                        if lctx:
-                            # LocationTable.plant, inlined.
-                            loc = lctx[0]
-                            seg_owners = lctx[1].get(segid)
-                            if seg_owners is None:
-                                seg_owners = lctx[1][segid] = {}
-                                lctx[2][segid] = now
-                                lctx[3][segid] = loc._next_seq
-                                loc._next_seq += 1
-                            seg_owners[owner] = OwnerRecord(
-                                1, degree, seg_size, now)
-                            owned = lctx[4].get(owner)
-                            if owned is None:
-                                owned = lctx[4][owner] = set()
-                            owned.add(segid)
-                            okey = (segid, owner)
-                            lctx[5].add(okey)
-                            lctx[6][okey] = lctx[7]
+                            update = loc_ctx[home] = (
+                                home_p.loc.update if home_p is not None
+                                else False)
+                        if update:
+                            update(segid, owner, 1, degree, seg_size, now)
                 if entry_template is None:
                     from repro.core.namespace import FileEntry
                     entry_template = FileEntry(

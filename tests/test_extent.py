@@ -104,14 +104,20 @@ ranges = st.tuples(
 @settings(max_examples=100, deadline=None)
 @given(st.lists(ranges, max_size=40))
 def test_rangemap_matches_array_model(ops):
-    """Property: RangeMap agrees with a flat per-byte array model."""
+    """Property: RangeMap agrees with a flat per-byte array model —
+    contents, and after every step the coverage delta ``set_range``
+    returns and the running total (``SegmentStore._bytes`` rides on
+    both).  Every example starts on an empty map, so the first-write
+    branch is under it."""
     m = RangeMap()
     model = [None] * 300
     for start, length, val in ops:
-        m.set_range(start, start + length, val)
+        newly = sum(model[b] is None for b in range(start, start + length))
+        assert m.set_range(start, start + length, val) == newly
         for b in range(start, start + length):
             model[b] = val
-    m.check_invariants()
+        assert m.covered_bytes() == sum(v is not None for v in model)
+        m.check_invariants()
     # Reconstruct per-byte view from slices.
     view = [None] * 300
     for s, e, v in m.slices(0, 300):

@@ -133,17 +133,6 @@ def test_churn_of_1000_events_never_triggers_a_full_rebuild():
     assert ring.stats["splices"] >= 1000
 
 
-def test_hosts_for_resolves_the_ring_once_per_batch():
-    ring = HashRing(vnodes=16)
-    members = sorted(f"h{i}" for i in range(20))
-    ring.home_host(KEYS[0], members)
-    before = dict(ring.stats)
-    batch = ring.hosts_for(KEYS[:200], members)
-    assert ring.stats["reconciles"] == before["reconciles"]  # same view
-    assert ring.stats["point_hashes"] == before["point_hashes"]
-    assert batch == {k: ring.home_host(k, members) for k in KEYS[:200]}
-
-
 def test_second_ring_over_the_same_hosts_hashes_nothing():
     """Every client and provider keeps its own ring over the same
     cluster; vnode points are a pure function of (host, vnodes) and are
@@ -156,6 +145,10 @@ def test_second_ring_over_the_same_hosts_hashes_nothing():
     assert all(second.home_host(k, members) == first.home_host(k, members)
                for k in KEYS[:100])
     assert second.stats["point_hashes"] == 0
+    # ... and an unchanged view is resolved once, however many lookups
+    # (the refresh cycle asks per segment) go through it.
+    assert first.stats["reconciles"] == 1
+    assert first.stats["point_hashes"] == 30 * 16
     assert second.stats["bulk_builds"] == 1  # replaced its arrays wholesale, once
     other.home_host(KEYS[0], members)  # a different vnode count is new work
     assert other.stats["point_hashes"] == 30 * 8

@@ -48,14 +48,6 @@ def test_consistent_hashing_minimal_disruption():
         assert ring.home_host(s, smaller) != "n3"
 
 
-def test_hosts_for_batch_matches_singles():
-    ring = HashRing(vnodes=16)
-    members = ["a", "b", "c"]
-    segids = list(range(100, 160))
-    batch = ring.hosts_for(segids, members)
-    assert batch == {s: ring.home_host(s, members) for s in segids}
-
-
 def test_empty_membership_rejected():
     with pytest.raises(ValueError):
         HashRing().home_host(1, [])
@@ -116,15 +108,6 @@ def test_discrepancies():
     assert latest == 3
     assert current == ["a"]
     assert stale == ["b"]
-
-
-def test_under_replicated():
-    t = LocationTable()
-    t.update(1, "a", 1, 3, 100, now=0.0)
-    assert t.under_replicated(1) == 2
-    t.update(1, "b", 1, 3, 100, now=0.0)
-    t.update(1, "c", 1, 3, 100, now=0.0)
-    assert t.under_replicated(1) == 0
 
 
 def test_purge_by_age():

@@ -6,22 +6,20 @@ stream (the per-file path derives a stream per path), so the two paths
 are not bit-identical — but everything *structural* must match: the
 namespace listings (entries equal modulo fileid), the aggregate
 segment-store contents, the filesystem accounting, the WAL byte
-charges, and the location-map records.  The low-level fast-path inserts
-(`SegmentStore.plant_fresh`, `LocationTable.plant`, `RangeMap.fill`)
-are additionally pinned state-identical to their general counterparts.
+charges, and the location-map records.  Both paths insert through the
+same public methods (``SegmentStore.plant``, ``LocationTable.update``,
+``RangeMap.set_range``); the location tables are additionally rebuilt
+from the planted stores by direct ``update`` calls and compared row for
+row.
 """
-
-import random
 
 import pytest
 
 from repro.cluster import small_cluster
 from repro.core import SorrentoConfig, SorrentoDeployment
-from repro.core.extent import RangeMap
 from repro.core.location import LocationTable
 from repro.core.namespace import _file_key
 from repro.core.params import SorrentoParams
-from repro.core.segment import SYNTHETIC, StoredSegment
 
 MB = 1 << 20
 
@@ -99,31 +97,52 @@ def test_bulk_preload_matches_per_file_path(degree):
     assert (sum(w.bytes_appended for w in _wal_logs(dep_a))
             == sum(w.bytes_appended for w in _wal_logs(dep_b)))
 
-    # Location maps: every stored replica is registered at its ring
-    # home with the right claim, and nothing else is registered.
-    def loc_records(dep):
-        recs = []
-        for host, p in dep.providers.items():
-            for segid in p.loc.segids():
-                for owner, rec in p.loc._entries[segid].items():
-                    recs.append((host, segid, owner, rec.version,
-                                 rec.degree, rec.size))
-        return recs
+    # Location maps: as many rows as the per-file path registers, and
+    # each table equal — row for row, in order, ages included — to one
+    # filled by the same ``update`` calls made directly: per file in
+    # load order, its data segments then its index segment, each
+    # replica's claim registered at the segment's ring home.
+    def loc_rows(table):
+        return [(segid, table.age(segid, dep_b.sim.now),
+                 [(h, table.record(segid, h)) for h, _v in table.lookup(segid)])
+                for segid in table.segids()]
 
-    recs_b = loc_records(dep_b)
-    assert len(recs_b) == len(loc_records(dep_a))
-    by_key = {(h, s, o): (v, d, z) for h, s, o, v, d, z in recs_b}
-    n_replicas = 0
-    members = sorted(dep_b.provider_names)
+    hosts = sorted(dep_b.provider_names)
     ring = dep_b._preload_ring
-    for host, p in dep_b.providers.items():
-        for seg in p.store.committed_segments():
-            n_replicas += 1
-            home = ring.home_host(seg.segid, members)
-            assert by_key[(home, seg.segid, host)] == (1, degree, seg.size)
-    assert len(recs_b) == n_replicas
+    holders, index_meta = {}, {}
+    for host in hosts:
+        for seg in dep_b.providers[host].store.committed_segments():
+            holders.setdefault(seg.segid, []).append(host)
+            if seg.meta is not None:
+                index_meta[seg.segid] = seg.meta
+    expect = {host: LocationTable() for host in hosts}
+    for path, _size in FILES:
+        fileid = dep_b.namespace_for(path).db.get(_file_key(path))["fileid"]
+        layout = index_meta[fileid]["layout"]
+        for segid, size in [(r.segid, r.size) for r in layout.segments] \
+                + [(fileid, 4096)]:
+            held = holders.pop(segid)
+            assert len(held) == degree
+            # Replicas sit on consecutive hosts (cyclically); the first
+            # is the one whose predecessor holds nothing.
+            first = next(h for h in held
+                         if hosts[hosts.index(h) - 1] not in held)
+            k = hosts.index(first)
+            for owner in (hosts[(k + r) % len(hosts)] for r in range(degree)):
+                assert owner in held
+                expect[ring.home_host(segid, hosts)].update(
+                    segid, owner, 1, degree, size, dep_b.sim.now)
+    assert holders == {}  # nothing stored that no file accounts for
+    for host in hosts:
+        assert loc_rows(dep_b.providers[host].loc) == loc_rows(expect[host])
 
-    # The fast-path inserts must leave every secondary index coherent.
+    def n_records(dep):
+        return sum(len(p.loc.lookup(segid)) for p in dep.providers.values()
+                   for segid in p.loc.segids())
+
+    assert n_records(dep_a) == n_records(dep_b)
+
+    # The load must leave every secondary index coherent.
     for p in dep_b.providers.values():
         p.store.check_index_invariants()
 
@@ -141,64 +160,3 @@ def test_bulk_preload_readable_end_to_end():
     size, data = dep.run(proc())
     assert size == 3 * MB
     assert data is None  # synthetic content
-
-
-# ----------------------------------------------- low-level fast paths
-def _seg(segid, version=1, size=2 * MB, committed=True):
-    seg = StoredSegment(segid=segid, version=version, size=size,
-                        committed=committed, last_access=0.0)
-    if size:
-        seg.extents.set_range(0, size, SYNTHETIC)
-    return seg
-
-
-def test_plant_fresh_state_identical_to_plant():
-    dep = deploy(n_storage=2)
-    a, b = (dep.providers[h].store for h in sorted(dep.providers)[:2])
-    rng = random.Random(7)
-    segs = [_seg(rng.getrandbits(128), size=rng.randrange(0, 4 * MB))
-            for _ in range(40)]
-    # Re-plant one segid at a higher version: plant_fresh must take the
-    # general fallback and still match.
-    segs.append(_seg(segs[0].segid, version=2))
-    for seg_a, seg_b in zip(segs, segs):
-        a.plant(_seg(seg_a.segid, seg_a.version, seg_a.size))
-        b.plant_fresh(_seg(seg_b.segid, seg_b.version, seg_b.size))
-    a.check_index_invariants()
-    b.check_index_invariants()
-    assert set(a._segs) == set(b._segs)
-    assert a._seq == b._seq
-    assert a._versions == b._versions
-    assert a._commit_seq == b._commit_seq
-    assert a._bytes == b._bytes
-    assert set(a._latest) == set(b._latest)
-    for segid in a._latest:
-        assert a._latest[segid].version == b._latest[segid].version
-
-
-def test_location_plant_state_identical_to_update():
-    rng = random.Random(11)
-    a, b = LocationTable(), LocationTable()
-    pairs = {(rng.getrandbits(64), f"p{rng.randrange(6):03d}")
-             for _ in range(50)}
-    for segid, owner in sorted(pairs):
-        a.update(segid, owner, 1, 2, 4096, 12.5)
-        b.plant(segid, owner, 1, 2, 4096, 12.5)
-    assert a._entries == b._entries
-    assert a._first_seen == b._first_seen
-    assert a._ins_seq == b._ins_seq
-    assert a._by_owner == b._by_owner
-    assert a._rwheel == b._rwheel
-    assert a._rtick == b._rtick
-
-
-def test_rangemap_fill_matches_set_range():
-    for end in (1, 4096, 3 * MB):
-        a, b = RangeMap(), RangeMap()
-        a.set_range(0, end, SYNTHETIC)
-        b.fill(end, SYNTHETIC)
-        b.check_invariants()
-        assert list(a) == list(b)
-        assert a.covered_bytes() == b.covered_bytes()
-    with pytest.raises(ValueError):
-        RangeMap().fill(0, SYNTHETIC)

@@ -1,10 +1,10 @@
-"""Scale-out state refactor: index-vs-scan equivalence and expiry wheels.
+"""Scale-out state refactor: index-vs-scan equivalence.
 
-The refactor replaced full scans (SegmentStore version map, membership
-death checks, location-table purges) with maintained secondary indices.
-Every test here pits the indexed path against a from-scratch recompute
-or against the pre-refactor semantics (ordering included), over
-randomized or adversarial schedules.
+The refactor replaced full scans of the SegmentStore version map with
+maintained secondary indices; membership death checks and the location
+table stayed (or went back to) flat dicts.  Every test here pits the
+structure against a from-scratch recompute or a plain-dict model
+(ordering included), over randomized or adversarial schedules.
 """
 
 import random
@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from repro.cluster import Node, small_cluster
 from repro.core.membership import DEATH_FACTOR, MembershipManager
-from repro.core.location import LocationTable
+from repro.core.location import LocationTable, OwnerRecord
 from repro.core.segment import SYNTHETIC, SegmentStore, StoredSegment
 from repro.network import Fabric
 from repro.sim import Simulator
@@ -36,7 +36,8 @@ def drive(sim, gen):
 op_strategy = st.lists(
     st.tuples(
         st.sampled_from(["create", "write", "commit", "shadow", "truncate",
-                         "drop", "delete", "consolidate", "plant", "lose"]),
+                         "drop", "delete", "consolidate", "plant", "ingest",
+                         "lose"]),
         st.integers(min_value=0, max_value=3),      # segid selector
         st.integers(min_value=0, max_value=4096),   # offset / size knob
     ),
@@ -49,7 +50,10 @@ op_strategy = st.lists(
 def test_segment_indices_match_full_scan_after_any_schedule(ops):
     """After every mutation, the maintained indices (sorted versions,
     latest-committed, commit order, byte counter) must equal a recompute
-    from the raw version map."""
+    from the raw version map.  Inserts come in all four kinds — first
+    version of a segid or not, committed or not (``create`` / ``plant``
+    are first versions, ``shadow`` is not, ``ingest`` lands at any
+    version number) — so both arms of ``_add`` are under it."""
     sim, store = make_store()
 
     def scenario():
@@ -87,6 +91,8 @@ def test_segment_indices_match_full_scan_after_any_schedule(ops):
                     if knob:
                         seg.extents.set_range(0, knob, SYNTHETIC)
                     store.plant(seg)
+                elif op == "ingest":
+                    yield from store.ingest(segid, 1 + knob % 6, knob)
                 elif op == "lose" and versions:
                     store.lose_segment(segid)
             except Exception:
@@ -159,7 +165,7 @@ def build_membership(n_providers=4, interval=1.0):
 def test_simultaneous_deaths_fire_in_membership_order():
     """Two providers crashing in the same instant expire in the same
     death-check tick; the leave callbacks must fire in the members-dict
-    insertion order the pre-wheel full scan produced."""
+    insertion order."""
     sim, nodes, providers, listener = build_membership(n_providers=5)
     sim.run(until=5)
     order_seen = list(listener.members)
@@ -173,10 +179,9 @@ def test_simultaneous_deaths_fire_in_membership_order():
     assert sorted(set(order_seen) - set(crashed)) == listener.live_providers()
 
 
-def test_wheel_survives_restart_clear():
-    """clear() (the provider-restart path) resets the wheel's minimum
-    tick to 'now' so stale buckets never resurrect, and re-observation
-    rebuilds normal death tracking."""
+def test_clear_is_silent_and_death_tracking_resumes():
+    """clear() (the provider-restart path) forgets every member without
+    firing a leave, and re-observation rebuilds normal death tracking."""
     sim, nodes, providers, listener = build_membership(n_providers=3)
     sim.run(until=4)
     assert len(listener.live_providers()) == 3
@@ -207,36 +212,83 @@ def test_snapshot_and_live_view_caches_invalidate_on_change():
     assert victim in snap1 and victim not in listener.snapshot()
 
 
-# ================================================ location refresh wheel
-@settings(max_examples=40, deadline=None)
-@given(
-    updates=st.lists(
-        st.tuples(st.integers(min_value=0, max_value=12),   # segid
-                  st.integers(min_value=0, max_value=3),    # owner
-                  st.floats(min_value=0.0, max_value=200.0)),
-        min_size=1, max_size=60),
-    max_age=st.floats(min_value=1.0, max_value=60.0),
+# ======================================================== location table
+#: Instants and ages on a half-second grid half the time, so refreshes
+#: land exactly on a purge cutoff as well as either side of it.
+grid_or_float = st.one_of(
+    st.integers(min_value=0, max_value=40).map(lambda n: n / 2),
+    st.floats(min_value=0.0, max_value=20.0))
+segid_st = st.integers(min_value=0, max_value=7)
+owner_st = st.sampled_from(["h0", "h1", "h2"])
+# version 1..3: fresh rows, refreshes (>=) and stale announces (<)
+update_st = st.tuples(st.just("update"), segid_st, owner_st,
+                      st.integers(min_value=1, max_value=3))
+step_strategy = st.one_of(
+    update_st, update_st, update_st, update_st,   # tables fill up
+    st.tuples(st.just("remove"), segid_st, owner_st),
+    st.tuples(st.just("drop_owner"), owner_st),
+    st.tuples(st.just("purge"), grid_or_float),
 )
-def test_wheel_purge_equals_full_scan_purge(updates, max_age):
-    """The wheel-driven purge removes exactly the records a full scan of
-    every entry would (float boundaries included)."""
+
+
+@settings(max_examples=150, deadline=None)
+@given(steps=st.lists(st.tuples(grid_or_float, step_strategy),
+                      min_size=12, max_size=60))
+def test_location_table_matches_dict_model_after_any_schedule(steps):
+    """``update`` / ``remove`` / ``drop_owner`` / ``purge`` in any order
+    against a plain dict of rows: after every step the table lists the
+    same segids in the same order with the same records and ages, and
+    ``drop_owner`` / ``purge`` return what a scan of the model does
+    (float boundaries included)."""
     table = LocationTable()
-    mirror = {}   # (segid, owner) -> last_refresh
+    model = {}        # segid -> {owner: OwnerRecord}, both in insertion order
+    first_seen = {}
+
+    def model_remove(segid, owner):
+        model[segid].pop(owner)
+        if not model[segid]:
+            del model[segid], first_seen[segid]
+
     now = 0.0
-    for segid, owner, dt in updates:
+    for i, (dt, (op, *args)) in enumerate(steps):
         now += dt
-        table.update(segid, f"h{owner}", 1, 1, 64, now)
-        mirror[(segid, f"h{owner}")] = now
-    cutoff = now - max_age
-    expect_gone = {k for k, t in mirror.items() if t < cutoff}
-    purged = table.purge(now, max_age)
-    assert purged == len(expect_gone)
-    for (segid, owner), t in mirror.items():
-        rec = table.record(segid, owner)
-        if (segid, owner) in expect_gone:
-            assert rec is None
+        if op == "update":
+            segid, owner, version = args
+            table.update(segid, owner, version, i, 64 + i, now)
+            rows = model.setdefault(segid, {})
+            first_seen.setdefault(segid, now)
+            if owner not in rows or version >= rows[owner].version:
+                rows[owner] = OwnerRecord(version, i, 64 + i, now)
+            else:
+                rows[owner].last_refresh = now
+        elif op == "remove":
+            segid, owner = args
+            table.remove(segid, owner)
+            if owner in model.get(segid, ()):
+                model_remove(segid, owner)
+        elif op == "drop_owner":
+            (owner,) = args
+            expect = [s for s, rows in model.items() if owner in rows]
+            assert table.drop_owner(owner) == expect
+            for segid in expect:
+                model_remove(segid, owner)
         else:
-            assert rec is not None and rec.last_refresh == t
+            (max_age,) = args
+            stale = [(s, h) for s, rows in model.items()
+                     for h, rec in rows.items()
+                     if rec.last_refresh < now - max_age]
+            assert table.purge(now, max_age) == len(stale)
+            for segid, owner in stale:
+                model_remove(segid, owner)
+
+        assert table.segids() == list(model) and len(table) == len(model)
+        for segid in range(8):
+            assert (segid in table) == (segid in model)
+            assert table.age(segid, now) == (
+                now - first_seen[segid] if segid in model else 0.0)
+            for owner in ("h0", "h1", "h2"):
+                assert table.record(segid, owner) \
+                    == model.get(segid, {}).get(owner)
 
 
 def test_drop_owner_returns_segids_in_insertion_order():
