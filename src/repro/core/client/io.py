@@ -151,7 +151,8 @@ class DataPathMixin:
     # ============================================================== read
     def read(self, fh: FileHandle, offset: int, length: int,
              sequential: bool = False):
-        """Read a byte range; returns bytes, or None for synthetic content."""
+        """Read a byte range; returns bytes, or None for synthetic content
+        (size-only data segments and size-only attached files alike)."""
         self._check_open(fh)
         self.stats["reads"] += 1
         yield self.node.cpu(self.params.client_op_cpu)
@@ -298,7 +299,14 @@ class DataPathMixin:
     # ============================================================== write
     def write(self, fh: FileHandle, offset: int, length: int,
               data: Optional[bytes] = None, sequential: bool = False):
-        """Write a byte range into the session's shadow copies."""
+        """Write a byte range into the session's shadow copies.
+
+        ``data=None`` is a size-only write (the ``SYNTHETIC`` rule of
+        :mod:`repro.core.segment`): on an attached file that holds no
+        literal bytes it only grows ``attached_len``; onto literal
+        attached bytes it zero-fills, as a literal write does to a
+        size-only prefix.
+        """
         self._check_open(fh)
         if fh.mode != "w":
             raise SorrentoError("file not open for writing")
@@ -313,6 +321,9 @@ class DataPathMixin:
         end = offset + length
         # Small files stay attached to the index segment.
         if not fh.layout.segments and end <= self.params.attach_max:
+            if data is None and fh.attached is None:
+                fh.attached_len = max(fh.attached_len, end)
+                return
             buf = bytearray(fh.attached if fh.attached is not None
                             else b"\x00" * fh.attached_len)
             if len(buf) < end:

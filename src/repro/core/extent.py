@@ -15,16 +15,21 @@ from typing import Any, Iterator, List, Optional, Tuple
 
 Span = Tuple[int, int, Any]  # (start, end, value); end exclusive
 
+_INF = float("inf")
+
 
 class RangeMap:
     """Disjoint half-open byte intervals → values.
 
     ``set_range`` overwrites any overlapped portion of existing intervals;
-    adjacent intervals with equal values coalesce.
+    adjacent intervals with equal values coalesce.  Lookups bisect the
+    span list itself with an ``(offset, inf)`` probe: a span's end is
+    never infinite, so the comparison never reaches its value.
     """
 
+    __slots__ = ("_spans", "_covered")
+
     def __init__(self) -> None:
-        self._starts: List[int] = []
         self._spans: List[Span] = []
         self._covered = 0  # maintained by set_range/clear_range
 
@@ -54,7 +59,6 @@ class RangeMap:
         if start >= end:
             raise ValueError(f"empty range [{start}, {end})")
         if not self._spans:   # first write into a new segment
-            self._starts = [start]
             self._spans = [(start, end, value)]
             self._covered = end - start
             return self._covered
@@ -72,7 +76,6 @@ class RangeMap:
         new_spans.append((start, end, value))
         new_spans.sort(key=lambda sp: sp[0])
         self._spans = _coalesce(new_spans)
-        self._starts = [s for s, _, _ in self._spans]
         added = (end - start) - overlapped
         self._covered += added
         return added
@@ -93,7 +96,6 @@ class RangeMap:
             if e > end:
                 out.append((end, e, v))
         self._spans = out
-        self._starts = [s for s, _, _ in self._spans]
         self._covered -= removed
         return removed
 
@@ -108,9 +110,7 @@ class RangeMap:
             return []
         out: List[Span] = []
         pos = start
-        i = bisect.bisect_right(self._starts, start) - 1
-        if i < 0:
-            i = 0
+        i = max(0, bisect.bisect_right(self._spans, (start, _INF)) - 1)
         for s, e, v in self._spans[i:]:
             if e <= pos:
                 continue
@@ -129,7 +129,7 @@ class RangeMap:
         return out
 
     def value_at(self, offset: int) -> Optional[Any]:
-        i = bisect.bisect_right(self._starts, offset) - 1
+        i = bisect.bisect_right(self._spans, (offset, _INF)) - 1
         if i >= 0:
             s, e, v = self._spans[i]
             if s <= offset < e:
@@ -150,7 +150,6 @@ class RangeMap:
                 if s == prev_end:
                     assert v != prev_val, "uncoalesced adjacent equal spans"
             prev_end, prev_val = e, v
-        assert self._starts == [s for s, _, _ in self._spans]
         assert self._covered == sum(e - s for s, e, _ in self._spans), \
             "covered-bytes counter drifted from the span list"
 

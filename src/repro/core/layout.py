@@ -46,7 +46,7 @@ def hybrid_segment_max(group: int, group_size: int) -> int:
     return min(MAX_SEGMENT, (8 ** ((group * group_size) // 8)) * MB)
 
 
-@dataclass
+@dataclass(slots=True)
 class SegmentRef:
     """A data segment as recorded in an index segment."""
 
@@ -59,7 +59,7 @@ class SegmentRef:
 Piece = Tuple[int, int, int]  # (segment index, offset within segment, nbytes)
 
 
-@dataclass
+@dataclass(slots=True)
 class Layout:
     """The index segment's view of a file's data organization."""
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 
-@dataclass
+@dataclass(slots=True)
 class OwnerRecord:
     """One owner's claim on a segment."""
 

@@ -9,13 +9,16 @@ survive.
 Content model: every write records an extent.  If the writer supplied
 actual bytes they are kept (tests verify end-to-end content); otherwise
 the extent is *synthetic* — only timing and sizes matter, which is how
-the benchmark workloads run without allocating gigabytes.
+the benchmark workloads run without allocating gigabytes.  A small
+file's attached payload (``meta["attached"]`` on an index segment)
+follows the same rule: ``None`` beside a non-zero ``attached_len`` is
+size-only content, and every wire and disk charge reads the length.
 """
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass, field
+from operator import attrgetter, itemgetter
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.extent import RangeMap
@@ -36,7 +39,7 @@ class SegmentError(Exception):
     """Bad segment operation (missing version, write to committed, ...)."""
 
 
-@dataclass
+@dataclass(slots=True)
 class StoredSegment:
     """One version of one segment as held by a provider."""
 
@@ -55,166 +58,172 @@ class StoredSegment:
     meta: Optional[dict] = None          # index segments: layout + attach
     created_by: str = ""                 # client that opened the shadow
     pinned: bool = False                 # milestone: consolidation-exempt
+    seq: int = field(default=-1, init=False)   # holding store's insertion order
+    #: The native-FS file name backing this version — formatted once; the
+    #: same string object keys ``LocalFS.files``.
+    fs_name: str = field(init=False)
 
-    @property
-    def fs_name(self) -> str:
-        """The native-FS file name backing this version."""
-        return f"{self.segid:032x}.{self.version}"
+    def __post_init__(self) -> None:
+        self.fs_name = f"{self.segid:032x}.{self.version}"
+
+
+class _Family:
+    """Every version of one segid on one provider."""
+
+    __slots__ = ("versions", "latest", "commit_seq")
+
+    def __init__(self, first: StoredSegment) -> None:
+        committed = first.committed
+        self.versions = [first]                        # ascending version
+        self.latest = first if committed else None     # newest committed
+        #: Smallest insertion ``seq`` among the committed versions.
+        self.commit_seq = first.seq if committed else None
+
+
+_by_seq = attrgetter("seq")
+_by_start = itemgetter(1)
+_by_first_commit = attrgetter("commit_seq")
 
 
 class SegmentStore:
     """All segment versions on one provider, backed by its local FS.
 
-    ``_segs`` is the source of truth; alongside it the store maintains
-    secondary indices so the hot queries — ``versions_of``,
-    ``latest_committed``, ``committed_segments``, ``bytes_stored`` —
-    never scan every stored version:
-
-    * ``_versions``: segid → sorted version numbers held here.
-    * ``_latest``: segid → the newest *committed* version's object.
-    * ``_commit_seq``: segid → smallest insertion sequence among its
-      committed versions.  ``committed_segments`` orders by this, which
-      reproduces the legacy full-scan order (position of the first
-      committed version in ``_segs`` insertion order) bit-for-bit — the
-      replay goldens depend on that order.
-    * ``_bytes``: store-wide extent-byte counter, adjusted by the delta
-      of every extent mutation.
+    ``_segs`` maps a segid to its :class:`_Family` and is the only
+    container of versions.  A family carries what the hot queries need
+    so none of them scans the store: its versions in ascending order
+    (``get`` / ``versions_of`` walk these one to three), the newest
+    committed one (``latest_committed``) and the smallest insertion
+    ``seq`` among its committed versions.  ``committed_segments`` orders
+    families by that, and ``expire_shadows`` orders versions by their own
+    ``seq`` — refresh batches, migration candidates and drop order feed
+    RNG draws and event order, so the replay goldens depend on both.
+    Nothing relies on the dict's own order: a family that empties and
+    returns re-enters at the end.  ``_bytes`` is the store-wide
+    extent-byte counter, adjusted by the delta of every extent mutation.
 
     All mutations go through ``_add``/``_remove``/``_note_committed``;
-    ``check_index_invariants`` recomputes everything by scan and is
-    asserted against the indices in the property tests.
+    ``check_index_invariants`` recomputes every family's facts by scan
+    and is asserted against them in the property tests.
     """
 
     def __init__(self, sim, fs: LocalFS, shadow_ttl: float = DEFAULT_SHADOW_TTL):
         self.sim = sim
         self.fs = fs
         self.shadow_ttl = shadow_ttl
-        self._segs: Dict[Tuple[int, int], StoredSegment] = {}
-        self._seq: Dict[Tuple[int, int], int] = {}   # insertion sequence
+        self._segs: Dict[int, _Family] = {}
         self._next_seq = 0
-        self._versions: Dict[int, List[int]] = {}
-        self._latest: Dict[int, StoredSegment] = {}
-        self._commit_seq: Dict[int, int] = {}
         self._bytes = 0
 
     # -- index maintenance --------------------------------------------
-    def _add(self, key: Tuple[int, int], seg: StoredSegment) -> None:
-        """Insert a version and index it (the only write path to _segs)."""
-        self._segs[key] = seg
-        sq = self._seq[key] = self._next_seq
-        self._next_seq = sq + 1
+    def _add(self, seg: StoredSegment) -> None:
+        """Insert a version into its family (the only write path to _segs)."""
+        seg.seq = self._next_seq
+        self._next_seq += 1
         self._bytes += seg.extents.covered_bytes()
-        segid = seg.segid
-        if segid not in self._versions:
+        fam = self._segs.get(seg.segid)
+        if fam is None:
             # First version of its segid here (every create, new-segment
             # ingest and preloaded segment): nothing to order against.
-            self._versions[segid] = [seg.version]
-            if seg.committed:
-                self._latest[segid] = seg
-                self._commit_seq[segid] = sq
-        else:
-            bisect.insort(self._versions[segid], seg.version)
-            if seg.committed:
-                self._note_committed(seg)
+            self._segs[seg.segid] = _Family(seg)
+            return
+        vers = fam.versions
+        i = len(vers)
+        while i and vers[i - 1].version > seg.version:
+            i -= 1
+        vers.insert(i, seg)
+        if seg.committed:
+            self._note_committed(seg)
 
     def _note_committed(self, seg: StoredSegment) -> None:
-        """Index a committed version (at insert or at commit time)."""
-        cur = self._latest.get(seg.segid)
-        if cur is None or seg.version > cur.version:
-            self._latest[seg.segid] = seg
-        sq = self._seq[(seg.segid, seg.version)]
-        prev = self._commit_seq.get(seg.segid)
-        if prev is None or sq < prev:
-            self._commit_seq[seg.segid] = sq
+        """Fold a committed version into its family's facts (at insert,
+        at commit time, or when ``_remove`` recomputes them)."""
+        fam = self._segs[seg.segid]
+        if fam.latest is None or seg.version > fam.latest.version:
+            fam.latest = seg
+        if fam.commit_seq is None or seg.seq < fam.commit_seq:
+            fam.commit_seq = seg.seq
 
-    def _remove(self, key: Tuple[int, int]) -> Optional[StoredSegment]:
-        """Drop a version and unindex it (the only removal path)."""
-        seg = self._segs.pop(key, None)
-        if seg is None:
+    def _remove(self, segid: int, version: int) -> Optional[StoredSegment]:
+        """Drop a version from its family (the only removal path); the
+        family goes with its last version."""
+        fam = self._segs.get(segid)
+        vers = fam.versions if fam is not None else ()
+        for i, seg in enumerate(vers):
+            if seg.version == version:
+                break
+        else:
             return None
-        self._seq.pop(key)
-        segid, version = key
-        vers = self._versions[segid]
-        vers.remove(version)
-        if not vers:
-            del self._versions[segid]
+        del vers[i]
         self._bytes -= seg.extents.covered_bytes()
-        if seg.committed:
-            # Recompute this segid's committed caches over its own
-            # (few) remaining versions.
-            best: Optional[StoredSegment] = None
-            min_sq: Optional[int] = None
-            for v in self._versions.get(segid, ()):
-                other = self._segs[(segid, v)]
-                if not other.committed:
-                    continue
-                if best is None or v > best.version:
-                    best = other
-                osq = self._seq[(segid, v)]
-                if min_sq is None or osq < min_sq:
-                    min_sq = osq
-            if best is None:
-                self._latest.pop(segid, None)
-                self._commit_seq.pop(segid, None)
-            else:
-                self._latest[segid] = best
-                self._commit_seq[segid] = min_sq
+        if not vers:
+            del self._segs[segid]
+        elif seg.committed:
+            fam.latest = fam.commit_seq = None
+            for other in vers:
+                if other.committed:
+                    self._note_committed(other)
         return seg
 
     # -- inspection ---------------------------------------------------
     def get(self, segid: int, version: int) -> Optional[StoredSegment]:
         """The stored version, or None."""
-        return self._segs.get((segid, version))
+        fam = self._segs.get(segid)
+        if fam is not None:
+            for seg in fam.versions:
+                if seg.version == version:
+                    return seg
+        return None
 
     def versions_of(self, segid: int) -> List[int]:
         """All locally held version numbers, ascending."""
-        return list(self._versions.get(segid, ()))
+        fam = self._segs.get(segid)
+        return [seg.version for seg in fam.versions] if fam is not None else []
 
     def latest_committed(self, segid: int) -> Optional[StoredSegment]:
         """Newest committed version held here, or None."""
-        return self._latest.get(segid)
+        fam = self._segs.get(segid)
+        return fam.latest if fam is not None else None
 
     def committed_segments(self) -> List[StoredSegment]:
-        """Latest committed version of every segment held here."""
-        seq = self._commit_seq
-        return [self._latest[s] for s in sorted(self._latest,
-                                                key=seq.__getitem__)]
+        """Latest committed version of every segment held here, in the
+        order their families first held a committed version."""
+        fams = [f for f in self._segs.values() if f.latest is not None]
+        fams.sort(key=_by_first_commit)
+        return [f.latest for f in fams]
 
     def __len__(self) -> int:
-        return len(self._segs)
+        return sum(len(fam.versions) for fam in self._segs.values())
 
     def bytes_stored(self) -> int:
         """Total extent bytes across every held version (O(1) counter)."""
         return self._bytes
 
     def check_index_invariants(self) -> None:
-        """Recompute every index by full scan and assert equality.
+        """Recompute every family's facts by scan and assert equality.
 
         Test hook: the equivalence/property tests call this after random
         mutation sequences; production code never does.
         """
-        versions: Dict[int, List[int]] = {}
-        for (s, v) in self._segs:
-            versions.setdefault(s, []).append(v)
-        assert self._versions == {s: sorted(vs) for s, vs in versions.items()}
-        latest: Dict[int, StoredSegment] = {}
-        commit_seq: Dict[int, int] = {}
-        for key, seg in self._segs.items():
-            s = key[0]
-            if not seg.committed:
-                continue
-            if s not in latest or seg.version > latest[s].version:
-                latest[s] = seg
-            if s not in commit_seq:  # _segs iterates in insertion order
-                commit_seq[s] = self._seq[key]
-        assert {s: id(seg) for s, seg in self._latest.items()} \
-            == {s: id(seg) for s, seg in latest.items()}
-        assert self._commit_seq == commit_seq
-        assert self._bytes == sum(seg.extents.covered_bytes()
-                                  for seg in self._segs.values())
-        assert set(self._seq) == set(self._segs)
-        for seg in self._segs.values():
-            seg.extents.check_invariants()
+        seqs: List[int] = []
+        nbytes = 0
+        for segid, fam in self._segs.items():
+            vers = fam.versions
+            assert vers, "an emptied family was kept"
+            numbers = [seg.version for seg in vers]
+            assert numbers == sorted(set(numbers))
+            committed = [seg for seg in vers if seg.committed]
+            assert fam.latest is (committed[-1] if committed else None)
+            assert fam.commit_seq == min((seg.seq for seg in committed),
+                                         default=None)
+            for seg in vers:
+                assert seg.segid == segid
+                assert seg.fs_name == f"{segid:032x}.{seg.version}"
+                seg.extents.check_invariants()
+                seqs.append(seg.seq)
+                nbytes += seg.extents.covered_bytes()
+        assert len(set(seqs)) == len(seqs)
+        assert all(0 <= sq < self._next_seq for sq in seqs)
+        assert self._bytes == nbytes
 
     # -- creation ---------------------------------------------------------
     def create(self, segid: int, version: int = 1, *,
@@ -222,8 +231,7 @@ class SegmentStore:
                placement: str = "load", committed: bool = False,
                creator: str = ""):
         """Create a brand-new (empty) segment version."""
-        key = (segid, version)
-        if key in self._segs:
+        if self.get(segid, version) is not None:
             raise SegmentError(f"segment {segid:#x} v{version} exists")
         seg = StoredSegment(segid=segid, version=version,
                             replication_degree=replication_degree,
@@ -232,26 +240,25 @@ class SegmentStore:
                             last_access=self.sim.now)
         if not committed:
             seg.expires_at = self.sim.now + self.shadow_ttl
-        # Reserve the key before yielding so concurrent creators see it.
-        self._add(key, seg)
+        # Reserve the version before yielding so concurrent creators see it.
+        self._add(seg)
         try:
             # Lazy: the inode write is folded into the first data write.
             yield from self.fs.create(seg.fs_name, charge=False)
         except Exception:
-            self._remove(key)
+            self._remove(segid, version)
             raise
         return seg
 
     def create_shadow(self, segid: int, base_version: int, creator: str = ""):
         """Shadow-copy the base version: blank segment truncated to its size."""
-        base = self._segs.get((segid, base_version))
+        base = self.get(segid, base_version)
         if base is None or not base.committed:
             raise SegmentError(
                 f"no committed base {segid:#x} v{base_version} to shadow"
             )
         new_version = base_version + 1
-        key = (segid, new_version)
-        if key in self._segs:
+        if self.get(segid, new_version) is not None:
             raise SegmentError(f"shadow {segid:#x} v{new_version} already exists")
         seg = StoredSegment(segid=segid, version=new_version, size=base.size,
                             base_version=base_version,
@@ -261,14 +268,14 @@ class SegmentStore:
                             expires_at=self.sim.now + self.shadow_ttl,
                             home_hint=base.home_hint, created_by=creator,
                             meta=dict(base.meta) if base.meta else None)
-        self._add(key, seg)
+        self._add(seg)
         try:
             # A shadow is "an index structure kept in memory" until data
             # arrives (Section 3.5): no device I/O at creation.
             yield from self.fs.create(seg.fs_name, charge=False)
             self.fs.set_size(seg.fs_name, base.size)
         except Exception:
-            self._remove(key)
+            self._remove(segid, new_version)
             raise
         return seg
 
@@ -331,7 +338,7 @@ class SegmentStore:
 
     def drop(self, segid: int, version: int):
         """Discard a version (aborted shadow, or replaced replica)."""
-        seg = self._remove((segid, version))
+        seg = self._remove(segid, version)
         if seg is None:
             return
         if self.fs.exists(seg.fs_name):
@@ -345,7 +352,7 @@ class SegmentStore:
         """
         any_allocated = False
         for v in self.versions_of(segid):
-            seg = self._remove((segid, v))
+            seg = self._remove(segid, v)
             f = self.fs.files.pop(seg.fs_name, None)
             if f is not None:
                 self.fs.used -= f.allocated
@@ -365,17 +372,17 @@ class SegmentStore:
         """
         stem, _, ver = fs_name.partition(".")
         try:
-            key = (int(stem, 16), int(ver))
+            segid, version = int(stem, 16), int(ver)
         except ValueError:
             return None
-        seg = self._segs.get(key)
+        seg = self.get(segid, version)
         if seg is None or seg.committed:
             return None
-        self._remove(key)
+        self._remove(segid, version)
         f = self.fs.files.pop(fs_name, None)
         if f is not None:
             self.fs.used -= f.allocated
-        return key
+        return segid, version
 
     def renew_shadow(self, segid: int, version: int) -> None:
         """Reset a shadow's expiration timer (§3.5)."""
@@ -385,13 +392,16 @@ class SegmentStore:
         seg.expires_at = self.sim.now + self.shadow_ttl
 
     def expire_shadows(self) -> List[Tuple[int, int]]:
-        """Names of shadows past their TTL (caller drops them)."""
+        """Names of shadows past their TTL, oldest insert first (caller
+        drops them)."""
         now = self.sim.now
-        return [
-            (s, v) for (s, v), seg in self._segs.items()
+        expired = [
+            seg for fam in self._segs.values() for seg in fam.versions
             if not seg.committed and seg.expires_at is not None
             and seg.expires_at <= now
         ]
+        expired.sort(key=_by_seq)
+        return [(seg.segid, seg.version) for seg in expired]
 
     # -- reading ------------------------------------------------------------
     def resolve(self, segid: int, version: int, offset: int,
@@ -401,31 +411,34 @@ class SegmentStore:
         Returns (version, start, end) pieces; unwritten-anywhere regions
         resolve to the oldest version in the chain (holes read as zeros).
         """
-        seg = self._require(segid, version)
+        return self._resolve(self._require(segid, version), offset, length)
+
+    def _resolve(self, seg: StoredSegment, offset: int,
+                 length: int) -> List[Tuple[int, int, int]]:
+        """:meth:`resolve` for a version already in hand."""
         if offset + length > seg.size:
             raise SegmentError(
-                f"read past end of {segid:#x} v{version} "
+                f"read past end of {seg.segid:#x} v{seg.version} "
                 f"({offset}+{length} > {seg.size})"
             )
         pieces: List[Tuple[int, int, int]] = []
         pending = [(offset, offset + length)]
-        v: Optional[int] = version
-        while pending and v is not None:
-            cur = self._segs.get((segid, v))
-            if cur is None:
-                break
+        cur: Optional[StoredSegment] = seg
+        while pending and cur is not None:
             next_pending: List[Tuple[int, int]] = []
             for lo, hi in pending:
                 for s, e, val in cur.extents.slices(lo, hi):
                     if val is None:
                         next_pending.append((s, e))
                     else:
-                        pieces.append((v, s, e))
+                        pieces.append((cur.version, s, e))
             pending = next_pending
-            v = cur.base_version
+            if cur.base_version is None:
+                break
+            cur = self.get(seg.segid, cur.base_version)
         for lo, hi in pending:  # true holes: zeros from the oldest version
-            pieces.append((version, lo, hi))
-        pieces.sort(key=lambda p: p[1])
+            pieces.append((seg.version, lo, hi))
+        pieces.sort(key=_by_start)
         return pieces
 
     def read(self, segid: int, version: int, offset: int, length: int,
@@ -438,20 +451,20 @@ class SegmentStore:
         read back as zero bytes.
         """
         seg = self._require(segid, version)
-        pieces = self.resolve(segid, version, offset, length)
+        pieces = self._resolve(seg, offset, length)
         seg.last_access = self.sim.now
         yield from self.fs.read(seg.fs_name, offset, min(length, max(0, seg.size - offset)),
                                 sequential)
         has_literal = any(
             isinstance(val, tuple)
             for v, s, e in pieces
-            for _cs, _ce, val in self._segs[(segid, v)].extents.slices(s, e)
+            for _cs, _ce, val in self.get(segid, v).extents.slices(s, e)
         )
         if not has_literal:
             return None
         chunks: List[bytes] = []
         for v, s, e in pieces:
-            src = self._segs[(segid, v)]
+            src = self.get(segid, v)
             for cs, ce, val in src.extents.slices(s, e):
                 if isinstance(val, tuple):
                     orig_start, payload = val
@@ -467,8 +480,7 @@ class SegmentStore:
                data: Optional[bytes] = None,
                write_bytes: Optional[int] = None):
         """Install a full committed copy (replication / migration arrival)."""
-        key = (segid, version)
-        if key in self._segs:
+        if self.get(segid, version) is not None:
             raise SegmentError(f"already hold {segid:#x} v{version}")
         seg = StoredSegment(segid=segid, version=version, size=size,
                             committed=True,
@@ -479,7 +491,7 @@ class SegmentStore:
         if size > 0:
             seg.extents.set_range(0, size,
                                   (0, bytes(data)) if data is not None else SYNTHETIC)
-        self._add(key, seg)
+        self._add(seg)
         nbytes = size if write_bytes is None else min(write_bytes, size)
         try:
             yield from self.fs.create(seg.fs_name, charge=False)
@@ -500,7 +512,7 @@ class SegmentStore:
                     f.allocated = size
                     self.fs.used += growth
         except Exception:
-            self._remove(key)
+            self._remove(segid, version)
             if self.fs.exists(seg.fs_name):
                 yield from self.fs.unlink(seg.fs_name)
             raise
@@ -516,12 +528,12 @@ class SegmentStore:
         """
         changed = RangeMap()
         for v in range(from_version + 1, to_version + 1):
-            seg = self._segs.get((segid, v))
+            seg = self.get(segid, v)
             if seg is None:
                 return None
             for s, e, _ in seg.extents:
                 changed.set_range(s, e, True)
-        target = self._segs.get((segid, to_version))
+        target = self.get(segid, to_version)
         if target is None:
             return None
         regions: List[Tuple[int, int, Optional[bytes]]] = []
@@ -529,8 +541,8 @@ class SegmentStore:
             s, e = min(s, target.size), min(e, target.size)
             if s >= e:
                 continue
-            for v2, ps, pe in self.resolve(segid, to_version, s, e - s):
-                src = self._segs[(segid, v2)]
+            for v2, ps, pe in self._resolve(target, s, e - s):
+                src = self.get(segid, v2)
                 for cs, ce, val in src.extents.slices(ps, pe):
                     if isinstance(val, tuple):
                         orig, payload = val
@@ -545,8 +557,7 @@ class SegmentStore:
                    meta: Optional[dict] = None):
         """Install a new committed version from a diff against the local
         latest (replica lazy sync, Section 3.6)."""
-        key = (segid, new_version)
-        if key in self._segs:
+        if self.get(segid, new_version) is not None:
             raise SegmentError(f"already hold {segid:#x} v{new_version}")
         old = self.latest_committed(segid)
         seg = StoredSegment(segid=segid, version=new_version, size=size,
@@ -561,7 +572,7 @@ class SegmentStore:
             seg.extents.set_range(
                 s, e, (s, bytes(data)) if data is not None else SYNTHETIC)
             nbytes += e - s
-        self._add(key, seg)
+        self._add(seg)
         try:
             yield from self.fs.create(seg.fs_name, charge=False)
             if nbytes > 0:
@@ -570,7 +581,7 @@ class SegmentStore:
                 yield from self.fs.sync(seg.fs_name)  # committed on arrival
             self.fs.set_size(seg.fs_name, size)
         except Exception:
-            self._remove(key)
+            self._remove(segid, new_version)
             raise
         return seg
 
@@ -579,7 +590,7 @@ class SegmentStore:
         transfer size."""
         total = RangeMap()
         for v in range(from_version + 1, to_version + 1):
-            seg = self._segs.get((segid, v))
+            seg = self.get(segid, v)
             if seg is None:
                 continue
             for s, e, val in seg.extents:
@@ -596,7 +607,7 @@ class SegmentStore:
 
     def unpin(self, segid: int, version: int) -> None:
         """Remove a milestone pin (no-op if absent)."""
-        seg = self._segs.get((segid, version))
+        seg = self.get(segid, version)
         if seg is not None:
             seg.pinned = False
 
@@ -607,33 +618,30 @@ class SegmentStore:
         version is materialized — its holes filled from the chain below —
         before anything beneath it is dropped, so COW chains never dangle.
         """
-        committed = [v for v in self.versions_of(segid)
-                     if self._segs[(segid, v)].committed]
+        fam = self._segs.get(segid)
+        committed = [seg for seg in fam.versions if seg.committed] if fam else []
         if len(committed) <= keep:
             return
-        retained = set(committed[-keep:]) | {
-            v for v in committed if self._segs[(segid, v)].pinned
-        }
-        doomed = [v for v in committed if v not in retained]
+        doomed = [seg.version for seg in committed[:-keep] if not seg.pinned]
         if not doomed:
             return
-        for v in sorted(retained):
-            yield from self._materialize(segid, v)
+        for seg in committed:
+            if seg.version not in doomed:
+                yield from self._materialize(segid, seg.version)
         for v in doomed:
             yield from self.drop(segid, v)
 
     def _materialize(self, segid: int, version: int):
         """Fill a version's holes with content from its ancestors so it
         no longer depends on them."""
-        seg = self._segs[(segid, version)]
+        seg = self.get(segid, version)
         if seg.base_version is None:
             return
         for lo, hi in seg.extents.gaps(0, seg.size):
-            pieces = self.resolve(segid, version, lo, hi - lo)
-            for v, s, e in pieces:
+            for v, s, e in self._resolve(seg, lo, hi - lo):
                 if v == version:
                     continue  # a true hole: still reads as zeros
-                src = self._segs[(segid, v)]
+                src = self.get(segid, v)
                 for cs, ce, val in src.extents.slices(s, e):
                     if isinstance(val, tuple):
                         orig, payload = val
@@ -654,31 +662,28 @@ class SegmentStore:
         does its own FS accounting.  Goes through the indexed insert
         path so every query stays coherent.
         """
-        key = (seg.segid, seg.version)
-        if key in self._segs:
+        if self.get(seg.segid, seg.version) is not None:
             raise SegmentError(f"already hold {seg.segid:#x} v{seg.version}")
-        self._add(key, seg)
+        self._add(seg)
         return seg
 
     def lose_segment(self, segid: int) -> None:
         """Silently forget every version of one segment (failure
         injection: replica loss behind the system's back, no FS I/O)."""
         for v in self.versions_of(segid):
-            self._remove((segid, v))
+            self._remove(segid, v)
 
     def wipe(self) -> None:
         """Forget everything (wiped-disk failure injection).  The caller
         resets the backing FS separately."""
         self._segs.clear()
-        self._seq.clear()
-        self._versions.clear()
-        self._latest.clear()
-        self._commit_seq.clear()
         self._bytes = 0
 
     # -- helpers ----------------------------------------------------------
     def _require(self, segid: int, version: int) -> StoredSegment:
-        seg = self._segs.get((segid, version))
-        if seg is None:
-            raise SegmentError(f"no segment {segid:#x} v{version} here")
-        return seg
+        fam = self._segs.get(segid)   # ``get``, without its frame
+        if fam is not None:
+            for seg in fam.versions:
+                if seg.version == version:
+                    return seg
+        raise SegmentError(f"no segment {segid:#x} v{version} here")

@@ -375,15 +375,17 @@ class SorrentoDeployment:
 
         The bulk path for :meth:`preload_file`: the planted structures
         are identical in shape (segment stores, filesystem accounting,
-        location maps, namespace entries) and go in through the same
-        public inserts (``SegmentStore.plant``, ``LocationTable.update``,
-        ``RangeMap.set_range``), but id/placement draws come from one
-        shared ``"preload-bulk"`` stream with a fixed draw count per
-        file — so every partition worker replaying the same file list
-        stays stream-aligned regardless of which nodes are local — and
-        the per-entry WAL byte walk is computed once.  ``files`` is an
-        iterable of ``(path, size)``.  Returns the number of files
-        planted.
+        location maps, namespace entries), built by the same
+        constructors and inserted through the same public methods
+        (``SegmentStore.plant``, ``LocationTable.update``,
+        ``RangeMap.set_range``), all content size-only (``SYNTHETIC``
+        extents, nothing attached).  What differs: id/placement draws
+        come from one shared ``"preload-bulk"`` stream with a fixed draw
+        count per file — so every partition worker replaying the same
+        file list stays stream-aligned regardless of which nodes are
+        local — and the per-entry WAL byte walk is computed once.
+        ``files`` is an iterable of ``(path, size)``.  Returns the
+        number of files planted.
 
         The cyclic collector is paused for the duration of the load
         (and restored after): the planted population is millions of
@@ -404,8 +406,6 @@ class SorrentoDeployment:
         from repro.kvstore.wal import _value_bytes
         from repro.storage.filesystem import _File
 
-        from repro.core.extent import RangeMap
-
         rng = self.rngs.py("preload-bulk")
         rb = rng.getrandbits
         draw_id = lambda: rb(128)   # noqa: E731 - hoisted, built once
@@ -420,15 +420,6 @@ class SorrentoDeployment:
         get_provider = self.providers.get
         namespace_for = self.namespace_for
         nreps = min(degree, nhosts)
-        # Segment objects differ only in segid/size/meta/extents; build
-        # them from a prototype __dict__ instead of re-running the
-        # 15-field dataclass __init__ twice per file.
-        proto = dict(StoredSegment(
-            segid=0, version=1, committed=True,
-            replication_degree=degree, alpha=alpha,
-            placement=placement, last_access=now).__dict__)
-        del proto["extents"]
-        new_seg = StoredSegment.__new__
         locate = None
 
         # Entries differ only in path and fileid; fileids and timestamps
@@ -489,23 +480,15 @@ class SorrentoDeployment:
                                 ctx = store_ctx[owner] = (
                                     provider.store.plant, pfs, pfs.files)
                         if ctx:
-                            seg = new_seg(StoredSegment)
-                            sd = seg.__dict__
-                            sd.update(proto)
-                            sd["segid"] = segid
-                            sd["size"] = seg_size
-                            sd["meta"] = meta
-                            em = sd["extents"] = RangeMap()
+                            seg = StoredSegment(
+                                segid, 1, seg_size, True,
+                                replication_degree=degree, alpha=alpha,
+                                placement=placement, last_access=now,
+                                meta=meta)
                             if seg_size > 0:
-                                em.set_range(0, seg_size, SYNTHETIC)
+                                seg.extents.set_range(0, seg_size, SYNTHETIC)
                             ctx[0](seg)
-                            # == seg.fs_name (version is always 1 here);
-                            # bytes.hex() beats the f-string %032x format
-                            # by a few µs/call, which matters ×2 segs ×
-                            # 200k files.
-                            ctx[2][
-                                segid.to_bytes(16, "big").hex() + ".1"
-                            ] = _File(size=seg_size, allocated=seg_size)
+                            ctx[2][seg.fs_name] = _File(seg_size, seg_size)
                             ctx[1].used += seg_size
                         home = locate(segid)
                         update = loc_ctx.get(home)

@@ -15,7 +15,7 @@ PUT = "put"
 DELETE = "del"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WalRecord:
     """One logged mutation."""
 

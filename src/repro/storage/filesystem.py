@@ -32,7 +32,7 @@ class NoSpace(Exception):
     """The volume has no room for the requested allocation."""
 
 
-@dataclass
+@dataclass(slots=True)
 class _File:
     size: int = 0        # logical length (truncate can make this sparse)
     allocated: int = 0   # bytes actually backed by blocks

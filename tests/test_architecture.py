@@ -223,7 +223,21 @@ def test_raw_disk_io_goes_through_the_storage_engine():
 PRIVATE_STATE = [
     ({"_segs"}, "repro.core.segment"),
     ({"_entries", "_first_seen"}, "repro.core.location"),
-    ({"_spans", "_starts", "_covered"}, "repro.core.extent"),
+    ({"_spans", "_covered"}, "repro.core.extent"),
+]
+
+#: One instance per stored file, segment replica, location row or logged
+#: mutation — 10^5 to 10^6 of each at scale, so none carries a
+#: ``__dict__``.
+SLOTTED = [
+    ("repro.core.segment", "StoredSegment"),
+    ("repro.core.segment", "_Family"),
+    ("repro.core.extent", "RangeMap"),
+    ("repro.storage.filesystem", "_File"),
+    ("repro.core.location", "OwnerRecord"),
+    ("repro.core.layout", "SegmentRef"),
+    ("repro.core.layout", "Layout"),
+    ("repro.kvstore.wal", "WalRecord"),
 ]
 
 
@@ -251,6 +265,15 @@ def test_segment_store_state_is_scanned_only_inside_the_store():
         "private state accessed outside its owning module: "
         + ", ".join(offenders)
     )
+
+
+def test_per_file_records_are_slotted():
+    import importlib
+
+    for module, name in SLOTTED:
+        cls = getattr(importlib.import_module(module), name)
+        # 0: the type reserves no room for an instance ``__dict__``.
+        assert cls.__dictoffset__ == 0, f"{module}.{name} has a __dict__"
 
 
 def test_namespace_endpoints_only_behind_the_router():

@@ -2,11 +2,14 @@
 
 import pytest
 
+from repro.api import PosixAPI
 from repro.cluster import small_cluster
 from repro.core import SorrentoConfig, SorrentoDeployment
 from repro.core.client import CommitConflict, SorrentoError
 from repro.core.params import SorrentoParams
+from repro.core.segment import SYNTHETIC
 
+KB = 1 << 10
 MB = 1 << 20
 
 
@@ -37,6 +40,106 @@ def test_write_read_roundtrip_small_attached():
 
     assert dep.run(writer()) == 1
     assert dep.run(reader()) == payload
+
+
+@pytest.mark.parametrize("via", ["client", "posix"])
+def test_size_only_attached_write_stays_size_only(via):
+    """The content model on the attached path: a write that supplies no
+    bytes records a length and nothing else — in the handle, in the
+    commit's meta and on every index-segment replica."""
+    dep = deploy(degree=2)
+    client = dep.client_on("c00")
+    posix = PosixAPI(client)
+
+    def session():
+        if via == "posix":
+            fd = yield from posix.open("/s", "w", create=True)
+            yield from posix.write(fd, 12 * KB)
+            size = posix.fstat(fd)["size"]
+            yield from posix.close(fd)
+            fd = yield from posix.open("/s")
+            data = yield from posix.read(fd, 12 * KB)
+            fileid = posix.fstat(fd)["fileid"]
+            yield from posix.close(fd)
+            return size, data, fileid
+        fh = yield from client.open("/s", "w", create=True)
+        yield from client.write(fh, 0, 12 * KB)
+        assert fh.attached is None
+        size = fh.size
+        yield from client.close(fh)
+        fh = yield from client.open("/s", "r")
+        data = yield from client.read(fh, 0, 12 * KB)
+        yield from client.close(fh)
+        return size, data, fh.fileid
+
+    size, data, fileid = dep.run(session())
+    assert size == 12 * KB and data is None
+    dep.sim.run(until=dep.sim.now + 120)  # lazy replication to degree 2
+    metas = [seg.meta for seg in (p.store.latest_committed(fileid)
+                                  for p in dep.providers.values())
+             if seg is not None]
+    assert len(metas) == 2
+    for meta in metas:
+        assert meta["attached"] is None and meta["attached_len"] == 12 * KB
+        assert not meta["layout"].segments
+
+
+def test_attached_content_mixes_literal_and_size_only():
+    """Literal bytes read back as written; where a file mixes literal
+    and size-only writes the size-only part reads as zeros — including a
+    size-only write *over* literal bytes, which leaves them in place."""
+    dep = deploy()
+    client = dep.client_on("c00")
+
+    def session(path, writes):
+        fh = yield from client.open(path, "w", create=True)
+        for offset, length, data in writes:
+            yield from client.write(fh, offset, length, data=data)
+        yield from client.close(fh)
+        fh = yield from client.open(path, "r")
+        data = yield from client.read(fh, 0, fh.size)
+        yield from client.close(fh)
+        return data
+
+    assert dep.run(session("/lit", [(0, 4, b"abcd")])) == b"abcd"
+    assert dep.run(session("/lit-then-size", [(0, 4, b"abcd"), (4, 4, None)])) \
+        == b"abcd" + b"\x00" * 4
+    assert dep.run(session("/size-then-lit", [(0, 4, None), (4, 4, b"abcd")])) \
+        == b"\x00" * 4 + b"abcd"
+    assert dep.run(session("/size-over-lit", [(0, 4, b"abcd"), (0, 4, None)])) \
+        == b"abcd"
+
+
+def test_size_only_file_spills_synthetic_at_its_literal_twins_time():
+    """A size-only attached file that outgrows ``attach_max`` moves into
+    a data segment as a synthetic extent, and every charge on the way is
+    set by sizes: its literal-bytes twin closes at the same instant."""
+    size = 100 * KB
+
+    def run(literal):
+        dep = deploy()
+        client = dep.client_on("c00")
+
+        def session():
+            fh = yield from client.open("/spill", "w", create=True)
+            for offset, n in ((0, 12 * KB), (12 * KB, size - 12 * KB)):
+                yield from client.write(
+                    fh, offset, n, data=b"z" * n if literal else None)
+            yield from client.close(fh)
+            return fh.layout.segments[0].segid
+
+        segid = dep.run(session())
+        (seg,) = [seg for seg in (p.store.latest_committed(segid)
+                                  for p in dep.providers.values())
+                  if seg is not None]
+        return dep.sim.now, seg
+
+    t_size_only, seg = run(literal=False)
+    assert seg.size == size
+    assert list(seg.extents) == [(0, size, SYNTHETIC)]
+    t_literal, seg = run(literal=True)
+    assert all(isinstance(v, tuple) for _s, _e, v in seg.extents)
+    assert t_size_only == t_literal
 
 
 def test_write_read_roundtrip_large_linear():

@@ -9,7 +9,7 @@ structure against a from-scratch recompute or a plain-dict model
 
 import random
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.cluster import Node, small_cluster
@@ -36,8 +36,8 @@ def drive(sim, gen):
 op_strategy = st.lists(
     st.tuples(
         st.sampled_from(["create", "write", "commit", "shadow", "truncate",
-                         "drop", "delete", "consolidate", "plant", "ingest",
-                         "lose"]),
+                         "drop", "drop_committed", "delete", "consolidate",
+                         "plant", "ingest", "lose"]),
         st.integers(min_value=0, max_value=3),      # segid selector
         st.integers(min_value=0, max_value=4096),   # offset / size knob
     ),
@@ -47,13 +47,19 @@ op_strategy = st.lists(
 
 @settings(max_examples=30, deadline=None)
 @given(ops=op_strategy)
+@example(ops=[("create", 0, 0), ("commit", 0, 0), ("shadow", 0, 0),
+              ("drop_committed", 0, 1),     # family alive, nothing committed
+              ("write", 0, 64), ("commit", 0, 0), ("delete", 0, 0)])
 def test_segment_indices_match_full_scan_after_any_schedule(ops):
-    """After every mutation, the maintained indices (sorted versions,
-    latest-committed, commit order, byte counter) must equal a recompute
-    from the raw version map.  Inserts come in all four kinds — first
+    """After every mutation, each family's facts (ascending versions,
+    latest-committed, first-commit order) and the byte counter must
+    equal a recompute by scan.  Inserts come in all four kinds — first
     version of a segid or not, committed or not (``create`` / ``plant``
     are first versions, ``shadow`` is not, ``ingest`` lands at any
-    version number) — so both arms of ``_add`` are under it."""
+    version number) — and removals in all three: the last version of a
+    family, an uncommitted one, and a committed one with others left
+    (``drop_committed`` under a shadow is the arm where the family lives
+    on with no committed version at all)."""
     sim, store = make_store()
 
     def scenario():
@@ -78,6 +84,9 @@ def test_segment_indices_match_full_scan_after_any_schedule(ops):
                     yield from store.truncate(segid, uncommitted[-1], knob)
                 elif op == "drop" and uncommitted:
                     yield from store.drop(segid, uncommitted[-1])
+                elif op == "drop_committed" and committed:
+                    # A replaced replica: the newest if ``knob`` is odd.
+                    yield from store.drop(segid, committed[-(knob % 2)])
                 elif op == "delete" and versions:
                     yield from store.delete_segment(segid)
                 elif op == "consolidate" and len(committed) > 1:
@@ -98,6 +107,34 @@ def test_segment_indices_match_full_scan_after_any_schedule(ops):
             except Exception:
                 pass  # illegal transitions may raise; indices must survive
             store.check_index_invariants()
+
+    drive(sim, scenario())
+
+
+def test_family_outlives_its_only_committed_version():
+    """Dropping the only committed version while a shadow remains leaves
+    the family alive with nothing committed; committing the shadow then
+    re-enters ``committed_segments`` *after* a segid that committed in
+    between — order is by insertion sequence, not by dict position."""
+    sim, store = make_store()
+
+    def scenario():
+        yield from store.create(1, 1)
+        yield from store.commit(1, 1)
+        shadow = yield from store.create_shadow(1, 1)
+        yield from store.create(2, 1)
+        yield from store.commit(2, 1)
+        assert [s.segid for s in store.committed_segments()] == [1, 2]
+        yield from store.drop(1, 1)
+        store.check_index_invariants()
+        assert store.latest_committed(1) is None
+        assert store.versions_of(1) == [2] and len(store) == 2
+        assert [s.segid for s in store.committed_segments()] == [2]
+        yield from store.commit(1, 2)
+        store.check_index_invariants()
+        assert store.latest_committed(1) is shadow
+        # v2 was inserted before segid 2's v1, so family 1 sorts first.
+        assert [s.segid for s in store.committed_segments()] == [1, 2]
 
     drive(sim, scenario())
 
