@@ -1,6 +1,6 @@
 """Cluster hardware specs (paper Figure 8) and the simulated node."""
 
-from repro.cluster.node import LoadSample, Node
+from repro.cluster.node import Node
 from repro.cluster.spec import (
     CLUSTER_A,
     CLUSTER_B,
@@ -13,7 +13,6 @@ __all__ = [
     "CLUSTER_A",
     "CLUSTER_B",
     "ClusterSpec",
-    "LoadSample",
     "Node",
     "NodeSpec",
     "small_cluster",

@@ -1,14 +1,13 @@
 """The simulated cluster node: CPU, storage device, NIC, and load monitor.
 
-A node is the unit of failure.  ``crash()`` kills every process spawned on
-the node and silences its NIC; the file system contents survive (the paper:
-a repaired machine "can be directly connected to the network without the
-need to reformat the partitions").
+A node is the unit of failure.  ``crash()`` kills every process spawned
+and voids every call deferred on the node and silences its NIC; the file
+system contents survive (the paper: a repaired machine "can be directly
+connected to the network without the need to reformat the partitions").
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Optional
 
 from repro.cluster.spec import NodeSpec
@@ -22,16 +21,6 @@ SAMPLE_INTERVAL = 1.0
 
 #: EWMA weight for new samples (the paper specifies EWMA for I/O wait).
 EWMA_ALPHA = 0.3
-
-
-@dataclass
-class LoadSample:
-    """One snapshot of a node's resource usage."""
-
-    t: float
-    cpu_util: float
-    io_wait: float
-    storage_util: float
 
 
 class Node(Host):
@@ -69,6 +58,7 @@ class Node(Host):
         self.io_wait = 0.0
         self._procs: List[Process] = []
         self._prune_at = 64
+        self._incarnation = 0       # crashes so far; stamps deferred calls
         self._last_cpu_bytes = 0
         self._last_disk_busy = 0.0
         self._monitor: Optional[Process] = None
@@ -95,6 +85,23 @@ class Node(Host):
             self._procs = [p for p in self._procs if p.is_alive]
             self._prune_at = max(64, 2 * len(self._procs))
         return proc
+
+    def defer(self, delay: float, fn, arg) -> None:
+        """The callback twin of :meth:`spawn`, for work that never waits:
+        ``fn(arg)`` after ``delay`` seconds (0: where a process spawned
+        now would start) unless the node crashes first — a restart does
+        not revive it.  A no-op when dormant."""
+        if self.dormant:
+            return
+        if delay > 0:
+            self.sim.call_later(delay, self._deferred, (fn, arg),
+                                self._incarnation)
+        else:
+            self.sim.call_soon(self._deferred, (fn, arg), self._incarnation)
+
+    def _deferred(self, call, incarnation: int) -> None:
+        if incarnation == self._incarnation:
+            call[0](call[1])
 
     def start_monitor(self) -> None:
         self._monitor = self.sim.process(self._monitor_loop(),
@@ -129,10 +136,6 @@ class Node(Host):
     def storage_available(self) -> int:
         return self.fs.available if self.fs is not None else 0
 
-    def sample(self) -> LoadSample:
-        return LoadSample(self.sim.now, self.cpu_util, self.io_wait,
-                          self.storage_utilization)
-
     # -- failure injection --------------------------------------------
     def set_disk_fault(self, fault) -> None:
         """Degrade this node's storage device (see :mod:`repro.faults`);
@@ -154,6 +157,7 @@ class Node(Host):
         if not self.alive:
             return
         self.alive = False
+        self._incarnation += 1
         for proc in self._procs:
             if proc.is_alive:
                 proc.interrupt(cause=f"{self.hostid} crashed")

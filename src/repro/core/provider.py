@@ -108,6 +108,8 @@ class StorageProvider:
         self._repair_recent: Dict[Tuple[int, str], Dict[str, float]] = {}
         self._recheck_pending: set = set()
         self._trim_pending: set = set()
+        #: :meth:`_by_home`'s (member view, store generation, bucketing).
+        self._buckets: tuple = (None, -1, {})
         self._locality_recent: Dict[int, float] = {}
         self.stats = {"migrations": 0, "replications": 0, "syncs": 0,
                       "reads": 0, "writes": 0}
@@ -155,9 +157,6 @@ class StorageProvider:
     def _charge(self, nbytes: int = 0):
         yield self.node.cpu(self.params.provider_op_cpu
                             + nbytes * self.params.provider_byte_cpu)
-
-    def _members(self) -> Dict[str, object]:
-        return self.membership.snapshot()
 
     def _home_of(self, segid: int) -> Optional[str]:
         members = self.membership.live_providers()
@@ -637,12 +636,12 @@ class StorageProvider:
 
     # ------------------------------------------- replica supervision
     def _schedule_supervision(self, segid: int) -> None:
-        self.node.spawn(self._supervise(segid), name=f"supervise:{segid:x}")
+        self.node.defer(0.0, self._supervise, segid)
 
-    def _supervise(self, segid: int, delay: float = 0.0):
-        """Home-host check: push syncs to stale owners, restore degree."""
-        if delay > 0:
-            yield self.sim.timeout(delay)
+    def _supervise(self, segid: int) -> None:
+        """Home-host check: push syncs to stale owners, restore degree.
+        Like every deferred check here it never waits, so it is a plain
+        call (:meth:`Node.defer`): a bug in one raises out of ``sim.run``."""
         latest, current, stale = self.loc.discrepancies(segid)
         if not current:
             return
@@ -664,15 +663,14 @@ class StorageProvider:
             # again once mature (rather than waiting a full refresh cycle).
             if segid not in self._recheck_pending:
                 self._recheck_pending.add(segid)
-                self.node.spawn(
-                    self._recheck(segid, self.params.repair_grace - age + 0.1),
-                    name=f"recheck:{segid:x}")
+                self.node.defer(self.params.repair_grace - age + 0.1,
+                                self._recheck, segid)
             return
         # Replications already in flight (sent recently, not yet owners).
         pending = self._sent_recently(segid, "repl", now) - owners
         deficit = degree - len(owners) - len(pending)
         if deficit > 0:
-            members = self._members()
+            members = self.membership.snapshot()
             exclude = owners | pending
             for _ in range(deficit):
                 # Rack-aware: prefer replica sites outside the failure
@@ -702,11 +700,10 @@ class StorageProvider:
             # segment.  Re-verify after a full cooldown instead.
             if segid not in self._trim_pending:
                 self._trim_pending.add(segid)
-                self.node.spawn(self._verify_trim(segid),
-                                name=f"verify-trim:{segid:x}")
+                self.node.defer(self.params.repair_cooldown,
+                                self._verify_trim, segid)
 
-    def _verify_trim(self, segid: int):
-        yield self.sim.timeout(self.params.repair_cooldown)
+    def _verify_trim(self, segid: int) -> None:
         self._trim_pending.discard(segid)
         latest, current, stale = self.loc.discrepancies(segid)
         if stale or not current:
@@ -723,10 +720,9 @@ class StorageProvider:
                 "segid": segid, "version": latest,
             }, size=48)
 
-    def _recheck(self, segid: int, delay: float):
-        yield self.sim.timeout(delay)
+    def _recheck(self, segid: int) -> None:
         self._recheck_pending.discard(segid)
-        yield from self._supervise(segid)
+        self._supervise(segid)
 
     def _sent_recently(self, segid: int, action: str, now: float) -> set:
         """Hosts ``action`` on ``segid`` was sent to within the cooldown."""
@@ -757,18 +753,14 @@ class StorageProvider:
         if hostid == self.node.hostid:
             return
         delay = self.rng.random() * self.params.join_refresh_delay_max
-        self.node.spawn(self._refresh_toward(hostid, delay),
-                        name=f"join-refresh:{hostid}")
+        self.node.defer(delay, self._refresh_toward, hostid)
 
     def _on_leave(self, hostid: str) -> None:
         # (3) Node departure: purge its records; segments it owned may now
         # be under-replicated — recheck after a grace period.
         affected = self.loc.drop_owner(hostid)
         for segid in affected:
-            self.node.spawn(
-                self._supervise(segid, delay=self.params.repair_delay),
-                name=f"repair:{segid:x}",
-            )
+            self.node.defer(self.params.repair_delay, self._supervise, segid)
         # Re-announce local segments whose home host was the dead node.
         self.node.spawn(self._rehome_after_departure(hostid), name="rehome")
 
@@ -777,30 +769,45 @@ class StorageProvider:
         if not members:
             return
         yield self.sim.timeout(self.rng.random() * 2.0)
-        by_home: Dict[str, List[tuple]] = {}
+        # The view with the dead node goes on a ring of its own: one ring
+        # asked about both would splice it in and out per segment it homed.
+        before = sorted(set(members) | {dead})
+        old_ring = HashRing(self.params.ring_vnodes)
+        by_home: Dict[str, List[int]] = {}
         for seg in self.store.committed_segments():
-            old_ring = self.ring.home_host(
-                seg.segid, sorted(set(members) | {dead})
-            )
-            if old_ring != dead:
+            if old_ring.home_host(seg.segid, before) != dead:
                 continue
             new_home = self.ring.home_host(seg.segid, members)
-            by_home.setdefault(new_home, []).append(
-                (seg.segid, seg.version, seg.replication_degree, seg.size)
-            )
+            by_home.setdefault(new_home, []).append(seg.segid)
         yield from self._send_refreshes(by_home)
 
-    def _refresh_toward(self, hostid: str, delay: float):
-        yield self.sim.timeout(delay)
+    def _refresh_toward(self, hostid: str) -> None:
         members = self.membership.live_providers()
         if hostid not in members:
             return  # departed again before we refreshed
-        entries = [
-            (seg.segid, seg.version, seg.replication_degree, seg.size)
-            for seg in self.store.committed_segments()
-            if self.ring.home_host(seg.segid, members) == hostid
-        ]
-        yield from self._send_refreshes({hostid: entries} if entries else {})
+        segids = self._by_home(members).get(hostid)
+        if segids:
+            # The CPU charge is booked; nobody waits for it.
+            self._send_refresh(hostid, self._refresh_entries(segids))
+
+    def _by_home(self, members: List[str]) -> Dict[str, List[int]]:
+        """``{home: [segid…]}`` in ``committed_segments()`` order, kept
+        while neither the member view (by identity, like the ring's fast
+        path) nor the store's committed set has changed: one scan answers
+        every join of a formation.  Only segids are kept — what is
+        announced about each is read when it is sent."""
+        view, generation, buckets = self._buckets
+        if view is not members or generation != self.store.generation:
+            buckets = {}
+            for seg in self.store.committed_segments():
+                buckets.setdefault(self.ring.home_host(seg.segid, members),
+                                   []).append(seg.segid)
+            self._buckets = (members, self.store.generation, buckets)
+        return buckets
+
+    def _refresh_entries(self, segids: List[int]) -> List[tuple]:
+        return [(seg.segid, seg.version, seg.replication_degree, seg.size)
+                for seg in map(self.store.latest_committed, segids)]
 
     # ------------------------------------------------- periodic loops
     def _refresh_loop(self):
@@ -820,28 +827,27 @@ class StorageProvider:
         members = self.membership.live_providers()
         if not members:
             return
-        by_home: Dict[str, List[tuple]] = {}
-        for seg in self.store.committed_segments():
-            home = self.ring.home_host(seg.segid, members)
-            by_home.setdefault(home, []).append(
-                (seg.segid, seg.version, seg.replication_degree, seg.size)
-            )
-        yield from self._send_refreshes(by_home)
+        yield from self._send_refreshes(self._by_home(members))
 
-    def _send_refreshes(self, by_home: Dict[str, List[tuple]]):
-        for home, entries in by_home.items():
+    def _send_refreshes(self, by_home: Dict[str, List[int]]):
+        """Announce ``{home: [segid…]}``, every entry as it stands now."""
+        for home, entries in [(home, self._refresh_entries(segids))
+                              for home, segids in by_home.items()]:
             if home == self.node.hostid:
                 for segid, version, degree, size in entries:
                     self.loc.update(segid, self.node.hostid, version, degree,
                                     size, self.sim.now)
                     self._schedule_supervision(segid)
                 continue
-            self.rpc.send(home, "loc_refresh", {
-                "owner": self.node.hostid, "entries": entries,
-            }, size=32 + LOC_ENTRY_BYTES * len(entries))
-            yield self.node.cpu(
-                self.params.provider_op_cpu * (1 + len(entries) / 64)
-            )
+            yield self._send_refresh(home, entries)
+
+    def _send_refresh(self, home: str, entries: List[tuple]):
+        """One ``loc_refresh`` batch to a remote home; returns its CPU charge."""
+        self.rpc.send(home, "loc_refresh", {
+            "owner": self.node.hostid, "entries": entries,
+        }, size=32 + LOC_ENTRY_BYTES * len(entries))
+        return self.node.cpu(
+            self.params.provider_op_cpu * (1 + len(entries) / 64))
 
     def _shadow_sweep_loop(self):
         while True:
@@ -862,7 +868,7 @@ class StorageProvider:
             yield self.sim.timeout(self.params.migration_interval)
 
     def _migration_round(self):
-        members = self._members()
+        members = self.membership.snapshot()
         candidates = [s for s in self.store.committed_segments() if s.size > 0]
         # Locality-driven moves first: they are explicit application policy.
         yield from self._locality_round(members, candidates)

@@ -54,7 +54,6 @@ class StoredSegment:
     placement: str = "load"              # "load" | "locality" | "random"
     last_access: float = 0.0             # LAT: the temperature measure
     expires_at: Optional[float] = None   # shadows only
-    home_hint: str = ""
     meta: Optional[dict] = None          # index segments: layout + attach
     created_by: str = ""                 # client that opened the shadow
     pinned: bool = False                 # milestone: consolidation-exempt
@@ -101,7 +100,10 @@ class SegmentStore:
     returns re-enters at the end.  ``_bytes`` is the store-wide
     extent-byte counter, adjusted by the delta of every extent mutation.
 
-    All mutations go through ``_add``/``_remove``/``_note_committed``;
+    All mutations go through ``_add``/``_remove``/``_note_committed``
+    (and ``wipe``), and each bumps ``generation``: while that stands
+    still ``committed_segments()`` names the same segids in the same
+    order (the provider keeps its home-host bucketing by it).
     ``check_index_invariants`` recomputes every family's facts by scan
     and is asserted against them in the property tests.
     """
@@ -113,12 +115,14 @@ class SegmentStore:
         self._segs: Dict[int, _Family] = {}
         self._next_seq = 0
         self._bytes = 0
+        self.generation = 0
 
     # -- index maintenance --------------------------------------------
     def _add(self, seg: StoredSegment) -> None:
         """Insert a version into its family (the only write path to _segs)."""
         seg.seq = self._next_seq
         self._next_seq += 1
+        self.generation += 1
         self._bytes += seg.extents.covered_bytes()
         fam = self._segs.get(seg.segid)
         if fam is None:
@@ -137,6 +141,7 @@ class SegmentStore:
     def _note_committed(self, seg: StoredSegment) -> None:
         """Fold a committed version into its family's facts (at insert,
         at commit time, or when ``_remove`` recomputes them)."""
+        self.generation += 1
         fam = self._segs[seg.segid]
         if fam.latest is None or seg.version > fam.latest.version:
             fam.latest = seg
@@ -154,6 +159,7 @@ class SegmentStore:
         else:
             return None
         del vers[i]
+        self.generation += 1
         self._bytes -= seg.extents.covered_bytes()
         if not vers:
             del self._segs[segid]
@@ -266,7 +272,7 @@ class SegmentStore:
                             alpha=base.alpha, placement=base.placement,
                             last_access=self.sim.now,
                             expires_at=self.sim.now + self.shadow_ttl,
-                            home_hint=base.home_hint, created_by=creator,
+                            created_by=creator,
                             meta=dict(base.meta) if base.meta else None)
         self._add(seg)
         try:
@@ -678,6 +684,7 @@ class SegmentStore:
         resets the backing FS separately."""
         self._segs.clear()
         self._bytes = 0
+        self.generation += 1
 
     # -- helpers ----------------------------------------------------------
     def _require(self, segid: int, version: int) -> StoredSegment:

@@ -97,8 +97,8 @@ def run_point(n_providers: int, n_files: int, n_sessions: int,
                              SorrentoConfig(params=params, seed=seed))
 
     # One heartbeat round populates every membership view, and the P^2
-    # cluster-formation join-refresh storm drains while every store is
-    # still empty (each of its tasks iterates committed_segments()).
+    # join refreshes of cluster formation fall due while every store is
+    # still empty, so the traffic window starts without their messages.
     dep.warm_up(params.join_refresh_delay_max + 1.0)
 
     # Then preload the file population (planted directly through the

@@ -63,10 +63,10 @@ def scale_params(n_providers: int) -> SorrentoParams:
         refresh_cycle=120.0,
         migration_interval=600.0,
         ring_vnodes=vnodes,
-        # Cluster formation fires P^2 join-refresh tasks (every provider
-        # refreshes toward every joined peer).  The suite drains that
-        # storm against *empty* stores during warm-up — so the window
-        # can be short — and only then preloads the file population.
+        # Cluster formation defers P^2 join refreshes (every provider
+        # toward every joined peer, one heap entry each).  The suite lets
+        # them fall due during warm-up — so the window can be short — and
+        # preloads afterwards, so none of them announces anything.
         join_refresh_delay_max=2.0,
     )
 

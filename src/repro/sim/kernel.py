@@ -4,14 +4,14 @@ Hot-path layout (this is the substrate every experiment is bottlenecked
 on, so the per-event taxes are explicit):
 
 * zero-delay events bypass ``heapq`` through two FIFOs — one for
-  priority-0 "urgent" events (process bootstrap, interrupts) and one for
-  ordinary same-tick triggers — preserving exactly the ``(time,
-  priority, lane, seq)`` order the heap would have produced;
+  priority-0 "urgent" events (:meth:`Simulator.call_soon`: process
+  bootstrap, interrupts, deferred checks) and one for ordinary
+  same-tick triggers — preserving exactly the ``(time, priority, lane,
+  seq)`` order the heap would have produced;
 * a deadline that lost its race (an answered
   :class:`~repro.sim.events.Reply`) is a tombstone: swept un-dispatched
   when popped, and compacted in bulk when tombstones outnumber the live
   heap;
-* bootstrap/interrupt kick events are pooled (:class:`_Kick`);
 * one message is one heap entry: a wire delivery is a ``Callback``
   (:meth:`Simulator.call_later`), a multicast's same-instant copies one
   ``Fanout`` (:meth:`Simulator.call_fanout`, a dispatch per copy), an
@@ -51,8 +51,6 @@ from repro.sim.events import (
     Timeout,
 )
 
-#: Upper bound on the kick free-list (beyond this, garbage collect).
-_POOL_MAX = 1024
 #: Minimum tombstone count before a bulk heap compaction is considered.
 _COMPACT_MIN = 64
 
@@ -78,17 +76,9 @@ def collector_exempt():
         gc.unfreeze()
 
 
-class _Kick(Event):
-    """A pooled, valueless, always-succeeded event used to (re)start a
-    process: bootstrap and interrupts.  Recycled right after dispatch —
-    nothing outside the kernel ever holds one."""
-
-    __slots__ = ()
-
-
-#: What a process started in place (:meth:`Simulator.start`) is resumed
-#: with: a succeeded, valueless trigger.
-_STARTED = _Kick(None)
+#: What a process is started with (bootstrap, :meth:`Simulator.start`) or
+#: kicked by an interrupt: a succeeded, valueless trigger.
+_STARTED = Event(None)
 _STARTED.state = SUCCEEDED
 
 
@@ -122,7 +112,6 @@ class Simulator:
         self._ntomb: int = 0         # cancelled entries still in containers
         self._npending: int = 0
         self._peak_pending: int = 0
-        self._kick_pool: list = []
         #: Cooperative break for :meth:`run_window`: a callback fired
         #: mid-window (e.g. "my last local process completed") sets this
         #: to make the window loop return early.  The caller owns
@@ -203,6 +192,13 @@ class Simulator:
         pass their (src, dst) lane so ties resolve by content."""
         self._schedule(Callback(fn, a, b), delay, 1, lane)
 
+    def call_soon(self, fn: Callable[[Any, Any], None], a: Any, b: Any) -> None:
+        """Call ``fn(a, b)`` at this instant, urgently: once the running
+        event has finished and before anything else.  A process's
+        bootstrap and interrupt kicks are this call, so work that never
+        waits takes the slot (and the one ``seq``) a process would."""
+        self._schedule(Callback(fn, a, b), 0.0, 0)
+
     def call_fanout(self, when: float, fn: Callable[[Any, Any], None],
                     stops: Iterable[tuple], b: Any) -> None:
         """Call ``fn(a, b)`` at the *absolute* instant ``when >= now``
@@ -247,7 +243,7 @@ class Simulator:
         """Run a generator as a process, starting at the current instant
         once the running event has finished; returns its Process event."""
         proc = Process(self, gen, name)
-        self._kick(proc._resume_cb)
+        self.call_soon(proc._resume_cb, _STARTED, None)
         return proc
 
     def start(self, gen: Generator, name: str = "") -> "Process":
@@ -259,19 +255,6 @@ class Simulator:
         proc = Process(self, gen, name)
         proc._resume(_STARTED)
         return proc
-
-    def _kick(self, callback) -> None:
-        """Schedule ``callback`` to run at the current instant with urgent
-        priority, through a pooled kick event."""
-        pool = self._kick_pool
-        if pool:
-            k = pool.pop()
-            k._callbacks = [callback]
-        else:
-            k = _Kick(self)
-            k.state = SUCCEEDED
-            k._callbacks = [callback]
-        self._schedule(k, 0.0, 0)
 
     def _note_cancelled(self) -> None:
         """A scheduled entry became a tombstone; compacts the heap when
@@ -316,8 +299,6 @@ class Simulator:
             return
         self._nprocessed += 1
         event._dispatch()
-        if type(event) is _Kick and len(self._kick_pool) < _POOL_MAX:
-            self._kick_pool.append(event)
 
     def run_window(self, t_end: float, grid: float = 0.0) -> int:
         """Process every event strictly before ``t_end`` in one fused loop.
@@ -372,8 +353,6 @@ class Simulator:
                 wins += 1
                 edge = (int(when / grid) + 1.0) * grid
             event._dispatch()
-            if type(event) is _Kick and len(self._kick_pool) < _POOL_MAX:
-                self._kick_pool.append(event)
             if self.window_break:
                 return wins
 
@@ -496,11 +475,12 @@ class Process(Event):
             target, self._waiting_on = self._waiting_on, None
             target.remove_callback(self._resume_cb)
         # Resume immediately (urgent priority so interrupts preempt).
-        self.sim._kick(self._resume_cb)
+        self.sim.call_soon(self._resume_cb, _STARTED, None)
 
     # -- internal ---------------------------------------------------------
-    def _resume(self, trigger: Event) -> None:
-        """Drive the generator from ``trigger`` to its next real wait."""
+    def _resume(self, trigger: Event, _b: Any = None) -> None:
+        """Drive the generator from ``trigger`` to its next real wait
+        (an event's callback, or the ``fn(a, b)`` of a kick)."""
         self._waiting_on = None
         sim = self.sim
         prev = sim.active_process

@@ -61,16 +61,17 @@ class Raid0:
             i = self._next
             self._next = (i + 1) % len(self.disks)
             return self.sim.all_of((self.disks[i].io(nbytes, sequential),))
-        # Split into per-disk byte counts, stripe unit at a time.
-        per_disk = [0] * len(self.disks)
-        remaining = nbytes
-        i = self._next
-        while remaining > 0:
-            chunk = min(self.stripe, remaining)
-            per_disk[i % len(self.disks)] += chunk
-            remaining -= chunk
-            i += 1
-        self._next = i % len(self.disks)
+        # Dealt out a stripe unit at a time from member ``_next``: every
+        # member gets ``laps`` whole units, the first ``extra`` from
+        # ``_next`` one more, the member after those the partial unit.
+        n, first = len(self.disks), self._next
+        units, tail = divmod(nbytes, self.stripe)
+        laps, extra = divmod(units, n)
+        per_disk = [laps * self.stripe] * n
+        for k in range(first, first + extra):
+            per_disk[k % n] += self.stripe
+        per_disk[(first + units) % n] += tail
+        self._next = (first + units + (tail > 0)) % n
         parts = [
             disk.io(count, sequential)
             for disk, count in zip(self.disks, per_disk)

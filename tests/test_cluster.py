@@ -128,6 +128,56 @@ def test_crash_interrupts_spawned_processes():
     assert all(t <= 2.5 for t in survived)
 
 
+def test_deferred_call_runs_at_its_instant_and_dies_with_the_node():
+    sim, node = build_node()
+    ran = []
+    node.defer(1.0, ran.append, "late")
+    node.defer(0.0, ran.append, "now")
+    assert len(node._procs) == 0
+    sim.run(until=0.5)
+    assert ran == ["now"]
+    node.crash()
+    sim.run(until=5)
+    assert ran == ["now"]                   # crashed before it was due
+
+
+def test_deferred_call_is_not_revived_by_a_restart():
+    sim, node = build_node()
+    ran = []
+    node.defer(2.0, ran.append, "before the crash")
+    node.defer(0.0, ran.append, "same instant as the crash")
+    node.crash()
+    sim.run(until=1.0)
+    node.restart()
+    node.defer(0.5, ran.append, "after the restart")
+    sim.run(until=5)
+    assert ran == ["after the restart"]
+
+
+def test_dormant_node_defers_nothing():
+    sim = Simulator()
+    node = Node(sim, Fabric(sim), small_cluster(2).nodes[0], dormant=True)
+    pending = sim.pending_events
+    ran = []
+    node.defer(0.0, ran.append, "now")
+    node.defer(1.0, ran.append, "later")
+    assert sim.pending_events == pending
+    sim.run(until=5)
+    assert ran == []
+
+
+def test_failing_deferred_call_surfaces_from_the_run():
+    """Unlike a failed process nobody waits on, which dies unobserved."""
+    sim, node = build_node()
+
+    def boom(what):
+        raise ValueError(what)
+
+    node.defer(1.0, boom, "seen")
+    with pytest.raises(ValueError, match="seen"):
+        sim.run(until=5)
+
+
 def test_crash_preserves_fs_contents():
     sim, node = build_node()
 

@@ -1,6 +1,6 @@
 """Tests for the kernel's hot-path machinery: voided deadlines, the
-zero-delay FIFOs, callback tombstoning, the kick free-list, the
-one-event shapes (``call_later``, ``reply``, ``start``,
+zero-delay FIFOs, callback tombstoning, the
+one-event shapes (``call_later``, ``call_soon``, ``reply``, ``start``,
 silent process completion) and the fused run loop."""
 
 from hypothesis import given, settings
@@ -101,20 +101,6 @@ def test_remove_callback_tombstones_without_reorder():
     ev.succeed()
     sim.run()
     assert calls == ["second"]
-
-
-# ------------------------------------------------------------ free-lists
-def test_kick_pool_recycles_bootstrap_events():
-    sim = Simulator()
-
-    def proc():
-        yield sim.timeout(0.1)
-
-    sim.run_process(sim.process(proc()))
-    assert len(sim._kick_pool) == 1
-    before = sim._kick_pool[0]
-    sim.run_process(sim.process(proc()))
-    assert sim._kick_pool[0] is before  # reused, then returned
 
 
 def test_peak_pending_tracks_high_water_mark():
@@ -417,3 +403,90 @@ def test_fanout_dispatches_exactly_what_a_callback_per_stop_does(
         (ref._nprocessed, ref._nswept, ref._seq)
     assert fan.peak_pending <= ref.peak_pending
     assert fan.pending_events == ref.pending_events == 0
+
+
+# ------------------------------------------- urgent callbacks (call_soon)
+def test_call_soon_preempts_same_tick_events_like_a_process_kick():
+    sim = Simulator()
+    order = []
+    note = lambda a, b: order.append((a, b, sim.now))  # noqa: E731
+    sim.call_later(0.0, note, "ordinary", 1)
+    sim.call_soon(note, "urgent", 2)
+
+    def proc():
+        order.append("process")
+        return
+        yield  # pragma: no cover - makes this a generator
+
+    sim.process(proc())
+    assert sim.pending_events == 3
+    sim.run()
+    assert order == [("urgent", 2, 0.0), "process", ("ordinary", 1, 0.0)]
+    assert sim._nprocessed == 3
+
+
+_URGENT_ITEMS = st.lists(
+    st.tuples(_DELAYS, st.sampled_from(["later", "timeout", "urgent",
+                                        "urgent", "nest"]), _LANES),
+    min_size=1, max_size=20)
+
+
+def _urgent_program(sim, items, log, as_process):
+    """Schedule ``items``; every piece of urgent work is a process that
+    never waits (``as_process``) or one ``call_soon``.  It logs ``(now,
+    who)`` and may itself schedule same-instant work of both kinds."""
+
+    def note(who, _b=None):
+        log.append((sim.now, who))
+
+    def body(who, nest):
+        note(who)
+        if nest:
+            sim.call_later(0.0, note, (who, "after"), None)
+            urgent((who, "child"), False)
+            sim.timeout(0.5).add_callback(lambda _e: note((who, "late")))
+
+    def urgent(who, nest):
+        if not as_process:
+            sim.call_soon(body, who, nest)
+            return
+
+        def gen():
+            body(who, nest)
+            return
+            yield  # pragma: no cover - makes this a generator
+
+        sim.process(gen())
+
+    for i, (delay, kind, lane) in enumerate(items):
+        if kind == "later":
+            sim.call_later(delay, note, i, None, lane=lane)
+        elif kind == "timeout":
+            sim.timeout(delay).add_callback(lambda _e, i=i: note(i))
+        elif lane == 0:                 # straight from the building code
+            urgent(i, kind == "nest")
+        else:                           # from inside a delivery
+            sim.call_later(delay, urgent, i, kind == "nest", lane=lane)
+
+
+@given(_URGENT_ITEMS, st.sampled_from(["run", "step", "windows"]),
+       st.lists(st.one_of(_DELAYS, st.floats(0.0, 3.0)), max_size=6))
+@settings(max_examples=150, deadline=None)
+def test_call_soon_dispatches_exactly_where_a_process_kick_does(
+        items, how, edges):
+    ref, soon = Simulator(), Simulator()
+    ref_log, soon_log = [], []
+    _urgent_program(ref, items, ref_log, as_process=True)
+    _urgent_program(soon, items, soon_log, as_process=False)
+    while ref.pending_events:
+        ref.step()
+    if how == "step":
+        while soon.pending_events:
+            soon.step()
+    else:
+        for edge in sorted(edges) * (how == "windows") + [float("inf")]:
+            soon.run_window(edge)
+    assert soon_log == ref_log
+    assert (soon._nprocessed, soon._seq, soon.peak_pending, soon.now) == \
+        (ref._nprocessed, ref._seq, ref.peak_pending, ref.now)
+    assert soon.pending_events == ref.pending_events == 0

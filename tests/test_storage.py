@@ -1,6 +1,8 @@
 """Tests for disk, RAID-0, and local filesystem models."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sim import Simulator
 from repro.storage import DISK_SPECS, Disk, LocalFS, NoSpace, Raid0
@@ -123,6 +125,46 @@ def test_raid0_sub_stripe_requests_rotate_over_members():
                                              raid.stripe + 12 * 1024,
                                              raid.stripe]
     assert [d.requests for d in disks] == [2, 2, 1]
+
+
+def _dealt_unit_by_unit(nbytes, stripe, n, first):
+    """The reference ``Raid0.io`` computes in closed form: deal the
+    request out one stripe unit at a time, round robin from ``first``."""
+    per_disk = [0] * n
+    remaining, i = nbytes, first
+    while remaining > 0:
+        chunk = min(stripe, remaining)
+        per_disk[i % n] += chunk
+        remaining -= chunk
+        i += 1
+    return per_disk, i % n
+
+
+@given(st.lists(st.tuples(st.integers(0, 70), st.floats(0, 1)),
+                min_size=1, max_size=6),
+       st.sampled_from([1, 7, 4096, 64 * 1024]), st.integers(2, 5),
+       st.integers(0, 4))
+@settings(max_examples=200, deadline=None)
+def test_raid0_split_is_the_unit_by_unit_deal(sizes, stripe, n, first):
+    sim = Simulator()
+    disks = [cheetah(sim) for _ in range(n)]
+    raid = Raid0(sim, disks, stripe=stripe)
+    raid._next = first = first % n
+    for units, part in sizes:               # up to 70 units and a tail
+        nbytes = units * stripe + int(part * (stripe - 1))
+        before = [(d.bytes_done, d.requests) for d in disks]
+        per_disk, nxt = _dealt_unit_by_unit(nbytes, stripe, n, first)
+        raid.io(nbytes)
+        sim.run()
+        got = [(d.bytes_done - b, d.requests - r)
+               for d, (b, r) in zip(disks, before)]
+        if nbytes == 0:     # one positioning on the member next in turn
+            per_disk, want_reqs = [0] * n, [int(k == first) for k in range(n)]
+        else:
+            want_reqs = [int(c > 0) for c in per_disk]
+        assert got == list(zip(per_disk, want_reqs))
+        assert raid._next == nxt
+        first = nxt
 
 
 def test_raid0_requires_members():
