@@ -47,8 +47,7 @@ import random
 from collections import deque
 from typing import Dict, List, Optional, Tuple
 
-from repro.core.location import TtlCache
-from repro.core.params import SorrentoParams
+from repro.core.location import LOC_CACHE_CAPACITY, LOC_CACHE_TTL, TtlCache
 from repro.network.message import RpcRemoteError, RpcTimeout
 
 POLICIES = ("locality", "random", "round_robin")
@@ -74,7 +73,7 @@ class TaskQueue:
                 "task_status")
 
     def __init__(self, node, client, workers: List[str],
-                 params: SorrentoParams, rng: random.Random, *,
+                 rng: random.Random, *,
                  policy: str = "locality", prestage: bool = True,
                  lease_ttl: float = 15.0):
         if policy not in POLICIES:
@@ -84,7 +83,6 @@ class TaskQueue:
         self.host = node.hostid
         self.client = client
         self.rpc = client.rpc
-        self.params = params
         self.rng = rng
         self.policy = policy
         self.prestage = prestage and policy == "locality"
@@ -103,7 +101,7 @@ class TaskQueue:
         self.prestage_inflight = 0
         # Queue-side (owners, affinity, version) cache — the same TTL as
         # the clients' location cache, so staleness bounds match.
-        self._seg_cache = TtlCache(params.loc_cache_ttl, 4096)
+        self._seg_cache = TtlCache(LOC_CACHE_TTL, LOC_CACHE_CAPACITY)
         self.jobs: Dict[str, dict] = {}
         #: (task_id, worker, locality_class) in assignment order — the
         #: determinism tests replay this verbatim.
@@ -411,7 +409,7 @@ def start_compute(dep, on: Optional[str] = None,
     queue = TaskQueue(
         dep.nodes[on], dep.client_on(on),
         sorted(workers if workers is not None else dep.providers),
-        dep.params, dep.rngs.py("compute:queue"),
+        dep.rngs.py("compute:queue"),
         policy=policy, prestage=prestage, lease_ttl=lease_ttl)
     dep.compute = queue
     dep.compute_workers = {

@@ -38,8 +38,9 @@ class WrongShardError(SorrentoError):
     """A namespace shard redirected the request: the path hashed to a
     different shard under the current ring epoch.  The router consumes
     these internally (learning the owner and retrying); applications
-    only see one if redirects exceed ``ns_redirect_limit``, which means
-    the shard map is churning faster than the client can chase it.
+    only see one if redirects exceed ``REDIRECT_LIMIT``
+    (:mod:`repro.core.client.router`), which means the shard map is
+    churning faster than the client can chase it.
 
     ``path`` is the path the server refused (a rename names two),
     ``owner`` the redirecting server's view of the shard that owns it

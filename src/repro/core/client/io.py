@@ -26,11 +26,16 @@ from repro.core.client.handle import (
     _meta_size,
     make_layout_for,
 )
+from repro.core.layout import ATTACH_MAX
 from repro.network.message import RpcRemoteError, RpcTimeout
 from repro.sim import gather
 
 #: seg_idx -> (owner, version) resolution for a batch of layout pieces.
 OwnerMap = Dict[int, Tuple[str, int]]
+
+OP_CPU = 1e-4                # calibration (DESIGN.md § 1): stub bookkeeping
+#                              per client call, reference-GHz-seconds
+OPEN_RTTS = 2                # paper: 2 TCP roundtrips to open a file
 
 
 class DataPathMixin:
@@ -51,12 +56,12 @@ class DataPathMixin:
         if version is not None and mode != "r":
             raise SorrentoError("historical versions are read-only")
         self.stats["opens"] += 1
-        yield self.node.cpu(self.params.client_op_cpu)
+        yield self.node.cpu(OP_CPU)
         # Every open asks the namespace server: a stale base version would
         # surface as spurious commit conflicts, not just a stale snapshot.
         try:
             entry = yield from self._call_ns(
-                "ns_lookup", path, rtts=self.params.open_rtts)
+                "ns_lookup", path, rtts=OPEN_RTTS)
         except NotFoundError:
             if not (create and mode == "w"):
                 raise
@@ -97,7 +102,7 @@ class DataPathMixin:
         """
         want = fh.entry["version"]
         meta = None
-        use_meta_cache = self.params.meta_cache_enabled and fh.versioning
+        use_meta_cache = fh.versioning
         if use_meta_cache:
             cached = self.meta_cache.get(fh.fileid, self.sim.now)
             if cached is not None and cached[0] == want:
@@ -110,7 +115,7 @@ class DataPathMixin:
                 break
             resp = yield from self._locate(
                 fh.fileid,
-                read={"offset": 0, "length": self.params.attach_max + 256,
+                read={"offset": 0, "length": ATTACH_MAX + 256,
                       "meta_only": meta_only},
             )
             inline = resp.get("inline")
@@ -155,7 +160,7 @@ class DataPathMixin:
         (size-only data segments and size-only attached files alike)."""
         self._check_open(fh)
         self.stats["reads"] += 1
-        yield self.node.cpu(self.params.client_op_cpu)
+        yield self.node.cpu(OP_CPU)
         end = min(offset + length, fh.size)
         if end <= offset:
             return b""
@@ -202,14 +207,6 @@ class DataPathMixin:
         """Fetch pieces grouped by owner; returns chunks in piece order."""
         owners = yield from self._resolve_read_owners(fh, pieces)
         chunks: List[Optional[bytes]] = [None] * len(pieces)
-        if not self.params.vectored_io:
-            def scalar(i):
-                chunks[i] = yield from self._read_piece_single(
-                    fh, pieces[i], owners[pieces[i][0]], sequential)
-
-            yield from gather(self.sim,
-                              [scalar(i) for i in range(len(pieces))])
-            return chunks
         groups: Dict[str, List[int]] = {}
         for i, piece in enumerate(pieces):
             groups.setdefault(owners[piece[0]][0], []).append(i)
@@ -262,7 +259,7 @@ class DataPathMixin:
 
     def _read_piece_single(self, fh: FileHandle, piece,
                            ov: Tuple[str, int], sequential: bool):
-        """Scalar read of one piece (single-owner groups + cache-off mode)."""
+        """Scalar read of one piece (single-owner groups)."""
         seg_idx, seg_off, n = piece
         ref = fh.layout.segments[seg_idx]
         owner, version = ov
@@ -313,14 +310,14 @@ class DataPathMixin:
         if data is not None and len(data) != length:
             raise SorrentoError("data/length mismatch")
         self.stats["writes"] += 1
-        yield self.node.cpu(self.params.client_op_cpu)
+        yield self.node.cpu(OP_CPU)
         if not fh.versioning:
             yield from self._write_in_place(fh, offset, length, data, sequential)
             return
         fh.dirty = True
         end = offset + length
         # Small files stay attached to the index segment.
-        if not fh.layout.segments and end <= self.params.attach_max:
+        if not fh.layout.segments and end <= ATTACH_MAX:
             if data is None and fh.attached is None:
                 fh.attached_len = max(fh.attached_len, end)
                 return
@@ -358,13 +355,6 @@ class DataPathMixin:
             chunk = data[pos:pos + n] if data is not None else None
             pos += n
             spans.append((seg_idx, seg_off, n, chunk))
-        if not self.params.vectored_io:
-            yield from gather(self.sim, [
-                self._write_piece_single(fh, span, owners[span[0]],
-                                         sequential, in_place)
-                for span in spans
-            ])
-            return
         groups: Dict[str, List[int]] = {}
         for i, span in enumerate(spans):
             groups.setdefault(owners[span[0]][0], []).append(i)
@@ -589,7 +579,7 @@ class DataPathMixin:
         unlink response time grow with the replication degree, Figure 9);
         distinct segments go in parallel.
         """
-        yield self.node.cpu(self.params.client_op_cpu)
+        yield self.node.cpu(OP_CPU)
         fh = yield from self.open(path, "r", meta_only=True)
         entry = yield from self._call_ns("ns_unlink", path)
         segids = [ref.segid for ref in fh.layout.segments] + [entry["fileid"]]

@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.core.client.handle import ConflictError, WrongShardError
-from repro.core.client.router import _namespace_error
+from repro.core.client.router import REDIRECT_LIMIT, _namespace_error
 from repro.core.twophase import CommitAborted, two_phase_commit
 from repro.sim import gather
 
@@ -116,7 +116,7 @@ class NamespaceOpsMixin:
         # A shard that refuses a path it no longer owns (this client's
         # routes predate a split or merge) has by then taught the router
         # the owner, which can turn a cross-shard move into a same-shard
-        # one or the reverse: plan again, at most ns_redirect_limit
+        # one or the reverse: plan again, at most REDIRECT_LIMIT
         # times.  So can the cross-shard move's own source lookup, which
         # is routed and redirected like any call.
         route_host = self.router.route_host
@@ -138,7 +138,7 @@ class NamespaceOpsMixin:
                 return moved
             except WrongShardError:
                 replans += 1
-                if replans > self.params.ns_redirect_limit:
+                if replans > REDIRECT_LIMIT:
                     raise
 
     def _cross_shard_move(self, entry: dict, src_host: str, dst_path: str,

@@ -16,9 +16,10 @@ from repro.core.client.handle import (
     SorrentoError,
     TimeoutError,
 )
-from repro.core.placement import choose_provider
+from repro.core.placement import SMALL_SEGMENT_BYTES, choose_provider
 from repro.core.provider import LOCATION_GROUP
 from repro.network.message import RpcRemoteError, RpcTimeout
+from repro.runtime import RPC_DEADLINE
 
 _nonces = itertools.count(1)
 
@@ -51,7 +52,7 @@ class PlacementMixin:
         flows that need the full owner list (unlink, sync, pin) or that
         just proved a cached entry wrong.
         """
-        if read is None and not refresh and self.params.loc_cache_enabled:
+        if read is None and not refresh:
             owners = self.loc_cache.lookup(segid, self.sim.now)
             if owners:
                 self._cache_note("loc_hits")
@@ -79,7 +80,7 @@ class PlacementMixin:
 
     def _learn_hint(self, segid: int, resp: Optional[dict]) -> None:
         """Fold a reply's piggybacked owner hint into the location cache."""
-        if not self.params.loc_cache_enabled or not resp:
+        if not resp:
             return
         hint = resp.get("hint")
         if hint:
@@ -89,8 +90,7 @@ class PlacementMixin:
         """Backup scheme: ask everybody over multicast."""
         self.stats["probe_fallbacks"] += 1
         nonce = next(_nonces)
-        waiter = self._probe_waiters[nonce] = self.sim.reply(
-            self.params.rpc_timeout)
+        waiter = self._probe_waiters[nonce] = self.sim.reply(RPC_DEADLINE)
         self.rpc.multicast(LOCATION_GROUP, "loc_probe",
                            {"segid": segid, "nonce": nonce}, size=48)
         owner = yield waiter
@@ -146,7 +146,7 @@ class PlacementMixin:
         home = self._home_of(segid)
         boost = 0.0
         if self.params.home_boost_enabled \
-                and size_hint <= self.params.small_segment_bytes:
+                and size_hint <= SMALL_SEGMENT_BYTES:
             boost = 3.0 * len(members)
         exclude = None
         if spreads:

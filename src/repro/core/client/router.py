@@ -26,7 +26,7 @@ from repro.core.client.handle import (
 )
 from repro.core.hashing import HashRing
 from repro.core.location import TtlCache
-from repro.core.namespace import ROOT, _prefix_point, shard_prefix
+from repro.core.namespace import ROOT, SHARD_VNODES, _prefix_point, shard_prefix
 from repro.network.message import RpcRemoteError, RpcTimeout
 
 #: Metadata ops a read-only namespace mirror can answer (bounded-stale
@@ -37,6 +37,11 @@ READ_ONLY = frozenset({"ns_lookup", "ns_list"})
 #: How a remote handler's ``NamespaceError`` arrives in
 #: ``RpcRemoteError.error``: the exception's type name, then its text.
 NS_ERROR = "NamespaceError: "
+
+ROUTE_CACHE_TTL = 30.0       # prefix -> shard routes, keyed by
+ROUTE_CACHE_CAPACITY = 4096  # (epoch, prefix)
+REDIRECT_LIMIT = 4           # EWRONGSHARD hops (and cross-shard re-plans)
+#                              before the error surfaces to the app
 
 
 def _namespace_error(error: str) -> SorrentoError:
@@ -71,18 +76,16 @@ class NamespaceRouter:
     ``route_misses`` / ``ns_redirects`` / ``mirror_*``).
     """
 
-    def __init__(self, rpc, sim, params, shards: Dict[str, List[str]],
+    def __init__(self, rpc, sim, shards: Dict[str, List[str]],
                  epoch: int, note: Callable[..., None]):
         self.rpc = rpc
         self.sim = sim
-        self.params = params
         self.shards: Dict[str, List[str]] = {
             name: list(hosts) for name, hosts in shards.items()
         }
         self.epoch = epoch
-        self._ring = HashRing(params.ns_shard_vnodes)
-        self._route_cache = TtlCache(params.ns_route_cache_ttl,
-                                     params.ns_route_cache_capacity)
+        self._ring = HashRing(SHARD_VNODES)
+        self._route_cache = TtlCache(ROUTE_CACHE_TTL, ROUTE_CACHE_CAPACITY)
         self._shard_active: Dict[str, int] = {}
         self._note = note
         # Geo-aware reads: a full-tree namespace mirror (usually on this
@@ -202,7 +205,7 @@ class NamespaceRouter:
                         # re-plan: re-routing on this one would reach
                         # the same shard.
                         if err.path != path \
-                                or redirects > self.params.ns_redirect_limit:
+                                or redirects > REDIRECT_LIMIT:
                             raise
                     break  # re-resolve against the repaired route
                 except RpcTimeout as exc:

@@ -14,11 +14,22 @@ from repro.core.client.router import NamespaceRouter
 from repro.core.client.versioning import VersioningMixin
 from repro.core.hashing import HashRing
 from repro.core.ids import IdGenerator
-from repro.core.location import ClientLocationCache, TtlCache
+from repro.core.location import (
+    LOC_CACHE_CAPACITY,
+    LOC_CACHE_TTL,
+    ClientLocationCache,
+    TtlCache,
+)
 from repro.core.membership import MembershipManager
 from repro.core.params import SorrentoParams
 from repro.runtime import CACHE, OpStats
 from repro.sim import Reply
+
+# Index-segment metadata cache: version-gated (an entry is used only on
+# an exact match against the namespace entry's version), so the TTL
+# bounds memory, not staleness.
+META_CACHE_TTL = 60.0
+META_CACHE_CAPACITY = 256
 
 
 class SorrentoClient(NamespaceOpsMixin, PlacementMixin, DataPathMixin,
@@ -41,12 +52,11 @@ class SorrentoClient(NamespaceOpsMixin, PlacementMixin, DataPathMixin,
         # interpreter launch, breaking cross-process replay.
         self.rng = rng or random.Random(zlib.crc32(node.hostid.encode()) & 0xFFFFFF)
         self.rpc = node.runtime
-        self.rpc.configure(policy=self.params.rpc_policy())
         # All namespace routing lives in the router.  ns_shards is the
         # deployment's shard-map snapshot at epoch ns_shard_epoch: shard
         # name -> [primary, standby, ...].
         self.router = NamespaceRouter(
-            self.rpc, self.sim, self.params, ns_shards,
+            self.rpc, self.sim, ns_shards,
             epoch=ns_shard_epoch, note=self._cache_note,
         )
         self.membership = membership or MembershipManager(
@@ -76,10 +86,8 @@ class SorrentoClient(NamespaceOpsMixin, PlacementMixin, DataPathMixin,
         self.prefer_local = False
         # The caching-and-batching plane: location and meta caches plus
         # the membership hook that evicts a dead owner's claims.
-        self.loc_cache = ClientLocationCache(self.params.loc_cache_ttl,
-                                             self.params.loc_cache_capacity)
-        self.meta_cache = TtlCache(self.params.meta_cache_ttl,
-                                   self.params.meta_cache_capacity)
+        self.loc_cache = ClientLocationCache(LOC_CACHE_TTL, LOC_CACHE_CAPACITY)
+        self.meta_cache = TtlCache(META_CACHE_TTL, META_CACHE_CAPACITY)
         self._cache_cells: Dict[str, OpStats] = {}
         self.membership.on_leave.append(self._on_member_death)
 

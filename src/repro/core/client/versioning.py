@@ -19,6 +19,8 @@ from repro.core.twophase import CommitAborted, two_phase_commit
 from repro.network.message import RpcRemoteError, RpcTimeout
 from repro.sim import gather
 
+CLOSE_RTTS = 3               # paper: 3 TCP roundtrips to close a file
+
 
 class VersioningMixin:
     """Shadow/commit/close lifecycle of a write session."""
@@ -136,7 +138,7 @@ class VersioningMixin:
         entry = yield from self._call_ns(
             "ns_complete_commit",
             {"path": fh.path, "new_version": new_version}, size=96,
-            rtts=self.params.close_rtts if close else 1,
+            rtts=CLOSE_RTTS if close else 1,
         )
         fh.entry = entry
         fh.base_version = new_version
@@ -149,14 +151,13 @@ class VersioningMixin:
         # The just-committed versions are the freshest location knowledge
         # anywhere: seed the caches so the next session (ours or a reopen)
         # skips the lookup roundtrips entirely.
-        if self.params.loc_cache_enabled:
-            now = self.sim.now
-            for segid, (owner, version) in fh.shadows.items():
-                self.loc_cache.learn(segid, owner, version, now)
-            for segid, owner in fh.new_segments.items():
-                self.loc_cache.learn(segid, owner, 1, now)
-            self.loc_cache.learn(fh.fileid, index_owner, index_version, now)
-        if self.params.meta_cache_enabled and fh.versioning:
+        now = self.sim.now
+        for segid, (owner, version) in fh.shadows.items():
+            self.loc_cache.learn(segid, owner, version, now)
+        for segid, owner in fh.new_segments.items():
+            self.loc_cache.learn(segid, owner, 1, now)
+        self.loc_cache.learn(fh.fileid, index_owner, index_version, now)
+        if fh.versioning:
             self.meta_cache.put(fh.fileid, (new_version, meta, index_owner),
                                 self.sim.now)
         fh.shadows.clear()

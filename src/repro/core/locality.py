@@ -13,6 +13,9 @@ from __future__ import annotations
 from collections import OrderedDict, deque
 from typing import Optional, Tuple
 
+LOCALITY_THRESHOLD = 0.6     # dominant-source share that moves a segment;
+#                              must be > 0.5 (paper) to avoid instability
+
 
 class AccessHistory:
     """Bounded per-segment access log with LRU eviction across segments."""

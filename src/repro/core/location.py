@@ -23,6 +23,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
+PURGE_AGE_FACTOR = 2.5       # a home purges records older than this
+#                              many refresh cycles
+LOC_CACHE_TTL = 30.0         # client-side owner/version entry lifetime (s)
+LOC_CACHE_CAPACITY = 4096    # entries per client
+
 
 @dataclass(slots=True)
 class OwnerRecord:

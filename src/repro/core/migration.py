@@ -18,8 +18,13 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.membership import ProviderInfo
-from repro.core.params import SorrentoParams
 from repro.core.segment import StoredSegment
+
+TOP_FRACTION = 0.10          # paper: among the highest 10% of providers
+SIGMA_FACTOR = 3.0           # paper: above mean + 3 sigma
+ALPHA_IO = 0.8               # paper: hot migration favours light load
+ALPHA_SPACE = 0.3            # paper: cold migration favours free space
+SEGMENTS_PER_ROUND = 4       # segments moved per decision
 
 
 @dataclass
@@ -34,8 +39,8 @@ class MigrationDecision:
 def imbalance_trigger(
     self_value: float,
     all_values: Sequence[float],
-    top_fraction: float = 0.10,
-    sigma_factor: float = 3.0,
+    top_fraction: float = TOP_FRACTION,
+    sigma_factor: float = SIGMA_FACTOR,
 ) -> bool:
     """The paper's trigger: top-10% AND above mean + 3 sigma.
 
@@ -76,7 +81,6 @@ def decide_migration(
     hostid: str,
     members: Dict[str, ProviderInfo],
     candidates: Sequence[StoredSegment],
-    params: SorrentoParams,
 ) -> Optional[MigrationDecision]:
     """One decision round for one provider; None = no migration needed."""
     me = members.get(hostid)
@@ -84,12 +88,10 @@ def decide_migration(
         return None
     io_values = [i.io_wait for i in members.values()]
     space_values = [i.utilization for i in members.values()]
-    if imbalance_trigger(me.io_wait, io_values,
-                         params.migration_top_fraction, params.migration_sigma):
-        segs = pick_hot_segments(candidates, params.migrations_per_round)
-        return MigrationDecision("io", segs, params.migrate_alpha_io)
-    if imbalance_trigger(me.utilization, space_values,
-                         params.migration_top_fraction, params.migration_sigma):
-        segs = pick_cold_segments(candidates, params.migrations_per_round)
-        return MigrationDecision("space", segs, params.migrate_alpha_space)
+    if imbalance_trigger(me.io_wait, io_values):
+        segs = pick_hot_segments(candidates, SEGMENTS_PER_ROUND)
+        return MigrationDecision("io", segs, ALPHA_IO)
+    if imbalance_trigger(me.utilization, space_values):
+        segs = pick_cold_segments(candidates, SEGMENTS_PER_ROUND)
+        return MigrationDecision("space", segs, ALPHA_SPACE)
     return None

@@ -39,6 +39,13 @@ from repro.sim import Store
 
 ROOT = "/"
 
+SHARD_VNODES = 16            # vnodes per shard on the prefix ring: the
+#                              servers' map and every client router hash
+#                              with this one value, so they agree
+OP_CPU = 6e-4                # calibration (DESIGN.md § 1): ~1300 ops/s on
+#                              a Cluster A node, reference-GHz-seconds
+CHECKPOINT_INTERVAL = 300.0  # seconds between KV-store checkpoints
+
 
 class NamespaceError(Exception):
     """Client-visible namespace failures (ENOENT, EEXIST, conflict...)."""
@@ -123,8 +130,8 @@ class NamespaceShardMap:
     hash and ring walk run once per top-level directory per epoch.
     """
 
-    def __init__(self, shards, vnodes: int = 16):
-        self.ring = HashRing(vnodes)
+    def __init__(self, shards):
+        self.ring = HashRing(SHARD_VNODES)
         self.shards: List[str] = list(shards)
         self.epoch = 1
         self._owners: Dict[str, str] = {}
@@ -197,14 +204,12 @@ class NamespaceServer:
         # is the only shard of a map of its own and so answers for every
         # path — which is also what a full-tree mirror stays.
         self.shard_name: str = node.hostid
-        self.shard_map = NamespaceShardMap([node.hostid],
-                                           self.params.ns_shard_vnodes)
+        self.shard_map = NamespaceShardMap([node.hostid])
         self._ship_seq = 0
         self.applied_seq = 0                  # standby side: last seq applied
         self.shipped_batches = 0
         self.shipped_bytes = 0
         self.rpc = node.runtime
-        self.rpc.configure(policy=self.params.rpc_policy())
         for svc in self.SERVICES:
             self.rpc.register(svc, getattr(self, "_h_" + svc[3:]),
                               replace=True)
@@ -319,7 +324,7 @@ class NamespaceServer:
     # ------------------------------------------------------------------
     def _charge_cpu(self):
         self.ops_served += 1
-        yield self.node.cpu(self.params.ns_op_cpu)
+        yield self.node.cpu(OP_CPU)
 
     def _durable(self):
         """Wait until the current WAL batch hits the disk (group commit)."""
@@ -342,7 +347,7 @@ class NamespaceServer:
 
     def _checkpoint_loop(self):
         while True:
-            yield self.sim.timeout(self.params.ns_checkpoint_interval)
+            yield self.sim.timeout(CHECKPOINT_INTERVAL)
             nbytes = self.db.checkpoint()
             yield self.node.fs.journal_io(max(4096, nbytes), sequential=True)
 

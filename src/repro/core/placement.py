@@ -22,6 +22,7 @@ from typing import Dict, Iterable, Optional, Set
 from repro.core.membership import ProviderInfo
 
 FACTOR_CAP = 10.0
+SMALL_SEGMENT_BYTES = 64 * 1024   # home-host 3N boost applies up to here
 _MIN_LOAD = 1e-4
 
 

@@ -19,14 +19,15 @@ import zlib
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.hashing import HashRing
-from repro.core.locality import AccessHistory
-from repro.core.location import LocationTable
+from repro.core.locality import LOCALITY_THRESHOLD, AccessHistory
+from repro.core.location import PURGE_AGE_FACTOR, LocationTable
 from repro.core.membership import MembershipManager
 from repro.core.migration import decide_migration
 from repro.core.params import SorrentoParams
 from repro.core.placement import choose_provider
 from repro.core.segment import SegmentError, SegmentStore, StoredSegment
 from repro.network.message import RpcRemoteError, RpcTimeout
+from repro.runtime import RPC_DEADLINE
 from repro.sim import Resource
 from repro.storage import DiskIOError, StorageEngine
 
@@ -35,6 +36,11 @@ LOCATION_GROUP = "sorrento-loc"
 
 #: Per-location-entry wire size in refresh messages.
 LOC_ENTRY_BYTES = 40
+
+# Calibration (DESIGN.md § 1): CPU charged by the user-level daemon, in
+# reference-GHz-seconds.
+OP_CPU = 3e-4                # per request
+BYTE_CPU = 2e-8              # per byte through the daemon
 
 
 def _meta_bytes(meta: Optional[dict]) -> int:
@@ -78,19 +84,14 @@ class StorageProvider:
             # raw device exactly as before.
             node.fs.engine = StorageEngine(
                 self.sim, node.fs.device,
-                page_size=self.params.page_size,
                 cache_bytes=self.params.cache_bytes,
                 writeback=self.params.writeback,
-                flush_interval=self.params.flush_interval,
-                dirty_watermark=self.params.dirty_watermark,
-                readahead_pages=self.params.readahead_pages,
                 metrics=node.runtime.registry,
                 host=node.hostid,
             )
         self.loc = LocationTable()
         self.ring = HashRing(self.params.ring_vnodes)
-        self.history = AccessHistory(self.params.locality_segments,
-                                     self.params.locality_history)
+        self.history = AccessHistory()
         self.membership = MembershipManager(
             node, interval=self.params.heartbeat_interval, announce=True
         )
@@ -114,7 +115,6 @@ class StorageProvider:
         self.stats = {"migrations": 0, "replications": 0, "syncs": 0,
                       "reads": 0, "writes": 0}
         self.rpc = node.runtime
-        self.rpc.configure(policy=self.params.rpc_policy())
         for svc in self.SERVICES:
             self.rpc.register(svc, getattr(self, "_h_" + svc), replace=True)
         self.rpc.subscribe(LOCATION_GROUP)
@@ -155,8 +155,7 @@ class StorageProvider:
 
     # ----------------------------------------------------- common charging
     def _charge(self, nbytes: int = 0):
-        yield self.node.cpu(self.params.provider_op_cpu
-                            + nbytes * self.params.provider_byte_cpu)
+        yield self.node.cpu(OP_CPU + nbytes * BYTE_CPU)
 
     def _home_of(self, segid: int) -> Optional[str]:
         members = self.membership.live_providers()
@@ -816,9 +815,7 @@ class StorageProvider:
         while True:
             yield from self._refresh_everything()
             self.loc.purge(
-                self.sim.now,
-                self.params.purge_age_factor * self.params.refresh_cycle,
-            )
+                self.sim.now, PURGE_AGE_FACTOR * self.params.refresh_cycle)
             yield self.sim.timeout(self.params.refresh_cycle)
 
     def _refresh_everything(self, jitter: float = 0.0):
@@ -846,8 +843,7 @@ class StorageProvider:
         self.rpc.send(home, "loc_refresh", {
             "owner": self.node.hostid, "entries": entries,
         }, size=32 + LOC_ENTRY_BYTES * len(entries))
-        return self.node.cpu(
-            self.params.provider_op_cpu * (1 + len(entries) / 64))
+        return self.node.cpu(OP_CPU * (1 + len(entries) / 64))
 
     def _shadow_sweep_loop(self):
         while True:
@@ -874,8 +870,7 @@ class StorageProvider:
         yield from self._locality_round(members, candidates)
         decision = decide_migration(self.node.hostid, members,
                                     [s for s in candidates
-                                     if s.placement != "locality"],
-                                    self.params)
+                                     if s.placement != "locality"])
         if decision is None:
             return
         for seg in decision.segments:
@@ -896,7 +891,7 @@ class StorageProvider:
             if self._locality_recent.get(seg.segid, -1e18) > now - 2 * self.params.migration_interval:
                 continue
             dominant = self.history.dominant_source(
-                seg.segid, self.params.locality_threshold,
+                seg.segid, LOCALITY_THRESHOLD,
                 self.params.locality_min_samples,
             )
             if dominant is None or dominant == self.node.hostid:
@@ -915,7 +910,7 @@ class StorageProvider:
         grant = self.transfer_lock.request()
         yield grant
         try:
-            timeout = max(self.params.rpc_timeout, seg.size / 1e6)
+            timeout = max(RPC_DEADLINE, seg.size / 1e6)
             # Move pinned history first (oldest up), then the live tip.
             pinned = [
                 v for v in self.store.versions_of(seg.segid)

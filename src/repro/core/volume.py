@@ -119,8 +119,7 @@ class SorrentoDeployment:
                        storage_specs[:self.config.namespace_shards]] \
             or [spec.nodes[0].name]
         standbys = list(self.config.ns_shard_standbys_on or [])
-        self.ns_shard_map = NamespaceShardMap(
-            shard_hosts, vnodes=self.params.ns_shard_vnodes)
+        self.ns_shard_map = NamespaceShardMap(shard_hosts)
         self.ns_shard_servers: Dict[str, NamespaceServer] = {}
         self.ns_shard_standby_servers: Dict[str, NamespaceServer] = {}
         self.ns_shards: Dict[str, List[str]] = {}

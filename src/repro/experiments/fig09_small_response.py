@@ -62,19 +62,17 @@ def run(n_ops: int = 40, seed: int = 0) -> Dict[str, Dict[str, float]]:
 
 
 def run_sorrento_instrumented(n_providers: int = 4, degree: int = 1,
-                              n_ops: int = 10, seed: int = 0, **overrides):
+                              n_ops: int = 10, seed: int = 0):
     """One Sorrento Figure-9 row plus its RPC metrics.
 
     Returns ``(results, dep)``: the per-op mean response times and the
     deployment, whose ``dep.metrics`` registry holds the per-service
     call counters the runtime layer recorded (open/read/write paths:
-    ``ns_lookup``, ``seg_read``, ``seg_write``, ...).  ``overrides`` are
-    forwarded into :class:`SorrentoParams` — e.g. ``meta_cache_enabled=
-    False`` to observe the uncached RPC mapping.
+    ``ns_lookup``, ``seg_read``, ``seg_write``, ...).
     """
     spec = cluster_a_like(n_storage=n_providers, n_clients=2)
     dep = sorrento_on(spec, n_providers=n_providers, degree=degree,
-                      seed=seed, **overrides)
+                      seed=seed)
     results = run_figure9(dep, n_ops)
     return results, dep
 

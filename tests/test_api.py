@@ -247,6 +247,16 @@ def test_session_with_policy_overrides_rpc_policy():
     assert sess.client.rpc.policy is tight
 
 
+def test_session_policy_survives_a_second_client_on_the_node():
+    """Building another stub (or daemon) on the node must not reset the
+    node's RPC policy to the deployment default."""
+    dep = deploy()
+    tight = CallPolicy(timeout=1.5, attempts=3, backoff=0.1)
+    sess = connect(dep, "c00").with_policy(tight)
+    dep.client_on("c00")
+    assert sess.policy is tight
+
+
 def test_posix_open_accepts_int_and_string_flags():
     dep = deploy()
     fs = PosixAPI(dep.client_on("c00"))

@@ -449,3 +449,29 @@ def test_the_collector_is_handled_in_four_places_only():
                 offenders.append(f"{rel}:{node.lineno}")
     assert offenders == [], "gc imported outside the four: " + ", ".join(
         offenders)
+
+
+def test_every_params_field_is_set_somewhere():
+    """``SorrentoParams`` holds what somebody varies: each field is a
+    keyword argument or an attribute store in some file other than
+    ``core/params.py``.  A value nothing sets is a module constant
+    beside the model it calibrates, not a field."""
+    import dataclasses
+
+    from repro.core.params import SorrentoParams
+
+    root = SRC.parent.parent
+    set_names = set()
+    for top in ("src", "bench", "benchmarks", "examples", "tests"):
+        for path in (root / top).rglob("*.py"):
+            if path == SRC / "core" / "params.py":
+                continue
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.keyword) and node.arg:
+                    set_names.add(node.arg)
+                elif isinstance(node, ast.Attribute) \
+                        and isinstance(node.ctx, ast.Store):
+                    set_names.add(node.attr)
+    unset = [f.name for f in dataclasses.fields(SorrentoParams)
+             if f.name not in set_names]
+    assert unset == [], f"SorrentoParams fields nothing sets: {unset}"

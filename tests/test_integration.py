@@ -111,7 +111,7 @@ def test_attached_content_mixes_literal_and_size_only():
 
 
 def test_size_only_file_spills_synthetic_at_its_literal_twins_time():
-    """A size-only attached file that outgrows ``attach_max`` moves into
+    """A size-only attached file that outgrows ``ATTACH_MAX`` moves into
     a data segment as a synthetic extent, and every charge on the way is
     set by sizes: its literal-bytes twin closes at the same instant."""
     size = 100 * KB

@@ -95,8 +95,8 @@ def test_pick_owner_takes_max_version_from_unsorted_list():
 
 
 # ------------------------------------------------- vectored equivalence
-def _striped_roundtrip(**over):
-    dep = deploy(**over)
+def _striped_roundtrip():
+    dep = deploy()
     client = dep.client_on("c00")
     data = bytes(i % 251 for i in range(512 * KB))
 
@@ -122,14 +122,13 @@ def _striped_roundtrip(**over):
 
 def test_vectored_roundtrip_matches_scalar_bytes():
     data, vec_bytes, vec_rpcs, vec_client = _striped_roundtrip()
-    _, scalar_bytes, scalar_rpcs, _ = _striped_roundtrip(
-        vectored_io=False, loc_cache_enabled=False, meta_cache_enabled=False)
     assert vec_bytes == data
-    assert scalar_bytes == data
     assert vec_client.stats["vec_rpcs"] > 0
     assert vec_client.stats["vec_pieces"] > vec_client.stats["vec_rpcs"]
-    # The headline: the same bytes move in far fewer data-path RPCs.
-    assert vec_rpcs < 0.7 * scalar_rpcs
+    # The headline: 8 stripes written and read back in 8 data-path RPCs
+    # (lookups included), where one RPC per piece plus a lookup per
+    # segment (the scalar, uncached client PR 4 replaced) took 25.
+    assert vec_rpcs <= 8
 
 
 def test_vector_partial_failure_falls_back_per_piece():

@@ -5,12 +5,13 @@ import pytest
 from repro.core.locality import AccessHistory
 from repro.core.membership import ProviderInfo
 from repro.core.migration import (
+    ALPHA_IO,
+    ALPHA_SPACE,
     decide_migration,
     imbalance_trigger,
     pick_cold_segments,
     pick_hot_segments,
 )
-from repro.core.params import SorrentoParams
 from repro.core.segment import StoredSegment
 
 
@@ -64,38 +65,34 @@ def test_pick_cold_orders_by_staleness_then_size():
 
 
 def test_decide_migration_io_path():
-    params = SorrentoParams()
     members = infos([0.05] * 9 + [0.95], field="io_wait")
     segs = [seg(i, last_access=i) for i in range(6)]
-    decision = decide_migration("n9", members, segs, params)
+    decision = decide_migration("n9", members, segs)
     assert decision is not None
     assert decision.reason == "io"
-    assert decision.alpha == params.migrate_alpha_io
+    assert decision.alpha == ALPHA_IO
     # Hot segments (latest access) picked first.
     assert decision.segments[0].segid == 5
 
 
 def test_decide_migration_space_path():
-    params = SorrentoParams()
     members = infos([0.05] * 9 + [0.95], field="utilization")
     segs = [seg(i, last_access=i) for i in range(6)]
-    decision = decide_migration("n9", members, segs, params)
+    decision = decide_migration("n9", members, segs)
     assert decision is not None
     assert decision.reason == "space"
-    assert decision.alpha == params.migrate_alpha_space
+    assert decision.alpha == ALPHA_SPACE
     assert decision.segments[0].segid == 0  # coldest first
 
 
 def test_decide_migration_balanced_returns_none():
-    params = SorrentoParams()
     members = infos([0.5] * 10)
-    assert decide_migration("n0", members, [seg(1)], params) is None
+    assert decide_migration("n0", members, [seg(1)]) is None
 
 
 def test_decide_migration_no_candidates():
-    params = SorrentoParams()
     members = infos([0.05] * 9 + [0.95])
-    assert decide_migration("n9", members, [], params) is None
+    assert decide_migration("n9", members, []) is None
 
 
 # ------------------------------------------------------- access history
