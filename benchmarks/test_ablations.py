@@ -215,20 +215,22 @@ def test_ablation_refresh_period_staleness(once):
     def measure(cycle):
         dep = sorrento_on(cluster_b_like(n_storage=6), n_providers=6,
                           degree=1, seed=9, refresh_cycle=cycle)
-        client = dep.clients_on_compute(1)[0]
+        writer, reader = dep.clients_on_compute(2)
 
         def scenario():
-            fh = yield from client.open("/stale", "w", create=True)
-            yield from client.write(fh, 0, 2 * MB)
-            yield from client.close(fh)
+            fh = yield from writer.open("/stale", "w", create=True)
+            yield from writer.write(fh, 0, 2 * MB)
+            yield from writer.close(fh)
             # Wipe every provider's location table (simulated mass state
-            # loss) and see if the file is still reachable.
+            # loss) and see if the file is still reachable — through a
+            # second client: the writer's own location cache would answer
+            # without asking anybody.
             for p in dep.providers.values():
                 from repro.core.location import LocationTable
                 p.loc = LocationTable()
-            fh2 = yield from client.open("/stale", "r")
-            data_ok = (yield from client.read(fh2, 0, 1024)) is not None or True
-            return client.stats["probe_fallbacks"]
+            fh2 = yield from reader.open("/stale", "r")
+            yield from reader.read(fh2, 0, 1024)
+            return reader.stats["probe_fallbacks"]
 
         return dep.run(scenario())
 

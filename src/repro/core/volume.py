@@ -402,7 +402,6 @@ class SorrentoDeployment:
         from repro.core.segment import SYNTHETIC, StoredSegment
 
         from repro.core.hashing import HashRing
-        from repro.kvstore.wal import _value_bytes
         from repro.storage.filesystem import _File
 
         rng = self.rngs.py("preload-bulk")
@@ -421,12 +420,8 @@ class SorrentoDeployment:
         nreps = min(degree, nhosts)
         locate = None
 
-        # Entries differ only in path and fileid; fileids and timestamps
-        # cost a flat 16 bytes in the WAL's accounting, so the recursive
-        # byte walk runs once and per-file footprints are patched by
-        # path length.
+        # Entries differ only in path and fileid.
         entry_template: Optional[dict] = None
-        val_base = key_base = 0
 
         # Per-host bound state, resolved once: the store's ``plant`` with
         # its FS, and the home table's ``update`` (False: a dormant shell).
@@ -505,16 +500,13 @@ class SorrentoDeployment:
                         ctime=now, mtime=now, degree=degree, alpha=alpha,
                         placement=placement).to_dict()
                     entry = entry_template
-                    val_base = _value_bytes(entry) - len(path)
-                    key_base = 24 + len(_file_key(path)) - len(path)
                 else:
                     entry = entry_template.copy()
                     entry["path"] = path
                     entry["fileid"] = fileid
-                wal_bytes = key_base + val_base + 2 * len(path)
                 server = namespace_for(path)
                 if not server.node.dormant:
-                    server.db.put(_file_key(path), entry, nbytes=wal_bytes)
+                    server.db.put(_file_key(path), entry)
                 count += 1
         finally:
             if gc_was:

@@ -8,8 +8,8 @@ Usage contract (mirrors how the namespace server uses Berkeley DB):
 * ``crash()`` throws away everything in memory; ``recover()`` rebuilds
   from the last checkpoint plus the WAL tail.
 
-The store reports bytes written per operation so the owning daemon can
-charge simulated disk time.
+``checkpoint()`` reports bytes written so the owning daemon can charge
+simulated disk time; mutations do not (a WAL flush is charged per batch).
 """
 
 from __future__ import annotations
@@ -42,22 +42,17 @@ class KVStore:
         return self._tree is None
 
     # -- mutations ---------------------------------------------------------
-    def put(self, key, value, nbytes: Optional[int] = None) -> int:
-        """Insert/overwrite; returns bytes written to the WAL.
-
-        ``nbytes`` optionally pre-supplies the WAL footprint (see
-        :meth:`WriteAheadLog.append`)."""
+    def put(self, key, value) -> None:
+        """Insert/overwrite."""
         tree = self._live()
-        _, nbytes = self._wal.append(PUT, key, value, nbytes=nbytes)
+        self._wal.append(PUT, key, value)
         tree.put(key, value)
-        return nbytes
 
-    def delete(self, key) -> int:
-        """Delete if present; returns bytes written to the WAL."""
+    def delete(self, key) -> None:
+        """Delete if present."""
         tree = self._live()
-        _, nbytes = self._wal.append(DELETE, key)
+        self._wal.append(DELETE, key)
         tree.delete(key)
-        return nbytes
 
     # -- reads ------------------------------------------------------------
     def get(self, key, default=None):
@@ -85,11 +80,10 @@ class KVStore:
         self._checkpoint = list(tree.items())
         self._checkpoint_lsn = self._wal.next_lsn
         self._wal.truncate_before(self._checkpoint_lsn)
-        nbytes = sum(
+        return sum(
             24 + (len(k) if isinstance(k, (str, bytes)) else 16)
             for k, _ in self._checkpoint
         )
-        return nbytes
 
     def crash(self) -> None:
         """Lose all volatile state (tree); stable storage survives."""

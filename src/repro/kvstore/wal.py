@@ -2,14 +2,14 @@
 
 The log survives process crashes (losing in-memory state) but is plain
 Python underneath — "stable storage" is a list the crash model never
-clears.  Byte accounting lets the owning daemon charge simulated disk time
-for appends and checkpoints.
+clears.  Appending sizes nothing (the owning daemon charges flushes per
+batch); whoever wants bytes asks :meth:`WalRecord.approx_bytes`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Iterator, List, Optional, Tuple
+from typing import Any, Iterator, List
 
 PUT = "put"
 DELETE = "del"
@@ -25,7 +25,7 @@ class WalRecord:
     value: Any = None
 
     def approx_bytes(self) -> int:
-        """Rough on-disk footprint, for disk-time charging."""
+        """Rough on-disk footprint (pure; nothing charges by it today)."""
         key_len = len(self.key) if isinstance(self.key, (str, bytes)) else 16
         val_len = _value_bytes(self.value)
         return 24 + key_len + val_len
@@ -34,8 +34,7 @@ class WalRecord:
 def _value_bytes(value: Any) -> int:
     """Footprint of a (possibly nested) value: strings by length, other
     scalars 16, a dict 16 and a list/tuple 8 plus their contents.  One
-    flat walk — a namespace entry is a 13-field dict logged on every
-    ``put``, and a call per field was most of what logging it cost."""
+    flat walk, not a call per field (a namespace entry has 13)."""
     total = 0
     todo = [value]
     while todo:
@@ -63,25 +62,15 @@ class WriteAheadLog:
         self._records: List[WalRecord] = []
         self._base_lsn = 0    # lsn of the first retained record
         self._next_lsn = 0
-        self.bytes_appended = 0
 
-    def append(self, op: str, key: Any, value: Any = None,
-               nbytes: Optional[int] = None) -> Tuple[WalRecord, int]:
-        """Log a mutation; returns (record, approx bytes written).
-
-        ``nbytes`` pre-supplies the record's approximate footprint when
-        the caller already knows it — the bulk-preload path writes many
-        same-shaped values and computes the recursive byte walk once.
-        """
+    def append(self, op: str, key: Any, value: Any = None) -> WalRecord:
+        """Log a mutation; returns its record."""
         if op not in (PUT, DELETE):
             raise ValueError(f"bad op {op!r}")
         rec = WalRecord(self._next_lsn, op, key, value)
         self._next_lsn += 1
         self._records.append(rec)
-        if nbytes is None:
-            nbytes = rec.approx_bytes()
-        self.bytes_appended += nbytes
-        return rec, nbytes
+        return rec
 
     @property
     def next_lsn(self) -> int:

@@ -72,10 +72,6 @@ class Message:
         self.msg_id = msg_id or next(_msg_ids)
         self._refs = 0  # pending deliveries; managed by the fabric
 
-    @property
-    def wire_size(self) -> int:
-        return self.size + HEADER_BYTES
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"<Message #{self.msg_id} {self.kind} {self.src}->{self.dst} "
                 f"{self.size}B>")

@@ -8,11 +8,11 @@ modelled.  Multicast groups deliver a copy to every subscribed live host
 
 Delivery is one kernel dispatch per copy, straight into
 :meth:`Fabric._deliver_copy` at the arrival instant, and one heap entry
-per send: ``sim.call_later`` for one destination, one ``sim.call_fanout``
-train per distinct arrival instant for several.  The fabric owns the
-message envelope after ``send`` and returns it to the
-:mod:`repro.network.message` free-list once the last copy has been
-handed to (or dropped by) its receiver.
+per send: ``sim.call_later`` for one destination (:meth:`Fabric.send`),
+one ``sim.call_fanout`` train per distinct arrival instant for a group
+(:meth:`Fabric._multicast`).  The fabric owns the message envelope after
+``send`` and returns it to the :mod:`repro.network.message` free-list
+once the last copy has been handed to (or dropped by) its receiver.
 """
 
 from __future__ import annotations
@@ -21,8 +21,10 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterable, Optional, Set, Tuple
 
 from repro.network.message import (
+    HEADER_BYTES,
     MULTICAST,
     Message,
+    _lane_cache,
     delivery_lane,
     release_message,
 )
@@ -71,9 +73,10 @@ class LinkFault:
 class Fabric:
     """The cluster interconnect.
 
-    Fault hooks (partitions, degraded links) are inert until installed:
-    the hot path only pays two falsy checks per transmit, draws no RNG,
-    and schedules no extra events when no fault is active.
+    Each kind of send has one function; both admit a copy by the same
+    rules in the same order — partition, transit, liveness, link faults
+    (docs/faults.md § Where the fabric applies them).  None is a fork:
+    with nothing installed a copy pays three falsy checks, draws no RNG.
     """
 
     def __init__(self, sim: Simulator, latency: float = DEFAULT_LATENCY):
@@ -92,11 +95,9 @@ class Fabric:
         # Directed link degradations; "*" wildcards either end.
         self._link_faults: Dict[Tuple[str, str], LinkFault] = {}
         # Conservative-parallel transit (repro.sim.parallel.Transit), duck
-        # typed so the fabric never imports the parallel layer.  When
-        # installed, copies whose destination lives in another partition
-        # are handed to it at tx completion instead of being scheduled
-        # for direct delivery; it replays them on the owning side in
-        # (arrive, src_partition, seq) order.
+        # typed so the fabric never imports the parallel layer; it replays
+        # cross-partition copies on the owning side in (arrive,
+        # src_partition, seq) order.
         self.transit = None
 
     # -- fault plane -----------------------------------------------------
@@ -137,14 +138,6 @@ class Fabric:
     def restore_all_links(self) -> None:
         self._link_faults.clear()
 
-    def _fault_for(self, src: str, dst: str) -> Optional[LinkFault]:
-        faults = self._link_faults
-        for key in ((src, dst), (src, "*"), ("*", dst), ("*", "*")):
-            fault = faults.get(key)
-            if fault is not None:
-                return fault
-        return None
-
     # -- membership of the wire ----------------------------------------
     def attach(self, host: Host) -> None:
         if host.hostid in self.hosts:
@@ -160,111 +153,142 @@ class Fabric:
             members.pop(hostid, None)
 
     # -- transmission ----------------------------------------------------
+    # Cut-through model: the receiver starts draining as soon as the
+    # sender starts transmitting (plus propagation latency), so a large
+    # transfer costs ~size/rate once, not twice.  Both the tx and rx
+    # links are still reserved for the full byte count.
     def send(self, msg: Message) -> None:
         """Transmit ``msg``; delivery happens asynchronously in sim time.
-
-        The fabric takes ownership of ``msg`` — callers must not touch it
-        after this returns.
-        """
-        src = self.hosts.get(msg.src)
+        The fabric takes ownership: callers must not touch ``msg`` again."""
+        src_id = msg.src
+        src = self.hosts.get(src_id)
         if src is None or not src.alive:
             release_message(msg)  # a dead host sends nothing
             return
         self.messages_sent += 1
-        if msg.dst == MULTICAST:
-            members = self.groups.get(msg.group)
-            targets = [h for h in members if h != msg.src] if members else ()
-        elif msg.dst == msg.src:
+        dst_id = msg.dst
+        if dst_id == MULTICAST:
+            self._multicast(src, msg)
+            return
+        sim = self.sim
+        lane = _lane_cache.get((src_id, dst_id)) or delivery_lane(src_id, dst_id)
+        if dst_id == src_id:
             # Loopback: co-located client and daemon skip the NIC entirely
             # ("data transfers do not need to go through network", §3.7.2).
             msg._refs = 1
-            self.sim.call_later(LOOPBACK_LATENCY, self._deliver_copy, src, msg,
-                                lane=delivery_lane(msg.src, msg.src))
+            sim.call_later(LOOPBACK_LATENCY, self._deliver_copy, src, msg, lane)
             return
-        else:
-            targets = (msg.dst,)
-        self._transmit(src, targets, msg)
+        wire = msg.size + HEADER_BYTES
+        tx_start, tx_done = src.nic.tx.reserve(wire)
+        transit = self.transit
+        cross = transit is not None and transit.is_cross(src_id, dst_id)
+        dst = None if cross else self.hosts.get(dst_id)
+        ncopies, extra = 1, 0.0
+        if (self._blocked and (src_id, dst_id) in self._blocked) or not (
+                cross or (dst is not None and dst.alive and dst.deliver is not None)):
+            self.messages_dropped += 1
+            ncopies = 0
+        elif self._link_faults:
+            ncopies, extra = self._degrade(src_id, dst_id, wire)
+        if cross and ncopies:
+            # Transit copies the fields out; it never holds the envelope.
+            transit.submit(msg, [(dst_id, extra)] * ncopies, tx_done)
+            ncopies = 0
+        msg._refs = ncopies
+        if not ncopies:
+            release_message(msg)
+            return
+        head = tx_start + self.latency + extra      # first byte at the receiver
+        tail = tx_done + self.latency + extra       # last byte, rx link permitting
+        now = sim.now
+        while ncopies:                              # twice when duplicated
+            rx_done = dst.nic.rx.reserve(wire, head)[1]
+            sim.call_later((rx_done if rx_done > tail else tail) - now,
+                           self._deliver_copy, dst, msg, lane)
+            ncopies -= 1
 
-    def _transmit(self, src: Host, targets, msg: Message) -> None:
-        # Cut-through model: the receiver starts draining as soon as the
-        # sender starts transmitting (plus propagation latency), so a
-        # large transfer costs ~size/rate once, not twice.  Both the tx
-        # and rx links are still reserved for the full byte count.
+    def _multicast(self, src: Host, msg: Message) -> None:
+        """One tx reservation, one rx reservation per copy, one train per
+        arrival instant: ``{instant: [(lane, dst)]}`` in member order."""
         sim = self.sim
         now = sim.now
-        blocked = self._blocked
-        have_faults = bool(self._link_faults)
-        transit = self.transit
-        tx_start, tx_done = src.nic.tx.reserve(msg.wire_size)
+        src_id = msg.src
+        wire = msg.size + HEADER_BYTES
+        tx_start, tx_done = src.nic.tx.reserve(wire)
+        head = first = tx_start + self.latency
+        tail = last = tx_done + self.latency
+        extra = 0.0
+        hosts, blocked, faults, transit = (
+            self.hosts, self._blocked, self._link_faults, self.transit)
+        trains: Dict[float, list] = {}
+        xcopies: list = []
         copies = 0
-        xcopies = None
-        # A multi-destination message rides one train per arrival
-        # instant: {instant: [(lane, dst)]}, copies in send order.
-        trains = {} if len(targets) > 1 else None
-        for hostid in targets:
-            # Partition: the copy leaves the sender's NIC and dies in the
-            # switch — tx time is charged, the receiver sees nothing.
-            if blocked and (msg.src, hostid) in blocked:
+        for hostid in self.groups.get(msg.group) or ():
+            if hostid == src_id:
+                continue
+            cross = transit is not None and transit.is_cross(src_id, hostid)
+            dst = None if cross else hosts.get(hostid)
+            if (blocked and (src_id, hostid) in blocked) or not (
+                    cross or (dst is not None and dst.alive and dst.deliver is not None)):
                 self.messages_dropped += 1
                 continue
-            # Cross-partition copies skip the sender-side liveness check
-            # and rx reservation: the receiving side performs both when it
-            # drains the record at the partition boundary (identically in
-            # serial-with-map and parallel runs).
-            cross = transit is not None and transit.is_cross(msg.src, hostid)
-            if not cross:
-                dst = self.hosts.get(hostid)
-                if dst is None or not dst.alive or dst.deliver is None:
-                    self.messages_dropped += 1
+            ncopies = 1
+            if faults:
+                ncopies, extra = self._degrade(src_id, hostid, wire)
+                if not ncopies:
                     continue
-            ncopies, extra = 1, 0.0
-            if have_faults:
-                fault = self._fault_for(msg.src, hostid)
-                if fault is not None:
-                    if fault.drop and fault.rng.random() < fault.drop:
-                        self.messages_dropped += 1
-                        continue
-                    if fault.duplicate \
-                            and fault.rng.random() < fault.duplicate:
-                        ncopies = 2
-                        self.messages_duplicated += 1
-                    extra = fault.extra_latency
-                    if fault.jitter:
-                        extra += fault.rng.random() * fault.jitter
-                    if fault.bandwidth_cap:
-                        extra += msg.wire_size / fault.bandwidth_cap
+                first = head + extra
+                last = tail + extra
             if cross:
-                if xcopies is None:
-                    xcopies = []
-                for _ in range(ncopies):
-                    xcopies.append((hostid, extra))
+                xcopies.extend([(hostid, extra)] * ncopies)
                 continue
-            for _ in range(ncopies):
-                _rx_start, rx_done = dst.nic.rx.reserve(
-                    msg.wire_size, not_before=tx_start + self.latency + extra)
-                arrive = max(tx_done + self.latency + extra, rx_done)
-                lane = delivery_lane(msg.src, hostid)
-                if trains is None:
-                    sim.call_later(arrive - now, self._deliver_copy, dst, msg,
-                                   lane=lane)
+            lane = _lane_cache.get((src_id, hostid)) or delivery_lane(src_id, hostid)
+            copies += ncopies
+            while ncopies:
+                rx_done = dst.nic.rx.reserve(wire, first)[1]
+                # Keyed by the float ``call_later`` would have stored
+                # (not always the arrival itself), so ties fall where one
+                # ``call_later`` per copy would put them.
+                when = now + ((rx_done if rx_done > last else last) - now)
+                stops = trains.get(when)
+                if stops is None:
+                    trains[when] = [(lane, dst)]
                 else:
-                    # Keyed by the float ``call_later`` would have stored
-                    # (not always ``arrive``), so ties fall where they did.
-                    trains.setdefault(now + (arrive - now), []).append(
-                        (lane, dst))
-                copies += 1
+                    stops.append((lane, dst))
+                ncopies -= 1
         # Nothing fires before the next sim.step(), so the refcount is
         # safely published after the loop.
         msg._refs = copies
-        if trains:
-            for when, stops in trains.items():
-                sim.call_fanout(when, self._deliver_copy, stops, msg)
+        for when, stops in trains.items():
+            sim.call_fanout(when, self._deliver_copy, stops, msg)
         if xcopies:
-            # Transit copies the fields out synchronously; it never holds
-            # the envelope, so releasing on copies == 0 below stays safe.
             transit.submit(msg, xcopies, tx_done)
         if copies == 0:
             release_message(msg)
+
+    def _degrade(self, src: str, dst: str, wire: int) -> Tuple[int, float]:
+        """What the link faults do to one copy: ``(copies delivered, added
+        one-way delay)``.  Same-seed replay depends on the RNG draw order:
+        drop, duplicate, jitter, each only if that knob is set."""
+        faults = self._link_faults
+        fault = (faults.get((src, dst)) or faults.get((src, "*"))
+                 or faults.get(("*", dst)) or faults.get(("*", "*")))
+        if fault is None:
+            return 1, 0.0
+        rng = fault.rng
+        if fault.drop and rng.random() < fault.drop:
+            self.messages_dropped += 1
+            return 0, 0.0
+        ncopies = 1
+        if fault.duplicate and rng.random() < fault.duplicate:
+            ncopies = 2
+            self.messages_duplicated += 1
+        extra = fault.extra_latency
+        if fault.jitter:
+            extra += rng.random() * fault.jitter
+        if fault.bandwidth_cap:
+            extra += wire / fault.bandwidth_cap
+        return ncopies, extra
 
     def _deliver_copy(self, dst: Host, msg: Message) -> None:
         if dst.alive and dst.deliver is not None:

@@ -62,7 +62,6 @@ _DEDUP_WINDOW = 512
 
 _UNSET = object()
 
-
 class ServiceRuntime:
     """Per-host message dispatcher with named, instrumented RPC services."""
 
@@ -74,9 +73,7 @@ class ServiceRuntime:
         self.fabric = fabric
         self.host = host
         self.hostid = host.hostid
-        self.registry = registry
-        self.tracer = tracer
-        self.policy = policy
+        self.configure(registry, tracer, policy)
         self.handlers: Dict[str, Handler] = {}
         self._proc_names: Dict[str, str] = {}
         self._pending: Dict[int, Any] = {}
@@ -92,7 +89,12 @@ class ServiceRuntime:
     def configure(self, registry=_UNSET, tracer=_UNSET, policy=_UNSET) -> "ServiceRuntime":
         """Re-wire observability/policy; omitted fields keep their value."""
         if registry is not _UNSET:
+            # Where calls and one-ways issued, and handler executions, are
+            # booked.  Unwired, all the same: on a registry nobody reads.
             self.registry = registry
+            sink = MetricsRegistry() if registry is None else registry
+            self._called = sink.scope(CLIENT)
+            self._served = sink.scope(SERVER)
         if tracer is not _UNSET:
             self.tracer = tracer
         if policy is not _UNSET:
@@ -164,10 +166,10 @@ class ServiceRuntime:
                 reply = pending[req_id] = sim.reply(timeout)
                 if left > 1:
                     send(acquire_message(src, dst, "ping", None,
-                                         PING_BYTES, req_id=req_id))
+                                         PING_BYTES, "", req_id))
                 else:
                     send(acquire_message(src, dst, "req", (service, payload),
-                                         size, req_id=req_id))
+                                         size, "", req_id))
                 answer = yield reply
                 if answer is None:
                     if attempt >= policy.attempts:
@@ -186,49 +188,39 @@ class ServiceRuntime:
                     break
         except Exception as exc:
             # Whatever ended the call — the last time-out, or an
-            # Interrupt thrown into the waiting caller — nobody is left
-            # to answer; an answered slot was popped by the answer.
+            # Interrupt thrown into the waiting caller (it closes the span
+            # but is no RPC outcome: not observed) — nobody is left to
+            # answer; an answered slot was popped by the answer.
             pending.pop(req_id, None)
-            self._record_client(service, t0, size, attempt - 1, span, exc)
+            if isinstance(exc, (RpcTimeout, RpcRemoteError)):
+                self._called[service].observe(
+                    sim.now - t0, False, isinstance(exc, RpcTimeout),
+                    attempt - 1, size)
+            if span is not None:
+                span.attrs["retries"] = attempt - 1
+                tracer.finish(span, status=type(exc).__name__)
             raise
-        self._record_client(service, t0, size, attempt - 1, span, None)
-        return answer[1]
-
-    def _record_client(self, service: str, t0: float, size: int,
-                       retries: int, span, exc: Optional[Exception]) -> None:
-        # An Interrupt thrown into the caller closes the span but is not
-        # an RPC outcome, so it is not observed.
-        if self.registry is not None and (
-                exc is None or isinstance(exc, (RpcTimeout, RpcRemoteError))):
-            self.registry.stats(CLIENT, service).observe(
-                self.sim.now - t0, ok=exc is None,
-                timeout=isinstance(exc, RpcTimeout),
-                retries=retries, bytes_out=size)
+        self._called[service].observe(
+            sim.now - t0, True, False, attempt - 1, size)
         if span is not None:
-            span.attrs["retries"] = retries
-            self.tracer.finish(
-                span, status="ok" if exc is None else type(exc).__name__)
+            span.attrs["retries"] = attempt - 1
+            tracer.finish(span, status="ok")
+        return answer[1]
 
     def send(self, dst: str, service: str, payload: Any = None,
              size: int = 0) -> None:
         """Fire-and-forget one-way message to ``dst``'s ``service``
         handler (counted, never traced)."""
-        if self.registry is not None:
-            self.registry.stats(CLIENT, service).observe_oneway(size)
-        self.fabric.send(
-            acquire_message(src=self.hostid, dst=dst, kind="oneway",
-                            payload=(service, payload), size=size)
-        )
+        self._called[service].observe_oneway(size)
+        self.fabric.send(acquire_message(
+            self.hostid, dst, "oneway", (service, payload), size))
 
     def multicast(self, group: str, service: str, payload: Any = None,
                   size: int = 0) -> None:
         """One-way message to every subscriber of ``group`` (except self)."""
-        if self.registry is not None:
-            self.registry.stats(CLIENT, service).observe_oneway(size)
-        self.fabric.send(
-            acquire_message(src=self.hostid, dst=MULTICAST, group=group,
-                            kind="oneway", payload=(service, payload), size=size)
-        )
+        self._called[service].observe_oneway(size)
+        self.fabric.send(acquire_message(
+            self.hostid, MULTICAST, "oneway", (service, payload), size, group))
 
     # -------------------------------------------------------- server side
     def _on_message(self, msg) -> None:
@@ -252,73 +244,68 @@ class ServiceRuntime:
             service, payload = msg.payload
             handler = self.handlers.get(service)
             if handler is None:
-                self._reply(msg.src, msg.req_id,
-                            "err", f"no such service {service!r}", 64)
+                self.fabric.send(acquire_message(
+                    self.hostid, msg.src, "err",
+                    f"no such service {service!r}", 64, "", msg.req_id))
                 return
             self.sim.start(
                 self._serve(service, handler, payload, msg.src, msg.req_id),
-                name=self._proc_names[service])
+                self._proc_names[service])
         elif kind == "oneway":
             service, payload = msg.payload
             handler = self.handlers.get(service)
             if handler is not None:
-                # A sync handler has run when this delivery returns; only
-                # a generator one-way handler becomes a process.
-                t0 = self.sim.now
+                # A sync handler has run, in no simulated time, when this
+                # delivery returns; only a generator one becomes a process.
                 try:
                     result = handler(payload, msg.src)
                 except Exception:
-                    self._record_server(service, t0, 0, ok=False)
+                    self._served[service].observe(0.0, False)
                     raise
                 if type(result) is GeneratorType:
-                    self.sim.start(self._finish_oneway(service, result, t0),
-                                   name=self._proc_names[service])
+                    self.sim.start(
+                        self._finish_oneway(service, result, self.sim.now),
+                        self._proc_names[service])
                 else:
-                    self._record_server(service, t0, _split_result(result)[1],
-                                        ok=True)
+                    self._served[service].observe(
+                        0.0, True, False, 0, 0,
+                        32 if result is None else _split_result(result)[1])
         elif kind == "ping":
-            self._reply(msg.src, msg.req_id, "resp", None, PING_BYTES)
+            self.fabric.send(acquire_message(
+                self.hostid, msg.src, "resp", None, PING_BYTES, "", msg.req_id))
 
     def _serve(self, service: str, handler: Handler, payload: Any,
                src: str, req_id: int):
         """Generator: one handled request — run the handler (delegating
-        to it if it is a generator), observe it, answer.  ``registry`` is
-        read when the handler finishes, so deployments may attach it
-        after the daemons registered."""
-        t0 = self.sim.now
+        to it if it is a generator), observe it, answer.  The cell is
+        looked up when the handler finishes, so deployments may attach
+        the registry after the daemons registered."""
+        sim = self.sim
+        t0 = sim.now
+        ok = True
         try:
             result = handler(payload, src)
             if type(result) is GeneratorType:
                 result = yield from result
         except Exception as exc:  # noqa: BLE001 - shipped back to the caller
-            self._record_server(service, t0, 0, ok=False)
-            self._reply(src, req_id, "err", f"{type(exc).__name__}: {exc}", 64)
-            return
-        resp_payload, resp_size = _split_result(result)
-        self._record_server(service, t0, resp_size, ok=True)
-        self._reply(src, req_id, "resp", resp_payload, resp_size)
+            ok, answer, size = False, f"{type(exc).__name__}: {exc}", 64
+        else:
+            answer, size = _split_result(result)
+        self._served[service].observe(
+            sim.now - t0, ok, False, 0, 0, size if ok else 0)
+        if self.host.alive:
+            self.fabric.send(acquire_message(
+                self.hostid, src, "resp" if ok else "err", answer, size,
+                "", req_id))
 
     def _finish_oneway(self, service: str, gen: Generator, t0: float):
         try:
             result = yield from gen
         except Exception:
-            self._record_server(service, t0, 0, ok=False)
+            self._served[service].observe(self.sim.now - t0, False)
             raise
-        self._record_server(service, t0, _split_result(result)[1], ok=True)
-
-    def _record_server(self, service: str, t0: float, nbytes: int,
-                       ok: bool) -> None:
-        if self.registry is not None:
-            self.registry.stats(SERVER, service).observe(
-                self.sim.now - t0, ok=ok, bytes_in=nbytes)
-
-    def _reply(self, dst: str, req_id: int, kind: str, payload: Any, size: int) -> None:
-        if not self.host.alive:
-            return
-        self.fabric.send(
-            acquire_message(src=self.hostid, dst=dst, kind=kind,
-                            payload=payload, size=size, req_id=req_id)
-        )
+        self._served[service].observe(
+            self.sim.now - t0, True, False, 0, 0, _split_result(result)[1])
 
 
 def _split_result(result: HandlerResult) -> Tuple[Any, int]:

@@ -96,7 +96,7 @@ class Simulator:
     same-instant events identically.  ``seq`` still breaks the remaining
     ties (same lane = same (src, dst) pair = per-pair FIFO).  The
     zero-delay FIFOs hold tuples of the same shape (always lane 0 — a
-    laned zero-delay schedule is routed to the heap), and every pop takes
+    laned zero-delay ``call_later`` goes to the heap), and every pop takes
     the lexicographically-smallest tuple across all three containers, so
     the fast path is order-equivalent to the pure-heap kernel.
     """
@@ -144,20 +144,15 @@ class Simulator:
         return t
 
     # -- scheduling ---------------------------------------------------
-    def _schedule(self, event: Event, delay: float = 0.0, priority: int = 1,
-                  lane: int = 0) -> None:
+    def _schedule(self, event: Event, delay: float = 0.0, priority: int = 1) -> None:
         self._seq += 1
-        if delay == 0.0 and lane == 0:
-            if priority == 0:
-                self._imm0.append((self.now, 0, 0, self._seq, event))
-            elif priority == 1:
-                self._imm1.append((self.now, 1, 0, self._seq, event))
-            else:
-                heapq.heappush(self._heap,
-                               (self.now, priority, 0, self._seq, event))
-        else:
+        if delay != 0.0 or priority > 1:
             heapq.heappush(self._heap,
-                           (self.now + delay, priority, lane, self._seq, event))
+                           (self.now + delay, priority, 0, self._seq, event))
+        elif priority == 0:
+            self._imm0.append((self.now, 0, 0, self._seq, event))
+        else:
+            self._imm1.append((self.now, 1, 0, self._seq, event))
         n = self._npending + 1
         self._npending = n
         if n > self._peak_pending:
@@ -189,8 +184,18 @@ class Simulator:
         """Call ``fn(a, b)`` after ``delay`` seconds: one slotted event
         whose dispatch is the call itself (a wire delivery).  ``lane`` is
         the same-instant arbitration lane — 0 for local work; deliveries
-        pass their (src, dst) lane so ties resolve by content."""
-        self._schedule(Callback(fn, a, b), delay, 1, lane)
+        pass their (src, dst) lane so ties resolve by content.  Every
+        message is one: it pushes its own heap entry (FIFO if zero-delay)."""
+        if lane == 0 and delay == 0.0:
+            self._schedule(Callback(fn, a, b))
+            return
+        seq = self._seq = self._seq + 1
+        heapq.heappush(self._heap,
+                       (self.now + delay, 1, lane, seq, Callback(fn, a, b)))
+        n = self._npending + 1
+        self._npending = n
+        if n > self._peak_pending:
+            self._peak_pending = n
 
     def call_soon(self, fn: Callable[[Any, Any], None], a: Any, b: Any) -> None:
         """Call ``fn(a, b)`` at this instant, urgently: once the running

@@ -223,7 +223,7 @@ class Transit:
         assign = self._assign
         src_pid = assign[msg.src]
         base = tx_done + self.fabric.latency + self.pmap.cross_latency
-        wire = msg.wire_size
+        wire = msg.size + HEADER_BYTES
         registry = self.registry
         seq = self._seq[src_pid]
         for hostid, extra in copies:
@@ -312,14 +312,14 @@ class Transit:
                                              not_before=arrive)
         final = rx_done if rx_done > arrive else arrive
         msg = acquire_message(src_id, dst_id, kind, payload, size,
-                              group=group, req_id=req_id)
+                              group, req_id)
         msg._refs = 1
         self.delivered += 1
         # Same lane as a direct fabric delivery: cross-cut copies tie-break
         # against local events identically in serial-with-map and windowed
         # runs.
         self.sim.call_later(final - self.sim.now, fabric._deliver_copy,
-                            dst, msg, lane=delivery_lane(src_id, dst_id))
+                            dst, msg, delivery_lane(src_id, dst_id))
 
     # -- reporting ------------------------------------------------------
     def cross_matrix(self) -> Dict[str, List[int]]:

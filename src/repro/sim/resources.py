@@ -149,17 +149,20 @@ class BandwidthPipe:
         """
         if nbytes < 0:
             raise ValueError("negative transfer size")
+        # Per message, so maxima are comparisons (first wins a tie), not calls.
+        now = self.sim.now
+        cost = nbytes / self.rate
+        ready = self._ready_at
+        self.bytes_transferred += nbytes if nbytes.__class__ is int else int(nbytes)
         if self.small_bypass and nbytes <= self.small_bypass:
-            start = max(self.sim.now, not_before)
-            done = start + self.overhead + nbytes / self.rate
+            start = not_before if not_before > now else now
             # Capacity is still consumed; only the waiting is skipped.
-            self._ready_at = max(self._ready_at, self.sim.now) + nbytes / self.rate
-            self.bytes_transferred += int(nbytes)
-            return start, done
-        start = max(self.sim.now, self._ready_at, not_before)
-        done = start + self.overhead + nbytes / self.rate
-        self._ready_at = done
-        self.bytes_transferred += int(nbytes)
+            self._ready_at = (now if now > ready else ready) + cost
+            return start, start + self.overhead + cost
+        start = ready if ready > now else now
+        if not_before > start:
+            start = not_before
+        self._ready_at = done = start + self.overhead + cost
         return start, done
 
     def transfer(self, nbytes: float) -> Event:

@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.network import (
     Fabric,
@@ -300,3 +302,228 @@ def test_duplicate_hostid_rejected():
     fabric.attach(Host(sim, "a"))
     with pytest.raises(ValueError):
         fabric.attach(Host(sim, "a"))
+
+
+# ------------------------------------------------- send vs. its reference
+def _reference_send(self, msg):
+    """``Fabric.send`` + ``Fabric._transmit`` as they stood before the
+    wire path became one function per kind of send: one general loop
+    over a ``targets`` tuple, per-copy ``range(ncopies)``, ``max()`` and
+    keyword calls.  Kept as it was (``self`` is the fabric; the fault
+    lookup and the wire size spelled out) as the reference the two send
+    functions are compared against."""
+    from repro.network.message import delivery_lane, release_message
+
+    src = self.hosts.get(msg.src)
+    if src is None or not src.alive:
+        release_message(msg)
+        return
+    self.messages_sent += 1
+    if msg.dst == MULTICAST:
+        members = self.groups.get(msg.group)
+        targets = [h for h in members if h != msg.src] if members else ()
+    elif msg.dst == msg.src:
+        msg._refs = 1
+        self.sim.call_later(switch.LOOPBACK_LATENCY, self._deliver_copy, src,
+                            msg, lane=delivery_lane(msg.src, msg.src))
+        return
+    else:
+        targets = (msg.dst,)
+    sim = self.sim
+    now = sim.now
+    blocked = self._blocked
+    have_faults = bool(self._link_faults)
+    transit = self.transit
+    tx_start, tx_done = src.nic.tx.reserve((msg.size + HEADER_BYTES))
+    copies = 0
+    xcopies = None
+    trains = {} if len(targets) > 1 else None
+    for hostid in targets:
+        if blocked and (msg.src, hostid) in blocked:
+            self.messages_dropped += 1
+            continue
+        cross = transit is not None and transit.is_cross(msg.src, hostid)
+        if not cross:
+            dst = self.hosts.get(hostid)
+            if dst is None or not dst.alive or dst.deliver is None:
+                self.messages_dropped += 1
+                continue
+        ncopies, extra = 1, 0.0
+        if have_faults:
+            fault = None
+            for key in ((msg.src, hostid), (msg.src, "*"), ("*", hostid),
+                        ("*", "*")):        # most specific match wins
+                fault = fault or self._link_faults.get(key)
+            if fault is not None:
+                if fault.drop and fault.rng.random() < fault.drop:
+                    self.messages_dropped += 1
+                    continue
+                if fault.duplicate \
+                        and fault.rng.random() < fault.duplicate:
+                    ncopies = 2
+                    self.messages_duplicated += 1
+                extra = fault.extra_latency
+                if fault.jitter:
+                    extra += fault.rng.random() * fault.jitter
+                if fault.bandwidth_cap:
+                    extra += (msg.size + HEADER_BYTES) / fault.bandwidth_cap
+        if cross:
+            if xcopies is None:
+                xcopies = []
+            for _ in range(ncopies):
+                xcopies.append((hostid, extra))
+            continue
+        for _ in range(ncopies):
+            _rx_start, rx_done = dst.nic.rx.reserve(
+                (msg.size + HEADER_BYTES), not_before=tx_start + self.latency + extra)
+            arrive = max(tx_done + self.latency + extra, rx_done)
+            lane = delivery_lane(msg.src, hostid)
+            if trains is None:
+                sim.call_later(arrive - now, self._deliver_copy, dst, msg,
+                               lane=lane)
+            else:
+                trains.setdefault(now + (arrive - now), []).append(
+                    (lane, dst))
+            copies += 1
+    msg._refs = copies
+    if trains:
+        for when, stops in trains.items():
+            sim.call_fanout(when, self._deliver_copy, stops, msg)
+    if xcopies:
+        transit.submit(msg, xcopies, tx_done)
+    if copies == 0:
+        release_message(msg)
+
+
+class _RecordingTransit:
+    """Duck-typed ``fabric.transit``: n0–n2 in partition 0, n3–n4 in 1,
+    the unattached ``ghost`` in none; records what it is handed."""
+
+    assign = {"n0": 0, "n1": 0, "n2": 0, "n3": 1, "n4": 1}
+
+    def __init__(self):
+        self.submitted = []
+
+    def is_cross(self, a, b):
+        pa, pb = self.assign.get(a), self.assign.get(b)
+        return pa is not None and pb is not None and pa != pb
+
+    def submit(self, msg, copies, tx_done):
+        self.submitted.append((msg.src, msg.dst, msg.kind, msg.payload,
+                               msg.size, msg.group, list(copies), tx_done))
+
+
+_HOSTS = ["n0", "n1", "n2", "n3", "n4"]
+_ENDS = st.sampled_from(_HOSTS + ["*"])
+_hosts = st.sampled_from(_HOSTS)
+# Few distinct sizes, gaps and delays, so arrivals share instants; 20 000 B
+# is past the NIC's small-message bypass.
+_gap = st.sampled_from([0.0, 0.0, 5e-6, 80e-6, 1e-3])
+_fault = st.fixed_dictionaries({
+    "extra_latency": st.sampled_from([0.0, 30e-6]),
+    "jitter": st.sampled_from([0.0, 40e-6]),
+    "drop": st.sampled_from([0.0, 0.3, 1.0]),
+    "duplicate": st.sampled_from([0.0, 0.4, 1.0]),
+    "bandwidth_cap": st.sampled_from([None, 1e6]),
+})
+_send = st.tuples(
+    st.just("send"), _gap, _hosts,
+    st.sampled_from(_HOSTS + ["ghost", "g", "g", "g", "solo", "nogroup"]),
+    st.sampled_from([0, 64, 96, 20000]))
+_degrade = st.tuples(st.just("degrade"), _gap, _ENDS, _ENDS, _fault)
+_op = st.one_of(
+    _send, _send, _send, _send, _degrade,
+    st.tuples(st.just("alive"), _gap, _hosts, st.booleans()),
+    st.tuples(st.just("partition"), _gap, _hosts, _hosts, st.booleans()),
+    st.tuples(st.just("heal"), _gap),
+    st.tuples(st.just("restore"), _gap, _ENDS, _ENDS),
+    st.tuples(st.just("member"), _gap, _hosts, st.booleans()),
+)
+#: Every knob set on every link, then a burst of multicasts and unicasts.
+_DENSE = [("degrade", 0.0, "*", "*", dict(
+    extra_latency=30e-6, jitter=40e-6, drop=0.3, duplicate=0.4,
+    bandwidth_cap=1e6))] + [("send", 5e-6, "n0", "g", 96)] * 6 \
+    + [("send", 0.0, "n1", "n3", 64)] * 4
+
+
+def _wire_world(send, ops, with_transit):
+    """Apply ``ops`` to a fresh five-host fabric, sending through
+    ``send(fabric, msg)``; returns everything observable."""
+    sim = Simulator()
+    fabric = Fabric(sim)
+    delivered = []
+    for name in _HOSTS:
+        host = Host(sim, name)
+        fabric.attach(host)
+        fabric.subscribe("g", name)
+        host.deliver = lambda msg, h=name: delivered.append(
+            (sim.now, h, msg.payload))
+    fabric.hosts["n4"].deliver = None       # attached, no runtime yet
+    fabric.subscribe("g", "ghost")          # subscribed, never attached
+    fabric.subscribe("solo", "n1")          # a one-member group
+    if with_transit:
+        fabric.transit = _RecordingTransit()
+    rngs = []
+    scheduled = []
+
+    def pending():
+        """Every scheduled delivery as (instant, lane, seq, receiver)."""
+        out = []
+        for when, _prio, lane, seq, ev in sim._heap:
+            if hasattr(ev, "stops"):
+                out.extend((when, ln, sq, dst.hostid)
+                           for ln, sq, dst in ev.stops)
+            else:
+                out.append((when, lane, seq, ev.a.hostid))
+        return sorted(out)
+
+    for n, op in enumerate(ops):
+        sim.run(until=sim.now + op[1])
+        if op[0] == "send":
+            _kind, _gap_s, src, dst, size = op
+            group = dst if dst in ("g", "solo", "nogroup") else ""
+            send(fabric, Message(src, MULTICAST if group else dst, "oneway",
+                                 payload=n, size=size, group=group, msg_id=n + 1))
+            scheduled.append(pending())
+        elif op[0] == "alive":
+            fabric.hosts[op[2]].alive = op[3]
+        elif op[0] == "partition":
+            fabric.partition([op[2]], [op[3]], symmetric=op[4])
+        elif op[0] == "heal":
+            fabric.heal()
+        elif op[0] == "degrade":
+            rngs.append(random.Random(n))
+            fabric.degrade_link(op[2], op[3], LinkFault(rng=rngs[-1], **op[4]))
+        elif op[0] == "restore":
+            fabric.restore_link(op[2], op[3])
+        elif op[0] == "member":
+            (fabric.subscribe if op[3] else fabric.unsubscribe)("g", op[2])
+    sim.run()
+    pipes = {h: (host.nic.tx._ready_at, host.nic.tx.bytes_transferred,
+                 host.nic.rx._ready_at, host.nic.rx.bytes_transferred)
+             for h, host in fabric.hosts.items()}
+    return {
+        "scheduled": scheduled, "delivered": delivered, "pipes": pipes,
+        "counters": (fabric.messages_sent, fabric.messages_dropped,
+                     fabric.messages_duplicated),
+        "rng": [r.getstate() for r in rngs],
+        "transit": fabric.transit.submitted if with_transit else None,
+        "kernel": (sim.now, sim._nprocessed, sim._seq, sim.peak_pending),
+    }
+
+
+@given(ops=st.lists(_op, min_size=1, max_size=40), with_transit=st.booleans())
+@example(ops=_DENSE, with_transit=False)
+@example(ops=_DENSE, with_transit=True)
+@settings(max_examples=300, deadline=None)
+def test_send_matches_the_general_loop_it_replaced(ops, with_transit):
+    """Unicast, loopback and multicast through ``Fabric.send`` against
+    the one general per-copy loop, under partitions, link faults with
+    wildcard ends, dead and unattached receivers, a one-member group and
+    a transit: the same deliveries scheduled at the same (instant, lane,
+    seq), the same state left on every pipe, the same counters, the same
+    fault-RNG state, the same copies handed to the transit."""
+    got = _wire_world(Fabric.send, ops, with_transit)
+    want = _wire_world(_reference_send, ops, with_transit)
+    for key in want:
+        assert got[key] == want[key], key

@@ -215,7 +215,7 @@ def test_metric_counters_for_roundtrip_and_oneway():
     assert (cl.calls, cl.ok, cl.timeouts, cl.errors) == (3, 3, 0, 0)
     assert cl.oneways == 1
     assert cl.bytes_out == 3 * 16 + 8
-    assert cl.latency_min > 0
+    assert cl.quantile(0.0) > 0 and sum(cl.hist) == cl.calls
     assert cl.latency_total == pytest.approx(
         cl.latency_mean * cl.calls)
     # Server scope: 3 RPCs + 1 one-way handler execution, 64 B responses.
@@ -254,8 +254,189 @@ def test_registry_report_and_queries():
     report = registry.report(CLIENT)
     assert "ns_lookup" in report and "seg_read" in report
     assert "server" not in report
-    registry.clear()
-    assert registry.total_calls(CLIENT) == 0
+
+
+def test_registry_cells_are_stable_and_never_dropped():
+    """Runtimes, client stubs and the storage engine keep the cells they
+    book on; a registry that could drop its cells (the old ``clear()``)
+    would leave them counting into objects no report reads."""
+    registry = MetricsRegistry()
+    cell = registry.stats(CLIENT, "echo")
+    cell.observe(0.001, True)
+    assert registry.stats(CLIENT, "echo") is cell
+    assert registry.get(CLIENT, "echo") is cell
+    assert not hasattr(registry, "clear")
+
+
+def test_latency_histogram_quantiles():
+    st = MetricsRegistry().stats(SERVER, "hb")
+    assert st.quantile(0.5) == 0.0                  # nothing observed
+    for _ in range(90):
+        st.observe(0.0, True)                       # sync one-ways: bucket 0
+    for ms in range(1, 11):
+        st.observe(ms * 1e-3, True)
+    assert st.hist[0] == 90 and sum(st.hist) == st.calls == 100
+    assert st.quantile(0.5) == st.quantile(0.9) == 0.0
+    # A bucket is at most 1/8 wider than its floor, and its midpoint is
+    # reported: within 1/16 of any latency that landed in it.
+    assert st.quantile(0.91) == pytest.approx(1e-3, rel=1 / 16)
+    assert st.quantile(0.99) == pytest.approx(9e-3, rel=1 / 16)
+    assert st.quantile(1.0) == pytest.approx(10e-3, rel=1 / 16)
+    st.observe(5.0, False, True)                    # a Figure-13 time-out
+    st.observe(1e9, False, True)                    # past the last bucket
+    assert st.quantile(0.99) == pytest.approx(5.0, rel=1 / 16)
+    assert st.hist[-1] == 1 and st.quantile(1.0) > 8 * 3600
+    assert st.latency_total == pytest.approx(1e9 + 5.0 + 0.055)
+    report = MetricsRegistry().report()
+    assert "p50 ms" in report and "p99 ms" in report
+
+
+# ------------------------------------------------- what is booked, where
+#: (calls, ok, errors, timeouts, retries, oneways, bytes_out, bytes_in,
+#: latency_total) per cell after ``_accounting_scenarios``, as recorded
+#: through ``_record_client`` / ``_record_server`` -> ``registry.stats``
+#: -> ``observe(latency, ok=..., ...)`` before observations were booked
+#: on kept cells in the frame that did the work.
+_BOOKED = {
+    ("client", "bare"): (1, 1, 0, 0, 0, 0, 5, 0, 0.00017608000000000033),
+    ("client", "boom"): (1, 0, 1, 0, 0, 0, 3, 0, 0.00017592000000000128),
+    ("client", "echo"): (4, 3, 0, 1, 2, 0, 72, 0, 1.6508794400000002),
+    ("client", "missing"): (1, 0, 1, 0, 0, 0, 3, 0, 0.00017592000000000128),
+    ("client", "note"): (0, 0, 0, 0, 0, 1, 8, 0, 0.0),
+    ("client", "note_sized"): (0, 0, 0, 0, 0, 1, 9, 0, 0.0),
+    ("client", "slow_boom"): (1, 0, 1, 0, 0, 0, 3, 0, 0.0011759200000000004),
+    ("client", "slow_echo"): (1, 1, 0, 0, 0, 0, 18, 0, 0.00317392),
+    ("client", "slow_note"): (0, 0, 0, 0, 0, 1, 10, 0, 0.0),
+    ("server", "bare"): (1, 1, 0, 0, 0, 0, 0, 64, 0.0),
+    ("server", "boom"): (1, 0, 1, 0, 0, 0, 0, 0, 0.0),
+    ("server", "echo"): (3, 3, 0, 0, 0, 0, 0, 24, 0.0),
+    ("server", "note"): (1, 1, 0, 0, 0, 0, 0, 32, 0.0),
+    ("server", "note_sized"): (1, 1, 0, 0, 0, 0, 0, 100, 0.0),
+    ("server", "slow_boom"): (1, 0, 1, 0, 0, 0, 0, 0, 0.0009999999999999992),
+    ("server", "slow_echo"): (1, 1, 0, 0, 0, 0, 0, 24, 0.002999999999999999),
+    ("server", "slow_note"): (1, 1, 0, 0, 0, 0, 0, 48, 0.002),
+}
+_FIELDS = ("calls", "ok", "errors", "timeouts", "retries", "oneways",
+           "bytes_out", "bytes_in", "latency_total")
+
+
+def _accounting_scenarios(sim, a, b):
+    """One of each thing a runtime books: sync and generator one-ways
+    (sized, unsized), answered requests (sync, generator, bare payload,
+    three round-trips), raising handlers (sync, generator, no such
+    service), a timed-out call and a retried one."""
+
+    def slow_note(payload, src):
+        yield sim.timeout(0.002)
+        return ("ack", 48)
+
+    def slow_boom(payload, src):
+        yield sim.timeout(0.001)
+        raise RuntimeError("late")
+
+    def boom(payload, src):
+        raise RuntimeError("boom")
+
+    def slow_echo(payload, src):
+        yield sim.timeout(0.003)
+        return (payload, 24)
+
+    b.register("note", lambda payload, src: None)
+    b.register("note_sized", lambda payload, src: ("x", 100))
+    b.register("slow_note", slow_note)
+    b.register("echo", lambda payload, src: (payload, 8))
+    b.register("bare", lambda payload, src: "payload")
+    b.register("slow_echo", slow_echo)
+    b.register("boom", boom)
+    b.register("slow_boom", slow_boom)
+
+    def revive(host, alive):
+        host.alive = alive
+
+    def client():
+        a.send("n1", "note", "x", size=8)
+        a.send("n1", "note_sized", "x", size=9)
+        a.send("n1", "slow_note", "x", size=10)
+        yield sim.timeout(0.01)
+        yield from a.call("n1", "echo", "x", size=16)
+        yield from a.call("n1", "echo", "y", size=17, rtts=3)
+        yield from a.call("n1", "bare", "y", size=5)
+        yield from a.call("n1", "slow_echo", "z", size=18)
+        for service in ("boom", "slow_boom", "missing"):
+            with pytest.raises(RpcRemoteError):
+                yield from a.call("n1", service, None, size=3)
+        b.host.alive = False
+        with pytest.raises(RpcTimeout):
+            yield from a.call("n1", "echo", "t", size=19, timeout=0.5)
+        sim.call_later(0.7, revive, b.host, True)
+        yield from a.call(
+            "n1", "echo", "r", size=20,
+            policy=CallPolicy(timeout=0.5, attempts=3, backoff=0.05))
+
+    sim.run_process(sim.process(client()))
+    sim.run()
+
+
+def test_every_observation_books_exactly_what_it_did():
+    sim, fabric, rts = make_runtimes(n=2)
+    registry = MetricsRegistry()
+    for rt in rts.values():
+        rt.configure(registry=registry)
+    _accounting_scenarios(sim, rts["n0"], rts["n1"])
+    booked = {key: tuple(getattr(cell, f) for f in _FIELDS)
+              for key, cell in registry.items()}
+    assert booked == _BOOKED            # latency_total to the bit
+    for cell in registry._stats.values():
+        assert sum(cell.hist) == cell.calls
+
+
+def test_a_raising_oneway_handler_is_booked_once_and_propagates():
+    sim, fabric, rts = make_runtimes(n=2)
+    registry = MetricsRegistry()
+    rts["n1"].configure(registry=registry)
+
+    def boom(payload, src):
+        raise RuntimeError("boom")
+
+    rts["n1"].register("boom", boom)
+    rts["n0"].send("n1", "boom", None, size=4)
+    with pytest.raises(RuntimeError, match="boom"):
+        sim.run()
+    sv = registry.stats(SERVER, "boom")
+    assert (sv.calls, sv.ok, sv.errors, sv.bytes_in) == (1, 0, 1, 0)
+
+
+def test_observations_follow_the_registry_configure_wires():
+    """Cells are kept per (runtime, service); ``configure(registry=...)``
+    re-binds them — issued after the handlers registered, and again
+    after the first call went to the old registry."""
+    sim, fabric, rts = make_runtimes(n=2)
+    a, b = rts["n0"], rts["n1"]
+    b.register("echo", lambda payload, src: (payload, 8))
+
+    def one_call():
+        yield from a.call("n1", "echo", "x", size=16)
+        a.send("n1", "echo", "x", size=4)
+        yield sim.timeout(0.01)
+
+    def counts(registry):
+        return {key: (c.calls, c.oneways) for key, c in registry.items()}
+
+    sim.run_process(sim.process(one_call()))        # no registry: no trace
+    first, second = MetricsRegistry(), MetricsRegistry()
+    for rt in (a, b):
+        rt.configure(registry=first)
+    sim.run_process(sim.process(one_call()))
+    want = {(CLIENT, "echo"): (1, 1), (SERVER, "echo"): (2, 0)}
+    assert counts(first) == want and counts(second) == {}
+    for rt in (a, b):
+        rt.configure(registry=second)
+    sim.run_process(sim.process(one_call()))
+    assert counts(first) == want and counts(second) == want
+    b.configure(registry=None)                      # unwired again
+    sim.run_process(sim.process(one_call()))
+    assert counts(second) == {(CLIENT, "echo"): (2, 2),
+                              (SERVER, "echo"): (2, 0)}
 
 
 # ---------------------------------------------------------------- tracing

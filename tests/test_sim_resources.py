@@ -1,6 +1,8 @@
 """Tests for Resource, Store, and BandwidthPipe."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sim import BandwidthPipe, Resource, Simulator, Store
 
@@ -177,3 +179,44 @@ def test_pipe_rejects_bad_args():
     pipe = BandwidthPipe(sim, rate=1)
     with pytest.raises(ValueError):
         pipe.transfer(-1)
+
+
+def _reserve_with_max(pipe, nbytes, not_before=0.0):
+    """``BandwidthPipe.reserve`` as it was spelled with ``max()`` — the
+    reference the comparison spelling must match to the bit."""
+    if pipe.small_bypass and nbytes <= pipe.small_bypass:
+        start = max(pipe.sim.now, not_before)
+        done = start + pipe.overhead + nbytes / pipe.rate
+        pipe._ready_at = max(pipe._ready_at, pipe.sim.now) + nbytes / pipe.rate
+        pipe.bytes_transferred += int(nbytes)
+        return start, done
+    start = max(pipe.sim.now, pipe._ready_at, not_before)
+    done = start + pipe.overhead + nbytes / pipe.rate
+    pipe._ready_at = done
+    pipe.bytes_transferred += int(nbytes)
+    return start, done
+
+
+# Few distinct instants, so now / _ready_at / not_before tie often.
+_instants = st.sampled_from([0.0, -0.0, 1e-6, 80e-6, 0.1 + 0.2, 0.3, 1.0, 7.5])
+_sizes = st.one_of(st.sampled_from([0, 66, 162, 16384, 16385, 4 << 20]),
+                   st.floats(min_value=0.0, max_value=1e7, allow_nan=False))
+
+
+@given(bypass=st.sampled_from([0, 16384]),
+       overhead=st.sampled_from([0.0, 1e-4]),
+       rate=st.sampled_from([12.5e6, 1.0, 3.0]),
+       steps=st.lists(st.tuples(_instants, _sizes, _instants), max_size=12))
+@settings(max_examples=300, deadline=None)
+def test_reserve_matches_its_max_spelling(bypass, overhead, rate, steps):
+    sim_a, sim_b = Simulator(), Simulator()
+    new = BandwidthPipe(sim_a, rate, overhead, bypass)
+    ref = BandwidthPipe(sim_b, rate, overhead, bypass)
+    for advance, nbytes, not_before in steps:
+        sim_a.now = sim_b.now = sim_a.now + advance
+        got, want = new.reserve(nbytes, not_before), _reserve_with_max(
+            ref, nbytes, not_before)
+        # repr: bit-for-bit, and 0.0 is not -0.0
+        assert repr(got) == repr(want)
+        assert repr((new._ready_at, new.bytes_transferred)) == repr(
+            (ref._ready_at, ref.bytes_transferred))
