@@ -22,7 +22,7 @@ from typing import Dict, Optional
 
 from repro.cluster import ClusterSpec, Node
 from repro.network import Fabric
-from repro.runtime import CallPolicy, MetricsRegistry
+from repro.runtime import MetricsRegistry
 from repro.sim import Resource, RngStreams, Simulator
 
 #: NFS transfer size per wire request (Linux 2.4 over UDP commonly 8 KB).
@@ -189,13 +189,11 @@ class NFSServer:
 class NFSClient:
     """Client stub: chunked wire ops against the single server."""
 
-    def __init__(self, node: Node, server: str, rpc_timeout: float = 5.0):
+    def __init__(self, node: Node, server: str):
         self.node = node
         self.sim = node.sim
         self.server = server
-        self.rpc_timeout = rpc_timeout
         self.rpc = node.runtime
-        self.rpc.configure(policy=CallPolicy(timeout=rpc_timeout))
         self.stats = {"reads": 0, "writes": 0, "opens": 0}
 
     def _call(self, svc: str, payload, size: int = 64):

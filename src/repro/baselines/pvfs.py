@@ -19,7 +19,7 @@ from typing import Dict, List, Optional
 
 from repro.cluster import ClusterSpec, Node
 from repro.network import Fabric
-from repro.runtime import CallPolicy, MetricsRegistry
+from repro.runtime import MetricsRegistry
 from repro.sim import RngStreams, Simulator, gather
 
 #: PVFS default stripe unit.
@@ -191,15 +191,12 @@ class PVFSIod:
 class PVFSClient:
     """Client library (the paper modified apps to call it directly)."""
 
-    def __init__(self, node: Node, mgr: str, iods: List[str],
-                 rpc_timeout: float = 5.0):
+    def __init__(self, node: Node, mgr: str, iods: List[str]):
         self.node = node
         self.sim = node.sim
         self.mgr = mgr
         self.iods = iods
-        self.rpc_timeout = rpc_timeout
         self.rpc = node.runtime
-        self.rpc.configure(policy=CallPolicy(timeout=rpc_timeout))
         self.stats = {"reads": 0, "writes": 0, "opens": 0}
 
     def _call(self, host, svc, payload, size=64):

@@ -94,7 +94,7 @@ class SorrentoClient(NamespaceOpsMixin, PlacementMixin, DataPathMixin,
     # -------------------------------------------------------- cache plane
     def _cache_note(self, counter: str, n: int = 1) -> None:
         """Count a cache event both locally and in the deployment registry
-        (scope "cache"), where it lands in metrics_rows next to the RPCs
+        (scope "cache"), where it lands in ``report()`` next to the RPCs
         it saved.  Every namespace RPC counts a route hit here, so the
         registry cell is looked up once per counter and kept."""
         self.stats[counter] += n

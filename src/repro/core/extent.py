@@ -99,10 +99,6 @@ class RangeMap:
         self._covered -= removed
         return removed
 
-    def truncate(self, size: int) -> int:
-        """Drop everything at or beyond ``size``; returns bytes uncovered."""
-        return self.clear_range(size, max(size, self.end))
-
     # -- queries ------------------------------------------------------------
     def slices(self, start: int, end: int) -> List[Span]:
         """Cover [start, end) with spans; unmapped gaps have value None."""

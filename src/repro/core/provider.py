@@ -58,7 +58,7 @@ class StorageProvider:
     SERVICES = (
         "seg_create", "seg_create_shadow", "seg_write", "seg_read",
         "seg_write_vec", "seg_read_vec",
-        "seg_truncate", "seg_renew", "seg_prepare", "seg_commit",
+        "seg_renew", "seg_prepare", "seg_commit",
         "seg_abort", "seg_delete", "seg_fetch", "seg_sync",
         "seg_replicate", "seg_trim", "seg_pin", "loc_lookup",
         "loc_update", "loc_refresh", "loc_probe",
@@ -292,11 +292,6 @@ class StorageProvider:
             out.append(resp)
             total += nbytes
         return {"owner": self.node.hostid, "pieces": out}, 48 + total
-
-    def _h_seg_truncate(self, req: dict, src: str):
-        yield from self._charge()
-        yield from self.store.truncate(req["segid"], req["version"], req["size"])
-        return True, 32
 
     def _h_seg_renew(self, req: dict, src: str):
         yield from self._charge()

@@ -313,15 +313,6 @@ class SegmentStore:
         yield from self.fs.write(seg.fs_name, offset, length, sequential)
         return seg
 
-    def truncate(self, segid: int, version: int, size: int):
-        """Resize an uncommitted version (metadata I/O)."""
-        seg = self._require(segid, version)
-        if seg.committed:
-            raise SegmentError("cannot truncate a committed version")
-        seg.size = size
-        self._bytes -= seg.extents.truncate(size)
-        yield from self.fs.truncate(seg.fs_name, size)
-
     def commit(self, segid: int, version: int):
         """Make a shadow immutable; flushes its in-memory index to disk.
 

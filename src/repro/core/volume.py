@@ -13,7 +13,7 @@ namespace server state (:meth:`SorrentoDeployment.namespace_for`,
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.cluster import ClusterSpec, Node, NodeSpec
 from repro.core.client import SorrentoClient
@@ -292,99 +292,29 @@ class SorrentoDeployment:
     def preload_file(self, path: str, size: int, degree: int = 1,
                      alpha: float = 0.5, placement: str = "load",
                      on: Optional[List[str]] = None) -> dict:
-        """Plant a committed file directly into provider state.
+        """Plant one committed file directly into provider state; returns
+        the namespace entry it stored (the stored object itself).
 
-        Benchmark setup only: bypasses the network/disk so pre-populating
-        an 80 GB dataset (Figure 11) costs no simulated or wall time.
-        Segment placement is round-robin over ``on`` (default: all
-        providers), replicas on distinct nodes.
+        :meth:`preload_files` for one file, on its own streams: the file
+        id is drawn from ``"preload-ids"``, the layout and the start host
+        from ``"preload:{path}"``.
         """
-        from repro.core.layout import make_layout
-        from repro.core.namespace import FileEntry, _file_key
-        from repro.core.segment import SYNTHETIC, StoredSegment
-
-        from repro.core.hashing import HashRing
-        from repro.storage.filesystem import _File
-
-        rng = self.rngs.py(f"preload:{path}")
-        hosts = on or sorted(self.provider_names)
-        fileid = self.rngs.py("preload-ids").getrandbits(128)
-        layout = make_layout("linear", lambda: rng.getrandbits(128))
-        layout.grow_to(size, lambda: rng.getrandbits(128))
-        start = rng.randrange(len(hosts))
-        # One scratch ring + one member-view object shared across every
-        # preload call: the ring is a pure function of (members, vnodes),
-        # so this computes the same homes the providers will, without
-        # warming a thousand per-provider rings — and passing the *same*
-        # list object each time hits the ring's identity fast path.
-        members = getattr(self, "_preload_view", None)
-        if members is None or len(members) != len(self.provider_names):
-            members = self._preload_view = sorted(self.provider_names)
-            self._preload_ring = HashRing(self.params.ring_vnodes)
-        ring = self._preload_ring
-
-        def plant(segid, seg_size, meta, idx):
-            # Placement math (owners, homes) runs over the full host list
-            # in every partition worker; actual state is planted only
-            # where the provider was built.  Every RNG draw happened
-            # before this point, so dormancy never shifts a stream.
-            owners = [hosts[(start + idx + r) % len(hosts)]
-                      for r in range(min(degree, len(hosts)))]
-            for owner in dict.fromkeys(owners):
-                provider = self.providers.get(owner)
-                if provider is not None:
-                    seg = StoredSegment(
-                        segid=segid, version=1, size=seg_size,
-                        committed=True,
-                        replication_degree=degree, alpha=alpha,
-                        placement=placement, meta=meta,
-                        last_access=self.sim.now,
-                    )
-                    if seg_size > 0:
-                        seg.extents.set_range(0, seg_size, SYNTHETIC)
-                    provider.store.plant(seg)
-                    # Direct FS accounting (no simulated I/O):
-                    fs = provider.node.fs
-                    fs.files[seg.fs_name] = _File(size=seg_size,
-                                                  allocated=seg_size)
-                    fs.used += seg_size
-                home = ring.home_host(segid, members)
-                home_p = self.providers.get(home)
-                if home_p is not None:
-                    home_p.loc.update(
-                        segid, owner, 1, degree, seg_size, self.sim.now)
-
-        for i, ref in enumerate(layout.segments):
-            plant(ref.segid, ref.size, None, i)
-        index_meta = {"layout": layout, "attached": None, "attached_len": 0}
-        plant(fileid, 4096, index_meta, len(layout.segments))
-        entry = FileEntry(path=path, fileid=fileid, version=1,
-                          ctime=self.sim.now, mtime=self.sim.now,
-                          degree=degree, alpha=alpha,
-                          placement=placement).to_dict()
-        server = self.namespace_for(path)
-        if not server.node.dormant:
-            server.db.put(_file_key(path), entry)
-        return entry
+        return self._plant(((path, size),), self.rngs.py("preload-ids"),
+                           self.rngs.py(f"preload:{path}"),
+                           degree, alpha, placement, on)[1]
 
     def preload_files(self, files, degree: int = 1, alpha: float = 0.5,
                       placement: str = "load",
                       on: Optional[List[str]] = None) -> int:
         """Plant many committed files directly into provider state.
 
-        The bulk path for :meth:`preload_file`: the planted structures
-        are identical in shape (segment stores, filesystem accounting,
-        location maps, namespace entries), built by the same
-        constructors and inserted through the same public methods
-        (``SegmentStore.plant``, ``LocationTable.update``,
-        ``RangeMap.set_range``), all content size-only (``SYNTHETIC``
-        extents, nothing attached).  What differs: id/placement draws
-        come from one shared ``"preload-bulk"`` stream with a fixed draw
-        count per file — so every partition worker replaying the same
-        file list stays stream-aligned regardless of which nodes are
-        local — and the per-entry WAL byte walk is computed once.
-        ``files`` is an iterable of ``(path, size)``.  Returns the
-        number of files planted.
+        Benchmark setup only: bypasses the network/disk so pre-populating
+        an 80 GB dataset (Figure 11) costs no simulated or wall time.
+        ``files`` is an iterable of ``(path, size)``; every draw comes
+        from one shared ``"preload-bulk"`` stream with a fixed draw count
+        per file, so every partition worker replaying the same file list
+        stays stream-aligned regardless of which nodes are local.
+        Returns the number of files planted.
 
         The cyclic collector is paused for the duration of the load
         (and restored after): the planted population is millions of
@@ -397,18 +327,57 @@ class SorrentoDeployment:
         """
         import gc
 
-        from repro.core.layout import make_layout
-        from repro.core.namespace import _file_key
-        from repro.core.segment import SYNTHETIC, StoredSegment
+        gc_was = gc.isenabled()
+        if gc_was:
+            gc.disable()
+        try:
+            rng = self.rngs.py("preload-bulk")
+            return self._plant(files, rng, rng,
+                               degree, alpha, placement, on)[0]
+        finally:
+            if gc_was:
+                gc.enable()
+                # What was planted is still "young": the next burst of
+                # allocations would walk it twice and then owe a full
+                # collection.  Inside a run's bracket it joins the
+                # frozen model; otherwise freeze + unfreeze hands it to
+                # the oldest generation, unwalked either way.
+                in_bracket = gc.get_freeze_count()
+                gc.freeze()
+                if not in_bracket:
+                    gc.unfreeze()
 
+    def _plant(self, files, ids, draws, degree: int, alpha: float,
+               placement: str, on: Optional[List[str]]
+               ) -> Tuple[int, Optional[dict]]:
+        """The one planting loop: ``(files planted, last entry)``.
+
+        Per file, the id is drawn from ``ids``, then the layout's segids
+        and the start host from ``draws``.  Segment ``idx`` (the index
+        segment last) goes round-robin over ``on`` (default: all
+        providers) from the start host, replicas on distinct nodes; the
+        structures go in through the public inserts (``SegmentStore.plant``,
+        ``LocationTable.update``, ``RangeMap.set_range``), all content
+        size-only (``SYNTHETIC`` extents, nothing attached).  Placement
+        math (owners, homes) runs over the full host list in every
+        partition worker; state is planted only where the provider was
+        built, and every draw precedes it, so dormancy never shifts a
+        stream.
+        """
         from repro.core.hashing import HashRing
+        from repro.core.layout import make_layout
+        from repro.core.namespace import FileEntry, _file_key
+        from repro.core.segment import SYNTHETIC, StoredSegment
         from repro.storage.filesystem import _File
 
-        rng = self.rngs.py("preload-bulk")
-        rb = rng.getrandbits
+        rb = draws.getrandbits
         draw_id = lambda: rb(128)   # noqa: E731 - hoisted, built once
         hosts = on or sorted(self.provider_names)
         nhosts = len(hosts)
+        # One scratch ring + one member-view object shared across every
+        # preload call: the ring is a pure function of (members, vnodes),
+        # so this computes the same homes the providers will, without
+        # warming a thousand per-provider rings.
         members = getattr(self, "_preload_view", None)
         if members is None or len(members) != len(self.provider_names):
             members = self._preload_view = sorted(self.provider_names)
@@ -422,6 +391,7 @@ class SorrentoDeployment:
 
         # Entries differ only in path and fileid.
         entry_template: Optional[dict] = None
+        entry = None
 
         # Per-host bound state, resolved once: the store's ``plant`` with
         # its FS, and the home table's ``update`` (False: a dormant shell).
@@ -429,98 +399,80 @@ class SorrentoDeployment:
         loc_ctx: dict = {}
 
         count = 0
-        gc_was = gc.isenabled()
-        if gc_was:
-            gc.disable()
-        try:
-            for path, size in files:
-                fileid = rb(128)
-                layout = make_layout("linear", draw_id)
-                layout.grow_to(size, draw_id)
-                start = rng.randrange(nhosts)
-                segrefs = layout.segments
-                nsegs = len(segrefs)
-                if locate is None:
-                    # One reconcile+flush warms the scratch ring; after
-                    # it the member view is identity-stable, so the raw
-                    # lookup is safe for the rest of the batch.
-                    ring.home_host(fileid, members)
-                    locate = ring._locate
-                for idx in range(nsegs + 1):
-                    if idx < nsegs:
-                        ref = segrefs[idx]
-                        segid = ref.segid
-                        seg_size = ref.size
-                        meta = None
-                    else:   # the per-file index segment
-                        segid = fileid
-                        seg_size = 4096
-                        meta = {"layout": layout, "attached": None,
-                                "attached_len": 0}
-                    if nreps == 1:
-                        owners = (hosts[(start + idx) % nhosts],)
-                    else:
-                        owners = dict.fromkeys(
-                            hosts[(start + idx + r) % nhosts]
-                            for r in range(nreps))
-                    for owner in owners:
-                        ctx = store_ctx.get(owner)
-                        if ctx is None:
-                            provider = get_provider(owner)
-                            if provider is None:
-                                ctx = store_ctx[owner] = False
-                            else:
-                                pfs = provider.node.fs
-                                ctx = store_ctx[owner] = (
-                                    provider.store.plant, pfs, pfs.files)
-                        if ctx:
-                            seg = StoredSegment(
-                                segid, 1, seg_size, True,
-                                replication_degree=degree, alpha=alpha,
-                                placement=placement, last_access=now,
-                                meta=meta)
-                            if seg_size > 0:
-                                seg.extents.set_range(0, seg_size, SYNTHETIC)
-                            ctx[0](seg)
-                            ctx[2][seg.fs_name] = _File(seg_size, seg_size)
-                            ctx[1].used += seg_size
-                        home = locate(segid)
-                        update = loc_ctx.get(home)
-                        if update is None:
-                            home_p = get_provider(home)
-                            update = loc_ctx[home] = (
-                                home_p.loc.update if home_p is not None
-                                else False)
-                        if update:
-                            update(segid, owner, 1, degree, seg_size, now)
-                if entry_template is None:
-                    from repro.core.namespace import FileEntry
-                    entry_template = FileEntry(
-                        path=path, fileid=fileid, version=1,
-                        ctime=now, mtime=now, degree=degree, alpha=alpha,
-                        placement=placement).to_dict()
-                    entry = entry_template
+        for path, size in files:
+            fileid = ids.getrandbits(128)
+            layout = make_layout("linear", draw_id)
+            layout.grow_to(size, draw_id)
+            start = draws.randrange(nhosts)
+            segrefs = layout.segments
+            nsegs = len(segrefs)
+            if locate is None:
+                # One reconcile+flush warms the scratch ring; after it
+                # the member view is identity-stable, so the raw lookup
+                # is safe for the rest of the call.
+                ring.home_host(fileid, members)
+                locate = ring._locate
+            for idx in range(nsegs + 1):
+                if idx < nsegs:
+                    ref = segrefs[idx]
+                    segid = ref.segid
+                    seg_size = ref.size
+                    meta = None
+                else:   # the per-file index segment
+                    segid = fileid
+                    seg_size = 4096
+                    meta = {"layout": layout, "attached": None,
+                            "attached_len": 0}
+                if nreps == 1:
+                    owners = (hosts[(start + idx) % nhosts],)
                 else:
-                    entry = entry_template.copy()
-                    entry["path"] = path
-                    entry["fileid"] = fileid
-                server = namespace_for(path)
-                if not server.node.dormant:
-                    server.db.put(_file_key(path), entry)
-                count += 1
-        finally:
-            if gc_was:
-                gc.enable()
-                # What was planted is still "young": the next burst of
-                # allocations would walk it twice and then owe a full
-                # collection.  Inside a run's bracket it joins the
-                # frozen model; otherwise freeze + unfreeze hands it to
-                # the oldest generation, unwalked either way.
-                in_bracket = gc.get_freeze_count()
-                gc.freeze()
-                if not in_bracket:
-                    gc.unfreeze()
-        return count
+                    owners = dict.fromkeys(
+                        hosts[(start + idx + r) % nhosts]
+                        for r in range(nreps))
+                for owner in owners:
+                    ctx = store_ctx.get(owner)
+                    if ctx is None:
+                        provider = get_provider(owner)
+                        if provider is None:
+                            ctx = store_ctx[owner] = False
+                        else:
+                            pfs = provider.node.fs
+                            ctx = store_ctx[owner] = (
+                                provider.store.plant, pfs, pfs.files)
+                    if ctx:
+                        seg = StoredSegment(
+                            segid, 1, seg_size, True,
+                            replication_degree=degree, alpha=alpha,
+                            placement=placement, last_access=now,
+                            meta=meta)
+                        if seg_size > 0:
+                            seg.extents.set_range(0, seg_size, SYNTHETIC)
+                        ctx[0](seg)
+                        ctx[2][seg.fs_name] = _File(seg_size, seg_size)
+                        ctx[1].used += seg_size
+                    home = locate(segid)
+                    update = loc_ctx.get(home)
+                    if update is None:
+                        home_p = get_provider(home)
+                        update = loc_ctx[home] = (
+                            home_p.loc.update if home_p is not None
+                            else False)
+                    if update:
+                        update(segid, owner, 1, degree, seg_size, now)
+            if entry_template is None:
+                entry = entry_template = FileEntry(
+                    path=path, fileid=fileid, version=1,
+                    ctime=now, mtime=now, degree=degree, alpha=alpha,
+                    placement=placement).to_dict()
+            else:
+                entry = entry_template.copy()
+                entry["path"] = path
+                entry["fileid"] = fileid
+            server = namespace_for(path)
+            if not server.node.dormant:
+                server.db.put(_file_key(path), entry)
+            count += 1
+        return count, entry
 
     # ------------------------------------------------------------- metrics
     def storage_utilizations(self) -> Dict[str, float]:

@@ -11,7 +11,6 @@ from repro.baselines import NFSDeployment, PVFSDeployment
 from repro.cluster import ClusterSpec, NodeSpec
 from repro.core import SorrentoConfig, SorrentoDeployment
 from repro.core.params import SorrentoParams
-from repro.runtime import MetricsRegistry
 
 GB = 1 << 30
 MB = 1 << 20
@@ -135,33 +134,6 @@ def over_budget(args, label: str, wall_s: float, rss_mb: float) -> List[str]:
         bad.append(f"{prefix}peak RSS {rss_mb}MB over budget "
                    f"{args.budget_rss_mb}MB")
     return bad
-
-
-# ------------------------------------------------------------ RPC metrics
-def metrics_rows(registry: MetricsRegistry,
-                 scope: Optional[str] = None) -> List[Sequence]:
-    """Per-service counter rows from a deployment's registry, ready for
-    :func:`format_table`: (scope, service, calls, ok, timeouts, retries,
-    oneways, mean latency in ms).  Rows are sorted by (scope, service) so
-    reports are stable regardless of registration order."""
-    return [
-        [sc, service, st.calls, st.ok, st.timeouts, st.retries, st.oneways,
-         st.latency_mean * 1e3]
-        for (sc, service), st in sorted(registry.items(scope),
-                                        key=lambda kv: kv[0])
-    ]
-
-
-def metrics_report(registry: MetricsRegistry,
-                   scope: Optional[str] = None,
-                   title: str = "RPC metrics by service") -> str:
-    """A text table of a run's per-service RPC counters."""
-    return format_table(
-        title,
-        ["scope", "service", "calls", "ok", "tmo", "retry", "1way",
-         "mean_ms"],
-        metrics_rows(registry, scope),
-    )
 
 
 # ----------------------------------------------------------------- report

@@ -49,6 +49,7 @@ from repro.experiments.common import (
     run_until_done,
     sorrento_on,
 )
+from repro.experiments.scale_model import zipf_cum_weights
 
 GB = 1 << 30
 MB = 1 << 20
@@ -79,14 +80,6 @@ def _build(n_providers: int, n_files: int, file_mb: int, seed: int):
     return dep, paths
 
 
-def _zipf_cum_weights(n: int, s: float = ZIPF_S) -> List[float]:
-    acc, out = 0.0, []
-    for rank in range(1, n + 1):
-        acc += 1.0 / rank ** s
-        out.append(acc)
-    return out
-
-
 # ------------------------------------------------------------- run points
 def run_point(scenario: str, policy: str, *, n_providers: int = 6,
               n_files: int = 24, file_mb: int = 2, seed: int = 11,
@@ -112,7 +105,7 @@ def run_point(scenario: str, policy: str, *, n_providers: int = 6,
 
     if scenario == "waves":
         rng = dep.rngs.py("compute:waves")
-        cum = _zipf_cum_weights(n_files)
+        cum = zipf_cum_weights(n_files, ZIPF_S)
 
         def wave(w):
             yield dep.sim.timeout(w * wave_interval)

@@ -81,7 +81,8 @@ def _tenant_file(tenant: int, i: int) -> str:
     return f"/t{tenant:02d}/f{i:06d}"
 
 
-def _zipf_cum_weights(n: int, s: float) -> List[float]:
+def zipf_cum_weights(n: int, s: float) -> List[float]:
+    """Cumulative Zipf(``s``) weights of ranks 1..n (``cum_weights=``)."""
     total, cum = 0.0, []
     for rank in range(n):
         total += 1.0 / (rank + 1) ** s
@@ -109,7 +110,7 @@ def draw_sessions(rng, n_sessions: int, duration: float,
     not the consumer keeps the session, so the stream position after
     session ``i`` is identical on every partition worker."""
     tenants = rng.choices(range(N_TENANTS),
-                          cum_weights=_zipf_cum_weights(N_TENANTS, ZIPF_S),
+                          cum_weights=zipf_cum_weights(N_TENANTS, ZIPF_S),
                           k=n_sessions)
     arrival_bins = rng.choices(range(ARRIVAL_BINS),
                                cum_weights=_diurnal_cum_weights(ARRIVAL_BINS),

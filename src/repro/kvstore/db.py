@@ -1,9 +1,9 @@
-"""The recoverable key-value store: B+-tree + WAL + checkpoints.
+"""The recoverable key-value store: a dict + WAL + checkpoints.
 
 Usage contract (mirrors how the namespace server uses Berkeley DB):
 
 * every mutation is WAL-logged before it is applied in memory;
-* ``checkpoint()`` snapshots the tree to stable storage and truncates
+* ``checkpoint()`` snapshots the map to stable storage and truncates
   the log;
 * ``crash()`` throws away everything in memory; ``recover()`` rebuilds
   from the last checkpoint plus the WAL tail.
@@ -14,49 +14,54 @@ simulated disk time; mutations do not (a WAL flush is charged per batch).
 
 from __future__ import annotations
 
-from typing import Any, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
-from repro.kvstore.btree import BTree
 from repro.kvstore.wal import DELETE, PUT, WriteAheadLog
 
 
 class KVStore:
-    """An ordered, crash-recoverable map."""
+    """A crash-recoverable map with ordered scans.
 
-    def __init__(self, order: int = 32):
-        self._order = order
-        self._tree: Optional[BTree] = BTree(order)
+    The live state is one dict.  The namespace's traffic is point gets
+    and puts — tens of thousands a run — against a handful of scans, so
+    a scan filters the keys by its bounds and sorts what it returns when
+    it is made; no sorted index is kept between scans.  Keys must be
+    mutually comparable (the namespace uses strings).
+    """
+
+    def __init__(self) -> None:
+        self._data: Optional[Dict[Any, Any]] = {}
         # Stable storage: survives crash().
         self._wal = WriteAheadLog()
         self._checkpoint: List[Tuple[Any, Any]] = []
         self._checkpoint_lsn = 0
 
     # -- state guards -----------------------------------------------------
-    def _live(self) -> BTree:
-        if self._tree is None:
+    def _live(self) -> Dict[Any, Any]:
+        if self._data is None:
             raise RuntimeError("store is crashed; call recover() first")
-        return self._tree
+        return self._data
 
     @property
     def is_crashed(self) -> bool:
-        return self._tree is None
+        return self._data is None
 
     # -- mutations ---------------------------------------------------------
     def put(self, key, value) -> None:
         """Insert/overwrite."""
-        tree = self._live()
+        data = self._live()
         self._wal.append(PUT, key, value)
-        tree.put(key, value)
+        data[key] = value
 
     def delete(self, key) -> None:
         """Delete if present."""
-        tree = self._live()
+        data = self._live()
         self._wal.append(DELETE, key)
-        tree.delete(key)
+        data.pop(key, None)
 
     # -- reads ------------------------------------------------------------
     def get(self, key, default=None):
-        """Read a key (memory-resident tree)."""
+        """Read a key (memory-resident map)."""
         return self._live().get(key, default)
 
     def __contains__(self, key) -> bool:
@@ -66,18 +71,25 @@ class KVStore:
         return len(self._live())
 
     def items(self, low=None, high=None) -> Iterator[Tuple[Any, Any]]:
-        """Ordered (key, value) range scan."""
-        return self._live().items(low, high)
+        """(key, value) pairs with ``low <= key < high``, ascending."""
+        data = self._live()
+        keys = data.keys()
+        if low is not None:
+            keys = [k for k in keys if k >= low]
+        if high is not None:
+            keys = [k for k in keys if k < high]
+        return iter([(k, data[k]) for k in sorted(keys)])
 
     def prefix_items(self, prefix: str) -> Iterator[Tuple[str, Any]]:
-        """All items whose string key starts with prefix."""
-        return self._live().prefix_items(prefix)
+        """All items whose string key starts with ``prefix``, ascending."""
+        data = self._live()
+        keys = sorted(k for k in data if k.startswith(prefix))
+        return iter([(k, data[k]) for k in keys])
 
     # -- durability ---------------------------------------------------------
     def checkpoint(self) -> int:
         """Snapshot to stable storage; returns bytes written."""
-        tree = self._live()
-        self._checkpoint = list(tree.items())
+        self._checkpoint = list(self._live().items())
         self._checkpoint_lsn = self._wal.next_lsn
         self._wal.truncate_before(self._checkpoint_lsn)
         return sum(
@@ -86,20 +98,18 @@ class KVStore:
         )
 
     def crash(self) -> None:
-        """Lose all volatile state (tree); stable storage survives."""
-        self._tree = None
+        """Lose all volatile state (the map); stable storage survives."""
+        self._data = None
 
     def recover(self) -> int:
-        """Rebuild the tree from checkpoint + WAL; returns records replayed."""
-        tree = BTree(self._order)
-        for k, v in self._checkpoint:
-            tree.put(k, v)
+        """Rebuild the map from checkpoint + WAL; returns records replayed."""
+        data = dict(self._checkpoint)
         replayed = 0
         for rec in self._wal.replay(self._checkpoint_lsn):
             if rec.op == PUT:
-                tree.put(rec.key, rec.value)
+                data[rec.key] = rec.value
             else:
-                tree.delete(rec.key)
+                data.pop(rec.key, None)
             replayed += 1
-        self._tree = tree
+        self._data = data
         return replayed

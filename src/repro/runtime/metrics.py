@@ -20,9 +20,8 @@ SERVER = "server"
 
 #: Scope for the client-side cache/vectoring counters (hits, misses,
 #: stale evictions, vector widths) so they land in the same registry —
-#: and the same ``metrics_rows`` reports — as the RPC counters they
-#: saved.  Counted through ``observe_oneway`` (no latency: cache hits
-#: are local).
+#: and the same ``report()`` — as the RPC counters they saved.  Counted
+#: through ``observe_oneway`` (no latency: cache hits are local).
 CACHE = "cache"
 
 #: Scope for the provider storage-engine counters (page-cache hits and

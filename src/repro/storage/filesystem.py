@@ -34,7 +34,7 @@ class NoSpace(Exception):
 
 @dataclass(slots=True)
 class _File:
-    size: int = 0        # logical length (truncate can make this sparse)
+    size: int = 0        # logical length (set_size can make this sparse)
     allocated: int = 0   # bytes actually backed by blocks
 
 
@@ -209,22 +209,6 @@ class LocalFS:
             yield self.engine.read(name, offset, nbytes, sequential)
         else:
             yield self._device_io(nbytes, sequential)
-
-    def truncate(self, name: str, size: int):
-        """Set the file's logical size.
-
-        Growing is sparse (no allocation) — this is how Sorrento creates
-        shadow-copy segments cheaply.  Shrinking frees any allocation
-        beyond the new size.
-        """
-        f = self.files.get(name)
-        if f is None:
-            raise FileNotFoundError(name)
-        if size < f.allocated:
-            self.used -= f.allocated - size
-            f.allocated = size
-        f.size = size
-        yield self.meta_io()
 
 
 def device_capacity(device: Union[Disk, Raid0]) -> int:

@@ -67,14 +67,6 @@ def test_clear_range():
     assert m.slices(0, 100) == [(0, 25, "a"), (25, 75, None), (75, 100, "a")]
 
 
-def test_truncate():
-    m = RangeMap()
-    m.set_range(0, 100, "a")
-    m.truncate(40)
-    assert m.end == 40
-    assert m.covered_bytes() == 40
-
-
 def test_covered_bytes():
     m = RangeMap()
     m.set_range(0, 10, "a")

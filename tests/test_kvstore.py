@@ -1,103 +1,139 @@
-"""Tests for the embedded KV store: B+-tree, WAL, crash recovery."""
+"""Tests for the embedded KV store: ordered scans, WAL, crash recovery."""
+
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.kvstore import BTree, KVStore, WriteAheadLog
+from repro.kvstore import KVStore, WriteAheadLog
 from repro.kvstore.wal import DELETE, PUT
 
 
-# ---------------------------------------------------------------- B+-tree
+def _scans_agree(db, model):
+    """Every read the store offers equals the dict model's: size, point
+    gets, and ascending full / range / prefix scans."""
+    assert len(db) == len(model)
+    for k, v in model.items():
+        assert k in db and db.get(k) == v
+    ordered = sorted(model.items())
+    assert list(db.items()) == ordered
+    keys = [k for k, _ in ordered]
+    if keys:
+        low, high = keys[len(keys) // 3], keys[(2 * len(keys)) // 3]
+        assert list(db.items(low=low, high=high)) == [
+            (k, v) for k, v in ordered if low <= k < high]
+        assert list(db.items(low=high, high=low)) == []
+        if isinstance(low, str):
+            prefix = low[:1]
+            assert list(db.prefix_items(prefix)) == [
+                (k, v) for k, v in ordered if k.startswith(prefix)]
+
+
+# ------------------------------------------------------------ ordered map
 def test_btree_put_get():
-    t = BTree(order=4)
+    db = KVStore()
     for i in range(100):
-        t.put(f"k{i:03d}", i)
-    assert len(t) == 100
-    assert t.get("k042") == 42
-    assert t.get("missing") is None
-    assert "k007" in t and "nope" not in t
+        db.put(f"k{i:03d}", i)
+    assert len(db) == 100
+    assert db.get("k042") == 42
+    assert db.get("missing") is None
+    assert "k007" in db and "nope" not in db
 
 
 def test_btree_overwrite_keeps_size():
-    t = BTree(order=4)
-    t.put("a", 1)
-    t.put("a", 2)
-    assert len(t) == 1
-    assert t.get("a") == 2
+    db = KVStore()
+    db.put("a", 1)
+    db.put("a", 2)
+    assert len(db) == 1
+    assert db.get("a") == 2
 
 
 def test_btree_ordered_iteration():
-    t = BTree(order=4)
-    import random
+    db = KVStore()
     keys = [f"{i:04d}" for i in range(200)]
     shuffled = keys[:]
     random.Random(7).shuffle(shuffled)
     for k in shuffled:
-        t.put(k, k)
-    assert [k for k, _ in t.items()] == keys
+        db.put(k, k)
+    assert [k for k, _ in db.items()] == keys
 
 
 def test_btree_range_scan():
-    t = BTree(order=4)
+    db = KVStore()
     for i in range(50):
-        t.put(f"{i:02d}", i)
-    got = [v for _, v in t.items(low="10", high="15")]
+        db.put(f"{i:02d}", i)
+    got = [v for _, v in db.items(low="10", high="15")]
     assert got == [10, 11, 12, 13, 14]
+    # Bounds need not be keys; either may be left open.
+    assert [v for _, v in db.items(low="095", high="11")] == [10]
+    assert [v for _, v in db.items(high="02")] == [0, 1]
+    assert [v for _, v in db.items(low="48")] == [48, 49]
 
 
 def test_btree_prefix_items():
-    t = BTree(order=4)
-    t.put("/a/x", 1)
-    t.put("/a/y", 2)
-    t.put("/ab", 3)
-    t.put("/b/z", 4)
-    assert dict(t.prefix_items("/a/")) == {"/a/x": 1, "/a/y": 2}
+    db = KVStore()
+    db.put("/a/x", 1)
+    db.put("/a/y", 2)
+    db.put("/ab", 3)
+    db.put("/b/z", 4)
+    assert list(db.prefix_items("/a/")) == [("/a/x", 1), ("/a/y", 2)]
+    assert list(db.prefix_items("/c")) == []
+    assert [k for k, _ in db.prefix_items("")] == ["/a/x", "/a/y", "/ab", "/b/z"]
 
 
 def test_btree_delete():
-    t = BTree(order=4)
+    db = KVStore()
     for i in range(60):
-        t.put(i, i)
-    assert t.delete(30)
-    assert not t.delete(30)
-    assert t.get(30) is None
-    assert len(t) == 59
-    t.check_invariants()
+        db.put(i, i)
+    db.delete(30)
+    db.delete(30)      # deleting an absent key is a logged no-op
+    assert db.get(30) is None and 30 not in db
+    assert len(db) == 59
+    assert [k for k, _ in db.items()] == [i for i in range(60) if i != 30]
 
 
-def test_btree_min_order():
-    with pytest.raises(ValueError):
-        BTree(order=2)
+def test_scan_is_a_snapshot():
+    """A scan holds the pairs present when it was made: writes during
+    the walk neither appear in it nor break it."""
+    db = KVStore()
+    for k in "abc":
+        db.put(k, k)
+    seen = []
+    for k, v in db.items():
+        db.delete("c")
+        db.put("bb", 0)
+        seen.append((k, v))
+    assert seen == [("a", "a"), ("b", "b"), ("c", "c")]
+    assert [k for k, _ in db.items()] == ["a", "b", "bb"]
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.tuples(st.sampled_from("pd"),
                           st.integers(min_value=0, max_value=200))))
 def test_btree_matches_dict_model(ops):
-    """Property: BTree behaves exactly like a dict under puts/deletes."""
-    t = BTree(order=4)
+    """Property: the store behaves exactly like a dict under puts and
+    deletes, and its scans are the dict's items sorted."""
+    db = KVStore()
     model = {}
     for op, k in ops:
         if op == "p":
-            t.put(k, k * 2)
+            db.put(k, k * 2)
             model[k] = k * 2
         else:
-            t.delete(k)
+            db.delete(k)
             model.pop(k, None)
-    assert len(t) == len(model)
-    assert list(t.items()) == sorted(model.items())
-    t.check_invariants()
+    _scans_agree(db, model)
 
 
 @settings(max_examples=30, deadline=None)
 @given(st.sets(st.text(min_size=1, max_size=8), max_size=120))
 def test_btree_string_keys_sorted(keys):
-    t = BTree(order=5)
+    db = KVStore()
     for k in keys:
-        t.put(k, None)
-    assert [k for k, _ in t.items()] == sorted(keys)
-    t.check_invariants()
+        db.put(k, None)
+    assert [k for k, _ in db.items()] == sorted(keys)
+    _scans_agree(db, dict.fromkeys(keys))
 
 
 # ------------------------------------------------------------------- WAL
@@ -261,3 +297,46 @@ def test_kvstore_recovery_equals_history(ops):
     db.crash()
     db.recover()
     assert dict(db.items()) == dict(sorted(model.items()))
+
+
+_history = st.lists(
+    st.tuples(st.sampled_from("ppdc"),
+              st.text(alphabet="ab/", min_size=1, max_size=3)),
+    max_size=30)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_history)
+def test_kvstore_recovers_the_model_at_every_wal_boundary(ops):
+    """Property: a crash after any WAL record recovers exactly the
+    history up to that record — size, point gets and every scan — with
+    checkpoints anywhere before it; and the recovered store logs on, so
+    a second crash at the end recovers the whole history."""
+
+    def apply(db, model, upto):
+        for i, (op, k) in upto:
+            if op == "p":
+                db.put(k, i)
+                model[k] = i
+            elif op == "d":
+                db.delete(k)
+                model.pop(k, None)
+            else:
+                db.checkpoint()
+
+    steps = list(enumerate(ops))
+    full = {}
+    apply(KVStore(), full, steps)
+    # Boundaries: before the first record and after each put / delete
+    # (a checkpoint appends none).
+    cuts = [0] + [n + 1 for n, (op, _k) in enumerate(ops) if op != "c"]
+    for cut in cuts:
+        db, model = KVStore(), {}
+        apply(db, model, steps[:cut])
+        db.crash()
+        db.recover()
+        _scans_agree(db, model)
+        apply(db, model, steps[cut:])
+        db.crash()
+        db.recover()
+        _scans_agree(db, full)

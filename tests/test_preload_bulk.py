@@ -1,17 +1,21 @@
-"""Bulk-preload equivalence: the fast path must build the same cluster
-state as the per-file path.
+"""Preload: one planting loop, two ways to feed it streams.
 
-:meth:`SorrentoDeployment.preload_files` draws ids from one shared
-stream (the per-file path derives a stream per path), so the two paths
-are not bit-identical — but everything *structural* must match: the
-namespace listings (entries equal modulo fileid), the aggregate
-segment-store contents, the filesystem accounting, the WAL byte
-charges, and the location-map records.  Both paths insert through the
-same public methods (``SegmentStore.plant``, ``LocationTable.update``,
+:meth:`SorrentoDeployment.preload_file` and
+:meth:`SorrentoDeployment.preload_files` run the same loop; they differ
+only in the streams handed to it.  The per-file call draws its id from
+``"preload-ids"`` and its layout and start host from ``"preload:{path}"``;
+the bulk call draws all of them from one shared ``"preload-bulk"``
+stream.  So the two are not bit-identical — but everything *structural*
+must match: the namespace listings (entries equal modulo fileid), the
+aggregate segment-store contents, the filesystem accounting, the WAL
+byte charges, and the location-map records.  The loop inserts through
+the public methods (``SegmentStore.plant``, ``LocationTable.update``,
 ``RangeMap.set_range``); the location tables are additionally rebuilt
 from the planted stores by direct ``update`` calls and compared row for
-row.
+row.  What the per-file call plants is pinned bit for bit by a digest.
 """
+
+import hashlib
 
 import pytest
 
@@ -158,3 +162,73 @@ def test_bulk_preload_readable_end_to_end():
     size, data = dep.run(proc())
     assert size == 3 * MB
     assert data is None  # synthetic content
+
+
+# ------------------------------------------------------- per-file digest
+KB = 1 << 10
+
+DIGEST_CALLS = [
+    ("/d1/a", 3 * MB, dict(degree=1)),
+    ("/d1/b", 12 * KB, dict(degree=1, alpha=0.9, placement="locality")),
+    ("/d2/a", 5 * MB, dict(degree=2, placement="random", alpha=0.1)),
+    ("/d2/b", 0, dict(degree=2)),
+    ("/d3/a", 2 * MB, dict(degree=3, on=["s01", "s03", "s04"])),
+    ("/d3/b", 9 * MB, dict(degree=3, alpha=0.7, placement="locality")),
+    ("/on1", 1 * MB, dict(degree=2, on=["s02"])),
+]
+
+
+def planted_digest(dep, entries):
+    """SHA-256 over every planted structure: each store's committed
+    segments in order (``seq``, ``last_access``, extents, index meta),
+    its byte counter and FS files and ``used``; each location table's
+    rows in order with their ages and records; every namespace item and
+    WAL record; and the entries the calls returned."""
+    h = hashlib.sha256()
+
+    def put(*parts):
+        h.update(repr(parts).encode())
+
+    for name in sorted(dep.providers):
+        p = dep.providers[name]
+        for seg in p.store.committed_segments():
+            meta = seg.meta
+            if meta is not None:
+                meta = (meta["layout"].size,
+                        [(r.segid, r.version, r.size, r.max_size)
+                         for r in meta["layout"].segments],
+                        meta["attached"], meta["attached_len"])
+            put(name, seg.segid, seg.version, seg.size, seg.committed,
+                seg.replication_degree, seg.alpha, seg.placement,
+                seg.last_access, seg.seq, seg.fs_name, meta,
+                list(seg.extents))
+        put(name, p.store.bytes_stored(), p.node.fs.used,
+            sorted((n, f.size, f.allocated)
+                   for n, f in p.node.fs.files.items()))
+        for segid in p.loc.segids():
+            put(name, segid, p.loc.age(segid, dep.sim.now),
+                [(o, v, p.loc.record(segid, o)) for o, v in
+                 p.loc.lookup(segid)])
+    for server in dep.namespace_servers():
+        put(list(server.db.items()))
+        put([(r.lsn, r.op, r.key, r.value) for r in server.db._wal.replay()])
+    put(entries)
+    return h.hexdigest()
+
+
+def test_per_file_preload_plants_what_it_always_did():
+    """Degrees 1-3, ``on=`` subsets, mixed placement and alpha, an empty
+    file, over two namespace shards: the digest recorded when
+    ``preload_file`` had a planting loop of its own."""
+    dep = SorrentoDeployment(
+        small_cluster(5, n_compute=2, capacity_per_node=8 << 30),
+        SorrentoConfig(seed=7, namespace_shards=2))
+    dep.warm_up()
+    entries = []
+    for path, size, kw in DIGEST_CALLS:
+        entry = dep.preload_file(path, size, **kw)
+        # The stored object itself: workloads mutate it in place.
+        assert entry is dep.namespace_for(path).db.get(_file_key(path))
+        entries.append(entry)
+    assert planted_digest(dep, entries) == (
+        "91ffb12bddc8f8b7bdb52390082f27823b91f8f34c7826a719dd5792aba88178")

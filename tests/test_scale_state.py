@@ -35,8 +35,8 @@ def drive(sim, gen):
 # ===================================================== SegmentStore index
 op_strategy = st.lists(
     st.tuples(
-        st.sampled_from(["create", "write", "commit", "shadow", "truncate",
-                         "drop", "drop_committed", "delete", "consolidate",
+        st.sampled_from(["create", "write", "commit", "shadow", "drop",
+                         "drop_committed", "delete", "consolidate",
                          "plant", "ingest", "lose"]),
         st.integers(min_value=0, max_value=3),      # segid selector
         st.integers(min_value=0, max_value=4096),   # offset / size knob
@@ -80,8 +80,6 @@ def test_segment_indices_match_full_scan_after_any_schedule(ops):
                     yield from store.commit(segid, uncommitted[-1])
                 elif op == "shadow" and committed:
                     yield from store.create_shadow(segid, committed[-1])
-                elif op == "truncate" and uncommitted:
-                    yield from store.truncate(segid, uncommitted[-1], knob)
                 elif op == "drop" and uncommitted:
                     yield from store.drop(segid, uncommitted[-1])
                 elif op == "drop_committed" and committed:
@@ -165,20 +163,21 @@ def test_wipe_resets_every_index():
     drive(sim, scenario())
 
 
-def test_byte_counter_tracks_truncate_and_drop():
+def test_byte_counter_tracks_overwrite_and_drop():
     sim, store = make_store()
 
     def scenario():
         yield from store.create(7, 1)
         yield from store.write(7, 1, 0, 8192, data=b"a" * 8192)
         assert store.bytes_stored() == 8192
-        yield from store.truncate(7, 1, 4096)
-        assert store.bytes_stored() == 4096
+        yield from store.write(7, 1, 4096, 8192, data=b"c" * 8192)
+        assert store.bytes_stored() == 12288
         yield from store.commit(7, 1)
         seg = yield from store.create_shadow(7, 1)
         yield from store.write(7, seg.version, 0, 1024, data=b"b" * 1024)
+        assert store.bytes_stored() == 12288 + 1024
         yield from store.drop(7, seg.version)
-        assert store.bytes_stored() == 4096
+        assert store.bytes_stored() == 12288
         store.check_index_invariants()
 
     drive(sim, scenario())

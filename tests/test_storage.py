@@ -253,11 +253,13 @@ def test_fs_nospace():
 
 
 def test_fs_sparse_truncate_costs_no_space():
+    """A shadow copy is a blank file truncated to its base's size
+    (``set_size``, no device I/O)."""
     sim, fs = make_fs()
 
     def proc():
         yield from fs.create("shadow")
-        yield from fs.truncate("shadow", 10 * MB)
+        fs.set_size("shadow", 10 * MB)
 
     run(sim, proc())
     assert fs.size_of("shadow") == 10 * MB
@@ -269,7 +271,7 @@ def test_fs_write_into_sparse_allocates():
 
     def proc():
         yield from fs.create("shadow")
-        yield from fs.truncate("shadow", 10 * MB)
+        fs.set_size("shadow", 10 * MB)
         yield from fs.write("shadow", 5 * MB, 1 * MB)
 
     run(sim, proc())
@@ -283,10 +285,11 @@ def test_fs_truncate_shrink_frees():
     def proc():
         yield from fs.create("a")
         yield from fs.write("a", 0, 4 * MB)
-        yield from fs.truncate("a", 1 * MB)
+        fs.set_size("a", 1 * MB)
 
     run(sim, proc())
     assert fs.used == MB
+    assert fs.size_of("a") == MB
 
 
 def test_fs_near_full_writes_slow_down():
