@@ -10,8 +10,8 @@ exposing every flavor (``.posix``, ``.handles``, ``.pario``) over one
 shared client; the flavor constructors remain available for code that
 manages its own stubs.  The typed error surface
 (:class:`NotFoundError`, :class:`ConflictError`, :class:`TimeoutError`,
-:class:`WrongShardError`, all under :class:`SorrentoError`) is
-re-exported here so applications need only this package.
+all under :class:`SorrentoError`) is re-exported here so applications
+need only this package.
 """
 
 from repro.api.handles import Handle, HandleAPI
@@ -24,7 +24,6 @@ from repro.core.client import (
     NotFoundError,
     SorrentoError,
     TimeoutError,
-    WrongShardError,
 )
 from repro.runtime import CallPolicy
 
@@ -42,7 +41,6 @@ __all__ = [
     "Session",
     "SorrentoError",
     "TimeoutError",
-    "WrongShardError",
     "connect",
     "make_parallel_session",
 ]

@@ -27,7 +27,6 @@ from repro.core.client.handle import (
     NotFoundError,
     SorrentoError,
     TimeoutError,
-    WrongShardError,
     make_layout_for,
 )
 from repro.core.client.router import NamespaceRouter
@@ -42,6 +41,5 @@ __all__ = [
     "SorrentoClient",
     "SorrentoError",
     "TimeoutError",
-    "WrongShardError",
     "make_layout_for",
 ]

@@ -34,26 +34,6 @@ class TimeoutError(SorrentoError):  # noqa: A001 - deliberate shadow
     """A server needed for the operation did not answer in time."""
 
 
-class WrongShardError(SorrentoError):
-    """A namespace shard redirected the request: the path hashed to a
-    different shard under the current ring epoch.  The router consumes
-    these internally (learning the owner and retrying); applications
-    only see one if redirects exceed ``REDIRECT_LIMIT``
-    (:mod:`repro.core.client.router`), which means the shard map is
-    churning faster than the client can chase it.
-
-    ``path`` is the path the server refused (a rename names two),
-    ``owner`` the redirecting server's view of the shard that owns it
-    and ``epoch`` its shard-map epoch.
-    """
-
-    def __init__(self, message: str, path: str, owner: str, epoch: int):
-        super().__init__(message)
-        self.path = path
-        self.owner = owner
-        self.epoch = epoch
-
-
 def _meta_size(meta: Optional[dict]) -> int:
     if not meta:
         return 64

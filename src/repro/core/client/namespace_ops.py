@@ -1,18 +1,17 @@
 """Pathname operations against the namespace server(s) (Section 3.1).
 
-All routing — the (epoch, prefix) route cache, per-shard standby
-failover and redirect chasing — lives in
-:class:`repro.core.client.router.NamespaceRouter`; this mixin is the
-operation vocabulary on top of it.  Cross-shard rename/link run a
-two-phase commit over the owning shards' staged-mutation handlers.
+All routing — resolving a path's shard and per-shard standby failover
+— lives in :class:`repro.core.client.router.NamespaceRouter`; this
+mixin is the operation vocabulary on top of it.  Cross-shard
+rename/link run a two-phase commit over the owning shards'
+staged-mutation handlers.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from repro.core.client.handle import ConflictError, WrongShardError
-from repro.core.client.router import REDIRECT_LIMIT, _namespace_error
+from repro.core.client.handle import ConflictError
 from repro.core.twophase import CommitAborted, two_phase_commit
 from repro.sim import gather
 
@@ -47,24 +46,11 @@ class NamespaceOpsMixin:
         if path != "/":
             result = yield from self._call_ns("ns_list", path)
             return result
-        # The root spans every shard: ask each one and merge.  Servers
-        # piggyback their shard-map snapshot on root listings (the one
-        # namespace op that cannot redirect) so a stale client discovers
-        # shards it has never been bounced to.
+        # The root spans every shard: ask each one and merge.
         router = self.router
-
-        def list_on(shard):
-            reply = yield from router.call("ns_list", "/", shard=shard)
-            return reply
-
-        parts = yield from gather(
-            self.sim, [list_on(s) for s in router.shards])
-        newest = max(parts, key=lambda part: part["epoch"])
-        unasked = router.learn_shards(newest["epoch"], newest["shards"])
-        if unasked:
-            parts += yield from gather(
-                self.sim, [list_on(s) for s in unasked])
-        return sorted({name for part in parts for name in part["names"]})
+        parts = yield from gather(self.sim, [
+            router.call("ns_list", "/", shard=s) for s in router.shards])
+        return sorted({name for part in parts for name in part})
 
     def stat(self, path: str):
         """The file's namespace entry (FileID, version, policy)."""
@@ -113,33 +99,17 @@ class NamespaceOpsMixin:
         return alias
 
     def _move(self, src_path: str, dst_path: str, *, keep_source: bool):
-        # A shard that refuses a path it no longer owns (this client's
-        # routes predate a split or merge) has by then taught the router
-        # the owner, which can turn a cross-shard move into a same-shard
-        # one or the reverse: plan again, at most REDIRECT_LIMIT
-        # times.  So can the cross-shard move's own source lookup, which
-        # is routed and redirected like any call.
         route_host = self.router.route_host
-        entry = None
-        replans = 0
-        while True:
-            src_host, dst_host = route_host(src_path), route_host(dst_path)
-            try:
-                if src_host == dst_host:
-                    moved = yield from self._call_ns(
-                        "ns_link" if keep_source else "ns_rename",
-                        {"path": src_path, "dst": dst_path}, size=96)
-                    return moved
-                if entry is None:
-                    entry = yield from self._call_ns("ns_lookup", src_path)
-                    continue
-                moved = yield from self._cross_shard_move(
-                    entry, src_host, dst_path, dst_host, keep_source)
-                return moved
-            except WrongShardError:
-                replans += 1
-                if replans > REDIRECT_LIMIT:
-                    raise
+        src_host, dst_host = route_host(src_path), route_host(dst_path)
+        if src_host == dst_host:
+            moved = yield from self._call_ns(
+                "ns_link" if keep_source else "ns_rename",
+                {"path": src_path, "dst": dst_path}, size=96)
+            return moved
+        entry = yield from self._call_ns("ns_lookup", src_path)
+        moved = yield from self._cross_shard_move(
+            entry, src_host, dst_path, dst_host, keep_source)
+        return moved
 
     def _cross_shard_move(self, entry: dict, src_host: str, dst_path: str,
                           dst_host: str, keep_source: bool):
@@ -166,12 +136,6 @@ class NamespaceOpsMixin:
             yield from two_phase_commit(self.rpc, participants, req_size=192,
                                         services=NS_2PC_SERVICES)
         except CommitAborted as exc:
-            stale = [err for err in map(_namespace_error, exc.refusals)
-                     if isinstance(err, WrongShardError)]
-            for err in stale:
-                self.router.redirected(err)
-            if stale:
-                raise stale[-1] from exc
             raise ConflictError(
                 f"rename {src_path} -> {dst_path} aborted: {exc}") from exc
         return moved

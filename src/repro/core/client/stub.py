@@ -43,8 +43,7 @@ class SorrentoClient(NamespaceOpsMixin, PlacementMixin, DataPathMixin,
     def __init__(self, node, ns_shards: Dict[str, List[str]],
                  params: Optional[SorrentoParams] = None,
                  rng: Optional[random.Random] = None,
-                 membership: Optional[MembershipManager] = None,
-                 ns_shard_epoch: int = 1):
+                 membership: Optional[MembershipManager] = None):
         self.node = node
         self.sim = node.sim
         self.params = params or SorrentoParams()
@@ -53,12 +52,9 @@ class SorrentoClient(NamespaceOpsMixin, PlacementMixin, DataPathMixin,
         self.rng = rng or random.Random(zlib.crc32(node.hostid.encode()) & 0xFFFFFF)
         self.rpc = node.runtime
         # All namespace routing lives in the router.  ns_shards is the
-        # deployment's shard-map snapshot at epoch ns_shard_epoch: shard
-        # name -> [primary, standby, ...].
-        self.router = NamespaceRouter(
-            self.rpc, self.sim, ns_shards,
-            epoch=ns_shard_epoch, note=self._cache_note,
-        )
+        # deployment's shard list: shard name -> [primary, standby, ...].
+        self.router = NamespaceRouter(self.rpc, ns_shards,
+                                      note=self._cache_note)
         self.membership = membership or MembershipManager(
             node, interval=self.params.heartbeat_interval, announce=False
         )
@@ -76,8 +72,10 @@ class SorrentoClient(NamespaceOpsMixin, PlacementMixin, DataPathMixin,
                       "loc_hits": 0, "loc_misses": 0, "loc_stale": 0,
                       "meta_hits": 0, "meta_misses": 0,
                       "vec_rpcs": 0, "vec_pieces": 0,
-                      "route_hits": 0, "route_misses": 0, "ns_redirects": 0,
-                      "mirror_hits": 0, "mirror_fallbacks": 0}
+                      "mirror_hits": 0, "mirror_fallbacks": 0,
+                      # Never counted (no shard ever redirects); kept
+                      # at 0 because bench/layers.py reads it.
+                      "ns_redirects": 0}
         # Read-placement preference: when True, reads served by a replica
         # set that includes this very node short-circuit to the local copy
         # instead of spreading load at random.  Off by default (the random
@@ -95,8 +93,8 @@ class SorrentoClient(NamespaceOpsMixin, PlacementMixin, DataPathMixin,
     def _cache_note(self, counter: str, n: int = 1) -> None:
         """Count a cache event both locally and in the deployment registry
         (scope "cache"), where it lands in ``report()`` next to the RPCs
-        it saved.  Every namespace RPC counts a route hit here, so the
-        registry cell is looked up once per counter and kept."""
+        it saved.  The registry cell is looked up once per counter and
+        kept."""
         self.stats[counter] += n
         cell = self._cache_cells.get(counter)
         if cell is None:

@@ -14,22 +14,22 @@ Berkeley DB) with write-ahead logging, group commit, and periodic
 checkpoints for recovery.
 
 The tree is partitioned across the volume's shard servers by top-level
-directory.  :class:`NamespaceShardMap` is the authoritative prefix ->
-shard assignment (a consistent-hash ring over shard names with a
-monotonically increasing *epoch*); every server holds a reference and
-answers requests for paths it does not own with an ``EWRONGSHARD``
-redirect naming the owner and the current epoch, which the client-side
-router uses to repair its stale route cache.  With one shard the map
-assigns every prefix to it and no redirect is ever sent.  Cross-
-shard renames/links run through staged prepare/commit/abort handlers
-driven by the generic two-phase coordinator in ``core/twophase.py``.
+directory, over a shard set fixed when the volume is deployed.
+:class:`NamespaceShardMap` is the prefix -> shard assignment (a
+consistent-hash ring over shard names); every server and every client
+router resolves paths with one, so a client always asks the owner.  A
+server still refuses a path it does not own (``EWRONGSHARD``) rather
+than serve it.  With one shard the map assigns every prefix to it.
+Cross-shard renames/links run through staged prepare/commit/abort
+handlers driven by the generic two-phase coordinator in
+``core/twophase.py``.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.core.hashing import HashRing
 from repro.core.params import SorrentoParams
@@ -39,9 +39,7 @@ from repro.sim import Store
 
 ROOT = "/"
 
-SHARD_VNODES = 16            # vnodes per shard on the prefix ring: the
-#                              servers' map and every client router hash
-#                              with this one value, so they agree
+SHARD_VNODES = 16            # vnodes per shard on the prefix ring
 OP_CPU = 6e-4                # calibration (DESIGN.md § 1): ~1300 ops/s on
 #                              a Cluster A node, reference-GHz-seconds
 CHECKPOINT_INTERVAL = 300.0  # seconds between KV-store checkpoints
@@ -118,50 +116,29 @@ def _prefix_point(prefix: str) -> int:
 
 
 class NamespaceShardMap:
-    """Authoritative prefix -> shard assignment for one volume.
+    """Prefix -> shard assignment for one volume.
 
-    A thin wrapper over the incremental :class:`HashRing`: shards are
-    named by their primary's hostid, and every membership change bumps
-    ``epoch``.  The epoch travels inside ``EWRONGSHARD`` redirects so
-    stale client route caches self-invalidate instead of looping.
-
-    Every namespace RPC asks :meth:`owner_of` on the serving side, so
-    the prefix -> owner answers of the current epoch are memoised: the
-    hash and ring walk run once per top-level directory per epoch.
+    A thin wrapper over :class:`HashRing`: shards are named by their
+    primary's hostid and fixed for the map's lifetime.  Every namespace
+    RPC asks :meth:`owner_of` on both sides — the client's router and
+    the serving shard — so the answers are memoised: the hash and ring
+    walk run once per top-level directory.
     """
 
     def __init__(self, shards):
         self.ring = HashRing(SHARD_VNODES)
         self.shards: List[str] = list(shards)
-        self.epoch = 1
         self._owners: Dict[str, str] = {}
 
     def owner_of(self, path: str) -> str:
-        # shard_prefix(path), spelled out: this and the router's twin
-        # run once per namespace RPC, where a call costs what they do.
+        # shard_prefix(path), spelled out: this runs twice per namespace
+        # RPC, where a call costs what it does.
         prefix = path.strip("/").split("/", 1)[0] or ROOT
         owner = self._owners.get(prefix)
         if owner is None:
             owner = self._owners[prefix] = self.ring.home_host(
                 _prefix_point(prefix), self.shards)
         return owner
-
-    # Membership changes build a NEW list: the ring's reconcile has an
-    # identity fast path, so mutating the list it was last shown would
-    # leave the ring stale.  The memo belongs to the old epoch and is
-    # replaced with it.
-    def add_shard(self, name: str) -> None:
-        if name not in self.shards:
-            self._advance(self.shards + [name])
-
-    def remove_shard(self, name: str) -> None:
-        if name in self.shards:
-            self._advance([s for s in self.shards if s != name])
-
-    def _advance(self, shards: List[str]) -> None:
-        self.shards = shards
-        self.epoch += 1
-        self._owners = {}
 
 
 @dataclass
@@ -224,18 +201,18 @@ class NamespaceServer:
                         shard_name: str) -> None:
         """Make this server a shard (primary or standby) of the volume's
         namespace.  It answers only for paths the map assigns to
-        ``shard_name``; anything else gets an ``EWRONGSHARD`` redirect."""
+        ``shard_name``; anything else is refused."""
         self.shard_map = shard_map
         self.shard_name = shard_name
 
     def _check_owner(self, path: str) -> None:
+        """Refuse a misrouted request instead of serving it from a DB
+        that does not hold the path's subtree."""
         if path == ROOT:
             return
         owner = self.shard_map.owner_of(path)
         if owner != self.shard_name:
-            raise NamespaceError(
-                f"EWRONGSHARD {path} owner={owner} "
-                f"epoch={self.shard_map.epoch}")
+            raise NamespaceError(f"EWRONGSHARD {path} owner={owner}")
 
     # ------------------------------------------------- replication (ext.)
     def attach_standby(self, hostid: str,
@@ -443,16 +420,7 @@ class NamespaceServer:
         if self.db.get(_dir_key(path)) is None:
             raise NamespaceError(f"ENOENT {path}")
         names = self._list_children(path)
-        if path != ROOT:
-            return names, 64 + 16 * len(names)
-        # Root listings legitimately span every shard, so they can
-        # never redirect — piggyback the shard-map snapshot instead,
-        # letting a stale client discover shards it has never been
-        # redirected to and re-fan before merging.
-        reply = {"names": names, "epoch": self.shard_map.epoch,
-                 "shards": list(self.shard_map.shards)}
-        return reply, (64 + 16 * len(names)
-                       + 16 * len(self.shard_map.shards))
+        return names, 64 + 16 * len(names)
 
     def _list_children(self, path: str) -> List[str]:
         prefix = path if path.endswith("/") else path + "/"
@@ -505,8 +473,8 @@ class NamespaceServer:
         yield from self._charge_cpu()
         txid = req["txid"]
         checks = req.get("checks", ())
-        # Keys are "f:<path>" / "d:<path>": a coordinator whose routes
-        # predate a split or merge is told so, like any other caller.
+        # Keys are "f:<path>" / "d:<path>": a misrouted coordinator is
+        # refused like any other caller.
         for item in (*checks, *req["ops"]):
             self._check_owner(item["key"][2:])
         keys = {op["key"] for op in req["ops"]}

@@ -21,15 +21,7 @@ from repro.sim import gather
 
 
 class CommitAborted(Exception):
-    """A participant voted no (or died) during phase 1; all were aborted.
-
-    ``refusals`` holds the remote error text of every participant whose
-    prepare handler raised rather than voting, so a coordinator can tell
-    "you asked the wrong server" from a plain no."""
-
-    def __init__(self, message: str, refusals: List[str]):
-        super().__init__(message)
-        self.refusals = refusals
+    """A participant voted no (or died) during phase 1; all were aborted."""
 
 
 SEG_SERVICES = ("seg_prepare", "seg_commit", "seg_abort")
@@ -52,17 +44,13 @@ def two_phase_commit(rpc, participants: List[Tuple[str, Any]],
     sim = rpc.sim
     prepare_svc, commit_svc, abort_svc = services
     kw = {} if timeout is None else {"timeout": timeout}
-    refusals: List[str] = []
 
     def prepare_one(host, payload):
         try:
             vote = yield from rpc.call(host, prepare_svc, payload,
                                        size=req_size, **kw)
             return bool(vote)
-        except RpcRemoteError as exc:
-            refusals.append(exc.error)
-            return False
-        except RpcTimeout:
+        except (RpcTimeout, RpcRemoteError):
             return False
 
     votes = yield from gather(sim, [
@@ -71,9 +59,7 @@ def two_phase_commit(rpc, participants: List[Tuple[str, Any]],
     if not all(votes):
         yield from _broadcast(rpc, abort_svc, participants, req_size, kw)
         raise CommitAborted(
-            f"{votes.count(False)}/{len(votes)} participants refused",
-            refusals,
-        )
+            f"{votes.count(False)}/{len(votes)} participants refused")
     yield from _broadcast(rpc, commit_svc, participants, req_size, kw)
     return len(participants)
 

@@ -167,16 +167,28 @@ class SorrentoDeployment:
         return NamespaceServer(node, self.config.volume, self.params)
 
     def namespace_for(self, path: str) -> NamespaceServer:
-        """The authoritative server for ``path`` under the current map
-        — how anything outside the RPC path (preloading, inspection,
-        experiment set-up) reaches a namespace entry."""
+        """The authoritative server for ``path`` — how anything outside
+        the RPC path (preloading, inspection, experiment set-up) reaches
+        a namespace entry."""
         return self.ns_shard_servers[self.ns_shard_map.owner_of(path)]
 
     def namespace_servers(self) -> List[NamespaceServer]:
-        """Every authoritative server, drained shards included (their
-        DBs are empty but they still redirect stragglers).  Standbys and
-        mirrors are replicas, not truth, and are left out."""
+        """Every shard's authoritative server.  Standbys and mirrors are
+        replicas, not truth, and are left out."""
         return list(self.ns_shard_servers.values())
+
+    def add_namespace_mirror(self, hostid: str,
+                             interval: float) -> NamespaceServer:
+        """A full-tree namespace mirror fed by scheduled bulk WAL
+        batches from every shard — the satellite-tier metadata replica
+        of the tiered topology.  The mirror is not a shard of the
+        volume's map: it answers for any path, serving the
+        (bounded-staleness) view the last batch shipped."""
+        mirror = self._namespace_server(hostid)
+        for server in self.namespace_servers():
+            server.attach_standby(hostid, interval=interval)
+        self.ns_mirrors[hostid] = mirror
+        return mirror
 
     # ------------------------------------------------------------ clients
     def client_on(self, hostid: str) -> SorrentoClient:
@@ -186,7 +198,6 @@ class SorrentoDeployment:
             node, self.ns_shards, self.params,
             rng=self.rngs.py(f"client:{hostid}:{len(self.clients)}"),
             membership=self.memberships.get(hostid),
-            ns_shard_epoch=self.ns_shard_map.epoch,
         )
         if hostid in self.ns_mirrors:
             # Geo-aware reads: a client co-located with a namespace
@@ -225,55 +236,6 @@ class SorrentoDeployment:
     def restart_provider(self, hostid: str) -> None:
         """Bring a crashed provider back (location table rebuilt)."""
         self.providers[hostid].restart()
-
-    # ------------------------------------------------- namespace resharding
-    def add_namespace_shard(self, hostid: str) -> NamespaceServer:
-        """Split: add a shard at runtime.  The shard map's epoch
-        advances, affected prefixes' entries migrate between shard DBs
-        (state surgery, not simulated I/O), and clients with stale
-        routes repair themselves through ``EWRONGSHARD`` redirects."""
-        server = self.ns_shard_servers.get(hostid)
-        if server is None:
-            server = self._namespace_server(hostid)
-            server.configure_shard(self.ns_shard_map, hostid)
-            self.ns_shard_servers[hostid] = server
-            self.ns_shards[hostid] = [hostid]
-        self.ns_shard_map.add_shard(hostid)
-        self._migrate_shard_entries()
-        return server
-
-    def remove_namespace_shard(self, hostid: str) -> None:
-        """Merge: drain a shard out of the map.  Its server stays up to
-        redirect stragglers; its entries move to their new owners."""
-        self.ns_shard_map.remove_shard(hostid)
-        self._migrate_shard_entries()
-
-    def _migrate_shard_entries(self) -> None:
-        moves = []
-        for server in self.namespace_servers():
-            for key, value in list(server.db.items()):
-                path = key[2:]
-                if path == "/":
-                    continue  # the root dir lives on every shard
-                owner = self.namespace_for(path)
-                if owner is not server:
-                    moves.append((server, owner, key, value))
-        for server, owner, key, value in moves:
-            server.db.delete(key)
-            owner.db.put(key, value)
-
-    def add_namespace_mirror(self, hostid: str,
-                             interval: float) -> NamespaceServer:
-        """A full-tree namespace mirror fed by scheduled bulk WAL
-        batches from every shard — the satellite-tier metadata replica
-        of the tiered topology.  The mirror is not a shard of the
-        volume's map: it answers for any path, serving the
-        (bounded-staleness) view the last batch shipped."""
-        mirror = self._namespace_server(hostid)
-        for server in self.namespace_servers():
-            server.attach_standby(hostid, interval=interval)
-        self.ns_mirrors[hostid] = mirror
-        return mirror
 
     def add_provider(self, nspec: NodeSpec) -> StorageProvider:
         """Attach a brand-new storage node at runtime (Section 2.2)."""

@@ -56,7 +56,6 @@ def run_point(n_shards: int, n_clients: int, duration: float = 8.0) -> Dict:
              for i, c in enumerate(clients)]
     run_until_done(dep.sim, procs, max_time=t0 + duration + 60.0)
     row["md_ops_per_s"] = round(row["ops"] / (dep.sim.now - t0), 1)
-    row["ns_redirects"] = sum(c.stats["ns_redirects"] for c in clients)
     return row
 
 

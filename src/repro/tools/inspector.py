@@ -238,25 +238,13 @@ class ClusterInspector:
 
     # ----------------------------------------------------------- namespace
     def namespace_report(self) -> Dict[str, object]:
-        """The routed-metadata plane: shard map, per-shard load, standby
-        shipping, mirrors, and how often clients were redirected."""
+        """The routed-metadata plane: per-shard load, standby shipping
+        and mirrors."""
         dep = self.dep
-        active = set(dep.ns_shard_map.shards)
-        report: Dict[str, object] = {
-            "epoch": dep.ns_shard_map.epoch,
-            "shards": {},
-            "mirrors": {},
-            "client_redirects": sum(c.stats.get("ns_redirects", 0)
-                                    for c in dep.clients),
-            "route_hits": sum(c.stats.get("route_hits", 0)
-                              for c in dep.clients),
-            "route_misses": sum(c.stats.get("route_misses", 0)
-                                for c in dep.clients),
-        }
+        report: Dict[str, object] = {"shards": {}, "mirrors": {}}
         for srv in sorted(dep.namespace_servers(),
                           key=lambda s: s.shard_name):
             report["shards"][srv.shard_name] = {
-                "in_map": srv.shard_name in active,
                 "entries": len(srv.db),
                 "ops_served": srv.ops_served,
                 "standbys": [link.hostid for link in srv.standbys],
@@ -381,9 +369,7 @@ class ClusterInspector:
         shards = ns["shards"]
         ops = ", ".join(f"{h} {row['ops_served']} ops"
                         for h, row in shards.items())
-        line = (f"namespace: {sum(row['in_map'] for row in shards.values())}"
-                f" shards (epoch {ns['epoch']}): {ops}; "
-                f"{ns['client_redirects']} client redirects")
+        line = f"namespace: {len(shards)} shards: {ops}"
         if ns["mirrors"]:
             line += f"; {len(ns['mirrors'])} mirrors"
         lines.append(line)

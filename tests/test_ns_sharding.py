@@ -1,12 +1,11 @@
 """Tests for the namespace behind the routed metadata API — the one
 path every deployment takes, with one shard by default.
 
-Covers the shard map, the typed ``EWRONGSHARD`` redirect surface, the
-deployment-level routing at one and two shards (including runtime
-split/merge with epoch adoption), cross-shard rename/link over the
-namespace 2PC and their re-planning after a map change, a
-shard(1) == shard(N) equivalence property, and standby failover for a
-crashed shard on the fault plane.
+Covers the shard map, the error surface, the deployment-level routing
+at one and two shards (the client resolves what the servers resolve,
+and a shard refuses a path it does not own), cross-shard rename/link
+over the namespace 2PC, a shard(1) == shard(N) equivalence property,
+and standby failover for a crashed shard on the fault plane.
 """
 
 import pytest
@@ -20,7 +19,6 @@ from repro.core.client import (
     ConflictError,
     NotFoundError,
     SorrentoError,
-    WrongShardError,
 )
 from repro.core.client.router import _namespace_error
 from repro.core.namespace import (
@@ -61,21 +59,6 @@ def test_shard_map_is_deterministic_and_spreads():
     assert {"s00", "s01", "s02"} == set(owners)
 
 
-def test_shard_map_epoch_advances_and_reassigns_only_on_change():
-    m = NamespaceShardMap(["s00", "s01"])
-    assert m.epoch == 1
-    before = {f"/d{i}": m.owner_of(f"/d{i}") for i in range(32)}
-    m.add_shard("s02")
-    assert m.epoch == 2
-    moved = [p for p, owner in before.items()
-             if m.owner_of(p) not in (owner, "s02")]
-    # Consistent hashing: prefixes only ever move *to* the new shard.
-    assert moved == []
-    m.remove_shard("s02")
-    assert m.epoch == 3
-    assert {p: m.owner_of(p) for p in before} == before
-
-
 def test_shard_prefix():
     assert shard_prefix("/") == "/"
     assert shard_prefix("/a") == "a"
@@ -83,22 +66,7 @@ def test_shard_prefix():
 
 
 # ------------------------------------------------------- error surface
-def test_wrong_shard_error_parses_owner_and_epoch():
-    err = _namespace_error(
-        "NamespaceError: EWRONGSHARD /x/y owner=s02 epoch=7")
-    assert isinstance(err, WrongShardError)
-    assert (err.path, err.owner, err.epoch) == ("/x/y", "s02", 7)
-    # The fields come off the right of the message; the path is the
-    # caller's and may hold a space or spell ``owner=`` itself.
-    err = _namespace_error(
-        "NamespaceError: EWRONGSHARD /a owner=evil b owner=s02 epoch=7")
-    assert (err.path, err.owner, err.epoch) == ("/a owner=evil b", "s02", 7)
-
-
-def test_wrong_shard_error_is_typed_and_exported():
-    from repro.api import WrongShardError as api_wse
-
-    assert api_wse is WrongShardError
+def test_only_the_code_token_classifies_a_namespace_error():
     # Only the code token after "NamespaceError: " classifies: a path
     # that spells another code is still just a path.
     assert type(_namespace_error(
@@ -107,6 +75,10 @@ def test_wrong_shard_error_is_typed_and_exported():
         "NamespaceError: ENOENT /EWRONGSHARD/x")) is NotFoundError
     assert type(_namespace_error(
         "NamespaceError: no commit grant for /EEXIST")) is SorrentoError
+    # A shard's refusal of a path it does not own is no condition an
+    # application branches on.
+    assert type(_namespace_error(
+        "NamespaceError: EWRONGSHARD /ENOENT owner=s01")) is SorrentoError
 
 
 # ------------------------------------------------------ deployment routing
@@ -114,7 +86,6 @@ def test_default_deployment_is_one_shard_on_the_routed_path():
     spec = small_cluster(4, n_compute=1, capacity_per_node=8 << 30)
     dep = SorrentoDeployment(spec)
     assert dep.ns_shard_map.shards == [dep.ns_host]
-    assert dep.ns_shard_map.epoch == 1
     assert dep.namespace_servers() == [dep.ns]
     assert dep.namespace_for("/any/path") is dep.ns
     assert dep.client_on("c00").router.shards == {dep.ns_host: [dep.ns_host]}
@@ -123,8 +94,7 @@ def test_default_deployment_is_one_shard_on_the_routed_path():
 def test_determinism_scenario_stays_on_its_one_shard(monkeypatch):
     """The tests/test_determinism.py scenario (writes, an unlink, a
     provider crash, a minute of repair) on the default deployment: one
-    shard at epoch 1, no EWRONGSHARD reply from the namespace server,
-    and no client ever redirected."""
+    shard, and no EWRONGSHARD reply from the namespace server."""
     from tests import test_determinism as scenario
 
     built = []
@@ -149,11 +119,8 @@ def test_determinism_scenario_stays_on_its_one_shard(monkeypatch):
     scenario.run_scenario(5)
     (dep,) = built
     assert dep.ns_shard_map.shards == [dep.ns_host]
-    assert dep.ns_shard_map.epoch == 1
     assert dep.ns.ops_served > 0
     assert refused == []
-    assert sum(c.stats["ns_redirects"] for c in dep.clients) == 0
-    assert all(c.router.epoch == 1 for c in dep.clients)
 
 
 @pytest.mark.parametrize("n_shards", [1, 2])
@@ -178,8 +145,6 @@ def test_deployment_routes_and_merges_root_listing(n_shards):
     assert len(counts) == n_shards
     assert sum(counts) == 5
     assert all(c > 0 for c in counts), counts
-    # No stale routes at steady state: the snapshot ring matches the map.
-    assert sum(c.stats["ns_redirects"] for c in dep.clients) == 0
 
 
 @pytest.mark.parametrize("n_shards", [1, 2])
@@ -251,67 +216,42 @@ def test_shards_split_the_namespace_load(n_shards):
     assert min(served) > 0.25 * sum(served), served
 
 
-def test_split_redirects_and_epoch_adoption():
-    dep = deploy(n_shards=2, n_storage=4)
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 5),
+       st.lists(st.text("ab/.-", max_size=10).map(lambda s: "/" + s),
+                min_size=1, max_size=8))
+def test_the_client_resolves_what_the_servers_resolve(n_shards, paths):
+    dep = SorrentoDeployment(
+        small_cluster(5, n_compute=1, capacity_per_node=8 << 30),
+        SorrentoConfig(namespace_shards=n_shards))
     client = dep.client_on("c00")
-
-    def setup():
-        for i in range(8):
-            yield from client.mkdir(f"/t{i}")
-            fh = yield from client.open(f"/t{i}/f", "w", create=True)
-            yield from client.close(fh)
-
-    dep.run(setup())
-    new_host = dep.provider_names[2]
-    dep.add_namespace_shard(new_host)
-    assert dep.ns_shard_map.epoch == 2
-    moved = [f"/t{i}/f" for i in range(8)
-             if dep.ns_shard_map.owner_of(f"/t{i}") == new_host]
-    assert moved, "expected at least one prefix to move to the new shard"
-
-    def after():
-        entries = []
-        for p in moved:
-            entries.append((yield from client.stat(p)))
-        return entries
-
-    entries = dep.run(after())
-    assert [e["path"] for e in entries] == moved
-    # The stale client was redirected and adopted the new epoch.
-    assert client.stats["ns_redirects"] >= 1
-    assert client.router.epoch == 2
-    # A fresh client gets the new epoch at construction: no redirects.
-    fresh = dep.client_on("c01")
-    dep.run(fresh.stat(moved[0]))
-    assert fresh.stats["ns_redirects"] == 0
-
-    dep.remove_namespace_shard(new_host)
-    assert dep.ns_shard_map.epoch == 3
-    dep.run(client.stat(moved[0]))  # merge heals the same way
+    for path in paths:
+        assert client.router.route_host(path) \
+            == dep.namespace_for(path).node.hostid
 
 
-def test_stale_client_root_listing_sees_entries_on_new_shards():
-    """Root listings cannot redirect (every shard legitimately answers),
-    so the reply piggybacks the shard-map snapshot: a client that has
-    never been bounced to the new shard still merges its entries."""
-    dep = deploy(n_shards=2, n_storage=4)
+def test_a_misrouted_request_is_refused_not_served():
+    """A shard asked about a path it does not own refuses, even where it
+    could serve: every shard holds "/", the parent of a top-level file."""
+    dep = deploy(n_shards=2)
     client = dep.client_on("c00")
+    wrong = dep.ns_host
+    path = next(f"/m{i}" for i in range(40)
+                if dep.ns_shard_map.owner_of(f"/m{i}") != wrong)
+    req = {"path": path, "fileid": 7}
 
-    def setup():
-        for i in range(8):
-            yield from client.mkdir(f"/rl{i}")
+    def misrouted():
+        try:
+            yield from client.router.call("ns_create", req, size=160,
+                                          shard=wrong)
+        except SorrentoError as exc:
+            return exc
+        return None
 
-    dep.run(setup())
-    new_host = dep.provider_names[2]
-    dep.add_namespace_shard(new_host)
-    assert any(dep.ns_shard_map.owner_of(f"/rl{i}") == new_host
-               for i in range(8)), "expected a prefix on the new shard"
-    # First post-split op is the listing itself: no redirect ever taught
-    # this client about the new shard.
-    listing = dep.run(client.listdir("/"))
-    assert listing == [f"rl{i}/" for i in range(8)]
-    assert client.router.epoch == 2
-    assert new_host in client.router.shards
+    err = dep.run(misrouted())
+    assert type(err) is SorrentoError and "EWRONGSHARD" in str(err)
+    assert all(srv.db.get(f"f:{path}") is None
+               for srv in dep.namespace_servers())
 
 
 # --------------------------------------------------- cross-shard 2PC ops
@@ -378,88 +318,6 @@ def test_cross_shard_rename_aborts_cleanly_on_conflict():
     entry = dep.run(work())
     assert entry["path"] == f"{src_dir}/f"
     assert all(not srv._staged for srv in dep.namespace_servers())
-
-
-def _merged_dirs(dep, drained, n=60):
-    """A top-level dir the drained shard owns now, and one that is —
-    and stays — on the shard that will inherit it."""
-    now = dep.ns_shard_map
-    merged = NamespaceShardMap([s for s in now.shards if s != drained])
-    moving = next(f"/m{i}" for i in range(n)
-                  if now.owner_of(f"/m{i}") == drained)
-    staying = next(f"/k{i}" for i in range(n)
-                   if now.owner_of(f"/k{i}") == merged.owner_of(moving))
-    return moving, staying
-
-
-@pytest.mark.parametrize("op", ["rename", "link"])
-@pytest.mark.parametrize("stale", ["source", "destination"])
-def test_move_after_a_merge_is_replanned_not_refused(op, stale):
-    """A client whose routes predate a shard merge still sees two shards
-    where the map now has one: the drained shard's EWRONGSHARD refusal
-    of its 2PC prepare re-plans the move as the single-shard one it is,
-    instead of surfacing as a spurious ConflictError."""
-    dep = deploy(n_shards=3)
-    client = dep.client_on("c00")
-    drained = dep.provider_names[2]
-    moving, staying = _merged_dirs(dep, drained)
-    src_dir, dst_dir = ((moving, staying) if stale == "source"
-                        else (staying, moving))
-
-    def setup():
-        yield from client.mkdir(src_dir)
-        yield from client.mkdir(dst_dir)
-        yield from client.create(f"{src_dir}/f")
-
-    dep.run(setup())
-    dep.remove_namespace_shard(drained)
-    assert dep.namespace_for(src_dir) is dep.namespace_for(dst_dir)
-
-    def move():
-        yield from getattr(client, op)(f"{src_dir}/f", f"{dst_dir}/g")
-        moved = yield from client.stat(f"{dst_dir}/g")
-        if op == "rename":
-            with pytest.raises(NotFoundError):
-                yield from client.stat(f"{src_dir}/f")
-        else:
-            yield from client.stat(f"{src_dir}/f")
-        return moved
-
-    moved = dep.run(move())
-    assert moved["path"] == f"{dst_dir}/g"
-    assert client.stats["ns_redirects"] >= 1
-    assert client.router.epoch == dep.ns_shard_map.epoch
-    assert all(not srv._staged for srv in dep.namespace_servers())
-
-
-def test_move_after_a_split_becomes_cross_shard():
-    """The reverse re-plan: a stale client sends one ns_rename to a
-    shard that still owns the source but no longer the destination."""
-    dep = deploy(n_shards=2, n_storage=4)
-    client = dep.client_on("c00")
-    new_host = dep.provider_names[2]
-    dirs = [f"/s{i}" for i in range(60)]
-    before = dep.ns_shard_map.owner_of
-    after = NamespaceShardMap(dep.ns_shard_map.shards + [new_host]).owner_of
-    dst_dir = next(d for d in dirs if after(d) == new_host)
-    src_dir = next(d for d in dirs
-                   if after(d) == before(d) == before(dst_dir))
-
-    def setup():
-        yield from client.mkdir(src_dir)
-        yield from client.mkdir(dst_dir)
-        yield from client.create(f"{src_dir}/f")
-
-    dep.run(setup())
-    dep.add_namespace_shard(new_host)
-
-    def move():
-        yield from client.rename(f"{src_dir}/f", f"{dst_dir}/g")
-        return (yield from client.stat(f"{dst_dir}/g"))
-
-    assert dep.run(move())["path"] == f"{dst_dir}/g"
-    assert dep.namespace_for(dst_dir).db.get(f"f:{dst_dir}/g") is not None
-    assert dep.namespace_for(src_dir).db.get(f"f:{src_dir}/f") is None
 
 
 # ------------------------------------------------- shard(1) == shard(N)
@@ -555,13 +413,11 @@ def test_shard_crash_fails_over_to_standby():
 
 
 # ------------------------------------------------- the shard-curve experiment
-def test_shard_curve_point_completes_without_failures_or_redirects():
+def test_shard_curve_point_completes_without_failures():
     row = ns_shard_curve.run_point(2, 8, duration=2.0)
     assert row["ops"] > 0 and row["md_ops_per_s"] > 0
+    # A failure here would be a client asking a shard that refuses it.
     assert row["failed"] == 0
-    # Clients learn the map at start-up and nothing changes it: a
-    # redirect here would be the router mis-hashing a prefix.
-    assert row["ns_redirects"] == 0
 
 
 def test_shard_curve_checks_flag_both_shape_claims():

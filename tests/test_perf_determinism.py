@@ -26,12 +26,9 @@ sessions per second), so the pre-cache values could not survive.  The
 replay tests remain the determinism proof; the goldens pin the new
 behaviour against accidental drift from here on.
 
-``metrics_sha256`` was re-recorded once more when the one-shard
-``NamespaceShardMap`` behind ``NamespaceRouter`` became the only way to
-reach a namespace: every run now counts ``cache|route_hits`` /
-``cache|route_misses``.  ``test_rerecorded_digests_differ_only_by_the_
-route_rows`` keeps the proof that nothing else moved: without those two
-rows the digests are still the ones recorded before.
+``metrics_sha256`` carried two ``cache|route_*`` rows while the client
+router kept a route cache of its own; with the cache gone the digests
+are again exactly the ones recorded before it.
 """
 
 import hashlib
@@ -45,24 +42,12 @@ from repro.workloads.smallfile import session_loop
 #: delivery-lane tie-break landed (pre-lane: messages_sent=3134) — wire
 #: deliveries now order by stable (src, dst) lane instead of heap
 #: insertion order, a different-but-equally-legal interleaving.
-#: ``metrics_sha256`` (only) again when every namespace RPC went through
-#: the routed path: 611 route hits and 2 misses joined the rows.
 GOLDEN = {
     "clock": 9.509108141,
     "sessions": 153,
     "messages_sent": 3137,
     "metrics_sha256":
-        "7fc212748f2f2fb4e2d4840d3cb28a6c548cd6707ca577495931336cea660749",
-}
-
-#: The rows the routed namespace path added, and the digests recorded
-#: before it over everything else.
-ROUTE_ROWS = (("cache", "route_hits"), ("cache", "route_misses"))
-PRE_ROUTER_SHA256 = {
-    "GOLDEN":
         "9b83d803b467b91ccee0905c54d44c9b008c549581086f9b6d215c2c192f979a",
-    "GOLDEN_FAULTS":
-        "b4c631e0882ccf2737a6ea476c4446df56a5f69d4a7129708b1ebcb2a5eb4b1d",
 }
 
 
@@ -78,13 +63,11 @@ GOLDEN_COST = {"events": 8538, "swept_timers": 1409, "messages": 3107}
 MAX_EVENTS_PER_SESSION = 60
 
 
-def metrics_digest(registry, skip=()):
+def metrics_digest(registry):
     """Hash of every counter the metrics layer accumulates, in a stable
     order — any behavioural drift in the RPC path lands in here."""
     rows = []
     for (scope, service), st in sorted(registry._stats.items()):
-        if (scope, service) in skip:
-            continue
         rows.append((scope, service, st.calls, st.ok, st.errors, st.timeouts,
                      st.retries, st.oneways, st.bytes_out, st.bytes_in,
                      round(st.latency_total, 9)))
@@ -107,8 +90,6 @@ def run_scenario(seed=11, n_clients=2, duration=3.0):
         "sessions": counter[0],
         "messages_sent": dep.fabric.messages_sent,
         "metrics_sha256": metrics_digest(dep.metrics),
-        "unrouted_sha256": metrics_digest(dep.metrics, skip=ROUTE_ROWS),
-        "redirects": sum(c.stats["ns_redirects"] for c in dep.clients),
         "nprocessed": sim._nprocessed,
         "events": sim._nprocessed - before[0],
         "swept_timers": sim._nswept - before[1],
@@ -186,7 +167,6 @@ def run_faulted_scenario(seed=11, n_clients=2, duration=6.0):
         "messages_duplicated": dep.fabric.messages_duplicated,
         "fault_events": len(controller.timeline),
         "metrics_sha256": metrics_digest(dep.metrics),
-        "unrouted_sha256": metrics_digest(dep.metrics, skip=ROUTE_ROWS),
         "nprocessed": dep.sim._nprocessed,
     }
 
@@ -204,20 +184,8 @@ GOLDEN_FAULTS = {
     "messages_duplicated": 9,
     "fault_events": 8,
     "metrics_sha256":
-        "cb139e894ecf65d159b93a3779cdfb0adb1e550726a545eaefbd100c973e3a28",
+        "b4c631e0882ccf2737a6ea476c4446df56a5f69d4a7129708b1ebcb2a5eb4b1d",
 }
-
-
-def test_rerecorded_digests_differ_only_by_the_route_rows():
-    """The re-recorded ``metrics_sha256`` values differ from their
-    predecessors by exactly the ``cache|route_*`` rows: drop those and
-    every other counter of both scenarios hashes as it did before the
-    routed path was the only one.  The one-shard route never redirects."""
-    plain, faulted = run_scenario(), run_faulted_scenario()
-    assert plain["unrouted_sha256"] == PRE_ROUTER_SHA256["GOLDEN"]
-    assert faulted["unrouted_sha256"] == PRE_ROUTER_SHA256["GOLDEN_FAULTS"]
-    assert plain["metrics_sha256"] != plain["unrouted_sha256"]
-    assert plain["redirects"] == 0
 
 
 def test_fault_plan_replays_identically():
