@@ -43,18 +43,14 @@ class DataPathMixin:
 
     # ============================================================== open
     def open(self, path: str, mode: str = "r", create: bool = False,
-             meta_only: bool = False, version: Optional[int] = None,
-             **create_params):
+             meta_only: bool = False, **create_params):
         """Open a file; "w" starts a shadow session on the latest version.
 
         ``meta_only`` fetches just the layout from the index segment
         (cheaper; used by unlink, which never reads file data).
-        ``version`` opens a historical (milestone) version read-only.
         """
         if mode not in ("r", "w"):
             raise ValueError(f"bad mode {mode!r}")
-        if version is not None and mode != "r":
-            raise SorrentoError("historical versions are read-only")
         self.stats["opens"] += 1
         yield self.node.cpu(OP_CPU)
         # Every open asks the namespace server: a stale base version would
@@ -70,14 +66,6 @@ class DataPathMixin:
             except ConflictError:
                 # Lost a create race: the other writer's entry is ours too.
                 entry = yield from self._call_ns("ns_lookup", path)
-        if version is not None:
-            if not 0 < version <= entry["version"]:
-                raise NotFoundError(
-                    f"{path}: no version {version} (latest is "
-                    f"{entry['version']})"
-                )
-            entry = dict(entry)
-            entry["version"] = version
         fh = FileHandle(path=path, entry=entry, mode=mode,
                         layout=make_layout_for(entry),
                         attached=None, base_version=entry["version"])

@@ -24,7 +24,7 @@ def _parent_dir(path: str) -> str:
 
 
 class NamespaceOpsMixin:
-    """Namespace RPCs: lookup, create, directories, leases, milestones."""
+    """Namespace RPCs: lookup, create, directories, leases."""
 
     def _call_ns(self, service: str, payload, size: int = 64, rtts: int = 1):
         result = yield from self.router.call(service, payload,

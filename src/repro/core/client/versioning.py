@@ -1,7 +1,8 @@
 """Version-based consistency (Section 3.5; Figure 6 steps 6–9).
 
-Shadow creation, two-phase commit across shadowed segments, conflict
-detection, milestones, and the synchronous-commitment option of §3.6.
+Shadow creation, two-phase commit across shadowed segments, and
+conflict detection.  Section 3.6's synchronous commitment is the
+providers' ``eager_propagation``, not a client option.
 """
 
 from __future__ import annotations
@@ -78,8 +79,7 @@ class VersioningMixin:
         )
 
     # ========================================================= commit/close
-    def commit(self, fh: FileHandle, close: bool = False,
-               synchronous: bool = False):
+    def commit(self, fh: FileHandle, close: bool = False):
         """Commit the session's shadow copies as the next file version.
 
         Figure 6 steps (6)-(9): shadow the index segment, get namespace
@@ -143,7 +143,6 @@ class VersioningMixin:
         fh.entry = entry
         fh.base_version = new_version
         fh.index_owner = index_owner
-        committed = dict(fh.shadows)
         for segid, (_owner, version) in fh.shadows.items():
             for ref in fh.layout.segments:
                 if ref.segid == segid:
@@ -163,36 +162,7 @@ class VersioningMixin:
         fh.shadows.clear()
         fh.new_segments.clear()
         fh.dirty = False
-        if synchronous:
-            # Section 3.6's synchronous-commitment option: "detect version
-            # discrepancies among [the replicas], and push changes to
-            # older replicas before it returns".
-            yield from self._sync_replicas(
-                list(committed.items()) + [(fh.fileid, (index_owner,
-                                                        index_version))])
         return new_version
-
-    def _sync_replicas(self, committed):
-        def sync_one(segid, owner, version):
-            try:
-                # Syncing must see the full replica list, not a cached one.
-                resp = yield from self._locate(segid, refresh=True)
-            except SorrentoError:
-                return
-            stale = [h for h, v in resp["owners"]
-                     if v < version and h != owner]
-            for host in stale:
-                try:
-                    yield from self.rpc.call(host, "seg_sync", {
-                        "segid": segid, "version": version, "from": owner,
-                    }, size=48)
-                except (RpcTimeout, RpcRemoteError):
-                    continue
-
-        yield from gather(self.sim, [
-            sync_one(segid, owner, version)
-            for segid, (owner, version) in committed
-        ])
 
     def _committed_layout(self, fh: FileHandle) -> Layout:
         layout = fh.layout.clone()
@@ -288,12 +258,8 @@ class VersioningMixin:
         fh.shadows.clear()
         fh.dirty = False
 
-    def close(self, fh: FileHandle, synchronous: bool = False):
-        """Close = implicit commit (Section 3.5).
-
-        ``synchronous=True`` selects the paper's synchronous-commitment
-        option: replicas are pushed current before close returns.
-        """
+    def close(self, fh: FileHandle):
+        """Close = implicit commit (Section 3.5)."""
         if fh.closed:
             return fh.entry["version"]
         try:
@@ -301,8 +267,7 @@ class VersioningMixin:
                     and (fh.dirty or fh.base_version == 0):
                 # Closing a brand-new file commits version 1 even when
                 # empty: the file must exist durably after create+close.
-                version = yield from self.commit(fh, close=True,
-                                                 synchronous=synchronous)
+                version = yield from self.commit(fh, close=True)
             else:
                 version = fh.entry["version"]
         finally:
@@ -315,38 +280,3 @@ class VersioningMixin:
             index_owner = fh.index_owner or self.router.route_host(fh.path)
             yield from self._abort_shadows(fh, index_owner, fh.base_version + 1)
         fh.closed = True
-
-    # ========================================================= milestones
-    def mark_milestone(self, path: str, version: Optional[int] = None):
-        """Make a version permanent: it survives consolidation and stays
-        readable via ``open(path, version=...)`` forever.
-
-        Records the milestone at the namespace server, then pins the
-        index segment and every data-segment version that file version
-        references, on every owner.
-        """
-        entry = yield from self._call_ns(
-            "ns_mark_milestone", {"path": path, "version": version},
-            size=96)
-        want = version or entry["version"]
-        fh = yield from self.open(path, "r", meta_only=True, version=want)
-        pins = [(fh.fileid, want)] + [
-            (ref.segid, ref.version) for ref in fh.layout.segments
-        ]
-
-        def pin_everywhere(segid, v):
-            try:
-                # Pinning must reach every owner: bypass the cache.
-                resp = yield from self._locate(segid, refresh=True)
-            except SorrentoError:
-                return
-            for host, _hv in resp["owners"]:
-                try:
-                    yield from self.rpc.call(
-                        host, "seg_pin", {"segid": segid, "version": v},
-                        size=48)
-                except (RpcTimeout, RpcRemoteError):
-                    continue
-
-        yield from gather(self.sim, [pin_everywhere(s, v) for s, v in pins])
-        return entry

@@ -11,7 +11,7 @@ content-verifying tests).
 from __future__ import annotations
 
 import bisect
-from typing import Any, Iterator, List, Optional, Tuple
+from typing import Any, Iterator, List, Tuple
 
 Span = Tuple[int, int, Any]  # (start, end, value); end exclusive
 
@@ -123,14 +123,6 @@ class RangeMap:
         if pos < end:
             out.append((pos, end, None))
         return out
-
-    def value_at(self, offset: int) -> Optional[Any]:
-        i = bisect.bisect_right(self._spans, (offset, _INF)) - 1
-        if i >= 0:
-            s, e, v = self._spans[i]
-            if s <= offset < e:
-                return v
-        return None
 
     def gaps(self, start: int, end: int) -> List[Tuple[int, int]]:
         """Unmapped sub-ranges of [start, end)."""

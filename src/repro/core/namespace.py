@@ -65,7 +65,6 @@ class FileEntry:
     placement: str = "load"   # "load" | "locality" | "random"
     stripe_count: int = 4     # striped/hybrid segment (group) width
     fixed_size: int = 0       # striped: declared max file size
-    milestones: tuple = ()    # versions never consolidated (Elephant-like)
 
     def to_dict(self) -> dict:
         return dict(self.__dict__)
@@ -160,7 +159,7 @@ class NamespaceServer:
         "ns_lookup", "ns_create", "ns_unlink", "ns_mkdir", "ns_rmdir",
         "ns_list", "ns_begin_commit", "ns_complete_commit",
         "ns_abort_commit", "ns_acquire_lease", "ns_release_lease",
-        "ns_update_entry", "ns_mark_milestone", "ns_rename", "ns_link",
+        "ns_update_entry", "ns_rename", "ns_link",
         "ns_prepare", "ns_commit", "ns_abort",
     )
 
@@ -577,27 +576,6 @@ class NamespaceServer:
             if grant is not None and grant.holder == src:
                 del self._grants[entry["fileid"]]
         return True, 32
-
-    def _h_mark_milestone(self, req: dict, src: str):
-        """Record a milestone version: it survives consolidation forever
-        (the Elephant-inspired extension sketched in Section 3.5)."""
-        yield from self._charge_cpu()
-        path = req["path"]
-        self._check_owner(path)
-        entry = self.db.get(_file_key(path))
-        if entry is None:
-            raise NamespaceError(f"ENOENT {path}")
-        version = req.get("version") or entry["version"]
-        if not 0 < version <= entry["version"]:
-            raise NamespaceError(
-                f"no version {version} of {path} to mark"
-            )
-        milestones = set(entry.get("milestones") or ())
-        milestones.add(version)
-        entry["milestones"] = tuple(sorted(milestones))
-        self._put(_file_key(path), entry)
-        yield from self._durable()
-        return dict(entry), 128
 
     # --------------------------------------------------------- leases
     def _h_acquire_lease(self, req: dict, src: str):

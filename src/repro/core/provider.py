@@ -60,7 +60,7 @@ class StorageProvider:
         "seg_write_vec", "seg_read_vec",
         "seg_renew", "seg_prepare", "seg_commit",
         "seg_abort", "seg_delete", "seg_fetch", "seg_sync",
-        "seg_replicate", "seg_trim", "seg_pin", "loc_lookup",
+        "seg_replicate", "seg_trim", "loc_lookup",
         "loc_update", "loc_refresh", "loc_probe",
     )
 
@@ -367,16 +367,6 @@ class StorageProvider:
             self._loc_send(home, "remove", segid, 0, 0, 0)
         return True, 32
 
-    def _h_seg_pin(self, req: dict, src: str):
-        """Pin a milestone version against consolidation (Section 3.5's
-        Elephant-style extension)."""
-        yield from self._charge()
-        seg = self.store.get(req["segid"], req["version"])
-        if seg is None or not seg.committed:
-            return False, 32
-        self.store.pin(req["segid"], req["version"])
-        return True, 32
-
     def _h_seg_trim(self, req: dict, src: str):
         """Home host asked us to drop an excess replica."""
         yield from self._charge()
@@ -427,7 +417,6 @@ class StorageProvider:
             "segid": segid, "version": seg.version, "size": seg.size,
             "degree": seg.replication_degree, "alpha": seg.alpha,
             "placement": seg.placement, "meta": seg.meta,
-            "pinned": seg.pinned,
             "regions": None, "data": data, "nbytes": nbytes,
         }, 128 + nbytes
 
@@ -464,18 +453,11 @@ class StorageProvider:
         return {"version": resp["version"]}, 48
 
     def _h_seg_replicate(self, req: dict, src: str):
-        """Home host (or a migrating peer) asked us to host a replica.
-
-        ``exact=True`` requests that precise version even if a newer one
-        is already held (migration moving pinned milestone versions).
-        """
+        """Home host (or a migrating peer) asked us to host a replica."""
         yield from self._charge()
         segid = req["segid"]
-        exact = req.get("exact", False)
 
         def satisfied():
-            if exact:
-                return self.store.get(segid, req["version"]) is not None
             mine = self.store.latest_committed(segid)
             return mine is not None and mine.version >= req["version"]
 
@@ -498,8 +480,6 @@ class StorageProvider:
                 placement=resp["placement"], meta=resp["meta"],
                 data=resp["data"],
             )
-            if resp.get("pinned"):
-                seg.pinned = True
             self._announce_segment(seg)
             self.stats["replications"] += 1
             # Pace background transfers so recovery/migration traffic does
@@ -898,28 +878,11 @@ class StorageProvider:
 
     def _migrate_out(self, seg: StoredSegment, target: str):
         """Replicate to ``target`` then erase locally (Section 3.7.1:
-        migration = new replica elsewhere + erase the local copy).
-
-        Pinned milestone versions travel with the segment — migration
-        must never silently shed history."""
+        migration = new replica elsewhere + erase the local copy)."""
         grant = self.transfer_lock.request()
         yield grant
         try:
             timeout = max(RPC_DEADLINE, seg.size / 1e6)
-            # Move pinned history first (oldest up), then the live tip.
-            pinned = [
-                v for v in self.store.versions_of(seg.segid)
-                if v != seg.version and self.store.get(seg.segid, v).pinned
-            ]
-            for v in pinned:
-                try:
-                    yield from self.rpc.call(
-                        target, "seg_replicate", {
-                            "segid": seg.segid, "version": v,
-                            "from": self.node.hostid, "exact": True,
-                        }, size=48, timeout=timeout)
-                except (RpcTimeout, RpcRemoteError):
-                    return False
             try:
                 resp = yield from self.rpc.call(
                     target, "seg_replicate", {
@@ -932,7 +895,6 @@ class StorageProvider:
             if resp.get("already"):
                 # The target already held the live tip: nothing moved, so
                 # keep the local copy (replica count must not shrink).
-                # Any pinned history shipped above is harmlessly duplicated.
                 return False
             yield from self.store.delete_segment(seg.segid)
             self.history.forget(seg.segid)

@@ -56,7 +56,6 @@ class StoredSegment:
     expires_at: Optional[float] = None   # shadows only
     meta: Optional[dict] = None          # index segments: layout + attach
     created_by: str = ""                 # client that opened the shadow
-    pinned: bool = False                 # milestone: consolidation-exempt
     seq: int = field(default=-1, init=False)   # holding store's insertion order
     #: The native-FS file name backing this version — formatted once; the
     #: same string object keys ``LocalFS.files``.
@@ -582,51 +581,24 @@ class SegmentStore:
             raise
         return seg
 
-    def diff_bytes(self, segid: int, from_version: int, to_version: int) -> int:
-        """Bytes that changed in (from_version, to_version] — the lazy-sync
-        transfer size."""
-        total = RangeMap()
-        for v in range(from_version + 1, to_version + 1):
-            seg = self.get(segid, v)
-            if seg is None:
-                continue
-            for s, e, val in seg.extents:
-                total.set_range(s, e, True)
-        return total.covered_bytes()
-
-    def pin(self, segid: int, version: int) -> None:
-        """Mark a committed version as a milestone: consolidation keeps it
-        forever ("milestone versions that will never be consolidated")."""
-        seg = self._require(segid, version)
-        if not seg.committed:
-            raise SegmentError("only committed versions can be pinned")
-        seg.pinned = True
-
-    def unpin(self, segid: int, version: int) -> None:
-        """Remove a milestone pin (no-op if absent)."""
-        seg = self.get(segid, version)
-        if seg is not None:
-            seg.pinned = False
-
     def consolidate(self, segid: int, keep: int = KEEP_VERSIONS):
         """Merge old committed versions into the newest ``keep`` ones.
 
-        Pinned (milestone) versions are always retained.  Every retained
-        version is materialized — its holes filled from the chain below —
-        before anything beneath it is dropped, so COW chains never dangle.
+        Every retained version is materialized — its holes filled from the
+        chain below — before anything beneath it is dropped, so COW chains
+        never dangle.
         """
         fam = self._segs.get(segid)
         committed = [seg for seg in fam.versions if seg.committed] if fam else []
         if len(committed) <= keep:
             return
-        doomed = [seg.version for seg in committed[:-keep] if not seg.pinned]
+        doomed = committed[:-keep]
         if not doomed:
             return
-        for seg in committed:
-            if seg.version not in doomed:
-                yield from self._materialize(segid, seg.version)
-        for v in doomed:
-            yield from self.drop(segid, v)
+        for seg in committed[-keep:]:
+            yield from self._materialize(segid, seg.version)
+        for seg in doomed:
+            yield from self.drop(segid, seg.version)
 
     def _materialize(self, segid: int, version: int):
         """Fill a version's holes with content from its ancestors so it

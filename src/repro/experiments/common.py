@@ -5,7 +5,7 @@ from __future__ import annotations
 import gc
 import time
 from contextlib import contextmanager
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from repro.baselines import NFSDeployment, PVFSDeployment
 from repro.cluster import ClusterSpec, NodeSpec
@@ -164,11 +164,3 @@ def _fmt(v) -> str:
             return f"{v:.1f}"
         return f"{v:.2f}"
     return str(v)
-
-
-def series_to_text(title: str, xs: Sequence[float], ys: Dict[str, Sequence[float]],
-                   xlabel: str, ylabel: str) -> str:
-    """Render time/size series as aligned columns (one per system)."""
-    headers = [xlabel] + list(ys)
-    rows = [[x] + [ys[k][i] for k in ys] for i, x in enumerate(xs)]
-    return format_table(f"{title}  ({ylabel})", headers, rows)

@@ -157,9 +157,6 @@ class MetricsRegistry:
     def services(self, scope: str) -> list:
         return sorted(svc for (s, svc) in self._stats if s == scope)
 
-    def total_calls(self, scope: str) -> int:
-        return sum(c.calls for (s, _), c in self._stats.items() if s == scope)
-
     def report(self, scope: Optional[str] = None) -> str:
         """Fixed-width text summary (one line per scope/service)."""
         lines = [

@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
+import sys
 from collections import deque
-from typing import Any, Deque, Optional
+from typing import Any, Deque
 
 from repro.sim.events import PENDING, Event
 from repro.sim.kernel import Simulator
@@ -41,7 +42,16 @@ class Resource:
         return ev
 
     def release(self) -> None:
-        """Free a slot, waking the next live waiter."""
+        """Free a slot, waking the next live waiter.
+
+        A no-op from a ``finally`` that ``GeneratorExit`` is unwinding:
+        nothing in the simulator closes a running process, so that is the
+        collector discarding a run nobody will drive again.  Waking a
+        waiter would schedule a heap entry pointing into the dead run —
+        an object the collection did not know about, which revives every
+        object connected to it until the next collection."""
+        if isinstance(sys.exc_info()[1], GeneratorExit):
+            return
         if self.in_use <= 0:
             raise RuntimeError("release without matching request")
         # Hand the slot to the next live waiter, if any.
@@ -174,10 +184,3 @@ class BandwidthPipe:
     def backlog_seconds(self) -> float:
         """Seconds of queued work ahead of a new arrival."""
         return max(0.0, self._ready_at - self.sim.now)
-
-    def utilization_since(self, t0: float, bytes0: int) -> float:
-        """Average utilization over [t0, now] given a byte snapshot at t0."""
-        dt = self.sim.now - t0
-        if dt <= 0:
-            return 0.0
-        return min(1.0, (self.bytes_transferred - bytes0) / self.rate / dt)

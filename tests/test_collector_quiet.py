@@ -138,6 +138,33 @@ def test_a_timed_out_and_retried_read_leaves_no_garbage():
                for _key, st in d.metrics.items("client")) > before
 
 
+def test_a_write_session_after_a_failover_leaves_no_garbage():
+    """A deployment dropped after its namespace primary crashed and the
+    client failed over still has providers inside ``try: … finally:
+    transfer_lock.release()`` (a replica copy waiting on a fetch).  When
+    the collector closes them, the release must schedule nothing: a new
+    heap entry pointing into the dead deployment revives all of it for
+    one more collection — which the next run's ``gc.collect()`` counts."""
+    spec = small_cluster(4, n_compute=2, capacity_per_node=8 << 30)
+    old = SorrentoDeployment(spec, SorrentoConfig(
+        params=SorrentoParams(default_degree=2), seed=91,
+        ns_shard_standbys_on=[spec.storage_nodes[1].name]))
+    old.warm_up()
+    client = old.client_on("c00")
+    old.run(_write_session(client, "/ha", 1 << 20))
+    old.sim.run(until=old.sim.now + 60)
+    old.crash_provider(old.ns_host)
+    old.sim.run(until=old.sim.now + 10)
+    old.run(_read_session(client, "/ha"), until=old.sim.now + 120)
+    old.run(_write_session(client, "/ha", 2 * KB))
+    assert client.router.route_host("/ha") != old.ns_host   # failed over
+    del old, client
+    d = deploy(seed=5)
+    writer = d.client_on("c00")
+    assert unreachable_after(d, (
+        _write_session(writer, f"/f-{i}") for i in range(N_OPS))) == 0
+
+
 def test_finished_process_dies_by_reference_count():
     """``Process`` is slotted and takes no weak references, so watch the
     value only it holds."""

@@ -106,6 +106,27 @@ def test_old_versions_consolidated_on_primary():
     assert len(idx_owner.store.versions_of(fh.fileid)) <= 2
 
 
+def test_small_file_versions_get_consolidated():
+    """A small file's chain (index segment, data attached) is bounded by
+    ``keep_versions`` as well."""
+    dep = deploy(degree=1, seed=71, keep_versions=2)
+    client = dep.client_on("c00")
+
+    def sessions():
+        for payload in (b"v1", b"v2", b"v3", b"v4", b"v5"):
+            fh = yield from client.open("/gone-old", "w", create=True)
+            yield from client.write(fh, 0, len(payload), data=payload)
+            yield from client.close(fh)
+        return fh
+
+    fh = dep.run(sessions())
+    dep.sim.run(until=dep.sim.now + 30)
+    segid = fh.layout.segments[0].segid if fh.layout.segments else fh.fileid
+    owner = next(p for p in dep.providers.values()
+                 if p.store.latest_committed(segid) is not None)
+    assert len(owner.store.versions_of(segid)) <= 2
+
+
 def test_content_preserved_after_consolidation():
     dep = deploy(degree=1, keep_versions=2)
     client = dep.client_on("c00")

@@ -17,7 +17,6 @@ from repro.experiments.common import (
     over_budget,
     pvfs_on,
     run_until_done,
-    series_to_text,
     sorrento_on,
 )
 from repro.sim import Simulator
@@ -76,13 +75,6 @@ def test_format_table_float_rendering():
     assert "1234" in text or "1235" in text
     assert "55.5" in text  # 55.55 is 55.549999... in binary floating point
     assert "3.14" in text
-
-
-def test_series_to_text():
-    text = series_to_text("S", [1, 2], {"a": [10, 20], "b": [30, 40]},
-                          "t", "MB/s")
-    assert "MB/s" in text
-    assert "30" in text and "40" in text
 
 
 def test_run_until_done_stops_at_completion():

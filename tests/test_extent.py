@@ -43,15 +43,6 @@ def test_empty_range_rejected():
         m.set_range(5, 5, "x")
 
 
-def test_value_at():
-    m = RangeMap()
-    m.set_range(10, 20, "v")
-    assert m.value_at(10) == "v"
-    assert m.value_at(19) == "v"
-    assert m.value_at(20) is None
-    assert m.value_at(9) is None
-
-
 def test_gaps():
     m = RangeMap()
     m.set_range(10, 20, "a")

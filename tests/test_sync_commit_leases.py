@@ -1,4 +1,8 @@
-"""Tests for synchronous commitment (Section 3.6) and write-lock leases."""
+"""Tests for synchronous commitment (Section 3.6) and write-lock leases.
+
+Synchronous commitment is deployment-wide: with ``eager_propagation``
+every provider pushes a committed version to the stale replicas before
+it acknowledges the commit."""
 
 import pytest
 
@@ -29,7 +33,7 @@ def replica_versions(dep, segid):
 
 
 def test_synchronous_close_pushes_replicas_before_returning():
-    dep = deploy(degree=2)
+    dep = deploy(degree=2, eager_propagation=True)
     client = dep.client_on("c00")
 
     def first():
@@ -46,7 +50,7 @@ def test_synchronous_close_pushes_replicas_before_returning():
     def second():
         wfh = yield from client.open("/sc", "w")
         yield from client.write(wfh, 0, MB)
-        yield from client.close(wfh, synchronous=True)
+        yield from client.close(wfh)
         # IMMEDIATELY after close: every replica must be at v2 already.
         return replica_versions(dep, segid)
 
