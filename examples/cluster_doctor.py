@@ -2,9 +2,9 @@
 """Operator's tour: inspect a live volume with the diagnosis toolbox.
 
 Builds a replicated volume, loads data, then runs the admin-side
-utilities: replica audits, placement topology, failure what-ifs — the
-"monitoring, diagnosis and maintenance utilities" companion the paper
-mentions shipping alongside the core system.
+utilities: the cluster summary and the replica, orphan and location
+audits — the "monitoring, diagnosis and maintenance utilities" companion
+the paper mentions shipping alongside the core system.
 
 Run:  python examples/cluster_doctor.py
 """
@@ -12,13 +12,7 @@ Run:  python examples/cluster_doctor.py
 from repro.cluster import small_cluster
 from repro.core import SorrentoConfig, SorrentoDeployment
 from repro.core.params import SorrentoParams
-from repro.tools import (
-    ClusterInspector,
-    availability_after_failure,
-    max_survivable_failures,
-    placement_graph,
-    replica_overlap_graph,
-)
+from repro.tools import ClusterInspector
 
 MB = 1 << 20
 
@@ -51,25 +45,6 @@ def main() -> None:
     audit = insp.location_audit()
     print(f"location tables: {len(audit['missing'])} missing, "
           f"{len(audit['ghost'])} ghost entries")
-
-    g = placement_graph(dep)
-    providers = [n for n, d in g.nodes(data=True) if d["kind"] == "provider"]
-    print(f"\nplacement graph: {len(providers)} providers, "
-          f"{g.number_of_nodes() - len(providers)} segments, "
-          f"{g.number_of_edges()} replica placements")
-    overlap = replica_overlap_graph(dep)
-    heaviest = max(overlap.edges(data=True), key=lambda e: e[2]["weight"])
-    print(f"most-correlated provider pair: {heaviest[0]}–{heaviest[1]} "
-          f"({heaviest[2]['weight']} co-held segments)")
-
-    victim = sorted(dep.providers)[1]
-    whatif = availability_after_failure(dep, [victim])
-    print(f"\nif {victim} died right now: "
-          f"{len(whatif['lost_segments'])} segments lost, "
-          f"{len(whatif['degraded_segments'])} degraded, "
-          f"files lost: {whatif['lost_files'] or 'none'}")
-    print(f"max simultaneous failures with zero data loss: "
-          f"{max_survivable_failures(dep)}")
 
 
 if __name__ == "__main__":

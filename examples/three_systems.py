@@ -1,10 +1,9 @@
 #!/usr/bin/env python3
-"""The paper's methodology in one script: record once, replay everywhere.
+"""The paper's methodology in one script: one trace, replayed everywhere.
 
-Records a mixed small/large workload on a Sorrento volume, then replays
-the identical trace against NFS and PVFS deployments on the same
-(simulated) hardware and prints the comparison — exactly how the paper
-produced Figure 12.
+Builds a mixed small/large trace, then replays the identical trace
+against Sorrento, NFS and PVFS deployments on the same (simulated)
+hardware and prints the comparison — how the paper produced Figure 12.
 
 Run:  python examples/three_systems.py
 """
@@ -13,72 +12,59 @@ from repro.baselines import NFSDeployment, PVFSDeployment
 from repro.cluster import small_cluster
 from repro.core import SorrentoConfig, SorrentoDeployment
 from repro.core.params import SorrentoParams
-from repro.workloads import replay
-from repro.workloads.record import RecordingClient
+from repro.workloads import Trace, replay
 
 KB = 1 << 10
 MB = 1 << 20
 
 
-def drive(dep, client):
-    """A mixed workload: small files, then bulk reads of a big one."""
-
-    def gen():
-        for i in range(10):
-            fh = yield from client.open(f"/small{i}", "w", create=True)
-            yield from client.write(fh, 0, 12 * KB)
-            yield from client.close(fh)
-        fh = yield from client.open("/big", "w", create=True)
-        for j in range(8):
-            yield from client.write(fh, j * MB, 1 * MB, sequential=True)
-        yield from client.close(fh)
-        for j in (3, 1, 6, 0, 5):
-            rfh = yield from client.open("/big", "r")
-            yield from client.read(rfh, j * MB, 1 * MB)
-            yield from client.close(rfh)
-        for i in range(10):
-            rfh = yield from client.open(f"/small{i}", "r")
-            yield from client.read(rfh, 0, 12 * KB)
-            yield from client.close(rfh)
-
-    dep.run(gen())
+def mixed_trace() -> Trace:
+    """Small files, then bulk reads of a big one, then the small files
+    read back."""
+    tr = Trace("mixed")
+    for i in range(10):
+        tr.add("open", path=f"/small{i}", mode="w", create=True)
+        tr.add("write", path=f"/small{i}", size=12 * KB)
+        tr.add("close", path=f"/small{i}")
+    tr.add("open", path="/big", mode="w", create=True)
+    for j in range(8):
+        tr.add("write", path="/big", offset=j * MB, size=MB, sequential=True)
+    tr.add("close", path="/big")
+    for j in (3, 1, 6, 0, 5):
+        tr.add("open", path="/big", mode="r")
+        tr.add("read", path="/big", offset=j * MB, size=MB)
+        tr.add("close", path="/big")
+    for i in range(10):
+        tr.add("open", path=f"/small{i}", mode="r")
+        tr.add("read", path=f"/small{i}", size=12 * KB)
+        tr.add("close", path=f"/small{i}")
+    return tr
 
 
 def main() -> None:
     spec = lambda: small_cluster(5, n_compute=2, capacity_per_node=8 << 30)  # noqa: E731
-
-    # 1. Record on Sorrento.
-    sor = SorrentoDeployment(spec(), SorrentoConfig(
-        params=SorrentoParams(default_degree=2), seed=33))
-    sor.warm_up()
-    recorder = RecordingClient(sor.client_on("c00"), name="mixed")
-    t0 = sor.sim.now
-    drive(sor, recorder)
-    sorrento_time = sor.sim.now - t0
-    trace = recorder.trace
-    print(f"recorded {len(trace)} operations "
+    trace = mixed_trace()
+    print(f"trace: {len(trace)} operations "
           f"({trace.bytes_written / MB:.1f} MB written, "
           f"{trace.bytes_read / MB:.1f} MB read)")
 
-    # 2. Replay on the baselines.
-    results = {"Sorrento-(5,2)": sorrento_time}
+    sor = SorrentoDeployment(spec(), SorrentoConfig(
+        params=SorrentoParams(default_degree=2), seed=33))
     nfs = NFSDeployment(spec(), seed=33)
-    nfs.warm_up()
-    stats = nfs.run(replay(nfs.client_on("c00"), trace, mode="asap"))
-    assert stats.errors == 0
-    results["NFS"] = stats.elapsed
-
     pvfs = PVFSDeployment(spec(), n_iods=4, seed=33)
-    pvfs.warm_up()
-    stats = pvfs.run(replay(pvfs.client_on("c00"), trace, mode="asap"))
-    assert stats.errors == 0
-    results["PVFS-4"] = stats.elapsed
+    results = {}
+    for name, dep in (("Sorrento-(5,2)", sor), ("NFS", nfs),
+                      ("PVFS-4", pvfs)):
+        dep.warm_up()
+        stats = dep.run(replay(dep.client_on("c00"), trace, mode="asap"))
+        assert stats.errors == 0, name
+        results[name] = stats.elapsed
 
     print("\nsame trace, three systems:")
     for name, t in sorted(results.items(), key=lambda kv: kv[1]):
         print(f"  {name:15s} {t:7.2f} s")
-    print("\n(small-file-heavy traces favour NFS; add bulk volume and "
-          "client counts and the ordering flips — see Figures 9-11)")
+    print("\n(one client issuing requests back to back; Figures 9-11 "
+          "vary the op mix and the client count)")
 
 
 if __name__ == "__main__":

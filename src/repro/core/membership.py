@@ -35,7 +35,6 @@ class ProviderInfo:
     io_wait: float = 0.0          # EWMA I/O wait (migration trigger input)
     available: int = 0            # free bytes
     utilization: float = 0.0      # consumed-space fraction
-    rack: str = ""                # failure domain (rack-aware placement)
     last_seen: float = 0.0        # when the provider announced this
 
 
@@ -137,7 +136,6 @@ class MembershipManager:
             io_wait=self.node.io_wait,
             available=self.node.storage_available,
             utilization=self.node.storage_utilization,
-            rack=getattr(self.node.spec, "rack", ""),
             last_seen=self.sim.now,
         )
 

@@ -64,32 +64,14 @@ def choose_provider(
     exclude: Optional[Iterable[str]] = None,
     home_host: Optional[str] = None,
     home_boost: float = 0.0,
-    avoid_racks: Optional[Iterable[str]] = None,
 ) -> Optional[str]:
     """Pick one provider, probability proportional to weight.
 
     ``exclude`` removes existing replica holders ("to increase data
     survivability ... store replicas of a segment on different
     providers").  ``home_boost`` multiplies the home host's weight
-    (use 3N for small segments).  ``avoid_racks`` prefers candidates
-    outside the given failure domains (GoogleFS-style rack awareness —
-    the extension Section 3.7.2 sketches); it is a preference, not a
-    hard constraint: if every fitting candidate shares a rack with an
-    existing replica, one of them is still chosen.  Returns None when
-    no candidate fits.
+    (use 3N for small segments).  Returns None when no candidate fits.
     """
-    racks: Set[str] = {r for r in (avoid_racks or ()) if r}
-    if racks:
-        other_rack = {
-            h: i for h, i in candidates.items()
-            if i.rack not in racks and h not in set(exclude or ())
-        }
-        pick = choose_provider(rng, other_rack, seg_size, alpha,
-                               exclude=exclude, home_host=home_host,
-                               home_boost=home_boost)
-        if pick is not None:
-            return pick
-        # Fall through: no off-rack candidate can take it.
     excluded: Set[str] = set(exclude or ())
     hosts, weights = [], []
     for host, info in candidates.items():

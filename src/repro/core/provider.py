@@ -407,18 +407,17 @@ class StorageProvider:
                 "segid": segid, "version": seg.version, "size": seg.size,
                 "degree": seg.replication_degree, "alpha": seg.alpha,
                 "placement": seg.placement, "meta": seg.meta,
-                "regions": regions, "data": None, "nbytes": nbytes,
+                "regions": regions, "data": None,
             }, 128 + nbytes
-        nbytes = seg.size
-        yield from self._charge(nbytes)
+        yield from self._charge(seg.size)
         data = yield from self.store.read(segid, seg.version, 0, seg.size,
                                           sequential=True)
         return {
             "segid": segid, "version": seg.version, "size": seg.size,
             "degree": seg.replication_degree, "alpha": seg.alpha,
             "placement": seg.placement, "meta": seg.meta,
-            "regions": None, "data": data, "nbytes": nbytes,
-        }, 128 + nbytes
+            "regions": None, "data": data,
+        }, 128 + seg.size
 
     def _h_seg_sync(self, req: dict, src: str):
         """Home host told us our replica is stale: pull the diff."""
@@ -445,7 +444,7 @@ class StorageProvider:
                     segid, resp["version"], resp["size"],
                     replication_degree=resp["degree"], alpha=resp["alpha"],
                     placement=resp["placement"], meta=resp["meta"],
-                    data=resp["data"], write_bytes=resp["nbytes"],
+                    data=resp["data"],
                 )
             yield from self.store.consolidate(segid, self.params.keep_versions)
             self._announce_segment(seg)
@@ -647,16 +646,9 @@ class StorageProvider:
             members = self.membership.snapshot()
             exclude = owners | pending
             for _ in range(deficit):
-                # Rack-aware: prefer replica sites outside the failure
-                # domains already holding a copy (GoogleFS-style).
-                used_racks = {
-                    members[h].rack for h in (owners | pending)
-                    if h in members and members[h].rack
-                }
                 target = choose_provider(
                     self.rng, members, max(size, 1),
                     self.params.default_alpha, exclude=exclude,
-                    avoid_racks=used_racks,
                 )
                 if target is None:
                     return

@@ -473,8 +473,7 @@ class SegmentStore:
     def ingest(self, segid: int, version: int, size: int, *,
                replication_degree: int = 1, alpha: float = 0.5,
                placement: str = "load", meta: Optional[dict] = None,
-               data: Optional[bytes] = None,
-               write_bytes: Optional[int] = None):
+               data: Optional[bytes] = None):
         """Install a full committed copy (replication / migration arrival)."""
         if self.get(segid, version) is not None:
             raise SegmentError(f"already hold {segid:#x} v{version}")
@@ -488,29 +487,16 @@ class SegmentStore:
             seg.extents.set_range(0, size,
                                   (0, bytes(data)) if data is not None else SYNTHETIC)
         self._add(seg)
-        nbytes = size if write_bytes is None else min(write_bytes, size)
         try:
             yield from self.fs.create(seg.fs_name, charge=False)
             if size > 0:
-                # Disk charge reflects what crossed the wire (a diff sync
-                # rewrites only the changed bytes); space is booked for
-                # the whole segment either way.
-                if nbytes > 0:
-                    yield from self.fs.write(seg.fs_name, 0, nbytes,
-                                             sequential=True)
-                    # A replica arrives committed — it must survive a
-                    # crash, so it cannot linger in the write-back cache.
-                    yield from self.fs.sync(seg.fs_name)
-                self.fs.set_size(seg.fs_name, size)
-                f = self.fs.files[seg.fs_name]
-                growth = size - f.allocated
-                if growth > 0:
-                    f.allocated = size
-                    self.fs.used += growth
+                yield from self.fs.write(seg.fs_name, 0, size,
+                                         sequential=True)
+                # A replica arrives committed — it must survive a crash,
+                # so it cannot linger in the write-back cache.
+                yield from self.fs.sync(seg.fs_name)
         except Exception:
-            self._remove(segid, version)
-            if self.fs.exists(seg.fs_name):
-                yield from self.fs.unlink(seg.fs_name)
+            yield from self.drop(segid, version)
             raise
         return seg
 
@@ -577,7 +563,9 @@ class SegmentStore:
                 yield from self.fs.sync(seg.fs_name)  # committed on arrival
             self.fs.set_size(seg.fs_name, size)
         except Exception:
-            self._remove(segid, new_version)
+            # Unlink the native file too: left behind, its blocks stay in
+            # ``fs.used`` and every retry of this version fails to create it.
+            yield from self.drop(segid, new_version)
             raise
         return seg
 

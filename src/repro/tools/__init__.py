@@ -2,33 +2,10 @@
 
 The paper's prototype shipped "system monitoring, diagnosis and
 maintenance utilities" alongside the core (Section 4).  This package is
-that toolbox for the simulated cluster:
-
-- :mod:`repro.tools.inspector` — replica maps, consistency audits,
-  orphan detection, balance reports;
-- :mod:`repro.tools.topology` — networkx views of data placement and
-  failure-domain analysis ("which files die with node X?");
-- :mod:`repro.tools.stats` — series smoothing and summaries used by the
-  experiment reports.
+that toolbox for the simulated cluster: :mod:`repro.tools.inspector` —
+replica maps, consistency audits, orphan detection, balance reports.
 """
 
 from repro.tools.inspector import ClusterInspector
-from repro.tools.stats import bucket_series, ewma, mean_ci, percentile_summary
-from repro.tools.topology import (
-    availability_after_failure,
-    max_survivable_failures,
-    placement_graph,
-    replica_overlap_graph,
-)
 
-__all__ = [
-    "ClusterInspector",
-    "availability_after_failure",
-    "bucket_series",
-    "ewma",
-    "max_survivable_failures",
-    "mean_ci",
-    "percentile_summary",
-    "placement_graph",
-    "replica_overlap_graph",
-]
+__all__ = ["ClusterInspector"]

@@ -11,9 +11,8 @@ through any of the three systems' client stubs:
 - :mod:`repro.workloads.psm` — parallel Protein Sequence Matching
   (Figures 12 and 15)
 - :mod:`repro.workloads.crawler` — Ask Jeeves crawler (Figure 14)
-- :mod:`repro.workloads.interactive` — desktop-style workload (the
-  [9, 43] studies Section 4.1 cites)
-- :mod:`repro.workloads.record` — trace collection by client interception
+
+A hand-built trace is a :class:`Trace` filled with ``Trace.add``.
 """
 
 from repro.workloads.replay import ReplayStats, replay

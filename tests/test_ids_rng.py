@@ -54,8 +54,6 @@ def test_rng_streams_reproducible():
     a = RngStreams(42)
     b = RngStreams(42)
     assert a.py("x").random() == b.py("x").random()
-    assert list(a.np("y").integers(0, 100, 5)) == \
-        list(b.np("y").integers(0, 100, 5))
 
 
 def test_rng_streams_independent():
@@ -76,4 +74,3 @@ def test_rng_streams_differ_by_seed_and_name():
 def test_rng_stream_cached():
     s = RngStreams(0)
     assert s.py("same") is s.py("same")
-    assert s.np("same") is s.np("same")

@@ -1,10 +1,12 @@
 """Tests for the versioned, copy-on-write segment store."""
 
+import random
+
 import pytest
 
 from repro.core.segment import SegmentError, SegmentStore
 from repro.sim import Simulator
-from repro.storage import DISK_SPECS, Disk, LocalFS
+from repro.storage import DISK_SPECS, Disk, DiskFaultState, DiskIOError, LocalFS
 
 MB = 1 << 20
 
@@ -180,6 +182,31 @@ def test_ingest_duplicate_rejected():
             yield from store.ingest(0x13, 1, 10)
 
     run(sim, proc())
+
+
+def test_apply_diff_after_a_disk_error_leaves_nothing_behind():
+    """A diff sync that dies on the disk must unlink its native file and
+    give back the blocks it booked: otherwise every later sync of that
+    version fails to create the file and the replica stays stale."""
+    sim, store = make_store()
+    disk = store.fs.device
+
+    def proc():
+        yield from store.create(0x1A, 1)
+        yield from store.write(0x1A, 1, 0, 8, data=b"AAAAAAAA")
+        yield from store.commit(0x1A, 1)
+        used = store.fs.used
+        disk.set_fault(DiskFaultState(rng=random.Random(0), error_rate=1.0))
+        with pytest.raises(DiskIOError):
+            yield from store.apply_diff(0x1A, 2, 8, [(2, 4, b"BB")])
+        assert store.get(0x1A, 2) is None
+        assert store.fs.used == used
+        disk.clear_fault()
+        yield from store.apply_diff(0x1A, 2, 8, [(2, 4, b"BB")])
+        return (yield from store.read(0x1A, 2, 0, 8))
+
+    assert run(sim, proc()) == b"AABBAAAA"
+    assert store.latest_committed(0x1A).version == 2
 
 
 def test_consolidate_keeps_latest_and_preserves_content():

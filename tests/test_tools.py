@@ -1,21 +1,9 @@
 """Tests for the monitoring/diagnosis toolbox."""
 
-import pytest
-
 from repro.cluster import small_cluster
 from repro.core import SorrentoConfig, SorrentoDeployment
 from repro.core.params import SorrentoParams
-from repro.tools import (
-    ClusterInspector,
-    availability_after_failure,
-    bucket_series,
-    ewma,
-    max_survivable_failures,
-    mean_ci,
-    percentile_summary,
-    placement_graph,
-    replica_overlap_graph,
-)
+from repro.tools import ClusterInspector
 
 MB = 1 << 20
 
@@ -81,6 +69,26 @@ def test_orphan_detection():
     assert 0xBAD0BAD in insp.orphaned_segments()
 
 
+def test_orphans_are_judged_against_every_shard():
+    """``file_entries`` walks every shard's DB (it used to read shard 0's
+    only, so the segments of files the other shards own were orphans)."""
+    dep = SorrentoDeployment(
+        small_cluster(4, n_compute=1, capacity_per_node=8 << 30),
+        SorrentoConfig(params=SorrentoParams(), seed=61, namespace_shards=2),
+    )
+    dep.warm_up()
+    paths = {}
+    for i in range(40):
+        path = f"/t{i}/f"
+        paths.setdefault(dep.namespace_for(path).shard_name, path)
+    assert len(paths) == 2
+    for path in paths.values():
+        dep.preload_file(path, 1 * MB)
+    insp = ClusterInspector(dep)
+    assert sorted(p for p, _ in insp.file_entries()) == sorted(paths.values())
+    assert insp.orphaned_segments() == []
+
+
 def test_location_audit_clean_then_ghost():
     dep = deploy(degree=1)
     populate(dep, n_files=2)
@@ -101,104 +109,3 @@ def test_balance_report():
     assert len(bal.storage_utilization) == 4
     assert bal.unevenness_ratio >= 1.0 or bal.unevenness_ratio == float("inf")
     assert "providers" in ClusterInspector(dep).summary()
-
-
-# ------------------------------------------------------------- topology
-def test_placement_graph_shape():
-    dep = deploy(degree=2)
-    populate(dep, n_files=2)
-    g = placement_graph(dep)
-    providers = [n for n, d in g.nodes(data=True) if d["kind"] == "provider"]
-    segments = [n for n, d in g.nodes(data=True) if d["kind"] == "segment"]
-    assert len(providers) == 4
-    assert segments
-    # Every segment node has exactly `holders` edges.
-    for s in segments:
-        assert g.degree(s) == g.nodes[s]["holders"]
-
-
-def test_replica_overlap_graph():
-    dep = deploy(degree=2)
-    populate(dep, n_files=3)
-    g = replica_overlap_graph(dep)
-    # With degree 2 every segment contributes one provider-pair edge.
-    assert g.number_of_edges() >= 1
-    assert all(d["weight"] >= 1 for _u, _v, d in g.edges(data=True))
-
-
-def test_availability_after_failure_degree2():
-    dep = deploy(degree=2)
-    populate(dep, n_files=2)
-    hosts = sorted(dep.providers)
-    one = availability_after_failure(dep, [hosts[1]])
-    assert one["lost_segments"] == []       # r=2 survives any single loss
-    assert one["lost_files"] == []
-    all_gone = availability_after_failure(dep, hosts)
-    assert all_gone["lost_files"]           # everything dies with everyone
-
-
-def test_lost_files_are_reported_from_every_shard():
-    """The lost-file scan walks every shard's DB (it used to read shard
-    0's only, reporting nothing for files the other shards own)."""
-    dep = SorrentoDeployment(
-        small_cluster(4, n_compute=1, capacity_per_node=8 << 30),
-        SorrentoConfig(params=SorrentoParams(), seed=61, namespace_shards=2),
-    )
-    dep.warm_up()
-    victim, safe = sorted(dep.providers)[-2:]
-    doomed = {}
-    for i in range(40):
-        path = f"/t{i}/f"
-        doomed.setdefault(dep.namespace_for(path).shard_name, path)
-    assert len(doomed) == 2
-    for path in doomed.values():
-        dep.preload_file(path, 1 * MB, on=[victim])
-    dep.preload_file("/kept/f", 1 * MB, on=[safe])
-    dep.crash_provider(victim, wipe=True)
-    report = availability_after_failure(dep, [victim])
-    assert report["lost_files"] == sorted(doomed.values())
-
-
-def test_max_survivable_failures():
-    dep = deploy(degree=2)
-    populate(dep, n_files=2)
-    k = max_survivable_failures(dep)
-    assert k >= 1  # replication degree 2 tolerates any single failure
-
-
-# ------------------------------------------------------------------ stats
-def test_ewma_smooths():
-    series = [0, 10, 0, 10, 0, 10]
-    smooth = ewma(series, alpha=0.3)
-    assert len(smooth) == len(series)
-    assert max(smooth) < 10 and min(smooth[1:]) > 0
-    with pytest.raises(ValueError):
-        ewma(series, alpha=0.0)
-
-
-def test_percentile_summary():
-    s = percentile_summary(range(1, 101), pcts=(50, 90))
-    assert s["min"] == 1 and s["max"] == 100
-    assert 49 <= s["p50"] <= 51
-    assert 89 <= s["p90"] <= 91
-    with pytest.raises(ValueError):
-        percentile_summary([])
-
-
-def test_mean_ci_contains_mean():
-    mean, lo, hi = mean_ci([10.0, 12.0, 11.0, 13.0, 9.0])
-    assert lo <= mean <= hi
-    assert mean == pytest.approx(11.0)
-    m1, l1, h1 = mean_ci([5.0])
-    assert m1 == l1 == h1 == 5.0
-
-
-def test_bucket_series_modes():
-    events = [(0.5, 4.0), (1.5, 8.0), (2.5, 6.0), (2.9, 2.0)]
-    mean_buckets = bucket_series(events, width=1.0, reduce="mean")
-    assert mean_buckets[-1][1] == pytest.approx(4.0)  # (6+2)/2
-    rate_buckets = bucket_series(events, width=1.0, reduce="rate")
-    assert rate_buckets[-1][1] == pytest.approx(8.0)  # (6+2)/1s
-    with pytest.raises(ValueError):
-        bucket_series(events, width=0)
-    assert bucket_series([], width=1.0) == []

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from repro.baselines import NFSDeployment
 from repro.cluster import small_cluster
 from repro.core import SorrentoConfig, SorrentoDeployment
 from repro.core.params import SorrentoParams
@@ -79,6 +80,39 @@ def test_replay_query_mode_records_io_times():
     stats = dep.run(replay(client, tr, mode="query"))
     assert len(stats.query_io_times) == 3
     assert all(io > 0 for _, io in stats.query_io_times)
+
+
+def test_replay_thinks_and_unlinks():
+    dep = deploy()
+    client = dep.client_on("c00")
+    tr = Trace("t")
+    tr.add("open", path="/u", mode="w", create=True)
+    tr.add("write", path="/u", size=4096)
+    tr.add("close", path="/u")
+    tr.add("think", dur=2.0)
+    tr.add("unlink", path="/u")
+    stats = dep.run(replay(client, tr, mode="asap"))
+    assert stats.errors == 0
+    assert stats.requests == 4            # a think is not a request
+    assert stats.elapsed >= 2.0
+    assert "u" not in dep.run(client.listdir("/"))
+
+
+def test_replay_runs_on_nfs():
+    """The same hand-built trace drives a baseline's client stub."""
+    nfs = NFSDeployment(small_cluster(1, n_compute=2), seed=0)
+    nfs.warm_up()
+    tr = Trace("t")
+    tr.add("open", path="/n", mode="w", create=True)
+    tr.add("write", path="/n", size=16 * 1024, sequential=True)
+    tr.add("close", path="/n")
+    tr.add("open", path="/n", mode="r")
+    tr.add("read", path="/n", size=4096)
+    tr.add("close", path="/n")
+    tr.add("unlink", path="/n")
+    stats = nfs.run(replay(nfs.client_on("c00"), tr, mode="asap"))
+    assert stats.errors == 0
+    assert (stats.bytes_written, stats.bytes_read) == (16 * 1024, 4096)
 
 
 def test_replay_counts_errors_not_raises():
