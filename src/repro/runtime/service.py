@@ -23,7 +23,8 @@ exist.
 Hot-path discipline: messages come from the module free-list (the fabric
 releases them after the last delivery); the thing in ``_pending`` is one
 ``sim.reply``, answer slot and deadline in one; a handler's generator
-starts inside the delivery that carried the request and never sees the
+starts inside the delivery that carried the request, a caller resumes in
+the one that carried its answer (``Reply.answer``), and neither sees the
 Message object, so the envelope is recycled when the delivery returns.
 """
 
@@ -232,7 +233,7 @@ class ServiceRuntime:
         if kind == "resp" or kind == "err":
             reply = self._pending.pop(msg.req_id, None)
             if reply is not None:
-                reply.resolve((kind, msg.payload))
+                reply.answer((kind, msg.payload))
         elif kind == "req":
             key = (msg.src, msg.req_id)
             if key in self._recent_set:

@@ -11,11 +11,11 @@ Handlers execute in their own sim process — the runtime starts the
 request's generator inside the delivery event that carried the request
 (``Simulator.start``), but as a :class:`~repro.sim.Process` of its own,
 which is ``active_process`` whenever the handler runs — so a server-side
-span is a root unless linked explicitly (pass ``parent=``).  The same
-holds for sub-processes spawned via ``gather``; explicit linking is
+span is a root unless linked explicitly (pass ``parent=``).  So is a
+span of a multi-branch ``gather``'s branch (a one-branch one runs in,
+and parents under, the caller's process); explicit linking is
 deliberate, because an automatic cross-process parent would have to
-survive process interleaving and would lie about causality more often
-than not.
+survive process interleaving and would lie about causality.
 """
 
 from __future__ import annotations

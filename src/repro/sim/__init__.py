@@ -12,7 +12,6 @@ processes on top of it.
 
 from repro.sim.events import (
     AllOf,
-    AnyOf,
     Event,
     EventFailed,
     Interrupt,
@@ -25,7 +24,6 @@ from repro.sim.rng import RngStreams
 
 __all__ = [
     "AllOf",
-    "AnyOf",
     "BandwidthPipe",
     "Barrier",
     "Event",

@@ -213,12 +213,13 @@ class Reply(Event):
     """An answer slot that is its own deadline (``Simulator.reply``).
 
     Born scheduled ``deadline`` seconds ahead with value ``None``: a
-    waiter resumed with ``None`` timed out.  :meth:`resolve` delivers an
-    answer (any non-``None`` value) at the current instant instead; once
-    that has dispatched, the deadline's heap entry is a tombstone the
-    kernel sweeps un-dispatched (and compacts away in bulk when
-    tombstones outnumber live entries) — so ``state`` reads *cancelled*
-    on an answered reply, and ``value`` is the thing to test.
+    waiter resumed with ``None`` timed out.  :meth:`resolve` (in a wire
+    delivery, :meth:`answer`) delivers an answer (any non-``None``
+    value) at the current instant instead; once that has dispatched, the
+    deadline's heap entry is a tombstone the kernel sweeps un-dispatched
+    (and compacts away in bulk when tombstones outnumber live entries) —
+    so ``state`` reads *cancelled* on an answered reply, and ``value``
+    is the thing to test.
     """
 
     __slots__ = ()
@@ -238,6 +239,14 @@ class Reply(Event):
             self.value = value
             self.sim._schedule(self)
 
+    def answer(self, value: Any) -> None:
+        """:meth:`resolve` inside a wire delivery, waking the waiter before
+        returning: a delivery (lane ≥ 1) pops only with both zero-delay
+        FIFOs empty, so what :meth:`resolve` queues is the next event."""
+        if self._callbacks is not None and self.value is None:
+            self.value = value
+            self._dispatch()
+
     def _dispatch(self) -> None:
         callbacks, self._callbacks = self._callbacks, None
         if self.value is not None:
@@ -248,8 +257,11 @@ class Reply(Event):
                 fn(self)
 
 
-class _Condition(Event):
-    """Base for AllOf/AnyOf composite events."""
+class AllOf(Event):
+    """Triggers once every child event has triggered.
+
+    Fails (with the first child's exception) if any child fails.
+    """
 
     __slots__ = ("events", "_remaining")
 
@@ -264,7 +276,14 @@ class _Condition(Event):
             ev.add_callback(self._on_child)
 
     def _on_child(self, ev: Event) -> None:
-        raise NotImplementedError
+        if self.triggered:
+            return
+        if ev.state == FAILED:
+            self.fail(ev.value)
+            return
+        self._remaining -= 1
+        if self._remaining == 0:
+            self.succeed(self._results())
 
     def _results(self) -> dict:
         # Only events that have actually *dispatched* count: a Timeout is
@@ -275,41 +294,3 @@ class _Condition(Event):
             for i, ev in enumerate(self.events)
             if ev.state == SUCCEEDED and ev._callbacks is None
         }
-
-
-class AllOf(_Condition):
-    """Triggers once every child event has triggered.
-
-    Fails (with the first child's exception) if any child fails.
-    """
-
-    __slots__ = ()
-
-    def _on_child(self, ev: Event) -> None:
-        if self.triggered:
-            return
-        if ev.state == FAILED:
-            self.fail(ev.value)
-            return
-        self._remaining -= 1
-        if self._remaining == 0:
-            self.succeed(self._results())
-
-
-class AnyOf(_Condition):
-    """Triggers as soon as any child event succeeds.
-
-    Fails only if *all* children fail.
-    """
-
-    __slots__ = ()
-
-    def _on_child(self, ev: Event) -> None:
-        if self.triggered:
-            return
-        if ev.state == SUCCEEDED:
-            self.succeed(self._results())
-            return
-        self._remaining -= 1
-        if self._remaining == 0:
-            self.fail(ev.value)

@@ -18,6 +18,9 @@ on, so the per-event taxes are explicit):
   RPC's answer-or-deadline one ``Reply`` (:meth:`Simulator.reply`), a
   handler's generator starts inside its delivery (:meth:`Simulator.start`),
   and a process nobody waits on finishes without scheduling anything;
+* an event that was always the next one is not scheduled: an RPC answer
+  resumes its caller inside its delivery (``Reply.answer``), and a
+  one-branch :func:`gather` runs in the caller's process;
 * every driver (``run``, ``run_until``, ``run_process``) is
   :meth:`Simulator.run_window`'s fused peek + pop + dispatch frame;
   :meth:`Simulator.step` is the one-event reference it is tested against;
@@ -41,7 +44,6 @@ from repro.sim.events import (
     PENDING,
     SUCCEEDED,
     AllOf,
-    AnyOf,
     Callback,
     Event,
     EventFailed,
@@ -224,8 +226,8 @@ class Simulator:
 
     def reply(self, deadline: float) -> Reply:
         """An answer slot that fires with ``None`` after ``deadline``
-        seconds unless :meth:`~repro.sim.events.Reply.resolve` answers it
-        first — one event per RPC exchange."""
+        seconds unless :meth:`~repro.sim.events.Reply.resolve` (or, inside
+        a wire delivery, ``answer``) answers it first."""
         return Reply(self, deadline)
 
     def event(self, name: str = "") -> Event:
@@ -235,14 +237,6 @@ class Simulator:
     def all_of(self, events) -> Event:
         """An event firing once every event in ``events`` has fired."""
         return AllOf(self, events)
-
-    def any_of(self, events) -> Event:
-        """An event firing as soon as any event in ``events`` fires.
-
-        For "an answer or a deadline" use :meth:`reply`, which leaves a
-        swept tombstone instead of a live timeout on the heap.
-        """
-        return AnyOf(self, events)
 
     def process(self, gen: Generator, name: str = "") -> "Process":
         """Run a generator as a process, starting at the current instant
@@ -408,13 +402,38 @@ class Simulator:
         return proc.value
 
 
-def gather(sim: Simulator, gens) -> Generator:
+def gather(sim: Simulator, gens: list) -> Generator:
     """Run sub-generators concurrently; return their results in order.
 
     Usage from a process: ``results = yield from gather(sim, [g1, g2])``.
     If any sub-process raises, the exception propagates (after all have
     settled) — callers needing partial results should catch per-generator.
+
+    One branch runs in the caller's process, taking its own process's
+    kick, end and ``gather-done`` slots only when something is queued
+    ahead of them (docs/performance.md § Events that were always next):
+    its spans parent under the caller's, and the caller's interrupts end it.
     """
+    if len(gens) == 1:
+        if sim._imm0:
+            kick = Event(sim)
+            kick.state = SUCCEEDED
+            sim._schedule(kick, 0.0, 0)
+            yield kick              # the branch process's bootstrap kick
+        failure = None
+        try:
+            value = yield from gens[0]
+        except Interrupt:
+            raise                   # the caller's; it raised at once before
+        except Exception as exc:    # noqa: BLE001 - re-raised below
+            failure = exc
+        heap = sim._heap
+        if sim._imm0 or sim._imm1 or (heap and heap[0] < (sim.now, 1, 1)):
+            yield Event(sim).succeed()      # the branch process's end
+            yield Event(sim).succeed()      # gather-done
+        if failure is not None:
+            raise failure
+        return [value]
     procs = [sim.process(g, name="gather") for g in gens]
     done = Event(sim, name="gather-done")
     remaining = len(procs)

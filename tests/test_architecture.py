@@ -95,10 +95,9 @@ def test_baselines_do_not_depend_on_sorrento_core():
 def test_kernel_primitives_stay_behind_the_sim_facade():
     """The event-heap fast path relies on every scheduling decision going
     through the Simulator facade (``sim.event/timeout/call_later/reply/
-    all_of/any_of``).  Outside ``repro/sim/``, source must not import
-    ``heapq`` or construct kernel primitives directly."""
-    ctors = {"Event", "Timeout", "Callback", "Fanout", "Reply", "AllOf",
-             "AnyOf"}
+    all_of``).  Outside ``repro/sim/``, source must not import ``heapq``
+    or construct kernel primitives directly."""
+    ctors = {"Event", "Timeout", "Callback", "Fanout", "Reply", "AllOf"}
     offenders = []
     for path in SRC.rglob("*.py"):
         if path.relative_to(SRC).parts[0] == "sim":

@@ -4,7 +4,8 @@ import pytest
 
 from repro.cluster import CLUSTER_A, CLUSTER_B, Node, small_cluster
 from repro.network import Fabric
-from repro.sim import Simulator
+from repro.runtime import Tracer
+from repro.sim import Simulator, gather
 
 GB = 1 << 30
 
@@ -219,3 +220,35 @@ def test_restart_resets_load():
     assert node.cpu_util == 0.0
     sim.run(until=10)  # monitor must run again without error
     assert node.alive
+
+
+def test_a_crash_ends_the_rpc_of_a_one_branch_gather_it_interrupts():
+    """A spawned caller waiting in a one-branch ``gather`` runs the branch
+    in its own process, so the crash's interrupt goes through the branch:
+    its RPC releases its answer slot and closes its span (parented under
+    the caller's) at the crash, instead of lingering until a deadline."""
+    sim = Simulator()
+    fabric = Fabric(sim)
+    client, server = (Node(sim, fabric, s) for s in small_cluster(2).nodes[:2])
+    tracer = Tracer(sim)
+    client.runtime.configure(tracer=tracer)
+
+    def slow(payload, _src):
+        yield sim.timeout(1.0)
+        return payload, 8
+
+    server.runtime.register("slow", slow)
+
+    def caller():
+        tracer.start("app")
+        yield from gather(sim, [client.runtime.call(server.hostid, "slow")])
+
+    proc = client.spawn(caller(), name="app")
+    sim.run(until=0.5)
+    assert len(client.runtime._pending) == 1
+    client.crash()
+    sim.run(until=0.5)                      # the interrupt's kick
+    assert proc.ok and client.runtime._pending == {}
+    (rpc,) = tracer.spans("rpc:slow")
+    assert (rpc.status, rpc.end) == ("Interrupt", 0.5)
+    assert rpc.parent is not None and rpc.parent.name == "app"

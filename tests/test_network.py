@@ -17,6 +17,7 @@ from repro.network.message import HEADER_BYTES, MULTICAST
 from repro.network.switch import Host, LinkFault
 from repro.runtime import ServiceRuntime
 from repro.sim import Simulator
+from repro.sim.parallel import PartitionMap, Transit
 
 
 def make_net(n=3, rate=12.5e6, latency=80e-6):
@@ -444,6 +445,35 @@ _DENSE = [("degrade", 0.0, "*", "*", dict(
     extra_latency=30e-6, jitter=40e-6, drop=0.3, duplicate=0.4,
     bandwidth_cap=1e6))] + [("send", 5e-6, "n0", "g", 96)] * 6 \
     + [("send", 0.0, "n1", "n3", 64)] * 4
+#: A duplicated copy to a one-member group: one ``Fanout`` train of two
+#: stops, where the general loop made two ``call_later``s.
+_SOLO_TWICE = [
+    ("send", 0.0, "n0", "n0", 0),
+    ("degrade", 0.0, "n0", "n1", dict(extra_latency=0.0, jitter=0.0, drop=0.0,
+                                      duplicate=0.4, bandwidth_cap=None)),
+    ("send", 0.0, "n0", "solo", 0)]
+
+
+def _apply(fabric, send, n, op, rngs):
+    """Apply the ``n``-th op (of ``_op``) now; a send's payload is ``n``."""
+    if op[0] == "send":
+        _kind, _gap_s, src, dst, size = op
+        group = dst if dst in ("g", "solo", "nogroup") else ""
+        send(fabric, Message(src, MULTICAST if group else dst, "oneway",
+                             payload=n, size=size, group=group, msg_id=n + 1))
+    elif op[0] == "alive":
+        fabric.hosts[op[2]].alive = op[3]
+    elif op[0] == "partition":
+        fabric.partition([op[2]], [op[3]], symmetric=op[4])
+    elif op[0] == "heal":
+        fabric.heal()
+    elif op[0] == "degrade":
+        rngs.append(random.Random(n))
+        fabric.degrade_link(op[2], op[3], LinkFault(rng=rngs[-1], **op[4]))
+    elif op[0] == "restore":
+        fabric.restore_link(op[2], op[3])
+    elif op[0] == "member":
+        (fabric.subscribe if op[3] else fabric.unsubscribe)("g", op[2])
 
 
 def _wire_world(send, ops, with_transit):
@@ -479,25 +509,9 @@ def _wire_world(send, ops, with_transit):
 
     for n, op in enumerate(ops):
         sim.run(until=sim.now + op[1])
+        _apply(fabric, send, n, op, rngs)
         if op[0] == "send":
-            _kind, _gap_s, src, dst, size = op
-            group = dst if dst in ("g", "solo", "nogroup") else ""
-            send(fabric, Message(src, MULTICAST if group else dst, "oneway",
-                                 payload=n, size=size, group=group, msg_id=n + 1))
             scheduled.append(pending())
-        elif op[0] == "alive":
-            fabric.hosts[op[2]].alive = op[3]
-        elif op[0] == "partition":
-            fabric.partition([op[2]], [op[3]], symmetric=op[4])
-        elif op[0] == "heal":
-            fabric.heal()
-        elif op[0] == "degrade":
-            rngs.append(random.Random(n))
-            fabric.degrade_link(op[2], op[3], LinkFault(rng=rngs[-1], **op[4]))
-        elif op[0] == "restore":
-            fabric.restore_link(op[2], op[3])
-        elif op[0] == "member":
-            (fabric.subscribe if op[3] else fabric.unsubscribe)("g", op[2])
     sim.run()
     pipes = {h: (host.nic.tx._ready_at, host.nic.tx.bytes_transferred,
                  host.nic.rx._ready_at, host.nic.rx.bytes_transferred)
@@ -508,13 +522,15 @@ def _wire_world(send, ops, with_transit):
                      fabric.messages_duplicated),
         "rng": [r.getstate() for r in rngs],
         "transit": fabric.transit.submitted if with_transit else None,
-        "kernel": (sim.now, sim._nprocessed, sim._seq, sim.peak_pending),
+        "kernel": (sim.now, sim._nprocessed, sim._seq),
+        "peak_pending": sim.peak_pending,
     }
 
 
 @given(ops=st.lists(_op, min_size=1, max_size=40), with_transit=st.booleans())
 @example(ops=_DENSE, with_transit=False)
 @example(ops=_DENSE, with_transit=True)
+@example(ops=_SOLO_TWICE, with_transit=False)
 @settings(max_examples=300, deadline=None)
 def test_send_matches_the_general_loop_it_replaced(ops, with_transit):
     """Unicast, loopback and multicast through ``Fabric.send`` against
@@ -522,8 +538,80 @@ def test_send_matches_the_general_loop_it_replaced(ops, with_transit):
     wildcard ends, dead and unattached receivers, a one-member group and
     a transit: the same deliveries scheduled at the same (instant, lane,
     seq), the same state left on every pipe, the same counters, the same
-    fault-RNG state, the same copies handed to the transit."""
+    fault-RNG state, the same copies handed to the transit.  Only the
+    high-water mark of pending entries may be lower: copies that share
+    an instant share one ``Fanout`` entry, even a duplicated copy to a
+    one-member group, where the general loop pushed one per copy."""
     got = _wire_world(Fabric.send, ops, with_transit)
     want = _wire_world(_reference_send, ops, with_transit)
+    assert got.pop("peak_pending") <= want.pop("peak_pending")
     for key in want:
         assert got[key] == want[key], key
+
+
+# ------------------------------------- what a delivery finds in the FIFOs
+_then = st.sampled_from(["", "", "soon", "event", "later0", "answer"])
+
+
+def _fifo_world(ops, with_transit):
+    """Apply ``ops`` (each with what its receivers do next) to a fresh
+    five-host fabric — with a real serial ``Transit`` for n3/n4 when
+    ``with_transit`` — and return, per delivery, whether both zero-delay
+    FIFOs were empty when ``Fabric._deliver_copy`` ran.  Receivers queue
+    urgent and ordinary zero-delay work and send answers from inside
+    their deliveries (a multicast train's next stop still pending), and
+    every send arms a local timer on its loopback instant that queues
+    zero-delay work there too."""
+    sim = Simulator()
+    fabric = Fabric(sim)
+    found = []
+
+    def noop(_a, _b):
+        pass
+
+    def deliver(msg, host):
+        found.append((sim.now, host, not sim._imm0 and not sim._imm1))
+        then = ops[msg.payload][1] if msg.kind == "oneway" else ""
+        if then == "soon":
+            sim.call_soon(noop, None, None)
+        elif then == "event":
+            sim.event().succeed()
+        elif then == "later0":
+            sim.call_later(0.0, noop, None, None)
+        elif then == "answer":
+            fabric.send(Message(host, msg.src, "resp", payload=msg.payload))
+
+    for name in _HOSTS:
+        host = Host(sim, name)
+        fabric.attach(host)
+        fabric.subscribe("g", name)
+        host.deliver = lambda msg, h=name: deliver(msg, h)
+    fabric.subscribe("solo", "n1")
+    if with_transit:
+        fabric.transit = Transit(sim, fabric, PartitionMap(
+            dict(_RecordingTransit.assign), 2))
+    rngs = []
+    for n, (op, _) in enumerate(ops):
+        sim.run(until=sim.now + op[1])
+        _apply(fabric, Fabric.send, n, op, rngs)
+        if op[0] == "send":
+            sim.timeout(switch.LOOPBACK_LATENCY).add_callback(
+                lambda _e: sim.event().succeed())
+    sim.run()
+    return found
+
+
+@given(ops=st.lists(st.tuples(_op, _then), min_size=1, max_size=40),
+       with_transit=st.booleans())
+@example(ops=[(op, "soon") for op in _DENSE], with_transit=False)
+@example(ops=[(op, then) for op, then in zip(
+    _DENSE + [("send", 0.0, "n0", "n0", 0), ("send", 0.0, "n3", "g", 96)],
+    ["", "soon", "event", "later0", "answer"] * 3)], with_transit=True)
+@settings(max_examples=200, deadline=None)
+def test_every_delivery_finds_both_fifos_empty(ops, with_transit):
+    """The premise of answering an RPC inside its delivery: a delivery
+    carries a lane >= 1, so anything queued at its instant sorts before
+    it — unicast, loopback, multicast trains, transit replays, under
+    partitions and link faults."""
+    found = _fifo_world(ops, with_transit)
+    assert [f for f in found if not f[2]] == []

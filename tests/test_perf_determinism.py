@@ -51,15 +51,17 @@ GOLDEN = {
 }
 
 
-#: Kernel cost of the traffic window (153 sessions): 55.8 events, 9.2
+#: Kernel cost of the traffic window (153 sessions): 39.8 events, 9.2
 #: swept deadlines and 20.3 messages per session.  Re-record (this block
 #: only) when a kernel/transport change adds or removes bookkeeping
 #: events on purpose; the ceiling is ROADMAP item 3's events/session.
-#: PR 22 moved ``events`` alone, 8 691 -> 8 538: each session's commit
-#: makes its home host defer one maturity re-check, which was a process
-#: (a bootstrap kick, then its timeout) and is one callback — 153 kicks
-#: fewer, nothing else.
-GOLDEN_COST = {"events": 8538, "swept_timers": 1409, "messages": 3107}
+#: ``events`` alone has moved since it was recorded.  8 691 -> 8 538:
+#: each session's commit makes its home host defer one maturity re-check,
+#: which was a process (a bootstrap kick, then its timeout) and is one
+#: callback — 153 kicks fewer.  8 538 -> 6 090: an RPC answer resumes its
+#: caller inside its delivery, and a one-branch ``gather`` runs in the
+#: caller's process — events that were always the next one, nothing else.
+GOLDEN_COST = {"events": 6090, "swept_timers": 1409, "messages": 3107}
 MAX_EVENTS_PER_SESSION = 60
 
 

@@ -1,13 +1,14 @@
 """Tests for the kernel's hot-path machinery: voided deadlines, the
 zero-delay FIFOs, callback tombstoning, the
 one-event shapes (``call_later``, ``call_soon``, ``reply``, ``start``,
-silent process completion) and the fused run loop."""
+silent process completion), the fused run loop and the one-branch
+``gather`` that runs in its caller's process."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim import Simulator
-from repro.sim.events import CANCELLED
+from repro.sim import Event, Simulator, gather
+from repro.sim.events import CANCELLED, FAILED
 
 
 # ------------------------------------------------------ voided deadlines
@@ -156,6 +157,28 @@ def test_reply_answered_or_expired_exactly_once():
     assert got == [(("resp", 7), 0.5), (None, 2.0)]
     assert sim._nswept == 1                 # answered's voided deadline
     assert sim.pending_events == 0
+
+
+def test_an_answer_in_place_wakes_the_waiter_before_the_delivery_returns():
+    sim = Simulator()
+    got = []
+    r = sim.reply(2.0)
+
+    def waiter():
+        got.append(((yield r), sim.now))
+
+    def deliver(_a, _b):
+        r.answer(("resp", 7))
+        got.append("delivery returns")
+        r.answer(("resp", 8))               # a duplicate changes nothing
+
+    sim.process(waiter())
+    sim.call_later(0.5, deliver, None, None, lane=3)
+    sim.run()
+    assert got == [(("resp", 7), 0.5), "delivery returns"]
+    # The kick and the delivery; the answered deadline is swept.
+    assert (sim._nprocessed, sim._nswept) == (2, 1)
+    assert r.state is CANCELLED and sim.pending_events == 0
 
 
 def test_start_runs_to_the_first_wait_and_restores_the_active_process():
@@ -490,3 +513,162 @@ def test_call_soon_dispatches_exactly_where_a_process_kick_does(
     assert (soon._nprocessed, soon._seq, soon.peak_pending, soon.now) == \
         (ref._nprocessed, ref._seq, ref.peak_pending, ref.now)
     assert soon.pending_events == ref.pending_events == 0
+
+
+# ------------------------------------- a one-branch gather, in the caller
+def _reference_gather(sim, gens):
+    """``gather`` as it stood before one branch ran in the caller's
+    process: a process per branch and a ``gather-done`` event, for any
+    number of branches.  Kept as it was, as the reference ``gather`` is
+    held to."""
+    procs = [sim.process(g, name="gather") for g in gens]
+    done = Event(sim, name="gather-done")
+    remaining = len(procs)
+    if remaining == 0:
+        return []
+
+    def _on_done(_ev):
+        nonlocal remaining
+        remaining -= 1
+        if remaining == 0 and not done.triggered:
+            done.succeed()
+
+    for p in procs:
+        p.add_callback(_on_done)
+    yield done
+    results = []
+    for p in procs:
+        if p.state == FAILED:
+            raise p.value
+        results.append(p.value)
+    return results
+
+
+_STEP = st.tuples(st.sampled_from(["timeout", "zero", "answered", "delivered",
+                                   "expired", "soon", "later0", ""]), _DELAYS)
+_BRANCH = st.tuples(st.lists(_STEP, max_size=3),
+                    st.sampled_from(["return", "return", "raise", "nest",
+                                     "pair"]))
+_CALLERS = st.lists(
+    st.tuples(_DELAYS, st.booleans(),
+              st.lists(st.tuples(_STEP, _BRANCH), min_size=1, max_size=3)),
+    min_size=1, max_size=4)
+_BACKGROUND = st.lists(
+    st.tuples(st.sampled_from(["timeout", "soon", "event", "process"]),
+              _DELAYS),
+    max_size=8)
+
+
+def _gather_program(sim, callers, background, log, gather_fn):
+    """Callers that each run one-branch gathers, among background work
+    landing on the same instants; every step logs ``(now, who)``.  What
+    a caller or branch waits on has no other waiter."""
+
+    def note(who, _b=None):
+        log.append((sim.now, who))
+
+    def step(kind, delay, who):
+        if kind == "timeout":
+            yield sim.timeout(delay)
+        elif kind == "zero":
+            ev = sim.event()
+            ev.succeed(who)
+            yield ev
+        elif kind in ("answered", "delivered"):
+            r = sim.reply(delay + 0.25)
+            if kind == "answered":
+                sim.call_later(delay, lambda r, _b: r.resolve("x"), r, None)
+            else:                       # in place, from a laned delivery
+                sim.call_later(delay, lambda r, _b: r.answer("x"), r, None,
+                               lane=3)
+            yield r
+        elif kind == "expired":
+            yield sim.reply(delay)
+        elif kind == "soon":
+            sim.call_soon(note, (who, "soon"), None)
+        elif kind == "later0":
+            sim.call_later(0.0, note, (who, "later0"), None)
+        note(who)
+
+    def branch(who, steps, end, depth):
+        for k, (kind, delay) in enumerate(steps):
+            yield from step(kind, delay, (who, k))
+        if end == "raise":
+            raise ValueError(who)
+        if end == "nest" and depth < 2:
+            return (yield from gather_fn(
+                sim, [branch((who, "in"), steps, "return", depth + 1)]))
+        if end == "pair":
+            return (yield from gather_fn(sim, [
+                branch((who, "a"), steps[:1], "return", depth + 1),
+                branch((who, "b"), steps[1:], "return", depth + 1)]))
+        return who
+
+    def caller(c, plan):
+        for g, ((kind, delay), (steps, end)) in enumerate(plan):
+            yield from step(kind, delay, (c, g, "pre"))
+            try:
+                got = yield from gather_fn(sim, [branch((c, g), steps, end, 0)])
+            except ValueError as exc:
+                got = ("raised", exc.args[0])
+            note((c, g, "got", got))
+
+    procs = []
+
+    def start(c, plan):
+        procs.append(sim.process(caller(c, plan)))
+
+    for c, (delay, from_callback, plan) in enumerate(callers):
+        if from_callback:
+            sim.call_later(delay, start, c, plan)
+        else:
+            start(c, plan)
+
+    def bg(i, delay):
+        note((i, "bg"))
+        yield sim.timeout(delay)
+        note((i, "bg", "after"))
+
+    for i, (kind, delay) in enumerate(background):
+        if kind == "timeout":
+            sim.timeout(delay).add_callback(lambda _e, i=i: note(i))
+        elif kind == "soon":
+            sim.call_later(delay, lambda i, _b: sim.call_soon(note, i, None),
+                           i, None)
+        elif kind == "event":
+            ev = sim.event()
+            ev.add_callback(lambda _e, i=i: note(i))
+            sim.call_later(delay, lambda ev, _b: ev.succeed(), ev, None)
+        else:
+            sim.process(bg(i, delay))
+    return procs
+
+
+@given(_CALLERS, _BACKGROUND, st.sampled_from(["run", "step", "windows"]))
+@settings(max_examples=300, deadline=None)
+def test_one_branch_gather_dispatches_what_a_process_per_branch_did(
+        callers, background, how):
+    """Same steps at the same instants in the same order, same results
+    and exceptions, same deadlines swept — with the three events a
+    one-branch process cost gone whenever nothing was queued ahead of
+    them, and taken where something was."""
+    ref, one = Simulator(), Simulator()
+    ref_log, one_log = [], []
+    ref_procs = _gather_program(ref, callers, background, ref_log,
+                                _reference_gather)
+    one_procs = _gather_program(one, callers, background, one_log, gather)
+    while ref.pending_events:
+        ref.step()
+    if how == "step":
+        while one.pending_events:
+            one.step()
+    else:
+        for edge in [0.25, 0.5, 1.0] * (how == "windows") + [float("inf")]:
+            one.run_window(edge)
+    assert all(p.ok for p in ref_procs + one_procs)
+    assert len(one_procs) == len(callers)
+    assert one_log == ref_log
+    assert (one._nswept, one.now) == (ref._nswept, ref.now)
+    assert one._nprocessed <= ref._nprocessed
+    assert one.peak_pending <= ref.peak_pending
+    assert one.pending_events == ref.pending_events == 0

@@ -4,7 +4,6 @@ import pytest
 
 from repro.sim import (
     AllOf,
-    AnyOf,
     Event,
     Interrupt,
     Simulator,
@@ -134,18 +133,6 @@ def test_allof_waits_for_all():
     assert sim.run_process(sim.process(proc())) == (5.0, ["a", "b"])
 
 
-def test_anyof_returns_first():
-    sim = Simulator()
-
-    def proc():
-        t1 = sim.timeout(1, value="fast")
-        t2 = sim.timeout(5, value="slow")
-        results = yield AnyOf(sim, [t1, t2])
-        return (sim.now, list(results.values()))
-
-    assert sim.run_process(sim.process(proc())) == (1.0, ["fast"])
-
-
 def test_allof_fails_if_child_fails():
     sim = Simulator()
     bad = sim.event()
@@ -159,24 +146,6 @@ def test_allof_fails_if_child_fails():
 
     sim.process(trigger())
     with pytest.raises(ValueError, match="child"):
-        sim.run_process(sim.process(proc()))
-
-
-def test_anyof_fails_only_when_all_fail():
-    sim = Simulator()
-    e1, e2 = sim.event(), sim.event()
-
-    def trigger():
-        yield sim.timeout(1)
-        e1.fail(ValueError("first"))
-        yield sim.timeout(1)
-        e2.fail(ValueError("second"))
-
-    def proc():
-        yield AnyOf(sim, [e1, e2])
-
-    sim.process(trigger())
-    with pytest.raises(ValueError):
         sim.run_process(sim.process(proc()))
 
 
