@@ -8,20 +8,21 @@ Hot-path discipline: events carry no eagerly-built name strings (names are
 lazy, computed in ``__repr__``), callback removal tombstones instead of
 compacting the list, and the per-message shapes — "call this at that
 instant" (:class:`Callback`; once per receiver, :class:`Fanout`) and "an
-answer or a deadline, whichever is first" (:class:`Reply`) — are one
-event each.
+answer or a deadline, whichever is first" (:class:`Reply`, queued per
+timeout value off the heap by :class:`Deadlines`) — are one event each.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from heapq import heappush
 from typing import Any, Callable, Iterable, Optional
 
 PENDING = "pending"
 SUCCEEDED = "succeeded"
 FAILED = "failed"
-#: A scheduled deadline that no longer matters (an answered
-#: :class:`Reply`): the kernel sweeps it from the heap without dispatching.
+#: A :class:`Reply` resolved at the instant its deadline fired: the deadline
+#: delivered the answer, and the kernel sweeps the copy ``resolve`` queued.
 CANCELLED = "cancelled"
 
 
@@ -212,14 +213,13 @@ class Fanout(Event):
 class Reply(Event):
     """An answer slot that is its own deadline (``Simulator.reply``).
 
-    Born scheduled ``deadline`` seconds ahead with value ``None``: a
-    waiter resumed with ``None`` timed out.  :meth:`resolve` (in a wire
+    Born with value ``None`` and a deadline ``deadline`` seconds ahead:
+    a waiter resumed with ``None`` timed out.  :meth:`resolve` (in a wire
     delivery, :meth:`answer`) delivers an answer (any non-``None``
-    value) at the current instant instead; once that has dispatched, the
-    deadline's heap entry is a tombstone the kernel sweeps un-dispatched
-    (and compacts away in bulk when tombstones outnumber live entries) —
-    so ``state`` reads *cancelled* on an answered reply, and ``value``
-    is the thing to test.
+    value) at the current instant instead.  The deadline takes its
+    ``seq`` but no heap entry: the slot waits in its timeout value's
+    :class:`Deadlines` queue, which times it out at exactly the key
+    ``(now + deadline, 1, 0, seq)`` unless it was answered first.
     """
 
     __slots__ = ()
@@ -230,7 +230,18 @@ class Reply(Event):
         self.value = None
         self._callbacks = []
         self._name = ""
-        sim._schedule(self, deadline)
+        try:
+            queue = sim._deadlines[deadline]
+        except KeyError:            # the only slot of its value: arm a queue
+            queue = sim._deadlines[deadline] = Deadlines(self, deadline)
+            sim._schedule_at(queue, sim.now + deadline)
+            return
+        slots = queue.slots
+        while slots and slots[0][2]._callbacks is None:
+            slots.popleft()         # answered behind the head: retired
+            sim._nswept += 1
+        seq = sim._seq = sim._seq + 1
+        slots.append((sim.now + deadline, seq, self))
 
     def resolve(self, value: Any) -> None:
         """Wake the waiter with ``value`` now.  Ignored once the reply
@@ -251,10 +262,73 @@ class Reply(Event):
         callbacks, self._callbacks = self._callbacks, None
         if self.value is not None:
             self.state = CANCELLED
-            self.sim._note_cancelled()
         for fn in callbacks:
             if fn is not None:
                 fn(self)
+
+
+class Deadlines(Event):
+    """Every :class:`Reply` of one timeout value, behind one heap entry at
+    the key its ``head`` slot's deadline would have had; ``slots`` holds
+    ``(when, seq, reply)`` behind it, in key order (``now + d`` never
+    decreases for a fixed ``d``).  A pop moves past answered slots and
+    re-arms at the next unanswered one before calling anything, then
+    times the head out — or, the head answered, is a sweep, not an event.
+    Emptied, it leaves ``sim._deadlines``.
+    """
+
+    __slots__ = ("head", "slots", "deadline")
+
+    def __init__(self, head: Reply, deadline: float):
+        self.sim = head.sim
+        self.state = SUCCEEDED
+        self._name = "deadlines"
+        self.head = head
+        self.slots: deque = deque()
+        self.deadline = deadline
+
+    def _dispatch(self) -> None:
+        sim, slots, head = self.sim, self.slots, self.head
+        while slots and slots[0][2]._callbacks is None:
+            slots.popleft()
+            sim._nswept += 1
+        if slots:
+            when, seq, self.head = slots.popleft()
+            heappush(sim._heap, (when, 1, 0, seq, self))
+            sim._npending += 1
+        else:
+            del sim._deadlines[self.deadline]
+        if head._callbacks is not None:
+            head._dispatch()
+        else:
+            sim._nswept += 1
+            sim._nprocessed -= 1
+
+
+class Completion(Timeout):
+    """A request whose end is known when it is issued, as one event
+    (``Simulator.completion``).  ``hops`` zero-delay slots — where a chain
+    of events (a drive's error event, an ``AllOf`` over RAID members)
+    reached the waiters — follow it, each taken only when something is
+    queued ahead (either FIFO, or a lane-0 heap entry at this instant)."""
+
+    __slots__ = ("hops",)
+
+    def __init__(self, sim: "Simulator", delay: float, hops: int,  # noqa: F821
+                 exc: Optional[BaseException]):
+        self.hops = hops
+        Timeout.__init__(self, sim, delay, exc)
+        self.state = SUCCEEDED if exc is None else FAILED
+
+    def _dispatch(self) -> None:
+        sim = self.sim
+        while self.hops:
+            self.hops -= 1
+            heap = sim._heap
+            if sim._imm0 or sim._imm1 or (heap and heap[0] < (sim.now, 1, 1)):
+                sim._schedule(self)
+                return
+        Event._dispatch(self)
 
 
 class AllOf(Event):

@@ -8,10 +8,10 @@ on, so the per-event taxes are explicit):
   bootstrap, interrupts, deferred checks) and one for ordinary
   same-tick triggers — preserving exactly the ``(time, priority, lane,
   seq)`` order the heap would have produced;
-* a deadline that lost its race (an answered
-  :class:`~repro.sim.events.Reply`) is a tombstone: swept un-dispatched
-  when popped, and compacted in bulk when tombstones outnumber the live
-  heap;
+* only what can fire stands on the heap: answer slots wait in one FIFO
+  per timeout value behind one entry (:class:`~repro.sim.events.Deadlines`),
+  and a request whose end is known when it is issued is one
+  :class:`~repro.sim.events.Completion` however many drives serve it;
 * one message is one heap entry: a wire delivery is a ``Callback``
   (:meth:`Simulator.call_later`), a multicast's same-instant copies one
   ``Fanout`` (:meth:`Simulator.call_fanout`, a dispatch per copy), an
@@ -45,6 +45,7 @@ from repro.sim.events import (
     SUCCEEDED,
     AllOf,
     Callback,
+    Completion,
     Event,
     EventFailed,
     Fanout,
@@ -52,9 +53,6 @@ from repro.sim.events import (
     Reply,
     Timeout,
 )
-
-#: Minimum tombstone count before a bulk heap compaction is considered.
-_COMPACT_MIN = 64
 
 
 @contextmanager
@@ -110,8 +108,8 @@ class Simulator:
         self._imm1: deque = deque()  # zero-delay, priority 1
         self._seq: int = 0
         self._nprocessed: int = 0
-        self._nswept: int = 0        # voided deadlines removed un-dispatched
-        self._ntomb: int = 0         # cancelled entries still in containers
+        self._nswept: int = 0        # answer slots retired unfired
+        self._deadlines: dict = {}   # timeout value -> its Deadlines queue
         self._npending: int = 0
         self._peak_pending: int = 0
         #: Cooperative break for :meth:`run_window`: a callback fired
@@ -128,7 +126,7 @@ class Simulator:
     # -- introspection --------------------------------------------------
     @property
     def pending_events(self) -> int:
-        """Scheduled-but-unpopped events (tombstones included)."""
+        """Scheduled-but-unpopped entries (a deadline queue is one)."""
         return self._npending
 
     @property
@@ -230,6 +228,12 @@ class Simulator:
         a wire delivery, ``answer``) answers it first."""
         return Reply(self, deadline)
 
+    def completion(self, delay: float, hops: int,
+                   exc: Optional[BaseException] = None) -> Completion:
+        """A :meth:`timeout`, failed with ``exc`` if given, whose waiters
+        wake up to ``hops`` zero-delay slots later (``Completion``)."""
+        return Completion(self, delay, hops, exc)
+
     def event(self, name: str = "") -> Event:
         """A fresh untriggered event."""
         return Event(self, name)
@@ -255,21 +259,6 @@ class Simulator:
         proc._resume(_STARTED)
         return proc
 
-    def _note_cancelled(self) -> None:
-        """A scheduled entry became a tombstone; compacts the heap when
-        tombstones outnumber live entries (amortized O(1) each)."""
-        self._ntomb += 1
-        heap = self._heap
-        if self._ntomb < _COMPACT_MIN or self._ntomb * 2 < len(heap):
-            return
-        live = [entry for entry in heap if entry[4].state is not CANCELLED]
-        removed = len(heap) - len(live)
-        heapq.heapify(live)
-        self._heap = live
-        self._npending -= removed
-        self._nswept += removed
-        self._ntomb = 0
-
     # -- execution ------------------------------------------------------
     def step(self) -> None:
         """Process the next event (lowest ``(time, priority, lane, seq)``)."""
@@ -291,10 +280,8 @@ class Simulator:
         self._npending -= 1
         self.now = when
         if event.state is CANCELLED:
-            # Tombstone sweep: the deadline was voided after scheduling.
+            # A reply's queued answer its deadline already delivered.
             self._nswept += 1
-            if self._ntomb:
-                self._ntomb -= 1
             return
         self._nprocessed += 1
         event._dispatch()
@@ -314,15 +301,11 @@ class Simulator:
         grant protocol.  Stops early when :attr:`window_break` is set by
         a callback; the caller inspects and clears the flag.
         """
-        imm0, imm1 = self._imm0, self._imm1
+        imm0, imm1, heap = self._imm0, self._imm1, self._heap
         pop = heapq.heappop
         wins = 0
         edge = -1.0
         while True:
-            # NB: ``_heap`` must be re-read every iteration — a cancel
-            # during dispatch can compact it into a fresh list
-            # (:meth:`_note_cancelled`); the deques are never rebound.
-            heap = self._heap
             src = 0
             best = imm0[0] if imm0 else None
             if imm1 and (best is None or imm1[0] < best):
@@ -344,8 +327,6 @@ class Simulator:
             self.now = when
             if event.state is CANCELLED:
                 self._nswept += 1
-                if self._ntomb:
-                    self._ntomb -= 1
                 continue
             self._nprocessed += 1
             if grid and when >= edge:

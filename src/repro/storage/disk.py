@@ -9,7 +9,7 @@ transfer rates are period-appropriate estimates for those drive families
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Optional
+from typing import Any, Optional, Tuple
 
 from repro.sim import Event, Simulator
 
@@ -115,7 +115,18 @@ class Disk:
         return t
 
     def io(self, nbytes: int, sequential: bool = False) -> Event:
-        """Queue one request; the event fires at completion."""
+        """Queue one request; the event fires at completion (a media
+        error one zero-delay slot later, as an error event once did)."""
+        done, exc = self.book(nbytes, sequential)
+        sim = self.sim
+        if exc is None:
+            return sim.timeout(done - sim.now)
+        return sim.completion(done - sim.now, 1, exc)
+
+    def book(self, nbytes: int, sequential: bool = False
+             ) -> Tuple[float, Optional[DiskIOError]]:
+        """:meth:`io` without the event: when the request completes, and
+        the error it fails with, if any (``Raid0`` books its members)."""
         if nbytes < 0:
             raise ValueError("negative I/O size")
         fault = self.fault
@@ -131,14 +142,10 @@ class Disk:
             # but the bytes never made it to (or from) the media.
             self.io_errors += 1
             self.bytes_failed += nbytes
-            ev = self.sim.event("disk-io-error")
-            exc = DiskIOError(
+            return done, DiskIOError(
                 f"{self.spec.name}: I/O error ({nbytes} bytes)")
-            self.sim.timeout(done - self.sim.now).add_callback(
-                lambda _t, e=ev, x=exc: e.fail(x))
-            return ev
         self.bytes_done += nbytes
-        return self.sim.timeout(done - self.sim.now)
+        return done, None
 
     @property
     def backlog_seconds(self) -> float:

@@ -307,10 +307,11 @@ class StorageEngine:
         self.stats["flush_pages"] += count
         ev = self._submit(name, start * self.page_size,
                           count * self.page_size, count > 1, urgent=urgent)
-        ev.add_callback(lambda _ev, n=name: self._run_done(n))
+        ev.add_callback(self._run_done)
         return ev
 
-    def _run_done(self, name: str) -> None:
+    def _run_done(self, ev: Event) -> None:
+        name = ev.name      # a request's event is named after its file
         left = self._inflight.get(name, 0) - 1
         if left > 0:
             self._inflight[name] = left
@@ -354,16 +355,16 @@ class StorageEngine:
                 sequential: bool, urgent: bool) -> Event:
         """Queue one request; batched with everything else submitted in
         the same simulated instant (plug/unplug)."""
-        ev = self.sim.event("disk-sched")
+        ev = self.sim.event(name or "")
         self._seq += 1
         self._queue.append(_IoReq(name, offset, nbytes, sequential,
                                   urgent, ev, self._seq))
         if not self._plugged:
             self._plugged = True
-            self.sim.timeout(0.0).add_callback(self._drain)
+            self.sim.call_later(0.0, self._drain, None, None)
         return ev
 
-    def _drain(self, _ev: Event) -> None:
+    def _drain(self, _a: None, _b: None) -> None:
         self._plugged = False
         batch, self._queue = self._queue, []
         if not batch:
@@ -398,10 +399,8 @@ class StorageEngine:
 
         def _done(ev: Event, run=run) -> None:
             if ev.state == "failed":
-                exc = ev.value if isinstance(ev.value, BaseException) \
-                    else DiskIOError("merged request failed")
                 for r in run:
-                    r.event.fail(exc)
+                    r.event.fail(ev.value)
             else:
                 for r in run:
                     r.event.succeed()

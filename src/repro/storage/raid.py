@@ -3,11 +3,13 @@
 Cluster B nodes export "a software RAID-0 partition consisting of three
 SCSI partitions" (Figure 8).  Requests are split into stripe units and
 issued to member drives in parallel, so large transfers approach the sum
-of member bandwidths.
+of member bandwidths.  A request is one kernel event however many members
+serve it.
 """
 
 from __future__ import annotations
 
+from math import inf
 from typing import List
 
 from repro.sim import Event, Simulator
@@ -35,7 +37,8 @@ class Raid0:
     # -- fault plane -----------------------------------------------------
     def set_fault(self, fault: DiskFaultState) -> None:
         """Degrade every member; RAID-0 has no redundancy, so one bad
-        stripe fails the whole request (AllOf propagates the error)."""
+        stripe fails the whole request (:meth:`io` fails it with the
+        first failing member's error)."""
         for disk in self.disks:
             disk.set_fault(fault)
 
@@ -48,23 +51,20 @@ class Raid0:
         return sum(d.io_errors for d in self.disks)
 
     def io(self, nbytes: int, sequential: bool = False) -> Event:
-        """Stripe one request over the members; fires when all parts land."""
+        """Stripe one request over the members: one event, at the instant
+        the last member finishes — or the first failing one fails — and
+        reaching the waiters where a join over per-member events did."""
         if nbytes < 0:
             raise ValueError("negative I/O size")
-        if len(self.disks) == 1:
-            return self.disks[0].io(nbytes, sequential)
-        if 0 < nbytes <= self.stripe:
-            # One stripe unit (every journal append, most small-file
-            # I/O): the whole request is the next member's.  Still
-            # wrapped like the striped case, so completion takes the same
-            # hop through the kernel whatever the request size.
-            i = self._next
-            self._next = (i + 1) % len(self.disks)
-            return self.sim.all_of((self.disks[i].io(nbytes, sequential),))
+        disks = self.disks
+        n = len(disks)
+        if n == 1:
+            return disks[0].io(nbytes, sequential)
         # Dealt out a stripe unit at a time from member ``_next``: every
         # member gets ``laps`` whole units, the first ``extra`` from
-        # ``_next`` one more, the member after those the partial unit.
-        n, first = len(self.disks), self._next
+        # ``_next`` one more, the member after those the partial unit (a
+        # request of at most one unit is the next member's, whole).
+        first = self._next
         units, tail = divmod(nbytes, self.stripe)
         laps, extra = divmod(units, n)
         per_disk = [laps * self.stripe] * n
@@ -72,14 +72,22 @@ class Raid0:
             per_disk[k % n] += self.stripe
         per_disk[(first + units) % n] += tail
         self._next = (first + units + (tail > 0)) % n
-        parts = [
-            disk.io(count, sequential)
-            for disk, count in zip(self.disks, per_disk)
-            if count > 0
-        ]
+        parts = [(disk, count) for disk, count in zip(disks, per_disk)
+                 if count > 0]
         if not parts:  # zero-byte op: charge one positioning on one member
-            return self.disks[self._next].io(0, sequential)
-        return self.sim.all_of(parts)
+            return disks[self._next].io(0, sequential)
+        sim = self.sim
+        end, failed_at, exc = sim.now, inf, None
+        for disk, count in parts:
+            done, err = disk.book(count, sequential)
+            if err is None:
+                if done > end:
+                    end = done
+            elif done < failed_at:
+                failed_at, exc = done, err
+        if exc is None:
+            return sim.completion(end - sim.now, 1)
+        return sim.completion(failed_at - sim.now, 2, exc)
 
     def service_time(self, nbytes: int, sequential: bool = False) -> float:
         """Unloaded service-time estimate (slowest member's share)."""

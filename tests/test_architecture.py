@@ -97,7 +97,8 @@ def test_kernel_primitives_stay_behind_the_sim_facade():
     through the Simulator facade (``sim.event/timeout/call_later/reply/
     all_of``).  Outside ``repro/sim/``, source must not import ``heapq``
     or construct kernel primitives directly."""
-    ctors = {"Event", "Timeout", "Callback", "Fanout", "Reply", "AllOf"}
+    ctors = {"Event", "Timeout", "Callback", "Fanout", "Reply", "Deadlines",
+             "Completion", "AllOf"}
     offenders = []
     for path in SRC.rglob("*.py"):
         if path.relative_to(SRC).parts[0] == "sim":
@@ -184,14 +185,16 @@ def test_scalar_segment_rpcs_only_in_fallback_paths():
 def test_raw_disk_io_goes_through_the_storage_engine():
     """Provider-side disk charges flow through ``LocalFS`` (which routes
     to the ``StorageEngine`` when one is installed) — never a direct
-    ``device.io()`` call.  Allowed raw call sites: the FS's own funnel,
-    the engine's merged-issue point, RAID striping over its members, and
-    the NFS/PVFS baselines (independent systems modeling their own
-    kernels' buffer caches)."""
+    ``device.io()`` call, nor a ledger booking (``Disk.book``, an
+    ``io()`` without its event).  Allowed raw call sites: the FS's own
+    funnel, the engine's merged-issue point, RAID striping over its
+    members, a drive's own ``io``, and the NFS/PVFS baselines
+    (independent systems modeling their own kernels' buffer caches)."""
     allowed = {
         ("repro.storage.filesystem", "_device_io"),
         ("repro.storage.engine", "_issue"),
         ("repro.storage.raid", "io"),
+        ("repro.storage.disk", "io"),
     }
     allowed_modules = {"repro.baselines.nfs", "repro.baselines.pvfs"}
     offenders = []
@@ -205,7 +208,7 @@ def test_raw_disk_io_goes_through_the_storage_engine():
                 fn = node.name
             if (isinstance(node, ast.Call)
                     and isinstance(node.func, ast.Attribute)
-                    and node.func.attr == "io"
+                    and node.func.attr in ("io", "book")
                     and (mod, fn) not in allowed):
                 offenders.append(f"{mod}.{fn}:{node.lineno}")
             for child in ast.iter_child_nodes(node):

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from repro.sim import Simulator
 from repro.storage import DISK_SPECS, Disk, LocalFS, NoSpace, Raid0
-from repro.storage.disk import MB
+from repro.storage.disk import MB, DiskSpec
 from repro.storage.filesystem import SATURATION_KNEE
 
 
@@ -170,6 +170,181 @@ def test_raid0_split_is_the_unit_by_unit_deal(sizes, stripe, n, first):
 def test_raid0_requires_members():
     with pytest.raises(ValueError):
         Raid0(Simulator(), [])
+
+
+# ------------------------------------------- one event per storage request
+def _reference_disk_io(disk, nbytes, sequential=False):
+    """``Disk.io`` as it stood before a request that ends at a known
+    instant was one event: the ledger (now ``Disk.book``), then a timeout
+    at completion — or, on a media error, a timeout whose callback fails
+    a second event.  Kept as it was, as the reference ``Disk.io`` and
+    ``Raid0.io`` are held to."""
+    sim = disk.sim
+    done, exc = disk.book(nbytes, sequential)
+    if exc is None:
+        return sim.timeout(done - sim.now)
+    ev = sim.event("disk-io-error")
+    sim.timeout(done - sim.now).add_callback(
+        lambda _t, e=ev, x=exc: e.fail(x))
+    return ev
+
+
+def _reference_raid_io(raid, nbytes, sequential=False):
+    """``Raid0.io`` as it stood: an event per member
+    (:func:`_reference_disk_io`), joined by an ``AllOf``."""
+    disks, stripe = raid.disks, raid.stripe
+    if len(disks) == 1:
+        return _reference_disk_io(disks[0], nbytes, sequential)
+    if 0 < nbytes <= stripe:
+        i = raid._next
+        raid._next = (i + 1) % len(disks)
+        return raid.sim.all_of(
+            (_reference_disk_io(disks[i], nbytes, sequential),))
+    n, first = len(disks), raid._next
+    units, tail = divmod(nbytes, stripe)
+    laps, extra = divmod(units, n)
+    per_disk = [laps * stripe] * n
+    for k in range(first, first + extra):
+        per_disk[k % n] += stripe
+    per_disk[(first + units) % n] += tail
+    raid._next = (first + units + (tail > 0)) % n
+    parts = [_reference_disk_io(disk, count, sequential)
+             for disk, count in zip(disks, per_disk) if count > 0]
+    if not parts:
+        return _reference_disk_io(disks[raid._next], 0, sequential)
+    return raid.sim.all_of(parts)
+
+
+#: Positioning 0.75 s and 0.25 s per 16 KB: every completion falls on a
+#: multiple of 0.25 s, where the racing timers and deliveries are.
+_EXACT = DiskSpec("exact", rpm=60, seek_s=0.25, transfer_bps=64 * 1024,
+                  capacity=1 << 40)
+_AT = st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 3.0])
+_AHEAD = st.sampled_from(["", "soon", "later0", "both"])
+_STORAGE_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("io"), _AT, st.integers(0, 12), st.booleans(),
+                  st.sampled_from(["process", "callback", "race"])),
+        st.tuples(st.just("timer"), _AT, _AHEAD),
+        st.tuples(st.just("delivery"), _AT, _AHEAD),
+        st.tuples(st.just("fault"), _AT, st.sampled_from([0, 1, 2, 3, None]),
+                  st.sampled_from([0.0, 0.5, 0.5, 1.0]),
+                  st.sampled_from([1.0, 2.0]))),
+    min_size=1, max_size=20)
+
+
+def _storage_program(sim, members, stripe, backlog, ops, log, io):
+    """A RAID-0 of ``members`` drives (one: the plain ``Disk.io`` path)
+    with ``backlog`` units already queued, serving ``ops``: requests of
+    0–12 16 KB units, waited on by a process or a callback, among lane-0
+    timers and deliveries at the same instants that queue work in either
+    FIFO; a ``race`` request adds a lane-0 timer and a delivery at its
+    busiest member's finish.  Faults, on one member or (as the fault
+    plane installs them) on all, make members fail some requests and
+    slow down.  Every wake-up logs ``(now, who)``."""
+    import random
+    from dataclasses import replace
+
+    from repro.storage.disk import DiskFaultState, DiskIOError
+
+    # Named apart, so an error says which member it came from.
+    disks = [Disk(sim, replace(_EXACT, name=f"m{j}")) for j in range(members)]
+    raid = Raid0(sim, disks, stripe=stripe)
+    for disk, units in zip(disks, backlog):
+        disk.book(units * 16 * 1024, True)
+
+    def note(who, _b=None):
+        log.append((sim.now, who))
+
+    def racer(who, ahead):
+        note(who)
+        if ahead in ("soon", "both"):
+            sim.call_soon(note, (who, "soon"), None)
+        if ahead in ("later0", "both"):
+            sim.call_later(0.0, note, (who, "later0"), None)
+
+    def waiter(i, ev):
+        try:
+            yield ev
+            note((i, "done"))
+        except DiskIOError as exc:
+            note((i, "error", str(exc)))
+
+    def issue(i, op):
+        _kind, _at, units, sequential, wait = op
+        ev = io(raid, units * 16 * 1024, sequential)
+        if wait == "callback":
+            # (Not a success's value: the join's was a dict of the
+            # members' ``None``s, which nothing reads.)
+            ev.add_callback(lambda e: note(
+                (i, e.state, str(e.value) if e.state == "failed" else "")))
+        else:
+            sim.process(waiter(i, ev))
+        if wait == "race":
+            t = max(d._ready_at for d in disks) - sim.now
+            sim.timeout(t).add_callback(lambda _e: racer((i, "timer"), "both"))
+            sim.call_later(t, racer, (i, "delivery"), "later0", lane=2)
+
+    def fault(i, op):
+        _kind, _at, j, rate, slowdown = op
+        target = raid if j is None else disks[j % members]
+        if rate == 0.0 and slowdown == 1.0:
+            target.clear_fault()
+        else:
+            target.set_fault(DiskFaultState(
+                rng=random.Random(i), error_rate=rate, slowdown=slowdown))
+
+    for i, op in enumerate(ops):
+        kind, at = op[0], op[1]
+        if kind == "io":
+            sim.call_later(at, issue, i, op)
+        elif kind == "timer":
+            sim.timeout(at).add_callback(
+                lambda _e, i=i, ahead=op[2]: racer((i, "timer"), ahead))
+        elif kind == "delivery":
+            sim.call_later(at, racer, (i, "delivery"), op[2], lane=1 + i % 3)
+        else:
+            sim.call_later(at, fault, i, op)
+    # The clock's last stop: after a failure the reference still pops the
+    # other members' timeouts.
+    sim.timeout(99.0).add_callback(lambda _e: note("end"))
+    return disks
+
+
+@given(_STORAGE_OPS, st.integers(1, 4),
+       st.sampled_from([16 * 1024, 32 * 1024, 64 * 1024]),
+       st.lists(st.integers(0, 6), min_size=4, max_size=4),
+       st.sampled_from(["run", "step", "windows"]))
+@settings(max_examples=300, deadline=None)
+def test_a_storage_request_is_one_event_where_its_member_events_were(
+        ops, members, stripe, backlog, how):
+    """Same wake-ups at the same instants in the same order, the same
+    errors from the same members, the same ledgers — with a request's
+    member events and its join gone, and the join's slot taken only when
+    something is queued ahead of it."""
+    ref, one = Simulator(), Simulator()
+    ref_log, one_log = [], []
+    ref_disks = _storage_program(ref, members, stripe, backlog, ops, ref_log,
+                                 _reference_raid_io)
+    one_disks = _storage_program(one, members, stripe, backlog, ops, one_log,
+                                 Raid0.io)
+    while ref.pending_events:
+        ref.step()
+    if how == "step":
+        while one.pending_events:
+            one.step()
+    else:
+        for edge in [0.75, 1.5, 2.0, 3.0] * (how == "windows") + [
+                float("inf")]:
+            one.run_window(edge)
+    assert one_log == ref_log
+    assert one.now == ref.now
+    ledger = lambda d: (d._ready_at, d.busy_accum, d.bytes_done,  # noqa: E731
+                        d.bytes_failed, d.requests, d.io_errors)
+    assert [ledger(d) for d in one_disks] == [ledger(d) for d in ref_disks]
+    assert one._nprocessed <= ref._nprocessed
+    assert one.peak_pending <= ref.peak_pending
+    assert one.pending_events == ref.pending_events == 0
 
 
 def make_fs(capacity=100 * MB):

@@ -106,7 +106,8 @@ def test_multicast_to_empty_group_is_noop():
 def test_reply_before_deadline_leaves_only_a_tombstone():
     """The thing in ``_pending`` is the event the caller waits on and its
     own deadline: an answered exchange costs one dispatch for the answer,
-    and what stays on the heap is swept, never dispatched."""
+    and what stays on the heap — its timeout value's queue, armed at the
+    answered slot — is swept, never dispatched."""
     sim, fabric, eps = make_net()
     eps["n1"].register("echo", lambda p, s: (p, 8))
 
@@ -117,7 +118,7 @@ def test_reply_before_deadline_leaves_only_a_tombstone():
     resp, t = sim.run_process(sim.process(client()))
     assert resp == "x" and t < 0.01
     assert eps["n0"]._pending == {}
-    assert sim.pending_events == 1          # the voided 5 s deadline
+    assert sim.pending_events == 1          # the 5 s queue, at that slot
     done = sim._nprocessed
     sim.run()
     assert sim._nprocessed == done          # ...is not an event
