@@ -226,8 +226,7 @@ def test_ablation_refresh_period_staleness(once):
             # second client: the writer's own location cache would answer
             # without asking anybody.
             for p in dep.providers.values():
-                from repro.core.location import LocationTable
-                p.loc = LocationTable()
+                p.home.reset()
             fh2 = yield from reader.open("/stale", "r")
             yield from reader.read(fh2, 0, 1024)
             return reader.stats["probe_fallbacks"]

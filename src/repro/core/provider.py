@@ -6,7 +6,8 @@ A provider wears three hats at once:
   and serves client reads/writes, shadow creation, and 2PC participation;
 * **home host** — for SegIDs that consistent-hash to it, it keeps the
   soft-state :class:`LocationTable` and supervises replica consistency and
-  replication degree (lazy update propagation, Section 3.6);
+  replication degree (lazy update propagation, Section 3.6): one
+  :class:`LocationHome`, ``provider.home``;
 * **self-organizer** — it announces heartbeats, refreshes remote location
   tables (the four event types of Section 3.4.1), and runs the migration
   decision loop of Section 3.7.
@@ -52,6 +53,169 @@ def _meta_bytes(meta: Optional[dict]) -> int:
     return 4096 + 24 * nsegs + (meta.get("attached_len") or 0)
 
 
+class LocationHome:
+    """The home-host role: the soft-state :class:`LocationTable` for the
+    SegIDs hashed to this provider, and the supervision of their
+    replicas' consistency and degree (Sections 3.4.1 and 3.6).
+
+    Every change to the table is one method here, and each says what
+    follows it.  The only other writer is the preload
+    (``SorrentoDeployment._plant``), which schedules nothing by design.
+    """
+
+    def __init__(self, node, params: SorrentoParams, rng: random.Random,
+                 membership: MembershipManager):
+        self.node = node
+        self.sim = node.sim
+        self.rpc = node.runtime
+        self.params = params
+        self.rng = rng               # the provider's own stream
+        self.membership = membership
+        self.table = LocationTable()
+        #: (segid, action) -> {host: when sent}: a supervision check reads
+        #: one segment's history, not the node's.
+        self._repair_recent: Dict[Tuple[int, str], Dict[str, float]] = {}
+        self._recheck_pending: set = set()
+        self._trim_pending: set = set()
+
+    # ------------------------------------------- the changes, and what follows
+    def claim(self, segid: int, owner: str, version: int, degree: int,
+              size: int) -> None:
+        """An owner announced or refreshed its copy: supervise now."""
+        self.table.update(segid, owner, version, degree, size, self.sim.now)
+        self.node.defer(0.0, self._supervise, segid)
+
+    def withdraw(self, segid: int, owner: str) -> None:
+        """A ``loc_update {remove}`` arrived: supervise now."""
+        self.table.remove(segid, owner)
+        self.node.defer(0.0, self._supervise, segid)
+
+    def withdraw_own(self, segid: int) -> None:
+        """This provider trimmed or migrated away its own copy.  Nothing
+        follows, unlike :meth:`withdraw`: a segid this leaves short is not
+        re-checked until its next claim."""
+        self.table.remove(segid, self.node.hostid)
+
+    def drop_owner(self, hostid: str) -> None:
+        """An owner died: re-check each segid it held after
+        ``repair_delay``, in table order."""
+        for segid in self.table.drop_owner(hostid):
+            self.node.defer(self.params.repair_delay, self._supervise, segid)
+
+    def purge(self) -> None:
+        """Age out the rows no refresh renewed (once per refresh cycle).
+        Nothing follows."""
+        self.table.purge(self.sim.now,
+                         PURGE_AGE_FACTOR * self.params.refresh_cycle)
+
+    def reset(self) -> None:
+        """A restart rebuilds the table from refreshes.  Nothing follows,
+        and the pending-check sets and repair history are kept."""
+        self.table = LocationTable()
+
+    # ------------------------------------------------------- supervision
+    def _supervise(self, segid: int) -> None:
+        """Home-host check: push syncs to stale owners, restore degree.
+        Like every deferred check here it never waits, so it is a plain
+        call (:meth:`Node.defer`): a bug in one raises out of ``sim.run``."""
+        latest, current, stale = self.table.discrepancies(segid)
+        if not current:
+            return
+        now = self.sim.now
+        source = self.rng.choice(current)
+        for host in stale:
+            if self._repair_throttled(segid, "sync", host, now):
+                continue
+            self.rpc.send(host, "seg_sync", {
+                "segid": segid, "version": latest, "from": source,
+            }, size=48)
+        owners = set(current) | set(stale)
+        rec = self.table.record(segid, current[0])
+        degree = rec.degree if rec else 1
+        size = rec.size if rec else 0
+        age = self.table.age(segid, now)
+        if age < self.params.repair_grace:
+            # Immature entry: owners may still be refreshing in.  Check
+            # again once mature (rather than waiting a full refresh cycle).
+            if segid not in self._recheck_pending:
+                self._recheck_pending.add(segid)
+                self.node.defer(self.params.repair_grace - age + 0.1,
+                                self._recheck, segid)
+            return
+        # Replications already in flight (sent recently, not yet owners).
+        pending = self._sent_recently(segid, "repl", now) - owners
+        deficit = degree - len(owners) - len(pending)
+        if deficit > 0:
+            members = self.membership.snapshot()
+            exclude = owners | pending
+            for _ in range(deficit):
+                target = choose_provider(
+                    self.rng, members, max(size, 1),
+                    self.params.default_alpha, exclude=exclude,
+                )
+                if target is None:
+                    return
+                exclude.add(target)
+                if self._repair_throttled(segid, "repl", target, now):
+                    continue
+                self.rpc.send(target, "seg_replicate", {
+                    "segid": segid, "version": latest, "from": source,
+                }, size=48)
+        elif not stale and len(owners) > degree:
+            # Apparent excess replicas.  NEVER trim immediately: a
+            # migration in flight shows two owners for a moment (target
+            # announced, source's removal not yet arrived) and trimming
+            # then — while the source erases its copy — loses the
+            # segment.  Re-verify after a full cooldown instead.
+            if segid not in self._trim_pending:
+                self._trim_pending.add(segid)
+                self.node.defer(self.params.repair_cooldown,
+                                self._verify_trim, segid)
+
+    def _verify_trim(self, segid: int) -> None:
+        self._trim_pending.discard(segid)
+        latest, current, stale = self.table.discrepancies(segid)
+        if stale or not current:
+            return
+        rec = self.table.record(segid, current[0])
+        degree = rec.degree if rec else 1
+        if len(current) <= degree:
+            return  # the transient resolved itself (migration completed)
+        now = self.sim.now
+        extra = sorted(current)
+        victim = extra[-1]
+        if not self._repair_throttled(segid, "trim", victim, now):
+            self.rpc.send(victim, "seg_trim", {
+                "segid": segid, "version": latest,
+            }, size=48)
+
+    def _recheck(self, segid: int) -> None:
+        self._recheck_pending.discard(segid)
+        self._supervise(segid)
+
+    def _sent_recently(self, segid: int, action: str, now: float) -> set:
+        """Hosts ``action`` on ``segid`` was sent to within the cooldown."""
+        cutoff = now - self.params.repair_cooldown
+        sent = self._repair_recent.get((segid, action), {})
+        return {h for h, t in sent.items() if t > cutoff}
+
+    def _repair_throttled(self, segid: int, action: str, host: str,
+                          now: float) -> bool:
+        """Whether ``action`` on ``segid`` went to ``host`` within the
+        cooldown; records it as sent now if not."""
+        cutoff = now - self.params.repair_cooldown
+        sent = self._repair_recent.setdefault((segid, action), {})
+        if sent.get(host, -1e18) > cutoff:
+            return True
+        sent[host] = now
+        if len(self._repair_recent) > 10000:
+            self._repair_recent = {
+                k: live for k, hosts in self._repair_recent.items()
+                if (live := {h: t for h, t in hosts.items() if t > cutoff})
+            }
+        return False
+
+
 class StorageProvider:
     """One provider daemon on one cluster node."""
 
@@ -89,7 +253,6 @@ class StorageProvider:
                 metrics=node.runtime.registry,
                 host=node.hostid,
             )
-        self.loc = LocationTable()
         self.ring = HashRing(self.params.ring_vnodes)
         self.history = AccessHistory()
         self.membership = MembershipManager(
@@ -102,13 +265,9 @@ class StorageProvider:
         self.membership.on_leave.append(self.ring.remove_host)
         self.membership.on_join.append(self._on_join)
         self.membership.on_leave.append(self._on_leave)
+        self.home = LocationHome(node, self.params, self.rng, self.membership)
         # "we only allow one active data migration process per node"
         self.transfer_lock = Resource(self.sim, 1)
-        #: (segid, action) -> {host: when sent}: a supervision check reads
-        #: one segment's history, not the node's.
-        self._repair_recent: Dict[Tuple[int, str], Dict[str, float]] = {}
-        self._recheck_pending: set = set()
-        self._trim_pending: set = set()
         #: :meth:`_by_home`'s (member view, store generation, bucketing).
         self._buckets: tuple = (None, -1, {})
         self._locality_recent: Dict[int, float] = {}
@@ -146,7 +305,7 @@ class StorageProvider:
             # versions synced before ack, so only shadows can drop here.
             for fs_name in sorted(engine.take_lost()):
                 self.store.discard_lost(fs_name)
-        self.loc = LocationTable()
+        self.home.reset()
         self.membership.clear()
         self.membership.start()
         self.start()
@@ -194,7 +353,7 @@ class StorageProvider:
         claim, merged with the location table's view when we happen to be
         the segment's home host (lazy propagation, Section 3.4/3.6)."""
         hint = [(self.node.hostid, version)]
-        for host, v in self.loc.lookup(segid):
+        for host, v in self.home.table.lookup(segid):
             if host != self.node.hostid:
                 hint.append((host, v))
         return hint
@@ -219,15 +378,16 @@ class StorageProvider:
         return resp, nbytes + 16 * len(resp["hint"])
 
     def _h_seg_write_vec(self, req: dict, src: str):
-        """Vectored write: every piece of one request lands here.
+        return (yield from self._vectored(self._write_one, req["pieces"], src))
 
+    def _vectored(self, one, pieces: List[dict], src: str, *args):
+        """A vectored request, every piece through ``one(piece, src, *args)``.
         Per-piece status lets a partial failure degrade to the client's
-        single-piece retry path without poisoning its siblings.
-        """
+        single-piece retry path without poisoning its siblings."""
         out, total = [], 0
-        for piece in req["pieces"]:
+        for piece in pieces:
             try:
-                resp, nbytes = yield from self._write_one(piece, src)
+                resp, nbytes = yield from one(piece, src, *args)
             except (SegmentError, DiskIOError) as exc:
                 out.append({"ok": False, "segid": piece["segid"],
                             "error": str(exc)})
@@ -239,8 +399,8 @@ class StorageProvider:
             total += nbytes
         return {"owner": self.node.hostid, "pieces": out}, 48 + total
 
-    def _read_one(self, req: dict, src: str):
-        """Core of ``seg_read``; shared with the vectored handler."""
+    def _read_one(self, req: dict, src: str, sequential: bool = False):
+        """Core of ``seg_read``; a piece's own ``sequential`` wins."""
         segid = req["segid"]
         version = req.get("version")
         yield from self._charge()
@@ -259,8 +419,9 @@ class StorageProvider:
             self.stats["reads"] += 1
             return {"version": version, "data": None, "length": length,
                     "meta": seg.meta}, 64 + length
-        data = yield from self.store.read(segid, version, req["offset"], length,
-                                          sequential=req.get("sequential", False))
+        data = yield from self.store.read(
+            segid, version, req["offset"], length,
+            sequential=req.get("sequential", sequential))
         yield from self._charge(length)
         self.history.record(segid, src, length)
         self.stats["reads"] += 1
@@ -274,24 +435,8 @@ class StorageProvider:
         return resp, nbytes + 16 * len(resp["hint"])
 
     def _h_seg_read_vec(self, req: dict, src: str):
-        """Vectored read: per-piece payloads and per-piece failure."""
-        sequential = req.get("sequential", False)
-        out, total = [], 0
-        for piece in req["pieces"]:
-            one = dict(piece)
-            one.setdefault("sequential", sequential)
-            try:
-                resp, nbytes = yield from self._read_one(one, src)
-            except (SegmentError, DiskIOError) as exc:
-                out.append({"ok": False, "segid": piece["segid"],
-                            "error": str(exc)})
-                continue
-            resp["ok"] = True
-            resp["segid"] = piece["segid"]
-            resp["hint"] = self._owner_hint(piece["segid"], resp["version"])
-            out.append(resp)
-            total += nbytes
-        return {"owner": self.node.hostid, "pieces": out}, 48 + total
+        return (yield from self._vectored(self._read_one, req["pieces"], src,
+                                          req.get("sequential", False)))
 
     def _h_seg_renew(self, req: dict, src: str):
         yield from self._charge()
@@ -373,14 +518,19 @@ class StorageProvider:
         mine = self.store.latest_committed(req["segid"])
         if mine is None or mine.version != req["version"]:
             return False, 32  # not ours to trim (stale request)
-        yield from self.store.delete_segment(req["segid"])
-        self.history.forget(req["segid"])
-        home = self._home_of(req["segid"])
-        if home == self.node.hostid:
-            self.loc.remove(req["segid"], self.node.hostid)
-        elif home is not None:
-            self._loc_send(home, "remove", req["segid"], 0, 0, 0)
+        yield from self._erase(req["segid"])
         return True, 32
+
+    def _erase(self, segid: int):
+        """Drop our copy (trim, migration) and tell the home host; unlike
+        ``seg_delete``, a home that is us hears it without a message."""
+        yield from self.store.delete_segment(segid)
+        self.history.forget(segid)
+        home = self._home_of(segid)
+        if home == self.node.hostid:
+            self.home.withdraw_own(segid)
+        elif home is not None:
+            self._loc_send(home, "remove", segid, 0, 0, 0)
 
     # -- transfer services (sync / replicate / migrate) ------------------
     def _h_seg_fetch(self, req: dict, src: str):
@@ -397,27 +547,24 @@ class StorageProvider:
         # Serving replication reads from dirty cache would replicate data
         # that a crash could still lose — flush first (no-op when clean).
         yield from self.node.fs.sync(seg.fs_name)
+        data = None
         if regions is not None:
             nbytes = sum(e - s for s, e, _ in regions)
             yield from self._charge(nbytes)
             if nbytes > 0:
                 yield self.node.fs.charge_read(seg.fs_name, 0, nbytes,
                                                sequential=True)
-            return {
-                "segid": segid, "version": seg.version, "size": seg.size,
-                "degree": seg.replication_degree, "alpha": seg.alpha,
-                "placement": seg.placement, "meta": seg.meta,
-                "regions": regions, "data": None,
-            }, 128 + nbytes
-        yield from self._charge(seg.size)
-        data = yield from self.store.read(segid, seg.version, 0, seg.size,
-                                          sequential=True)
+        else:
+            nbytes = seg.size
+            yield from self._charge(nbytes)
+            data = yield from self.store.read(segid, seg.version, 0, nbytes,
+                                              sequential=True)
         return {
             "segid": segid, "version": seg.version, "size": seg.size,
             "degree": seg.replication_degree, "alpha": seg.alpha,
             "placement": seg.placement, "meta": seg.meta,
-            "regions": None, "data": data,
-        }, 128 + seg.size
+            "regions": regions, "data": data,
+        }, 128 + nbytes
 
     def _h_seg_sync(self, req: dict, src: str):
         """Home host told us our replica is stale: pull the diff."""
@@ -433,19 +580,7 @@ class StorageProvider:
             size=64,
         )
         if self.store.get(segid, resp["version"]) is None:
-            if resp.get("regions") is not None:
-                seg = yield from self.store.apply_diff(
-                    segid, resp["version"], resp["size"], resp["regions"],
-                    replication_degree=resp["degree"], alpha=resp["alpha"],
-                    placement=resp["placement"], meta=resp["meta"],
-                )
-            else:
-                seg = yield from self.store.ingest(
-                    segid, resp["version"], resp["size"],
-                    replication_degree=resp["degree"], alpha=resp["alpha"],
-                    placement=resp["placement"], meta=resp["meta"],
-                    data=resp["data"],
-                )
+            seg = yield from self._install(segid, resp)
             yield from self.store.consolidate(segid, self.params.keep_versions)
             self._announce_segment(seg)
         self.stats["syncs"] += 1
@@ -473,12 +608,7 @@ class StorageProvider:
                 size=64,
             )
             t0 = self.sim.now
-            seg = yield from self.store.ingest(
-                segid, resp["version"], resp["size"],
-                replication_degree=resp["degree"], alpha=resp["alpha"],
-                placement=resp["placement"], meta=resp["meta"],
-                data=resp["data"],
-            )
+            seg = yield from self._install(segid, resp)
             self._announce_segment(seg)
             self.stats["replications"] += 1
             # Pace background transfers so recovery/migration traffic does
@@ -491,6 +621,15 @@ class StorageProvider:
             return {"already": False, "version": seg.version}, 48
         finally:
             self.transfer_lock.release()
+
+    def _install(self, segid: int, resp: dict):
+        """Store a ``seg_fetch`` reply: a diff on our latest version, or
+        (no ``regions``) the whole copy."""
+        return (yield from self.store.apply_diff(
+            segid, resp["version"], resp["size"], resp["regions"],
+            data=resp["data"], replication_degree=resp["degree"],
+            alpha=resp["alpha"], placement=resp["placement"],
+            meta=resp["meta"]))
 
     # =================================================================
     # Home-host services (data location, Section 3.4)
@@ -506,7 +645,8 @@ class StorageProvider:
         yield from self._charge()
         mine = self.store.latest_committed(segid)
         read = req.get("read")
-        latest_known = self.loc.latest_version(segid)
+        table = self.home.table
+        latest_known = table.latest_version(segid)
         if mine is not None and read is not None \
                 and (latest_known is None or mine.version >= latest_known):
             data = None
@@ -522,14 +662,14 @@ class StorageProvider:
                                                       offset, length)
             self.history.record(segid, src, length)
             resp = {
-                "owners": self.loc.lookup(segid) or [(self.node.hostid, mine.version)],
+                "owners": table.lookup(segid) or [(self.node.hostid, mine.version)],
                 "inline": {"version": mine.version, "data": data,
                            "length": length, "meta": mine.meta,
                            "size": mine.size},
             }
             nbytes = 96 + length
         else:
-            owners = self.loc.lookup(segid)
+            owners = table.lookup(segid)
             if mine is not None and all(h != self.node.hostid for h, _ in owners):
                 owners = [(self.node.hostid, mine.version)] + owners
             resp = {"owners": owners, "inline": None}
@@ -547,19 +687,16 @@ class StorageProvider:
     def _h_loc_update(self, req: dict, src: str) -> None:
         """Eager add/remove of one location entry (segment events)."""
         if req["op"] == "add":
-            self.loc.update(req["segid"], req["owner"], req["version"],
-                            req["degree"], req["size"], self.sim.now)
+            self.home.claim(req["segid"], req["owner"], req["version"],
+                            req["degree"], req["size"])
         else:
-            self.loc.remove(req["segid"], req["owner"])
-        self._schedule_supervision(req["segid"])
+            self.home.withdraw(req["segid"], req["owner"])
 
     def _h_loc_refresh(self, req: dict, src: str):
         """Bulk periodic content refreshing from an owner."""
         yield from self._charge(LOC_ENTRY_BYTES * len(req["entries"]))
         for segid, version, degree, size in req["entries"]:
-            self.loc.update(segid, req["owner"], version, degree, size,
-                            self.sim.now)
-            self._schedule_supervision(segid)
+            self.home.claim(segid, req["owner"], version, degree, size)
         return True, 32
 
     def _h_loc_probe(self, req: dict, src: str) -> None:
@@ -593,9 +730,8 @@ class StorageProvider:
         if home is None:
             return
         if home == self.node.hostid:
-            self.loc.update(seg.segid, self.node.hostid, seg.version,
-                            seg.replication_degree, seg.size, self.sim.now)
-            self._schedule_supervision(seg.segid)
+            self.home.claim(seg.segid, self.node.hostid, seg.version,
+                            seg.replication_degree, seg.size)
         else:
             self._loc_send(home, "add", seg.segid, seg.version,
                            seg.replication_degree, seg.size)
@@ -606,111 +742,6 @@ class StorageProvider:
             "op": op, "segid": segid, "owner": self.node.hostid,
             "version": version, "degree": degree, "size": size,
         }, size=LOC_ENTRY_BYTES)
-
-    # ------------------------------------------- replica supervision
-    def _schedule_supervision(self, segid: int) -> None:
-        self.node.defer(0.0, self._supervise, segid)
-
-    def _supervise(self, segid: int) -> None:
-        """Home-host check: push syncs to stale owners, restore degree.
-        Like every deferred check here it never waits, so it is a plain
-        call (:meth:`Node.defer`): a bug in one raises out of ``sim.run``."""
-        latest, current, stale = self.loc.discrepancies(segid)
-        if not current:
-            return
-        now = self.sim.now
-        source = self.rng.choice(current)
-        for host in stale:
-            if self._repair_throttled(segid, "sync", host, now):
-                continue
-            self.rpc.send(host, "seg_sync", {
-                "segid": segid, "version": latest, "from": source,
-            }, size=48)
-        owners = set(current) | set(stale)
-        rec = self.loc.record(segid, current[0])
-        degree = rec.degree if rec else 1
-        size = rec.size if rec else 0
-        age = self.loc.age(segid, now)
-        if age < self.params.repair_grace:
-            # Immature entry: owners may still be refreshing in.  Check
-            # again once mature (rather than waiting a full refresh cycle).
-            if segid not in self._recheck_pending:
-                self._recheck_pending.add(segid)
-                self.node.defer(self.params.repair_grace - age + 0.1,
-                                self._recheck, segid)
-            return
-        # Replications already in flight (sent recently, not yet owners).
-        pending = self._sent_recently(segid, "repl", now) - owners
-        deficit = degree - len(owners) - len(pending)
-        if deficit > 0:
-            members = self.membership.snapshot()
-            exclude = owners | pending
-            for _ in range(deficit):
-                target = choose_provider(
-                    self.rng, members, max(size, 1),
-                    self.params.default_alpha, exclude=exclude,
-                )
-                if target is None:
-                    return
-                exclude.add(target)
-                if self._repair_throttled(segid, "repl", target, now):
-                    continue
-                self.rpc.send(target, "seg_replicate", {
-                    "segid": segid, "version": latest, "from": source,
-                }, size=48)
-        elif not stale and len(owners) > degree:
-            # Apparent excess replicas.  NEVER trim immediately: a
-            # migration in flight shows two owners for a moment (target
-            # announced, source's removal not yet arrived) and trimming
-            # then — while the source erases its copy — loses the
-            # segment.  Re-verify after a full cooldown instead.
-            if segid not in self._trim_pending:
-                self._trim_pending.add(segid)
-                self.node.defer(self.params.repair_cooldown,
-                                self._verify_trim, segid)
-
-    def _verify_trim(self, segid: int) -> None:
-        self._trim_pending.discard(segid)
-        latest, current, stale = self.loc.discrepancies(segid)
-        if stale or not current:
-            return
-        rec = self.loc.record(segid, current[0])
-        degree = rec.degree if rec else 1
-        if len(current) <= degree:
-            return  # the transient resolved itself (migration completed)
-        now = self.sim.now
-        extra = sorted(current)
-        victim = extra[-1]
-        if not self._repair_throttled(segid, "trim", victim, now):
-            self.rpc.send(victim, "seg_trim", {
-                "segid": segid, "version": latest,
-            }, size=48)
-
-    def _recheck(self, segid: int) -> None:
-        self._recheck_pending.discard(segid)
-        self._supervise(segid)
-
-    def _sent_recently(self, segid: int, action: str, now: float) -> set:
-        """Hosts ``action`` on ``segid`` was sent to within the cooldown."""
-        cutoff = now - self.params.repair_cooldown
-        sent = self._repair_recent.get((segid, action), {})
-        return {h for h, t in sent.items() if t > cutoff}
-
-    def _repair_throttled(self, segid: int, action: str, host: str,
-                          now: float) -> bool:
-        """Whether ``action`` on ``segid`` went to ``host`` within the
-        cooldown; records it as sent now if not."""
-        cutoff = now - self.params.repair_cooldown
-        sent = self._repair_recent.setdefault((segid, action), {})
-        if sent.get(host, -1e18) > cutoff:
-            return True
-        sent[host] = now
-        if len(self._repair_recent) > 10000:
-            self._repair_recent = {
-                k: live for k, hosts in self._repair_recent.items()
-                if (live := {h: t for h, t in hosts.items() if t > cutoff})
-            }
-        return False
 
     # =================================================================
     # Membership events (the four refresh-trigger types, Section 3.4.1)
@@ -724,9 +755,7 @@ class StorageProvider:
     def _on_leave(self, hostid: str) -> None:
         # (3) Node departure: purge its records; segments it owned may now
         # be under-replicated — recheck after a grace period.
-        affected = self.loc.drop_owner(hostid)
-        for segid in affected:
-            self.node.defer(self.params.repair_delay, self._supervise, segid)
+        self.home.drop_owner(hostid)
         # Re-announce local segments whose home host was the dead node.
         self.node.spawn(self._rehome_after_departure(hostid), name="rehome")
 
@@ -781,8 +810,7 @@ class StorageProvider:
         yield self.sim.timeout(self.rng.random() * self.params.refresh_cycle)
         while True:
             yield from self._refresh_everything()
-            self.loc.purge(
-                self.sim.now, PURGE_AGE_FACTOR * self.params.refresh_cycle)
+            self.home.purge()
             yield self.sim.timeout(self.params.refresh_cycle)
 
     def _refresh_everything(self, jitter: float = 0.0):
@@ -799,9 +827,8 @@ class StorageProvider:
                               for home, segids in by_home.items()]:
             if home == self.node.hostid:
                 for segid, version, degree, size in entries:
-                    self.loc.update(segid, self.node.hostid, version, degree,
-                                    size, self.sim.now)
-                    self._schedule_supervision(segid)
+                    self.home.claim(segid, self.node.hostid, version, degree,
+                                    size)
                 continue
             yield self._send_refresh(home, entries)
 
@@ -841,7 +868,7 @@ class StorageProvider:
         if decision is None:
             return
         for seg in decision.segments:
-            owners = {h for h, _ in self.loc.lookup(seg.segid)}
+            owners = {h for h, _ in self.home.table.lookup(seg.segid)}
             target = choose_provider(
                 self.rng, members, seg.size, decision.alpha,
                 exclude=owners | {self.node.hostid},
@@ -888,13 +915,7 @@ class StorageProvider:
                 # The target already held the live tip: nothing moved, so
                 # keep the local copy (replica count must not shrink).
                 return False
-            yield from self.store.delete_segment(seg.segid)
-            self.history.forget(seg.segid)
-            home = self._home_of(seg.segid)
-            if home == self.node.hostid:
-                self.loc.remove(seg.segid, self.node.hostid)
-            elif home is not None:
-                self._loc_send(home, "remove", seg.segid, 0, 0, 0)
+            yield from self._erase(seg.segid)
             self.stats["migrations"] += 1
             return True
         finally:
@@ -909,7 +930,7 @@ class StorageProvider:
             return
         try:
             if home == self.node.hostid:
-                owners = self.loc.lookup(seg.segid)
+                owners = self.home.table.lookup(seg.segid)
             else:
                 resp = yield from self.rpc.call(
                     home, "loc_lookup", {"segid": seg.segid}, size=48)

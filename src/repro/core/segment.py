@@ -470,36 +470,6 @@ class SegmentStore:
         return b"".join(chunks)
 
     # -- replica ingestion & consolidation -----------------------------
-    def ingest(self, segid: int, version: int, size: int, *,
-               replication_degree: int = 1, alpha: float = 0.5,
-               placement: str = "load", meta: Optional[dict] = None,
-               data: Optional[bytes] = None):
-        """Install a full committed copy (replication / migration arrival)."""
-        if self.get(segid, version) is not None:
-            raise SegmentError(f"already hold {segid:#x} v{version}")
-        seg = StoredSegment(segid=segid, version=version, size=size,
-                            committed=True,
-                            replication_degree=replication_degree,
-                            alpha=alpha, placement=placement,
-                            meta=dict(meta) if meta else None,
-                            last_access=self.sim.now)
-        if size > 0:
-            seg.extents.set_range(0, size,
-                                  (0, bytes(data)) if data is not None else SYNTHETIC)
-        self._add(seg)
-        try:
-            yield from self.fs.create(seg.fs_name, charge=False)
-            if size > 0:
-                yield from self.fs.write(seg.fs_name, 0, size,
-                                         sequential=True)
-                # A replica arrives committed — it must survive a crash,
-                # so it cannot linger in the write-back cache.
-                yield from self.fs.sync(seg.fs_name)
-        except Exception:
-            yield from self.drop(segid, version)
-            raise
-        return seg
-
     def export_diff(self, segid: int, from_version: int, to_version: int):
         """The changed regions of (from, to] with their content.
 
@@ -534,14 +504,20 @@ class SegmentStore:
         return regions
 
     def apply_diff(self, segid: int, new_version: int, size: int,
-                   regions, *, replication_degree: int = 1,
-                   alpha: float = 0.5, placement: str = "load",
-                   meta: Optional[dict] = None):
-        """Install a new committed version from a diff against the local
-        latest (replica lazy sync, Section 3.6)."""
+                   regions=None, *, data: Optional[bytes] = None,
+                   replication_degree: int = 1, alpha: float = 0.5,
+                   placement: str = "load", meta: Optional[dict] = None):
+        """Install a new committed version from ``regions``, a diff
+        against the local latest (replica lazy sync, Section 3.6), or,
+        when ``regions`` is None, from the full copy ``data`` (None:
+        size-only) standing on no base version (replication / migration
+        arrival)."""
         if self.get(segid, new_version) is not None:
             raise SegmentError(f"already hold {segid:#x} v{new_version}")
-        old = self.latest_committed(segid)
+        if regions is None:
+            old, regions = None, [(0, size, data)] if size > 0 else []
+        else:
+            old = self.latest_committed(segid)
         seg = StoredSegment(segid=segid, version=new_version, size=size,
                             committed=True,
                             base_version=old.version if old else None,

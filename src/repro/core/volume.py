@@ -319,7 +319,7 @@ class SorrentoDeployment:
         segment last) goes round-robin over ``on`` (default: all
         providers) from the start host, replicas on distinct nodes; the
         structures go in through the public inserts (``SegmentStore.plant``,
-        ``LocationTable.update``, ``RangeMap.set_range``), all content
+        the home table's ``update``, ``RangeMap.set_range``), all content
         size-only (``SYNTHETIC`` extents, nothing attached).  Placement
         math (owners, homes) runs over the full host list in every
         partition worker; state is planted only where the provider was
@@ -417,7 +417,7 @@ class SorrentoDeployment:
                     if update is None:
                         home_p = get_provider(home)
                         update = loc_ctx[home] = (
-                            home_p.loc.update if home_p is not None
+                            home_p.home.table.update if home_p is not None
                             else False)
                     if update:
                         update(segid, owner, 1, degree, seg_size, now)

@@ -139,15 +139,16 @@ class ClusterInspector:
         ring = next(iter(self.dep.providers.values())).ring
         for segid, holders in actual.items():
             home = ring.home_host(segid, members)
-            table = self.dep.providers[home].loc
+            table = self.dep.providers[home].home.table
             known = {h for h, _ in table.lookup(segid)}
             if not (known & set(holders)):
                 missing.append(segid)
         for host, provider in self.dep.providers.items():
             if not provider.node.alive:
                 continue
-            for segid in provider.loc.segids():
-                for owner, _v in provider.loc.lookup(segid):
+            table = provider.home.table
+            for segid in table.segids():
+                for owner, _v in table.lookup(segid):
                     holder = self.dep.providers.get(owner)
                     if holder is None or not holder.node.alive \
                             or holder.store.latest_committed(segid) is None:

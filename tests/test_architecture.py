@@ -221,6 +221,47 @@ def test_raw_disk_io_goes_through_the_storage_engine():
     )
 
 
+def test_location_table_changes_go_through_the_home():
+    """Every change to a home host's location table is one
+    ``LocationHome`` method, and each says what follows it.  Outside
+    that class nothing may reach ``update`` / ``remove`` /
+    ``drop_owner`` / ``purge`` through a ``loc`` or ``table`` (called or
+    bound), nor build a ``LocationTable``.  The one exception is the
+    preload's planting loop, which binds a home table's ``update`` and
+    schedules nothing, by design."""
+    allowed = {
+        ("repro.core.provider", "LocationHome"),
+        ("repro.core.volume", "_plant"),
+    }
+    changes = {"update", "remove", "drop_owner", "purge"}
+
+    def name_of(node):
+        return getattr(node, "id", None) or getattr(node, "attr", None)
+
+    offenders = []
+    for path in SRC.rglob("*.py"):
+        mod = ".".join(path.relative_to(SRC.parent).with_suffix("").parts)
+
+        def visit(node, fn, inside, mod=mod):
+            if isinstance(node, (ast.ClassDef, ast.FunctionDef,
+                                 ast.AsyncFunctionDef)):
+                fn = node.name
+                inside = inside or (mod, fn) in allowed
+            if not inside and (
+                    (isinstance(node, ast.Attribute) and node.attr in changes
+                     and name_of(node.value) in ("loc", "table"))
+                    or (isinstance(node, ast.Call)
+                        and name_of(node.func) == "LocationTable")):
+                offenders.append(f"{mod}.{fn}:{node.lineno}")
+            for child in ast.iter_child_nodes(node):
+                visit(child, fn, inside)
+
+        visit(ast.parse(path.read_text()), "<module>", False)
+    assert offenders == [], (
+        "location-table change outside LocationHome: " + ", ".join(offenders)
+    )
+
+
 #: Underscore state that only its owning module may touch.
 PRIVATE_STATE = [
     ({"_segs"}, "repro.core.segment"),

@@ -136,11 +136,12 @@ def test_bulk_preload_matches_per_file_path(degree):
                     segid, owner, 1, degree, size, dep_b.sim.now)
     assert holders == {}  # nothing stored that no file accounts for
     for host in hosts:
-        assert loc_rows(dep_b.providers[host].loc) == loc_rows(expect[host])
+        assert loc_rows(dep_b.providers[host].home.table) == loc_rows(expect[host])
 
     def n_records(dep):
-        return sum(len(p.loc.lookup(segid)) for p in dep.providers.values()
-                   for segid in p.loc.segids())
+        return sum(len(p.home.table.lookup(segid))
+                   for p in dep.providers.values()
+                   for segid in p.home.table.segids())
 
     assert n_records(dep_a) == n_records(dep_b)
 
@@ -205,10 +206,11 @@ def planted_digest(dep, entries):
         put(name, p.store.bytes_stored(), p.node.fs.used,
             sorted((n, f.size, f.allocated)
                    for n, f in p.node.fs.files.items()))
-        for segid in p.loc.segids():
-            put(name, segid, p.loc.age(segid, dep.sim.now),
-                [(o, v, p.loc.record(segid, o)) for o, v in
-                 p.loc.lookup(segid)])
+        table = p.home.table
+        for segid in table.segids():
+            put(name, segid, table.age(segid, dep.sim.now),
+                [(o, v, table.record(segid, o)) for o, v in
+                 table.lookup(segid)])
     for server in dep.namespace_servers():
         put(list(server.db.items()))
         put([(r.lsn, r.op, r.key, r.value) for r in server.db._wal.replay()])

@@ -48,18 +48,16 @@ def test_home_host_learns_new_segments_quickly():
     dep.sim.run(until=dep.sim.now + 2)
     segid = fh.layout.segments[0].segid
     home = dep.providers[client._home_of(segid)]
-    assert home.loc.lookup(segid), "home host missing the new segment"
+    assert home.home.table.lookup(segid), "home host missing the new segment"
 
 
 def test_backup_probe_finds_segment_with_cold_tables():
     """Section 3.4.2: the multicast query covers location-table loss."""
-    from repro.core.location import LocationTable
-
     dep = deploy()
     client = dep.client_on("c00")
     write_file(dep, client, "/probe")
     for p in dep.providers.values():
-        p.loc = LocationTable()  # wipe all soft state
+        p.home.reset()           # wipe all soft state
     client.loc_cache.clear()     # ...including the client's cached claims
     client.meta_cache.clear()
     before = client.stats["probe_fallbacks"]
@@ -75,26 +73,62 @@ def test_backup_probe_finds_segment_with_cold_tables():
 
 def test_periodic_refresh_rebuilds_tables():
     """Soft state: tables repopulate within one refresh cycle."""
-    from repro.core.location import LocationTable
-
     dep = deploy(refresh_cycle=30.0)
     client = dep.client_on("c00")
     fh = write_file(dep, client, "/refresh")
     segid = fh.layout.segments[0].segid
     for p in dep.providers.values():
-        p.loc = LocationTable()
+        p.home.reset()
     dep.sim.run(until=dep.sim.now + 65)  # > cycle + stagger
     home = dep.providers[client._home_of(segid)]
-    assert home.loc.lookup(segid)
+    assert home.home.table.lookup(segid)
 
 
 def test_garbage_entries_purged_by_age():
     dep = deploy(refresh_cycle=20.0)
     p = next(iter(dep.providers.values()))
     # Inject a garbage entry that nobody will ever refresh.
-    p.loc.update(0xDEAD, "nonexistent-host", 1, 1, 100, dep.sim.now)
+    p.home.table.update(0xDEAD, "nonexistent-host", 1, 1, 100, dep.sim.now)
     dep.sim.run(until=dep.sim.now + 20.0 * 2.5 + 25)
-    assert 0xDEAD not in p.loc
+    assert 0xDEAD not in p.home.table
+
+
+def test_every_table_change_says_what_follows(monkeypatch):
+    """Each ``LocationHome`` change and the supervision checks it defers,
+    as (delay, check, segid).  Two lines pin known gaps: the home's own
+    withdrawal schedules no check, and a restart's ``reset`` keeps the
+    pending-check sets whose deferred checks died with the node."""
+    dep = deploy()
+    p = dep.providers["s01"]
+    home = p.home
+    deferred = []
+    monkeypatch.setattr(p.node, "defer", lambda delay, fn, arg:
+                        deferred.append((delay, fn.__name__, arg)))
+
+    def follows(change, *args):
+        deferred.clear()
+        change(*args)
+        return deferred[:]
+
+    later = p.params.repair_delay
+    assert follows(home.claim, 0xA, "s02", 1, 2, 100) == [(0.0, "_supervise", 0xA)]
+    home.claim(0xB, "s02", 1, 2, 100)
+    home.claim(0xB, "s01", 1, 2, 100)
+    home.claim(0xC, "s03", 1, 2, 100)
+    home.claim(0xD, "s03", 1, 2, 100)
+    assert follows(home.withdraw, 0xA, "s02") == [(0.0, "_supervise", 0xA)]
+    assert follows(home.withdraw_own, 0xB) == []
+    assert follows(home.drop_owner, "s03") == [(later, "_supervise", 0xC),
+                                               (later, "_supervise", 0xD)]
+    assert {0xA, 0xC, 0xD}.isdisjoint(home.table.segids())
+    assert home.table.lookup(0xB) == [("s02", 1)]
+    home.table.update(0xE, "gone", 1, 1, 100, dep.sim.now - 1e6)
+    assert follows(home.purge) == []
+    assert 0xE not in home.table and 0xB in home.table
+    home._recheck_pending.add(0xB)
+    home._trim_pending.add(0xB)
+    assert follows(home.reset) == [] and len(home.table) == 0
+    assert home._recheck_pending == home._trim_pending == {0xB}
 
 
 # ------------------------------------------------------------- repair
@@ -268,12 +302,12 @@ class _FlatRepairHistory:
         }
 
 
-def _drive_both_histories(provider, seed, n_segments, n_hosts, max_step):
-    """One random throttle history through the provider's index and the
+def _drive_both_histories(home, seed, n_segments, n_hosts, max_step):
+    """One random throttle history through the home host's index and the
     flat oracle: same verdicts, same in-flight replication sets.  Returns
     whether the index shrank on the way (its prune dropped something)."""
-    provider._repair_recent = {}
-    flat = _FlatRepairHistory(provider.params.repair_cooldown)
+    home._repair_recent = {}
+    flat = _FlatRepairHistory(home.params.repair_cooldown)
     rng = random.Random(seed)
     hosts = [f"h{i}" for i in range(n_hosts)]
     now = 0.0
@@ -283,38 +317,38 @@ def _drive_both_histories(provider, seed, n_segments, n_hosts, max_step):
         segid = rng.randrange(n_segments)
         action = rng.choice(("repl", "repl", "sync", "trim"))
         host = rng.choice(hosts)
-        groups = len(provider._repair_recent)
-        assert provider._repair_throttled(segid, action, host, now) \
+        groups = len(home._repair_recent)
+        assert home._repair_throttled(segid, action, host, now) \
             == flat.throttled(segid, action, host, now)
-        pruned = pruned or len(provider._repair_recent) < groups
+        pruned = pruned or len(home._repair_recent) < groups
         if step % 16 == 0:
             probe = rng.randrange(n_segments)
             owners = set(rng.sample(hosts, rng.randrange(n_hosts)))
-            assert provider._sent_recently(probe, "repl", now) - owners \
+            assert home._sent_recently(probe, "repl", now) - owners \
                 == flat.pending(probe, owners, now)
     return pruned
 
 
 @pytest.fixture(scope="module")
-def repair_provider():
-    return deploy().providers["s00"]
+def repair_home():
+    return deploy().providers["s00"].home
 
 
 @settings(max_examples=6, deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1), n_segments=st.integers(50, 8000),
        n_hosts=st.integers(2, 6), max_step=st.floats(0.006, 0.03))
 def test_indexed_repair_history_matches_the_flat_scan(
-        repair_provider, seed, n_segments, n_hosts, max_step):
+        repair_home, seed, n_segments, n_hosts, max_step):
     """Few segments: entries repeat, throttle and expire.  Many: groups
     pile up past either structure's 10 000-entry prune.  (The step keeps
     fewer than 10 000 entries inside one cooldown: past that the flat
     oracle rebuilds its dict on every insert.)"""
-    _drive_both_histories(repair_provider, seed, n_segments, n_hosts,
+    _drive_both_histories(repair_home, seed, n_segments, n_hosts,
                           max_step)
 
 
-def test_indexed_repair_history_matches_across_its_prune(repair_provider):
+def test_indexed_repair_history_matches_across_its_prune(repair_home):
     """80 simulated seconds over 8 000 segments: the index passes 10 000
     groups with most of them a cooldown old, so the prune must bite."""
-    assert _drive_both_histories(repair_provider, seed=1, n_segments=8000,
+    assert _drive_both_histories(repair_home, seed=1, n_segments=8000,
                                  n_hosts=3, max_step=0.01)

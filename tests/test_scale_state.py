@@ -99,7 +99,7 @@ def test_segment_indices_match_full_scan_after_any_schedule(ops):
                         seg.extents.set_range(0, knob, SYNTHETIC)
                     store.plant(seg)
                 elif op == "ingest":
-                    yield from store.ingest(segid, 1 + knob % 6, knob)
+                    yield from store.apply_diff(segid, 1 + knob % 6, knob)
                 elif op == "lose" and versions:
                     store.lose_segment(segid)
             except Exception:

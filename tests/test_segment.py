@@ -165,7 +165,7 @@ def test_ingest_full_replica():
     sim, store = make_store()
 
     def proc():
-        yield from store.ingest(0x12, 5, 1024, replication_degree=3)
+        yield from store.apply_diff(0x12, 5, 1024, replication_degree=3)
 
     run(sim, proc())
     seg = store.get(0x12, 5)
@@ -177,9 +177,9 @@ def test_ingest_duplicate_rejected():
     sim, store = make_store()
 
     def proc():
-        yield from store.ingest(0x13, 1, 10)
+        yield from store.apply_diff(0x13, 1, 10)
         with pytest.raises(SegmentError):
-            yield from store.ingest(0x13, 1, 10)
+            yield from store.apply_diff(0x13, 1, 10)
 
     run(sim, proc())
 

@@ -152,8 +152,8 @@ def test_export_apply_diff_roundtrip(sessions, since):
                                   src.get(SEG, from_v).size) \
             if src.get(SEG, from_v).size else b""
         old_size = src.get(SEG, from_v).size
-        yield from dst.ingest(SEG, from_v, old_size,
-                              data=old if old else None)
+        yield from dst.apply_diff(SEG, from_v, old_size,
+                                  data=old if old else None)
         # ... then applies the diff.
         regions = src.export_diff(SEG, from_v, latest.version)
         assert regions is not None

@@ -148,7 +148,7 @@ def test_bucketing_never_outlives_the_store_state_it_was_built_from(ops):
                 elif op == "shadow" and committed:
                     yield from store.create_shadow(segid, committed[-1])
                 elif op == "ingest":
-                    yield from store.ingest(segid, 1 + knob % 6, knob)
+                    yield from store.apply_diff(segid, 1 + knob % 6, knob)
                 elif op == "drop" and shadows:
                     yield from store.drop(segid, shadows[-1])
                 elif op == "drop_committed" and committed:
@@ -191,7 +191,7 @@ def test_each_store_write_path_drops_the_bucketing():
         assert dropped()                            # a create
         yield from store.commit(1, 1)
         assert dropped() and seen[-1] != seen[-2]   # a first commit
-        yield from store.ingest(2, 3, 100)
+        yield from store.apply_diff(2, 3, 100)
         assert dropped() and seen[-1] != seen[-2]   # an ingest
         yield from store.create_shadow(1, 1)
         yield from store.commit(1, 2)
@@ -225,7 +225,7 @@ def _ring_work_across_a_departure(n_segments):
     for segid, *_ in orphaned:
         home = next(h for h, entries in rehomed.items()
                     if any(e[0] == segid for e in entries))
-        assert (keeper.node.hostid, 1) in dep.providers[home].loc.lookup(segid)
+        assert (keeper.node.hostid, 1) in dep.providers[home].home.table.lookup(segid)
     work = {k: keeper.ring.stats[k] - before[k]
             for k in ("splices", "reconciles")}
     return work, len(orphaned)

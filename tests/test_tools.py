@@ -63,7 +63,7 @@ def test_orphan_detection():
     provider = next(iter(dep.providers.values()))
 
     def plant():
-        yield from provider.store.ingest(0xBAD0BAD, 1, 1024)
+        yield from provider.store.apply_diff(0xBAD0BAD, 1, 1024)
 
     dep.run(plant())
     assert 0xBAD0BAD in insp.orphaned_segments()
@@ -97,7 +97,7 @@ def test_location_audit_clean_then_ghost():
     assert audit["missing"] == []
     # Inject a ghost entry: the table claims an owner that has nothing.
     p = next(iter(dep.providers.values()))
-    p.loc.update(0xFEED, "s00", 1, 1, 100, dep.sim.now)
+    p.home.table.update(0xFEED, "s00", 1, 1, 100, dep.sim.now)
     audit = insp.location_audit()
     assert 0xFEED in audit["ghost"]
 
