@@ -221,8 +221,6 @@ def run_scale_point_partitioned(n_providers: int, n_files: int,
         "windows_per_grant": stats.windows_per_grant,
         "fallback_rounds": stats.fallback_rounds,
         "records_shipped": stats.records_shipped,
-        "shm_batches": stats.shm_batches,
-        "shm_bytes": stats.shm_bytes,
         "shm_fallbacks": stats.shm_fallbacks,
         "barrier_wall_s": round(stats.barrier_wall_s, 3),
         "busy_wall_s": [round(b, 3) for b in stats.busy_wall_s],

@@ -36,10 +36,10 @@ them with a conservative bounded-window (YAWNS-style) barrier protocol:
   same partitioned model reproduce the parallel run bit for bit.
 * **mp topology** — caller -> *leader* -> workers 1..K-1.  The leader
   hosts partition 0 and runs the grant loop, so only grants for the
-  other partitions cross a process boundary: one fixed-width control
-  frame each way over the raw pipe fd, record batches through a
-  shared-memory ring pair per worker (:class:`_ShmChannel`).  The caller
-  blocks on one pipe until the leader ships the outcome.
+  other partitions cross a process boundary: one control frame each way
+  over the raw pipe fd, a grant's inbound records and a status reply's
+  flushed outbox riding as the frame's pickled tail.  The caller blocks
+  on one pipe until the leader ships the outcome.
 
 Determinism contract: with a fixed partition map and seed, the
 ``serial`` (one Simulator hosting every partition), ``inproc`` (K
@@ -550,187 +550,37 @@ class _Worker:
         return self._status(t_end, wins)
 
 
-# ------------------------------------------- shared-memory record channel
-#: Fixed-width record header: arrive f8, src_pid u4, seq i8, size i8,
-#: req_id i8, flags u1, then the four variable-field lengths (dst, src,
-#: kind, group as u2; pickled payload as u4).  Strings are utf-8; floats
-#: round-trip exactly through ``d``, so decoded records compare equal to
-#: the originals bit for bit.
-_REC_HEAD = struct.Struct("<dIqqqBHHHHI")
-_F_REQID = 1
-_F_GROUP = 2
-_F_PAYLOAD = 4
-
-
-def _encode_records(records: Sequence[tuple]) -> bytes:
-    """Compact struct encoding of transit records (payloads pickled)."""
-    parts: List[bytes] = []
-    pack = _REC_HEAD.pack
-    dumps = pickle.dumps
-    for (arrive, src_pid, seq, dst, src, kind, payload, size,
-         group, req_id) in records:
-        flags = 0
-        if req_id is not None:
-            flags |= _F_REQID
-        g = b""
-        if group is not None:
-            flags |= _F_GROUP
-            g = group.encode()
-        p = b""
-        if payload is not None:
-            flags |= _F_PAYLOAD
-            p = dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
-        d = dst.encode()
-        s = src.encode()
-        k = kind.encode()
-        parts.append(pack(arrive, src_pid, seq, size,
-                          req_id if req_id is not None else 0, flags,
-                          len(d), len(s), len(k), len(g), len(p)))
-        parts.append(d)
-        parts.append(s)
-        parts.append(k)
-        if g:
-            parts.append(g)
-        if p:
-            parts.append(p)
-    return b"".join(parts)
-
-
-def _decode_records(buf, off: int, count: int) -> List[tuple]:
-    out = []
-    unpack = _REC_HEAD.unpack_from
-    hsz = _REC_HEAD.size
-    loads = pickle.loads
-    for _ in range(count):
-        (arrive, src_pid, seq, size, req_id, flags,
-         ld, ls, lk, lg, lp) = unpack(buf, off)
-        off += hsz
-        dst = bytes(buf[off:off + ld]).decode()
-        off += ld
-        src = bytes(buf[off:off + ls]).decode()
-        off += ls
-        kind = bytes(buf[off:off + lk]).decode()
-        off += lk
-        group = None
-        if flags & _F_GROUP:
-            group = bytes(buf[off:off + lg]).decode()
-            off += lg
-        payload = None
-        if flags & _F_PAYLOAD:
-            payload = loads(bytes(buf[off:off + lp]))
-            off += lp
-        out.append((arrive, src_pid, seq, dst, src, kind, payload, size,
-                    group, req_id if flags & _F_REQID else None))
-    return out
-
-
-class _ShmChannel:
-    """Shared-memory transit lanes between the leader and one forked worker.
-
-    Cross-cut records ride a pair of single-writer byte rings in
-    ``multiprocessing.shared_memory``: ring 0 is written by the leader
-    (the records a grant injects into the worker), ring 1 by the worker
-    (its barrier flush).  The caller of :func:`run_partitioned` creates
-    and unlinks them — a killed leader leaks nothing — but never touches
-    their pages; leader and worker inherit the mapping through fork.
-    Request and reply alternate, so a ring is always drained before its
-    writer runs again and each batch is written contiguously: at the
-    ring's running offset when it fits before the end, else wrapped to
-    offset 0.  The descriptor (offset, one ``(dst_pid, count, nbytes)``
-    section per destination) rides the control frame, whose syscall
-    ordering also fences the shared-memory writes.  A batch larger than
-    the ring travels as the frame's pickled tail (counted, never fatal).
-    """
-
-    def __init__(self, capacity: int = 1 << 22):
-        from multiprocessing import shared_memory
-
-        self.capacity = capacity
-        self._rings = [shared_memory.SharedMemory(create=True, size=capacity)
-                       for _writer in ("leader", "worker")]
-        self._off = [0, 0]
-        # Leader-side accounting (the forked worker's copies diverge).
-        self.batches = 0
-        self.bytes_shipped = 0
-        self.fallbacks = 0
-
-    def ship(self, ring: int, out: Dict[int, List[tuple]]) -> tuple:
-        """Write ``{dst_pid: records}`` to ``ring``; returns the control
-        frame's ``(off, sections, tail)`` describing it."""
-        if not out:
-            return 0, (), None
-        encs = [_encode_records(recs) for recs in out.values()]
-        n = sum(map(len, encs))
-        if n > self.capacity:
-            self.fallbacks += 1
-            return 0, (), out
-        off = self._off[ring]
-        if off + n > self.capacity:
-            off = 0
-        self._rings[ring].buf[off:off + n] = b"".join(encs)
-        self._off[ring] = off + n
-        self.batches += 1
-        self.bytes_shipped += n
-        return off, [(dst, len(recs), len(enc))
-                     for (dst, recs), enc in zip(out.items(), encs)], None
-
-    def fetch(self, ring: int, off: int, sections: Sequence[tuple],
-              tail) -> Dict[int, List[tuple]]:
-        """The ``{dst_pid: records}`` batch a received frame describes."""
-        if tail is not None:
-            self.fallbacks += 1
-            return tail
-        out: Dict[int, List[tuple]] = {}
-        buf = self._rings[ring].buf
-        for dst_pid, count, nbytes in sections:
-            out[dst_pid] = _decode_records(buf, off, count)
-            off += nbytes
-            self.bytes_shipped += nbytes
-        self.batches += bool(sections)
-        return out
-
-    def close(self, unlink: bool) -> None:
-        for shm in self._rings:
-            shm.close()
-            if unlink:
-                shm.unlink()
-
-
 # --------------------------------------------------------- control frames
 #: The one message shape on every control pipe, either direction: tag u1,
-#: done u1, section count u2, n u4 (windows executed | phase index), t f8
-#: (grant end | phase start | next event time), done_t f8, stop_t f8, shm
-#: offset i8, tail length u4; then the ``(dst_pid u4, count u4, nbytes
-#: i8)`` sections of the record batch at that offset of the writer's ring;
-#: then a pickled tail, on the rare frames only (result, error, a batch
-#: too big for its ring).  ``None`` times travel as NaN.
-_FRAME = struct.Struct("<BBHIdddqI")
-_SECTION = struct.Struct("<IIq")
+#: done u1, n u4 (windows executed | phase index), t f8 (grant end | phase
+#: start | next event time), done_t f8, stop_t f8, tail length u4; then a
+#: pickled tail when there is one: a grant's inbound record list, a status
+#: reply's ``{dst_pid: [record]}`` outbox, a result or an error.  ``None``
+#: times travel as NaN.
+_FRAME = struct.Struct("<BBIdddI")
 _WIN, _STATUS, _PHASE, _RESULT, _ERR, _STOP = range(6)
 
 
 def _encode_frame(tag: int, t=None, done=False, done_t=0.0, stop_t=None,
-                  n=0, off=0, sections=(), tail=None) -> bytes:
+                  n=0, tail=None) -> bytes:
     body = b"" if tail is None else pickle.dumps(tail, pickle.HIGHEST_PROTOCOL)
-    head = _FRAME.pack(tag, done, len(sections), n,
-                       math.nan if t is None else t, done_t,
-                       math.nan if stop_t is None else stop_t, off, len(body))
-    return b"".join([head, *(_SECTION.pack(*sec) for sec in sections), body])
+    return _FRAME.pack(tag, done, n, math.nan if t is None else t, done_t,
+                       math.nan if stop_t is None else stop_t,
+                       len(body)) + body
 
 
 def _decode_frame(buf: bytes) -> Optional[tuple]:
-    """``(tag, t, done, done_t, stop_t, n, off, sections, tail)``, or None
-    while ``buf`` is still short of a whole frame."""
-    if len(buf) < _FRAME.size:
+    """``(tag, t, done, done_t, stop_t, n, tail)``, or None while ``buf``
+    is still short of a whole frame."""
+    head = _FRAME.size
+    if len(buf) < head:
         return None
-    tag, done, nsec, n, t, done_t, stop_t, off, tail_len = _FRAME.unpack_from(buf)
-    pos = _FRAME.size + nsec * _SECTION.size
-    if len(buf) < pos + tail_len:
+    tag, done, n, t, done_t, stop_t, tail_len = _FRAME.unpack_from(buf)
+    if len(buf) < head + tail_len:
         return None
-    sections = list(_SECTION.iter_unpack(buf[_FRAME.size:pos]))
-    tail = pickle.loads(buf[pos:pos + tail_len]) if tail_len else None
+    tail = pickle.loads(buf[head:head + tail_len]) if tail_len else None
     return (tag, None if t != t else t, bool(done), done_t,
-            None if stop_t != stop_t else stop_t, n, off, sections, tail)
+            None if stop_t != stop_t else stop_t, n, tail)
 
 
 def _send(fd: int, frame: bytes) -> None:
@@ -776,22 +626,19 @@ class _LocalEndpoint:
 
 class _PipeEndpoint:
     """Leader<->forked-worker link: one control frame each way per command
-    over the raw pipe fd; record batches ride the worker's shm rings."""
+    over the raw pipe fd, record batches in its pickled tail."""
 
     remote = True
 
-    def __init__(self, pid: int, conn, proc, channel: _ShmChannel):
+    def __init__(self, pid: int, conn, proc):
         self.pid = pid
         self.conn = conn
         self.fd = conn.fileno()
         self.proc = proc
-        self.channel = channel
 
     def post(self, cmd: tuple) -> None:
         if cmd[0] == "win":
-            off, sections, tail = self.channel.ship(
-                0, {self.pid: cmd[2]} if cmd[2] else {})
-            frame = _encode_frame(_WIN, cmd[1], off=off, sections=sections, tail=tail)
+            frame = _encode_frame(_WIN, cmd[1], tail=cmd[2])
         elif cmd[0] == "phase":
             frame = _encode_frame(_PHASE, cmd[2], n=cmd[1])
         else:
@@ -808,7 +655,7 @@ class _PipeEndpoint:
             raise PartitionError(f"partition {self.pid} failed: {frame[-1]}")
         if frame[0] == _RESULT:
             return frame[-1]
-        return ("s", *frame[1:6], self.channel.fetch(1, *frame[6:]))
+        return ("s", *frame[1:6], frame[6] or {})
 
     def stop(self) -> None:
         with contextlib.suppress(ConnectionError):
@@ -819,8 +666,7 @@ class _PipeEndpoint:
             self.proc.terminate()
 
 
-def _mp_worker_main(conn, inherited, builder, args, pid: int,
-                    channel: _ShmChannel) -> None:
+def _mp_worker_main(conn, inherited, builder, args, pid: int) -> None:
     for c in inherited:     # other processes' pipe ends the fork copied:
         c.close()           # held open they would hide a death from readers
     fd = conn.fileno()
@@ -828,10 +674,9 @@ def _mp_worker_main(conn, inherited, builder, args, pid: int,
         worker = _Worker(builder(*args, local_pid=pid))
         with collector_exempt():    # once per process, never per grant
             while True:
-                tag, t, _d, _dt, _st, n, off, sections, tail = _recv(fd)
+                tag, t, _d, _dt, _st, n, tail = _recv(fd)
                 if tag == _WIN:
-                    inbound = channel.fetch(0, off, sections, tail).get(pid)
-                    reply = worker.handle(("win", t, inbound))
+                    reply = worker.handle(("win", t, tail))
                 elif tag == _PHASE:
                     reply = worker.handle(("phase", n, t))
                 elif tag == _RESULT:
@@ -840,18 +685,16 @@ def _mp_worker_main(conn, inherited, builder, args, pid: int,
                 else:
                     return
                 _send(fd, _encode_frame(_STATUS, *reply[1:6],
-                                        *channel.ship(1, reply[6])))
+                                        tail=reply[6] or None))
     except (EOFError, ConnectionError):
         pass        # the leader is gone, nobody left to tell
     except Exception as exc:  # noqa: BLE001 - ship the failure to the leader
         with contextlib.suppress(ConnectionError):
             _send(fd, _encode_frame(_ERR, tail=f"{type(exc).__name__}: {exc}"))
-    finally:
-        channel.close(unlink=False)
 
 
-def _leader_main(conn, caller_conn, channels: List[_ShmChannel], builder,
-                 args, *coordinate_args) -> None:
+def _leader_main(conn, caller_conn, n_partitions: int, builder, args,
+                 *coordinate_args) -> None:
     """The mp backend's leader process: fork workers 1..K-1, *then* build
     partition 0 (so they do not inherit its model), run the coordinator
     loop over a local endpoint plus the pipes, ship the outcome once."""
@@ -862,15 +705,15 @@ def _leader_main(conn, caller_conn, channels: List[_ShmChannel], builder,
     remotes: List[_PipeEndpoint] = []
     try:
         try:
-            for p, channel in enumerate(channels, 1):
+            for p in range(1, n_partitions):
                 mine, theirs = ctx.Pipe()
                 proc = ctx.Process(
                     target=_mp_worker_main, daemon=True,
                     args=(theirs, [conn, mine] + [ep.conn for ep in remotes],
-                          builder, args, p, channel))
+                          builder, args, p))
                 proc.start()
                 theirs.close()
-                remotes.append(_PipeEndpoint(p, mine, proc, channel))
+                remotes.append(_PipeEndpoint(p, mine, proc))
             local = _LocalEndpoint(_Worker(builder(*args, local_pid=0)))
             out = _coordinate([local] + remotes, *coordinate_args)
         finally:
@@ -890,10 +733,9 @@ def _run_under_leader(n_partitions: int, *leader_args) -> Dict[str, Any]:
     import multiprocessing as mp
 
     ctx = mp.get_context("fork")
-    channels = [_ShmChannel() for _p in range(1, n_partitions)]
     mine, theirs = ctx.Pipe()
     leader = ctx.Process(target=_leader_main,
-                         args=(theirs, mine, channels, *leader_args))
+                         args=(theirs, mine, n_partitions, *leader_args))
     leader.start()
     theirs.close()
     frame = None
@@ -905,8 +747,6 @@ def _run_under_leader(n_partitions: int, *leader_args) -> Dict[str, Any]:
             leader.terminate()
         leader.join()
         mine.close()
-        for channel in channels:
-            channel.close(unlink=True)
     if frame is None:
         raise PartitionError("partition 0 (leader) died")
     if frame[0] == _ERR:
@@ -928,9 +768,8 @@ class RunStats:
     fallback_rounds: int = 0        # always 0; kept because bench/worker.py
                                     # and CI parallel-smoke read the field
     records_shipped: int = 0
-    shm_batches: int = 0            # record batches through the shm channel
-    shm_bytes: int = 0
-    shm_fallbacks: int = 0          # batches too big for the ring (pipe)
+    shm_fallbacks: int = 0          # always 0; kept because bench/worker.py
+                                    # reads the field
     wall_s: float = 0.0
     barrier_wall_s: float = 0.0     # coordinator time around window rounds
     busy_wall_s: List[float] = field(default_factory=list)
@@ -1174,11 +1013,6 @@ def _coordinate(endpoints: List[Any], L: float, phase_meta, stats: RunStats,
     stats.events = [r["events"] for r in replies]
     if stats.grants:
         stats.windows_per_grant = round(stats.windows / stats.grants, 3)
-    for ep in endpoints:
-        if ep.remote:
-            stats.shm_batches += ep.channel.batches
-            stats.shm_bytes += ep.channel.bytes_shipped
-            stats.shm_fallbacks += ep.channel.fallbacks
     return {
         "results": [r["result"] for r in replies],
         "clocks": [r["clock"] for r in replies],

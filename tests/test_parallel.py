@@ -9,10 +9,10 @@ results — down to per-session completion timestamps, which are floats
 and therefore only equal when every event interleaving matches.
 """
 
-import glob
 import math
 import multiprocessing
 import os
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -35,7 +35,8 @@ from repro.sim.parallel import (
     _encode_frame,
     _grid_ceil,
     _grid_next,
-    _ShmChannel,
+    _recv,
+    _send,
     plan_partitions,
     refine,
     run_partitioned,
@@ -155,7 +156,6 @@ def test_mp_backend_matches_serial(k, ipc_round_trips):
     assert mp["stats"].ipc_round_trips == ipc_round_trips == sum(
         t["grants"] for t in mp["transit"][1:])
     assert mp["stats"].grants == sum(t["grants"] for t in mp["transit"])
-    assert mp["stats"].shm_batches > 0
 
 
 def test_fig10_partitioned_golden():
@@ -284,46 +284,51 @@ def test_posted_inbound_is_never_the_live_pending_list(monkeypatch):
 # ---------------------------------------------------------- control frames
 _TIMES = st.one_of(st.none(), st.just(math.inf),
                    st.floats(0, 1e7, allow_nan=False))
-_SECTIONS = st.lists(st.tuples(st.integers(0, 7), st.integers(0, 2**32 - 1),
-                               st.integers(0, 2**40)), max_size=8)
+_RECORDS = st.lists(st.tuples(
+    st.floats(0, 9), st.integers(0, 7), st.integers(0, 2**40), st.text(),
+    st.text(), st.text(), st.one_of(st.none(), st.binary()),
+    st.integers(0, 2**20), st.one_of(st.none(), st.text()),
+    st.one_of(st.none(), st.integers(0, 2**40))))
+_TAILS = st.one_of(st.none(), _RECORDS, st.dictionaries(st.integers(0, 7),
+                                                        _RECORDS),
+                   st.text())
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 5), _TIMES, st.booleans(), st.floats(0, 1e7), _TIMES,
-       st.integers(0, 2**32 - 1), st.integers(0, 2**40), _SECTIONS,
-       st.one_of(st.none(), st.text(), st.dictionaries(
-           st.integers(0, 7), st.lists(st.tuples(st.floats(0, 9), st.text())))))
-def test_control_frame_round_trip(tag, t, done, done_t, stop_t, n, off,
-                                  sections, tail):
+       st.integers(0, 2**32 - 1), _TAILS)
+def test_control_frame_round_trip(tag, t, done, done_t, stop_t, n, tail):
     """Every field survives the codec, ``None`` times included (NaN on
-    the wire, never in the decoded frame); a frame cut short decodes to
-    None rather than to garbage."""
-    frame = _encode_frame(tag, t, done, done_t, stop_t, n, off, sections, tail)
-    assert _decode_frame(frame) == (tag, t, done, done_t, stop_t, n, off,
-                                    sections, tail)
+    the wire, never in the decoded frame), and so does the tail: a
+    grant's record list, a status reply's ``{dst_pid: [record]}`` outbox,
+    a result or nothing.  A frame cut short decodes to None rather than
+    to garbage."""
+    frame = _encode_frame(tag, t, done, done_t, stop_t, n, tail)
+    assert _decode_frame(frame) == (tag, t, done, done_t, stop_t, n, tail)
     assert _decode_frame(frame[:-1]) is None
-    assert (len(frame) == _FRAME.size) == (not sections and tail is None)
+    assert (len(frame) == _FRAME.size) == (tail is None)
 
 
-def test_batch_larger_than_the_ring_rides_the_frame_tail():
-    rec = (1.5, 0, 1, "s01", "c00", "seg_write", {"data": b"x" * 300}, 300,
-           None, 7)
-    channel = _ShmChannel(capacity=1024)
+def test_a_record_batch_past_the_pipe_buffer_crosses_intact():
+    """The path every record batch takes: ``_send`` -> ``_recv`` over a
+    real pipe, with a tail past both the 64 KB pipe buffer (the writer
+    blocks until the reader drains) and ``_recv``'s first 4 096-byte
+    read."""
+    out = {dst: [(1.5 + seq, 0, seq, f"s{dst:02d}", "c00", "seg_write",
+                  {"data": bytes([seq % 256]) * 300}, 300, None, seq)
+                 for seq in range(dst, 500, 2)] for dst in (1, 2)}
+    frame = _encode_frame(1, 2.0, True, 1.25, None, 3, out)
+    assert len(frame) > 65536 + 4096
+    r, w = os.pipe()
+    writer = threading.Thread(target=_send, args=(w, frame), daemon=True)
+    writer.start()
     try:
-        small = {1: [rec]}
-        off, sections, tail = channel.ship(0, small)
-        assert tail is None and [s[:2] for s in sections] == [(1, 1)]
-        assert channel.fetch(0, off, sections, tail) == small
-        assert (channel.batches, channel.fallbacks) == (2, 0)
-        big = {1: [rec] * 4, 2: [rec]}
-        off, sections, tail = channel.ship(1, big)
-        assert (off, sections, tail) == (0, (), big)
-        frame = _decode_frame(_encode_frame(1, 2.0, off=off, sections=sections,
-                                            tail=tail))
-        assert channel.fetch(1, *frame[-3:]) == big
-        assert (channel.batches, channel.fallbacks) == (2, 2)
+        got = _recv(r)
     finally:
-        channel.close(unlink=True)
+        os.close(r)     # a writer still blocked on a full pipe gets EPIPE
+        writer.join(timeout=10)
+        os.close(w)
+    assert got == (1, 2.0, True, 1.25, None, 3, out)
 
 
 # ------------------------------------------------------- failure handling
@@ -353,13 +358,11 @@ def _builder_dying_in(victim):
 def test_mp_failure_names_the_partition_and_leaves_nothing(builder, message):
     """A builder exception, a worker killed mid-run and a dead leader all
     surface in the caller as an error naming the partition — never a
-    hang — with every process reaped and every shm ring unlinked."""
-    rings = set(glob.glob("/dev/shm/psm_*"))
+    hang — with every process reaped."""
     children = set(multiprocessing.active_children())
     with pytest.raises(PartitionError, match=message):
         _scale_run(_scale_pmap(3), "mp", builder)
     assert set(multiprocessing.active_children()) == children
-    assert set(glob.glob("/dev/shm/psm_*")) == rings
 
 
 # ------------------------------------------------------ substrate details
