@@ -33,7 +33,6 @@ class NodeSpec:
     disks: tuple = ()              # DISK_SPECS keys; empty = no exported storage
     export_capacity: int = 0       # bytes exported to the storage volume
     nic_rate: float = FAST_ETHERNET_BPS
-    rack: str = ""                 # grouping label for plan_partitions
 
     @property
     def exports_storage(self) -> bool:

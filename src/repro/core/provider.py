@@ -22,7 +22,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.core.hashing import HashRing
 from repro.core.locality import LOCALITY_THRESHOLD, AccessHistory
 from repro.core.location import PURGE_AGE_FACTOR, LocationTable
-from repro.core.membership import MembershipManager
+from repro.core.membership import HEARTBEAT_GROUP, MembershipManager
 from repro.core.migration import decide_migration
 from repro.core.params import SorrentoParams
 from repro.core.placement import choose_provider
@@ -227,6 +227,11 @@ class StorageProvider:
         "seg_replicate", "seg_trim", "loc_lookup",
         "loc_update", "loc_refresh", "loc_probe",
     )
+    #: Every multicast group a provider joins (heartbeat through its
+    #: MembershipManager).  A dormant shell of another partition's
+    #: provider joins them too, so a multicast sent in this partition
+    #: reaches the owner through the transit.
+    GROUPS = (HEARTBEAT_GROUP, LOCATION_GROUP)
 
     def __init__(self, node, volume: str, params: Optional[SorrentoParams] = None,
                  rng: Optional[random.Random] = None):

@@ -84,8 +84,7 @@ class SorrentoDeployment:
             from repro.sim.parallel import Transit
 
             self.transit = Transit(self.sim, self.fabric, pmap,
-                                   local_pid=local_pid,
-                                   registry=self.metrics)
+                                   local_pid=local_pid)
             self.fabric.transit = self.transit
 
         def _dormant(name: str) -> bool:
@@ -150,7 +149,10 @@ class SorrentoDeployment:
             if node.dormant:
                 # Another partition's provider: the shell node is enough
                 # (its daemons, store, and location table live — and use
-                # memory — only in the worker that owns the partition).
+                # memory — only in the worker that owns the partition),
+                # once it is in the groups the provider would join.
+                for group in StorageProvider.GROUPS:
+                    node.runtime.subscribe(group)
                 continue
             self.providers[name] = StorageProvider(
                 node, self.config.volume, self.params,

@@ -15,7 +15,9 @@ builder therefore follows two rules:
 
 * **Construct everything everywhere.**  Each worker builds the full
   deployment — remote hosts as dormant shells — so construction order
-  and every named RNG stream match the serial build exactly.
+  and every named RNG stream match the serial build exactly.  A shell
+  joins the multicast groups its host would join, so a group send
+  reaches the same hosts on every backend.
 * **Draw everything everywhere.**  Workload generators consume their
   RNG sequences in full on every worker and only *spawn* processes for
   hosts the worker owns, so a draw never shifts between backends.
@@ -49,7 +51,6 @@ from repro.sim.parallel import (
     DEFAULT_CROSS_LATENCY,
     PartitionMap,
     plan_partitions,
-    refine,
     run_partitioned,
 )
 from repro.workloads.smallfile import session_loop
@@ -58,13 +59,12 @@ from repro.workloads.smallfile import session_loop
 def partition_for_spec(spec: ClusterSpec, n_partitions: int,
                        cross_latency: float = DEFAULT_CROSS_LATENCY,
                        ) -> PartitionMap:
-    """The planned cut for a cluster spec: storage chunked along rack
-    (switch) boundaries, compute stubs spread round-robin."""
+    """The planned cut for a cluster spec: storage chunked in spec order
+    (switch boundaries), compute stubs spread round-robin."""
     storage = [n.name for n in spec.storage_nodes]
     compute = [n.name for n in spec.compute_nodes]
-    racks = {n.name: n.rack for n in spec.nodes if n.rack} or None
     return plan_partitions(storage, compute, n_partitions,
-                           racks=racks, cross_latency=cross_latency)
+                           cross_latency=cross_latency)
 
 
 def _digest(obj) -> str:
@@ -115,15 +115,14 @@ def _scale_session(client, idx, path, delay, counters, rows):
         rows.append((idx, client.sim.now, 0))
 
 
-def build_scale_program(point, seed, probe, pmap,
+def build_scale_program(point, seed, pmap,
                         local_pid: Optional[int] = None) -> _PartitionProgram:
-    """One partition's share of a scale-suite point (top-level for mp);
-    ``probe`` plants the adapt probe's capped file population."""
+    """One partition's share of a scale-suite point (top-level for mp)."""
     n_providers, n_files, n_sessions, duration = point
     dep = SorrentoDeployment(scale_spec(n_providers), SorrentoConfig(
         params=scale_params(n_providers), seed=seed,
         partition=pmap, local_partition=local_pid))
-    fpt = files_per_tenant(n_files, probe)
+    fpt = files_per_tenant(n_files)
     counters = {"done": 0, "failed": 0}
     rows = []
 
@@ -165,7 +164,6 @@ def run_scale_point_partitioned(n_providers: int, n_files: int,
                                 seed: int = 0, workers: int = 2,
                                 backend: str = "mp",
                                 cross_latency: Optional[float] = None,
-                                adapt: bool = False,
                                 ) -> Dict[str, object]:
     """One scale point under the partitioned kernel; returns a metrics
     row shaped like :func:`repro.experiments.scale.run_point`'s, plus
@@ -178,21 +176,9 @@ def run_scale_point_partitioned(n_providers: int, n_files: int,
     pmap = partition_for_spec(spec, workers, cross_latency=xlat)
     warm = params.join_refresh_delay_max + 1.0
     phase_meta = [("until", warm), ("call", None), ("procs", None)]
-    moves = 0
-    if adapt and workers > 1:
-        # Self-clustering: a short serial probe of the same partitioned
-        # model yields the cross-edge traffic matrix; refine() migrates
-        # the chattering hosts before the real (possibly forked) run.
-        probe_point = (n_providers, n_files,
-                       max(64, n_sessions // 8), min(2.0, duration))
-        probe = run_partitioned(
-            build_scale_program, (probe_point, seed, True, pmap), pmap,
-            phase_meta, backend="serial", fabric_latency=spec.latency)
-        pmap, moves = refine(pmap, probe["traffic_out"],
-                             probe["traffic_in"])
     point = (n_providers, n_files, n_sessions, duration)
     out = run_partitioned(
-        build_scale_program, (point, seed, False, pmap), pmap,
+        build_scale_program, (point, seed, pmap), pmap,
         phase_meta, backend=backend, fabric_latency=spec.latency)
     stats = out["stats"]
     meas = stats.phase_log[2]
@@ -219,13 +205,10 @@ def run_scale_point_partitioned(n_providers: int, n_files: int,
         "windows": stats.windows,
         "grants": stats.grants,
         "windows_per_grant": stats.windows_per_grant,
-        "fallback_rounds": stats.fallback_rounds,
         "records_shipped": stats.records_shipped,
-        "shm_fallbacks": stats.shm_fallbacks,
         "barrier_wall_s": round(stats.barrier_wall_s, 3),
         "busy_wall_s": [round(b, 3) for b in stats.busy_wall_s],
         "worker_events": stats.events,
-        "refine_moves": moves,
         "digest": _digest(rows),
     }
 

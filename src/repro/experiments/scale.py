@@ -21,7 +21,7 @@ Runs standalone::
 
     python -m repro.experiments.scale [--quick] [--point N]
         [--files F] [--sessions S] [--duration D] [--json]
-        [--workers N] [--backend mp|inproc|serial] [--adapt]
+        [--workers N] [--backend mp|inproc|serial]
         [--cross-latency S] [--budget-wall S] [--budget-rss-mb M]
 
 ``--workers N`` runs the point on the conservative-parallel kernel:
@@ -152,8 +152,8 @@ def run_point(n_providers: int, n_files: int, n_sessions: int,
 
 def run(points: Optional[Sequence[Tuple[int, int, int, float]]] = None,
         quick: bool = False, seed: int = 0, workers: int = 0,
-        backend: str = "mp", adapt: bool = False,
-        cross_latency: Optional[float] = None) -> Dict[int, Dict[str, float]]:
+        backend: str = "mp", cross_latency: Optional[float] = None,
+        ) -> Dict[int, Dict[str, float]]:
     """Returns {n_providers: metrics row}.
 
     With ``workers > 0`` each point runs on the conservative-parallel
@@ -173,8 +173,7 @@ def run(points: Optional[Sequence[Tuple[int, int, int, float]]] = None,
             )
             results[n_providers] = run_scale_point_partitioned(
                 n_providers, n_files, n_sessions, duration, seed=seed,
-                workers=workers, backend=backend, adapt=adapt,
-                cross_latency=cross_latency)
+                workers=workers, backend=backend, cross_latency=cross_latency)
         else:
             results[n_providers] = run_point(
                 n_providers, n_files, n_sessions, duration, seed=seed)
@@ -229,9 +228,6 @@ def _cli(argv=None) -> int:
                         help="parallel backend: forked processes, "
                              "round-robin in-process loops, or the serial "
                              "reference execution of the partitioned model")
-    parser.add_argument("--adapt", action="store_true",
-                        help="self-clustering: refine the partition map "
-                             "from a short serial traffic probe first")
     parser.add_argument("--cross-latency", type=float, default=None,
                         help="extra one-way seconds on cut edges "
                              "(default: repro.sim.parallel uplink model)")
@@ -251,8 +247,7 @@ def _cli(argv=None) -> int:
                    args.duration or d) for n, f, s, d in points]
 
     results = run(points=points, seed=args.seed, workers=args.workers,
-                  backend=args.backend, adapt=args.adapt,
-                  cross_latency=args.cross_latency)
+                  backend=args.backend, cross_latency=args.cross_latency)
     if args.json:
         for n in sorted(results):
             print(json.dumps(results[n]))

@@ -29,16 +29,9 @@ READ_SIZE = 8 * KB
 N_CLIENT_STUBS = 16
 ARRIVAL_BINS = 96
 
-#: Per-tenant file cap for the ``adapt`` probe (a short serial run whose
-#: only product is the cross-partition traffic matrix): the sessions only
-#: ever open a handful of hot files per tenant, so the probe plants a
-#: small population instead of paying the full preload twice.
-SMOKE_FILES_PER_TENANT = 32
 
-
-def files_per_tenant(n_files: int, probe: bool = False) -> int:
-    fpt = max(1, n_files // N_TENANTS)
-    return min(fpt, SMOKE_FILES_PER_TENANT) if probe else fpt
+def files_per_tenant(n_files: int) -> int:
+    return max(1, n_files // N_TENANTS)
 
 
 def scale_params(n_providers: int) -> SorrentoParams:

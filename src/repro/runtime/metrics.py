@@ -30,14 +30,6 @@ CACHE = "cache"
 #: everything except flushes is counted through ``observe_oneway``.
 DISK = "disk"
 
-#: Scope for cross-partition traffic under the conservative-parallel
-#: kernel: one ``"p<src>->p<dst>"`` service per directed cut edge,
-#: counted through ``observe_oneway`` (record count + wire bytes) by
-#: ``repro.sim.parallel.Transit`` when the deployment's registry is
-#: wired.  The string literal lives in that module too
-#: (``PARTITION_SCOPE``) so the sim layer never imports the runtime.
-PARTITION = "partition"
-
 
 #: Latency histogram shape: log-linear over whole microseconds — 16 exact
 #: buckets below 16 us, then 8 linear sub-buckets per power of two (a

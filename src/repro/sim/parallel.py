@@ -19,6 +19,8 @@ them with a conservative bounded-window (YAWNS-style) barrier protocol:
   reserving the receiver's rx link at drain time.  Drain wakes are
   priority-2 events, so at any instant every ordinary (priority <= 1)
   local event runs before any drain, in serial and parallel runs alike.
+  Each record is counted once, at its sender (``traffic_out``, reported
+  per cut edge as ``cross_matrix``).
 * **Grant engine** — time advances in grid-aligned windows (multiples
   of ``L``), granted in *batches*: worker ``V`` cannot act before the
   chained bound ``ea(V) = min(its next event, earliest record held for
@@ -49,10 +51,6 @@ host, hence identical results.  Installing a map *changes the model*
 (cross-partition messages become store-and-forward with the uplink
 latency added), so unpartitioned goldens are untouched; partitioned
 scenarios pin their own.
-
-An adaptive re-clustering pass (:func:`refine`) migrates chattering
-hosts into the partition they talk to most, using the observed
-cross-edge traffic matrix — the self-clustering heuristic.
 """
 
 from __future__ import annotations
@@ -80,8 +78,9 @@ from repro.sim.kernel import Simulator, collector_exempt
 #: models explicitly (4x the intra-switch 80us port-to-port latency).
 DEFAULT_CROSS_LATENCY = 320e-6
 
-#: Metrics scope for cross-partition traffic (see repro.runtime.metrics).
-PARTITION_SCOPE = "partition"
+#: Sim seconds past which a phase is taken to be running away (a model
+#: that never lets its processes finish), not merely slow.
+HORIZON = 1e7
 
 
 # ----------------------------------------------------------- partition map
@@ -112,9 +111,6 @@ class PartitionMap:
         """Minimum cross-partition delivery delay — the window grid unit."""
         return fabric_latency + self.cross_latency
 
-    def members(self, pid: int) -> List[str]:
-        return [h for h, p in self.assignment.items() if p == pid]
-
     def sizes(self) -> List[int]:
         sizes = [0] * self.n_partitions
         for p in self.assignment.values():
@@ -128,24 +124,16 @@ class PartitionMap:
 
 def plan_partitions(storage_hosts: Sequence[str], compute_hosts: Sequence[str],
                     n_partitions: int,
-                    racks: Optional[Mapping[str, str]] = None,
                     cross_latency: float = DEFAULT_CROSS_LATENCY) -> PartitionMap:
-    """A deterministic initial cut along switch/rack boundaries.
+    """A deterministic cut along switch boundaries.
 
-    Storage hosts are chunked contiguously (rack labels, when present,
-    group hosts first, approximating one switch per rack); compute hosts
-    are spread round-robin so every partition drives a share of the
-    client load.  :func:`refine` improves the cut from observed traffic.
+    Storage hosts are chunked contiguously in spec order (neighbours in
+    the spec share a switch); compute hosts are spread round-robin so
+    every partition drives a share of the client load.
     """
     if n_partitions < 1:
         raise ValueError("n_partitions must be >= 1")
     storage = list(storage_hosts)
-    if racks:
-        # Stable grouping: racks in first-seen order, hosts in spec order.
-        order: Dict[str, List[str]] = {}
-        for h in storage:
-            order.setdefault(racks.get(h, ""), []).append(h)
-        storage = [h for group in order.values() for h in group]
     assignment: Dict[str, int] = {}
     base, rem = divmod(len(storage), n_partitions)
     i = 0
@@ -175,12 +163,12 @@ class Transit:
     """
 
     def __init__(self, sim: Simulator, fabric, pmap: PartitionMap,
-                 local_pid: Optional[int] = None, registry=None):
+                 local_pid: Optional[int] = None):
         self.sim = sim
         self.fabric = fabric
         self.pmap = pmap
         self.local_pid = local_pid
-        self.registry = registry
+        self.is_cross = pmap.is_cross
         self._assign = pmap.assignment
         self._heap: List[tuple] = []
         self._seq = [0] * pmap.n_partitions
@@ -189,32 +177,18 @@ class Transit:
         self.outbox: Optional[Dict[int, List[tuple]]] = (
             {p: [] for p in range(pmap.n_partitions)}
             if local_pid is not None else None)
-        # Counters + cross-edge traffic matrices (for refine/inspector).
         self.records_out = 0
         self.records_in = 0
         self.wakes = 0
         self.delivered = 0
         self.dropped = 0
-        # Grant-protocol accounting (filled by the worker loop): how many
-        # window grants this partition received, how many grid windows
-        # they covered, and how many of those actually contained events.
-        self.grants = 0
-        self.windows_granted = 0
-        self.windows_executed = 0
+        # (sending host, destination partition) -> [records, wire bytes]:
+        # the one count of cross-partition traffic.
         self.traffic_out: Dict[Tuple[str, int], List[int]] = {}
-        self.traffic_in: Dict[Tuple[str, int], List[int]] = {}
 
     @property
     def lookahead(self) -> float:
         return self.pmap.lookahead(self.fabric.latency)
-
-    def is_cross(self, a: str, b: str) -> bool:
-        m = self._assign
-        pa = m.get(a)
-        if pa is None:
-            return False
-        pb = m.get(b)
-        return pb is not None and pa != pb
 
     # -- sending side ---------------------------------------------------
     def submit(self, msg, copies: List[Tuple[str, float]], tx_done: float) -> None:
@@ -224,7 +198,6 @@ class Transit:
         src_pid = assign[msg.src]
         base = tx_done + self.fabric.latency + self.pmap.cross_latency
         wire = msg.size + HEADER_BYTES
-        registry = self.registry
         seq = self._seq[src_pid]
         for hostid, extra in copies:
             seq += 1
@@ -236,9 +209,6 @@ class Transit:
                 cell = self.traffic_out[(msg.src, dst_pid)] = [0, 0]
             cell[0] += 1
             cell[1] += wire
-            if registry is not None:
-                registry.stats(PARTITION_SCOPE,
-                               f"p{src_pid}->p{dst_pid}").observe_oneway(wire)
             if self.outbox is None:
                 self._push(rec)
             else:
@@ -293,12 +263,7 @@ class Transit:
             self._wake_at(heap[0][0])
 
     def _deliver(self, rec: tuple) -> None:
-        arrive, src_pid, _seq, dst_id, src_id, kind, payload, size, group, req_id = rec
-        cell = self.traffic_in.get((dst_id, src_pid))
-        if cell is None:
-            cell = self.traffic_in[(dst_id, src_pid)] = [0, 0]
-        cell[0] += 1
-        cell[1] += size + HEADER_BYTES
+        arrive, _src_pid, _seq, dst_id, src_id, kind, payload, size, group, req_id = rec
         fabric = self.fabric
         dst = fabric.hosts.get(dst_id)
         if dst is None or not dst.alive or dst.deliver is None:
@@ -343,81 +308,8 @@ class Transit:
             "wakes": self.wakes,
             "delivered": self.delivered,
             "dropped": self.dropped,
-            "grants": self.grants,
-            "windows_granted": self.windows_granted,
-            "windows_executed": self.windows_executed,
-            "windows_per_grant": round(self.windows_granted / self.grants, 3)
-            if self.grants else 0.0,
             "cross_matrix": self.cross_matrix(),
         }
-
-
-# ------------------------------------------------- adaptive re-clustering
-def merge_traffic(parts: Sequence[Mapping[Tuple[str, int], Sequence[int]]],
-                  ) -> Dict[Tuple[str, int], List[int]]:
-    merged: Dict[Tuple[str, int], List[int]] = {}
-    for part in parts:
-        for key, (cnt, nbytes) in part.items():
-            cell = merged.get(key)
-            if cell is None:
-                merged[key] = [cnt, nbytes]
-            else:
-                cell[0] += cnt
-                cell[1] += nbytes
-    return merged
-
-
-def refine(pmap: PartitionMap,
-           traffic_out: Mapping[Tuple[str, int], Sequence[int]],
-           traffic_in: Mapping[Tuple[str, int], Sequence[int]],
-           slack: float = 0.25,
-           max_moves: Optional[int] = None) -> Tuple[PartitionMap, int]:
-    """One self-clustering pass: migrate chattering hosts into the
-    partition they exchange the most messages with.
-
-    ``traffic_out[(host, pid)]`` counts records host sent *to* partition
-    pid; ``traffic_in[(host, pid)]`` counts records host received *from*
-    pid (both as ``[records, bytes]``).  Hosts are visited in order of
-    decreasing cross-partition traffic and moved greedily to their
-    highest-affinity partition, subject to a balance cap of
-    ``avg_size * (1 + slack)`` hosts per partition.  Deterministic:
-    ties break on hostid.
-    """
-    P = pmap.n_partitions
-    affinity: Dict[str, List[float]] = {}
-    for (host, pid), (cnt, _b) in traffic_out.items():
-        affinity.setdefault(host, [0.0] * P)[pid] += cnt
-    for (host, pid), (cnt, _b) in traffic_in.items():
-        affinity.setdefault(host, [0.0] * P)[pid] += cnt
-    assignment = dict(pmap.assignment)
-    sizes = pmap.sizes()
-    cap = math.ceil(len(assignment) / P * (1.0 + slack))
-
-    def cross_traffic(host: str) -> float:
-        aff = affinity.get(host)
-        if aff is None:
-            return 0.0
-        own = assignment.get(host)
-        return sum(a for p, a in enumerate(aff) if p != own)
-
-    moves = 0
-    for host in sorted(affinity, key=lambda h: (-cross_traffic(h), h)):
-        cur = assignment.get(host)
-        if cur is None:
-            continue
-        aff = affinity[host]
-        best = max(range(P), key=lambda p: (aff[p], -p))
-        if best == cur or aff[best] <= aff[cur]:
-            continue
-        if sizes[best] + 1 > cap:
-            continue
-        assignment[host] = best
-        sizes[cur] -= 1
-        sizes[best] += 1
-        moves += 1
-        if max_moves is not None and moves >= max_moves:
-            break
-    return PartitionMap(assignment, P, pmap.cross_latency), moves
 
 
 # ------------------------------------------------------------ window math
@@ -467,8 +359,6 @@ class _Worker:
                     "clock": self.sim.now,
                     "busy_wall_s": self.busy_wall,
                     "transit": self.transit.stats_dict(),
-                    "traffic_out": self.transit.traffic_out,
-                    "traffic_in": self.transit.traffic_in,
                 }
             raise ValueError(f"unknown worker command {op!r}")
         finally:
@@ -532,9 +422,6 @@ class _Worker:
             self.transit.inject(inbound)
         sim = self.sim
         L = self._L
-        tr = self.transit
-        tr.grants += 1
-        tr.windows_granted += max(0, round((t_end - self._pos) / L))
         wins = 0
         while True:
             wins += sim.run_window(t_end, L)
@@ -545,7 +432,6 @@ class _Worker:
                     t_end = stop
                 continue
             break
-        tr.windows_executed += wins
         self._pos = t_end
         return self._status(t_end, wins)
 
@@ -780,9 +666,7 @@ class RunStats:
 def run_partitioned(builder: Callable, args: tuple, pmap: PartitionMap,
                     phase_meta: Sequence[Tuple[str, Optional[float]]],
                     backend: str = "serial",
-                    fabric_latency: Optional[float] = None,
-                    horizon: float = 1e7,
-                    max_grant_windows: Optional[int] = None) -> Dict[str, Any]:
+                    fabric_latency: Optional[float] = None) -> Dict[str, Any]:
     """Execute a phased partition program under conservative grants.
 
     ``builder(*args, local_pid=...)`` constructs one partition program: an
@@ -809,17 +693,17 @@ def run_partitioned(builder: Callable, args: tuple, pmap: PartitionMap,
     ea(V))`` without ever receiving a record in its executed past.
     Workers with no work below their grant are advanced
     silently — an empty window never touches the worker, so skipping
-    the round trip is exactly equivalent.  ``max_grant_windows`` caps
-    the windows of *potential work* per grant (``None`` = adaptive,
-    doubling on quiet inbound, halving on traffic); 1 reproduces
-    single-window execution.
+    the round trip is exactly equivalent.  The windows of *potential
+    work* per grant are capped per worker, adaptively: the cap doubles
+    after a grant with no inbound records and halves after one with
+    some.  A phase that reaches :data:`HORIZON` raises.
 
     Returns ``{"results": [per-partition result dicts], "stats": RunStats,
-    "traffic_out"/"traffic_in": merged matrices}``.
+    "transit": [per-partition Transit.stats_dict()], "clocks", "peaks"}``.
     """
     t_wall0 = time.perf_counter()
     stats = RunStats(backend=backend, n_partitions=pmap.n_partitions)
-    rest = (phase_meta, stats, horizon, max_grant_windows)
+    rest = (phase_meta, stats)
     if backend == "mp":
         if fabric_latency is None:
             raise ValueError("mp backend needs fabric_latency for lookahead")
@@ -838,15 +722,14 @@ def run_partitioned(builder: Callable, args: tuple, pmap: PartitionMap,
 
 
 @collector_exempt()
-def _coordinate(endpoints: List[Any], L: float, phase_meta, stats: RunStats,
-                horizon: float, max_grant_windows) -> Dict[str, Any]:
+def _coordinate(endpoints: List[Any], L: float, phase_meta,
+                stats: RunStats) -> Dict[str, Any]:
     """The grant loop of :func:`run_partitioned` over ready endpoints
     (endpoint ``i`` drives partition ``i``); returns its result dict.
     Exempt once for the whole loop, like a forked worker's serve loop."""
     n = len(endpoints)
     INF = math.inf
-    adaptive = max_grant_windows is None
-    cap = [8 if adaptive else max(1, max_grant_windows)] * n
+    cap = [8] * n
     # Per-endpoint coordination state.  ``pos[i]`` is the grant frontier:
     # endpoint i has executed every event below it and nothing at/after.
     pos = [0.0] * n
@@ -919,9 +802,9 @@ def _coordinate(endpoints: List[Any], L: float, phase_meta, stats: RunStats,
                 raise RuntimeError(
                     f"phase {idx}: processes pending but no events "
                     "in any partition (deadlock)")
-            if t_min > horizon:
+            if t_min > HORIZON:
                 raise RuntimeError(
-                    f"phase {idx}: exceeded horizon {horizon}s")
+                    f"phase {idx}: exceeded horizon {HORIZON}s")
             # Earliest possible *action* per endpoint, chained
             # through the cut: a worker with no imminent event can
             # still react to the earliest actor's sends one lookahead
@@ -987,9 +870,9 @@ def _coordinate(endpoints: List[Any], L: float, phase_meta, stats: RunStats,
                 if inbound:
                     pending[i] = []
                     pending_min[i] = INF
-                    if adaptive and cap[i] > 1:
+                    if cap[i] > 1:
                         cap[i] >>= 1
-                elif adaptive and cap[i] < 4096:
+                elif cap[i] < 4096:
                     cap[i] <<= 1
                 stats.grants += 1
                 stats.ipc_round_trips += endpoints[i].remote
@@ -1018,7 +901,5 @@ def _coordinate(endpoints: List[Any], L: float, phase_meta, stats: RunStats,
         "clocks": [r["clock"] for r in replies],
         "peaks": [r.get("peak_pending", 0) for r in replies],
         "transit": [r["transit"] for r in replies],
-        "traffic_out": merge_traffic([r["traffic_out"] for r in replies]),
-        "traffic_in": merge_traffic([r["traffic_in"] for r in replies]),
         "stats": stats,
     }

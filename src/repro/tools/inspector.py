@@ -266,11 +266,9 @@ class ClusterInspector:
 
         Empty dict when no partition map is installed (the common case).
         Reports the partition layout, this worker's transit counters, and
-        the cross-edge traffic matrix (``"p0->p1" -> [records, bytes]``)
-        — the same matrix :func:`repro.sim.parallel.refine` clusters on.
+        the cross-edge traffic matrix (``"p0->p1" -> [records, bytes]``).
         In worker mode the numbers cover this partition's sends/receives;
-        the coordinator's merged view lives in ``run_partitioned``'s
-        result.
+        ``run_partitioned``'s result carries every partition's.
         """
         transit = getattr(self.dep, "transit", None)
         if transit is None:
@@ -279,12 +277,9 @@ class ClusterInspector:
         pmap = transit.pmap
         stats["partition_sizes"] = pmap.sizes()
         stats["cut_edges"] = pmap.cut_edges(transit.traffic_out)
-        # Per-host chatter across the cut, noisiest first — the refine()
-        # migration candidates.
+        # Hosts by messages sent across the cut, noisiest first.
         chatter: Dict[str, int] = {}
         for (host, _pid), (cnt, _b) in transit.traffic_out.items():
-            chatter[host] = chatter.get(host, 0) + cnt
-        for (host, _pid), (cnt, _b) in transit.traffic_in.items():
             chatter[host] = chatter.get(host, 0) + cnt
         stats["noisiest_hosts"] = sorted(
             chatter.items(), key=lambda kv: (-kv[1], kv[0]))[:10]

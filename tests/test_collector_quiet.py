@@ -293,7 +293,7 @@ def test_partitioned_run_brackets_once_not_per_grant():
     gc.callbacks.append(on_gc)
     try:
         out = run_partitioned(
-            build_scale_program, (point, 0, True, pmap), pmap,
+            build_scale_program, (point, 0, pmap), pmap,
             [("until", 3.0), ("call", None), ("procs", None)],
             backend="inproc", fabric_latency=80e-6)
     finally:
