@@ -24,7 +24,9 @@ class RangeMap:
     ``set_range`` overwrites any overlapped portion of existing intervals;
     adjacent intervals with equal values coalesce.  Lookups bisect the
     span list itself with an ``(offset, inf)`` probe: a span's end is
-    never infinite, so the comparison never reaches its value.
+    never infinite, so the comparison never reaches its value.  Every
+    mutation replaces the span list rather than editing it, so a
+    :meth:`copy` may share it.
     """
 
     __slots__ = ("_spans", "_covered")
@@ -49,6 +51,12 @@ class RangeMap:
         (``SegmentStore.bytes_stored`` sums these per-version counters
         into its own store-wide counter)."""
         return self._covered
+
+    def copy(self) -> "RangeMap":
+        """A map that mutates independently of this one (O(1))."""
+        other = RangeMap.__new__(RangeMap)
+        other._spans, other._covered = self._spans, self._covered
+        return other
 
     # -- mutation ---------------------------------------------------------
     def set_range(self, start: int, end: int, value: Any) -> int:

@@ -10,44 +10,50 @@ thousand accesses for the most recently accessed one thousand segments."
 
 from __future__ import annotations
 
-from collections import OrderedDict, deque
-from typing import Optional, Tuple
+from collections import OrderedDict
+from typing import List, Optional, Tuple
 
 LOCALITY_THRESHOLD = 0.6     # dominant-source share that moves a segment;
 #                              must be > 0.5 (paper) to avoid instability
 
 
 class AccessHistory:
-    """Bounded per-segment access log with LRU eviction across segments."""
+    """Bounded per-segment access log with LRU eviction across segments.
+
+    A segment's log is a plain list holding exactly its latest
+    ``max_accesses`` entries, oldest first: most logged segments see a
+    handful of accesses, and a list costs what it holds.
+    """
 
     def __init__(self, max_segments: int = 1000, max_accesses: int = 1000):
         self.max_segments = max_segments
         self.max_accesses = max_accesses
-        self._hist: "OrderedDict[int, Deque[Tuple[str, int]]]" = OrderedDict()
+        self._hist: "OrderedDict[int, List[Tuple[str, int]]]" = OrderedDict()
 
     def record(self, segid: int, src: str, nbytes: int) -> None:
-        dq = self._hist.get(segid)
-        if dq is None:
+        log = self._hist.get(segid)
+        if log is None:
             if len(self._hist) >= self.max_segments:
                 self._hist.popitem(last=False)  # evict least recently used
-            dq = deque(maxlen=self.max_accesses)
-            self._hist[segid] = dq
+            log = self._hist[segid] = [(src, nbytes)]
         else:
             self._hist.move_to_end(segid)
-        dq.append((src, nbytes))
+            log.append((src, nbytes))
+        if len(log) > self.max_accesses:
+            del log[0]
 
     def traffic_by_source(self, segid: int) -> dict:
-        dq = self._hist.get(segid)
-        if not dq:
+        log = self._hist.get(segid)
+        if not log:
             return {}
         out: dict = {}
-        for src, nbytes in dq:
+        for src, nbytes in log:
             out[src] = out.get(src, 0) + nbytes
         return out
 
     def samples(self, segid: int) -> int:
-        dq = self._hist.get(segid)
-        return len(dq) if dq else 0
+        log = self._hist.get(segid)
+        return len(log) if log else 0
 
     def dominant_source(self, segid: int, threshold: float,
                         min_samples: int = 1) -> Optional[str]:

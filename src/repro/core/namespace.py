@@ -28,7 +28,7 @@ handlers driven by the generic two-phase coordinator in
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional
 
 from repro.core.hashing import HashRing
@@ -49,9 +49,11 @@ class NamespaceError(Exception):
     """Client-visible namespace failures (ENOENT, EEXIST, conflict...)."""
 
 
-@dataclass
+@dataclass(slots=True)
 class FileEntry:
-    """The Sorrento 'inode' kept per file (Section 3.1)."""
+    """The Sorrento 'inode' kept per file (Section 3.1): the value the
+    namespace stores.  Replies carry it as the dict :meth:`to_dict`
+    builds, which is what clients hold."""
 
     path: str
     fileid: int
@@ -67,7 +69,15 @@ class FileEntry:
     fixed_size: int = 0       # striped: declared max file size
 
     def to_dict(self) -> dict:
-        return dict(self.__dict__)
+        """The entry as clients hold it: a dict display, one C-level
+        build after the slot loads (every lookup and create reply)."""
+        return {"path": self.path, "fileid": self.fileid,
+                "version": self.version, "ctime": self.ctime,
+                "mtime": self.mtime, "degree": self.degree,
+                "alpha": self.alpha, "mode": self.mode,
+                "versioning": self.versioning, "placement": self.placement,
+                "stripe_count": self.stripe_count,
+                "fixed_size": self.fixed_size}
 
 
 @dataclass
@@ -90,6 +100,15 @@ def _dir_key(path: str) -> str:
 
 def _file_key(path: str) -> str:
     return "f:" + path
+
+
+def _stored(key: str, value):
+    """A private copy of ``value`` as the store keeps it under ``key``:
+    a file's :class:`FileEntry` (from one, or from a client's dict), a
+    directory's dict."""
+    if key.startswith("f:"):
+        return FileEntry(**value) if isinstance(value, dict) else replace(value)
+    return dict(value)
 
 
 def _parent(path: str) -> str:
@@ -282,9 +301,7 @@ class NamespaceServer:
     def _h_nsr_apply(self, rec: dict, src: str) -> None:
         """Standby side: apply one shipped mutation."""
         if rec["op"] == "put":
-            value = rec["value"]
-            self.db.put(rec["key"],
-                        dict(value) if isinstance(value, dict) else value)
+            self.db.put(rec["key"], _stored(rec["key"], rec["value"]))
         else:
             self.db.delete(rec["key"])
         self.applied_seq = max(self.applied_seq, rec["seq"])
@@ -334,7 +351,7 @@ class NamespaceServer:
         entry = self.db.get(_file_key(path))
         if entry is None:
             raise NamespaceError(f"ENOENT {path}")
-        return dict(entry), 128
+        return entry.to_dict(), 128
 
     def _h_create(self, req: dict, src: str):
         """Create a file entry; the client supplies the FileID it minted."""
@@ -357,10 +374,10 @@ class NamespaceServer:
             placement=req.get("placement", "load"),
             stripe_count=req.get("stripe_count", 4),
             fixed_size=req.get("fixed_size", 0),
-        ).to_dict()
+        )
         self._put(_file_key(path), entry)
         yield from self._durable()
-        return dict(entry), 128
+        return entry.to_dict(), 128
 
     def _h_update_entry(self, req: dict, src: str):
         """Mutate policy fields (degree/alpha/placement) of an entry."""
@@ -372,10 +389,10 @@ class NamespaceServer:
             raise NamespaceError(f"ENOENT {path}")
         for k in ("degree", "alpha", "placement"):
             if k in req:
-                entry[k] = req[k]
+                setattr(entry, k, req[k])
         self._put(_file_key(path), entry)
         yield from self._durable()
-        return dict(entry), 128
+        return entry.to_dict(), 128
 
     def _h_unlink(self, path: str, src: str):
         yield from self._charge_cpu()
@@ -384,10 +401,10 @@ class NamespaceServer:
         if entry is None:
             raise NamespaceError(f"ENOENT {path}")
         self._delete(_file_key(path))
-        self._grants.pop(entry["fileid"], None)
-        self._leases.pop(entry["fileid"], None)
+        self._grants.pop(entry.fileid, None)
+        self._leases.pop(entry.fileid, None)
         yield from self._durable()
-        return dict(entry), 128
+        return entry.to_dict(), 128
 
     def _h_mkdir(self, path: str, src: str):
         yield from self._charge_cpu()
@@ -456,12 +473,12 @@ class NamespaceServer:
             raise NamespaceError(f"EEXIST {dst}")
         if self.db.get(_dir_key(_parent(dst))) is None:
             raise NamespaceError(f"ENOENT parent of {dst}")
-        placed = dict(entry, path=dst)
+        placed = replace(entry, path=dst)
         if not keep_source:
             self._delete(_file_key(path))
         self._put(_file_key(dst), placed)
         yield from self._durable()
-        return dict(placed), 128
+        return placed.to_dict(), 128
 
     # ------------------------------------- cross-shard transactions (2PC)
     # Generic staged-mutation participant driven by two_phase_commit()
@@ -502,9 +519,7 @@ class NamespaceServer:
             return False, 32
         for op in tx["ops"]:
             if op["op"] == "put":
-                value = op["value"]
-                self._put(op["key"],
-                          dict(value) if isinstance(value, dict) else value)
+                self._put(op["key"], _stored(op["key"], op["value"]))
             else:
                 self._delete(op["key"])
         yield from self._durable()
@@ -529,13 +544,13 @@ class NamespaceServer:
         entry = self.db.get(_file_key(path))
         if entry is None:
             raise NamespaceError(f"ENOENT {path}")
-        fileid = entry["fileid"]
+        fileid = entry.fileid
         grant = self._grants.get(fileid)
         if grant is not None and grant.expires_at > self.sim.now \
                 and grant.holder != src:
             return {"status": "busy"}, 48
-        if entry["version"] != base:
-            return {"status": "conflict", "current": entry["version"]}, 48
+        if entry.version != base:
+            return {"status": "conflict", "current": entry.version}, 48
         lease = self._leases.get(fileid)
         if lease is not None and lease.expires_at > self.sim.now \
                 and lease.holder != src:
@@ -552,7 +567,7 @@ class NamespaceServer:
         entry = self.db.get(_file_key(path))
         if entry is None:
             raise NamespaceError(f"ENOENT {path}")
-        grant = self._grants.get(entry["fileid"])
+        grant = self._grants.get(entry.fileid)
         if grant is None or grant.holder != src \
                 or grant.expires_at <= self.sim.now:
             raise NamespaceError(f"no commit grant for {path}")
@@ -561,20 +576,20 @@ class NamespaceServer:
                 f"commit must advance version by one "
                 f"({grant.base_version} -> {new_version})"
             )
-        entry["version"] = new_version
-        entry["mtime"] = self.sim.now
+        entry.version = new_version
+        entry.mtime = self.sim.now
         self._put(_file_key(path), entry)
-        del self._grants[entry["fileid"]]
+        del self._grants[entry.fileid]
         yield from self._durable()
-        return dict(entry), 128
+        return entry.to_dict(), 128
 
     def _h_abort_commit(self, req: dict, src: str):
         yield from self._charge_cpu()
         entry = self.db.get(_file_key(req["path"]))
         if entry is not None:
-            grant = self._grants.get(entry["fileid"])
+            grant = self._grants.get(entry.fileid)
             if grant is not None and grant.holder == src:
-                del self._grants[entry["fileid"]]
+                del self._grants[entry.fileid]
         return True, 32
 
     # --------------------------------------------------------- leases
@@ -585,7 +600,7 @@ class NamespaceServer:
         entry = self.db.get(_file_key(req["path"]))
         if entry is None:
             raise NamespaceError(f"ENOENT {req['path']}")
-        fileid = entry["fileid"]
+        fileid = entry.fileid
         lease = self._leases.get(fileid)
         if lease is not None and lease.expires_at > self.sim.now \
                 and lease.holder != src:
@@ -597,9 +612,9 @@ class NamespaceServer:
         yield from self._charge_cpu()
         entry = self.db.get(_file_key(req["path"]))
         if entry is not None:
-            lease = self._leases.get(entry["fileid"])
+            lease = self._leases.get(entry.fileid)
             if lease is not None and lease.holder == src:
-                del self._leases[entry["fileid"]]
+                del self._leases[entry.fileid]
         return True, 32
 
     # ------------------------------------------------------------ recovery

@@ -48,7 +48,8 @@ def weight(f_l: float, f_s: float, alpha: float) -> float:
     # 0^0 is taken as 1 so alpha=0/1 cleanly ignores the dead factor.
     wl = f_l ** alpha if not (f_l == 0.0 and alpha == 0.0) else 1.0
     ws = f_s ** (1.0 - alpha) if not (f_s == 0.0 and alpha == 1.0) else 1.0
-    return wl * ws
+    # Both factors at the cap can round one ulp past it (10^a * 10^(1-a)).
+    return min(wl * ws, FACTOR_CAP)
 
 
 def provider_weight(info: ProviderInfo, seg_size: int, alpha: float) -> float:

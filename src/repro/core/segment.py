@@ -297,10 +297,14 @@ class SegmentStore:
         disabled in that mode).
         """
         seg = self._require(segid, version)
-        if seg.committed and not in_place:
-            raise SegmentError(
-                f"segment {segid:#x} v{version} is committed (immutable)"
-            )
+        if seg.committed:
+            if not in_place:
+                raise SegmentError(
+                    f"segment {segid:#x} v{version} is committed (immutable)"
+                )
+            # A committed map may be shared (every planted segment of one
+            # size holds the same one): write into a private copy.
+            seg.extents = seg.extents.copy()
         if data is not None and len(data) != length:
             raise SegmentError("data/length mismatch")
         if length > 0:

@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 from repro.cluster import ClusterSpec, Node, NodeSpec
 from repro.core.client import SorrentoClient
 from repro.core.membership import MembershipManager
-from repro.core.namespace import NamespaceServer, NamespaceShardMap
+from repro.core.namespace import FileEntry, NamespaceServer, NamespaceShardMap
 from repro.core.params import SorrentoParams
 from repro.core.provider import StorageProvider
 from repro.network import Fabric
@@ -71,6 +71,9 @@ class SorrentoDeployment:
         self.nodes: Dict[str, Node] = {}
         self.providers: Dict[str, StorageProvider] = {}
         self.clients: List[SorrentoClient] = []
+        # Segment size -> the one full synthetic extent map ``_plant``
+        # gives every planted replica of that size (never mutated).
+        self._full_extents: dict = {}
         # One registry (and optional tracer) for the whole deployment:
         # every node's ServiceRuntime reports into it, so experiments can
         # ask "how many ns_lookup calls did this run make?" in one place.
@@ -255,7 +258,7 @@ class SorrentoDeployment:
     # ------------------------------------------------------ preloading
     def preload_file(self, path: str, size: int, degree: int = 1,
                      alpha: float = 0.5, placement: str = "load",
-                     on: Optional[List[str]] = None) -> dict:
+                     on: Optional[List[str]] = None) -> FileEntry:
         """Plant one committed file directly into provider state; returns
         the namespace entry it stored (the stored object itself).
 
@@ -313,7 +316,7 @@ class SorrentoDeployment:
 
     def _plant(self, files, ids, draws, degree: int, alpha: float,
                placement: str, on: Optional[List[str]]
-               ) -> Tuple[int, Optional[dict]]:
+               ) -> Tuple[int, Optional[FileEntry]]:
         """The one planting loop: ``(files planted, last entry)``.
 
         Per file, the id is drawn from ``ids``, then the layout's segids
@@ -322,15 +325,16 @@ class SorrentoDeployment:
         providers) from the start host, replicas on distinct nodes; the
         structures go in through the public inserts (``SegmentStore.plant``,
         the home table's ``update``, ``RangeMap.set_range``), all content
-        size-only (``SYNTHETIC`` extents, nothing attached).  Placement
-        math (owners, homes) runs over the full host list in every
-        partition worker; state is planted only where the provider was
-        built, and every draw precedes it, so dormancy never shifts a
-        stream.
+        size-only (``SYNTHETIC`` extents, one shared map per segment
+        size, nothing attached).  Placement math (owners, homes) runs
+        over the full host list in every partition worker; state is
+        planted only where the provider was built, and every draw
+        precedes it, so dormancy never shifts a stream.
         """
+        from repro.core.extent import RangeMap
         from repro.core.hashing import HashRing
         from repro.core.layout import make_layout
-        from repro.core.namespace import FileEntry, _file_key
+        from repro.core.namespace import _file_key
         from repro.core.segment import SYNTHETIC, StoredSegment
         from repro.storage.filesystem import _File
 
@@ -353,14 +357,13 @@ class SorrentoDeployment:
         nreps = min(degree, nhosts)
         locate = None
 
-        # Entries differ only in path and fileid.
-        entry_template: Optional[dict] = None
         entry = None
 
         # Per-host bound state, resolved once: the store's ``plant`` with
         # its FS, and the home table's ``update`` (False: a dormant shell).
         store_ctx: dict = {}
         loc_ctx: dict = {}
+        full_extents = self._full_extents
 
         count = 0
         for path, size in files:
@@ -404,13 +407,16 @@ class SorrentoDeployment:
                             ctx = store_ctx[owner] = (
                                 provider.store.plant, pfs, pfs.files)
                     if ctx:
+                        extents = full_extents.get(seg_size)
+                        if extents is None:
+                            extents = full_extents[seg_size] = RangeMap()
+                            if seg_size > 0:
+                                extents.set_range(0, seg_size, SYNTHETIC)
                         seg = StoredSegment(
-                            segid, 1, seg_size, True,
+                            segid, 1, seg_size, True, extents=extents,
                             replication_degree=degree, alpha=alpha,
                             placement=placement, last_access=now,
                             meta=meta)
-                        if seg_size > 0:
-                            seg.extents.set_range(0, seg_size, SYNTHETIC)
                         ctx[0](seg)
                         ctx[2][seg.fs_name] = _File(seg_size, seg_size)
                         ctx[1].used += seg_size
@@ -423,15 +429,10 @@ class SorrentoDeployment:
                             else False)
                     if update:
                         update(segid, owner, 1, degree, seg_size, now)
-            if entry_template is None:
-                entry = entry_template = FileEntry(
-                    path=path, fileid=fileid, version=1,
-                    ctime=now, mtime=now, degree=degree, alpha=alpha,
-                    placement=placement).to_dict()
-            else:
-                entry = entry_template.copy()
-                entry["path"] = path
-                entry["fileid"] = fileid
+            # Positional: (path, fileid, version, ctime, mtime, degree,
+            # alpha, mode, versioning, placement), half the keyword cost.
+            entry = FileEntry(path, fileid, 1, now, now, degree, alpha,
+                              "linear", True, placement)
             server = namespace_for(path)
             if not server.node.dormant:
                 server.db.put(_file_key(path), entry)

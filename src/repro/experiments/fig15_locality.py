@@ -90,7 +90,7 @@ def _count_local(dep, hosts, asg, sizes) -> int:
             entry = dep.namespace_for(path).db.get("f:" + path)
             if entry is None:
                 continue
-            meta = insp._index_meta(entry["fileid"])
+            meta = insp._index_meta(entry.fileid)
             if meta is None or meta.get("layout") is None:
                 continue
             segs = meta["layout"].segments

@@ -190,11 +190,11 @@ def _satellite_sync(dep, sat: str, client, seen: Dict[str, int],
         for key, entry in list(mirror.db.items()):
             if not (isinstance(key, str) and key.startswith("f:")):
                 continue
-            if not isinstance(entry, dict) or entry.get("version", 0) < 1:
+            if entry.version < 1:
                 continue
-            path = entry["path"]
-            if seen.get(path, 0) < entry["version"]:
-                todo.append((path, entry["version"]))
+            path = entry.path
+            if seen.get(path, 0) < entry.version:
+                todo.append((path, entry.version))
         for i in range(0, len(todo), SYNC_FANOUT):
             if sim.now >= stop_at:
                 break

@@ -33,8 +33,9 @@ class WalRecord:
 
 def _value_bytes(value: Any) -> int:
     """Footprint of a (possibly nested) value: strings by length, other
-    scalars 16, a dict 16 and a list/tuple 8 plus their contents.  One
-    flat walk, not a call per field (a namespace entry has 13)."""
+    scalars 16, a dict 16 and a list/tuple 8 plus their contents, and a
+    slotted record (a namespace ``FileEntry``) as the dict of its fields.
+    One flat walk, not a call per field (a namespace entry has 13)."""
     total = 0
     todo = [value]
     while todo:
@@ -50,6 +51,10 @@ def _value_bytes(value: Any) -> int:
         elif isinstance(v, (list, tuple)):
             total += 8
             todo.extend(v)
+        elif hasattr(v, "__slots__"):
+            total += 16
+            todo.extend(v.__slots__)
+            todo.extend(getattr(v, name) for name in v.__slots__)
         else:
             total += 16
     return total

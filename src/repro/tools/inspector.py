@@ -96,7 +96,7 @@ class ClusterInspector:
         """Every SegID reachable from the namespace (index + data)."""
         refs: Set[int] = set()
         for _path, entry in self.file_entries():
-            fileid = entry["fileid"]
+            fileid = entry.fileid
             refs.add(fileid)
             meta = self._index_meta(fileid)
             if meta and meta.get("layout") is not None:

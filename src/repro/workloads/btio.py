@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from typing import List
 
+from repro.core.namespace import _file_key
 from repro.workloads.trace import Trace
 
 MB = 1 << 20
@@ -85,7 +86,6 @@ def create_shared_file(dep, path: str = "/btio/solution", scale: float = 1.0,
     size = int(TOTAL_WRITE * scale)
     if hasattr(dep, "preload_file"):
         entry = dep.preload_file(path, size, degree=degree)
-        if isinstance(entry, dict):
-            entry["versioning"] = False
-            from repro.core.namespace import _file_key
+        if entry is not None:   # Sorrento's namespace entry
+            entry.versioning = False
             dep.namespace_for(path).db.put(_file_key(path), entry)

@@ -281,6 +281,7 @@ SLOTTED = [
     ("repro.core.layout", "SegmentRef"),
     ("repro.core.layout", "Layout"),
     ("repro.kvstore.wal", "WalRecord"),
+    ("repro.core.namespace", "FileEntry"),
 ]
 
 

@@ -55,11 +55,11 @@ def test_crash_mid_2pc_leaves_version_unchanged():
     outcome = dep.run(doomed_write(), until=dep.sim.now + 120)
     entry = dep.ns.db.get("f:/f")
     if outcome == "failed-cleanly":
-        assert entry["version"] == 1
+        assert entry.version == 1
     else:
         # The shadow landed on a surviving owner: commit may legally
         # succeed; version then advanced exactly once.
-        assert entry["version"] == 2
+        assert entry.version == 2
 
 
 def test_namespace_crash_recovery_preserves_files():

@@ -217,11 +217,11 @@ def test_wal_value_bytes_matches_the_recursive_definition(value):
 
 def test_wal_charges_a_namespace_entry_what_it_always_did():
     from repro.core.namespace import FileEntry
-    entry = FileEntry(path="/tput/c3/f000017", fileid=2 ** 70 + 5).to_dict()
+    entry = FileEntry(path="/tput/c3/f000017", fileid=2 ** 70 + 5)
     wal = WriteAheadLog()
     nbytes = wal.append(PUT, "f:/tput/c3/f000017", entry).approx_bytes()
-    assert nbytes == 24 + 18 + _value_bytes_reference(entry)
-    assert nbytes == 311  # as recorded at the recursive walk
+    assert nbytes == 24 + 18 + _value_bytes_reference(entry.to_dict())
+    assert nbytes == 311  # as recorded at the recursive walk over its dict
 
 
 def test_kvstore_basic():

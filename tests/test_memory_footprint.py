@@ -11,6 +11,7 @@ import tracemalloc
 
 from repro.cluster import small_cluster
 from repro.core import SorrentoConfig, SorrentoDeployment
+from repro.core.locality import AccessHistory
 from repro.core.params import SorrentoParams
 
 KB = 1 << 10
@@ -43,15 +44,35 @@ def live_growth(fn) -> int:
 def test_planted_file_footprint():
     """2 000 × 12 KB at degree 2 on 8 providers (a data segment and an
     index segment per file, two replicas of each, their location rows,
-    FS files and the namespace entry): 4.8 KB per file.  It was 6.7 KB
-    when ``StoredSegment`` / ``RangeMap`` / ``_File`` / ``OwnerRecord``
+    FS files and the namespace entry): 3.6 KB per file.  It was 4.8 KB
+    when every replica built its own full-extent ``RangeMap`` and the
+    namespace stored each entry as a dict, and 6.7 KB when
+    ``StoredSegment`` / ``RangeMap`` / ``_File`` / ``OwnerRecord``
     carried a ``__dict__`` and ``SegmentStore`` kept five dicts keyed by
     ``(segid, version)`` tuples."""
     dep = deploy()
     n = 2000
     files = [(f"/p/{i:05d}", 12 * KB) for i in range(n)]
     grown = live_growth(lambda: dep.preload_files(files, degree=2))
-    assert grown / n <= 5300
+    assert grown / n <= 4000
+
+
+def test_logged_segment_footprint():
+    """1 000 segments with one access each in a provider's access log
+    (the tracker keeps up to a thousand): 205 B per segment, its LRU
+    slot, its one-entry list and the entry.  It was 901 B when each
+    segment's log was a ``deque(maxlen=1000)``, a 64-slot block from
+    the first access."""
+    segids = [(1 << 100) + i for i in range(1000)]
+    history = AccessHistory()
+
+    def log_once():
+        for segid in segids:
+            history.record(segid, "c00", 4096)
+
+    grown = live_growth(log_once)
+    assert len(history) == len(segids)
+    assert grown / len(segids) <= 230
 
 
 def test_created_size_only_file_footprint():

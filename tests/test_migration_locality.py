@@ -1,6 +1,10 @@
 """Tests for migration triggers/selection and the locality tracker."""
 
+from collections import OrderedDict, deque
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.locality import AccessHistory
 from repro.core.membership import ProviderInfo
@@ -157,3 +161,51 @@ def test_history_forget():
     h.record(1, "a", 1)
     h.forget(1)
     assert h.samples(1) == 0
+
+
+_history_steps = st.lists(st.one_of(
+    st.tuples(st.just("record"), st.integers(0, 5), st.sampled_from("abc"),
+              st.integers(0, 40)),
+    st.tuples(st.just("forget"), st.integers(0, 5))), max_size=60)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 3), st.integers(0, 4), _history_steps)
+def test_history_matches_a_bounded_deque_model(max_segments, max_accesses,
+                                               steps):
+    """The list-backed log against the ``deque(maxlen)`` model it
+    replaced, with bounds small enough that LRU eviction across segments
+    and trimming to the latest accesses both happen."""
+    h = AccessHistory(max_segments=max_segments, max_accesses=max_accesses)
+    model: OrderedDict = OrderedDict()
+    for step in steps:
+        if step[0] == "record":
+            _, segid, src, nbytes = step
+            h.record(segid, src, nbytes)
+            if segid in model:
+                model.move_to_end(segid)
+            else:
+                if len(model) >= max_segments:
+                    model.popitem(last=False)
+                model[segid] = deque(maxlen=max_accesses)
+            model[segid].append((src, nbytes))
+        else:
+            h.forget(step[1])
+            model.pop(step[1], None)
+        assert len(h) == len(model)
+        for segid in range(6):
+            log = model.get(segid, ())
+            traffic: dict = {}
+            for src, nbytes in log:
+                traffic[src] = traffic.get(src, 0) + nbytes
+            assert h.samples(segid) == len(log)
+            # Order too: ``dominant_source`` breaks ties by it.
+            assert list(h.traffic_by_source(segid).items()) \
+                == list(traffic.items())
+            for min_samples in (1, 3):
+                top = max(traffic.items(), key=lambda kv: kv[1],
+                          default=(None, 0))
+                total = sum(traffic.values())
+                expect = (top[0] if len(log) >= min_samples and total > 0
+                          and top[1] / total > 0.6 else None)
+                assert h.dominant_source(segid, 0.6, min_samples) == expect

@@ -4,7 +4,7 @@ import random
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.membership import ProviderInfo
@@ -64,6 +64,7 @@ def test_weight_rejects_bad_alpha():
 @given(st.floats(min_value=0.0, max_value=1.0),
        st.floats(min_value=0.0, max_value=10.0),
        st.floats(min_value=0.0, max_value=10.0))
+@example(0.5, 10.0, 10.0)
 def test_weight_nonnegative_and_bounded(alpha, fl, fs):
     w = weight(fl, fs, alpha)
     assert 0.0 <= w <= 10.0

@@ -22,8 +22,9 @@ import pytest
 from repro.cluster import small_cluster
 from repro.core import SorrentoConfig, SorrentoDeployment
 from repro.core.location import LocationTable
-from repro.core.namespace import _file_key
+from repro.core.namespace import FileEntry, _file_key
 from repro.core.params import SorrentoParams
+from repro.core.segment import SYNTHETIC
 
 MB = 1 << 20
 
@@ -66,7 +67,7 @@ def test_bulk_preload_matches_per_file_path(degree):
     for (ka, ea), (_, eb) in zip(items_a, items_b):
         if not ka.startswith("f:"):
             continue  # directory entries: not touched by preload
-        ea, eb = dict(ea), dict(eb)
+        ea, eb = ea.to_dict(), eb.to_dict()
         assert ea.pop("fileid") != 0 and eb.pop("fileid") != 0
         assert ea == eb
 
@@ -119,7 +120,7 @@ def test_bulk_preload_matches_per_file_path(degree):
                 index_meta[seg.segid] = seg.meta
     expect = {host: LocationTable() for host in hosts}
     for path, _size in FILES:
-        fileid = dep_b.namespace_for(path).db.get(_file_key(path))["fileid"]
+        fileid = dep_b.namespace_for(path).db.get(_file_key(path)).fileid
         layout = index_meta[fileid]["layout"]
         for segid, size in [(r.segid, r.size) for r in layout.segments] \
                 + [(fileid, 4096)]:
@@ -184,11 +185,16 @@ def planted_digest(dep, entries):
     segments in order (``seq``, ``last_access``, extents, index meta),
     its byte counter and FS files and ``used``; each location table's
     rows in order with their ages and records; every namespace item and
-    WAL record; and the entries the calls returned."""
+    WAL record; and the entries the calls returned.  A stored
+    ``FileEntry`` is hashed as the dict it replaced, so the digest
+    recorded over dict values still pins it."""
     h = hashlib.sha256()
 
     def put(*parts):
         h.update(repr(parts).encode())
+
+    def as_dict(value):
+        return value.to_dict() if isinstance(value, FileEntry) else value
 
     for name in sorted(dep.providers):
         p = dep.providers[name]
@@ -212,9 +218,10 @@ def planted_digest(dep, entries):
                 [(o, v, table.record(segid, o)) for o, v in
                  table.lookup(segid)])
     for server in dep.namespace_servers():
-        put(list(server.db.items()))
-        put([(r.lsn, r.op, r.key, r.value) for r in server.db._wal.replay()])
-    put(entries)
+        put([(k, as_dict(v)) for k, v in server.db.items()])
+        put([(r.lsn, r.op, r.key, as_dict(r.value))
+             for r in server.db._wal.replay()])
+    put([as_dict(e) for e in entries])
     return h.hexdigest()
 
 
@@ -234,3 +241,37 @@ def test_per_file_preload_plants_what_it_always_did():
         entries.append(entry)
     assert planted_digest(dep, entries) == (
         "e049ccb20092d44c7f34c009d4d3039ca947539d130dd55dc4b3e580a0685572")
+
+
+def test_an_in_place_write_to_a_planted_replica_changes_only_it():
+    """Planted segments of one size share one extent map.  A
+    versioning-off write into one replica (an overwrite with literal
+    bytes, then an append past the end) copies it first: the other
+    replica of that segment and every other planted segment still read
+    one full synthetic extent, and every store's byte counter holds."""
+    dep = deploy()
+    dep.preload_files([(f"/s/{i}", MB) for i in range(4)], degree=2)
+    planted = [(p, seg) for p in dep.providers.values()
+               for seg in p.store.committed_segments() if seg.meta is None]
+    assert len(planted) == 4 * 2
+    assert len({id(seg.extents) for _, seg in planted}) == 1
+    before = {h: p.store.bytes_stored() for h, p in dep.providers.items()}
+    owner, target = planted[0]
+    store = owner.store
+
+    def write():
+        yield from store.write(target.segid, 1, 4096, 100, data=b"x" * 100,
+                               in_place=True)
+        yield from store.write(target.segid, 1, MB, 100, in_place=True)
+        data = yield from store.read(target.segid, 1, 4000, 200)
+        return data
+
+    assert dep.run(write()) == bytes(96) + b"x" * 100 + bytes(4)
+    assert target.size == MB + 100
+    for _, seg in planted:
+        if seg is not target:
+            assert list(seg.extents) == [(0, MB, SYNTHETIC)]
+    for h, p in dep.providers.items():
+        p.store.check_index_invariants()
+        grew = 100 if p is owner else 0
+        assert p.store.bytes_stored() == before[h] + grew

@@ -211,6 +211,16 @@ def test_btio_replay_smoke():
         assert p.value.errors == 0
 
 
+def test_btio_shared_file_sets_up_on_a_baseline():
+    """Fig. 12 sets the shared file up on NFS and PVFS too, whose preload
+    stores no namespace entry to mark unversioned."""
+    nfs = NFSDeployment(small_cluster(1, n_compute=2), seed=0)
+    nfs.warm_up()
+    btio.create_shared_file(nfs, scale=0.002)
+    trace = btio.make_traces(n_procs=1, scale=0.002)[0]
+    assert nfs.run(replay(nfs.client_on("c00"), trace)).errors == 0
+
+
 def test_btio_shared_file_is_unversioned_on_whichever_shard_owns_it():
     """The versioning=False patch lands on the shard the path hashes to
     (it used to be written into shard 0's DB whatever the path)."""
