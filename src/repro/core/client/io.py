@@ -224,7 +224,7 @@ class DataPathMixin:
                 self.loc_cache.evict_owner(owner)
                 for i in idxs:
                     chunks[i] = yield from self._read_piece_fallback(
-                        fh, pieces[i], sequential)
+                        fh, pieces[i], sequential, owner)
                 return
             self._cache_note("vec_rpcs")
             self._cache_note("vec_pieces", len(idxs))
@@ -236,9 +236,8 @@ class DataPathMixin:
                 else:
                     # Partial failure (version gone, disk error): the
                     # single-piece retry path takes over for this piece.
-                    self._evict_location(segid)
                     chunks[i] = yield from self._read_piece_fallback(
-                        fh, pieces[i], sequential)
+                        fh, pieces[i], sequential, owner)
 
         yield from gather(self.sim, [
             fetch_group(owner, idxs) for owner, idxs in groups.items()
@@ -259,19 +258,31 @@ class DataPathMixin:
                 size=64,
             )
         except (RpcTimeout, RpcRemoteError):
-            chunk = yield from self._read_piece_fallback(fh, piece, sequential)
+            chunk = yield from self._read_piece_fallback(fh, piece,
+                                                         sequential, owner)
             return chunk
         self._learn_hint(ref.segid, r)
         return r["data"]
 
-    def _read_piece_fallback(self, fh: FileHandle, piece, sequential: bool):
-        """Owner died or lacks the version: evict the cached claim, probe
-        over multicast (Section 3.4.2), and read whatever version the
-        responding owner holds."""
+    def _read_piece_fallback(self, fh: FileHandle, piece, sequential: bool,
+                             failed: str):
+        """``failed`` died or lacks the version: evict the cached claim,
+        re-locate through the home host (Section 3.4.1) and read whatever
+        version another owner holds.  The multicast probe (Section 3.4.2)
+        is the backup only when the table names no other owner."""
         seg_idx, seg_off, n = piece
         ref = fh.layout.segments[seg_idx]
         self._evict_location(ref.segid)
-        other = yield from self._probe(ref.segid)
+        resp = yield from self._locate(ref.segid, refresh=True)
+        others = [o for o in resp["owners"] if o[0] != failed]
+        # The table may not have heard of the failure yet; the cache keeps
+        # only the others either way.
+        self.loc_cache.evict(ref.segid)
+        self.loc_cache.store(ref.segid, others, self.sim.now)
+        if others:
+            other = self._pick_owner(others)
+        else:
+            other = yield from self._probe(ref.segid)
         r = yield from self.rpc.call(
             other[0], "seg_read",
             {"segid": ref.segid, "version": None, "offset": seg_off,

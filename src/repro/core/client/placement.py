@@ -72,10 +72,10 @@ class PlacementMixin:
         self.loc_cache.store(segid, [owner], self.sim.now)
         return {"owners": [owner], "inline": None}
 
-    def _evict_location(self, segid: int, stale: bool = True) -> None:
+    def _evict_location(self, segid: int) -> None:
         """A cached claim was proven wrong (version mismatch / dead owner):
         drop it so the next lookup goes back to the home host."""
-        if self.loc_cache.evict(segid) and stale:
+        if self.loc_cache.evict(segid):
             self._cache_note("loc_stale")
 
     def _learn_hint(self, segid: int, resp: Optional[dict]) -> None:

@@ -86,15 +86,10 @@ class LocationHome:
         self.node.defer(0.0, self._supervise, segid)
 
     def withdraw(self, segid: int, owner: str) -> None:
-        """A ``loc_update {remove}`` arrived: supervise now."""
+        """An owner erased its copy (``loc_update {remove}``, or this
+        provider's own erase): supervise now."""
         self.table.remove(segid, owner)
         self.node.defer(0.0, self._supervise, segid)
-
-    def withdraw_own(self, segid: int) -> None:
-        """This provider trimmed or migrated away its own copy.  Nothing
-        follows, unlike :meth:`withdraw`: a segid this leaves short is not
-        re-checked until its next claim."""
-        self.table.remove(segid, self.node.hostid)
 
     def drop_owner(self, hostid: str) -> None:
         """An owner died: re-check each segid it held after
@@ -508,13 +503,8 @@ class StorageProvider:
         return True, 32
 
     def _h_seg_delete(self, req: dict, src: str):
-        segid = req["segid"]
         yield from self._charge()
-        yield from self.store.delete_segment(segid)
-        self.history.forget(segid)
-        home = self._home_of(segid)
-        if home is not None:
-            self._loc_send(home, "remove", segid, 0, 0, 0)
+        yield from self._erase(req["segid"])
         return True, 32
 
     def _h_seg_trim(self, req: dict, src: str):
@@ -527,15 +517,11 @@ class StorageProvider:
         return True, 32
 
     def _erase(self, segid: int):
-        """Drop our copy (trim, migration) and tell the home host; unlike
-        ``seg_delete``, a home that is us hears it without a message."""
+        """Drop our copy (delete, trim, migration) and tell the home host."""
         yield from self.store.delete_segment(segid)
         self.history.forget(segid)
-        home = self._home_of(segid)
-        if home == self.node.hostid:
-            self.home.withdraw_own(segid)
-        elif home is not None:
-            self._loc_send(home, "remove", segid, 0, 0, 0)
+        self._tell_home({"op": "remove", "segid": segid,
+                         "owner": self.node.hostid})
 
     # -- transfer services (sync / replicate / migrate) ------------------
     def _h_seg_fetch(self, req: dict, src: str):
@@ -731,22 +717,19 @@ class StorageProvider:
     # ------------------------------------------------- announcements
     def _announce_segment(self, seg: StoredSegment) -> None:
         """Segment creation / version advance → tell the home host."""
-        home = self._home_of(seg.segid)
-        if home is None:
-            return
-        if home == self.node.hostid:
-            self.home.claim(seg.segid, self.node.hostid, seg.version,
-                            seg.replication_degree, seg.size)
-        else:
-            self._loc_send(home, "add", seg.segid, seg.version,
-                           seg.replication_degree, seg.size)
+        self._tell_home({"op": "add", "segid": seg.segid,
+                         "owner": self.node.hostid, "version": seg.version,
+                         "degree": seg.replication_degree,
+                         "size": seg.size})
 
-    def _loc_send(self, home: str, op: str, segid: int, version: int,
-                  degree: int, size: int) -> None:
-        self.rpc.send(home, "loc_update", {
-            "op": op, "segid": segid, "owner": self.node.hostid,
-            "version": version, "degree": degree, "size": size,
-        }, size=LOC_ENTRY_BYTES)
+    def _tell_home(self, req: dict) -> None:
+        """One ``loc_update`` to the segment's home host; a home that is
+        this provider takes it without a message."""
+        home = self._home_of(req["segid"])
+        if home == self.node.hostid:
+            self._h_loc_update(req, home)
+        elif home is not None:
+            self.rpc.send(home, "loc_update", req, size=LOC_ENTRY_BYTES)
 
     # =================================================================
     # Membership events (the four refresh-trigger types, Section 3.4.1)

@@ -171,8 +171,9 @@ def test_vector_partial_failure_falls_back_per_piece():
 # ----------------------------------------------------- fault staleness
 def test_cached_owner_crash_falls_back_and_evicts():
     """Crash the owner a client's cache still points at: the read must
-    fall back (multicast probe), return correct data, and scrub the dead
-    claim from the cache."""
+    fall back (re-locate through the home host, which names the other
+    replica), return correct data, and scrub the dead claim from the
+    cache."""
     dep = deploy(n_storage=4, default_degree=2)
     client = dep.client_on("c00")
     data = bytes(i % 239 for i in range(128 * KB))
@@ -197,7 +198,9 @@ def test_cached_owner_crash_falls_back_and_evicts():
 
     inject(dep, FaultPlan().at(0.5, NodeCrash(victim)))
     dep.sim.run(until=dep.sim.now + 1.0)
-    before = client.stats["probe_fallbacks"]
+    lookups = dep.metrics.stats("client", "loc_lookup")
+    before = (lookups.calls, client.stats["loc_stale"],
+              client.stats["probe_fallbacks"])
 
     def read():
         rfh = yield from client.open("/stale", "r")
@@ -207,9 +210,55 @@ def test_cached_owner_crash_falls_back_and_evicts():
 
     got = dep.run(read())
     assert got == data
-    assert client.stats["probe_fallbacks"] > before
+    # The index meta is cached, so the only loc_lookup is the fallback's
+    # re-locate; the home named a live replica, so no probe went out.
+    assert lookups.calls > before[0]
+    assert client.stats["loc_stale"] > before[1]
+    assert client.stats["probe_fallbacks"] == before[2]
     cached = client.loc_cache.lookup(segid, dep.sim.now)
     assert not cached or all(h != victim for h, _v in cached)
+
+
+def test_a_read_after_a_migration_to_the_readers_host_finds_it_at_home():
+    """The reader's cache names S; S migrates the segment to the reader's
+    own host R.  The probe multicast skips its sender, so only the home
+    host can name R: the next read must succeed promptly and leave R as
+    the only cached owner."""
+    dep = deploy(n_storage=4)
+    writer = dep.client_on("c00")
+    data = bytes(i % 251 for i in range(128 * KB))
+
+    def write():
+        fh = yield from writer.open("/moved", "w", create=True)
+        yield from writer.write(fh, 0, len(data), data=data)
+        yield from writer.close(fh)
+        return fh
+
+    segid = dep.run(write()).layout.segments[0].segid
+    dep.sim.run(until=dep.sim.now + 2.0)
+    (source,) = [h for h, p in dep.providers.items()
+                 if p.store.latest_committed(segid) is not None]
+    target = next(h for h in sorted(dep.providers) if h != source)
+    reader = dep.client_on(target)
+
+    def read_all(fh):
+        got = yield from reader.read(fh, 0, len(data))
+        return got
+
+    rfh = dep.run(reader.open("/moved", "r"))
+    assert dep.run(read_all(rfh)) == data
+    assert [h for h, _v in reader.loc_cache.lookup(segid, dep.sim.now)] \
+        == [source]
+
+    provider = dep.providers[source]
+    assert dep.run(provider._migrate_out(
+        provider.store.latest_committed(segid), target)) is True
+
+    t0 = dep.sim.now
+    assert dep.run(read_all(rfh)) == data
+    assert dep.sim.now - t0 < 1.0
+    assert [h for h, _v in reader.loc_cache.lookup(segid, dep.sim.now)] \
+        == [target]
 
 
 def test_membership_death_evicts_cached_claims():

@@ -262,16 +262,21 @@ def run_raid_scenario(seed=11, duration=12.0):
 
 #: Recorded before a striped request became one kernel event (each member
 #: drive's completion was an event of its own, joined by an ``AllOf``).
+#: Re-recorded when a failed read began re-locating through the home host
+#: instead of probing: the 6 read fallbacks of the probe-only path (one of
+#: which raised) became 4 — two read the replica the home named, two
+#: probed because the home still named only the failed owner, none raised
+#: (previously requests=140, messages_sent=2719).
 GOLDEN_RAID = {
     "clock": 18.5,
-    "requests": 140,
+    "requests": 149,
     "progress_sha256":
-        "e4277988b3325a56356225b2db615b723236a352ce83c52de4bd7a1c5c632c74",
+        "ae36d6dab37b3188f03a211195ef4e9aaaf5ffc83331b7fd5aee054cf4af2a32",
     "disk_errors": 16,
-    "messages_sent": 2719,
+    "messages_sent": 2928,
     "fault_events": 2,
     "metrics_sha256":
-        "65b5ca51919b46c31939ba72075e9eddbb537139276e4203e79170d8b3ffd9d6",
+        "7c6227823d608826e8acd7d66b979d4002cdde09570b3e5aed96b09276fae49e",
 }
 
 

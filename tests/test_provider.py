@@ -95,9 +95,9 @@ def test_garbage_entries_purged_by_age():
 
 def test_every_table_change_says_what_follows(monkeypatch):
     """Each ``LocationHome`` change and the supervision checks it defers,
-    as (delay, check, segid).  Two lines pin known gaps: the home's own
-    withdrawal schedules no check, and a restart's ``reset`` keeps the
-    pending-check sets whose deferred checks died with the node."""
+    as (delay, check, segid).  One line pins a known gap: a restart's
+    ``reset`` keeps the pending-check sets whose deferred checks died
+    with the node."""
     dep = deploy()
     p = dep.providers["s01"]
     home = p.home
@@ -117,7 +117,7 @@ def test_every_table_change_says_what_follows(monkeypatch):
     home.claim(0xC, "s03", 1, 2, 100)
     home.claim(0xD, "s03", 1, 2, 100)
     assert follows(home.withdraw, 0xA, "s02") == [(0.0, "_supervise", 0xA)]
-    assert follows(home.withdraw_own, 0xB) == []
+    assert follows(home.withdraw, 0xB, "s01") == [(0.0, "_supervise", 0xB)]
     assert follows(home.drop_owner, "s03") == [(later, "_supervise", 0xC),
                                                (later, "_supervise", 0xD)]
     assert {0xA, 0xC, 0xD}.isdisjoint(home.table.segids())
@@ -216,6 +216,26 @@ def test_over_replication_trimmed_eventually():
     assert len(holders(dep, segid)) == 3
     dep.sim.run(until=dep.sim.now + 120)
     assert len(holders(dep, segid)) == 2, "excess replica never trimmed"
+
+
+def test_a_homes_own_erase_is_supervised():
+    """A degree-2 segment held by its own home and one other host: when
+    the home erases its copy (trim, migration, delete), the withdrawal is
+    supervised like a remote owner's, and the degree comes back."""
+    dep = deploy(n_storage=4, degree=2)
+    client = dep.client_on("c00")
+    segids = [write_file(dep, client, f"/own{i}", size=MB).layout
+              .segments[0].segid for i in range(4)]
+    dep.sim.run(until=dep.sim.now + 60)
+    segid, home = next(
+        (s, client._home_of(s)) for s in segids
+        if client._home_of(s) in holders(dep, s)
+        and len(holders(dep, s)) == 2)
+
+    dep.run(dep.providers[home]._erase(segid))
+    assert len(holders(dep, segid)) == 1
+    dep.sim.run(until=dep.sim.now + 10)
+    assert len(holders(dep, segid)) == 2
 
 
 # ----------------------------------------------------------- membership
