@@ -102,7 +102,7 @@ class Worker:
                 length = max(0, fh.size - offset)
             length = min(length, max(0, fh.size - offset))
             pieces = fh.layout.locate(offset, length)
-            owners = yield from self.client._resolve_read_owners(fh, pieces)
+            owners = yield from self.client._resolve_owners(fh, pieces)
             local = remote = 0
             for seg_idx, _seg_off, n in pieces:
                 owner, _version = owners[seg_idx]

@@ -5,11 +5,11 @@ Covers Figure 6's read path, the attached small-file fast path
 Figure 4 atomic-append recipe.
 
 Reads and writes are *vectored*: the layout's pieces are grouped by
-resolved owner and each group travels as one ``seg_read_vec`` /
-``seg_write_vec`` RPC.  Per-piece status in the reply lets a partial
-failure degrade to the single-piece retry path (``_read_piece_single``,
-``_write_piece_single``) — the only places, besides the exact-version
-scan in ``_load_index``, that still issue scalar ``seg_read``/``seg_write``.
+resolved owner and each group travels as one ``seg_read`` / ``seg_write``
+carrying its piece list; :meth:`DataPathMixin._seg_call` is the one place
+that sends either.  Per-piece status in the reply lets a failed piece
+degrade on its own: a read piece re-locates (``_read_piece_fallback``),
+a write piece is re-sent alone and a second failure raises.
 """
 
 from __future__ import annotations
@@ -115,18 +115,15 @@ class DataPathMixin:
             # the exact version we need.
             for owner, _v in resp["owners"]:
                 try:
-                    r = yield from self.rpc.call(
-                        owner, "seg_read",
+                    pr, = yield from self._seg_call(owner, "seg_read", [
                         {"segid": fh.fileid, "version": want, "offset": 0,
-                         "length": 0, "meta_only": meta_only},
-                        size=64,
-                    )
+                         "length": 0, "meta_only": meta_only}])
                 except (RpcTimeout, RpcRemoteError):
                     continue
-                self._learn_hint(fh.fileid, r)
-                meta = r["meta"]
-                fh.index_owner = owner
-                break
+                if pr["ok"]:
+                    meta = pr["meta"]
+                    fh.index_owner = owner
+                    break
             if meta is not None:
                 break
             yield self.sim.timeout(0.02 * (attempt + 1))
@@ -163,7 +160,7 @@ class DataPathMixin:
             return None
         return b"".join(chunks)
 
-    def _resolve_read_owners(self, fh: FileHandle, pieces) -> OwnerMap:
+    def _resolve_owners(self, fh: FileHandle, pieces) -> OwnerMap:
         """(owner, version) per segment index: session state first (shadow
         copies, segments created this session), then the location cache /
         home host — parallel lookups for the distinct unresolved SegIDs."""
@@ -191,51 +188,54 @@ class DataPathMixin:
                 owners[seg_idx] = (owner, ref.version)
         return owners
 
+    def _seg_call(self, owner: str, service: str, pieces: List[dict],
+                  sequential: bool = False, size: Optional[int] = None):
+        """The one data RPC: ``pieces`` to ``owner`` as a single
+        ``seg_read`` / ``seg_write``.  Learns every answered piece's owner
+        hint and returns the per-piece replies; a piece the owner could
+        not serve comes back with ``ok`` False and the provider's error.
+        A request costs 48 B, 16 B per piece and, for a write, the
+        pieces' bytes."""
+        if size is None:
+            size = 48 + 16 * len(pieces)
+            if service == "seg_write":
+                size += sum(p["length"] for p in pieces)
+        r = yield from self.rpc.call(
+            owner, service, {"pieces": pieces, "sequential": sequential},
+            size=size)
+        if len(pieces) > 1:
+            self._cache_note("vec_rpcs")
+            self._cache_note("vec_pieces", len(pieces))
+        for pr in r["pieces"]:
+            if pr["ok"]:
+                self._learn_hint(pr["segid"], pr)
+        return r["pieces"]
+
     def _read_pieces(self, fh: FileHandle, pieces, sequential: bool):
         """Fetch pieces grouped by owner; returns chunks in piece order."""
-        owners = yield from self._resolve_read_owners(fh, pieces)
+        owners = yield from self._resolve_owners(fh, pieces)
         chunks: List[Optional[bytes]] = [None] * len(pieces)
+        reqs: List[dict] = []
         groups: Dict[str, List[int]] = {}
-        for i, piece in enumerate(pieces):
-            groups.setdefault(owners[piece[0]][0], []).append(i)
+        for i, (seg_idx, seg_off, n) in enumerate(pieces):
+            owner, version = owners[seg_idx]
+            reqs.append({"segid": fh.layout.segments[seg_idx].segid,
+                         "version": version, "offset": seg_off, "length": n})
+            groups.setdefault(owner, []).append(i)
 
         def fetch_group(owner: str, idxs: List[int]):
-            if len(idxs) == 1:
-                i = idxs[0]
-                chunks[i] = yield from self._read_piece_single(
-                    fh, pieces[i], owners[pieces[i][0]], sequential)
-                return
-            reqs = []
-            for i in idxs:
-                seg_idx, seg_off, n = pieces[i]
-                ref = fh.layout.segments[seg_idx]
-                reqs.append({"segid": ref.segid,
-                             "version": owners[seg_idx][1],
-                             "offset": seg_off, "length": n})
             try:
-                r = yield from self.rpc.call(
-                    owner, "seg_read_vec",
-                    {"pieces": reqs, "sequential": sequential},
-                    size=64 + 16 * len(reqs),
-                )
+                replies = yield from self._seg_call(
+                    owner, "seg_read", [reqs[i] for i in idxs], sequential)
             except (RpcTimeout, RpcRemoteError):
-                # The whole group failed (owner dead/unreachable): drop
+                # The whole call failed (owner dead/unreachable): drop
                 # its cached claims and recover piece by piece.
                 self.loc_cache.evict_owner(owner)
-                for i in idxs:
-                    chunks[i] = yield from self._read_piece_fallback(
-                        fh, pieces[i], sequential, owner)
-                return
-            self._cache_note("vec_rpcs")
-            self._cache_note("vec_pieces", len(idxs))
-            for i, pr in zip(idxs, r["pieces"]):
-                segid = fh.layout.segments[pieces[i][0]].segid
-                if pr.get("ok"):
-                    self._learn_hint(segid, pr)
+                replies = [None] * len(idxs)
+            for i, pr in zip(idxs, replies):
+                if pr and pr["ok"]:
                     chunks[i] = pr["data"]
                 else:
-                    # Partial failure (version gone, disk error): the
-                    # single-piece retry path takes over for this piece.
                     chunks[i] = yield from self._read_piece_fallback(
                         fh, pieces[i], sequential, owner)
 
@@ -243,26 +243,6 @@ class DataPathMixin:
             fetch_group(owner, idxs) for owner, idxs in groups.items()
         ])
         return chunks
-
-    def _read_piece_single(self, fh: FileHandle, piece,
-                           ov: Tuple[str, int], sequential: bool):
-        """Scalar read of one piece (single-owner groups)."""
-        seg_idx, seg_off, n = piece
-        ref = fh.layout.segments[seg_idx]
-        owner, version = ov
-        try:
-            r = yield from self.rpc.call(
-                owner, "seg_read",
-                {"segid": ref.segid, "version": version, "offset": seg_off,
-                 "length": n, "sequential": sequential},
-                size=64,
-            )
-        except (RpcTimeout, RpcRemoteError):
-            chunk = yield from self._read_piece_fallback(fh, piece,
-                                                         sequential, owner)
-            return chunk
-        self._learn_hint(ref.segid, r)
-        return r["data"]
 
     def _read_piece_fallback(self, fh: FileHandle, piece, sequential: bool,
                              failed: str):
@@ -283,14 +263,12 @@ class DataPathMixin:
             other = self._pick_owner(others)
         else:
             other = yield from self._probe(ref.segid)
-        r = yield from self.rpc.call(
-            other[0], "seg_read",
+        pr, = yield from self._seg_call(other[0], "seg_read", [
             {"segid": ref.segid, "version": None, "offset": seg_off,
-             "length": n, "sequential": sequential},
-            size=64,
-        )
-        self._learn_hint(ref.segid, r)
-        return r["data"]
+             "length": n}], sequential)
+        if not pr["ok"]:
+            raise RpcRemoteError(other[0], "seg_read", pr["error"])
+        return pr["data"]
 
     # ============================================================== write
     def write(self, fh: FileHandle, offset: int, length: int,
@@ -301,7 +279,8 @@ class DataPathMixin:
         :mod:`repro.core.segment`): on an attached file that holds no
         literal bytes it only grows ``attached_len``; onto literal
         attached bytes it zero-fills, as a literal write does to a
-        size-only prefix.
+        size-only prefix.  ``sequential`` is accepted for symmetry with
+        :meth:`read`; an owner judges a write's pattern itself.
         """
         self._check_open(fh)
         if fh.mode != "w":
@@ -311,7 +290,7 @@ class DataPathMixin:
         self.stats["writes"] += 1
         yield self.node.cpu(OP_CPU)
         if not fh.versioning:
-            yield from self._write_in_place(fh, offset, length, data, sequential)
+            yield from self._write_in_place(fh, offset, length, data)
             return
         fh.dirty = True
         end = offset + length
@@ -330,10 +309,20 @@ class DataPathMixin:
             fh.attached_len = len(buf)
             return
         if not fh.layout.segments and fh.attached_len > 0:
-            yield from self._spill_attached(fh)
+            # An attached file outgrew 60 KB: its bytes move into a real
+            # data segment first.
+            payload, n = fh.attached, fh.attached_len
+            fh.attached, fh.attached_len = None, 0
+            yield from self._write_shadows(fh, 0, n, payload)
+        yield from self._write_shadows(fh, offset, length, data)
+
+    def _write_shadows(self, fh: FileHandle, offset: int, length: int,
+                       data: Optional[bytes]):
+        """Grow the layout over the range, create the new segments, and
+        push the pieces to each touched segment's writable version."""
+        end = offset + length
         if end > fh.layout.size:
-            created = fh.layout.grow_to(end, self.ids.new_id)
-            for ref in created:
+            for ref in fh.layout.grow_to(end, self.ids.new_id):
                 yield from self._create_segment(fh, ref)
         pieces = fh.layout.locate(offset, length)
         # Resolve each distinct segment's writable version first (serially)
@@ -343,113 +332,50 @@ class DataPathMixin:
         for seg_idx in dict.fromkeys(p[0] for p in pieces):
             owners[seg_idx] = yield from self._writable_version(
                 fh, fh.layout.segments[seg_idx])
-        yield from self._write_pieces(fh, pieces, data, owners, sequential)
+        yield from self._write_pieces(fh, pieces, data, owners)
 
     def _write_pieces(self, fh: FileHandle, pieces, data: Optional[bytes],
-                      owners: OwnerMap, sequential: bool,
-                      in_place: bool = False):
-        """Push pieces grouped by owner, one seg_write_vec per group."""
-        spans, pos = [], 0
+                      owners: OwnerMap, in_place: bool = False):
+        """Push pieces grouped by owner, one ``seg_write`` per group."""
+        groups: Dict[str, List[dict]] = {}
+        pos = 0
         for seg_idx, seg_off, n in pieces:
-            chunk = data[pos:pos + n] if data is not None else None
+            owner, version = owners[seg_idx]
+            req = {"segid": fh.layout.segments[seg_idx].segid,
+                   "version": version, "offset": seg_off, "length": n,
+                   "data": data[pos:pos + n] if data is not None else None}
+            if in_place:
+                req["in_place"] = True
             pos += n
-            spans.append((seg_idx, seg_off, n, chunk))
-        groups: Dict[str, List[int]] = {}
-        for i, span in enumerate(spans):
-            groups.setdefault(owners[span[0]][0], []).append(i)
+            groups.setdefault(owner, []).append(req)
 
-        def push_group(owner: str, idxs: List[int]):
-            if len(idxs) == 1:
-                span = spans[idxs[0]]
-                yield from self._write_piece_single(
-                    fh, span, owners[span[0]], sequential, in_place)
-                return
-            reqs, nbytes = [], 0
-            for i in idxs:
-                seg_idx, seg_off, n, chunk = spans[i]
-                req = {"segid": fh.layout.segments[seg_idx].segid,
-                       "version": owners[seg_idx][1],
-                       "offset": seg_off, "length": n, "data": chunk}
-                if in_place:
-                    req["in_place"] = True
-                reqs.append(req)
-                nbytes += n
+        def push_group(owner: str, reqs: List[dict]):
             try:
-                r = yield from self.rpc.call(
-                    owner, "seg_write_vec", {"pieces": reqs},
-                    size=64 + nbytes + 16 * len(reqs),
-                )
+                replies = yield from self._seg_call(owner, "seg_write", reqs)
             except RpcTimeout as exc:
                 self.loc_cache.evict_owner(owner)
                 if in_place:
                     raise
                 # The shadows' owner died mid-session: the write (and the
                 # whole session) cannot complete; the shadow TTL cleans up.
-                for i in idxs:
-                    fh.shadows.pop(fh.layout.segments[spans[i][0]].segid,
-                                   None)
-                first = fh.layout.segments[spans[idxs[0]][0]].segid
+                for req in reqs:
+                    fh.shadows.pop(req["segid"], None)
                 raise TimeoutError(
-                    f"owner of segment {first:#x} died mid-write: {exc}"
+                    f"owner of segment {reqs[0]['segid']:#x} died mid-write: {exc}"
                 ) from exc
-            self._cache_note("vec_rpcs")
-            self._cache_note("vec_pieces", len(idxs))
-            for i, pr in zip(idxs, r["pieces"]):
-                segid = fh.layout.segments[spans[i][0]].segid
-                if pr.get("ok"):
-                    self._learn_hint(segid, pr)
-                else:
-                    # Per-piece failure degrades to the scalar path, which
-                    # raises exactly what a scalar write would have.
-                    self._evict_location(segid)
-                    span = spans[i]
-                    yield from self._write_piece_single(
-                        fh, span, owners[span[0]], sequential, in_place)
+            for req, pr in zip(reqs, replies):
+                if pr["ok"]:
+                    continue
+                if len(reqs) == 1:
+                    raise RpcRemoteError(owner, "seg_write", pr["error"])
+                # A failed piece of a batch is re-sent alone, and fails
+                # the write only if it fails again.
+                self._evict_location(req["segid"])
+                yield from push_group(owner, [req])
 
         yield from gather(self.sim, [
-            push_group(owner, idxs) for owner, idxs in groups.items()
+            push_group(owner, reqs) for owner, reqs in groups.items()
         ])
-
-    def _write_piece_single(self, fh: FileHandle, span,
-                            ov: Tuple[str, int], sequential: bool,
-                            in_place: bool = False):
-        """Scalar write of one piece (single-owner groups + retry path)."""
-        seg_idx, seg_off, n, chunk = span
-        ref = fh.layout.segments[seg_idx]
-        owner, version = ov
-        req = {"segid": ref.segid, "version": version, "offset": seg_off,
-               "length": n, "data": chunk}
-        if in_place:
-            req["in_place"] = True
-        try:
-            r = yield from self.rpc.call(owner, "seg_write", req,
-                                         size=64 + n)
-        except RpcTimeout as exc:
-            self.loc_cache.evict_owner(owner)
-            if in_place:
-                raise
-            # The shadow's owner died mid-session: the write (and the
-            # whole session) cannot complete; the shadow TTL cleans up.
-            fh.shadows.pop(ref.segid, None)
-            raise TimeoutError(
-                f"owner of segment {ref.segid:#x} died mid-write: {exc}"
-            ) from exc
-        self._learn_hint(ref.segid, r)
-
-    def _spill_attached(self, fh: FileHandle):
-        """An attached file outgrew 60 KB: move its bytes into a real
-        data segment before continuing."""
-        payload, n = fh.attached, fh.attached_len
-        fh.attached, fh.attached_len = None, 0
-        created = fh.layout.grow_to(n, self.ids.new_id)
-        for ref in created:
-            yield from self._create_segment(fh, ref)
-        pieces = fh.layout.locate(0, n)
-        owners: OwnerMap = {}
-        for seg_idx in dict.fromkeys(p[0] for p in pieces):
-            owners[seg_idx] = yield from self._writable_version(
-                fh, fh.layout.segments[seg_idx])
-        yield from self._write_pieces(fh, pieces, payload, owners, True)
 
     # ================================================ versioning-off path
     def truncate(self, fh: FileHandle, size: int):
@@ -488,7 +414,7 @@ class DataPathMixin:
         return lock
 
     def _write_in_place(self, fh: FileHandle, offset: int, length: int,
-                        data: Optional[bytes], sequential: bool):
+                        data: Optional[bytes]):
         """Versioning-disabled path: mutate committed segments directly."""
         end = offset + length
         lock = self._fh_meta_lock(fh)
@@ -499,23 +425,9 @@ class DataPathMixin:
         finally:
             lock.release()
         pieces = fh.layout.locate(offset, length)
-        owners: OwnerMap = {}
-        unresolved: List[int] = []
-        for seg_idx in dict.fromkeys(p[0] for p in pieces):
-            ref = fh.layout.segments[seg_idx]
-            if ref.segid in fh.new_segments:
-                owners[seg_idx] = (fh.new_segments[ref.segid], 1)
-            else:
-                unresolved.append(seg_idx)
-        if unresolved:
-            resps = yield from gather(self.sim, [
-                self._locate(fh.layout.segments[s].segid)
-                for s in unresolved
-            ])
-            for seg_idx, resp in zip(unresolved, resps):
-                owner, _v = self._pick_owner(resp["owners"])
-                owners[seg_idx] = (owner, 1)
-        yield from self._write_pieces(fh, pieces, data, owners, sequential,
+        # No shadows here, and every segment stays at version 1.
+        owners = yield from self._resolve_owners(fh, pieces)
+        yield from self._write_pieces(fh, pieces, data, owners,
                                       in_place=True)
 
     def _grow_in_place(self, fh: FileHandle, end: int):
@@ -545,12 +457,11 @@ class DataPathMixin:
                 yield from self._ns_commit_cycle(fh)
         else:
             # Rewrite meta on the existing owner (segment stays v1).
-            yield from self.rpc.call(
-                fh.index_owner, "seg_write",
+            pr, = yield from self._seg_call(fh.index_owner, "seg_write", [
                 {"segid": fh.fileid, "version": 1, "offset": 0, "length": 0,
-                 "in_place": True},
-                size=_meta_size(meta),
-            )
+                 "in_place": True}], size=_meta_size(meta))
+            if not pr["ok"]:
+                raise RpcRemoteError(fh.index_owner, "seg_write", pr["error"])
             # Owner-side meta update rides on the same call in the real
             # system; emulate by a direct state poke through seg_commit.
             yield from self.rpc.call(

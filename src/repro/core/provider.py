@@ -3,7 +3,9 @@
 A provider wears three hats at once:
 
 * **owner** — it stores segments on its native FS (:class:`SegmentStore`)
-  and serves client reads/writes, shadow creation, and 2PC participation;
+  and serves client reads/writes (``seg_read`` / ``seg_write``, each a
+  piece list answered with per-piece status), shadow creation, and 2PC
+  participation;
 * **home host** — for SegIDs that consistent-hash to it, it keeps the
   soft-state :class:`LocationTable` and supervises replica consistency and
   replication degree (lazy update propagation, Section 3.6): one
@@ -216,7 +218,6 @@ class StorageProvider:
 
     SERVICES = (
         "seg_create", "seg_create_shadow", "seg_write", "seg_read",
-        "seg_write_vec", "seg_read_vec",
         "seg_renew", "seg_prepare", "seg_commit",
         "seg_abort", "seg_delete", "seg_fetch", "seg_sync",
         "seg_replicate", "seg_trim", "loc_lookup",
@@ -359,7 +360,7 @@ class StorageProvider:
         return hint
 
     def _write_one(self, req: dict, src: str):
-        """Core of ``seg_write``; shared with the vectored handler."""
+        """One ``seg_write`` piece; the owner judges its own pattern."""
         segid, version = req["segid"], req["version"]
         length = req["length"]
         yield from self._charge(length)
@@ -373,34 +374,35 @@ class StorageProvider:
         return {"version": seg.version, "size": seg.size}, 48
 
     def _h_seg_write(self, req: dict, src: str):
-        resp, nbytes = yield from self._write_one(req, src)
-        resp["hint"] = self._owner_hint(req["segid"], resp["version"])
-        return resp, nbytes + 16 * len(resp["hint"])
+        return self._pieces(self._write_one, req["pieces"], src)
 
-    def _h_seg_write_vec(self, req: dict, src: str):
-        return (yield from self._vectored(self._write_one, req["pieces"], src))
-
-    def _vectored(self, one, pieces: List[dict], src: str, *args):
-        """A vectored request, every piece through ``one(piece, src, *args)``.
-        Per-piece status lets a partial failure degrade to the client's
-        single-piece retry path without poisoning its siblings."""
+    def _pieces(self, one, pieces: List[dict], src: str, *args):
+        """A data request's piece list, every piece through ``one(piece,
+        src, *args)``.  Per-piece status lets a failed piece degrade to
+        the client's retry path without poisoning its siblings.  Each
+        piece is charged as if it travelled alone: its own bytes plus
+        16 B per hint entry, or 64 B (an error reply) when it failed.
+        The data handlers return this generator rather than delegating to
+        it, which keeps a generator frame off every call."""
         out, total = [], 0
         for piece in pieces:
             try:
                 resp, nbytes = yield from one(piece, src, *args)
             except (SegmentError, DiskIOError) as exc:
                 out.append({"ok": False, "segid": piece["segid"],
-                            "error": str(exc)})
+                            "error": f"{type(exc).__name__}: {exc}"})
+                total += 64
                 continue
+            hint = self._owner_hint(piece["segid"], resp["version"])
             resp["ok"] = True
             resp["segid"] = piece["segid"]
-            resp["hint"] = self._owner_hint(piece["segid"], resp["version"])
+            resp["hint"] = hint
             out.append(resp)
-            total += nbytes
-        return {"owner": self.node.hostid, "pieces": out}, 48 + total
+            total += nbytes + 16 * len(hint)
+        return {"owner": self.node.hostid, "pieces": out}, total
 
-    def _read_one(self, req: dict, src: str, sequential: bool = False):
-        """Core of ``seg_read``; a piece's own ``sequential`` wins."""
+    def _read_one(self, req: dict, src: str, sequential: bool):
+        """One ``seg_read`` piece (``version`` None: the latest committed)."""
         segid = req["segid"]
         version = req.get("version")
         yield from self._charge()
@@ -420,8 +422,7 @@ class StorageProvider:
             return {"version": version, "data": None, "length": length,
                     "meta": seg.meta}, 64 + length
         data = yield from self.store.read(
-            segid, version, req["offset"], length,
-            sequential=req.get("sequential", sequential))
+            segid, version, req["offset"], length, sequential=sequential)
         yield from self._charge(length)
         self.history.record(segid, src, length)
         self.stats["reads"] += 1
@@ -430,13 +431,8 @@ class StorageProvider:
                 "meta": seg.meta}, 64 + length
 
     def _h_seg_read(self, req: dict, src: str):
-        resp, nbytes = yield from self._read_one(req, src)
-        resp["hint"] = self._owner_hint(req["segid"], resp["version"])
-        return resp, nbytes + 16 * len(resp["hint"])
-
-    def _h_seg_read_vec(self, req: dict, src: str):
-        return (yield from self._vectored(self._read_one, req["pieces"], src,
-                                          req.get("sequential", False)))
+        return self._pieces(self._read_one, req["pieces"], src,
+                            req["sequential"])
 
     def _h_seg_renew(self, req: dict, src: str):
         yield from self._charge()

@@ -144,42 +144,40 @@ def test_one_dispatcher():
             assert package_of(dst) != "runtime", (src, dst)
 
 
-def test_scalar_segment_rpcs_only_in_fallback_paths():
-    """The vectored data path is the rule: client code may issue scalar
-    ``seg_read``/``seg_write`` RPCs only from the exact-version index
-    scan, the single-piece retry/fallback helpers, and the unversioned
-    index v1 rewrite — never from a new bulk-I/O loop."""
-    allowed = {
-        ("repro.core.client.io", "_load_index"),
-        ("repro.core.client.io", "_read_piece_single"),
-        ("repro.core.client.io", "_read_piece_fallback"),
-        ("repro.core.client.io", "_write_piece_single"),
-        ("repro.core.client.io", "_publish_unversioned_index"),
-    }
-    offenders = []
+def test_segment_data_rpcs_go_through_one_helper():
+    """One data RPC per direction: client code sends ``seg_read`` /
+    ``seg_write`` only through ``_seg_call``, which carries a piece list
+    (the helper names the service through its argument, so no literal
+    service name may reach a ``call`` anywhere in the client), and no
+    second, vectored service name is left under ``src/``."""
+    helper = ("repro.core.client.io", "_seg_call")
+    offenders, defined = [], []
     for path in (SRC / "core" / "client").glob("*.py"):
         mod = ".".join(path.relative_to(SRC.parent).with_suffix("").parts)
 
         def visit(node, fn, mod=mod):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 fn = node.name
+                if (mod, fn) == helper:
+                    defined.append(fn)
             if (isinstance(node, ast.Call)
                     and isinstance(node.func, ast.Attribute)
                     and node.func.attr == "call"
                     and len(node.args) > 1
                     and isinstance(node.args[1], ast.Constant)
-                    and node.args[1].value in ("seg_read", "seg_write")
-                    and (mod, fn) not in allowed):
+                    and node.args[1].value in ("seg_read", "seg_write")):
                 offenders.append(
                     f"{mod}.{fn}:{node.lineno} ({node.args[1].value})")
             for child in ast.iter_child_nodes(node):
                 visit(child, fn)
 
         visit(ast.parse(path.read_text()), "<module>")
+    assert defined == ["_seg_call"]
     assert offenders == [], (
-        "scalar segment RPCs outside the fallback allowlist: "
-        + ", ".join(offenders)
-    )
+        "segment data RPCs outside _seg_call: " + ", ".join(offenders))
+    vec = [str(p.relative_to(SRC)) for p in SRC.rglob("*.py")
+           if re.search(r"seg_(read|write)_vec", p.read_text())]
+    assert vec == []
 
 
 def test_raw_disk_io_goes_through_the_storage_engine():

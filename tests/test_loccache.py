@@ -4,9 +4,11 @@ import pytest
 
 from repro.cluster import small_cluster
 from repro.core import SorrentoConfig, SorrentoDeployment
+from repro.core.layout import DEFAULT_STRIPE_UNIT
 from repro.core.location import ClientLocationCache, TtlCache
 from repro.core.params import SorrentoParams
 from repro.faults import FaultPlan, NodeCrash, inject
+from repro.network.message import RpcRemoteError
 
 MB = 1 << 20
 KB = 1 << 10
@@ -115,8 +117,7 @@ def _striped_roundtrip():
     rpcs = sum(
         (dep.metrics.get("client", svc).calls
          if dep.metrics.get("client", svc) else 0)
-        for svc in ("loc_lookup", "seg_read", "seg_read_vec",
-                    "seg_write", "seg_write_vec"))
+        for svc in ("loc_lookup", "seg_read", "seg_write"))
     return data, got, rpcs, client
 
 
@@ -166,6 +167,91 @@ def test_vector_partial_failure_falls_back_per_piece():
 
     got = dep.run(read())
     assert got == data
+
+
+def test_batched_read_costs_what_its_pieces_cost_alone():
+    """One accounting rule for the one data RPC: an 8-stripe read batched
+    per owner puts the same reply bytes on the wire as the same eight
+    pieces read one call at a time."""
+    dep = deploy()
+    client = dep.client_on("c00")
+    unit = DEFAULT_STRIPE_UNIT
+    data = bytes(i % 251 for i in range(8 * unit))
+
+    def write():
+        fh = yield from client.open(
+            "/acct", "w", create=True, organization="striped",
+            stripe_count=8, fixed_size=len(data))
+        yield from client.write(fh, 0, len(data), data=data)
+        yield from client.close(fh)
+
+    def read(ranges):
+        fh = yield from client.open("/acct", "r")
+        got = []
+        for off, n in ranges:
+            got.append((yield from client.read(fh, off, n)))
+        yield from client.close(fh)
+        return b"".join(got)
+
+    def reply_bytes(ranges):
+        cell = dep.metrics.get("server", "seg_read")
+        before = (cell.calls, cell.bytes_in) if cell else (0, 0)
+        assert dep.run(read(ranges)) == data
+        cell = dep.metrics.get("server", "seg_read")
+        return cell.calls - before[0], cell.bytes_in - before[1]
+
+    dep.run(write())
+    reply_bytes([(0, len(data))])          # warm the location cache
+    vec_before = client.stats["vec_rpcs"]
+    batched_calls, batched = reply_bytes([(0, len(data))])
+    assert client.stats["vec_rpcs"] > vec_before
+    single_calls, single = reply_bytes(
+        [(i * unit, unit) for i in range(8)])
+    assert batched_calls < single_calls == 8
+    assert batched == single
+
+
+def test_failed_write_piece_is_resent_alone_and_raises():
+    """A piece the owner cannot store fails on its own: it is re-sent in
+    a one-piece call, whose failure raises the provider's error, while
+    the batch's other pieces are stored."""
+    dep = deploy(n_storage=2)
+    client = dep.client_on("c00")
+    unit = DEFAULT_STRIPE_UNIT
+    first = bytes(i % 241 for i in range(4 * unit))
+    second = bytes(i % 239 for i in range(4 * unit))
+
+    def begin():
+        fh = yield from client.open(
+            "/wpart", "w", create=True, organization="striped",
+            stripe_count=4, fixed_size=len(first))
+        yield from client.write(fh, 0, len(first), data=first)
+        return fh
+
+    fh = dep.run(begin())
+    by_owner = {}
+    for ref in fh.layout.segments:
+        # Never committed: each stripe is a v1 shadow on its creator.
+        by_owner.setdefault(fh.new_segments[ref.segid], []).append(
+            (ref.segid, 1))
+    owner, segs = max(by_owner.items(), key=lambda kv: len(kv[1]))
+    assert len(segs) >= 2, "no owner holds two stripes"
+    lost, kept = segs[0], segs[1:]
+    store = dep.providers[owner].store
+    dep.run(store.drop(*lost))
+
+    calls = dep.metrics.get("client", "seg_write").calls
+    with pytest.raises(RpcRemoteError) as err:
+        dep.run(client.write(fh, 0, len(second), data=second))
+    assert err.value.dst == owner and err.value.service == "seg_write"
+    assert f"{lost[0]:#x}" in err.value.error
+    # One call per owner, plus the lone re-send of the failed piece.
+    assert dep.metrics.get("client", "seg_write").calls == (
+        calls + len(by_owner) + 1)
+    for segid, version in kept:
+        idx = [r.segid for r in fh.layout.segments].index(segid)
+        got = dep.run(store.read(segid, version, 0, unit))
+        assert got == second[idx * unit:(idx + 1) * unit]
 
 
 # ----------------------------------------------------- fault staleness
