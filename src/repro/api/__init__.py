@@ -25,10 +25,8 @@ from repro.core.client import (
     SorrentoError,
     TimeoutError,
 )
-from repro.runtime import CallPolicy
 
 __all__ = [
-    "CallPolicy",
     "CommitConflict",
     "ConflictError",
     "Handle",

@@ -5,14 +5,9 @@ A :class:`Session` binds a single shared
 interface flavor over it — ``.posix`` (UNIX-like fds), ``.handles``
 (NFS-style), ``.pario`` (byte-range sharing) — so an application can mix
 levels without juggling stubs, and so all of them share one membership
-view, one RPC policy, and one set of client stats.
+view, the node's one RPC runtime, and one set of client stats::
 
-Policy overrides go through :meth:`Session.with_policy`, which takes a
-:class:`~repro.runtime.CallPolicy`; callers never reach into
-``repro.runtime`` internals::
-
-    sess = connect(dep, "c00").with_policy(CallPolicy(timeout=2.0,
-                                                      attempts=3))
+    sess = connect(dep, "c00")
     dep.run(sess.posix.stat("/data"))
 
 The flavor-specific constructors (``PosixAPI(client)``, ...) keep
@@ -28,7 +23,6 @@ from repro.api.pario import ParallelIO
 from repro.api.posix import PosixAPI
 from repro.compute.api import ComputeAPI
 from repro.core.client import SorrentoClient
-from repro.runtime import CallPolicy
 from repro.sim import Barrier
 
 
@@ -75,22 +69,6 @@ class Session:
         """Attach a collective barrier to the ``pario`` view (for
         ``ParallelIO.sync``); returns self for chaining."""
         self.pario.barrier = barrier
-        return self
-
-    # -- policy ----------------------------------------------------------
-    @property
-    def policy(self) -> CallPolicy:
-        """The RPC policy governing this session's node."""
-        return self.client.rpc.policy
-
-    def with_policy(self, policy: CallPolicy) -> "Session":
-        """Override timeout/retry for this session's RPCs; returns self.
-
-        The policy applies to the node's service runtime, which the
-        session's client shares with any daemons co-located on the same
-        node — per-node, like a kernel socket option.
-        """
-        self.client.rpc.configure(policy=policy)
         return self
 
     # -- convenience pass-throughs --------------------------------------

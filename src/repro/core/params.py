@@ -9,7 +9,7 @@ calibrates, read directly: ``core/migration.py`` (trigger and α),
 ``core/locality.py``, ``core/placement.py``, ``core/layout.py``
 (``ATTACH_MAX``), ``core/namespace.py``, ``core/provider.py``,
 ``core/client/{io,versioning,stub,router}.py``, and
-``runtime/policy.py`` (``RPC_DEADLINE``).
+``runtime/service.py`` (``RPC_DEADLINE``).
 ``tests/test_architecture.py`` fails on a field nothing sets.
 """
 

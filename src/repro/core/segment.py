@@ -353,11 +353,7 @@ class SegmentStore:
         any_allocated = False
         for v in self.versions_of(segid):
             seg = self._remove(segid, v)
-            f = self.fs.files.pop(seg.fs_name, None)
-            if f is not None:
-                self.fs.used -= f.allocated
-                any_allocated = any_allocated or f.allocated > 0
-            self.fs.discard_cache(seg.fs_name)
+            any_allocated = bool(self.fs.forget(seg.fs_name)) or any_allocated
         if any_allocated:
             yield self.fs.meta_io()
 
@@ -379,9 +375,7 @@ class SegmentStore:
         if seg is None or seg.committed:
             return None
         self._remove(segid, version)
-        f = self.fs.files.pop(fs_name, None)
-        if f is not None:
-            self.fs.used -= f.allocated
+        self.fs.forget(fs_name)
         return segid, version
 
     def renew_shadow(self, segid: int, version: int) -> None:
@@ -453,25 +447,26 @@ class SegmentStore:
         seg = self._require(segid, version)
         pieces = self._resolve(seg, offset, length)
         seg.last_access = self.sim.now
-        yield from self.fs.read(seg.fs_name, offset, min(length, max(0, seg.size - offset)),
-                                sequential)
-        has_literal = any(
-            isinstance(val, tuple)
-            for v, s, e in pieces
-            for _cs, _ce, val in self.get(segid, v).extents.slices(s, e)
-        )
-        if not has_literal:
-            return None
-        chunks: List[bytes] = []
+        yield from self.fs.read(seg.fs_name, offset, length, sequential)
+        buf = None
+        for cs, ce, data in self._content(segid, pieces):
+            if data is not None:
+                if buf is None:
+                    buf = bytearray(length)
+                buf[cs - offset:ce - offset] = data
+        return None if buf is None else bytes(buf)
+
+    def _content(self, segid: int, pieces: List[Tuple[int, int, int]]):
+        """What resolved ``pieces`` hold, run by run: ``(start, end,
+        data)`` with ``data`` the literal bytes, or ``None`` for synthetic
+        content.  True holes (written nowhere in the chain) are skipped."""
         for v, s, e in pieces:
-            src = self.get(segid, v)
-            for cs, ce, val in src.extents.slices(s, e):
+            for cs, ce, val in self.get(segid, v).extents.slices(s, e):
                 if isinstance(val, tuple):
-                    orig_start, payload = val
-                    chunks.append(payload[cs - orig_start:ce - orig_start])
-                else:
-                    chunks.append(b"\x00" * (ce - cs))
-        return b"".join(chunks)
+                    orig, payload = val
+                    yield cs, ce, payload[cs - orig:ce - orig]
+                elif val is not None:
+                    yield cs, ce, None
 
     # -- replica ingestion & consolidation -----------------------------
     def export_diff(self, segid: int, from_version: int, to_version: int):
@@ -495,16 +490,9 @@ class SegmentStore:
         regions: List[Tuple[int, int, Optional[bytes]]] = []
         for s, e, _ in changed:
             s, e = min(s, target.size), min(e, target.size)
-            if s >= e:
-                continue
-            for v2, ps, pe in self._resolve(target, s, e - s):
-                src = self.get(segid, v2)
-                for cs, ce, val in src.extents.slices(ps, pe):
-                    if isinstance(val, tuple):
-                        orig, payload = val
-                        regions.append((cs, ce, payload[cs - orig:ce - orig]))
-                    elif val is not None:
-                        regions.append((cs, ce, None))
+            if s < e:
+                regions.extend(
+                    self._content(segid, self._resolve(target, s, e - s)))
         return regions
 
     def apply_diff(self, segid: int, new_version: int, size: int,
@@ -575,18 +563,11 @@ class SegmentStore:
         if seg.base_version is None:
             return
         for lo, hi in seg.extents.gaps(0, seg.size):
-            for v, s, e in self._resolve(seg, lo, hi - lo):
-                if v == version:
-                    continue  # a true hole: still reads as zeros
-                src = self.get(segid, v)
-                for cs, ce, val in src.extents.slices(s, e):
-                    if isinstance(val, tuple):
-                        orig, payload = val
-                        self._bytes += seg.extents.set_range(
-                            cs, ce, (cs, payload[cs - orig:ce - orig])
-                        )
-                    elif val is not None:
-                        self._bytes += seg.extents.set_range(cs, ce, SYNTHETIC)
+            # True holes are skipped: they still read as zeros.
+            for cs, ce, data in self._content(
+                    segid, self._resolve(seg, lo, hi - lo)):
+                self._bytes += seg.extents.set_range(
+                    cs, ce, SYNTHETIC if data is None else (cs, data))
             yield from self.fs.write(seg.fs_name, lo, hi - lo)
         seg.base_version = None
 

@@ -49,7 +49,7 @@ class OpStats:
     ok: int = 0             # invocations that returned a response
     errors: int = 0         # invocations ending in a remote error
     timeouts: int = 0       # invocations ending in RpcTimeout
-    retries: int = 0        # extra attempts beyond the first, summed
+    retries: int = 0        # always 0: the runtime does not retry
     oneways: int = 0        # fire-and-forget sends (no latency recorded)
     bytes_out: int = 0      # request/one-way payload bytes
     bytes_in: int = 0       # response payload bytes (server: bytes served)
@@ -62,8 +62,7 @@ class OpStats:
         return self.latency_total / self.calls if self.calls else 0.0
 
     def observe(self, latency: float, ok: bool, timeout: bool = False,
-                retries: int = 0, bytes_out: int = 0,
-                bytes_in: int = 0) -> None:
+                bytes_out: int = 0, bytes_in: int = 0) -> None:
         """Fold in one finished invocation (the runtime calls this
         positionally, once per RPC and once per handled message)."""
         self.calls += 1
@@ -73,7 +72,6 @@ class OpStats:
             self.timeouts += 1
         else:
             self.errors += 1
-        self.retries += retries
         self.bytes_out += bytes_out
         self.bytes_in += bytes_in
         self.latency_total += latency

@@ -11,12 +11,13 @@ in flight.  RPCs are used from inside sim processes with ``yield from``::
 how the paper's observation that "it takes two TCP roundtrips to open a file
 and three to close" is modelled without a full TCP state machine.
 
-One generator carries each call — pings, the request, per-attempt
-deadlines from the :class:`~repro.runtime.policy.CallPolicy` (the
-Figure-13 deadline unless overridden, so call sites stop re-spelling
-timeouts), retries — and one carries each handled request; each records
+One generator carries each call — pings, the request, each exchange
+under one deadline (:data:`RPC_DEADLINE` unless the call site passes its
+own ``timeout``) — and one carries each handled request; each records
 one observation, scope ``"client"`` / ``"server"``, and a call one
-``rpc:<service>`` span.  Registry/tracer/policy are late-bound through
+``rpc:<service>`` span.  There is no retry: Sorrento handles failure
+above the RPC layer (home-host re-locate, probe fallback, namespace
+failover, re-placement).  Registry and tracer are late-bound through
 :meth:`configure`: deployments wire them after nodes (and their daemons)
 exist.
 
@@ -43,9 +44,13 @@ from repro.network.message import (
 )
 from repro.network.switch import Fabric, Host
 from repro.runtime.metrics import CLIENT, SERVER, MetricsRegistry
-from repro.runtime.policy import DEFAULT_POLICY, CallPolicy
 from repro.runtime.trace import Tracer
 from repro.sim import Simulator
+
+#: The paper's Figure-13 RPC deadline (seconds): failed-node requests
+#: surface as timeouts at this horizon ("requests issued to the failed
+#: node are all timed out").
+RPC_DEADLINE = 5.0
 
 #: Size of a ping/ack exchange used to charge extra round-trips.
 PING_BYTES = 64
@@ -68,13 +73,12 @@ class ServiceRuntime:
 
     def __init__(self, sim: Simulator, fabric: Fabric, host: Host,
                  registry: Optional[MetricsRegistry] = None,
-                 tracer: Optional[Tracer] = None,
-                 policy: CallPolicy = DEFAULT_POLICY):
+                 tracer: Optional[Tracer] = None):
         self.sim = sim
         self.fabric = fabric
         self.host = host
         self.hostid = host.hostid
-        self.configure(registry, tracer, policy)
+        self.configure(registry, tracer)
         self.handlers: Dict[str, Handler] = {}
         self._proc_names: Dict[str, str] = {}
         self._pending: Dict[int, Any] = {}
@@ -87,8 +91,8 @@ class ServiceRuntime:
         host.deliver = self._on_message
 
     # ------------------------------------------------------------- wiring
-    def configure(self, registry=_UNSET, tracer=_UNSET, policy=_UNSET) -> "ServiceRuntime":
-        """Re-wire observability/policy; omitted fields keep their value."""
+    def configure(self, registry=_UNSET, tracer=_UNSET) -> "ServiceRuntime":
+        """Re-wire observability; omitted fields keep their value."""
         if registry is not _UNSET:
             # Where calls and one-ways issued, and handler executions, are
             # booked.  Unwired, all the same: on a registry nobody reads.
@@ -98,8 +102,6 @@ class ServiceRuntime:
             self._served = sink.scope(SERVER)
         if tracer is not _UNSET:
             self.tracer = tracer
-        if policy is not _UNSET:
-            self.policy = policy
         return self
 
     def register(self, service: str, handler: Handler,
@@ -130,33 +132,22 @@ class ServiceRuntime:
 
     # -------------------------------------------------------- client side
     def call(self, dst: str, service: str, payload: Any = None,
-             size: int = 0, timeout: Optional[float] = None, rtts: int = 1,
-             policy: Optional[CallPolicy] = None):
+             size: int = 0, timeout: float = RPC_DEADLINE, rtts: int = 1):
         """Generator: one RPC invocation, start to finish.
 
         ``rtts - 1`` ping exchanges precede the request proper (the
-        paper's TCP round-trips).  An attempt whose ping or request gets
-        no answer by its deadline is re-issued from the first ping, after
-        the policy's backoff, up to ``policy.attempts`` — only time-outs:
-        a remote error is a handler answering "no", and repeating the
-        question does not change it.  ``timeout`` overrides the
-        per-attempt deadline only; ``policy`` overrides the whole
-        retry/timeout behaviour for this call.
+        paper's TCP round-trips), each answered within ``timeout``.
 
-        Raises :class:`RpcTimeout` if the last attempt gets no answer
-        and :class:`RpcRemoteError` if the handler raised.  However many
-        attempts it takes, the invocation is one OpStats observation
-        (latency is what the caller felt) and one ``rpc:<service>`` span
-        carrying a ``retries`` attribute.
+        Raises :class:`RpcTimeout` at the first exchange that gets no
+        answer by its deadline and :class:`RpcRemoteError` if the
+        handler raised.  The invocation is one OpStats observation
+        (latency is what the caller felt) and one ``rpc:<service>`` span.
         """
-        policy = policy or self.policy
-        if timeout is None:
-            timeout = policy.timeout
         sim, tracer, pending = self.sim, self.tracer, self._pending
         src, send = self.hostid, self.fabric.send
         t0 = sim.now
         span = None if tracer is None else tracer.start("rpc:" + service, dst=dst)
-        attempt, left = 1, rtts
+        left = rtts
         try:
             while True:
                 # One exchange — a ping, or the request proper — is one
@@ -173,38 +164,26 @@ class ServiceRuntime:
                                          size, "", req_id))
                 answer = yield reply
                 if answer is None:
-                    if attempt >= policy.attempts:
-                        raise RpcTimeout(dst, service, timeout)
-                    # Given up on: a late response finds nobody.
-                    pending.pop(req_id, None)
-                    delay = policy.delay_before_retry(attempt)
-                    attempt, left = attempt + 1, rtts
-                    if delay > 0:
-                        yield sim.timeout(delay)
-                elif answer[0] == "err":
+                    raise RpcTimeout(dst, service, timeout)
+                if answer[0] == "err":
                     raise RpcRemoteError(dst, service, answer[1])
-                elif left > 1:
-                    left -= 1
-                else:
+                if left <= 1:
                     break
+                left -= 1
         except Exception as exc:
-            # Whatever ended the call — the last time-out, or an
-            # Interrupt thrown into the waiting caller (it closes the span
-            # but is no RPC outcome: not observed) — nobody is left to
-            # answer; an answered slot was popped by the answer.
+            # Whatever ended the call — the time-out, or an Interrupt
+            # thrown into the waiting caller (it closes the span but is no
+            # RPC outcome: not observed) — nobody is left to answer; an
+            # answered slot was popped by the answer.
             pending.pop(req_id, None)
             if isinstance(exc, (RpcTimeout, RpcRemoteError)):
                 self._called[service].observe(
-                    sim.now - t0, False, isinstance(exc, RpcTimeout),
-                    attempt - 1, size)
+                    sim.now - t0, False, isinstance(exc, RpcTimeout), size)
             if span is not None:
-                span.attrs["retries"] = attempt - 1
                 tracer.finish(span, status=type(exc).__name__)
             raise
-        self._called[service].observe(
-            sim.now - t0, True, False, attempt - 1, size)
+        self._called[service].observe(sim.now - t0, True, False, size)
         if span is not None:
-            span.attrs["retries"] = attempt - 1
             tracer.finish(span, status="ok")
         return answer[1]
 
@@ -269,7 +248,7 @@ class ServiceRuntime:
                         self._proc_names[service])
                 else:
                     self._served[service].observe(
-                        0.0, True, False, 0, 0,
+                        0.0, True, False, 0,
                         32 if result is None else _split_result(result)[1])
         elif kind == "ping":
             self.fabric.send(acquire_message(
@@ -293,7 +272,7 @@ class ServiceRuntime:
         else:
             answer, size = _split_result(result)
         self._served[service].observe(
-            sim.now - t0, ok, False, 0, 0, size if ok else 0)
+            sim.now - t0, ok, False, 0, size if ok else 0)
         if self.host.alive:
             self.fabric.send(acquire_message(
                 self.hostid, src, "resp" if ok else "err", answer, size,
@@ -306,7 +285,7 @@ class ServiceRuntime:
             self._served[service].observe(self.sim.now - t0, False)
             raise
         self._served[service].observe(
-            self.sim.now - t0, True, False, 0, 0, _split_result(result)[1])
+            self.sim.now - t0, True, False, 0, _split_result(result)[1])
 
 
 def _split_result(result: HandlerResult) -> Tuple[Any, int]:

@@ -12,7 +12,7 @@ motivations for balancing storage usage (Section 3.7).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Union
+from typing import Dict, Optional, Union
 
 from repro.sim import Simulator
 from repro.storage.disk import Disk
@@ -95,11 +95,6 @@ class LocalFS:
         if self.engine is not None:
             yield from self.engine.sync(name)
 
-    def discard_cache(self, name: str) -> None:
-        """Drop any cached pages for a file that no longer exists."""
-        if self.engine is not None:
-            self.engine.drop(name)
-
     # -- space accounting ---------------------------------------------
     @property
     def available(self) -> int:
@@ -144,18 +139,27 @@ class LocalFS:
             f.allocated = size
         f.size = size
 
+    def forget(self, name: str) -> Optional[int]:
+        """Drop a file with no device I/O: its space and any cached pages
+        go.  Returns the bytes it had allocated (``None``: no such file)."""
+        if self.engine is not None:
+            self.engine.drop(name)
+        f = self.files.pop(name, None)
+        if f is None:
+            return None
+        self.used -= f.allocated
+        return f.allocated
+
     def unlink(self, name: str):
         """Remove a file, freeing its space (one metadata I/O).
 
         Removing a never-materialized file (no allocated blocks — e.g. an
         aborted shadow that was never written) is a cache-only operation.
         """
-        f = self.files.pop(name, None)
-        if f is None:
+        allocated = self.forget(name)
+        if allocated is None:
             raise FileNotFoundError(name)
-        self.used -= f.allocated
-        self.discard_cache(name)
-        if f.allocated > 0:
+        if allocated > 0:
             yield self.meta_io()
 
     def exists(self, name: str) -> bool:

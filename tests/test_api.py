@@ -3,7 +3,6 @@
 import pytest
 
 from repro.api import (
-    CallPolicy,
     CommitConflict,
     ConflictError,
     HandleAPI,
@@ -17,6 +16,7 @@ from repro.cluster import small_cluster
 from repro.core import SorrentoConfig, SorrentoDeployment
 from repro.core.client import SorrentoError
 from repro.core.params import SorrentoParams
+from repro.runtime import Tracer
 
 
 def deploy():
@@ -239,22 +239,32 @@ def test_connect_shares_one_client_across_views():
     assert dep.run(scenario()) == b"via1"
 
 
-def test_session_with_policy_overrides_rpc_policy():
+def test_session_client_rides_the_nodes_runtime():
+    """A session issues its RPCs through the node's one runtime, so what
+    is wired there (registry, tracer) is what the session's calls see."""
     dep = deploy()
-    tight = CallPolicy(timeout=1.5, attempts=3, backoff=0.1)
-    sess = connect(dep, "c00").with_policy(tight)
-    assert sess.policy is tight
-    assert sess.client.rpc.policy is tight
+    sess = connect(dep, "c00")
+    assert sess.client.rpc is dep.nodes["c00"].runtime
+    tracer = Tracer(dep.sim)
+    sess.client.rpc.configure(tracer=tracer)
+
+    def scenario():
+        fd = yield from sess.posix.open("/traced", "w", create=True)
+        yield from sess.posix.close(fd)
+
+    dep.run(scenario())
+    assert tracer.spans("rpc:ns_create")
 
 
 def test_session_policy_survives_a_second_client_on_the_node():
-    """Building another stub (or daemon) on the node must not reset the
-    node's RPC policy to the deployment default."""
+    """Building another stub (or daemon) on the node must not re-wire
+    the node's RPC runtime to the deployment default."""
     dep = deploy()
-    tight = CallPolicy(timeout=1.5, attempts=3, backoff=0.1)
-    sess = connect(dep, "c00").with_policy(tight)
+    tracer = Tracer(dep.sim)
+    sess = connect(dep, "c00")
+    sess.client.rpc.configure(tracer=tracer)
     dep.client_on("c00")
-    assert sess.policy is tight
+    assert sess.client.rpc.tracer is tracer
 
 
 def test_posix_open_accepts_int_and_string_flags():

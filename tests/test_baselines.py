@@ -4,7 +4,7 @@ import pytest
 
 from repro.baselines import NFSDeployment, PVFSDeployment
 from repro.cluster import small_cluster
-from repro.runtime import CallPolicy
+from repro.runtime import Tracer
 
 KB = 1 << 10
 MB = 1 << 20
@@ -226,11 +226,11 @@ def test_pvfs_needs_an_iod():
 @pytest.mark.parametrize("make", [nfs_dep, pvfs_dep])
 def test_second_client_keeps_the_nodes_rpc_policy(make):
     """A baseline stub is built on the node's runtime, not over its
-    policy: a second ``client_on`` must not reset what was set there."""
+    wiring: a second ``client_on`` must not reset what was set there."""
     dep = make()
-    tight = CallPolicy(timeout=1.5, attempts=3, backoff=0.1)
+    tracer = Tracer(dep.sim)
     first = dep.client_on("c00")
-    first.rpc.configure(policy=tight)
+    first.rpc.configure(tracer=tracer)
     second = dep.client_on("c00")
     assert second.rpc is first.rpc
-    assert first.rpc.policy is tight
+    assert first.rpc.tracer is tracer

@@ -1,8 +1,8 @@
 """Tests for the instrumented service-runtime layer.
 
 Covers the call contract (one observation and one span per invocation,
-whatever pings and retries it took), retry-with-backoff under injected
-timeouts, metric counter correctness, trace parent/child
+whatever pings it took; one deadline per exchange and no retry), metric
+counter correctness, trace parent/child
 nesting in virtual time, idempotent handler registration, and the
 end-to-end assertion that a real experiment driver's read/write/open
 paths show up in the deployment registry.
@@ -16,7 +16,6 @@ from repro.runtime import (
     CACHE,
     CLIENT,
     SERVER,
-    CallPolicy,
     MetricsRegistry,
     ServiceRuntime,
     Tracer,
@@ -37,39 +36,30 @@ def make_runtimes(n=3, rate=12.5e6, latency=80e-6):
 
 # ---------------------------------------------------------- call contract
 def test_one_observation_and_one_span_cover_pings_and_retries():
-    """rtts=3 is two pings and the request; an attempt that times out in
-    a ping starts over from the first ping; the caller still sees one
-    invocation — one OpStats row entry, one span, same interval."""
+    """rtts=3 is two pings and the request; the caller sees one
+    invocation — one OpStats row entry, one span, same interval — and
+    there are no retries to cover: ``retries`` stays 0."""
     sim, fabric, rts = make_runtimes()
     registry, tracer = MetricsRegistry(), Tracer(sim)
     rts["n0"].configure(registry=registry, tracer=tracer)
     rts["n1"].register("echo", lambda payload, src: (payload, 8))
-    fabric.hosts["n1"].alive = False
-
-    def reviver():
-        yield sim.timeout(0.7)  # first attempt's first ping dies at 0.5
-        fabric.hosts["n1"].alive = True
 
     def client():
-        resp = yield from rts["n0"].call(
-            "n1", "echo", "x", size=16, rtts=3,
-            policy=CallPolicy(timeout=0.5, attempts=3, backoff=0.25))
+        resp = yield from rts["n0"].call("n1", "echo", "x", size=16, rtts=3)
         return resp, sim.now
 
-    sim.process(reviver())
     sent0 = fabric.messages_sent
     resp, t = sim.run_process(sim.process(client()))
     assert resp == "x"
-    # One lost ping, then ping/ack, ping/ack, req/resp.
-    assert fabric.messages_sent - sent0 == 1 + 6
+    # ping/ack, ping/ack, req/resp.
+    assert fabric.messages_sent - sent0 == 6
     st = registry.stats(CLIENT, "echo")
-    assert (st.calls, st.ok, st.timeouts, st.retries) == (1, 1, 0, 1)
+    assert (st.calls, st.ok, st.timeouts, st.retries) == (1, 1, 0, 0)
     assert st.bytes_out == 16
     assert st.latency_total == pytest.approx(t)
     (span,) = tracer.spans("rpc:echo")
-    assert span.status == "ok" and span.attrs["retries"] == 1
+    assert span.status == "ok" and "retries" not in span.attrs
     assert (span.start, span.end) == (0.0, t)
-    assert t > 0.75  # 0.5 deadline + 0.25 backoff + three round-trips
 
 
 def test_interrupted_call_closes_its_span_but_is_not_an_rpc_outcome():
@@ -101,78 +91,33 @@ def test_interrupted_call_closes_its_span_but_is_not_an_rpc_outcome():
 
 
 def test_stock_stack_order_metrics_outside_retry():
-    """Metrics wrap all attempts: one observation, full felt latency."""
+    """The stock stack has no retry loop for metrics to sit inside: the
+    first exchange that times out — here the first of two pings — ends
+    the call, with nothing more on the wire, one observation whose
+    latency is the whole deadline, and no answer slot left behind."""
     sim, fabric, rts = make_runtimes()
     fabric.hosts["n1"].alive = False
     registry = MetricsRegistry()
-    rts["n0"].configure(registry=registry,
-                        policy=CallPolicy(timeout=0.5, attempts=2))
+    rts["n0"].configure(registry=registry)
 
     def client():
         with pytest.raises(RpcTimeout):
-            yield from rts["n0"].call("n1", "echo", "x")
+            yield from rts["n0"].call("n1", "echo", "x", rtts=3, timeout=0.5)
         return sim.now
 
+    sent0 = fabric.messages_sent
     t = sim.run_process(sim.process(client()))
+    assert t == pytest.approx(0.5)
+    assert fabric.messages_sent - sent0 == 1
     st = registry.stats(CLIENT, "echo")
-    # Were metrics inside retry, we'd see 2 calls of 0.5 s each.
-    assert st.calls == 1
-    assert st.retries == 1
+    assert (st.calls, st.timeouts, st.retries) == (1, 1, 0)
     assert st.latency_total == pytest.approx(t)
-
-
-# ------------------------------------------------------------------ retry
-def test_retry_with_backoff_timing_and_counters():
-    sim, fabric, rts = make_runtimes()
-    fabric.hosts["n1"].alive = False
-    registry = MetricsRegistry()
-    rts["n0"].configure(registry=registry)
-    policy = CallPolicy(timeout=0.5, attempts=3, backoff=0.25,
-                        backoff_factor=2.0)
-
-    def client():
-        with pytest.raises(RpcTimeout):
-            yield from rts["n0"].call("n1", "echo", "x", policy=policy)
-        return sim.now
-
-    # 0.5 + 0.25 + 0.5 + 0.5 + 0.5 = three attempts, two backoffs.
-    t = sim.run_process(sim.process(client()))
-    assert t == pytest.approx(2.25)
-    st = registry.stats(CLIENT, "echo")
-    assert (st.calls, st.timeouts, st.retries, st.ok) == (1, 1, 2, 0)
-
-
-def test_retry_succeeds_after_transient_timeouts():
-    sim, fabric, rts = make_runtimes()
-    attempts = []
-    rts["n1"].register("flaky", lambda payload, src: attempts.append(src))
-
-    # Drop the first two attempts by keeping the server down, then revive
-    # it mid-retry: the third attempt lands.
-    fabric.hosts["n1"].alive = False
-
-    def reviver():
-        yield sim.timeout(1.6)
-        fabric.hosts["n1"].alive = True
-
-    registry = MetricsRegistry()
-    rts["n0"].configure(registry=registry)
-    policy = CallPolicy(timeout=0.5, attempts=4, backoff=0.25)
-
-    def client():
-        yield from rts["n0"].call("n1", "flaky", "x", policy=policy)
-        return sim.now
-
-    sim.process(reviver())
-    t = sim.run_process(sim.process(client()))
-    assert attempts  # the handler eventually ran
-    st = registry.stats(CLIENT, "flaky")
-    assert st.ok == 1 and st.calls == 1
-    assert st.retries >= 2
-    assert t > 1.6
+    assert rts["n0"]._pending == {}
 
 
 def test_remote_errors_are_not_retried():
+    """A remote error is one observation counted as an error: the
+    handler ran once and the call raised."""
     sim, fabric, rts = make_runtimes()
     calls = []
 
@@ -186,13 +131,13 @@ def test_remote_errors_are_not_retried():
 
     def client():
         with pytest.raises(RpcRemoteError):
-            yield from rts["n0"].call(
-                "n1", "bad", policy=CallPolicy(timeout=1.0, attempts=5))
+            yield from rts["n0"].call("n1", "bad")
 
     sim.run_process(sim.process(client()))
     assert len(calls) == 1
     st = registry.stats(CLIENT, "bad")
-    assert (st.calls, st.errors, st.retries) == (1, 1, 0)
+    assert (st.calls, st.ok, st.errors, st.timeouts, st.retries) == \
+        (1, 0, 1, 0, 0)
 
 
 # ---------------------------------------------------------------- metrics
@@ -299,7 +244,7 @@ def test_latency_histogram_quantiles():
 _BOOKED = {
     ("client", "bare"): (1, 1, 0, 0, 0, 0, 5, 0, 0.00017608000000000033),
     ("client", "boom"): (1, 0, 1, 0, 0, 0, 3, 0, 0.00017592000000000128),
-    ("client", "echo"): (4, 3, 0, 1, 2, 0, 72, 0, 1.6508794400000002),
+    ("client", "echo"): (3, 2, 0, 1, 0, 0, 52, 0, 0.50070664),
     ("client", "missing"): (1, 0, 1, 0, 0, 0, 3, 0, 0.00017592000000000128),
     ("client", "note"): (0, 0, 0, 0, 0, 1, 8, 0, 0.0),
     ("client", "note_sized"): (0, 0, 0, 0, 0, 1, 9, 0, 0.0),
@@ -308,7 +253,7 @@ _BOOKED = {
     ("client", "slow_note"): (0, 0, 0, 0, 0, 1, 10, 0, 0.0),
     ("server", "bare"): (1, 1, 0, 0, 0, 0, 0, 64, 0.0),
     ("server", "boom"): (1, 0, 1, 0, 0, 0, 0, 0, 0.0),
-    ("server", "echo"): (3, 3, 0, 0, 0, 0, 0, 24, 0.0),
+    ("server", "echo"): (2, 2, 0, 0, 0, 0, 0, 16, 0.0),
     ("server", "note"): (1, 1, 0, 0, 0, 0, 0, 32, 0.0),
     ("server", "note_sized"): (1, 1, 0, 0, 0, 0, 0, 100, 0.0),
     ("server", "slow_boom"): (1, 0, 1, 0, 0, 0, 0, 0, 0.0009999999999999992),
@@ -323,7 +268,7 @@ def _accounting_scenarios(sim, a, b):
     """One of each thing a runtime books: sync and generator one-ways
     (sized, unsized), answered requests (sync, generator, bare payload,
     three round-trips), raising handlers (sync, generator, no such
-    service), a timed-out call and a retried one."""
+    service) and a timed-out call."""
 
     def slow_note(payload, src):
         yield sim.timeout(0.002)
@@ -349,9 +294,6 @@ def _accounting_scenarios(sim, a, b):
     b.register("boom", boom)
     b.register("slow_boom", slow_boom)
 
-    def revive(host, alive):
-        host.alive = alive
-
     def client():
         a.send("n1", "note", "x", size=8)
         a.send("n1", "note_sized", "x", size=9)
@@ -367,10 +309,6 @@ def _accounting_scenarios(sim, a, b):
         b.host.alive = False
         with pytest.raises(RpcTimeout):
             yield from a.call("n1", "echo", "t", size=19, timeout=0.5)
-        sim.call_later(0.7, revive, b.host, True)
-        yield from a.call(
-            "n1", "echo", "r", size=20,
-            policy=CallPolicy(timeout=0.5, attempts=3, backoff=0.05))
 
     sim.run_process(sim.process(client()))
     sim.run()
@@ -525,18 +463,16 @@ def test_trace_failed_call_records_error_status():
     sim, fabric, rts = make_runtimes()
     fabric.hosts["n1"].alive = False
     tracer = Tracer(sim)
-    rts["n0"].configure(
-        tracer=tracer, policy=CallPolicy(timeout=0.5, attempts=2))
+    rts["n0"].configure(tracer=tracer)
 
     def client():
         with pytest.raises(RpcTimeout):
-            yield from rts["n0"].call("n1", "echo")
+            yield from rts["n0"].call("n1", "echo", timeout=0.5)
 
     sim.run_process(sim.process(client()))
     (span,) = tracer.spans("rpc:echo")
     assert span.status == "RpcTimeout"
-    assert span.attrs["retries"] == 1
-    assert span.duration == pytest.approx(1.0)
+    assert span.duration == pytest.approx(0.5)
 
 
 # ----------------------------------------------------------- registration
