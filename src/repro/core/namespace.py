@@ -20,9 +20,6 @@ consistent-hash ring over shard names); every server and every client
 router resolves paths with one, so a client always asks the owner.  A
 server still refuses a path it does not own (``EWRONGSHARD``) rather
 than serve it.  With one shard the map assigns every prefix to it.
-Cross-shard renames/links run through staged prepare/commit/abort
-handlers driven by the generic two-phase coordinator in
-``core/twophase.py``.
 """
 
 from __future__ import annotations
@@ -103,12 +100,9 @@ def _file_key(path: str) -> str:
 
 
 def _stored(key: str, value):
-    """A private copy of ``value`` as the store keeps it under ``key``:
-    a file's :class:`FileEntry` (from one, or from a client's dict), a
-    directory's dict."""
-    if key.startswith("f:"):
-        return FileEntry(**value) if isinstance(value, dict) else replace(value)
-    return dict(value)
+    """A private copy of a shipped ``value`` as the store keeps it under
+    ``key``: a file's :class:`FileEntry`, a directory's dict."""
+    return replace(value) if key.startswith("f:") else dict(value)
 
 
 def _parent(path: str) -> str:
@@ -178,8 +172,7 @@ class NamespaceServer:
         "ns_lookup", "ns_create", "ns_unlink", "ns_mkdir", "ns_rmdir",
         "ns_list", "ns_begin_commit", "ns_complete_commit",
         "ns_abort_commit", "ns_acquire_lease", "ns_release_lease",
-        "ns_update_entry", "ns_rename", "ns_link",
-        "ns_prepare", "ns_commit", "ns_abort",
+        "ns_update_entry",
     )
 
     def __init__(self, node, volume: str, params: Optional[SorrentoParams] = None):
@@ -191,7 +184,6 @@ class NamespaceServer:
         self.db.put(_dir_key(ROOT), {"ctime": self.sim.now})
         self._grants: Dict[int, _CommitGrant] = {}
         self._leases: Dict[int, _Lease] = {}
-        self._staged: Dict[int, dict] = {}    # txid -> staged cross-shard tx
         self._flush_queue = Store(self.sim)
         self.ops_served = 0
         self.standbys: List[_StandbyLink] = []
@@ -448,88 +440,6 @@ class NamespaceServer:
                     out.append(rest + ("/" if kind == "d:" else ""))
         return sorted(out)
 
-    # ------------------------------------------------------ rename / link
-    def _h_rename(self, req: dict, src: str):
-        """Move a file entry within one shard (cross-shard renames go
-        through the staged prepare/commit handlers instead)."""
-        moved = yield from self._place(req, keep_source=False)
-        return moved
-
-    def _h_link(self, req: dict, src: str):
-        """Alias a file entry under a second path (same FileID, so both
-        names resolve to the same index segment and data)."""
-        alias = yield from self._place(req, keep_source=True)
-        return alias
-
-    def _place(self, req: dict, keep_source: bool):
-        yield from self._charge_cpu()
-        path, dst = req["path"], req["dst"]
-        self._check_owner(path)
-        self._check_owner(dst)
-        entry = self.db.get(_file_key(path))
-        if entry is None:
-            raise NamespaceError(f"ENOENT {path}")
-        if self.db.get(_file_key(dst)) is not None:
-            raise NamespaceError(f"EEXIST {dst}")
-        if self.db.get(_dir_key(_parent(dst))) is None:
-            raise NamespaceError(f"ENOENT parent of {dst}")
-        placed = replace(entry, path=dst)
-        if not keep_source:
-            self._delete(_file_key(path))
-        self._put(_file_key(dst), placed)
-        yield from self._durable()
-        return placed.to_dict(), 128
-
-    # ------------------------------------- cross-shard transactions (2PC)
-    # Generic staged-mutation participant driven by two_phase_commit()
-    # with services=("ns_prepare", "ns_commit", "ns_abort").  Phase one
-    # validates preconditions and stages the ops under the txid; commit
-    # applies them through the normal WAL/standby path.
-    def _h_prepare(self, req: dict, src: str):
-        yield from self._charge_cpu()
-        txid = req["txid"]
-        checks = req.get("checks", ())
-        # Keys are "f:<path>" / "d:<path>": a misrouted coordinator is
-        # refused like any other caller.
-        for item in (*checks, *req["ops"]):
-            self._check_owner(item["key"][2:])
-        keys = {op["key"] for op in req["ops"]}
-        for tx in self._staged.values():
-            if tx["expires_at"] > self.sim.now \
-                    and not keys.isdisjoint(tx["keys"]):
-                return False, 32
-        for check in checks:
-            value = self.db.get(check["key"])
-            if check["must"] == "absent" and value is not None:
-                return False, 32
-            if check["must"] == "present" and value is None:
-                return False, 32
-        self._staged[txid] = {
-            "ops": [dict(op) for op in req["ops"]],
-            "keys": keys,
-            "expires_at": self.sim.now + self.params.commit_grant_ttl,
-        }
-        yield from self._durable()    # the prepare record hits the WAL
-        return True, 32
-
-    def _h_commit(self, req: dict, src: str):
-        yield from self._charge_cpu()
-        tx = self._staged.pop(req["txid"], None)
-        if tx is None:
-            return False, 32
-        for op in tx["ops"]:
-            if op["op"] == "put":
-                self._put(op["key"], _stored(op["key"], op["value"]))
-            else:
-                self._delete(op["key"])
-        yield from self._durable()
-        return True, 32
-
-    def _h_abort(self, req: dict, src: str):
-        yield from self._charge_cpu()
-        self._staged.pop(req["txid"], None)
-        return True, 32
-
     # ------------------------------------------------ version arbitration
     def _h_begin_commit(self, req: dict, src: str):
         """Grant the right to commit version base+1 of a file.
@@ -619,11 +529,10 @@ class NamespaceServer:
 
     # ------------------------------------------------------------ recovery
     def crash(self) -> None:
-        """Lose volatile state (grants, leases, staged txns, DB cache)."""
+        """Lose volatile state (grants, leases, DB cache)."""
         self.db.crash()
         self._grants.clear()
         self._leases.clear()
-        self._staged.clear()
 
     def recover(self) -> int:
         return self.db.recover()

@@ -218,10 +218,9 @@ class StorageProvider:
 
     SERVICES = (
         "seg_create", "seg_create_shadow", "seg_write", "seg_read",
-        "seg_renew", "seg_prepare", "seg_commit",
-        "seg_abort", "seg_delete", "seg_fetch", "seg_sync",
-        "seg_replicate", "seg_trim", "loc_lookup",
-        "loc_update", "loc_refresh", "loc_probe",
+        "seg_prepare", "seg_commit", "seg_abort", "seg_delete",
+        "seg_fetch", "seg_sync", "seg_replicate", "seg_trim",
+        "loc_lookup", "loc_update", "loc_refresh", "loc_probe",
     )
     #: Every multicast group a provider joins (heartbeat through its
     #: MembershipManager).  A dormant shell of another partition's
@@ -433,11 +432,6 @@ class StorageProvider:
     def _h_seg_read(self, req: dict, src: str):
         return self._pieces(self._read_one, req["pieces"], src,
                             req["sequential"])
-
-    def _h_seg_renew(self, req: dict, src: str):
-        yield from self._charge()
-        self.store.renew_shadow(req["segid"], req["version"])
-        return True, 32
 
     # -- 2PC participant ---------------------------------------------------
     def _h_seg_prepare(self, req: dict, src: str):

@@ -2,9 +2,10 @@
 
 Implements Section 3.5's mechanics: committed versions are immutable;
 a *shadow copy* is a sparse new version whose unwritten regions resolve
-to the base version ("or its ancestor versions"); shadows expire unless
-committed or renewed; old versions are consolidated so only the last few
-survive.
+to the base version ("or its ancestor versions"); a shadow lives until
+it commits, aborts or outlives its TTL (a yes vote in 2PC extends it
+through the commit window); old versions are consolidated so only the
+last few survive.
 
 Content model: every write records an extent.  If the writer supplied
 actual bytes they are kept (tests verify end-to-end content); otherwise
@@ -24,7 +25,8 @@ from typing import Dict, List, Optional, Tuple
 from repro.core.extent import RangeMap
 from repro.storage.filesystem import LocalFS
 
-#: Shadow copies must commit or renew within this window (Section 3.5).
+#: A shadow copy that does not commit within this window expires
+#: (Section 3.5).
 DEFAULT_SHADOW_TTL = 300.0
 
 #: How many committed versions to retain after consolidation ("one or a
@@ -377,13 +379,6 @@ class SegmentStore:
         self._remove(segid, version)
         self.fs.forget(fs_name)
         return segid, version
-
-    def renew_shadow(self, segid: int, version: int) -> None:
-        """Reset a shadow's expiration timer (§3.5)."""
-        seg = self._require(segid, version)
-        if seg.committed:
-            raise SegmentError("not a shadow")
-        seg.expires_at = self.sim.now + self.shadow_ttl
 
     def expire_shadows(self) -> List[Tuple[int, int]]:
         """Names of shadows past their TTL, oldest insert first (caller

@@ -7,14 +7,12 @@ operation."
 
 The coordinator is the committing client; participants are the storage
 providers holding the shadow segments, exposing ``seg_prepare`` /
-``seg_commit`` / ``seg_abort`` services.  The coordinator is generic in
-its service triple: cross-shard namespace transactions reuse it with
-``services=("ns_prepare", "ns_commit", "ns_abort")``.
+``seg_commit`` / ``seg_abort`` services.
 """
 
 from __future__ import annotations
 
-from typing import Any, List, Optional, Tuple
+from typing import Any, List, Tuple
 
 from repro.network.message import RpcRemoteError, RpcTimeout
 from repro.sim import gather
@@ -24,50 +22,39 @@ class CommitAborted(Exception):
     """A participant voted no (or died) during phase 1; all were aborted."""
 
 
-SEG_SERVICES = ("seg_prepare", "seg_commit", "seg_abort")
-
-
-def two_phase_commit(rpc, participants: List[Tuple[str, Any]],
-                     req_size: int = 96, timeout: Optional[float] = None,
-                     services: Tuple[str, str, str] = SEG_SERVICES):
+def two_phase_commit(rpc, participants: List[Tuple[str, Any]]):
     """Generator: run 2PC over ``participants``: (hostid, payload) pairs.
 
     ``rpc`` is anything with a ``call`` generator and a ``sim`` — normally
-    a :class:`repro.runtime.ServiceRuntime`, whose policy supplies the RPC
-    deadline when ``timeout`` is None.  ``services`` names the
-    (prepare, commit, abort) triple the participants expose.
+    a :class:`repro.runtime.ServiceRuntime`; every call runs under its
+    one deadline, ``RPC_DEADLINE``.
 
-    Phase 1 sends the prepare service to every participant in parallel;
-    if any vote is negative or unreachable, the abort service goes to
-    all and :class:`CommitAborted` is raised.  Phase 2 sends commit.
+    Phase 1 sends ``seg_prepare`` to every participant in parallel; if
+    any vote is negative or unreachable, ``seg_abort`` goes to all and
+    :class:`CommitAborted` is raised.  Phase 2 sends ``seg_commit``.
     """
-    sim = rpc.sim
-    prepare_svc, commit_svc, abort_svc = services
-    kw = {} if timeout is None else {"timeout": timeout}
-
     def prepare_one(host, payload):
         try:
-            vote = yield from rpc.call(host, prepare_svc, payload,
-                                       size=req_size, **kw)
+            vote = yield from rpc.call(host, "seg_prepare", payload, size=96)
             return bool(vote)
         except (RpcTimeout, RpcRemoteError):
             return False
 
-    votes = yield from gather(sim, [
+    votes = yield from gather(rpc.sim, [
         prepare_one(host, payload) for host, payload in participants
     ])
     if not all(votes):
-        yield from _broadcast(rpc, abort_svc, participants, req_size, kw)
+        yield from _broadcast(rpc, "seg_abort", participants)
         raise CommitAborted(
             f"{votes.count(False)}/{len(votes)} participants refused")
-    yield from _broadcast(rpc, commit_svc, participants, req_size, kw)
+    yield from _broadcast(rpc, "seg_commit", participants)
     return len(participants)
 
 
-def _broadcast(rpc, service, participants, req_size, kw):
+def _broadcast(rpc, service, participants):
     def send_one(host, payload):
         try:
-            yield from rpc.call(host, service, payload, size=req_size, **kw)
+            yield from rpc.call(host, service, payload, size=96)
         except (RpcTimeout, RpcRemoteError):
             pass  # best effort; shadow TTLs clean up stragglers
 

@@ -252,6 +252,7 @@ class SorrentoDeployment:
             rng=self.rngs.py(f"provider:{nspec.name}"),
         )
         self.providers[nspec.name] = provider
+        self.memberships[nspec.name] = provider.membership
         self.provider_names.append(nspec.name)
         return provider
 

@@ -251,7 +251,6 @@ class ClusterInspector:
                 "standbys": [link.hostid for link in srv.standbys],
                 "ship_lag": srv.replication_lag(),
                 "shipped_batches": srv.shipped_batches,
-                "staged_txns": len(srv._staged),
             }
         for host, mirror in dep.ns_mirrors.items():
             report["mirrors"][host] = {

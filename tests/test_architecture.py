@@ -180,6 +180,38 @@ def test_segment_data_rpcs_go_through_one_helper():
     assert vec == []
 
 
+def test_every_registered_service_has_a_sender():
+    """A handler stays only while something sends to it: each service
+    name declared in a ``SERVICES`` tuple or a literal ``register("…")``
+    appears as a string constant somewhere other than a declaration."""
+    declared, sent = set(), set()
+    for path in SRC.rglob("*.py"):
+        tree = ast.parse(path.read_text())
+        declaring = set()
+        for node in ast.walk(tree):
+            names = []
+            if isinstance(node, ast.Assign) \
+                    and isinstance(node.value, ast.Tuple) \
+                    and any(isinstance(t, ast.Name) and t.id == "SERVICES"
+                            for t in node.targets):
+                names = node.value.elts
+            elif isinstance(node, ast.Call) \
+                    and isinstance(node.func, ast.Attribute) \
+                    and node.func.attr == "register" and node.args:
+                names = node.args[:1]
+            for elt in names:
+                if isinstance(elt, ast.Constant) \
+                        and isinstance(elt.value, str):
+                    declared.add(elt.value)
+                    declaring.add(elt)
+        sent.update(node.value for node in ast.walk(tree)
+                    if isinstance(node, ast.Constant)
+                    and isinstance(node.value, str)
+                    and node not in declaring)
+    unsent = sorted(declared - sent)
+    assert unsent == [], f"registered services nothing sends: {unsent}"
+
+
 def test_raw_disk_io_goes_through_the_storage_engine():
     """Provider-side disk charges flow through ``LocalFS`` (which routes
     to the ``StorageEngine`` when one is installed) — never a direct

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.api import PosixAPI
-from repro.cluster import small_cluster
+from repro.cluster import NodeSpec, small_cluster
 from repro.core import SorrentoConfig, SorrentoDeployment
 from repro.core.client import CommitConflict, SorrentoError
 from repro.core.params import SorrentoParams
@@ -366,3 +366,24 @@ def test_provider_crash_data_still_readable():
         return data
 
     assert dep.run(read()) == b"x" * 16
+
+
+def test_a_client_on_an_added_provider_shares_its_membership():
+    dep = deploy(n_storage=3)
+    provider = dep.add_provider(NodeSpec(
+        name="snew", cpus=2, cpu_ghz=1.4, disks=("ultrastar-dk32ej",),
+        export_capacity=4096 * MB))
+    dep.warm_up()
+    client = dep.client_on("snew")
+    assert client.membership is provider.membership
+    assert "snew" in client.membership.live_providers()
+
+    def roundtrip():
+        fh = yield from client.open("/added", "w", create=True)
+        yield from client.write(fh, 0, 16, data=b"y" * 16)
+        yield from client.close(fh)
+        rfh = yield from client.open("/added", "r")
+        data = yield from client.read(rfh, 0, 16)
+        return data
+
+    assert dep.run(roundtrip()) == b"y" * 16

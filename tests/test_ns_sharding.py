@@ -3,9 +3,9 @@ path every deployment takes, with one shard by default.
 
 Covers the shard map, the error surface, the deployment-level routing
 at one and two shards (the client resolves what the servers resolve,
-and a shard refuses a path it does not own), cross-shard rename/link
-over the namespace 2PC, a shard(1) == shard(N) equivalence property,
-and standby failover for a crashed shard on the fault plane.
+and a shard refuses a path it does not own), a shard(1) == shard(N)
+equivalence property, and standby failover for a crashed shard on the
+fault plane.
 """
 
 import pytest
@@ -252,72 +252,6 @@ def test_a_misrouted_request_is_refused_not_served():
     assert type(err) is SorrentoError and "EWRONGSHARD" in str(err)
     assert all(srv.db.get(f"f:{path}") is None
                for srv in dep.namespace_servers())
-
-
-# --------------------------------------------------- cross-shard 2PC ops
-def _owned_dirs(dep, n=40):
-    """Two top-level dirs owned by different shards."""
-    owners = {}
-    for i in range(n):
-        owners.setdefault(dep.ns_shard_map.owner_of(f"/x{i}"), f"/x{i}")
-        if len(owners) == 2:
-            break
-    a, b = list(owners.values())[:2]
-    return a, b
-
-
-def test_cross_shard_rename_and_link():
-    dep = deploy(n_shards=2)
-    client = dep.client_on("c00")
-    src_dir, dst_dir = _owned_dirs(dep)
-
-    def work():
-        yield from client.mkdir(src_dir)
-        yield from client.mkdir(dst_dir)
-        fh = yield from client.open(f"{src_dir}/f", "w", create=True)
-        yield from client.write(fh, 0, 1 * MB)
-        yield from client.close(fh)
-        yield from client.rename(f"{src_dir}/f", f"{dst_dir}/moved")
-        entry = yield from client.stat(f"{dst_dir}/moved")
-        with pytest.raises(Exception):
-            yield from client.stat(f"{src_dir}/f")
-        # Data still readable through the renamed entry.
-        rfh = yield from client.open(f"{dst_dir}/moved", "r")
-        yield from client.read(rfh, 0, 64 * 1024)
-        yield from client.close(rfh)
-        # Cross-shard link: both names resolve to the same fileid.
-        yield from client.link(f"{dst_dir}/moved", f"{src_dir}/alias")
-        alias = yield from client.stat(f"{src_dir}/alias")
-        return entry, alias
-
-    entry, alias = dep.run(work())
-    assert entry["version"] == 1
-    assert alias["fileid"] == entry["fileid"]
-    # The tx ran through the staged prepare/commit handlers and left
-    # nothing behind.
-    assert all(not srv._staged for srv in dep.namespace_servers())
-
-
-def test_cross_shard_rename_aborts_cleanly_on_conflict():
-    dep = deploy(n_shards=2)
-    client = dep.client_on("c00")
-    src_dir, dst_dir = _owned_dirs(dep)
-
-    def work():
-        yield from client.mkdir(src_dir)
-        yield from client.mkdir(dst_dir)
-        for p in (f"{src_dir}/f", f"{dst_dir}/taken"):
-            fh = yield from client.open(p, "w", create=True)
-            yield from client.close(fh)
-        with pytest.raises(ConflictError):
-            yield from client.rename(f"{src_dir}/f", f"{dst_dir}/taken")
-        # Source survived the abort.
-        entry = yield from client.stat(f"{src_dir}/f")
-        return entry
-
-    entry = dep.run(work())
-    assert entry["path"] == f"{src_dir}/f"
-    assert all(not srv._staged for srv in dep.namespace_servers())
 
 
 # ------------------------------------------------- shard(1) == shard(N)

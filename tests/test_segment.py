@@ -109,7 +109,7 @@ def test_shadow_of_uncommitted_rejected():
     run(sim, proc())
 
 
-def test_shadow_expiration_and_renewal():
+def test_shadow_expiration():
     sim, store = make_store(ttl=10.0)
 
     def proc():
@@ -117,11 +117,9 @@ def test_shadow_expiration_and_renewal():
         yield from store.write(0xE, 1, 0, 4)
         yield from store.commit(0xE, 1)
         yield from store.create_shadow(0xE, 1)
-        yield sim.timeout(6)
-        store.renew_shadow(0xE, 2)
-        yield sim.timeout(6)
+        yield sim.timeout(9)
         not_yet = store.expire_shadows()
-        yield sim.timeout(5)
+        yield sim.timeout(2)
         expired = store.expire_shadows()
         return not_yet, expired
 

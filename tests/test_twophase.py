@@ -83,7 +83,7 @@ def test_dead_participant_counts_as_no():
     def proc():
         with pytest.raises(CommitAborted):
             yield from two_phase_commit(
-                coord, [(p.host.hostid, {}) for p in parts], timeout=0.5
+                coord, [(p.host.hostid, {}) for p in parts]
             )
 
     sim.run_process(sim.process(proc()))
