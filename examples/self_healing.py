@@ -51,7 +51,7 @@ def main() -> None:
                   if h != dep.ns_host
                   and dep.providers[h].store.committed_segments())
     print(f"crashing {victim} ...")
-    dep.crash_provider(victim)
+    dep.nodes[victim].crash()
     dep.sim.run(until=dep.sim.now + 10)
 
     # Reads keep working off surviving replicas.
@@ -85,7 +85,7 @@ def main() -> None:
     # The crashed node comes back: its on-disk data is stale but the
     # version scheme works out what is current.
     print(f"restarting {victim} ...")
-    dep.restart_provider(victim)
+    dep.nodes[victim].restart()
     dep.sim.run(until=dep.sim.now + 60)
     print("cluster healed; total providers:",
           len([p for p in dep.providers.values() if p.node.alive]))

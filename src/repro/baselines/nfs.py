@@ -110,7 +110,7 @@ class NFSServer:
                     "nfs_unlink", "nfs_commit"):
             self.rpc.register(svc, getattr(self, "_h_" + svc[4:]),
                               replace=True)
-        node.spawn(self._flusher(), name="nfs-flush")
+        node.daemon(self._flusher, "nfs-flush")
         self._dirty = 0
 
     def _serve(self, cpu_work: float, nbytes: int = 0):

@@ -4,11 +4,15 @@ A node is the unit of failure.  ``crash()`` kills every process spawned
 and voids every call deferred on the node and silences its NIC; the file
 system contents survive (the paper: a repaired machine "can be directly
 connected to the network without the need to reformat the partitions").
+``restart()`` is the one way back up: it respawns every long-lived loop
+registered with :meth:`Node.daemon` (the load monitor first), then runs
+the ``on_restart`` hooks through which each daemon's owner rebuilds its
+volatile state.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Callable, List, Optional, Tuple
 
 from repro.cluster.spec import NodeSpec
 from repro.network.switch import Fabric, Host
@@ -34,7 +38,7 @@ class Node(Host):
         # Dormant shells exist so every partition worker builds the full
         # cluster identically (same construction order, same named RNG
         # streams) while only its own partition's daemons actually run:
-        # spawn() drops the generator and the load monitor never starts.
+        # spawn() drops the generator, the load monitor's included.
         # The node stays attached and alive — messages addressed to it are
         # diverted to the owning partition by the fabric's transit hook,
         # never delivered here.
@@ -61,9 +65,9 @@ class Node(Host):
         self._incarnation = 0       # crashes so far; stamps deferred calls
         self._last_cpu_bytes = 0
         self._last_disk_busy = 0.0
-        self._monitor: Optional[Process] = None
-        if not dormant:
-            self.start_monitor()
+        self._daemons: List[Tuple[Callable, str]] = []
+        self.on_restart: List[Callable[[], None]] = []
+        self.daemon(self._monitor_loop, "loadmon")
 
     # -- CPU ------------------------------------------------------------
     def cpu(self, work_s: float) -> Event:
@@ -86,6 +90,12 @@ class Node(Host):
             self._prune_at = max(64, 2 * len(self._procs))
         return proc
 
+    def daemon(self, loop: Callable, name: str) -> None:
+        """Run ``loop()`` now and again after every :meth:`restart` —
+        for the loops a service runs for life."""
+        self._daemons.append((loop, name))
+        self.spawn(loop(), name)
+
     def defer(self, delay: float, fn, arg) -> None:
         """The callback twin of :meth:`spawn`, for work that never waits:
         ``fn(arg)`` after ``delay`` seconds (0: where a process spawned
@@ -102,10 +112,6 @@ class Node(Host):
     def _deferred(self, call, incarnation: int) -> None:
         if incarnation == self._incarnation:
             call[0](call[1])
-
-    def start_monitor(self) -> None:
-        self._monitor = self.sim.process(self._monitor_loop(),
-                                         name=f"{self.hostid}:loadmon")
 
     def _monitor_loop(self):
         while self.alive:
@@ -163,9 +169,6 @@ class Node(Host):
                 proc.interrupt(cause=f"{self.hostid} crashed")
         self._procs.clear()
         self._prune_at = 64
-        if self._monitor is not None and self._monitor.is_alive:
-            self._monitor.interrupt(cause="crash")
-            self._monitor = None
         if self.fs is not None and self.fs.engine is not None:
             # Power loss: the page cache dies with the node; dirty pages
             # (and the files they belonged to) are recorded as lost for
@@ -176,7 +179,8 @@ class Node(Host):
             self.fs.used = 0
 
     def restart(self) -> None:
-        """Bring the node back up (daemons must be restarted by their owners)."""
+        """Bring the node back up: its daemons respawn in registration
+        order, then the ``on_restart`` hooks run in theirs."""
         if self.alive:
             return
         self.alive = True
@@ -189,4 +193,7 @@ class Node(Host):
             # ledger reset must not make monitor deltas negative).
             self.device.reset()
             self._last_disk_busy = self.device.busy_accum
-        self.start_monitor()
+        for loop, name in self._daemons:
+            self.spawn(loop(), name)
+        for hook in self.on_restart:
+            hook()

@@ -116,7 +116,7 @@ class TaskQueue:
         }
         for svc in self.SERVICES:
             self.rpc.register(svc, getattr(self, "_h_" + svc), replace=True)
-        node.spawn(self._sweeper(), name=f"task-sweeper:{self.host}")
+        node.daemon(self._sweeper, f"task-sweeper:{self.host}")
 
     # ------------------------------------------------------------ scoring
     def _candidates(self) -> List[str]:

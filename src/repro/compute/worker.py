@@ -47,8 +47,7 @@ class Worker:
         self.cpu_per_byte = cpu_per_byte
         self.stats = {"executed": 0, "failed": 0, "local_bytes": 0,
                       "remote_bytes": 0, "out_bytes": 0}
-        self.proc = node.spawn(self._loop(),
-                               name=f"compute-worker:{self.host}")
+        node.daemon(self._loop, f"compute-worker:{self.host}")
 
     # ------------------------------------------------------------- loop
     def _loop(self):

@@ -73,20 +73,23 @@ class MembershipManager:
         self.rpc = node.runtime
         self.rpc.subscribe(HEARTBEAT_GROUP)
         self.rpc.register("heartbeat", self._observe)
-        self.start()
+        node.daemon(self._check_loop, "member-check")
+        if announce:
+            node.daemon(self._announce_loop, "hb-announce")
+        node.on_restart.append(self._fresh_view)
+        self._fresh_view()
 
-    def start(self) -> None:
-        """(Re)spawn the manager's loops — also used after a node restart."""
-        self.node.spawn(self._check_loop(), name="member-check")
+    def _fresh_view(self) -> None:
+        """The view at boot: empty, except that a provider is
+        immediately a member of its own."""
+        self.clear()
         if self.announce:
-            self.node.spawn(self._announce_loop(), name="hb-announce")
-            # A provider is immediately a member of its own view.
             self._observe(self._self_info())
 
     def clear(self) -> None:
-        """Forget the whole view (provider restart: the view is soft
-        state and rebuilds from heartbeats).  Fires no leave callbacks —
-        a restart is not a death verdict on everyone else."""
+        """Forget the whole view (node restart: the view is soft state
+        and rebuilds from heartbeats).  Fires no leave callbacks — a
+        restart is not a death verdict on everyone else."""
         self.members.clear()
         self._seen.clear()
         self._gen += 1

@@ -203,8 +203,9 @@ class NamespaceServer:
         self.rpc.register("nsr_apply", self._h_nsr_apply, replace=True)
         self.rpc.register("nsr_apply_batch", self._h_nsr_apply_batch,
                           replace=True)
-        node.spawn(self._flusher_loop(), name="ns-wal-flush")
-        node.spawn(self._checkpoint_loop(), name="ns-checkpoint")
+        node.daemon(self._flusher_loop, "ns-wal-flush")
+        node.daemon(self._checkpoint_loop, "ns-checkpoint")
+        node.on_restart.append(self._recover)
 
     # --------------------------------------------------------- sharding
     def configure_shard(self, shard_map: NamespaceShardMap,
@@ -238,8 +239,8 @@ class NamespaceServer:
         link = _StandbyLink(hostid, interval)
         self.standbys.append(link)
         if interval is not None:
-            self.node.spawn(self._batch_ship_loop(link),
-                            name=f"ns-ship-{hostid}")
+            self.node.daemon(lambda: self._batch_ship_loop(link),
+                             f"ns-ship-{hostid}")
 
     def _put(self, key, value) -> None:
         self.db.put(key, value)
@@ -528,11 +529,12 @@ class NamespaceServer:
         return True, 32
 
     # ------------------------------------------------------------ recovery
-    def crash(self) -> None:
-        """Lose volatile state (grants, leases, DB cache)."""
-        self.db.crash()
+    def _recover(self) -> None:
+        """After a node restart: grants, leases and the WAL waiters
+        parked with the dead flusher are gone, and the tree is rebuilt
+        from the last checkpoint plus the WAL.  Scheduled-link buffers
+        stay: their records are in that WAL."""
         self._grants.clear()
         self._leases.clear()
-
-    def recover(self) -> int:
-        return self.db.recover()
+        self._flush_queue = Store(self.sim)
+        self.db.recover()

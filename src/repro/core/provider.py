@@ -106,9 +106,12 @@ class LocationHome:
                          PURGE_AGE_FACTOR * self.params.refresh_cycle)
 
     def reset(self) -> None:
-        """A restart rebuilds the table from refreshes.  Nothing follows,
-        and the pending-check sets and repair history are kept."""
+        """A restart rebuilds the table from refreshes.  Nothing follows:
+        the pending checks died with the node, so their sets are emptied
+        too (the repair history is kept)."""
         self.table = LocationTable()
+        self._recheck_pending.clear()
+        self._trim_pending.clear()
 
     # ------------------------------------------------------- supervision
     def _supervise(self, segid: int) -> None:
@@ -277,27 +280,23 @@ class StorageProvider:
         for svc in self.SERVICES:
             self.rpc.register(svc, getattr(self, "_h_" + svc), replace=True)
         self.rpc.subscribe(LOCATION_GROUP)
-        self.start()
+        node.daemon(self._refresh_loop, "loc-refresh")
+        node.daemon(self._shadow_sweep_loop, "shadow-sweep")
+        node.daemon(self._migration_loop, "migration")
+        engine = node.fs.engine
+        if engine is not None and engine.writeback:
+            node.daemon(engine.flush_loop, "fs-flush")
+        node.on_restart.append(self._rejoin)
 
     # ------------------------------------------------------------ lifecycle
-    def start(self) -> None:
-        """Spawn the background loops (used at boot and after restart)."""
-        self.node.spawn(self._refresh_loop(), name="loc-refresh")
-        self.node.spawn(self._shadow_sweep_loop(), name="shadow-sweep")
-        self.node.spawn(self._migration_loop(), name="migration")
-        engine = self.node.fs.engine
-        if engine is not None and engine.writeback:
-            self.node.spawn(engine.flush_loop(), name="fs-flush")
-
-    def restart(self) -> None:
-        """Rejoin after a crash: node back up, location table rebuilt.
+    def _rejoin(self) -> None:
+        """After a node restart: the location table is rebuilt.
 
         The paper: the location table "is reconstructed every time a
         storage provider starts up"; FS contents survive and the system
         works out "what data are still current and what are outdated"
         via versions.
         """
-        self.node.restart()
         engine = self.node.fs.engine
         if engine is not None:
             # Write-back pages died with the node: any version whose data
@@ -306,9 +305,6 @@ class StorageProvider:
             for fs_name in sorted(engine.take_lost()):
                 self.store.discard_lost(fs_name)
         self.home.reset()
-        self.membership.clear()
-        self.membership.start()
-        self.start()
         # Announce surviving segments to their home hosts right away.
         self.node.spawn(self._refresh_everything(jitter=1.0), name="rejoin")
 

@@ -4,9 +4,8 @@
 (a :class:`NamespaceShardMap` with one server per shard — one shard unless
 configured otherwise), one storage provider per exporting node, and client
 stubs — the "configured and maintained incrementally" cluster of Section
-2.2.  It also exposes the failure-injection hooks the experiments use
-(crash a provider, add a fresh one at runtime) and the only accessors to
-namespace server state (:meth:`SorrentoDeployment.namespace_for`,
+2.2.  It also adds a fresh provider at runtime and holds the only
+accessors to namespace server state (:meth:`SorrentoDeployment.namespace_for`,
 :meth:`SorrentoDeployment.namespace_servers`).
 """
 
@@ -233,15 +232,7 @@ class SorrentoDeployment:
         """Drive one client/workload process to completion."""
         return self.sim.run_process(self.sim.process(gen), until=until)
 
-    # ------------------------------------------------ failure injection
-    def crash_provider(self, hostid: str, wipe: bool = False) -> None:
-        """Fail a provider node (disk contents survive)."""
-        self.nodes[hostid].crash(wipe=wipe)
-
-    def restart_provider(self, hostid: str) -> None:
-        """Bring a crashed provider back (location table rebuilt)."""
-        self.providers[hostid].restart()
-
+    # ------------------------------------------------ growth
     def add_provider(self, nspec: NodeSpec) -> StorageProvider:
         """Attach a brand-new storage node at runtime (Section 2.2)."""
         node = Node(self.sim, self.fabric, nspec)

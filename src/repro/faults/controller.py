@@ -1,11 +1,12 @@
 """The process that executes a :class:`~repro.faults.plan.FaultPlan`.
 
 ``FaultController`` is duck-typed over the deployment: it needs ``sim``,
-``fabric``, and ``nodes``, and uses ``providers``/``restart_provider``,
-``rngs``, ``metrics``, and ``tracer`` when present.  This keeps the fault
-plane below :mod:`repro.core` in the layering — any deployment-shaped
-object (Sorrento, the NFS/PVFS baselines, or a bare test harness) can be
-driven without an import cycle.
+``fabric``, and ``nodes``, and uses ``rngs``, ``metrics``, and ``tracer``
+when present.  This keeps the fault plane below :mod:`repro.core` in the
+layering — any deployment-shaped object (Sorrento, the NFS/PVFS
+baselines, or a bare test harness) can be driven without an import
+cycle.  A crash or restart is the node's own ``crash()`` / ``restart()``,
+so whatever ran on the node comes back with it.
 
 Every executed event is appended to :attr:`FaultController.timeline`,
 counted in the deployment ``MetricsRegistry`` under scope ``"fault"``,
@@ -90,12 +91,7 @@ class FaultController:
         if isinstance(event, NodeCrash):
             dep.nodes[event.host].crash(wipe=event.wipe)
         elif isinstance(event, NodeRestart):
-            providers = getattr(dep, "providers", None)
-            if providers and event.host in providers \
-                    and hasattr(dep, "restart_provider"):
-                dep.restart_provider(event.host)
-            else:
-                dep.nodes[event.host].restart()
+            dep.nodes[event.host].restart()
         elif isinstance(event, Partition):
             side_b = event.side_b
             if side_b is None:

@@ -10,7 +10,7 @@ Event types map one-to-one onto the substrate hooks:
 
 ========================  ==================================================
 :class:`NodeCrash`        ``Node.crash`` (fail-stop; NIC silent, procs die)
-:class:`NodeRestart`      ``Node.restart`` / provider restart
+:class:`NodeRestart`      ``Node.restart`` (every daemon on the node respawns)
 :class:`Partition`        ``Fabric.partition`` (symmetric or one-way)
 :class:`Heal`             ``Fabric.heal``
 :class:`LinkDegrade`      ``Fabric.degrade_link`` (latency/jitter/drop/dup/
@@ -39,7 +39,7 @@ class NodeCrash:
 
 @dataclass(frozen=True)
 class NodeRestart:
-    """Bring a crashed node back up (provider daemons restart too)."""
+    """Bring a crashed node back up, with every daemon it ran."""
 
     host: str
     kind = "node_restart"

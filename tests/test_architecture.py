@@ -446,7 +446,7 @@ def test_fault_injection_goes_through_the_fault_plane():
     crash/partition/degrade hooks.  That keeps every injected fault on the
     sim RNG, in the metrics timeline, and replayable."""
     fault_methods = {
-        "crash", "crash_provider", "restart", "restart_provider",
+        "crash", "restart",
         "partition", "heal", "degrade_link", "restore_link",
         "restore_all_links", "set_disk_fault", "clear_disk_fault",
         "set_fault", "clear_fault",

@@ -1,9 +1,10 @@
 """Chaos test: provider churn under live load must never lose data.
 
-A writer keeps committing files while providers crash and restart on a
-schedule.  After quiescence, every committed file must be readable and
-the replica audit must come back healthy — the paper's whole pitch is
-that the system self-organizes through exactly this.
+A writer keeps committing files while providers — the namespace host
+among them — crash and restart on a schedule.  After quiescence, every
+committed file must be readable and the replica audit must come back
+healthy — the paper's whole pitch is that the system self-organizes
+through exactly this.
 """
 
 import random
@@ -51,14 +52,14 @@ def test_provider_churn_never_loses_committed_data(seed):
             yield dep.sim.timeout(4.0)
 
     def chaos():
-        victims = [h for h in sorted(dep.providers) if h != dep.ns_host]
+        victims = sorted(dep.providers)     # the namespace host too
         while dep.sim.now < 200:
             victim = rng.choice(victims)
             yield dep.sim.timeout(rng.uniform(15, 30))
             if dep.nodes[victim].alive:
-                dep.crash_provider(victim)
+                dep.nodes[victim].crash()
                 yield dep.sim.timeout(rng.uniform(20, 35))
-                dep.restart_provider(victim)
+                dep.nodes[victim].restart()
 
     w = dep.sim.process(writer())
     c = dep.sim.process(chaos())
@@ -69,7 +70,7 @@ def test_provider_churn_never_loses_committed_data(seed):
     # Quiescence: repairs finish, everyone alive again.
     for host, p in dep.providers.items():
         if not p.node.alive:
-            dep.restart_provider(host)
+            dep.nodes[host].restart()
     dep.sim.run(until=dep.sim.now + 240)
 
     def read_all():

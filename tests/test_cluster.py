@@ -134,7 +134,8 @@ def test_deferred_call_runs_at_its_instant_and_dies_with_the_node():
     ran = []
     node.defer(1.0, ran.append, "late")
     node.defer(0.0, ran.append, "now")
-    assert len(node._procs) == 0
+    # A deferral is no process: the load monitor is the only one.
+    assert [p.name for p in node._procs] == [f"{node.hostid}:loadmon"]
     sim.run(until=0.5)
     assert ran == ["now"]
     node.crash()

@@ -130,7 +130,7 @@ def test_a_timed_out_and_retried_read_leaves_no_garbage():
     for path in paths:                      # warm the reader's owner cache
         d.run(_read_session(reader, path, 256 * KB))
     victim = next(h for h in sorted(d.providers) if h != d.ns_host)
-    d.crash_provider(victim)
+    d.nodes[victim].crash()
     before = sum(st.timeouts for _key, st in d.metrics.items("client"))
     assert unreachable_after(d, (
         _read_session(reader, path, 256 * KB) for path in paths)) == 0
@@ -153,7 +153,7 @@ def test_a_write_session_after_a_failover_leaves_no_garbage():
     client = old.client_on("c00")
     old.run(_write_session(client, "/ha", 1 << 20))
     old.sim.run(until=old.sim.now + 60)
-    old.crash_provider(old.ns_host)
+    old.nodes[old.ns_host].crash()
     old.sim.run(until=old.sim.now + 10)
     old.run(_read_session(client, "/ha"), until=old.sim.now + 120)
     old.run(_write_session(client, "/ha", 2 * KB))

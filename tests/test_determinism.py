@@ -31,8 +31,8 @@ def run_scenario(seed):
         yield from client.close(fh)
 
     dep.run(work())
-    dep.crash_provider(sorted(h for h in dep.providers
-                              if h != dep.ns_host)[0])
+    dep.nodes[sorted(h for h in dep.providers
+                     if h != dep.ns_host)[0]].crash()
     dep.sim.run(until=dep.sim.now + 60)
     fingerprint = (
         round(dep.sim.now, 9),

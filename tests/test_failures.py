@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cluster import small_cluster
+from repro.compute import start_compute
 from repro.core import SorrentoConfig, SorrentoDeployment
 from repro.core.client import SorrentoError
 from repro.core.params import SorrentoParams
@@ -45,7 +46,7 @@ def test_crash_mid_2pc_leaves_version_unchanged():
         wfh = yield from client.open("/f", "w")
         yield from client.write(wfh, 0, 2 * MB)
         # Kill the shadow's owner right before commit.
-        dep.crash_provider(data_owner)
+        dep.nodes[data_owner].crash()
         try:
             yield from client.close(wfh)
         except SorrentoError:
@@ -73,17 +74,68 @@ def test_namespace_crash_recovery_preserves_files():
             yield from client.close(fh)
 
     dep.run(setup())
-    dep.ns.crash()
-    dep.ns.recover()
+    node = dep.nodes[dep.ns_host]
+    node.crash()
+    dep.sim.run(until=dep.sim.now + 10)
+    node.restart()                 # tree rebuilt from checkpoint + WAL
+    dep.sim.run(until=dep.sim.now + 10)
 
     def check():
         out = []
         for i in range(5):
             entry = yield from client.stat(f"/f{i}")
             out.append(entry["version"])
+        # The restarted server serves mutations again, not just lookups.
+        fh = yield from client.open("/after", "w", create=True)
+        yield from client.write(fh, 0, 1024)
+        yield from client.close(fh)
+        entry = yield from client.stat("/after")
+        out.append(entry["version"])
         return out
 
-    assert dep.run(check()) == [1] * 5
+    assert dep.run(check(), until=dep.sim.now + 60) == [1] * 6
+
+
+def test_a_restarted_node_runs_what_it_ran():
+    """Every node comes back with every daemon it ran: providers and
+    membership, two namespace shards with a hot standby and a scheduled
+    mirror, the compute queue and its workers."""
+    dep = SorrentoDeployment(
+        small_cluster(6, n_compute=2, capacity_per_node=8 << 30),
+        SorrentoConfig(seed=21, namespace_shards=2,
+                       ns_shard_standbys_on=["s02"]))
+    dep.add_namespace_mirror("s05", interval=5.0)
+    start_compute(dep)
+    dep.warm_up()
+
+    def running():
+        return {h: sorted(p.name for p in node._procs if p.is_alive)
+                for h, node in dep.nodes.items()}
+
+    before = running()
+    assert all(before.values())
+    for node in dep.nodes.values():
+        node.crash()
+    assert not any(running().values())
+    for node in dep.nodes.values():
+        node.restart()
+    dep.sim.run(until=dep.sim.now + 10)     # the providers' rejoins end
+    assert running() == before
+
+
+def test_a_restarted_client_node_still_sees_deaths():
+    """A client node's membership view keeps its death check across a
+    restart of the node."""
+    dep = deploy()
+    view = dep.memberships["c00"]
+    dep.nodes["c00"].crash()
+    dep.sim.run(until=dep.sim.now + 5)
+    dep.nodes["c00"].restart()
+    dep.sim.run(until=dep.sim.now + 5)
+    assert "s03" in view.live_providers()
+    dep.nodes["s03"].crash()
+    dep.sim.run(until=dep.sim.now + 10)
+    assert "s03" not in view.live_providers()
 
 
 def test_abandoned_shadows_expire():
@@ -125,7 +177,7 @@ def test_reads_continue_during_recovery():
     victim = next(h for h, p in dep.providers.items()
                   if h != dep.ns_host
                   and p.store.latest_committed(segid) is not None)
-    dep.crash_provider(victim)
+    dep.nodes[victim].crash()
 
     failures = []
 
@@ -169,10 +221,10 @@ def test_rejoined_node_stale_data_not_served():
     victim = next(h for h, p in dep.providers.items()
                   if h != dep.ns_host
                   and p.store.latest_committed(segid) is not None)
-    dep.crash_provider(victim)
+    dep.nodes[victim].crash()
     dep.sim.run(until=dep.sim.now + 12)
     dep.run(write_version(b"v2" * 40000))
-    dep.restart_provider(victim)
+    dep.nodes[victim].restart()
     dep.sim.run(until=dep.sim.now + 60)
 
     def read_back():
@@ -199,12 +251,12 @@ def test_wiped_node_rejoins_empty_and_repopulates():
     segid = fh.layout.segments[0].segid
     victim = next(h for h, p in dep.providers.items()
                   if p.store.latest_committed(segid) is not None)
-    dep.crash_provider(victim)
+    dep.nodes[victim].crash()
     dep.nodes[victim].fs.files.clear()
     dep.nodes[victim].fs.used = 0
     dep.providers[victim].store.wipe()
     dep.sim.run(until=dep.sim.now + 15)
-    dep.restart_provider(victim)
+    dep.nodes[victim].restart()
     dep.sim.run(until=dep.sim.now + 180)
     holders = [h for h, p in dep.providers.items()
                if p.store.latest_committed(segid) is not None]

@@ -357,7 +357,7 @@ def test_provider_crash_data_still_readable():
     owner = next(h for h, p in dep.providers.items()
                  if p.store.latest_committed(segid) is not None
                  and h != dep.ns_host)
-    dep.crash_provider(owner)
+    dep.nodes[owner].crash()
     dep.sim.run(until=dep.sim.now + 10)  # membership notices
 
     def read():

@@ -95,7 +95,6 @@ def test_rejoin_fires_join_again():
     sim.run(until=sim.now + 15)
     assert "s00" not in listener.members
     nodes["s00"].restart()
-    providers["s00"].start()
     sim.run(until=sim.now + 5)
     assert "s00" in listener.members
     assert joined.count("s00") == 2
@@ -225,8 +224,6 @@ def test_flat_expiry_matches_the_stamped_copy_full_scan_manager(events):
             nodes[host].crash()
         elif kind == "restart" and not nodes[host].alive:
             nodes[host].restart()
-            providers[host].clear()
-            providers[host].start()
         elif kind == "degrade":         # this provider -> the first listener
             nodes[host].fabric.degrade_link(
                 host, first,

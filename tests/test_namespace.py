@@ -190,8 +190,8 @@ def test_crash_recovery_preserves_tree():
     call(sim, a, "ns_create", {"path": "/d/f", "fileid": 9})
     call(sim, a, "ns_begin_commit", {"path": "/d/f", "base_version": 0})
     call(sim, a, "ns_complete_commit", {"path": "/d/f", "new_version": 1})
-    ns.crash()
-    ns.recover()
+    ns.node.crash()
+    ns.node.restart()           # the tree is rebuilt from checkpoint + WAL
     entry = call(sim, a, "ns_lookup", "/d/f")
     assert entry["version"] == 1
     assert entry["fileid"] == 9

@@ -55,7 +55,7 @@ def test_failover_serves_lookups_and_commits():
     dep.run(setup())
     dep.sim.run(until=dep.sim.now + 60)  # replication of data segments
     # Kill the primary namespace node.
-    dep.crash_provider(dep.ns_host)
+    dep.nodes[dep.ns_host].crash()
     dep.sim.run(until=dep.sim.now + 10)
 
     def after():
@@ -88,7 +88,7 @@ def test_root_listing_fails_over_with_the_shard():
 
     dep.run(setup())
     dep.sim.run(until=dep.sim.now + 2)  # shipping drains
-    dep.crash_provider(dep.ns_host)
+    dep.nodes[dep.ns_host].crash()
     listing = dep.run(client.listdir("/"), until=dep.sim.now + 60)
     assert listing == ["a/", "b/"]
 
@@ -99,7 +99,7 @@ def test_failover_is_transparent_to_atomic_append():
 
     def work():
         yield from client.atomic_append("/log", 64)
-        dep.crash_provider(dep.ns_host)
+        dep.nodes[dep.ns_host].crash()
         yield dep.sim.timeout(8)
         yield from client.atomic_append("/log", 64)
         fh = yield from client.open("/log", "r")

@@ -392,7 +392,7 @@ def test_dormant_shells_build_identically_but_stay_quiet():
         if pmap.pid(name) != 0:
             assert node.dormant
             assert node.spawn(x for x in ()) is None
-            assert node._monitor is None
+            assert not node._procs              # no load monitor either
         else:
             assert not node.dormant
     # A provider joins exactly StorageProvider.GROUPS, and so does the

@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 
 from repro.cluster import small_cluster
 from repro.core import SorrentoConfig, SorrentoDeployment
+from repro.core.client import SorrentoError
 from repro.core.params import SorrentoParams
+from repro.tools import ClusterInspector
 
 MB = 1 << 20
 
@@ -95,9 +97,9 @@ def test_garbage_entries_purged_by_age():
 
 def test_every_table_change_says_what_follows(monkeypatch):
     """Each ``LocationHome`` change and the supervision checks it defers,
-    as (delay, check, segid).  One line pins a known gap: a restart's
-    ``reset`` keeps the pending-check sets whose deferred checks died
-    with the node."""
+    as (delay, check, segid).  A restart's ``reset`` empties the
+    pending-check sets too: their deferred checks died with the node, and
+    a segid left in one would never be checked again."""
     dep = deploy()
     p = dep.providers["s01"]
     home = p.home
@@ -128,7 +130,37 @@ def test_every_table_change_says_what_follows(monkeypatch):
     home._recheck_pending.add(0xB)
     home._trim_pending.add(0xB)
     assert follows(home.reset) == [] and len(home.table) == 0
-    assert home._recheck_pending == home._trim_pending == {0xB}
+    assert home._recheck_pending == home._trim_pending == set()
+
+
+def test_a_restarted_home_rechecks_what_its_crash_left_pending():
+    """A home that crashes with supervision checks pending must not keep
+    their segids marked pending after it restarts: the checks died with
+    the node, and a marked segid would never be checked again (one
+    replica short until a refresh cycle)."""
+    from repro.faults import FaultPlan, NodeCrash, NodeRestart, inject
+
+    dep = SorrentoDeployment(small_cluster(5, 2), SorrentoConfig(
+        params=SorrentoParams(default_degree=2, repair_delay=5.0), seed=1))
+    dep.warm_up()
+    client = dep.client_on("c00")
+    inject(dep, FaultPlan().at(4.0, NodeCrash("s03"))
+                           .at(14.0, NodeRestart("s03")))
+
+    def writer():
+        for i in range(40):
+            try:
+                fh = yield from client.open(f"/e{i}", "w", create=True)
+                yield from client.write(fh, 0, 300 * 1024)
+                yield from client.close(fh)
+            except SorrentoError:
+                pass
+
+    dep.run(writer())
+    dep.sim.run(until=dep.sim.now + 300)
+    report = ClusterInspector(dep).replica_report()
+    assert report.total_segments == 80
+    assert report.ok, report.under_replicated
 
 
 # ------------------------------------------------------------- repair
@@ -244,9 +276,9 @@ def test_provider_restart_rebuilds_location_table():
     client = dep.client_on("c00")
     fh = write_file(dep, client, "/restart", size=MB)
     victim = next(h for h in sorted(dep.providers) if h != dep.ns_host)
-    dep.crash_provider(victim)
+    dep.nodes[victim].crash()
     dep.sim.run(until=dep.sim.now + 15)
-    dep.restart_provider(victim)
+    dep.nodes[victim].restart()
     dep.sim.run(until=dep.sim.now + 30)
     assert dep.providers[victim].node.alive
     assert victim in dep.providers[dep.ns_host].membership.live_providers()
@@ -277,9 +309,9 @@ def test_no_answer_slot_survives_a_provider_crash_and_restart():
     dep.sim.run(until=dep.sim.now + 1)
     waiting = set(node.runtime._pending)
     assert waiting
-    dep.crash_provider(victim)
+    dep.nodes[victim].crash()
     dep.sim.run(until=dep.sim.now + 15)
-    dep.restart_provider(victim)
+    dep.nodes[victim].restart()
     dep.sim.run(until=dep.sim.now + 30)
     assert waiting.isdisjoint(node.runtime._pending)
 
@@ -287,7 +319,7 @@ def test_no_answer_slot_survives_a_provider_crash_and_restart():
 def test_crashed_provider_leaves_membership_everywhere():
     dep = deploy()
     victim = sorted(dep.providers)[1]
-    dep.crash_provider(victim)
+    dep.nodes[victim].crash()
     dep.sim.run(until=dep.sim.now + 12)
     for h, p in dep.providers.items():
         if h == victim:

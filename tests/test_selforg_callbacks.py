@@ -21,10 +21,10 @@ from repro.sim import Simulator
 
 GB = 1 << 30
 
-#: The loops a provider node runs for life: loc-refresh, shadow-sweep,
-#: migration, member-check, hb-announce — plus, on the namespace host,
-#: its checkpoint and WAL-flush loops.
-DAEMON_LOOPS = 7
+#: The loops a provider node runs for life: loadmon, loc-refresh,
+#: shadow-sweep, migration, member-check, hb-announce — plus, on the
+#: namespace host, its checkpoint and WAL-flush loops.
+DAEMON_LOOPS = 8
 
 
 def plant(provider, rng, n, degree=1):
@@ -216,7 +216,7 @@ def _ring_work_across_a_departure(n_segments):
     plant(keeper, random.Random(9), n_segments)
     keeper._home_of(0)                       # the ring's first, bulk, build
     before = dict(keeper.ring.stats)
-    dep.crash_provider(dead)
+    dep.nodes[dead].crash()
     dep.sim.run(until=dep.sim.now + 12.0)    # death verdict + re-announce
     survivors = keeper.membership.live_providers()
     assert dead not in survivors
