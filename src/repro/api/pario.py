@@ -64,12 +64,6 @@ class ParallelIO:
         yield from self.client.write(fh, offset, length, data=data,
                                      sequential=sequential)
 
-    def read_at(self, fh, offset: int, length: int,
-                sequential: bool = False):
-        data = yield from self.client.read(fh, offset, length,
-                                           sequential=sequential)
-        return data
-
     def list_write(self, fh, ranges: Sequence[Range],
                    data: Optional[bytes] = None):
         """Vector write: every (offset, length) piece issues in parallel.

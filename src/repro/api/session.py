@@ -23,7 +23,6 @@ from repro.api.pario import ParallelIO
 from repro.api.posix import PosixAPI
 from repro.compute.api import ComputeAPI
 from repro.core.client import SorrentoClient
-from repro.sim import Barrier
 
 
 class Session:
@@ -64,12 +63,6 @@ class Session:
         if self._compute is None:
             self._compute = ComputeAPI(self.client)
         return self._compute
-
-    def with_barrier(self, barrier: Barrier) -> "Session":
-        """Attach a collective barrier to the ``pario`` view (for
-        ``ParallelIO.sync``); returns self for chaining."""
-        self.pario.barrier = barrier
-        return self
 
     # -- convenience pass-throughs --------------------------------------
     @property

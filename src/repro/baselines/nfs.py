@@ -264,13 +264,6 @@ class NFSClient:
         """Directories are implicit; record a marker entry."""
         yield from self._call("nfs_create", path + "/.dir")
 
-    def atomic_append(self, path: str, length: int, data=None, **kw):
-        """NFS has no atomic append; model the plain (racy) append."""
-        fh = yield from self.open(path, "w", create=True)
-        yield from self.write(fh, getattr(fh, "size", 0), length,
-                              sequential=True)
-        yield from self.close(fh)
-
 
 class NFSDeployment:
     """A cluster with one NFS server; mirrors SorrentoDeployment's API."""

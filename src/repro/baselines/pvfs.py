@@ -279,12 +279,6 @@ class PVFSClient:
         """Directories are implicit; record a marker entry."""
         yield from self._call(self.mgr, "pvfs_create", path + "/.dir")
 
-    def atomic_append(self, path: str, length: int, data=None, **kw):
-        """Plain (non-atomic) append — PVFS has no commit protocol."""
-        fh = yield from self.open(path, "w", create=True)
-        yield from self.write(fh, fh.size, length, sequential=True)
-        yield from self.close(fh)
-
 
 class PVFSDeployment:
     """PVFS-n: mgr + n iods; mirrors SorrentoDeployment's surface."""

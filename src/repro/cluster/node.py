@@ -1,9 +1,10 @@
 """The simulated cluster node: CPU, storage device, NIC, and load monitor.
 
 A node is the unit of failure.  ``crash()`` kills every process spawned
-and voids every call deferred on the node and silences its NIC; the file
-system contents survive (the paper: a repaired machine "can be directly
-connected to the network without the need to reformat the partitions").
+and voids every call deferred on the node, silences its NIC, runs the
+``on_crash`` hooks; the file system contents survive (the paper: a
+repaired machine "can be directly connected to the network without the
+need to reformat the partitions").
 ``restart()`` is the one way back up: it respawns every long-lived loop
 registered with :meth:`Node.daemon` (the load monitor first), then runs
 the ``on_restart`` hooks through which each daemon's owner rebuilds its
@@ -66,6 +67,7 @@ class Node(Host):
         self._last_cpu_bytes = 0
         self._last_disk_busy = 0.0
         self._daemons: List[Tuple[Callable, str]] = []
+        self.on_crash: List[Callable[[], None]] = []
         self.on_restart: List[Callable[[], None]] = []
         self.daemon(self._monitor_loop, "loadmon")
 
@@ -177,6 +179,8 @@ class Node(Host):
         if wipe and self.fs is not None:
             self.fs.files.clear()
             self.fs.used = 0
+        for hook in self.on_crash:
+            hook()
 
     def restart(self) -> None:
         """Bring the node back up: its daemons respawn in registration

@@ -179,9 +179,6 @@ class TtlCache:
         self.capacity = capacity
         self._entries: Dict[object, Tuple[float, object]] = {}
 
-    def __len__(self) -> int:
-        return len(self._entries)
-
     def get(self, key, now: float):
         ent = self._entries.get(key)
         if ent is None:
@@ -222,9 +219,6 @@ class ClientLocationCache:
 
     def __init__(self, ttl: float, capacity: int) -> None:
         self._cache = TtlCache(ttl, capacity)
-
-    def __len__(self) -> int:
-        return len(self._cache)
 
     def lookup(self, segid: int, now: float) -> Optional[List[Tuple[str, int]]]:
         return self._cache.get(segid, now)

@@ -5,10 +5,16 @@ channel; every node's membership manager builds the live-provider set as
 *soft state* from the same channel.  A provider missing for five
 announcement intervals is removed.  Heartbeats piggyback the load and
 storage-availability information that the placement policy consumes.
+
+A heartbeat from a known member is read where it lands: it waits on the
+node's *board* under the key its delivery would have had, and a view
+access reads the entries whose key precedes the event dispatching then.
+Only a stranger's heartbeat — a join, which fires callbacks — is an event.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
@@ -49,6 +55,8 @@ class MembershipManager:
       the hot placement path stops copying the full member dict per
       call.  The returned objects are *shared and read-only* (the
       values are frozen dataclasses; callers never mutate the views).
+    * A view access that shows more than the member set reads the board
+      first; a removal or a crash turns unread entries into deliveries.
     """
 
     def __init__(self, node, interval: float = DEFAULT_INTERVAL,
@@ -70,12 +78,16 @@ class MembershipManager:
         self._snap_gen = -1
         self._live: List[str] = []
         self._live_gen = -1
+        # Unread heartbeats of members: (when, 1, lane, seq, (svc, info)).
+        self._board: List[tuple] = []
+        node.board = (HEARTBEAT_GROUP, self.members, self._board)
         self.rpc = node.runtime
         self.rpc.subscribe(HEARTBEAT_GROUP)
         self.rpc.register("heartbeat", self._observe)
         node.daemon(self._check_loop, "member-check")
         if announce:
             node.daemon(self._announce_loop, "hb-announce")
+        node.on_crash.append(self._hand_back)
         node.on_restart.append(self._fresh_view)
         self._fresh_view()
 
@@ -90,6 +102,7 @@ class MembershipManager:
         """Forget the whole view (node restart: the view is soft state
         and rebuilds from heartbeats).  Fires no leave callbacks — a
         restart is not a death verdict on everyone else."""
+        self._hand_back()
         self.members.clear()
         self._seen.clear()
         self._gen += 1
@@ -108,11 +121,13 @@ class MembershipManager:
         return self._live
 
     def info(self, hostid: str) -> Optional[ProviderInfo]:
+        self._read_board()
         return self.members.get(hostid)
 
     def last_heard(self, hostid: str) -> Optional[float]:
         """When this node last received ``hostid``'s heartbeat (the
         death check's clock), or None for a non-member."""
+        self._read_board()
         return self._seen.get(hostid)
 
     def snapshot(self) -> Dict[str, ProviderInfo]:
@@ -123,13 +138,11 @@ class MembershipManager:
         shared by every view) and no caller mutates the dict — a
         per-generation copy — so one object serves every placement
         decision between heartbeats."""
+        self._read_board()
         if self._snap_gen != self._gen:
             self._snap = dict(self.members)
             self._snap_gen = self._gen
         return self._snap
-
-    def __contains__(self, hostid: str) -> bool:
-        return hostid in self.members
 
     # -- announcement -------------------------------------------------
     def _self_info(self) -> ProviderInfo:
@@ -152,8 +165,33 @@ class MembershipManager:
             yield self.sim.timeout(self.interval)
 
     # -- reception ----------------------------------------------------------
+    def _read_board(self) -> None:
+        """Read, in key order, every entry whose key precedes the event
+        dispatching now (between runs: every entry landed by now)."""
+        board = self._board
+        if board:
+            board.sort()
+            n = bisect_left(board, self.sim._key or (self.sim.now, 3))
+            for when, _prio, _lane, _seq, (_svc, info) in board[:n]:
+                self.members[info.hostid] = info
+                self._seen[info.hostid] = when
+            if n:
+                del board[:n]
+                self._gen += 1
+
+    def _hand_back(self) -> None:
+        """Make every unread entry the delivery it would have been, under
+        its own key (its sender may be a stranger by the time it lands)."""
+        self._read_board()
+        for when, prio, lane, seq, (_svc, info) in self._board:
+            self.sim.call_at(when, self._observe, info, "", prio, lane, seq)
+        self._board.clear()
+
     def _observe(self, info: ProviderInfo, src: str = "") -> None:
         # The heartbeat handler: the sender's record as is, stamped here.
+        if not self.node.alive:     # a copy handed back lands on a dead node
+            return
+        self._read_board()
         hostid = info.hostid
         is_new = hostid not in self.members
         self.members[hostid] = info
@@ -167,12 +205,14 @@ class MembershipManager:
     def _check_loop(self):
         while True:
             yield self.sim.timeout(self.interval)
+            self._read_board()
             deadline = self.sim.now - DEATH_FACTOR * self.interval
             seen = self._seen
             if not seen or min(seen.values()) >= deadline:
                 continue
             # In member order: replay goldens depend on how deaths fire.
             dead = [h for h, t in seen.items() if t < deadline]
+            self._hand_back()
             self._gen += 1
             self._key_gen += 1
             for hostid in dead:

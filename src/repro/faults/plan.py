@@ -150,6 +150,3 @@ class FaultPlan:
 
     def __len__(self) -> int:
         return len(self.events)
-
-    def __iter__(self):
-        return iter(self.schedule())

@@ -12,8 +12,7 @@ point safe.
 from __future__ import annotations
 
 import itertools
-from typing import Any, Dict, Tuple
-from zlib import crc32
+from typing import Any
 
 #: Destination constant meaning "all hosts subscribed to the group".
 MULTICAST = "<multicast>"
@@ -22,31 +21,6 @@ MULTICAST = "<multicast>"
 HEADER_BYTES = 66
 
 _msg_ids = itertools.count(1)
-
-_lane_cache: Dict[Tuple[str, str], int] = {}
-
-
-def delivery_lane(src: str, dst: str) -> int:
-    """The same-instant arbitration lane for a ``src -> dst`` delivery.
-
-    The kernel orders same-``(time, priority)`` events by ``(lane, seq)``;
-    local events carry lane 0, so stamping every wire delivery with a
-    stable ``>= 1`` lane derived from its (src, dst) pair makes collision
-    order a pure function of *content*: locals dispatch first, then
-    deliveries in lane order, and only same-pair deliveries (whose FIFO
-    order is already mode-invariant) fall through to ``seq``.  That is
-    what keeps one global Simulator and K per-partition Simulators —
-    whose insertion counters advance differently — dispatching identical
-    same-instant interleavings (crc32, not ``hash()``: stable across
-    interpreter launches and PYTHONHASHSEED).
-    """
-    key = (src, dst)
-    lane = _lane_cache.get(key)
-    if lane is None:
-        lane = 1 + (crc32(f"{src}\x00{dst}".encode()) & 0x3FFFFFFF)
-        _lane_cache[key] = lane
-    return lane
-
 
 class Message:
     """A unit of network transmission.

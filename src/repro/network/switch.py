@@ -10,22 +10,24 @@ Delivery is one kernel dispatch per copy, straight into
 :meth:`Fabric._deliver_copy` at the arrival instant, and one heap entry
 per send: ``sim.call_later`` for one destination (:meth:`Fabric.send`),
 one ``sim.call_fanout`` train per distinct arrival instant for a group
-(:meth:`Fabric._multicast`).  The fabric owns the message envelope after
-``send`` and returns it to the :mod:`repro.network.message` free-list
-once the last copy has been handed to (or dropped by) its receiver.
+(:meth:`Fabric._multicast`) — except a heartbeat from a sender its
+receiver already counts as a member, which goes on the receiver's board
+(:class:`Host`) and is no event.  The fabric owns the message envelope
+after ``send`` and returns it to the :mod:`repro.network.message`
+free-list once the last copy has been handed to (or dropped by) its
+receiver.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterable, Optional, Set, Tuple
+from typing import Callable, Dict, Iterable, Optional, Set, Tuple
+from zlib import crc32
 
 from repro.network.message import (
     HEADER_BYTES,
     MULTICAST,
     Message,
-    _lane_cache,
-    delivery_lane,
     release_message,
 )
 from repro.network.nic import NIC, FAST_ETHERNET_BPS
@@ -42,8 +44,9 @@ class Host:
     """A network attachment point: a NIC plus liveness and a dispatcher.
 
     Cluster nodes wrap or subclass this; the fabric only needs ``hostid``,
-    ``alive``, ``nic``, and the deliver callback installed by the host's
-    ``runtime.ServiceRuntime``.
+    ``alive``, ``nic``, the deliver callback installed by the host's
+    ``runtime.ServiceRuntime``, and ``board``: a membership view's
+    ``(group, members, entries)`` (:meth:`Fabric._multicast`).
     """
 
     def __init__(self, sim: Simulator, hostid: str, rate: float = FAST_ETHERNET_BPS):
@@ -52,6 +55,17 @@ class Host:
         self.alive = True
         self.nic = NIC(sim, rate)
         self.deliver: Optional[Callable[[Message], None]] = None
+        self.board: Optional[tuple] = None
+        self._lane_src = crc32(f"{hostid}\x00".encode())
+        self._lane_dst = hostid.encode()
+
+    def lane_to(self, dst: "Host") -> int:
+        """The same-instant lane of deliveries to ``dst`` (why lanes exist:
+        :class:`~repro.sim.Simulator`): 30 bits of the crc32 of
+        ``"<src>\\x00<dst>"`` plus one — stable across launches, unlike
+        ``hash()``.  crc32 chains, so each host keeps its half.  Both send
+        paths inline it: their call ceilings forbid a frame per copy."""
+        return 1 + (crc32(dst._lane_dst, self._lane_src) & 0x3FFFFFFF)
 
 
 @dataclass(frozen=True)
@@ -135,9 +149,6 @@ class Fabric:
         absent)."""
         self._link_faults.pop((src, dst), None)
 
-    def restore_all_links(self) -> None:
-        self._link_faults.clear()
-
     # -- membership of the wire ----------------------------------------
     def attach(self, host: Host) -> None:
         if host.hostid in self.hosts:
@@ -171,12 +182,12 @@ class Fabric:
             self._multicast(src, msg)
             return
         sim = self.sim
-        lane = _lane_cache.get((src_id, dst_id)) or delivery_lane(src_id, dst_id)
         if dst_id == src_id:
             # Loopback: co-located client and daemon skip the NIC entirely
             # ("data transfers do not need to go through network", §3.7.2).
             msg._refs = 1
-            sim.call_later(LOOPBACK_LATENCY, self._deliver_copy, src, msg, lane)
+            sim.call_later(LOOPBACK_LATENCY, self._deliver_copy, src, msg,
+                           src.lane_to(src))
             return
         wire = msg.size + HEADER_BYTES
         tx_start, tx_done = src.nic.tx.reserve(wire)
@@ -201,6 +212,7 @@ class Fabric:
         head = tx_start + self.latency + extra      # first byte at the receiver
         tail = tx_done + self.latency + extra       # last byte, rx link permitting
         now = sim.now
+        lane = 1 + (crc32(dst._lane_dst, src._lane_src) & 0x3FFFFFFF)
         while ncopies:                              # twice when duplicated
             rx_done = dst.nic.rx.reserve(wire, head)[1]
             sim.call_later((rx_done if rx_done > tail else tail) - now,
@@ -209,10 +221,15 @@ class Fabric:
 
     def _multicast(self, src: Host, msg: Message) -> None:
         """One tx reservation, one rx reservation per copy, one train per
-        arrival instant: ``{instant: [(lane, dst)]}`` in member order."""
+        arrival instant: ``{instant: [(lane, dst)]}`` in member order.  A
+        copy on a receiver's board group from a sender in its members is
+        appended there as ``(when, 1, lane, seq, payload)`` instead: the
+        key its delivery would have had, and no event."""
         sim = self.sim
         now = sim.now
         src_id = msg.src
+        src_crc = src._lane_src
+        group = msg.group
         wire = msg.size + HEADER_BYTES
         tx_start, tx_done = src.nic.tx.reserve(wire)
         head = first = tx_start + self.latency
@@ -223,7 +240,7 @@ class Fabric:
         trains: Dict[float, list] = {}
         xcopies: list = []
         copies = 0
-        for hostid in self.groups.get(msg.group) or ():
+        for hostid in self.groups.get(group) or ():
             if hostid == src_id:
                 continue
             cross = transit is not None and transit.is_cross(src_id, hostid)
@@ -242,20 +259,27 @@ class Fabric:
             if cross:
                 xcopies.extend([(hostid, extra)] * ncopies)
                 continue
-            lane = _lane_cache.get((src_id, hostid)) or delivery_lane(src_id, hostid)
-            copies += ncopies
+            lane = 1 + (crc32(dst._lane_dst, src_crc) & 0x3FFFFFFF)
+            board = dst.board
+            if board is not None and (board[0] != group or src_id not in board[1]):
+                board = None                # not a member's heartbeat
             while ncopies:
                 rx_done = dst.nic.rx.reserve(wire, first)[1]
                 # Keyed by the float ``call_later`` would have stored
                 # (not always the arrival itself), so ties fall where one
                 # ``call_later`` per copy would put them.
                 when = now + ((rx_done if rx_done > last else last) - now)
+                ncopies -= 1
+                if board is not None:       # and the seq it would draw
+                    board[2].append((when, 1, lane, sim.draw_seq(),
+                                     msg.payload))
+                    continue
+                copies += 1
                 stops = trains.get(when)
                 if stops is None:
                     trains[when] = [(lane, dst)]
                 else:
                     stops.append((lane, dst))
-                ncopies -= 1
         # Nothing fires before the next sim.step(), so the refcount is
         # safely published after the loop.
         msg._refs = copies

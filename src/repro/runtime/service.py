@@ -126,10 +126,6 @@ class ServiceRuntime:
         """Join a multicast group."""
         self.fabric.subscribe(group, self.hostid)
 
-    def unsubscribe(self, group: str) -> None:
-        """Leave a multicast group."""
-        self.fabric.unsubscribe(group, self.hostid)
-
     # -------------------------------------------------------- client side
     def call(self, dst: str, service: str, payload: Any = None,
              size: int = 0, timeout: float = RPC_DEADLINE, rtts: int = 1):

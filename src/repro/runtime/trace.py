@@ -99,6 +99,3 @@ class Tracer:
     # -- queries ---------------------------------------------------------
     def spans(self, name: Optional[str] = None) -> List[Span]:
         return [s for s in self.finished if name is None or s.name == name]
-
-    def roots(self) -> List[Span]:
-        return [s for s in self.finished if s.parent is None]

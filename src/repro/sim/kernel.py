@@ -18,6 +18,10 @@ on, so the per-event taxes are explicit):
   RPC's answer-or-deadline one ``Reply`` (:meth:`Simulator.reply`), a
   handler's generator starts inside its delivery (:meth:`Simulator.start`),
   and a process nobody waits on finishes without scheduling anything;
+* a heartbeat from a known member is no event at all: it waits on the
+  receiver's board under the key its delivery would have had
+  (:meth:`Simulator.draw_seq`), read by a view access that key precedes
+  (``Simulator._key``);
 * an event that was always the next one is not scheduled: an RPC answer
   resumes its caller inside its delivery (``Reply.answer``), and a
   one-branch :func:`gather` runs in the caller's process;
@@ -88,7 +92,7 @@ class Simulator:
     The heap holds ``(time, priority, lane, seq, event)`` tuples.  ``lane``
     is the same-instant arbitration rule: local events carry lane 0, wire
     deliveries carry a stable lane derived from the (src, dst) pair (see
-    :func:`repro.network.message.delivery_lane`), so ties at one
+    :meth:`repro.network.switch.Host.lane_to`), so ties at one
     ``(time, priority)`` resolve by *content* — locals first, then
     deliveries in lane order — independent of heap insertion order.  That
     independence is what makes one global Simulator and K per-partition
@@ -112,6 +116,10 @@ class Simulator:
         self._deadlines: dict = {}   # timeout value -> its Deadlines queue
         self._npending: int = 0
         self._peak_pending: int = 0
+        #: The key of the event dispatching now (after ``step()`` or a
+        #: window that broke off, the last one's); ``None`` between runs:
+        #: everything up to ``now`` ran.
+        self._key: Optional[tuple] = None
         #: Cooperative break for :meth:`run_window`: a callback fired
         #: mid-window (e.g. "my last local process completed") sets this
         #: to make the window loop return early.  The caller owns
@@ -159,8 +167,9 @@ class Simulator:
             self._peak_pending = n
 
     def _schedule_at(self, event: Event, t: float, priority: int = 1,
-                     lane: int = 0) -> None:
-        """Schedule ``event`` at the *absolute* instant ``t``.
+                     lane: int = 0, seq: int = 0) -> None:
+        """Schedule ``event`` at the *absolute* instant ``t``, under ``seq``
+        if one was drawn for it earlier (:meth:`draw_seq`).
 
         ``_schedule(ev, t - now)`` stores ``now + (t - now)``, which under
         float arithmetic is not always ``t``.  The conservative parallel
@@ -168,8 +177,9 @@ class Simulator:
         fire at bit-identical instants in serial and partitioned runs, so
         it schedules by absolute time.  ``t`` must be ``>= now``.
         """
-        self._seq += 1
-        heapq.heappush(self._heap, (t, priority, lane, self._seq, event))
+        if not seq:
+            seq = self._seq = self._seq + 1
+        heapq.heappush(self._heap, (t, priority, lane, seq, event))
         n = self._npending + 1
         self._npending = n
         if n > self._peak_pending:
@@ -221,6 +231,18 @@ class Simulator:
         self._npending = n
         if n > self._peak_pending:
             self._peak_pending = n
+
+    def draw_seq(self) -> int:
+        """The ``seq`` a schedule call would draw, for a board entry."""
+        self._seq += 1
+        return self._seq
+
+    def call_at(self, when: float, fn: Callable[[Any, Any], None], a: Any,
+                b: Any, priority: int = 1, lane: int = 0, seq: int = 0) -> None:
+        """Call ``fn(a, b)`` at the *absolute* instant ``when >= now``
+        (:meth:`_schedule_at`), under ``seq`` if :meth:`draw_seq` drew it
+        earlier: a board entry that becomes an event keeps its key."""
+        self._schedule_at(Callback(fn, a, b), when, priority, lane, seq)
 
     def reply(self, deadline: float) -> Reply:
         """An answer slot that fires with ``None`` after ``deadline``
@@ -279,6 +301,7 @@ class Simulator:
         when, _prio, _lane, _seq, event = entry
         self._npending -= 1
         self.now = when
+        self._key = entry[:4]       # not the event: nothing keeps it alive
         if event.state is CANCELLED:
             # A reply's queued answer its deadline already delivered.
             self._nswept += 1
@@ -315,6 +338,7 @@ class Simulator:
                 best = heap[0]
                 src = 2
             if best is None or best[0] >= t_end:
+                self._key = None
                 return wins
             if src == 2:
                 pop(heap)
@@ -332,8 +356,10 @@ class Simulator:
             if grid and when >= edge:
                 wins += 1
                 edge = (int(when / grid) + 1.0) * grid
+            self._key = best
             event._dispatch()
             if self.window_break:
+                self._key = best[:4]
                 return wins
 
     def run(self, until: Optional[float] = None) -> None:

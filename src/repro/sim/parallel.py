@@ -65,12 +65,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.network.message import (
-    HEADER_BYTES,
-    acquire_message,
-    delivery_lane,
-)
-from repro.sim.events import SUCCEEDED, Event
+from repro.network.message import HEADER_BYTES, acquire_message
 from repro.sim.kernel import Simulator, collector_exempt
 
 #: Extra one-way latency charged on cut edges: the store-and-forward hop
@@ -173,7 +168,6 @@ class Transit:
         self._heap: List[tuple] = []
         self._seq = [0] * pmap.n_partitions
         self._wakes: set = set()
-        self._drain_cb = self._drain
         self.outbox: Optional[Dict[int, List[tuple]]] = (
             {p: [] for p in range(pmap.n_partitions)}
             if local_pid is not None else None)
@@ -245,13 +239,10 @@ class Transit:
         # <= 1) runs first, then the drain — identical interleaving in
         # serial and partitioned runs.  Scheduled by absolute time so the
         # drain's sim.now is bit-identical across backends.
-        ev = Event(self.sim)
-        ev.state = SUCCEEDED
-        ev._callbacks = [self._drain_cb]
-        self.sim._schedule_at(ev, t, priority=2)
+        self.sim.call_at(t, self._drain, None, None, priority=2)
         self.wakes += 1
 
-    def _drain(self, _ev) -> None:
+    def _drain(self, _a, _b) -> None:
         sim = self.sim
         now = sim.now
         heap = self._heap
@@ -284,7 +275,7 @@ class Transit:
         # against local events identically in serial-with-map and windowed
         # runs.
         self.sim.call_later(final - self.sim.now, fabric._deliver_copy,
-                            dst, msg, delivery_lane(src_id, dst_id))
+                            dst, msg, fabric.hosts[src_id].lane_to(dst))
 
     # -- reporting ------------------------------------------------------
     def cross_matrix(self) -> Dict[str, List[int]]:

@@ -146,7 +146,3 @@ class Disk:
                 f"{self.spec.name}: I/O error ({nbytes} bytes)")
         self.bytes_done += nbytes
         return done, None
-
-    @property
-    def backlog_seconds(self) -> float:
-        return max(0.0, self._ready_at - self.sim.now)

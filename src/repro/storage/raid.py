@@ -89,26 +89,13 @@ class Raid0:
             return sim.completion(end - sim.now, 1)
         return sim.completion(failed_at - sim.now, 2, exc)
 
-    def service_time(self, nbytes: int, sequential: bool = False) -> float:
-        """Unloaded service-time estimate (slowest member's share)."""
-        share = nbytes / len(self.disks)
-        return max(d.service_time(int(share), sequential) for d in self.disks)
-
     @property
     def busy_accum(self) -> float:
         return sum(d.busy_accum for d in self.disks) / len(self.disks)
 
     @property
-    def backlog_seconds(self) -> float:
-        return max(d.backlog_seconds for d in self.disks)
-
-    @property
     def bytes_done(self) -> int:
         return sum(d.bytes_done for d in self.disks)
-
-    @property
-    def bytes_failed(self) -> int:
-        return sum(d.bytes_failed for d in self.disks)
 
     def reset(self) -> None:
         """Power-cycle every member (see :meth:`Disk.reset`)."""

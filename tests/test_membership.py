@@ -141,9 +141,10 @@ def test_one_record_per_announcement_is_shared_by_every_view():
 
 def test_a_heartbeat_round_in_flight_is_one_pending_event_per_announcer():
     """The pin on the saving, as a count: between a round's send and its
-    arrival the kernel holds one train per announcer plus each node's
-    check / announce / monitor timers — not one event per copy (20 x 23
-    = 460 of them before ``call_fanout``)."""
+    arrival the kernel holds each node's check / announce / monitor
+    timers and nothing per copy — every receiver already knows every
+    announcer, so each copy waits on its board (20 x 23 = 460 events
+    before ``call_fanout``, one train per announcer before the board)."""
     sim, nodes, providers, listeners = build(n_providers=20, n_listeners=4)
     sim.run(until=10 + 20e-6)           # sent at 10.0, arrives ~93 us later
     heard = [m.last_heard("s00") for m in listeners.values()]
@@ -215,6 +216,7 @@ def test_flat_expiry_matches_the_stamped_copy_full_scan_manager(events):
             real._observe(info, src)
 
         nodes[name].runtime.register("heartbeat", tee, replace=True)
+        nodes[name].board = None        # every copy an arrival, both see it
         pairs.append((real, oracle, log, ref_log))
     first = next(iter(listeners))
 

@@ -29,6 +29,10 @@ ROUNDTRIP_CEILING = 37.1
 #: amortised over eight receivers: 13.40 before, 8.02 measured after.
 #: One more frame per *multicast* is 8.15, per copy 9.02.
 HEARTBEAT_COPY_CEILING = 8.1
+#: Python calls per heartbeat copy a receiver's board takes (a known
+#: member's, which is no event): 3.65 measured, the kernel's ``draw_seq``
+#: one of them.  One more frame per multicast is 3.78, per copy 4.65.
+BOARDED_COPY_CEILING = 3.7
 
 
 def _rig(n):
@@ -77,14 +81,18 @@ def echo_roundtrip_calls(rounds=200):
     return py / rounds, c / rounds
 
 
-def heartbeat_copy_calls(beats=100, receivers=8):
+def heartbeat_copy_calls(beats=100, receivers=8, boarded=False):
     """Per-copy cost of ``n0`` multicasting a heartbeat each second to
-    ``receivers`` subscribers with a sync one-way handler."""
+    ``receivers`` subscribers with a sync one-way handler — or, with
+    ``boarded``, whose boards take every copy, as a membership view's
+    board takes a known member's heartbeat (reading it is not counted)."""
     sim, rts = _rig(1 + receivers)
     seen = []
     for rt in rts:
         rt.subscribe("hb")
         rt.register("heartbeat", lambda payload, src: seen.append(payload))
+        if boarded:
+            rt.host.board = ("hb", {"n0"}, seen)
 
     def sender(n):
         for i in range(n):
@@ -113,6 +121,15 @@ def test_heartbeat_copy_call_ceiling():
         f"{HEARTBEAT_COPY_CEILING}): a frame was added to the delivery path")
 
 
+def test_boarded_copy_call_ceiling():
+    py, _c = heartbeat_copy_calls(boarded=True)
+    assert py <= BOARDED_COPY_CEILING, (
+        f"{py:.2f} Python calls per boarded heartbeat copy (ceiling "
+        f"{BOARDED_COPY_CEILING}): a frame was added to the board path")
+
+
 if __name__ == "__main__":      # the table in docs/performance.md
     print("echo roundtrip   py %.1f  c %.1f" % echo_roundtrip_calls())
     print("heartbeat copy   py %.2f  c %.2f" % heartbeat_copy_calls())
+    print("boarded copy     py %.2f  c %.2f"
+          % heartbeat_copy_calls(boarded=True))

@@ -42,16 +42,22 @@ from repro.workloads.smallfile import session_loop
 #: delivery-lane tie-break landed (pre-lane: messages_sent=3134) — wire
 #: deliveries now order by stable (src, dst) lane instead of heap
 #: insertion order, a different-but-equally-legal interleaving.
+#: ``metrics_sha256`` (this one, ``GOLDEN_FAULTS``' and ``GOLDEN_RAID``'s)
+#: was re-recorded once more when a known member's heartbeat came to be
+#: read where it lands: that is no handler execution, so the server scope
+#: books only the heartbeats delivered as events (joins).  With the
+#: ``("server", "heartbeat")`` row left out, all three digests are the
+#: ones recorded before.
 GOLDEN = {
     "clock": 9.509108141,
     "sessions": 153,
     "messages_sent": 3137,
     "metrics_sha256":
-        "9b83d803b467b91ccee0905c54d44c9b008c549581086f9b6d215c2c192f979a",
+        "48c457af4e9ec095b1f7f0e07c9f75675153adc252762597fc6383094bb6d01c",
 }
 
 
-#: Kernel cost of the traffic window (153 sessions): 39.8 events, 10.0
+#: Kernel cost of the traffic window (153 sessions): 39.4 events, 10.0
 #: retired answer slots and 20.3 messages per session.  Re-record (this block
 #: only) when a kernel/transport change adds or removes bookkeeping
 #: events on purpose; the ceiling is ROADMAP item 3's events/session.
@@ -61,12 +67,14 @@ GOLDEN = {
 #: callback — 153 kicks fewer.  8 538 -> 6 090: an RPC answer resumes its
 #: caller inside its delivery, and a one-branch ``gather`` runs in the
 #: caller's process — events that were always the next one, nothing else.
+#: 6 090 -> 6 030: a known member's heartbeat is read where it lands on
+#: the receiver's board, not delivered — the window's 60 such copies.
 #: ``swept_timers`` moved once, 1 409 -> 1 529, when it stopped counting
 #: tombstones popped from the heap and started counting answer slots
 #: retired unfired: an answered slot now leaves its timeout value's queue
 #: when the next slot of that value opens, not 5 s later, so the window
 #: also counts the answers of its last 5 s.
-GOLDEN_COST = {"events": 6090, "swept_timers": 1529, "messages": 3107}
+GOLDEN_COST = {"events": 6030, "swept_timers": 1529, "messages": 3107}
 MAX_EVENTS_PER_SESSION = 60
 
 
@@ -191,7 +199,7 @@ GOLDEN_FAULTS = {
     "messages_duplicated": 9,
     "fault_events": 8,
     "metrics_sha256":
-        "b4c631e0882ccf2737a6ea476c4446df56a5f69d4a7129708b1ebcb2a5eb4b1d",
+        "7e6ec9a075ee68be359c8a5acf0ed01a33d1d94c80b4707e3cb9f6039cb10112",
 }
 
 
@@ -282,7 +290,7 @@ GOLDEN_RAID = {
     "messages_sent": 2928,
     "fault_events": 2,
     "metrics_sha256":
-        "f99eeaec8124c01794a048b4c6b5833b45cb4ee27a87492435868529eb78abdb",
+        "724178e4aa3ea7f4574529877cbd3df46244cb41c7e8775306255b85b83c96d3",
 }
 
 
