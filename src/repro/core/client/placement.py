@@ -27,11 +27,8 @@ _nonces = itertools.count(1)
 class PlacementMixin:
     """Locate existing segments; place and create new ones."""
 
-    def _providers(self) -> List[str]:
-        return self.membership.live_providers()
-
     def _home_of(self, segid: int) -> str:
-        providers = self._providers()
+        providers = self.membership.live_providers()
         if not providers:
             raise SorrentoError("no live storage providers")
         return self.ring.home_host(segid, providers)

@@ -59,8 +59,7 @@ class SorrentoClient(NamespaceOpsMixin, PlacementMixin, DataPathMixin,
             node, interval=self.params.heartbeat_interval, announce=False
         )
         self.ring = HashRing(self.params.ring_vnodes)
-        # Membership events splice the consistent-hash ring incrementally
-        # (the ring also reconciles lazily against any explicit view).
+        # Events mark the view; the next lookup adopts its shared arrays.
         self.membership.on_join.append(self.ring.add_host)
         self.membership.on_leave.append(self.ring.remove_host)
         self.ids = IdGenerator(node.hostid, self.rng, clock=lambda: self.sim.now)

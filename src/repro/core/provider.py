@@ -261,9 +261,7 @@ class StorageProvider:
         self.membership = MembershipManager(
             node, interval=self.params.heartbeat_interval, announce=True
         )
-        # Membership events drive the consistent-hash ring incrementally:
-        # a join/leave splices that host's vnode points instead of the
-        # ring rebuilding from the full member list on the next lookup.
+        # Membership events move the ring to the new set's shared arrays.
         self.membership.on_join.append(self.ring.add_host)
         self.membership.on_leave.append(self.ring.remove_host)
         self.membership.on_join.append(self._on_join)
@@ -739,7 +737,7 @@ class StorageProvider:
             return
         yield self.sim.timeout(self.rng.random() * 2.0)
         # The view with the dead node goes on a ring of its own: one ring
-        # asked about both would splice it in and out per segment it homed.
+        # asked about both would switch sets per segment it homed.
         before = sorted(set(members) | {dead})
         old_ring = HashRing(self.params.ring_vnodes)
         by_home: Dict[str, List[int]] = {}

@@ -334,10 +334,8 @@ class SorrentoDeployment:
         draw_id = lambda: rb(128)   # noqa: E731 - hoisted, built once
         hosts = on or sorted(self.provider_names)
         nhosts = len(hosts)
-        # One scratch ring + one member-view object shared across every
-        # preload call: the ring is a pure function of (members, vnodes),
-        # so this computes the same homes the providers will, without
-        # warming a thousand per-provider rings.
+        # One ring + member-view object across preload calls: it holds
+        # the providers' set's shared arrays, so homes match theirs.
         members = getattr(self, "_preload_view", None)
         if members is None or len(members) != len(self.provider_names):
             members = self._preload_view = sorted(self.provider_names)
@@ -366,9 +364,8 @@ class SorrentoDeployment:
             segrefs = layout.segments
             nsegs = len(segrefs)
             if locate is None:
-                # One reconcile+flush warms the scratch ring; after it
-                # the member view is identity-stable, so the raw lookup
-                # is safe for the rest of the call.
+                # The first lookup sets the ring's view, which stays put
+                # for the call: the raw lookup is safe after it.
                 ring.home_host(fileid, members)
                 locate = ring._locate
             for idx in range(nsegs + 1):

@@ -12,10 +12,9 @@ troughs) — then reports how fast the simulation itself runs
 (peak RSS), and whether the protocol stack kept up (session success
 rate).
 
-These numbers are the regression surface for the scale-out state
-refactor: incremental hash ring, indexed segment store, generation-cached
-membership, and owner-indexed location tables.  Before that refactor, a
-1000-provider point did not finish in CI-feasible time.
+These numbers are the regression surface for the cluster-state machinery:
+one shared hash ring per member set, indexed segment store,
+generation-cached membership, and owner-indexed location tables.
 
 Runs standalone::
 
@@ -42,7 +41,7 @@ import sys
 import time
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.core import SorrentoConfig, SorrentoDeployment
+from repro.core import SorrentoConfig, SorrentoDeployment, hashing
 from repro.experiments.common import (
     add_budget_args,
     collector_time,
@@ -92,6 +91,7 @@ def run_point(n_providers: int, n_files: int, n_sessions: int,
               duration: float, seed: int = 0) -> Dict[str, float]:
     """Build, preload, and drive one cluster size; returns the metrics row."""
     params = scale_params(n_providers)
+    sorts = hashing.derived["sorts"]
     t_build = time.perf_counter()
     dep = SorrentoDeployment(scale_spec(n_providers),
                              SorrentoConfig(params=params, seed=seed))
@@ -147,6 +147,7 @@ def run_point(n_providers: int, n_files: int, n_sessions: int,
         "preload_wall_s": round(preload_wall, 3),
         "total_wall_s": round(time.perf_counter() - t_build, 3),
         "peak_rss_mb": round(peak_rss_mb(), 1),
+        "ring_sorts": hashing.derived["sorts"] - sorts,
     }
 
 

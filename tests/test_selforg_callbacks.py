@@ -227,12 +227,16 @@ def _ring_work_across_a_departure(n_segments):
                     if any(e[0] == segid for e in entries))
         assert (keeper.node.hostid, 1) in dep.providers[home].home.table.lookup(segid)
     work = {k: keeper.ring.stats[k] - before[k]
-            for k in ("splices", "reconciles")}
-    return work, len(orphaned)
+            for k in ("splices", "adoptions", "bulk_builds", "reconciles")}
+    # One step per departure: the new set is derived by one splice, or
+    # adopted from another ring that derived it first.
+    return {"steps": work["splices"] + work["adoptions"],
+            "bulk_builds": work["bulk_builds"],
+            "reconciles": work["reconciles"]}, len(orphaned)
 
 
 def test_rehoming_costs_the_ring_one_departure_however_many_segments():
     few, orphaned_few = _ring_work_across_a_departure(10)
     many, orphaned_many = _ring_work_across_a_departure(400)
     assert orphaned_many > orphaned_few + 20
-    assert few == many == {"splices": 1, "reconciles": 0}
+    assert few == many == {"steps": 1, "bulk_builds": 0, "reconciles": 0}
