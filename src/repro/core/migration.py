@@ -9,16 +9,21 @@ A triggered provider migrates **hot** segments (recent last-access time)
 when I/O-bound, with α = 0.8 (favor lightly loaded destinations); or
 **cold** segments when space-bound, with α = 0.3 (favor empty
 destinations).  Only one active migration process per node.
+:class:`Migrator` is the provider's loop that asks.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
+from repro.core.locality import LOCALITY_THRESHOLD
 from repro.core.membership import ProviderInfo
-from repro.core.segment import StoredSegment
+from repro.core.placement import choose_provider
+from repro.core.segment import SegmentError, StoredSegment
+from repro.network.message import RpcRemoteError, RpcTimeout
+from repro.runtime import RPC_DEADLINE
 
 TOP_FRACTION = 0.10          # paper: among the highest 10% of providers
 SIGMA_FACTOR = 3.0           # paper: above mean + 3 sigma
@@ -95,3 +100,80 @@ def decide_migration(
         segs = pick_cold_segments(candidates, SEGMENTS_PER_ROUND)
         return MigrationDecision("space", segs, ALPHA_SPACE)
     return None
+
+
+class Migrator:
+    """One provider's migration loop: locality-driven moves first
+    (Section 3.7.2), then the decision round of Section 3.7.1."""
+
+    def __init__(self, provider):
+        self.provider = provider
+        self._locality_recent: Dict[int, float] = {}   # segid -> last move
+
+    def loop(self):
+        p = self.provider
+        yield p.sim.timeout(p.rng.random() * p.params.migration_interval)
+        while True:
+            try:
+                yield from self._round()
+            except (RpcTimeout, RpcRemoteError, SegmentError):
+                pass
+            yield p.sim.timeout(p.params.migration_interval)
+
+    def _round(self):
+        p = self.provider
+        members = p.membership.snapshot()
+        candidates = [s for s in p.store.committed_segments() if s.size > 0]
+        # Locality-driven moves first: they are explicit application policy.
+        yield from self._locality_round(members, candidates)
+        decision = decide_migration(p.node.hostid, members, [
+            s for s in candidates if s.placement != "locality"])
+        if decision is None:
+            return
+        for seg in decision.segments:
+            owners = {h for h, _ in p.home.table.lookup(seg.segid)}
+            target = choose_provider(p.rng, members, seg.size, decision.alpha,
+                                     exclude=owners | {p.node.hostid})
+            if target is None:
+                continue
+            yield from self.migrate_out(seg, target)
+
+    def _locality_round(self, members, candidates):
+        p = self.provider
+        now = p.sim.now
+        for seg in candidates:
+            if seg.placement != "locality":
+                continue
+            if self._locality_recent.get(seg.segid, -1e18) > now - 2 * p.params.migration_interval:
+                continue
+            dominant = p.history.dominant_source(
+                seg.segid, LOCALITY_THRESHOLD, p.params.locality_min_samples)
+            if dominant is None or dominant == p.node.hostid:
+                continue
+            if dominant not in members:
+                continue  # traffic source is not a storage provider
+            self._locality_recent[seg.segid] = now
+            yield from self.migrate_out(seg, dominant)
+
+    def migrate_out(self, seg: StoredSegment, target: str):
+        """Replicate to ``target`` then erase locally (Section 3.7.1:
+        migration = new replica elsewhere + erase the local copy)."""
+        p = self.provider
+        yield p.transfer_lock.request()
+        try:
+            timeout = max(RPC_DEADLINE, seg.size / 1e6)
+            try:
+                resp = yield from p.rpc.call(target, "seg_replicate", {
+                    "segid": seg.segid, "version": seg.version,
+                    "from": p.node.hostid}, size=48, timeout=timeout)
+            except (RpcTimeout, RpcRemoteError):
+                return False
+            if resp.get("already"):
+                # The target already held the live tip: nothing moved, so
+                # keep the local copy (replica count must not shrink).
+                return False
+            yield from p.erase(seg.segid)
+            p.stats["migrations"] += 1
+            return True
+        finally:
+            p.transfer_lock.release()

@@ -5,9 +5,9 @@ experiment, a benchmark driver, an ablation or a test.  A value nothing
 sets (the paper's fixed numbers, the substrate's calibration charges of
 DESIGN.md §1) is a named constant in the module whose model it
 calibrates, read directly: ``core/migration.py`` (trigger and α),
-``core/location.py`` (purge age, client location cache),
-``core/locality.py``, ``core/placement.py``, ``core/layout.py``
-(``ATTACH_MAX``), ``core/namespace.py``, ``core/provider.py``,
+``core/location.py`` (purge age, the provider daemon's CPU charges,
+client location cache), ``core/locality.py``, ``core/placement.py``,
+``core/layout.py`` (``ATTACH_MAX``), ``core/namespace.py``,
 ``core/client/{io,versioning,stub,router}.py``, and
 ``runtime/service.py`` (``RPC_DEADLINE``).
 ``tests/test_architecture.py`` fails on a field nothing sets.

@@ -136,7 +136,7 @@ class ClusterInspector:
                          if p.node.alive)
         if not members:
             return {"missing": sorted(actual), "ghost": []}
-        ring = next(iter(self.dep.providers.values())).ring
+        ring = next(iter(self.dep.providers.values())).owner.ring
         for segid, holders in actual.items():
             home = ring.home_host(segid, members)
             table = self.dep.providers[home].home.table

@@ -260,7 +260,7 @@ def test_location_table_changes_go_through_the_home():
     preload's planting loop, which binds a home table's ``update`` and
     schedules nothing, by design."""
     allowed = {
-        ("repro.core.provider", "LocationHome"),
+        ("repro.core.location", "LocationHome"),
         ("repro.core.volume", "_plant"),
     }
     changes = {"update", "remove", "drop_owner", "purge"}
@@ -338,6 +338,47 @@ def test_segment_store_state_is_scanned_only_inside_the_store():
     assert offenders == [], (
         "private state accessed outside its owning module: "
         + ", ".join(offenders)
+    )
+
+
+#: A provider's duties, each in its own module: the data service (and the
+#: composition), the home-host role and the owner's location upkeep, and
+#: the migration loop.  The other classes in these modules are plain data
+#: structures, whose private state ``PRIVATE_STATE`` guards.
+PROVIDER_DUTIES = {
+    "repro.core.provider": {"StorageProvider"},
+    "repro.core.location": {"LocationHome", "LocationOwner"},
+    "repro.core.migration": {"Migrator"},
+}
+
+
+def test_provider_duties_reach_each_other_only_through_public_names():
+    """Inside a duty module, outside its data structures, an underscore
+    attribute is read or written only on ``self``: one duty never touches
+    another's private state (``provider._locality_recent``,
+    ``self.home._repair_recent``), nor any other object's."""
+    offenders = []
+    for mod, duties in PROVIDER_DUTIES.items():
+        path = SRC.parent.joinpath(*mod.split(".")).with_suffix(".py")
+
+        def visit(node, where, mod=mod, duties=duties):
+            if isinstance(node, ast.ClassDef):
+                if node.name not in duties:
+                    return
+                where = node.name
+            if (isinstance(node, ast.Attribute)
+                    and node.attr.startswith("_")
+                    and not node.attr.startswith("__")
+                    and not (isinstance(node.value, ast.Name)
+                             and node.value.id == "self")):
+                offenders.append(
+                    f"{mod}.{where}:{node.lineno} {ast.unparse(node)}")
+            for child in ast.iter_child_nodes(node):
+                visit(child, where)
+
+        visit(ast.parse(path.read_text()), "<module>")
+    assert offenders == [], (
+        "a provider duty reaches into private state: " + ", ".join(offenders)
     )
 
 

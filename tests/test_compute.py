@@ -160,7 +160,7 @@ def test_prestage_races_migration_without_duplicating():
     # the target's transfer lock.
     def migrate_later():
         yield dep.sim.timeout(0.01)
-        yield from dep.providers[holder]._migrate_out(seg, target)
+        yield from dep.providers[holder].migrator.migrate_out(seg, target)
 
     dep.sim.process(migrate_later())
     st = run_job(dep, queue, paths)

@@ -337,7 +337,7 @@ def test_a_read_after_a_migration_to_the_readers_host_finds_it_at_home():
         == [source]
 
     provider = dep.providers[source]
-    assert dep.run(provider._migrate_out(
+    assert dep.run(provider.migrator.migrate_out(
         provider.store.latest_committed(segid), target)) is True
 
     t0 = dep.sim.now

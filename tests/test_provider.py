@@ -114,6 +114,8 @@ def test_every_table_change_says_what_follows(monkeypatch):
 
     later = p.params.repair_delay
     assert follows(home.claim, 0xA, "s02", 1, 2, 100) == [(0.0, "_supervise", 0xA)]
+    assert follows(home.refresh, "s02", [(0xF, 1, 2, 100), (0xA, 1, 2, 100)]) \
+        == [(0.0, "_supervise", 0xF), (0.0, "_supervise", 0xA)]
     home.claim(0xB, "s02", 1, 2, 100)
     home.claim(0xB, "s01", 1, 2, 100)
     home.claim(0xC, "s03", 1, 2, 100)
@@ -264,7 +266,7 @@ def test_a_homes_own_erase_is_supervised():
         if client._home_of(s) in holders(dep, s)
         and len(holders(dep, s)) == 2)
 
-    dep.run(dep.providers[home]._erase(segid))
+    dep.run(dep.providers[home].erase(segid))
     assert len(holders(dep, segid)) == 1
     dep.sim.run(until=dep.sim.now + 10)
     assert len(holders(dep, segid)) == 2

@@ -14,7 +14,8 @@ from repro.cluster import Node, small_cluster
 from repro.core import SorrentoConfig, SorrentoDeployment
 from repro.core.hashing import HashRing
 from repro.core.params import SorrentoParams
-from repro.core.provider import LOC_ENTRY_BYTES, StorageProvider
+from repro.core.location import LOC_ENTRY_BYTES
+from repro.core.provider import StorageProvider
 from repro.core.segment import SYNTHETIC, StoredSegment
 from repro.network import Fabric
 from repro.sim import Simulator
@@ -59,7 +60,7 @@ def test_formation_refreshes_from_callbacks_what_the_full_scans_sent():
 
     def watch(provider):
         host = provider.node.hostid
-        send, refresh_toward = provider.rpc.send, provider._refresh_toward
+        send, refresh_toward = provider.rpc.send, provider.owner._refresh_toward
 
         def recording_send(dst, service, payload, size=0):
             if service == "loc_refresh":
@@ -79,7 +80,7 @@ def test_formation_refreshes_from_callbacks_what_the_full_scans_sent():
             refresh_toward(joiner)
 
         provider.rpc.send = recording_send
-        provider._refresh_toward = checked_refresh_toward
+        provider.owner._refresh_toward = checked_refresh_toward
 
     for provider in dep.providers.values():
         watch(provider)
@@ -96,7 +97,7 @@ def test_formation_refreshes_from_callbacks_what_the_full_scans_sent():
     # One scan per provider once the view was complete, not one per join.
     for provider in dep.providers.values():
         assert len(provider.node._procs) <= DAEMON_LOOPS
-        assert provider._buckets[0] is \
+        assert provider.owner._buckets[0] is \
             provider.membership.live_providers()
 
 
@@ -124,12 +125,12 @@ def test_bucketing_never_outlives_the_store_state_it_was_built_from(ops):
     members = list(_MEMBERS)
 
     def check():
-        kept = provider._by_home(members)
-        got = {home: provider._refresh_entries(segids)
+        kept = provider.owner._by_home(members)
+        got = {home: provider.owner._refresh_entries(segids)
                for home, segids in kept.items()}
         want = scan_by_home(provider, members)
         assert got == want and list(got) == list(want)
-        assert provider._by_home(members) is kept
+        assert provider.owner._by_home(members) is kept
 
     def scenario():
         nonlocal members
@@ -180,10 +181,10 @@ def test_each_store_write_path_drops_the_bucketing():
     members = list(_MEMBERS)
 
     def scenario():
-        seen = [provider._by_home(members)]
+        seen = [provider.owner._by_home(members)]
 
         def dropped():
-            seen.append(provider._by_home(members))
+            seen.append(provider.owner._by_home(members))
             return seen[-1] is not seen[-2]
 
         assert not dropped()                        # nothing changed
@@ -196,11 +197,11 @@ def test_each_store_write_path_drops_the_bucketing():
         yield from store.create_shadow(1, 1)
         yield from store.commit(1, 2)
         assert dropped() and seen[-1] == seen[-2]   # same segids, but the
-        assert [e[1] for e in provider._refresh_entries([1, 2])] == [2, 3]
+        assert [e[1] for e in provider.owner._refresh_entries([1, 2])] == [2, 3]
         yield from store.drop(2, 3)                 # entries are read now
         assert dropped() and seen[-1] != seen[-2]   # a drop
         assert not dropped()
-        assert provider._by_home(list(members)) is not seen[-1]  # a new view
+        assert provider.owner._by_home(list(members)) is not seen[-1]  # a new view
 
     sim.run_process(sim.process(scenario()))
 
@@ -214,8 +215,8 @@ def _ring_work_across_a_departure(n_segments):
     names = sorted(dep.providers)
     keeper, dead = dep.providers[names[1]], names[3]
     plant(keeper, random.Random(9), n_segments)
-    keeper._home_of(0)                       # the ring's first, bulk, build
-    before = dict(keeper.ring.stats)
+    keeper.owner.home_of(0)                  # the ring's first, bulk, build
+    before = dict(keeper.owner.ring.stats)
     dep.nodes[dead].crash()
     dep.sim.run(until=dep.sim.now + 12.0)    # death verdict + re-announce
     survivors = keeper.membership.live_providers()
@@ -226,7 +227,7 @@ def _ring_work_across_a_departure(n_segments):
         home = next(h for h, entries in rehomed.items()
                     if any(e[0] == segid for e in entries))
         assert (keeper.node.hostid, 1) in dep.providers[home].home.table.lookup(segid)
-    work = {k: keeper.ring.stats[k] - before[k]
+    work = {k: keeper.owner.ring.stats[k] - before[k]
             for k in ("splices", "adoptions", "bulk_builds", "reconciles")}
     # One step per departure: the new set is derived by one splice, or
     # adopted from another ring that derived it first.
