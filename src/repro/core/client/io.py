@@ -101,11 +101,8 @@ class DataPathMixin:
         for attempt in range(6):
             if meta is not None:
                 break
-            resp = yield from self._locate(
-                fh.fileid,
-                read={"offset": 0, "length": ATTACH_MAX + 256,
-                      "meta_only": meta_only},
-            )
+            resp = yield from self._locate(fh.fileid,
+                                           read={"meta_only": meta_only})
             inline = resp.get("inline")
             if inline is not None and inline["version"] == want:
                 meta = inline["meta"]

@@ -21,6 +21,7 @@ A provider's two sides of the protocol sit beside the table:
 from __future__ import annotations
 
 import random
+from bisect import insort
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -356,7 +357,9 @@ class LocationOwner:
     """The owner's side of location upkeep (Section 3.4.1): a
     ``loc_update`` per segment event and ``loc_refresh`` batches to the
     homes its ring names, which take them without a message when the
-    home is this provider."""
+    home is this provider.  Join refreshes queue under the keys
+    ``node.defer`` would give them, only the first on the heap and none
+    while the store is empty (one due then would send nothing)."""
 
     def __init__(self, home: LocationHome, store: SegmentStore):
         self.home, self.store = home, store
@@ -366,6 +369,10 @@ class LocationOwner:
         self.params, self.rng = home.params, home.rng
         self.membership = home.membership
         self._buckets: tuple = (None, -1, {})   # _by_home's view, gen, dict
+        self._joins: List[tuple] = []   # sorted (when, 1, 0, seq, joiner)
+        self._armed: set = set()        # seqs of theirs on the sim heap
+        store.on_refill = self._arm
+        self.node.on_crash.append(self._joins.clear)
 
     def home_of(self, segid: int) -> Optional[str]:
         members = self.membership.live_providers()
@@ -394,7 +401,29 @@ class LocationOwner:
         if hostid == self.node.hostid:
             return
         delay = self.rng.random() * self.params.join_refresh_delay_max
-        self.node.defer(delay, self._refresh_toward, hostid)
+        insort(self._joins, (self.membership.joined_at(hostid) + delay, 1,
+                             0, self.sim.draw_seq(), hostid))
+        self._arm()
+
+    def _arm(self) -> None:
+        """Drop what fell due unarmed; arm the first while anything is stored."""
+        joins, n = self._joins, 0
+        while n < len(joins) and self.sim.fell_due(joins[n]):
+            n += 1
+        del joins[:n]
+        if joins and not self.store.empty and joins[0][3] not in self._armed:
+            seq = joins[0][3]
+            self._armed.add(seq)
+            self.sim.call_at(joins[0][0], self._fire, seq, None, 1, 0, seq)
+
+    def _fire(self, seq: int, _b) -> None:
+        self._armed.discard(seq)
+        for i, entry in enumerate(self._joins):     # absent after a crash
+            if entry[3] == seq:
+                del self._joins[:i + 1]     # before it: fell due unarmed
+                self._refresh_toward(entry[4])
+                break
+        self._arm()
 
     def on_leave(self, hostid: str) -> None:
         """Re-announce the local segments whose home was ``hostid``."""

@@ -10,6 +10,9 @@ A heartbeat from a known member is read where it lands: it waits on the
 node's *board* under the key its delivery would have had, and a view
 access reads the entries whose key precedes the event dispatching then.
 Only a stranger's heartbeat — a join, which fires callbacks — is an event.
+
+A deployment plants its first round (:meth:`MembershipManager.expect`,
+:meth:`MembershipManager.form`): those copies land on the boards too.
 """
 
 from __future__ import annotations
@@ -47,14 +50,10 @@ class ProviderInfo:
 class MembershipManager:
     """Runs on every cluster node; providers also announce.
 
-    Scale-mindful internals:
-
     * When each member was last *heard* is a flat ``{hostid: instant}``
       in member order: a death check is one ``min()``, a scan on expiry.
-    * ``snapshot()`` and ``live_providers()`` are generation-cached:
-      the hot placement path stops copying the full member dict per
-      call.  The returned objects are *shared and read-only* (the
-      values are frozen dataclasses; callers never mutate the views).
+    * ``snapshot()`` and ``live_providers()`` are generation-cached,
+      *shared and read-only* objects (their values are frozen records).
     * A view access that shows more than the member set reads the board
       first; a removal or a crash turns unread entries into deliveries.
     """
@@ -120,6 +119,10 @@ class MembershipManager:
             self._live_gen = self._key_gen
         return self._live
 
+    def joined_at(self, hostid: str) -> float:
+        """Inside an ``on_join`` callback: the instant the join landed."""
+        return self._seen[hostid]
+
     def info(self, hostid: str) -> Optional[ProviderInfo]:
         self._read_board()
         return self.members.get(hostid)
@@ -179,6 +182,27 @@ class MembershipManager:
                 del board[:n]
                 self._gen += 1
 
+    def expect(self, hostids: Dict[str, None]) -> None:
+        """Until :meth:`form`, board heartbeats from ``hostids`` too."""
+        if self.node.board is not None:
+            self.node.board = (HEARTBEAT_GROUP, hostids, self._board)
+
+    def form(self) -> None:
+        """Join each unknown sender on the board, in key order, as its
+        delivery would have at its arrival.  Reading that entry later
+        would change nothing, so it goes; a member's stays to be read."""
+        board = self.node.board
+        if board is None or board[1] is self.members:
+            return
+        self.node.board = (HEARTBEAT_GROUP, self.members, self._board)
+        kept = []
+        for entry in sorted(self._board):
+            if entry[4][1].hostid in self.members:
+                kept.append(entry)
+            else:
+                self._note(entry[4][1], entry[0])
+        self._board[:] = kept
+
     def _hand_back(self) -> None:
         """Make every unread entry the delivery it would have been, under
         its own key (its sender may be a stranger by the time it lands)."""
@@ -192,10 +216,14 @@ class MembershipManager:
         if not self.node.alive:     # a copy handed back lands on a dead node
             return
         self._read_board()
+        self._note(info, self.sim.now)
+
+    def _note(self, info: ProviderInfo, when: float) -> None:
+        """``info`` heard at ``when``: a stranger's is a join."""
         hostid = info.hostid
         is_new = hostid not in self.members
         self.members[hostid] = info
-        self._seen[hostid] = self.sim.now
+        self._seen[hostid] = when
         self._gen += 1
         if is_new:
             self._key_gen += 1

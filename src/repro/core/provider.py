@@ -97,7 +97,7 @@ class StorageProvider:
         # "we only allow one active data migration process per node"
         self.transfer_lock = Resource(self.sim, 1)
         self.stats = {"migrations": 0, "replications": 0, "syncs": 0,
-                      "reads": 0, "writes": 0}
+                      "reads": 0}
         for svc in self.SERVICES:
             self.rpc.register(svc, getattr(self, "_h_" + svc), replace=True)
         self.rpc.subscribe(LOCATION_GROUP)
@@ -178,7 +178,6 @@ class StorageProvider:
             segid, version, req["offset"], length, data=req.get("data"),
             sequential=sequential, in_place=req.get("in_place", False))
         self.history.record(segid, src, length)
-        self.stats["writes"] += 1
         return {"version": seg.version, "size": seg.size}, 48
 
     def _h_seg_write(self, req: dict, src: str):
@@ -417,37 +416,24 @@ class StorageProvider:
 
     # ------------------------- location answered from the store (Section 3.4)
     def _h_loc_lookup(self, req: dict, src: str):
-        """Locate a segment's owners; serve small reads inline when local.
-
-        Mirrors Figure 6 step (2): if the home host itself owns the
-        segment, it "sends back the data immediately" instead of
-        redirecting.
-        """
+        """Locate a segment's owners.  A home host owning the index
+        segment an open asks to ``read`` "sends back the data immediately"
+        instead of redirecting (Figure 6 step (2))."""
         segid = req["segid"]
         yield from self._charge()
         mine = self.store.latest_committed(segid)
         read = req.get("read")
         table = self.home.table
         latest_known = table.latest_version(segid)
-        if mine is not None and read is not None \
+        if mine is not None and mine.meta is not None and read is not None \
                 and (latest_known is None or mine.version >= latest_known):
-            data = None
-            if mine.meta is not None:
-                # Index segment: inode + (unless meta-only) attached data.
-                length = yield from self._index_io(
-                    mine, meta_only=read.get("meta_only", False))
-            else:
-                offset, length = read["offset"], read["length"]
-                length = min(length, max(0, mine.size - offset))
-                if length > 0:
-                    data = yield from self.store.read(segid, mine.version,
-                                                      offset, length)
+            # The inode + (unless meta-only) attached data.
+            length = yield from self._index_io(
+                mine, meta_only=read.get("meta_only", False))
             self.history.record(segid, src, length)
             resp = {
                 "owners": table.lookup(segid) or [(self.node.hostid, mine.version)],
-                "inline": {"version": mine.version, "data": data,
-                           "length": length, "meta": mine.meta,
-                           "size": mine.size},
+                "inline": {"version": mine.version, "meta": mine.meta},
             }
             nbytes = 96 + length
         else:

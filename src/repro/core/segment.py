@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from operator import attrgetter, itemgetter
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.extent import RangeMap
 from repro.storage.filesystem import LocalFS
@@ -117,6 +117,7 @@ class SegmentStore:
         self._next_seq = 0
         self._bytes = 0
         self.generation = 0
+        self.on_refill: Optional[Callable[[], None]] = None  # empty -> a segid
 
     # -- index maintenance --------------------------------------------
     def _add(self, seg: StoredSegment) -> None:
@@ -129,7 +130,10 @@ class SegmentStore:
         if fam is None:
             # First version of its segid here (every create, new-segment
             # ingest and preloaded segment): nothing to order against.
+            refill = not self._segs
             self._segs[seg.segid] = _Family(seg)
+            if refill and self.on_refill is not None:
+                self.on_refill()
             return
         vers = fam.versions
         i = len(vers)
@@ -200,6 +204,10 @@ class SegmentStore:
 
     def __len__(self) -> int:
         return sum(len(fam.versions) for fam in self._segs.values())
+
+    @property
+    def empty(self) -> bool:
+        return not self._segs
 
     def bytes_stored(self) -> int:
         """Total extent bytes across every held version (O(1) counter)."""

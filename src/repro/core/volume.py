@@ -93,6 +93,8 @@ class SorrentoDeployment:
             return (pmap is not None and local_pid is not None
                     and pmap.assignment.get(name, local_pid) != local_pid)
 
+        if self.transit is None:
+            self.sim.call_soon(self._expect, None, None)
         self.memberships: Dict[str, MembershipManager] = {}
         storage_specs = spec.storage_nodes
         if self.config.n_providers is not None:
@@ -161,6 +163,21 @@ class SorrentoDeployment:
                 rng=self.rngs.py(f"provider:{name}"),
             )
             self.memberships[name] = self.providers[name].membership
+        if self.transit is None:
+            self.sim.call_soon(self._form, None, None)
+
+    # Planted formation, at t = 0: ``_expect`` runs before any daemon
+    # starts, ``_form`` once the first heartbeat round is sent.  A
+    # transit, a partition or a link fault leaves it to the joins.
+    def _expect(self, _a, _b) -> None:
+        if not self.fabric.faulted():
+            first = dict.fromkeys(self.provider_names)
+            for view in self.memberships.values():
+                view.expect(first)
+
+    def _form(self, _a, _b) -> None:
+        for view in self.memberships.values():
+            view.form()
 
     # ---------------------------------------------------------- namespace
     def _namespace_server(self, hostid: str) -> NamespaceServer:
@@ -265,24 +282,20 @@ class SorrentoDeployment:
     def preload_files(self, files, degree: int = 1, alpha: float = 0.5,
                       placement: str = "load",
                       on: Optional[List[str]] = None) -> int:
-        """Plant many committed files directly into provider state.
+        """Plant many committed files (``(path, size)`` pairs) directly
+        into provider state; returns how many.
 
-        Benchmark setup only: bypasses the network/disk so pre-populating
-        an 80 GB dataset (Figure 11) costs no simulated or wall time.
-        ``files`` is an iterable of ``(path, size)``; every draw comes
-        from one shared ``"preload-bulk"`` stream with a fixed draw count
-        per file, so every partition worker replaying the same file list
-        stays stream-aligned regardless of which nodes are local.
-        Returns the number of files planted.
+        Benchmark setup only: no simulated or wall time goes to an 80 GB
+        dataset (Figure 11).  Every draw comes from one ``"preload-bulk"``
+        stream, a fixed count per file, so partition workers replaying
+        the file list stay stream-aligned whichever nodes are local.
 
-        The cyclic collector is paused for the duration of the load
-        (and restored after): the planted population is millions of
-        live objects that all survive, so the collector keeps
-        scheduling full collections that re-walk everything planted so
-        far — an O(files) load turns O(files²)-flavored.  On the way
-        out the population is handed to the oldest generation unwalked;
-        keeping it out of later collections is the run's business, not
-        the load's (:func:`repro.sim.kernel.collector_exempt`).
+        The cyclic collector is paused for the load: millions of planted
+        objects all survive, and each full collection would re-walk
+        them (an O(files²)-flavored load).  On the way out they go to
+        the oldest generation unwalked; keeping them out of later
+        collections is the run's business
+        (:func:`repro.sim.kernel.collector_exempt`).
         """
         import gc
 
@@ -296,11 +309,9 @@ class SorrentoDeployment:
         finally:
             if gc_was:
                 gc.enable()
-                # What was planted is still "young": the next burst of
-                # allocations would walk it twice and then owe a full
-                # collection.  Inside a run's bracket it joins the
-                # frozen model; otherwise freeze + unfreeze hands it to
-                # the oldest generation, unwalked either way.
+                # Inside a run's bracket the planted objects join the
+                # frozen model; otherwise freeze + unfreeze hands them to
+                # the oldest generation (young, they would be walked twice).
                 in_bracket = gc.get_freeze_count()
                 gc.freeze()
                 if not in_bracket:

@@ -1,20 +1,17 @@
 """Scale suite: Sorrento state machinery at 100-1000 providers.
 
 The paper's clusters top out at 46 nodes; Section 6 argues the design
-"self-organizes" to much larger installations.  This suite puts that to
-the test on the simulator itself: it builds clusters of 100, 300, and
-1000 providers, preloads 10^5-scale file populations, and drives
-thousands of short client sessions whose arrival pattern mimics a large
-user base — tenants picked by a Zipf law (a few hot tenants, a long
-tail) and arrival times following a diurnal wave (load peaks and
-troughs) — then reports how fast the simulation itself runs
-(sim-seconds per wall-second), how much memory the cluster state takes
-(peak RSS), and whether the protocol stack kept up (session success
-rate).
+"self-organizes" to much larger installations.  This suite builds
+clusters of 100, 300 and 1000 providers, preloads 10^5-scale file
+populations and drives thousands of short sessions — tenants picked by
+a Zipf law, arrivals following a diurnal wave — then reports how fast
+the simulation runs (sim-seconds per wall-second; formation's events
+and wall apart), how much memory the cluster state takes (peak RSS) and
+whether the protocol stack kept up (session success rate).
 
 These numbers are the regression surface for the cluster-state machinery:
-one shared hash ring per member set, indexed segment store,
-generation-cached membership, and owner-indexed location tables.
+planted formation, one shared hash ring per member set, indexed segment
+store, generation-cached membership and owner-indexed location tables.
 
 Runs standalone::
 
@@ -96,10 +93,13 @@ def run_point(n_providers: int, n_files: int, n_sessions: int,
     dep = SorrentoDeployment(scale_spec(n_providers),
                              SorrentoConfig(params=params, seed=seed))
 
-    # One heartbeat round populates every membership view, and the P^2
-    # join refreshes of cluster formation fall due while every store is
-    # still empty, so the traffic window starts without their messages.
+    # The first heartbeat round is planted in every membership view, and
+    # the P^2 join refreshes of cluster formation fall due while every
+    # store is still empty: dropped unfired, no message and no event.
+    t_form = time.perf_counter()
     dep.warm_up(params.join_refresh_delay_max + 1.0)
+    formation_wall = time.perf_counter() - t_form
+    formation_events = dep.sim._nprocessed
 
     # Then preload the file population (planted directly through the
     # bulk fast path: no simulated I/O, so sim.now does not advance and
@@ -144,6 +144,8 @@ def run_point(n_providers: int, n_files: int, n_sessions: int,
         # What the cyclic collector took of wall_s (CI bounds the share).
         "gc_wall_s": round(collector["gc_wall_s"], 3),
         "gc_full": collector["gc_full"],
+        "formation_events": formation_events,
+        "formation_wall_s": round(formation_wall, 3),
         "preload_wall_s": round(preload_wall, 3),
         "total_wall_s": round(time.perf_counter() - t_build, 3),
         "peak_rss_mb": round(peak_rss_mb(), 1),

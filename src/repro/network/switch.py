@@ -6,16 +6,13 @@ links (NICs) and a fixed per-hop propagation/switching latency are
 modelled.  Multicast groups deliver a copy to every subscribed live host
 (charging each receiver's rx link).
 
-Delivery is one kernel dispatch per copy, straight into
-:meth:`Fabric._deliver_copy` at the arrival instant, and one heap entry
-per send: ``sim.call_later`` for one destination (:meth:`Fabric.send`),
-one ``sim.call_fanout`` train per distinct arrival instant for a group
-(:meth:`Fabric._multicast`) — except a heartbeat from a sender its
-receiver already counts as a member, which goes on the receiver's board
+Delivery is one ``sim.call_later`` per copy (:meth:`Fabric.send`,
+:meth:`Fabric._multicast`), dispatched straight into
+:meth:`Fabric._deliver_copy` — except a heartbeat from a sender its
+receiver counts as a member, which goes on the receiver's board
 (:class:`Host`) and is no event.  The fabric owns the message envelope
 after ``send`` and returns it to the :mod:`repro.network.message`
-free-list once the last copy has been handed to (or dropped by) its
-receiver.
+free-list once its last copy is handed to (or dropped by) its receiver.
 """
 
 from __future__ import annotations
@@ -149,6 +146,10 @@ class Fabric:
         absent)."""
         self._link_faults.pop((src, dst), None)
 
+    def faulted(self) -> bool:
+        """Whether a partition or a link degradation is installed."""
+        return bool(self._blocked or self._link_faults)
+
     # -- membership of the wire ----------------------------------------
     def attach(self, host: Host) -> None:
         if host.hostid in self.hosts:
@@ -220,11 +221,11 @@ class Fabric:
             ncopies -= 1
 
     def _multicast(self, src: Host, msg: Message) -> None:
-        """One tx reservation, one rx reservation per copy, one train per
-        arrival instant: ``{instant: [(lane, dst)]}`` in member order.  A
-        copy on a receiver's board group from a sender in its members is
-        appended there as ``(when, 1, lane, seq, payload)`` instead: the
-        key its delivery would have had, and no event."""
+        """One tx reservation, then per copy in member order one rx
+        reservation and one ``call_later``.  A copy on a receiver's board
+        group from a sender in its members is appended there as ``(when,
+        1, lane, seq, payload)`` instead: the key its delivery would have
+        had, and no event."""
         sim = self.sim
         now = sim.now
         src_id = msg.src
@@ -237,7 +238,6 @@ class Fabric:
         extra = 0.0
         hosts, blocked, faults, transit = (
             self.hosts, self._blocked, self._link_faults, self.transit)
-        trains: Dict[float, list] = {}
         xcopies: list = []
         copies = 0
         for hostid in self.groups.get(group) or ():
@@ -265,26 +265,19 @@ class Fabric:
                 board = None                # not a member's heartbeat
             while ncopies:
                 rx_done = dst.nic.rx.reserve(wire, first)[1]
-                # Keyed by the float ``call_later`` would have stored
-                # (not always the arrival itself), so ties fall where one
-                # ``call_later`` per copy would put them.
-                when = now + ((rx_done if rx_done > last else last) - now)
+                delay = (rx_done if rx_done > last else last) - now
                 ncopies -= 1
-                if board is not None:       # and the seq it would draw
-                    board[2].append((when, 1, lane, sim.draw_seq(),
+                if board is not None:
+                    # Under the float and the seq ``call_later`` would
+                    # have stored (the float is not always the arrival).
+                    board[2].append((now + delay, 1, lane, sim.draw_seq(),
                                      msg.payload))
                     continue
                 copies += 1
-                stops = trains.get(when)
-                if stops is None:
-                    trains[when] = [(lane, dst)]
-                else:
-                    stops.append((lane, dst))
+                sim.call_later(delay, self._deliver_copy, dst, msg, lane)
         # Nothing fires before the next sim.step(), so the refcount is
         # safely published after the loop.
         msg._refs = copies
-        for when, stops in trains.items():
-            sim.call_fanout(when, self._deliver_copy, stops, msg)
         if xcopies:
             transit.submit(msg, xcopies, tx_done)
         if copies == 0:

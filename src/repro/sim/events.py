@@ -7,9 +7,9 @@ event's value (or raises its exception) once the event triggers.
 Hot-path discipline: events carry no eagerly-built name strings (names are
 lazy, computed in ``__repr__``), callback removal tombstones instead of
 compacting the list, and the per-message shapes — "call this at that
-instant" (:class:`Callback`; once per receiver, :class:`Fanout`) and "an
-answer or a deadline, whichever is first" (:class:`Reply`, queued per
-timeout value off the heap by :class:`Deadlines`) — are one event each.
+instant" (:class:`Callback`) and "an answer or a deadline, whichever is
+first" (:class:`Reply`, queued per timeout value off the heap by
+:class:`Deadlines`) — are one event each.
 """
 
 from __future__ import annotations
@@ -174,40 +174,6 @@ class Callback(Event):
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Callback {self.fn!r}>"
-
-
-class Fanout(Event):
-    """One call per receiver at one instant (``Simulator.call_fanout``)
-    behind one heap entry, which sits under the key of its *next* stop:
-    each dispatch re-enters it under the following stop's own ``(when,
-    1, lane, seq)`` key, then calls ``fn(a, b)`` — every stop is still
-    one dispatch, where a :class:`Callback` of its own would have been.
-    ``stops`` is ``[(lane, seq, a)]`` sorted descending (next = last);
-    ``when`` is not kept: at any dispatch it is ``sim.now``."""
-
-    __slots__ = ("fn", "stops", "b")
-
-    def __init__(self, sim: "Simulator",  # noqa: F821
-                 fn: Callable[[Any, Any], None], stops: list, b: Any):
-        self.sim = sim
-        self.state = SUCCEEDED
-        self.fn = fn
-        self.stops = stops
-        self.b = b
-
-    def _dispatch(self) -> None:
-        stops = self.stops
-        a = stops.pop()[2]
-        if stops:
-            # Before the call: ``fn`` may schedule, break the window, raise.
-            sim = self.sim
-            lane, seq, _a = stops[-1]
-            heappush(sim._heap, (sim.now, 1, lane, seq, self))
-            sim._npending += 1
-        self.fn(a, self.b)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<Fanout {self.fn!r} x{len(self.stops)}>"
 
 
 class Reply(Event):

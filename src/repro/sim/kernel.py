@@ -12,16 +12,14 @@ on, so the per-event taxes are explicit):
   per timeout value behind one entry (:class:`~repro.sim.events.Deadlines`),
   and a request whose end is known when it is issued is one
   :class:`~repro.sim.events.Completion` however many drives serve it;
-* one message is one heap entry: a wire delivery is a ``Callback``
-  (:meth:`Simulator.call_later`), a multicast's same-instant copies one
-  ``Fanout`` (:meth:`Simulator.call_fanout`, a dispatch per copy), an
-  RPC's answer-or-deadline one ``Reply`` (:meth:`Simulator.reply`), a
-  handler's generator starts inside its delivery (:meth:`Simulator.start`),
-  and a process nobody waits on finishes without scheduling anything;
-* a heartbeat from a known member is no event at all: it waits on the
+* one message copy is one heap entry: a wire delivery is a ``Callback``
+  (:meth:`Simulator.call_later`), an RPC's answer-or-deadline one
+  ``Reply`` (:meth:`Simulator.reply`), a handler's generator starts
+  inside its delivery (:meth:`Simulator.start`), and a process nobody
+  waits on finishes without scheduling anything;
+* a heartbeat from a known member is no event: it waits on the
   receiver's board under the key its delivery would have had
-  (:meth:`Simulator.draw_seq`), read by a view access that key precedes
-  (``Simulator._key``);
+  (:meth:`Simulator.draw_seq`) until a later key reads it (``_key``);
 * an event that was always the next one is not scheduled: an RPC answer
   resumes its caller inside its delivery (``Reply.answer``), and a
   one-branch :func:`gather` runs in the caller's process;
@@ -52,7 +50,6 @@ from repro.sim.events import (
     Completion,
     Event,
     EventFailed,
-    Fanout,
     Interrupt,
     Reply,
     Timeout,
@@ -168,15 +165,11 @@ class Simulator:
 
     def _schedule_at(self, event: Event, t: float, priority: int = 1,
                      lane: int = 0, seq: int = 0) -> None:
-        """Schedule ``event`` at the *absolute* instant ``t``, under ``seq``
-        if one was drawn for it earlier (:meth:`draw_seq`).
-
-        ``_schedule(ev, t - now)`` stores ``now + (t - now)``, which under
-        float arithmetic is not always ``t``.  The conservative parallel
-        engine (:mod:`repro.sim.parallel`) needs its transit-drain wakes to
-        fire at bit-identical instants in serial and partitioned runs, so
-        it schedules by absolute time.  ``t`` must be ``>= now``.
-        """
+        """Schedule ``event`` at the *absolute* instant ``t >= now``, under
+        ``seq`` if :meth:`draw_seq` drew it earlier.  ``_schedule(ev, t -
+        now)`` stores ``now + (t - now)``, not always ``t``, and the
+        parallel engine's transit-drain wakes must fire at bit-identical
+        instants in serial and partitioned runs."""
         if not seq:
             seq = self._seq = self._seq + 1
         heapq.heappush(self._heap, (t, priority, lane, seq, event))
@@ -214,26 +207,9 @@ class Simulator:
         waits takes the slot (and the one ``seq``) a process would."""
         self._schedule(Callback(fn, a, b), 0.0, 0)
 
-    def call_fanout(self, when: float, fn: Callable[[Any, Any], None],
-                    stops: Iterable[tuple], b: Any) -> None:
-        """Call ``fn(a, b)`` at the *absolute* instant ``when >= now``
-        once per ``(lane, a)`` in ``stops`` (≥ 1), through one heap entry.
-        Stops take ``seq`` in the order given, so every dispatch falls
-        where a ``call_later`` per stop, in that order, would put it."""
-        train = [(lane, seq, a) for seq, (lane, a)
-                 in enumerate(stops, self._seq + 1)]
-        self._seq += len(train)
-        train.sort(reverse=True)
-        lane, seq, _a = train[-1]
-        heapq.heappush(self._heap,
-                       (when, 1, lane, seq, Fanout(self, fn, train, b)))
-        n = self._npending + 1
-        self._npending = n
-        if n > self._peak_pending:
-            self._peak_pending = n
-
     def draw_seq(self) -> int:
-        """The ``seq`` a schedule call would draw, for a board entry."""
+        """The ``seq`` a schedule call would draw, for an entry kept off
+        the heap (a board's, a queued refresh's)."""
         self._seq += 1
         return self._seq
 
@@ -241,8 +217,12 @@ class Simulator:
                 b: Any, priority: int = 1, lane: int = 0, seq: int = 0) -> None:
         """Call ``fn(a, b)`` at the *absolute* instant ``when >= now``
         (:meth:`_schedule_at`), under ``seq`` if :meth:`draw_seq` drew it
-        earlier: a board entry that becomes an event keeps its key."""
+        earlier: an entry kept off the heap keeps its key as an event."""
         self._schedule_at(Callback(fn, a, b), when, priority, lane, seq)
+
+    def fell_due(self, key: tuple) -> bool:
+        """Whether ``key`` precedes the dispatching one (between runs: ``now``)."""
+        return key < (self._key or (self.now, 3))
 
     def reply(self, deadline: float) -> Reply:
         """An answer slot that fires with ``None`` after ``deadline``

@@ -97,7 +97,7 @@ def test_kernel_primitives_stay_behind_the_sim_facade():
     through the Simulator facade (``sim.event/timeout/call_later/reply/
     all_of``).  Outside ``repro/sim/``, source must not import ``heapq``
     or construct kernel primitives directly."""
-    ctors = {"Event", "Timeout", "Callback", "Fanout", "Reply", "Deadlines",
+    ctors = {"Event", "Timeout", "Callback", "Reply", "Deadlines",
              "Completion", "AllOf"}
     offenders = []
     for path in SRC.rglob("*.py"):

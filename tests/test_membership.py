@@ -143,8 +143,8 @@ def test_a_heartbeat_round_in_flight_is_one_pending_event_per_announcer():
     """The pin on the saving, as a count: between a round's send and its
     arrival the kernel holds each node's check / announce / monitor
     timers and nothing per copy — every receiver already knows every
-    announcer, so each copy waits on its board (20 x 23 = 460 events
-    before ``call_fanout``, one train per announcer before the board)."""
+    announcer, so each copy waits on its board (without the board each
+    copy would be a ``call_later`` of its own: 20 x 23 = 460 events)."""
     sim, nodes, providers, listeners = build(n_providers=20, n_listeners=4)
     sim.run(until=10 + 20e-6)           # sent at 10.0, arrives ~93 us later
     heard = [m.last_heard("s00") for m in listeners.values()]

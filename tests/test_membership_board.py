@@ -16,7 +16,11 @@ from hypothesis import strategies as st
 
 from repro.cluster import Node, small_cluster
 from repro.core import SorrentoConfig, SorrentoDeployment
-from repro.core.membership import DEATH_FACTOR, MembershipManager
+from repro.core.membership import (
+    DEATH_FACTOR,
+    HEARTBEAT_GROUP,
+    MembershipManager,
+)
 from repro.faults import (
     FaultPlan,
     Heal,
@@ -34,14 +38,27 @@ from repro.sim import Simulator
 
 def _eager(monkeypatch):
     """Every heartbeat copy a delivery event, as before the board: a view
-    leaves its node with no board."""
-    init = MembershipManager.__init__
+    leaves its node with no board.  A deployment's view plants its first
+    round all the same (the planted-formation tests compare that with
+    grown formation) and has no board from then on."""
+    init, expect, form = (MembershipManager.__init__,
+                          MembershipManager.expect, MembershipManager.form)
 
     def eager_init(self, node, *args, **kwargs):
         init(self, node, *args, **kwargs)
         node.board = None
 
+    def planting_expect(self, hostids):
+        self.node.board = (HEARTBEAT_GROUP, self.members, self._board)
+        expect(self, hostids)
+
+    def eager_form(self):
+        form(self)
+        self.node.board = None
+
     monkeypatch.setattr(MembershipManager, "__init__", eager_init)
+    monkeypatch.setattr(MembershipManager, "expect", planting_expect)
+    monkeypatch.setattr(MembershipManager, "form", eager_form)
 
 
 def _views(dep):

@@ -26,9 +26,13 @@ from repro.sim import Simulator
 #: 38.1.
 ROUNDTRIP_CEILING = 37.1
 #: Python calls per delivered heartbeat copy, the sender's loop and send
-#: amortised over eight receivers: 13.40 before, 8.02 measured after.
-#: One more frame per *multicast* is 8.15, per copy 9.02.
-HEARTBEAT_COPY_CEILING = 8.1
+#: amortised over eight receivers: 13.40 before, 8.02 measured after;
+#: 9.65 since each such copy is one ``call_later`` (its ``Callback``'s
+#: ``__init__`` and the call itself, where a copy was one stop of a
+#: shared train) — a copy that is an event is a join's, rare once
+#: formation is planted.  One more frame per *multicast* is 9.78, per
+#: copy 10.65.
+HEARTBEAT_COPY_CEILING = 9.7
 #: Python calls per heartbeat copy a receiver's board takes (a known
 #: member's, which is no event): 3.65 measured, the kernel's ``draw_seq``
 #: one of them.  One more frame per multicast is 3.78, per copy 4.65.

@@ -215,11 +215,11 @@ def _faulted_multicasts(fault, as_unicasts, monkeypatch):
 
 
 @pytest.mark.parametrize("fault", [
-    dict(jitter=40e-6, duplicate=0.3, drop=0.3),            # 1-stop trains
+    dict(jitter=40e-6, duplicate=0.3, drop=0.3),            # own instants
     dict(extra_latency=30e-6, duplicate=0.3, drop=0.3),     # shared instants
 ], ids=["jitter", "no-jitter"])
 def test_multicast_is_its_unicasts_in_group_order(fault, monkeypatch):
-    """A multicast's copies ride ``call_fanout`` trains; what arrives,
+    """A multicast's copies are one ``call_later`` each; what arrives,
     where and when, what is dropped or duplicated, and how the fault
     stream is consumed must be what the same message sent as unicasts in
     group order gives (one admission rule, applied per copy)."""
@@ -233,7 +233,7 @@ def test_multicast_is_its_unicasts_in_group_order(fault, monkeypatch):
     # The sender's tx link carries a multicast once, a unicast per target.
     ref_nics = dict(ref[4], n0=(ref[4]["n0"][0] // 5, 0))
     assert nics == ref_nics
-    assert nproc == ref[5] and peak <= ref[6]
+    assert nproc == ref[5] and peak == ref[6]
 
 
 def test_dead_host_drops_messages():
@@ -319,7 +319,9 @@ def _reference_send(self, msg):
     over a ``targets`` tuple, per-copy ``range(ncopies)``, ``max()`` and
     keyword calls.  Kept as it was (``self`` is the fabric; the fault
     lookup and the wire size spelled out) as the reference the two send
-    functions are compared against."""
+    functions are compared against — except that a multicast's copies
+    are one ``call_later`` each, as they are now, where they rode one
+    ``call_fanout`` train per instant until trains were retired."""
     from repro.network.message import release_message
 
     src = self.hosts.get(msg.src)
@@ -345,7 +347,6 @@ def _reference_send(self, msg):
     tx_start, tx_done = src.nic.tx.reserve((msg.size + HEADER_BYTES))
     copies = 0
     xcopies = None
-    trains = {} if len(targets) > 1 else None
     for hostid in targets:
         if blocked and (msg.src, hostid) in blocked:
             self.messages_dropped += 1
@@ -385,18 +386,10 @@ def _reference_send(self, msg):
             _rx_start, rx_done = dst.nic.rx.reserve(
                 (msg.size + HEADER_BYTES), not_before=tx_start + self.latency + extra)
             arrive = max(tx_done + self.latency + extra, rx_done)
-            lane = delivery_lane(msg.src, hostid)
-            if trains is None:
-                sim.call_later(arrive - now, self._deliver_copy, dst, msg,
-                               lane=lane)
-            else:
-                trains.setdefault(now + (arrive - now), []).append(
-                    (lane, dst))
+            sim.call_later(arrive - now, self._deliver_copy, dst, msg,
+                           lane=delivery_lane(msg.src, hostid))
             copies += 1
     msg._refs = copies
-    if trains:
-        for when, stops in trains.items():
-            sim.call_fanout(when, self._deliver_copy, stops, msg)
     if xcopies:
         transit.submit(msg, xcopies, tx_done)
     if copies == 0:
@@ -452,8 +445,8 @@ _DENSE = [("degrade", 0.0, "*", "*", dict(
     extra_latency=30e-6, jitter=40e-6, drop=0.3, duplicate=0.4,
     bandwidth_cap=1e6))] + [("send", 5e-6, "n0", "g", 96)] * 6 \
     + [("send", 0.0, "n1", "n3", 64)] * 4
-#: A duplicated copy to a one-member group: one ``Fanout`` train of two
-#: stops, where the general loop made two ``call_later``s.
+#: A duplicated copy to a one-member group: two ``call_later``s at one
+#: instant, under one lane.
 _SOLO_TWICE = [
     ("send", 0.0, "n0", "n0", 0),
     ("degrade", 0.0, "n0", "n1", dict(extra_latency=0.0, jitter=0.0, drop=0.0,
@@ -505,14 +498,8 @@ def _wire_world(send, ops, with_transit):
 
     def pending():
         """Every scheduled delivery as (instant, lane, seq, receiver)."""
-        out = []
-        for when, _prio, lane, seq, ev in sim._heap:
-            if hasattr(ev, "stops"):
-                out.extend((when, ln, sq, dst.hostid)
-                           for ln, sq, dst in ev.stops)
-            else:
-                out.append((when, lane, seq, ev.a.hostid))
-        return sorted(out)
+        return sorted((when, lane, seq, ev.a.hostid)
+                      for when, _prio, lane, seq, ev in sim._heap)
 
     for n, op in enumerate(ops):
         sim.run(until=sim.now + op[1])
@@ -545,13 +532,10 @@ def test_send_matches_the_general_loop_it_replaced(ops, with_transit):
     wildcard ends, dead and unattached receivers, a one-member group and
     a transit: the same deliveries scheduled at the same (instant, lane,
     seq), the same state left on every pipe, the same counters, the same
-    fault-RNG state, the same copies handed to the transit.  Only the
-    high-water mark of pending entries may be lower: copies that share
-    an instant share one ``Fanout`` entry, even a duplicated copy to a
-    one-member group, where the general loop pushed one per copy."""
+    fault-RNG state, the same copies handed to the transit, the same
+    high-water mark of pending entries: one per copy in both."""
     got = _wire_world(Fabric.send, ops, with_transit)
     want = _wire_world(_reference_send, ops, with_transit)
-    assert got.pop("peak_pending") <= want.pop("peak_pending")
     for key in want:
         assert got[key] == want[key], key
 

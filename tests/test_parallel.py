@@ -169,13 +169,14 @@ def test_every_backend_sees_the_same_members_and_cross_traffic(k):
     assert seen["serial"] == seen["inproc"] == seen["mp"]
 
 
-@pytest.mark.parametrize("k, ipc_round_trips", [(2, 154), (3, 259)])
+@pytest.mark.parametrize("k, ipc_round_trips", [(2, 129), (3, 229)])
 def test_mp_backend_matches_serial(k, ipc_round_trips):
     """serial == inproc == mp rows; inproc and mp run the same protocol
     (same grants, rounds, windows, records) and differ only in how many
     grants cross a process boundary: none, against every grant addressed
     to a partition the leader does not host.  K = 3 relays worker ->
-    worker records through the leader."""
+    worker records through the leader.  (154 and 259 while a join
+    refresh falling due in an empty store was still an event.)"""
     pmap = _scale_pmap(k)
     inproc_rows, inproc = _scale_run(pmap, "inproc")
     mp_rows, mp = _scale_run(pmap, "mp")

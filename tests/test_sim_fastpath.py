@@ -436,116 +436,7 @@ def test_fused_loop_dispatches_exactly_what_repeated_step_does(items, how):
     assert fused.pending_events == ref.pending_events == 0
 
 
-# ------------------------------------------------ one heap entry per fan-out
-def test_call_fanout_is_one_heap_entry_and_one_dispatch_per_stop():
-    sim = Simulator()
-    order = []
-    note = lambda a, b: order.append((sim.now, a, b))  # noqa: E731
-    sim.call_fanout(1.0, note, [(9, "x"), (3, "y"), (9, "z")], "m")
-    sim.call_later(1.0, note, "single", "m", lane=5)
-    assert sim.pending_events == 2 and sim.next_event_time() == 1.0
-    sim.step()
-    assert order == [(1.0, "y", "m")]
-    assert sim.pending_events == 2 and sim.next_event_time() == 1.0
-    sim.run()
-    assert [a for _t, a, _b in order] == ["y", "single", "x", "z"]
-    assert (sim._nprocessed, sim.pending_events, sim.peak_pending) == (4, 0, 2)
-
-
 _LANES = st.integers(0, 3)
-_ACTS = st.sampled_from(["", "", "kick", "lanekick", "send", "break",
-                         "massacre"])
-_FAN_ITEMS = st.lists(
-    st.one_of(
-        st.tuples(st.just("later"), _DELAYS, _LANES),
-        st.tuples(st.just("reply"), _DELAYS, st.booleans()),
-        st.tuples(st.just("send"), _DELAYS,
-                  st.lists(st.tuples(_DELAYS, _LANES, _ACTS),
-                           min_size=1, max_size=8))),
-    min_size=1, max_size=12)
-_NESTED = [(0.0, 1, ""), (0.0, 3, "kick"), (0.5, 2, ""), (0.0, 3, "")]
-
-
-def _fan_program(sim, items, log, fanout):
-    """Schedule ``items``; every multi-stop send is one ``call_fanout``
-    per distinct instant (``fanout``) or one ``call_later`` per stop.
-    Deliveries log ``(now, who, next_event_time)`` and may schedule
-    zero-delay work, send again, break the window or answer a mass of
-    slots — all from inside a train."""
-    doomed = [sim.reply(5.0 + 0.001 * i) for i in range(150)]
-
-    def note(who, _b=None):
-        log.append((sim.now, who, sim.next_event_time()))
-
-    def send(tag, stops):
-        if not fanout:
-            for k, (delay, lane, act) in enumerate(stops):
-                sim.call_later(delay, deliver, (tag, k, act), stops,
-                               lane=lane)
-            return
-        trains = {}
-        for k, (delay, lane, act) in enumerate(stops):
-            trains.setdefault(sim.now + delay, []).append(
-                (lane, (tag, k, act)))
-        for when, train in trains.items():
-            sim.call_fanout(when, deliver, train, stops)
-
-    def deliver(a, _b):
-        tag, k, act = a
-        note((tag, k))
-        if act == "kick":
-            sim.call_later(0.0, note, ("kick", tag, k), None)
-        elif act == "lanekick":         # lands among the train's own lanes
-            sim.call_later(0.0, note, ("lanekick", tag, k), None, lane=2)
-        elif act == "send" and not isinstance(tag, tuple):
-            send((tag, k), _NESTED)
-        elif act == "break":
-            sim.window_break = True
-        elif act == "massacre":
-            for r in doomed:
-                r.resolve(True)
-
-    for i, item in enumerate(items):
-        if item[0] == "later":
-            sim.call_later(item[1], note, i, None, lane=item[2])
-        elif item[0] == "reply":
-            r = sim.reply(item[1])
-            r.add_callback(lambda e, i=i: note((i, e.value)))
-            if item[2]:
-                sim.call_later(item[1], lambda r, _b: r.resolve("x"), r, None)
-        else:
-            sim.call_later(item[1], lambda i, stops: send(i, stops),
-                           i, item[2])
-
-
-@given(_FAN_ITEMS, st.sampled_from(["run", "step", "windows"]),
-       st.lists(st.one_of(_DELAYS, st.floats(0.0, 3.0)), max_size=6))
-@settings(max_examples=150, deadline=None)
-def test_fanout_dispatches_exactly_what_a_callback_per_stop_does(
-        items, how, edges):
-    ref, fan = Simulator(), Simulator()
-    ref_log, fan_log = [], []
-    _fan_program(ref, items, ref_log, fanout=False)
-    _fan_program(fan, items, fan_log, fanout=True)
-    while ref.pending_events:
-        ref.step()
-    if how == "step":
-        while fan.pending_events:
-            fan.step()
-    else:
-        # "run" is one unbounded window; "windows" cuts at random
-        # instants (train instants included: _DELAYS are the ones sends
-        # use) — and a delivery may break any window mid-train.
-        for edge in sorted(edges) * (how == "windows") + [float("inf")]:
-            fan.run_window(edge)
-            while fan.window_break:
-                fan.window_break = False
-                fan.run_window(edge)
-    assert fan_log == ref_log
-    assert (fan._nprocessed, fan._nswept, fan._seq, fan.now) == \
-        (ref._nprocessed, ref._nswept, ref._seq, ref.now)
-    assert fan.peak_pending <= ref.peak_pending
-    assert fan.pending_events == ref.pending_events == 0
 
 
 # ------------------------------------------- urgent callbacks (call_soon)
