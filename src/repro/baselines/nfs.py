@@ -310,5 +310,5 @@ class NFSDeployment:
 
         self.server.files[path] = size
         fs = self.server.node.fs
-        fs.files["nfs:" + path] = _File(size=size, allocated=size)
+        fs.files["nfs:" + path] = _File("nfs:" + path, size, size)
         fs.used = min(fs.capacity, fs.used + size)

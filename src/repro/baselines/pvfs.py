@@ -333,6 +333,6 @@ class PVFSDeployment:
         self.mgr.meta[path] = {"size": size, "niods": len(self.iod_hosts)}
         per = -(-size // len(self.iod_hosts))
         for iod in self.iods:
-            iod.node.fs.files["pvfs:" + path] = _File(size=per, allocated=per)
+            iod.node.fs.files["pvfs:" + path] = _File("pvfs:" + path, per, per)
             iod.node.fs.used = min(iod.node.fs.capacity,
                                    iod.node.fs.used + per)

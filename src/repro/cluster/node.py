@@ -177,8 +177,7 @@ class Node(Host):
             # the provider's restart path to reconcile.
             self.fs.engine.on_crash()
         if wipe and self.fs is not None:
-            self.fs.files.clear()
-            self.fs.used = 0
+            self.fs.wipe()
         for hook in self.on_crash:
             hook()
 

@@ -248,7 +248,7 @@ class StorageProvider:
             return False, 32
         # A yes vote promises the data survives a crash: flush any
         # write-back pages for this shadow before answering.
-        yield from self.node.fs.sync(seg.fs_name)
+        yield from self.node.fs.sync(seg)
         # Hold the shadow through the commit window.
         seg.expires_at = self.sim.now + self.params.commit_grant_ttl * 4
         return True, 32
@@ -331,13 +331,13 @@ class StorageProvider:
             regions = self.store.export_diff(segid, since, seg.version)
         # Serving replication reads from dirty cache would replicate data
         # that a crash could still lose — flush first (no-op when clean).
-        yield from self.node.fs.sync(seg.fs_name)
+        yield from self.node.fs.sync(seg)
         data = None
         if regions is not None:
             nbytes = sum(e - s for s, e, _ in regions)
             yield from self._charge(nbytes)
             if nbytes > 0:
-                yield self.node.fs.charge_read(seg.fs_name, 0, nbytes,
+                yield self.node.fs.charge_read(seg, 0, nbytes,
                                                sequential=True)
         else:
             nbytes = seg.size
@@ -471,7 +471,7 @@ class StorageProvider:
         yield self.node.fs.meta_io()
         attached = (seg.meta or {}).get("attached_len") or 0
         if not meta_only:
-            yield self.node.fs.charge_read(seg.fs_name, 0,
+            yield self.node.fs.charge_read(seg, 0,
                                            max(4096, attached))
         seg.last_access = self.sim.now
         return 0 if meta_only else attached

@@ -43,7 +43,8 @@ class SegmentError(Exception):
 
 @dataclass(slots=True)
 class StoredSegment:
-    """One version of one segment as held by a provider."""
+    """One version of one segment as held by a provider — and the only
+    record of the native-FS file backing it (:class:`LocalFS`)."""
 
     segid: int
     version: int
@@ -58,152 +59,166 @@ class StoredSegment:
     expires_at: Optional[float] = None   # shadows only
     meta: Optional[dict] = None          # index segments: layout + attach
     created_by: str = ""                 # client that opened the shadow
+    #: The backing file's logical length: ``size`` except while an
+    #: ingest's diff is written, or after a ``NoSpace`` rollback.
+    file_size: int = 0
+    allocated: int = 0                   # its bytes backed by blocks
     seq: int = field(default=-1, init=False)   # holding store's insertion order
-    #: The native-FS file name backing this version — formatted once; the
-    #: same string object keys ``LocalFS.files``.
-    fs_name: str = field(init=False)
+    #: The next older version the holding store keeps of this segid.
+    older: Optional[StoredSegment] = field(default=None, init=False,
+                                           repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        self.fs_name = f"{self.segid:032x}.{self.version}"
-
-
-class _Family:
-    """Every version of one segid on one provider."""
-
-    __slots__ = ("versions", "latest", "commit_seq")
-
-    def __init__(self, first: StoredSegment) -> None:
-        committed = first.committed
-        self.versions = [first]                        # ascending version
-        self.latest = first if committed else None     # newest committed
-        #: Smallest insertion ``seq`` among the committed versions.
-        self.commit_seq = first.seq if committed else None
+    @property
+    def fs_name(self) -> str:
+        """The backing file's name (the storage engine keys its pages,
+        in-flight runs and lost files by it)."""
+        return f"{self.segid:032x}.{self.version}"
 
 
 _by_seq = attrgetter("seq")
 _by_start = itemgetter(1)
-_by_first_commit = attrgetter("commit_seq")
+_first = itemgetter(0)
 
 
 class SegmentStore:
     """All segment versions on one provider, backed by its local FS.
 
-    ``_segs`` maps a segid to its :class:`_Family` and is the only
-    container of versions.  A family carries what the hot queries need
-    so none of them scans the store: its versions in ascending order
-    (``get`` / ``versions_of`` walk these one to three), the newest
-    committed one (``latest_committed``) and the smallest insertion
-    ``seq`` among its committed versions.  ``committed_segments`` orders
-    families by that, and ``expire_shadows`` orders versions by their own
-    ``seq`` — refresh batches, migration candidates and drop order feed
-    RNG draws and event order, so the replay goldens depend on both.
-    Nothing relies on the dict's own order: a family that empties and
-    returns re-enters at the end.  ``_bytes`` is the store-wide
-    extent-byte counter, adjusted by the delta of every extent mutation.
-
-    All mutations go through ``_add``/``_remove``/``_note_committed``
-    (and ``wipe``), and each bumps ``generation``: while that stands
-    still ``committed_segments()`` names the same segids in the same
-    order (the provider keeps its home-host bucketing by it).
-    ``check_index_invariants`` recomputes every family's facts by scan
-    and is asserted against them in the property tests.
+    ``_segs`` maps a segid to the newest version held, which links to
+    the next older one (``older``): that chain of one to three is the
+    only container of versions, and every query walks it.
+    ``committed_segments`` orders segids by the smallest insertion
+    ``seq`` among their committed versions and ``expire_shadows``
+    orders versions by their own — refresh batches, migration
+    candidates and drop order feed RNG draws and event order, so the
+    replay goldens depend on both (never on the dict's own order).
+    ``_bytes`` is the store-wide extent-byte counter.  Every mutation
+    bumps ``generation``: while it stands still ``committed_segments()``
+    names the same segids in the same order (the provider keeps its
+    home-host bucketing by it).
     """
 
     def __init__(self, sim, fs: LocalFS, shadow_ttl: float = DEFAULT_SHADOW_TTL):
         self.sim = sim
         self.fs = fs
         self.shadow_ttl = shadow_ttl
-        self._segs: Dict[int, _Family] = {}
+        self._segs: Dict[int, StoredSegment] = {}
         self._next_seq = 0
         self._bytes = 0
         self.generation = 0
         self.on_refill: Optional[Callable[[], None]] = None  # empty -> a segid
+        fs.on_wipe = self.wipe
 
     # -- index maintenance --------------------------------------------
     def _add(self, seg: StoredSegment) -> None:
-        """Insert a version into its family (the only write path to _segs)."""
+        """Link a version into its segid's chain (the only write path)."""
         seg.seq = self._next_seq
         self._next_seq += 1
         self.generation += 1
         self._bytes += seg.extents.covered_bytes()
-        fam = self._segs.get(seg.segid)
-        if fam is None:
-            # First version of its segid here (every create, new-segment
-            # ingest and preloaded segment): nothing to order against.
-            refill = not self._segs
-            self._segs[seg.segid] = _Family(seg)
+        segs = self._segs
+        head = segs.get(seg.segid)
+        if head is None or head.version < seg.version:
+            # The newest version of its segid here (every create, shadow,
+            # new-segment ingest and preloaded segment).
+            seg.older = head
+            refill = not segs
+            segs[seg.segid] = seg
             if refill and self.on_refill is not None:
                 self.on_refill()
             return
-        vers = fam.versions
-        i = len(vers)
-        while i and vers[i - 1].version > seg.version:
-            i -= 1
-        vers.insert(i, seg)
-        if seg.committed:
-            self._note_committed(seg)
-
-    def _note_committed(self, seg: StoredSegment) -> None:
-        """Fold a committed version into its family's facts (at insert,
-        at commit time, or when ``_remove`` recomputes them)."""
-        self.generation += 1
-        fam = self._segs[seg.segid]
-        if fam.latest is None or seg.version > fam.latest.version:
-            fam.latest = seg
-        if fam.commit_seq is None or seg.seq < fam.commit_seq:
-            fam.commit_seq = seg.seq
+        while head.older is not None and head.older.version > seg.version:
+            head = head.older
+        seg.older = head.older
+        head.older = seg
 
     def _remove(self, segid: int, version: int) -> Optional[StoredSegment]:
-        """Drop a version from its family (the only removal path); the
-        family goes with its last version."""
-        fam = self._segs.get(segid)
-        vers = fam.versions if fam is not None else ()
-        for i, seg in enumerate(vers):
-            if seg.version == version:
-                break
-        else:
+        """Unlink a version from its chain (the only single removal)."""
+        prev, seg = None, self._segs.get(segid)
+        while seg is not None and seg.version != version:
+            prev, seg = seg, seg.older
+        if seg is None:
             return None
-        del vers[i]
+        if prev is not None:
+            prev.older = seg.older
+        elif seg.older is not None:
+            self._segs[segid] = seg.older
+        else:
+            del self._segs[segid]
+        seg.older = None
         self.generation += 1
         self._bytes -= seg.extents.covered_bytes()
-        if not vers:
-            del self._segs[segid]
-        elif seg.committed:
-            fam.latest = fam.commit_seq = None
-            for other in vers:
-                if other.committed:
-                    self._note_committed(other)
         return seg
+
+    def _remove_all(self, segid: int) -> List[StoredSegment]:
+        """Unlink every version of a segid, newest first."""
+        seg = self._segs.pop(segid, None)
+        gone = []
+        while seg is not None:
+            self._bytes -= seg.extents.covered_bytes()
+            gone.append(seg)
+            seg.older, seg = None, seg.older
+        if gone:
+            self.generation += 1
+        return gone
 
     # -- inspection ---------------------------------------------------
     def get(self, segid: int, version: int) -> Optional[StoredSegment]:
         """The stored version, or None."""
-        fam = self._segs.get(segid)
-        if fam is not None:
-            for seg in fam.versions:
-                if seg.version == version:
-                    return seg
-        return None
+        seg = self._segs.get(segid)
+        while seg is not None and seg.version > version:
+            seg = seg.older
+        return seg if seg is not None and seg.version == version else None
+
+    def _chain(self, segid: int) -> List[StoredSegment]:
+        """Every version held of ``segid``, ascending."""
+        seg, vers = self._segs.get(segid), []
+        while seg is not None:
+            vers.append(seg)
+            seg = seg.older
+        vers.reverse()
+        return vers
 
     def versions_of(self, segid: int) -> List[int]:
         """All locally held version numbers, ascending."""
-        fam = self._segs.get(segid)
-        return [seg.version for seg in fam.versions] if fam is not None else []
+        return [seg.version for seg in self._chain(segid)]
 
     def latest_committed(self, segid: int) -> Optional[StoredSegment]:
         """Newest committed version held here, or None."""
-        fam = self._segs.get(segid)
-        return fam.latest if fam is not None else None
+        seg = self._segs.get(segid)
+        while seg is not None and not seg.committed:
+            seg = seg.older
+        return seg
 
     def committed_segments(self) -> List[StoredSegment]:
         """Latest committed version of every segment held here, in the
-        order their families first held a committed version."""
-        fams = [f for f in self._segs.values() if f.latest is not None]
-        fams.sort(key=_by_first_commit)
-        return [f.latest for f in fams]
+        order their segids first held a committed version."""
+        rows = []
+        for seg in self._segs.values():
+            if seg.older is None:               # the common chain of one
+                if seg.committed:
+                    rows.append((seg.seq, seg))
+                continue
+            while seg is not None and not seg.committed:
+                seg = seg.older
+            if seg is not None:
+                first, cur = seg.seq, seg.older
+                while cur is not None:
+                    if cur.committed and cur.seq < first:
+                        first = cur.seq
+                    cur = cur.older
+                rows.append((first, seg))
+        rows.sort(key=_first)
+        return [seg for _, seg in rows]
+
+    def _versions(self):
+        """Every held version, chain by chain."""
+        for seg in self._segs.values():
+            while seg is not None:
+                yield seg
+                seg = seg.older
 
     def __len__(self) -> int:
-        return sum(len(fam.versions) for fam in self._segs.values())
+        return sum(1 for _ in self._versions())
 
     @property
     def empty(self) -> bool:
@@ -214,31 +229,39 @@ class SegmentStore:
         return self._bytes
 
     def check_index_invariants(self) -> None:
-        """Recompute every family's facts by scan and assert equality.
-
-        Test hook: the equivalence/property tests call this after random
-        mutation sequences; production code never does.
-        """
+        """Test hook: recompute every fact by scan and assert it — each
+        chain's versions, newest committed version and first-commit
+        order, the byte counter, and ``fs.used`` as the allocations of
+        every held version plus the files known by name."""
         seqs: List[int] = []
-        nbytes = 0
-        for segid, fam in self._segs.items():
-            vers = fam.versions
-            assert vers, "an emptied family was kept"
-            numbers = [seg.version for seg in vers]
-            assert numbers == sorted(set(numbers))
-            committed = [seg for seg in vers if seg.committed]
-            assert fam.latest is (committed[-1] if committed else None)
-            assert fam.commit_seq == min((seg.seq for seg in committed),
-                                         default=None)
-            for seg in vers:
+        nbytes = allocated = 0
+        first: Dict[int, int] = {}
+        for segid, seg in self._segs.items():
+            chain = []
+            while seg is not None:
                 assert seg.segid == segid
-                assert seg.fs_name == f"{segid:032x}.{seg.version}"
+                assert 0 <= seg.allocated <= seg.file_size
                 seg.extents.check_invariants()
-                seqs.append(seg.seq)
-                nbytes += seg.extents.covered_bytes()
-        assert len(set(seqs)) == len(seqs)
+                chain.append(seg)
+                seg = seg.older
+            numbers = [s.version for s in chain]
+            assert chain and numbers == sorted(set(numbers), reverse=True)
+            assert self.versions_of(segid) == numbers[::-1]
+            committed = [s for s in chain if s.committed]
+            assert self.latest_committed(segid) is (
+                committed[0] if committed else None)
+            if committed:
+                first[segid] = min(s.seq for s in committed)
+            seqs += [s.seq for s in chain]
+            nbytes += sum(s.extents.covered_bytes() for s in chain)
+            allocated += sum(s.allocated for s in chain)
+        assert ([s.segid for s in self.committed_segments()]
+                == sorted(first, key=first.get))
+        assert len(set(seqs)) == len(seqs) == len(self)
         assert all(0 <= sq < self._next_seq for sq in seqs)
         assert self._bytes == nbytes
+        named = sum(f.allocated for f in self.fs.files.values())
+        assert self.fs.used == allocated + named, (self.fs.used, allocated)
 
     # -- creation ---------------------------------------------------------
     def create(self, segid: int, version: int = 1, *,
@@ -255,14 +278,9 @@ class SegmentStore:
                             last_access=self.sim.now)
         if not committed:
             seg.expires_at = self.sim.now + self.shadow_ttl
-        # Reserve the version before yielding so concurrent creators see it.
+        # No I/O: the inode write is folded into the first data write.
         self._add(seg)
-        try:
-            # Lazy: the inode write is folded into the first data write.
-            yield from self.fs.create(seg.fs_name, charge=False)
-        except Exception:
-            self._remove(segid, version)
-            raise
+        yield from ()
         return seg
 
     def create_shadow(self, segid: int, base_version: int, creator: str = ""):
@@ -281,17 +299,12 @@ class SegmentStore:
                             alpha=base.alpha, placement=base.placement,
                             last_access=self.sim.now,
                             expires_at=self.sim.now + self.shadow_ttl,
-                            created_by=creator,
+                            created_by=creator, file_size=base.size,
                             meta=dict(base.meta) if base.meta else None)
+        # A shadow is "an index structure kept in memory" until data
+        # arrives (Section 3.5): no device I/O at creation.
         self._add(seg)
-        try:
-            # A shadow is "an index structure kept in memory" until data
-            # arrives (Section 3.5): no device I/O at creation.
-            yield from self.fs.create(seg.fs_name, charge=False)
-            self.fs.set_size(seg.fs_name, base.size)
-        except Exception:
-            self._remove(segid, new_version)
-            raise
+        yield from ()
         return seg
 
     # -- mutation ---------------------------------------------------------
@@ -299,13 +312,9 @@ class SegmentStore:
               data: Optional[bytes] = None, sequential: bool = False,
               in_place: bool = False):
         """Write a range into an uncommitted shadow (or a brand-new v1).
-
-        ``in_place`` is the versioning-disabled write: it mutates a
-        committed segment directly.  Used when an application opts out
-        of versioning (Section 3.5), e.g. for the parallel byte-range
-        sharing primitive; replication is the caller's problem (it is
-        disabled in that mode).
-        """
+        ``in_place`` mutates a committed segment directly: an application
+        that opted out of versioning (Section 3.5), e.g. the parallel
+        byte-range sharing primitive, with replication disabled."""
         seg = self._require(segid, version)
         if seg.committed:
             if not in_place:
@@ -323,59 +332,44 @@ class SegmentStore:
                 (offset, bytes(data)) if data is not None else SYNTHETIC)
         seg.size = max(seg.size, offset + length)
         seg.last_access = self.sim.now
-        yield from self.fs.write(seg.fs_name, offset, length, sequential)
+        yield from self.fs.write_to(seg, offset, length, sequential)
         return seg
 
     def commit(self, segid: int, version: int):
-        """Make a shadow immutable; flushes its in-memory index to disk.
-
-        The flush costs one small I/O only when the shadow carries data
-        extents whose COW index must persist; index segments persist
-        their metadata through the commit-time meta write instead.
-        """
+        """Make a shadow immutable; flushes its in-memory index to disk —
+        one small I/O when it carries data extents whose COW index must
+        persist (index segments persist through the commit's meta write)."""
         seg = self._require(segid, version)
         if seg.committed:
             return seg
         seg.committed = True
         seg.expires_at = None
-        self._note_committed(seg)
+        self.generation += 1
         if len(seg.extents) > 0 and seg.meta is None:
             yield self.fs.meta_io()
         # Commit is the durability edge: write-back data for this version
         # must be on the media before the commit is acknowledged.
-        yield from self.fs.sync(seg.fs_name)
+        yield from self.fs.sync(seg)
         return seg
 
     def drop(self, segid: int, version: int):
         """Discard a version (aborted shadow, or replaced replica)."""
         seg = self._remove(segid, version)
-        if seg is None:
-            return
-        if self.fs.exists(seg.fs_name):
-            yield from self.fs.unlink(seg.fs_name)
+        if seg is not None:
+            yield from self.fs.remove(seg)
 
     def delete_segment(self, segid: int):
-        """Remove every version of a segment.
-
-        All versions live under one directory on the native FS, so the
-        family goes in a single positioned metadata I/O.
-        """
-        any_allocated = False
-        for v in self.versions_of(segid):
-            seg = self._remove(segid, v)
-            any_allocated = bool(self.fs.forget(seg.fs_name)) or any_allocated
-        if any_allocated:
+        """Remove every version of a segment: they live under one
+        directory on the native FS, so one metadata I/O removes them."""
+        release = self.fs.release
+        if sum([release(seg) for seg in self._remove_all(segid)]):
             yield self.fs.meta_io()
 
     def discard_lost(self, fs_name: str) -> Optional[Tuple[int, int]]:
         """Drop an *uncommitted* version whose write-back cache pages died
-        in a crash (see :meth:`repro.storage.engine.StorageEngine.take_lost`).
-
-        Committed versions are never dropped: every commit/ingest path
-        syncs the backing file before acknowledging, so a committed
-        version's data was on the media by definition.  Returns the
-        ``(segid, version)`` dropped, or ``None``.
-        """
+        in a crash (:meth:`repro.storage.engine.StorageEngine.take_lost`);
+        every commit/ingest path syncs before acknowledging, so committed
+        data is on the media.  Returns the ``(segid, version)`` dropped."""
         stem, _, ver = fs_name.partition(".")
         try:
             segid, version = int(stem, 16), int(ver)
@@ -384,8 +378,7 @@ class SegmentStore:
         seg = self.get(segid, version)
         if seg is None or seg.committed:
             return None
-        self._remove(segid, version)
-        self.fs.forget(fs_name)
+        self.fs.release(self._remove(segid, version))
         return segid, version
 
     def expire_shadows(self) -> List[Tuple[int, int]]:
@@ -393,7 +386,7 @@ class SegmentStore:
         drops them)."""
         now = self.sim.now
         expired = [
-            seg for fam in self._segs.values() for seg in fam.versions
+            seg for seg in self._versions()
             if not seg.committed and seg.expires_at is not None
             and seg.expires_at <= now
         ]
@@ -403,11 +396,9 @@ class SegmentStore:
     # -- reading ------------------------------------------------------------
     def resolve(self, segid: int, version: int, offset: int,
                 length: int) -> List[Tuple[int, int, int]]:
-        """Which stored versions serve [offset, offset+length) of ``version``.
-
-        Returns (version, start, end) pieces; unwritten-anywhere regions
-        resolve to the oldest version in the chain (holes read as zeros).
-        """
+        """Which stored versions serve [offset, offset+length) of
+        ``version``: (version, start, end) pieces; regions written nowhere
+        resolve to ``version`` itself (holes read as zeros)."""
         return self._resolve(self._require(segid, version), offset, length)
 
     def _resolve(self, seg: StoredSegment, offset: int,
@@ -440,17 +431,13 @@ class SegmentStore:
 
     def read(self, segid: int, version: int, offset: int, length: int,
              sequential: bool = False):
-        """Charge disk time for a read; returns the resolved bytes.
-
-        Returns ``None`` when the whole range is synthetic (size-only
-        content) — materializing gigabytes of zeros would defeat the
-        point of synthetic extents.  In mixed ranges, synthetic parts
-        read back as zero bytes.
-        """
+        """Charge disk time for a read; returns the resolved bytes, or
+        ``None`` when the whole range is synthetic (size-only content; in
+        mixed ranges synthetic parts read back as zero bytes)."""
         seg = self._require(segid, version)
         pieces = self._resolve(seg, offset, length)
         seg.last_access = self.sim.now
-        yield from self.fs.read(seg.fs_name, offset, length, sequential)
+        yield from self.fs.read_from(seg, offset, length, sequential)
         buf = None
         for cs, ce, data in self._content(segid, pieces):
             if data is not None:
@@ -473,13 +460,9 @@ class SegmentStore:
 
     # -- replica ingestion & consolidation -----------------------------
     def export_diff(self, segid: int, from_version: int, to_version: int):
-        """The changed regions of (from, to] with their content.
-
-        Returns a list of ``(start, end, bytes_or_None)`` covering every
-        byte that differs between the two versions (None = synthetic), or
-        ``None`` when the local chain cannot produce the diff (missing
-        intermediate version) and a full transfer is needed.
-        """
+        """The changed regions of (from, to]: ``(start, end, bytes or
+        None)`` (None = synthetic) covering every byte that differs, or
+        ``None`` when an intermediate version is missing here."""
         changed = RangeMap()
         for v in range(from_version + 1, to_version + 1):
             seg = self.get(segid, v)
@@ -527,28 +510,21 @@ class SegmentStore:
             nbytes += e - s
         self._add(seg)
         try:
-            yield from self.fs.create(seg.fs_name, charge=False)
             if nbytes > 0:
-                yield from self.fs.write(seg.fs_name, 0, nbytes,
-                                         sequential=True)
-                yield from self.fs.sync(seg.fs_name)  # committed on arrival
-            self.fs.set_size(seg.fs_name, size)
+                yield from self.fs.write_to(seg, 0, nbytes, sequential=True)
+                yield from self.fs.sync(seg)  # committed on arrival
+            self.fs.resize(seg, size)
         except Exception:
-            # Unlink the native file too: left behind, its blocks stay in
-            # ``fs.used`` and every retry of this version fails to create it.
+            # Release the file too, or its blocks stay in ``fs.used``.
             yield from self.drop(segid, new_version)
             raise
         return seg
 
     def consolidate(self, segid: int, keep: int = KEEP_VERSIONS):
-        """Merge old committed versions into the newest ``keep`` ones.
-
-        Every retained version is materialized — its holes filled from the
-        chain below — before anything beneath it is dropped, so COW chains
-        never dangle.
-        """
-        fam = self._segs.get(segid)
-        committed = [seg for seg in fam.versions if seg.committed] if fam else []
+        """Merge old committed versions into the newest ``keep`` ones;
+        each retained one is materialized (its holes filled from below)
+        before anything beneath it is dropped, so COW chains never dangle."""
+        committed = [seg for seg in self._chain(segid) if seg.committed]
         if len(committed) <= keep:
             return
         doomed = committed[:-keep]
@@ -571,41 +547,38 @@ class SegmentStore:
                     segid, self._resolve(seg, lo, hi - lo)):
                 self._bytes += seg.extents.set_range(
                     cs, ce, SYNTHETIC if data is None else (cs, data))
-            yield from self.fs.write(seg.fs_name, lo, hi - lo)
+            yield from self.fs.write_to(seg, lo, hi - lo)
         seg.base_version = None
 
     # -- out-of-band state injection (preload & failure harnesses) --------
     def plant(self, seg: StoredSegment) -> StoredSegment:
-        """Install a fully-formed version with zero simulated I/O.
-
-        Benchmark preloading and test fixtures only: the caller has
-        already built the :class:`StoredSegment` (extents included) and
-        does its own FS accounting.  Goes through the indexed insert
-        path so every query stays coherent.
-        """
+        """Install a fully-formed version with zero simulated I/O
+        (preloading and test fixtures: the caller built it, extents and
+        file sizes included, and adds its ``allocated`` to ``fs.used``)."""
         if self.get(seg.segid, seg.version) is not None:
             raise SegmentError(f"already hold {seg.segid:#x} v{seg.version}")
         self._add(seg)
         return seg
 
     def lose_segment(self, segid: int) -> None:
-        """Silently forget every version of one segment (failure
-        injection: replica loss behind the system's back, no FS I/O)."""
-        for v in self.versions_of(segid):
-            self._remove(segid, v)
+        """Silently forget every version of one segment and release its
+        files (failure injection: replica loss behind the system's back,
+        no FS I/O)."""
+        for seg in self._remove_all(segid):
+            self.fs.release(seg)
 
     def wipe(self) -> None:
-        """Forget everything (wiped-disk failure injection).  The caller
-        resets the backing FS separately."""
+        """Forget everything (wiped-disk failure injection: what
+        :meth:`LocalFS.wipe` calls; ``fs.used`` is the FS's to reset)."""
         self._segs.clear()
         self._bytes = 0
         self.generation += 1
 
     # -- helpers ----------------------------------------------------------
     def _require(self, segid: int, version: int) -> StoredSegment:
-        fam = self._segs.get(segid)   # ``get``, without its frame
-        if fam is not None:
-            for seg in fam.versions:
-                if seg.version == version:
-                    return seg
+        seg = self._segs.get(segid)   # ``get``, without its frame
+        while seg is not None and seg.version > version:
+            seg = seg.older
+        if seg is not None and seg.version == version:
+            return seg
         raise SegmentError(f"no segment {segid:#x} v{version} here")

@@ -339,7 +339,6 @@ class SorrentoDeployment:
         from repro.core.layout import make_layout
         from repro.core.namespace import _file_key
         from repro.core.segment import SYNTHETIC, StoredSegment
-        from repro.storage.filesystem import _File
 
         rb = draws.getrandbits
         draw_id = lambda: rb(128)   # noqa: E731 - hoisted, built once
@@ -403,9 +402,8 @@ class SorrentoDeployment:
                         if provider is None:
                             ctx = store_ctx[owner] = False
                         else:
-                            pfs = provider.node.fs
                             ctx = store_ctx[owner] = (
-                                provider.store.plant, pfs, pfs.files)
+                                provider.store.plant, provider.node.fs)
                     if ctx:
                         extents = full_extents.get(seg_size)
                         if extents is None:
@@ -416,9 +414,9 @@ class SorrentoDeployment:
                             segid, 1, seg_size, True, extents=extents,
                             replication_degree=degree, alpha=alpha,
                             placement=placement, last_access=now,
-                            meta=meta)
+                            meta=meta, file_size=seg_size,
+                            allocated=seg_size)
                         ctx[0](seg)
-                        ctx[2][seg.fs_name] = _File(seg_size, seg_size)
                         ctx[1].used += seg_size
                     home = locate(segid)
                     update = loc_ctx.get(home)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import gc
+import os
 import time
 from contextlib import contextmanager
 from typing import List, Optional, Sequence
@@ -113,6 +114,16 @@ def peak_rss_mb(tree: bool = False) -> float:
         peak = max(peak,
                    resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
     return peak / 1024.0
+
+
+def rss_bytes() -> int:
+    """This process's resident set now (``/proc/self/statm``; 0 where
+    there is none): the difference across a build step is what it added."""
+    try:
+        with open("/proc/self/statm") as f:
+            return int(f.read().split()[1]) * os.sysconf("SC_PAGE_SIZE")
+    except (OSError, ValueError):
+        return 0
 
 
 def add_budget_args(parser) -> None:

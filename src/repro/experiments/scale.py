@@ -45,6 +45,7 @@ from repro.experiments.common import (
     format_table,
     over_budget,
     peak_rss_mb,
+    rss_bytes,
     run_until_done,
 )
 from repro.experiments.scale_model import (
@@ -104,13 +105,15 @@ def run_point(n_providers: int, n_files: int, n_sessions: int,
     # Then preload the file population (planted directly through the
     # bulk fast path: no simulated I/O, so sim.now does not advance and
     # no protocol traffic fires).
-    t_preload = time.perf_counter()
+    t_preload, rss_preload = time.perf_counter(), rss_bytes()
     fpt = files_per_tenant(n_files)
     dep.preload_files(
         ((_tenant_file(tenant, i), FILE_SIZE)
          for tenant in range(N_TENANTS) for i in range(fpt)),
         degree=1)
     preload_wall = time.perf_counter() - t_preload
+    # Host memory per planted file, as RSS growth (CI bounds it).
+    planted_kb = (rss_bytes() - rss_preload) / 1024 / (N_TENANTS * fpt)
 
     # Thousands of sessions: Zipf tenant skew, diurnal arrival wave,
     # multiplexed over a fixed pool of client stubs.
@@ -147,6 +150,7 @@ def run_point(n_providers: int, n_files: int, n_sessions: int,
         "formation_events": formation_events,
         "formation_wall_s": round(formation_wall, 3),
         "preload_wall_s": round(preload_wall, 3),
+        "planted_kb_per_file": round(planted_kb, 2),
         "total_wall_s": round(time.perf_counter() - t_build, 3),
         "peak_rss_mb": round(peak_rss_mb(), 1),
         "ring_sorts": hashing.derived["sorts"] - sorts,

@@ -159,15 +159,10 @@ class Callback(Event):
     """A plain call at a later instant (``Simulator.call_later``):
     dispatch *is* ``fn(a, b)`` — no callback list, closure or value.  It
     never leaves the kernel, so nothing can wait on it and only the field
-    the run loop reads (``state``) is initialised."""
+    the run loop reads (``state``) is initialised — by the kernel, with
+    no ``__init__`` frame (a third of the cost of one per message)."""
 
     __slots__ = ("fn", "a", "b")
-
-    def __init__(self, fn: Callable[[Any, Any], None], a: Any, b: Any):
-        self.state = SUCCEEDED
-        self.fn = fn
-        self.a = a
-        self.b = b
 
     def _dispatch(self) -> None:
         self.fn(self.a, self.b)

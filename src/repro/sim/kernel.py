@@ -55,6 +55,8 @@ from repro.sim.events import (
     Timeout,
 )
 
+_new = object.__new__
+
 
 @contextmanager
 def collector_exempt():
@@ -189,12 +191,14 @@ class Simulator:
         the same-instant arbitration lane — 0 for local work; deliveries
         pass their (src, dst) lane so ties resolve by content.  Every
         message is one: it pushes its own heap entry (FIFO if zero-delay)."""
+        cb = _new(Callback)         # no ``__init__`` frame: see Callback
+        cb.state = SUCCEEDED
+        cb.fn, cb.a, cb.b = fn, a, b
         if lane == 0 and delay == 0.0:
-            self._schedule(Callback(fn, a, b))
+            self._schedule(cb)
             return
         seq = self._seq = self._seq + 1
-        heapq.heappush(self._heap,
-                       (self.now + delay, 1, lane, seq, Callback(fn, a, b)))
+        heapq.heappush(self._heap, (self.now + delay, 1, lane, seq, cb))
         n = self._npending + 1
         self._npending = n
         if n > self._peak_pending:
@@ -205,7 +209,10 @@ class Simulator:
         event has finished and before anything else.  A process's
         bootstrap and interrupt kicks are this call, so work that never
         waits takes the slot (and the one ``seq``) a process would."""
-        self._schedule(Callback(fn, a, b), 0.0, 0)
+        cb = _new(Callback)
+        cb.state = SUCCEEDED
+        cb.fn, cb.a, cb.b = fn, a, b
+        self._schedule(cb, 0.0, 0)
 
     def draw_seq(self) -> int:
         """The ``seq`` a schedule call would draw, for an entry kept off
@@ -218,7 +225,10 @@ class Simulator:
         """Call ``fn(a, b)`` at the *absolute* instant ``when >= now``
         (:meth:`_schedule_at`), under ``seq`` if :meth:`draw_seq` drew it
         earlier: an entry kept off the heap keeps its key as an event."""
-        self._schedule_at(Callback(fn, a, b), when, priority, lane, seq)
+        cb = _new(Callback)
+        cb.state = SUCCEEDED
+        cb.fn, cb.a, cb.b = fn, a, b
+        self._schedule_at(cb, when, priority, lane, seq)
 
     def fell_due(self, key: tuple) -> bool:
         """Whether ``key`` precedes the dispatching one (between runs: ``now``)."""

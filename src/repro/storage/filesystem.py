@@ -12,7 +12,7 @@ motivations for balancing storage usage (Section 3.7).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Union
+from typing import Callable, Dict, Optional, Union
 
 from repro.sim import Simulator
 from repro.storage.disk import Disk
@@ -34,18 +34,25 @@ class NoSpace(Exception):
 
 @dataclass(slots=True)
 class _File:
-    size: int = 0        # logical length (set_size can make this sparse)
+    """A file known by name only (baselines, tests)."""
+    fs_name: str
+    file_size: int = 0   # logical length (``resize`` can make this sparse)
     allocated: int = 0   # bytes actually backed by blocks
 
 
 class LocalFS:
     """A single-volume file system over one device.
 
-    Files are flat-named (providers name segment files by SegID/version).
-    Only sizes are tracked — content lives in the layer above.  All methods
+    Only sizes are tracked — content lives in the layer above; methods
     that touch the device are generators to be driven by a sim process.
-
-    Space accounting distinguishes logical size from allocation so that
+    A file is a *record* with ``fs_name``, ``file_size``, ``allocated``;
+    the record methods (``resize``, ``release``, ``remove``, ``write_to``,
+    ``read_from``, ``sync``, ``charge_read``) are one accounting path.
+    A provider's segment files are its :class:`StoredSegment` versions
+    themselves, named on demand (SegID/version); ``files`` holds the
+    files known only by name (NFS and PVFS baselines, tests), whose
+    methods look one up and call the record methods.
+    ``used`` counts both.  Logical size and allocation differ so that
     sparse shadow copies ("create a blank segment and truncate it to the
     base's size", Section 3.5) cost nothing until written.
     """
@@ -57,10 +64,11 @@ class LocalFS:
         self.capacity = capacity if capacity is not None else device_capacity(device)
         self.used = 0
         self.files: Dict[str, _File] = {}
-        #: Optional :class:`repro.storage.engine.StorageEngine` installed
-        #: by the provider.  ``None`` means raw device access (the seed
-        #: behaviour, bit-identical to the recorded goldens).
+        #: The provider's :class:`repro.storage.engine.StorageEngine`, or
+        #: ``None``: raw device access (bit-identical to the goldens).
         self.engine = None
+        #: Forgets the records kept outside ``files`` (the segment store's).
+        self.on_wipe: Optional[Callable[[], None]] = None
 
     # -- device funnel ---------------------------------------------------
     def _device_io(self, nbytes: int, sequential: bool = False):
@@ -80,20 +88,20 @@ class LocalFS:
         the point, so this never passes through the write-back cache."""
         return self._device_io(nbytes, sequential)
 
-    def charge_read(self, name: str, offset: int, nbytes: int,
+    def charge_read(self, f, offset: int, nbytes: int,
                     sequential: bool = False):
         """Charge a read against a file's cache pages without bounds
         checks — for callers that size their own transfers (index-segment
         attach, replication ``seg_fetch``)."""
         if self.engine is not None:
-            return self.engine.read(name, offset, nbytes, sequential)
+            return self.engine.read(f.fs_name, offset, nbytes, sequential)
         return self._device_io(nbytes, sequential)
 
-    def sync(self, name: str):
+    def sync(self, f):
         """Generator: force the file's dirty pages to the media (no-op
         without an engine — the raw path is synchronous already)."""
         if self.engine is not None:
-            yield from self.engine.sync(name)
+            yield from self.engine.sync(f.fs_name)
 
     # -- space accounting ---------------------------------------------
     @property
@@ -114,105 +122,101 @@ class LocalFS:
         frac = min(1.0, (u - SATURATION_KNEE) / (1.0 - SATURATION_KNEE))
         return 1.0 + (SATURATION_PENALTY - 1.0) * frac
 
-    # -- metadata operations --------------------------------------------
-    def create(self, name: str, charge: bool = True):
-        """Create an empty file.
-
-        ``charge=False`` defers the metadata I/O — storage providers
-        create segment files lazily, folding the inode write into the
-        first data write.
-        """
-        if name in self.files:
-            raise FileExistsError(name)
-        if charge:
-            yield self.meta_io()
-        self.files[name] = _File()
-
-    def set_size(self, name: str, size: int) -> None:
+    # -- records ----------------------------------------------------------
+    def resize(self, f, size: int) -> None:
         """Bookkeeping-only logical resize (shadow copies are in-memory
         index structures until written; no device I/O)."""
-        f = self.files.get(name)
-        if f is None:
-            raise FileNotFoundError(name)
         if size < f.allocated:
             self.used -= f.allocated - size
             f.allocated = size
-        f.size = size
+        f.file_size = size
 
-    def forget(self, name: str) -> Optional[int]:
+    def release(self, f) -> int:
         """Drop a file with no device I/O: its space and any cached pages
-        go.  Returns the bytes it had allocated (``None``: no such file)."""
+        go.  Returns the bytes it had allocated."""
         if self.engine is not None:
-            self.engine.drop(name)
-        f = self.files.pop(name, None)
-        if f is None:
-            return None
+            self.engine.drop(f.fs_name)
         self.used -= f.allocated
         return f.allocated
 
-    def unlink(self, name: str):
-        """Remove a file, freeing its space (one metadata I/O).
-
-        Removing a never-materialized file (no allocated blocks — e.g. an
-        aborted shadow that was never written) is a cache-only operation.
-        """
-        allocated = self.forget(name)
-        if allocated is None:
-            raise FileNotFoundError(name)
-        if allocated > 0:
+    def remove(self, f):
+        """Generator: release a file, with one metadata I/O if it held
+        blocks (an aborted shadow never written costs none)."""
+        if self.release(f) > 0:
             yield self.meta_io()
 
-    def exists(self, name: str) -> bool:
-        """Whether the file exists."""
-        return name in self.files
-
-    def size_of(self, name: str) -> int:
-        """Logical file size."""
-        f = self.files.get(name)
-        if f is None:
-            raise FileNotFoundError(name)
-        return f.size
-
-    # -- data operations --------------------------------------------------
-    def write(self, name: str, offset: int, nbytes: int, sequential: bool = False):
+    def write_to(self, f, offset: int, nbytes: int, sequential: bool = False):
         """Write ``nbytes`` at ``offset``, growing the file if needed.
-
-        Allocation grows by the written byte count (capped at logical
-        size once the file is fully dense) — an upper-bound approximation
-        that never under-reports usage.
-        """
-        f = self.files.get(name)
-        if f is None:
-            raise FileNotFoundError(name)
-        end = offset + nbytes
-        f.size = max(f.size, end)
-        new_alloc = min(f.size, f.allocated + nbytes)
+        Allocation grows by the bytes written, capped at the logical size:
+        an upper bound that never under-reports usage."""
+        size = f.file_size = max(f.file_size, offset + nbytes)
+        new_alloc = min(size, f.allocated + nbytes)
         growth = new_alloc - f.allocated
         if growth > self.available:
-            f.size = min(f.size, f.allocated)  # roll back logical growth
-            raise NoSpace(f"{name}: need {growth} bytes, {self.available} free")
+            f.file_size = min(size, f.allocated)  # roll back logical growth
+            raise NoSpace(f"{f.fs_name}: need {growth} bytes, "
+                          f"{self.available} free")
         cost = int(nbytes * self._write_penalty())
         f.allocated = new_alloc
         self.used += growth
         if self.engine is not None:
-            yield self.engine.write(name, offset, nbytes, sequential,
+            yield self.engine.write(f.fs_name, offset, nbytes, sequential,
                                     charge=cost)
         else:
             yield self._device_io(cost, sequential)
 
-    def read(self, name: str, offset: int, nbytes: int, sequential: bool = False):
+    def read_from(self, f, offset: int, nbytes: int, sequential: bool = False):
         """Read ``nbytes`` at ``offset`` (must be within the file)."""
+        if offset + nbytes > f.file_size:
+            raise ValueError(f"{f.fs_name}: read past EOF "
+                             f"({offset}+{nbytes} > {f.file_size})")
+        if self.engine is not None:
+            yield self.engine.read(f.fs_name, offset, nbytes, sequential)
+        else:
+            yield self._device_io(nbytes, sequential)
+
+    def wipe(self) -> None:
+        """Lose every file (wiped-disk failure injection)."""
+        self.files.clear()
+        self.used = 0
+        if self.on_wipe is not None:
+            self.on_wipe()
+
+    # -- files by name ----------------------------------------------------
+    def _file(self, name: str) -> _File:
         f = self.files.get(name)
         if f is None:
             raise FileNotFoundError(name)
-        if offset + nbytes > f.size:
-            raise ValueError(
-                f"{name}: read past EOF ({offset}+{nbytes} > {f.size})"
-            )
-        if self.engine is not None:
-            yield self.engine.read(name, offset, nbytes, sequential)
-        else:
-            yield self._device_io(nbytes, sequential)
+        return f
+
+    def create(self, name: str):
+        """Create an empty file (one metadata I/O)."""
+        if name in self.files:
+            raise FileExistsError(name)
+        yield self.meta_io()
+        self.files[name] = _File(name)
+
+    def set_size(self, name: str, size: int) -> None:
+        self.resize(self._file(name), size)
+
+    def unlink(self, name: str):
+        """:meth:`remove` by name."""
+        f = self.files.pop(name, None)
+        if f is None:
+            raise FileNotFoundError(name)
+        return self.remove(f)
+
+    def exists(self, name: str) -> bool:
+        return name in self.files
+
+    def size_of(self, name: str) -> int:
+        return self._file(name).file_size
+
+    def write(self, name: str, offset: int, nbytes: int, sequential: bool = False):
+        return self.write_to(self._file(name), offset, nbytes, sequential)
+
+    def read(self, name: str, offset: int, nbytes: int, sequential: bool = False):
+        return self.read_from(self._file(name), offset, nbytes, sequential)
 
 
 def device_capacity(device: Union[Disk, Raid0]) -> int:

@@ -304,7 +304,6 @@ PRIVATE_STATE = [
 #: ``__dict__``.
 SLOTTED = [
     ("repro.core.segment", "StoredSegment"),
-    ("repro.core.segment", "_Family"),
     ("repro.core.extent", "RangeMap"),
     ("repro.storage.filesystem", "_File"),
     ("repro.core.location", "OwnerRecord"),

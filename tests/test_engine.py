@@ -300,7 +300,7 @@ def test_crash_drops_uncommitted_but_never_committed_data():
     assert dropped == [(1, 2)]
     assert store.get(1, 1) is not None        # committed data survived
     assert store.get(1, 2) is None            # uncommitted shadow gone
-    assert not fs.exists("%032x.2" % 1)
+    assert fs.used == store.get(1, 1).allocated  # its blocks went with it
 
 
 # ------------------------------------------------------ replay determinism

@@ -22,17 +22,19 @@ from repro.sim import Simulator
 #: was cut to one function per kind of send, 40.1 after, 39.1 since the
 #: answer resumes the caller inside its delivery (33.1 C calls, was
 #: 35.1), 37.1 since an answer slot waits in its timeout value's queue
-#: instead of the heap (34.1 C calls).  One more frame per roundtrip is
-#: 38.1.
-ROUNDTRIP_CEILING = 37.1
+#: instead of the heap (34.1 C calls), 35.1 since the kernel builds a
+#: ``Callback`` without an ``__init__`` frame (36.1 C calls: the
+#: ``object.__new__``).  One more frame per roundtrip is 36.1.
+ROUNDTRIP_CEILING = 35.1
 #: Python calls per delivered heartbeat copy, the sender's loop and send
 #: amortised over eight receivers: 13.40 before, 8.02 measured after;
 #: 9.65 since each such copy is one ``call_later`` (its ``Callback``'s
 #: ``__init__`` and the call itself, where a copy was one stop of a
 #: shared train) — a copy that is an event is a join's, rare once
-#: formation is planted.  One more frame per *multicast* is 9.78, per
-#: copy 10.65.
-HEARTBEAT_COPY_CEILING = 9.7
+#: formation is planted; 8.65 since that ``Callback`` is built without
+#: its ``__init__`` frame.  One more frame per *multicast* is 8.78, per
+#: copy 9.65.
+HEARTBEAT_COPY_CEILING = 8.7
 #: Python calls per heartbeat copy a receiver's board takes (a known
 #: member's, which is no event): 3.65 measured, the kernel's ``draw_seq``
 #: one of them.  One more frame per multicast is 3.78, per copy 4.65.

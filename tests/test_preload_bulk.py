@@ -87,11 +87,10 @@ def test_bulk_preload_matches_per_file_path(degree):
     assert (sum(p.node.fs.used for p in dep_a.providers.values())
             == sum(p.node.fs.used for p in dep_b.providers.values()))
 
-    # FS accounting names the same files the stores hold.
+    # FS accounting: each planted version is its own dense file record.
     for p in dep_b.providers.values():
         for seg in p.store.committed_segments():
-            f = p.node.fs.files[seg.fs_name]
-            assert f.size == f.allocated == seg.size
+            assert seg.file_size == seg.allocated == seg.size
 
     # WAL footprint: both paths log records of the same total size.
     def wal_bytes(dep):
@@ -180,6 +179,20 @@ DIGEST_CALLS = [
 ]
 
 
+def fs_files(p):
+    """``(name, logical size, allocated)`` of every file on a provider's
+    FS: the files known by name, and the segment versions (each its own
+    file record, named on demand; every planted segid holds a committed
+    version)."""
+    store = p.store
+    rows = [(n, f.file_size, f.allocated) for n, f in p.node.fs.files.items()]
+    for top in store.committed_segments():
+        for v in store.versions_of(top.segid):
+            seg = store.get(top.segid, v)
+            rows.append((seg.fs_name, seg.file_size, seg.allocated))
+    return rows
+
+
 def planted_digest(dep, entries):
     """SHA-256 over every planted structure: each store's committed
     segments in order (``seq``, ``last_access``, extents, index meta),
@@ -210,8 +223,7 @@ def planted_digest(dep, entries):
                 seg.last_access, seg.seq, seg.fs_name, meta,
                 list(seg.extents))
         put(name, p.store.bytes_stored(), p.node.fs.used,
-            sorted((n, f.size, f.allocated)
-                   for n, f in p.node.fs.files.items()))
+            sorted(fs_files(p)))
         table = p.home.table
         for segid in table.segids():
             put(name, segid, table.age(segid, dep.sim.now),

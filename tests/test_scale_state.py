@@ -18,13 +18,16 @@ from repro.core.location import LocationTable, OwnerRecord
 from repro.core.segment import SYNTHETIC, SegmentStore, StoredSegment
 from repro.network import Fabric
 from repro.sim import Simulator
-from repro.storage import DISK_SPECS, Disk, LocalFS
+from repro.storage import DISK_SPECS, Disk, LocalFS, StorageEngine
 
 
-def make_store():
+def make_store(engine=False):
     sim = Simulator()
-    fs = LocalFS(sim, Disk(sim, DISK_SPECS["ultrastar-dk32ej"]),
-                 capacity=64 << 20)
+    disk = Disk(sim, DISK_SPECS["ultrastar-dk32ej"])
+    fs = LocalFS(sim, disk, capacity=64 << 20)
+    if engine:   # a small write-back cache: evictions, dirty pages to lose
+        fs.engine = StorageEngine(sim, disk, page_size=4096,
+                                  cache_bytes=16 * 4096)
     return sim, SegmentStore(sim, fs)
 
 
@@ -37,7 +40,8 @@ op_strategy = st.lists(
     st.tuples(
         st.sampled_from(["create", "write", "commit", "shadow", "drop",
                          "drop_committed", "delete", "consolidate",
-                         "plant", "ingest", "lose"]),
+                         "plant", "ingest", "lose", "nospace", "crash",
+                         "wipe"]),
         st.integers(min_value=0, max_value=3),      # segid selector
         st.integers(min_value=0, max_value=4096),   # offset / size knob
     ),
@@ -50,6 +54,11 @@ op_strategy = st.lists(
 @example(ops=[("create", 0, 0), ("commit", 0, 0), ("shadow", 0, 0),
               ("drop_committed", 0, 1),     # family alive, nothing committed
               ("write", 0, 64), ("commit", 0, 0), ("delete", 0, 0)])
+@example(ops=[("create", 0, 0), ("write", 0, 64), ("commit", 0, 0),
+              ("shadow", 0, 0), ("write", 0, 4096), ("nospace", 0, 100),
+              ("create", 1, 0), ("write", 1, 0), ("crash", 0, 0),
+              ("ingest", 2, 4096), ("shadow", 2, 0), ("write", 2, 8),
+              ("wipe", 0, 0), ("create", 0, 0), ("write", 0, 512)])
 def test_segment_indices_match_full_scan_after_any_schedule(ops):
     """After every mutation, each family's facts (ascending versions,
     latest-committed, first-commit order) and the byte counter must
@@ -59,8 +68,12 @@ def test_segment_indices_match_full_scan_after_any_schedule(ops):
     version number) — and removals in all three: the last version of a
     family, an uncommitted one, and a committed one with others left
     (``drop_committed`` under a shadow is the arm where the family lives
-    on with no committed version at all)."""
-    sim, store = make_store()
+    on with no committed version at all).  Behind the indices, the FS
+    accounting oracle: ``used`` is every held version's allocation,
+    through a ``NoSpace`` write that rolls back, a power loss whose lost
+    dirty pages ``discard_lost`` reconciles, and a wiped disk."""
+    sim, store = make_store(engine=True)
+    fs = store.fs
 
     def scenario():
         planted = 10_000
@@ -102,8 +115,20 @@ def test_segment_indices_match_full_scan_after_any_schedule(ops):
                     yield from store.apply_diff(segid, 1 + knob % 6, knob)
                 elif op == "lose" and versions:
                     store.lose_segment(segid)
+                elif op == "nospace" and uncommitted:
+                    yield from store.write(segid, uncommitted[-1], knob,
+                                           fs.capacity)
+                elif op == "crash":
+                    fs.engine.on_crash()
+                    for name in sorted(fs.engine.take_lost()):
+                        store.discard_lost(name)
+                elif op == "wipe":
+                    fs.engine.on_crash()
+                    fs.wipe()
             except Exception:
                 pass  # illegal transitions may raise; indices must survive
+            if op == "wipe":
+                assert store.empty and fs.used == 0
             store.check_index_invariants()
 
     drive(sim, scenario())
@@ -146,9 +171,8 @@ def test_wipe_resets_every_index():
             yield from store.write(segid, 1, 0, 1024, data=b"y" * 1024)
             yield from store.commit(segid, 1)
         assert store.bytes_stored() > 0 and len(store) == 3
-        store.wipe()
-        store.fs.files.clear()  # callers reset the backing FS separately
-        store.fs.used = 0
+        store.fs.wipe()         # the disk goes, and the store's versions
+        assert store.fs.used == 0
         assert len(store) == 0
         assert store.bytes_stored() == 0
         assert store.committed_segments() == []
