@@ -32,3 +32,16 @@ def test_fig09_small_file_response(once):
         for op in ("create", "write", "read"):
             assert abs(r2[op] - r1[op]) < 0.3 * r1[op]
         assert r2["unlink"] > 1.15 * r1["unlink"]
+
+    # Each phase runs as its own job, so every Sorrento cell lands near
+    # the paper's number: a phase that reused an earlier phase's client
+    # caches would read 12 KB in a few ms instead of ~33.
+    for n in (4, 8):
+        for r in (1, 2):
+            name = f"Sorrento-({n},{r})"
+            for op in fig09.OPS:
+                ratio = results[name][op] / fig09.PAPER[name][op]
+                assert 0.5 <= ratio <= 1.5, (
+                    f"{name} {op} {results[name][op]:.1f} ms is "
+                    f"{ratio:.2f}x the paper's {fig09.PAPER[name][op]} ms"
+                )

@@ -1,8 +1,10 @@
-"""Client-side front door to the compute plane (``Session.compute``).
+"""Client-side front door to the compute plane.
 
-A thin RPC wrapper over the queue's services: ``submit`` a bundle of
-task specs, ``status``/``wait`` on the returned job handle, or ``run``
-for submit-and-wait.  All methods are simulation generators, driven
+Built over a client stub, ``ComputeAPI(dep.client_on(host))``, and
+pointed at the queue with :meth:`ComputeAPI.bind`.  A thin RPC wrapper
+over the queue's services: ``submit`` a bundle of task specs,
+``status``/``wait`` on the returned job handle, or ``run`` for
+submit-and-wait.  All methods are simulation generators, driven
 like any other client op (``dep.run(...)`` / ``sim.process(...)``).
 """
 

@@ -172,7 +172,6 @@ class NamespaceServer:
         "ns_lookup", "ns_create", "ns_unlink", "ns_mkdir", "ns_rmdir",
         "ns_list", "ns_begin_commit", "ns_complete_commit",
         "ns_abort_commit", "ns_acquire_lease", "ns_release_lease",
-        "ns_update_entry",
     )
 
     def __init__(self, node, volume: str, params: Optional[SorrentoParams] = None):
@@ -368,21 +367,6 @@ class NamespaceServer:
             stripe_count=req.get("stripe_count", 4),
             fixed_size=req.get("fixed_size", 0),
         )
-        self._put(_file_key(path), entry)
-        yield from self._durable()
-        return entry.to_dict(), 128
-
-    def _h_update_entry(self, req: dict, src: str):
-        """Mutate policy fields (degree/alpha/placement) of an entry."""
-        yield from self._charge_cpu()
-        path = req["path"]
-        self._check_owner(path)
-        entry = self.db.get(_file_key(path))
-        if entry is None:
-            raise NamespaceError(f"ENOENT {path}")
-        for k in ("degree", "alpha", "placement"):
-            if k in req:
-                setattr(entry, k, req[k])
         self._put(_file_key(path), entry)
         yield from self._durable()
         return entry.to_dict(), 128

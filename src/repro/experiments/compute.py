@@ -38,9 +38,8 @@ import sys
 import time
 from typing import Dict, List, Optional
 
-from repro.api.session import connect
 from repro.cluster import small_cluster
-from repro.compute import POLICIES, start_compute
+from repro.compute import POLICIES, ComputeAPI, start_compute
 from repro.experiments.common import (
     add_budget_args,
     format_table,
@@ -100,7 +99,7 @@ def run_point(scenario: str, policy: str, *, n_providers: int = 6,
         workers = workers[:max(2, len(workers) // 2)]
     queue = start_compute(dep, policy=policy, prestage=prestage,
                           workers=workers)
-    api = connect(dep, "c01").compute.bind(queue.host)
+    api = ComputeAPI(dep.client_on("c01")).bind(queue.host)
     results: List[dict] = []
 
     if scenario == "waves":

@@ -241,6 +241,8 @@ class StorageEngine:
         replication ``seg_fetch``).  A media error propagates to the
         caller as :class:`DiskIOError`.
         """
+        if self._dirty == 0:
+            return
         keys = [k for k, dirty in self._pages.items()
                 if dirty and k[0] == name]
         if not keys:
@@ -271,6 +273,8 @@ class StorageEngine:
             yield from self._flush_round()
 
     def _flush_round(self):
+        if self._dirty == 0:
+            return
         keys = [k for k, dirty in self._pages.items() if dirty]
         if not keys:
             return

@@ -1,17 +1,17 @@
-"""Tests for the NFS-style handle API and the UNIX-like API (Section 2.3)."""
+"""Tests for the client API surface (Section 2.3).
+
+``SorrentoClient`` is the paper's handle layer: ``open`` returns an
+opaque handle, and ``read``, ``write``, ``commit`` and ``close`` act on
+it.  ``repro.api`` re-exports the typed error surface.
+"""
 
 import pytest
 
 from repro.api import (
     CommitConflict,
     ConflictError,
-    HandleAPI,
     NotFoundError,
-    PosixAPI,
-    Session,
-    connect,
 )
-from repro.api.posix import O_RDONLY, O_WRONLY, SEEK_CUR, SEEK_END, SEEK_SET
 from repro.cluster import small_cluster
 from repro.core import SorrentoConfig, SorrentoDeployment
 from repro.core.client import SorrentoError
@@ -31,14 +31,16 @@ def deploy():
 # --------------------------------------------------------------- handles
 def test_handle_create_write_read():
     dep = deploy()
-    api = HandleAPI(dep.client_on("c00"))
+    client = dep.client_on("c00")
 
     def scenario():
-        d = yield from api.mkdir(api.root, "docs")
-        f = yield from api.create(d, "a.txt")
-        yield from api.write(f, 0, 5, data=b"hello")
-        yield from api.close(f)
-        data = yield from api.read(f, 0, 5)
+        yield from client.mkdir("/docs")
+        fh = yield from client.open("/docs/a.txt", "w", create=True)
+        yield from client.write(fh, 0, 5, data=b"hello")
+        yield from client.close(fh)
+        fh = yield from client.open("/docs/a.txt", "r")
+        data = yield from client.read(fh, 0, 5)
+        yield from client.close(fh)
         return data
 
     assert dep.run(scenario()) == b"hello"
@@ -46,42 +48,41 @@ def test_handle_create_write_read():
 
 def test_handle_lookup_and_readdir():
     dep = deploy()
-    api = HandleAPI(dep.client_on("c00"))
+    client = dep.client_on("c00")
 
     def scenario():
-        d = yield from api.mkdir(api.root, "d")
-        yield from api.create(d, "x")
-        yield from api.mkdir(d, "sub")
-        names = yield from api.readdir(d)
-        fx = yield from api.lookup(d, "x")
-        fsub = yield from api.lookup(d, "sub")
-        return names, fx.is_dir, fsub.is_dir
+        yield from client.mkdir("/d")
+        yield from client.create("/d/x")
+        yield from client.mkdir("/d/sub")
+        names = yield from client.listdir("/d")
+        entry = yield from client.stat("/d/x")
+        return names, entry
 
-    names, x_is_dir, sub_is_dir = dep.run(scenario())
+    names, entry = dep.run(scenario())
     assert names == ["sub/", "x"]
-    assert not x_is_dir and sub_is_dir
+    assert entry["version"] == 0
 
 
 def test_handle_lookup_missing_raises():
     dep = deploy()
-    api = HandleAPI(dep.client_on("c00"))
+    client = dep.client_on("c00")
 
     def scenario():
-        with pytest.raises(SorrentoError):
-            yield from api.lookup(api.root, "ghost")
+        with pytest.raises(NotFoundError):
+            yield from client.open("/ghost", "r")
 
     dep.run(scenario())
 
 
 def test_handle_getattr_tracks_version():
     dep = deploy()
-    api = HandleAPI(dep.client_on("c00"))
+    client = dep.client_on("c00")
 
     def scenario():
-        f = yield from api.create(api.root, "v")
-        yield from api.write(f, 0, 10)
-        yield from api.commit(f)
-        entry = yield from api.getattr(f)
+        fh = yield from client.open("/v", "w", create=True)
+        yield from client.write(fh, 0, 10)
+        yield from client.commit(fh)
+        entry = yield from client.stat("/v")
         return entry["version"]
 
     assert dep.run(scenario()) == 1
@@ -89,127 +90,100 @@ def test_handle_getattr_tracks_version():
 
 def test_handle_remove():
     dep = deploy()
-    api = HandleAPI(dep.client_on("c00"))
+    client = dep.client_on("c00")
 
     def scenario():
-        f = yield from api.create(api.root, "gone")
-        yield from api.write(f, 0, 4)
-        yield from api.close(f)
-        yield from api.remove(api.root, "gone")
-        with pytest.raises(SorrentoError):
-            yield from api.getattr(f)
+        fh = yield from client.open("/gone", "w", create=True)
+        yield from client.write(fh, 0, 4)
+        yield from client.close(fh)
+        yield from client.unlink("/gone")
+        with pytest.raises(NotFoundError):
+            yield from client.stat("/gone")
 
     dep.run(scenario())
 
 
-# ----------------------------------------------------------------- posix
 def test_posix_fd_lifecycle():
+    """The UNIX open/write/close, open/read/close lifecycle on the
+    client's handles: close publishes version 1 and a reopen in the
+    default mode reads the bytes back."""
     dep = deploy()
-    fs = PosixAPI(dep.client_on("c00"))
+    client = dep.client_on("c00")
 
     def scenario():
-        fd = yield from fs.open("/f", O_WRONLY, create=True)
-        n = yield from fs.write(fd, 6, data=b"abcdef")
-        assert n == 6
-        version = yield from fs.close(fd)
+        fh = yield from client.open("/f", "w", create=True)
+        yield from client.write(fh, 0, 6, data=b"abcdef")
+        version = yield from client.close(fh)
         assert version == 1
-        fd = yield from fs.open("/f", O_RDONLY)
-        data = yield from fs.read(fd, 6)
-        yield from fs.close(fd)
+        fh = yield from client.open("/f")
+        data = yield from client.read(fh, 0, 6)
+        yield from client.close(fh)
         return data
 
     assert dep.run(scenario()) == b"abcdef"
 
 
-def test_posix_cursor_advances():
-    dep = deploy()
-    fs = PosixAPI(dep.client_on("c00"))
-
-    def scenario():
-        fd = yield from fs.open("/c", O_WRONLY, create=True)
-        yield from fs.write(fd, 3, data=b"one")
-        yield from fs.write(fd, 3, data=b"two")
-        yield from fs.close(fd)
-        fd = yield from fs.open("/c", O_RDONLY)
-        first = yield from fs.read(fd, 3)
-        second = yield from fs.read(fd, 3)
-        return first, second
-
-    assert dep.run(scenario()) == (b"one", b"two")
-
-
-def test_posix_lseek_whences():
-    dep = deploy()
-    fs = PosixAPI(dep.client_on("c00"))
-
-    def scenario():
-        fd = yield from fs.open("/s", O_WRONLY, create=True)
-        yield from fs.write(fd, 10)
-        yield from fs.close(fd)
-        fd = yield from fs.open("/s", O_RDONLY)
-        assert fs.lseek(fd, 4, SEEK_SET) == 4
-        assert fs.lseek(fd, 2, SEEK_CUR) == 6
-        assert fs.lseek(fd, -1, SEEK_END) == 9
-        assert fs.fstat(fd)["size"] == 10
-        with pytest.raises(SorrentoError):
-            fs.lseek(fd, -100, SEEK_SET)
-
-    dep.run(scenario())
-
-
 def test_posix_pread_does_not_move_cursor():
+    """A handle keeps no file position: every read names its offset, so
+    a read in the middle of the file leaves a later read at 0 intact."""
     dep = deploy()
-    fs = PosixAPI(dep.client_on("c00"))
+    client = dep.client_on("c00")
 
     def scenario():
-        fd = yield from fs.open("/p", O_WRONLY, create=True)
-        yield from fs.pwrite(fd, 0, 8, data=b"ABCDEFGH")
-        yield from fs.close(fd)
-        fd = yield from fs.open("/p", O_RDONLY)
-        mid = yield from fs.pread(fd, 4, 2)
-        head = yield from fs.read(fd, 2)
+        fh = yield from client.open("/p", "w", create=True)
+        yield from client.write(fh, 0, 8, data=b"ABCDEFGH")
+        yield from client.close(fh)
+        fh = yield from client.open("/p", "r")
+        mid = yield from client.read(fh, 4, 2)
+        head = yield from client.read(fh, 0, 2)
+        yield from client.close(fh)
         return mid, head
 
     assert dep.run(scenario()) == (b"EF", b"AB")
 
 
-def test_posix_fsync_commits_midstream():
+def test_commit_midstream_starts_a_new_version():
+    """A commit without close publishes a version; the handle stays open
+    and the next write starts the next shadow session."""
     dep = deploy()
-    fs = PosixAPI(dep.client_on("c00"))
+    client = dep.client_on("c00")
 
     def scenario():
-        fd = yield from fs.open("/sync", O_WRONLY, create=True)
-        yield from fs.write(fd, 4, data=b"v1v1")
-        v1 = yield from fs.fsync(fd)
-        yield from fs.write(fd, 4, data=b"v2v2")
-        v2 = yield from fs.close(fd)
+        fh = yield from client.open("/sync", "w", create=True)
+        yield from client.write(fh, 0, 4, data=b"v1v1")
+        v1 = yield from client.commit(fh)
+        yield from client.write(fh, 4, 4, data=b"v2v2")
+        v2 = yield from client.close(fh)
         return v1, v2
 
     assert dep.run(scenario()) == (1, 2)
 
 
-def test_posix_bad_fd():
+def test_closed_handle_refuses_io():
     dep = deploy()
-    fs = PosixAPI(dep.client_on("c00"))
+    client = dep.client_on("c00")
 
     def scenario():
-        with pytest.raises(SorrentoError, match="EBADF"):
-            yield from fs.read(99, 10)
-        with pytest.raises(SorrentoError, match="EBADF"):
-            yield from fs.close(99)
+        fh = yield from client.open("/shut", "w", create=True)
+        yield from client.close(fh)
+        with pytest.raises(SorrentoError, match="closed"):
+            yield from client.read(fh, 0, 4)
+        with pytest.raises(SorrentoError, match="closed"):
+            yield from client.write(fh, 0, 4)
 
     dep.run(scenario())
 
 
-def test_posix_set_policy_extension():
+def test_per_file_policy_is_set_at_create():
+    """The paper's per-file fine-tuning: degree, placement favoritism and
+    placement policy travel with the create and stay on the entry."""
     dep = deploy()
-    fs = PosixAPI(dep.client_on("c00"))
+    client = dep.client_on("c00")
 
     def scenario():
-        fd = yield from fs.open("/pol", O_WRONLY, create=True)
-        yield from fs.close(fd)
-        entry = yield from fs.set_policy("/pol", degree=3, alpha=0.8,
-                                         placement="locality")
+        yield from client.create("/pol", degree=3, alpha=0.8,
+                                 placement="locality")
+        entry = yield from client.stat("/pol")
         return entry
 
     entry = dep.run(scenario())
@@ -218,39 +192,19 @@ def test_posix_set_policy_extension():
     assert entry["placement"] == "locality"
 
 
-# --------------------------------------------------------------- sessions
-def test_connect_shares_one_client_across_views():
-    dep = deploy()
-    sess = connect(dep, "c00")
-    assert isinstance(sess, Session)
-    assert sess.posix.client is sess.handles.client is sess.pario.client
-    assert sess.posix is sess.posix  # views are cached, not re-minted
-    assert sess.node.hostid == "c00"
-
-    def scenario():
-        fd = yield from sess.posix.open("/mix", O_WRONLY, create=True)
-        yield from sess.posix.write(fd, 4, data=b"via1")
-        yield from sess.posix.close(fd)
-        # The handle view sees the file the posix view wrote.
-        h = yield from sess.handles.lookup(sess.handles.root, "mix")
-        data = yield from sess.handles.read(h, 0, 4)
-        return data
-
-    assert dep.run(scenario()) == b"via1"
-
-
+# ------------------------------------------------------ the node's runtime
 def test_session_client_rides_the_nodes_runtime():
-    """A session issues its RPCs through the node's one runtime, so what
-    is wired there (registry, tracer) is what the session's calls see."""
+    """A client issues its RPCs through the node's one runtime, so what
+    is wired there (registry, tracer) is what the client's calls see."""
     dep = deploy()
-    sess = connect(dep, "c00")
-    assert sess.client.rpc is dep.nodes["c00"].runtime
+    client = dep.client_on("c00")
+    assert client.rpc is dep.nodes["c00"].runtime
     tracer = Tracer(dep.sim)
-    sess.client.rpc.configure(tracer=tracer)
+    client.rpc.configure(tracer=tracer)
 
     def scenario():
-        fd = yield from sess.posix.open("/traced", "w", create=True)
-        yield from sess.posix.close(fd)
+        fh = yield from client.open("/traced", "w", create=True)
+        yield from client.close(fh)
 
     dep.run(scenario())
     assert tracer.spans("rpc:ns_create")
@@ -261,64 +215,32 @@ def test_session_policy_survives_a_second_client_on_the_node():
     the node's RPC runtime to the deployment default."""
     dep = deploy()
     tracer = Tracer(dep.sim)
-    sess = connect(dep, "c00")
-    sess.client.rpc.configure(tracer=tracer)
+    client = dep.client_on("c00")
+    client.rpc.configure(tracer=tracer)
     dep.client_on("c00")
-    assert sess.client.rpc.tracer is tracer
-
-
-def test_posix_open_accepts_int_and_string_flags():
-    dep = deploy()
-    fs = PosixAPI(dep.client_on("c00"))
-
-    def scenario():
-        fd = yield from fs.open("/flags", "w", create=True)
-        yield from fs.write(fd, 2, data=b"ok")
-        yield from fs.close(fd)
-        fd = yield from fs.open("/flags", O_RDONLY)
-        data = yield from fs.read(fd, 2)
-        yield from fs.close(fd)
-        fd = yield from fs.open("/flags", "r")
-        same = yield from fs.read(fd, 2)
-        yield from fs.close(fd)
-        return data, same
-
-    assert dep.run(scenario()) == (b"ok", b"ok")
-
-
-def test_posix_open_rejects_unknown_flags():
-    dep = deploy()
-    fs = PosixAPI(dep.client_on("c00"))
-
-    def scenario():
-        with pytest.raises(ValueError, match="bad flags"):
-            yield from fs.open("/x", 42)
-        if False:
-            yield  # make this a generator for dep.run
-
-    dep.run(scenario())
+    assert client.rpc.tracer is tracer
 
 
 # ----------------------------------------------------------- error surface
 def test_missing_file_raises_not_found():
     dep = deploy()
-    sess = connect(dep, "c00")
+    client = dep.client_on("c00")
 
     def scenario():
         with pytest.raises(NotFoundError):
-            yield from sess.client.stat("/ghost")
+            yield from client.stat("/ghost")
 
     dep.run(scenario())
 
 
 def test_create_existing_raises_conflict():
     dep = deploy()
-    sess = connect(dep, "c00")
+    client = dep.client_on("c00")
 
     def scenario():
-        yield from sess.client.create("/dup")
+        yield from client.create("/dup")
         with pytest.raises(ConflictError):
-            yield from sess.client.create("/dup")
+            yield from client.create("/dup")
 
     dep.run(scenario())
 
@@ -327,12 +249,3 @@ def test_commit_conflict_is_a_conflict_error():
     assert CommitConflict is ConflictError
     assert issubclass(ConflictError, SorrentoError)
     assert issubclass(NotFoundError, SorrentoError)
-
-
-def test_handle_ids_are_per_instance():
-    dep = deploy()
-    one = HandleAPI(dep.client_on("c00"))
-    two = HandleAPI(dep.client_on("c01"))
-    # Each API mints its own reproducible sequence starting at the root.
-    assert one.root.hid == 1
-    assert two.root.hid == 1

@@ -426,8 +426,8 @@ def test_namespace_endpoints_only_behind_the_router():
 def test_namespace_servers_are_built_only_by_the_deployment():
     """Experiments, baselines, and tests get their namespace service
     from the deployment config (``namespace_shards`` /
-    ``ns_shard_standbys_on``) and the ``connect()`` /
-    ``client_on()`` front door — never by hand-constructing a
+    ``ns_shard_standbys_on``) and the ``client_on()`` front door —
+    never by hand-constructing a
     ``NamespaceServer``.  Allowed: the deployment itself and the
     server's own module; ``tests/test_namespace.py`` unit-tests the
     server class directly."""

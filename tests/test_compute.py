@@ -21,9 +21,8 @@ authoritative server only when the mirror misses.
 
 from collections import deque
 
-from repro.api.session import connect
 from repro.cluster import small_cluster
-from repro.compute import start_compute
+from repro.compute import ComputeAPI, start_compute
 from repro.core.client.handle import NotFoundError
 from repro.experiments.common import run_until_done, sorrento_on
 from repro.faults import FaultPlan, NodeCrash, inject
@@ -56,7 +55,7 @@ def build(policy="locality", n_providers=4, n_files=8, file_kb=256,
 
 
 def run_job(dep, queue, paths, job="j0"):
-    api = connect(dep, "c01").compute.bind(queue.host)
+    api = ComputeAPI(dep.client_on("c01")).bind(queue.host)
     out = []
 
     def driver():

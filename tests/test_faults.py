@@ -4,7 +4,6 @@ import random
 
 import pytest
 
-from repro.api import connect
 from repro.api import TimeoutError as SorrentoTimeout
 from repro.cluster import small_cluster
 from repro.core import SorrentoConfig, SorrentoDeployment
@@ -83,19 +82,19 @@ def test_controller_starts_once():
 # -------------------------------------------------------------- partitions
 def test_partition_isolates_rpcs_until_heal():
     dep = deploy()
-    sess = connect(dep, "c00")
+    client = dep.client_on("c00")
     inject(dep, (FaultPlan()
                  .at(2.0, Partition((dep.ns_host,)))
                  .at(20.0, Heal())))
     t0 = dep.sim.now
 
     def scenario():
-        yield from sess.client.create("/f")
+        yield from client.create("/f")
         yield dep.sim.timeout(t0 + 3.0 - dep.sim.now)
         with pytest.raises(SorrentoTimeout):
-            yield from sess.client.stat("/f")
+            yield from client.stat("/f")
         yield dep.sim.timeout(t0 + 25.0 - dep.sim.now)
-        entry = yield from sess.client.stat("/f")
+        entry = yield from client.stat("/f")
         return entry
 
     assert dep.run(scenario())["version"] == 0
@@ -126,18 +125,18 @@ def test_asymmetric_partition_blocks_one_direction():
 
 # ---------------------------------------------------------- degraded links
 def _noisy_run(seed: int):
-    """A session workload under a lossy, duplicating, jittery fabric."""
+    """A client workload under a lossy, duplicating, jittery fabric."""
     dep = deploy(seed)
-    sess = connect(dep, "c00")
+    client = dep.client_on("c00")
     inject(dep, FaultPlan().at(0.0, LinkDegrade(
         drop=0.1, duplicate=0.3, jitter=0.002)))
 
     def workload():
         for i in range(6):
             try:
-                fd = yield from sess.posix.open(f"/n{i}", "w", create=True)
-                yield from sess.posix.write(fd, 4096)
-                yield from sess.posix.close(fd)
+                fh = yield from client.open(f"/n{i}", "w", create=True)
+                yield from client.write(fh, 0, 4096)
+                yield from client.close(fh)
             except Exception:
                 pass  # a lossy link may time a call out; keep going
         yield dep.sim.timeout(5.0)

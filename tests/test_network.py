@@ -575,7 +575,7 @@ def _fifo_world(ops, with_transit):
     ``with_transit`` — and return, per delivery, whether both zero-delay
     FIFOs were empty when ``Fabric._deliver_copy`` ran.  Receivers queue
     urgent and ordinary zero-delay work and send answers from inside
-    their deliveries (a multicast train's next stop still pending), and
+    their deliveries (a multicast's later copies still pending), and
     every send arms a local timer on its loopback instant that queues
     zero-delay work there too."""
     sim = Simulator()
@@ -627,7 +627,7 @@ def _fifo_world(ops, with_transit):
 def test_every_delivery_finds_both_fifos_empty(ops, with_transit):
     """The premise of answering an RPC inside its delivery: a delivery
     carries a lane >= 1, so anything queued at its instant sorts before
-    it — unicast, loopback, multicast trains, transit replays, under
+    it — unicast, loopback, multicast copies, transit replays, under
     partitions and link faults."""
     found = _fifo_world(ops, with_transit)
     assert [f for f in found if not f[2]] == []

@@ -584,21 +584,32 @@ def test_experiment_driver_exposes_open_read_write_metrics():
 
 
 def test_experiment_driver_location_cache_cuts_lookups():
-    """The client caches keep the Figure 9 workload to one location
-    lookup per file (the uncached client PR 4 replaced issued four),
-    and the savings are visible in the registry's "cache" scope."""
-    from repro.experiments.fig09_small_response import (
-        run_sorrento_instrumented,
+    """A client that opens the same files twice locates each file once
+    (an uncached client issues a lookup per open), and the savings are
+    visible in the registry's "cache" scope."""
+    from repro.experiments.common import cluster_a_like, sorrento_on
+    from repro.workloads.smallfile import (
+        bench_create,
+        bench_read,
+        bench_write,
     )
 
     n_ops = 5
-    _res, dep = run_sorrento_instrumented(n_ops=n_ops)
-    assert dep.metrics.get(CLIENT, "loc_lookup").calls <= n_ops
+    dep = sorrento_on(cluster_a_like(n_storage=4, n_clients=2),
+                      n_providers=4, degree=1, seed=0)
+    writer = dep.clients_on_compute(1)[0]
+    dep.run(writer.mkdir("/small"))
+    dep.run(bench_create(writer, n_ops))
+    dep.run(bench_write(writer, n_ops))
+    reader = dep.client_on(writer.node.hostid)
+    dep.run(bench_read(reader, n_ops))
+    hits = dep.metrics.stats(CACHE, "meta_hits").oneways
+    dep.run(bench_read(reader, n_ops))
+    assert dep.metrics.stats(CLIENT, "loc_lookup").calls == n_ops
     # Small attached files never locate data segments, so here the wins
     # come from the index-meta cache; the location-cache counters get
     # their own workout in the datapath benches/tests.
-    meta_hits = dep.metrics.get(CACHE, "meta_hits")
-    assert meta_hits is not None and meta_hits.oneways > 0
+    assert dep.metrics.stats(CACHE, "meta_hits").oneways == hits + n_ops
 
 
 def test_inspector_surfaces_runtime_metrics():
