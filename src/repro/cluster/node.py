@@ -111,6 +111,14 @@ class Node(Host):
         else:
             self.sim.call_soon(self._deferred, (fn, arg), self._incarnation)
 
+    def defer_at(self, when: float, fn, arg) -> None:
+        """:meth:`defer` at the *absolute* instant ``when >= now``: for
+        work timed from an instant that is not now (a planted join's
+        arrival), under the key a deferral made at that instant gets."""
+        if not self.dormant:
+            self.sim.call_at(when, self._deferred, (fn, arg),
+                             self._incarnation)
+
     def _deferred(self, call, incarnation: int) -> None:
         if incarnation == self._incarnation:
             call[0](call[1])

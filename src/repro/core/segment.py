@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from operator import attrgetter, itemgetter
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.extent import RangeMap
 from repro.storage.filesystem import LocalFS
@@ -105,7 +105,6 @@ class SegmentStore:
         self._next_seq = 0
         self._bytes = 0
         self.generation = 0
-        self.on_refill: Optional[Callable[[], None]] = None  # empty -> a segid
         fs.on_wipe = self.wipe
 
     # -- index maintenance --------------------------------------------
@@ -121,10 +120,7 @@ class SegmentStore:
             # The newest version of its segid here (every create, shadow,
             # new-segment ingest and preloaded segment).
             seg.older = head
-            refill = not segs
             segs[seg.segid] = seg
-            if refill and self.on_refill is not None:
-                self.on_refill()
             return
         while head.older is not None and head.older.version > seg.version:
             head = head.older

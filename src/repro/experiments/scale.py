@@ -95,8 +95,7 @@ def run_point(n_providers: int, n_files: int, n_sessions: int,
                              SorrentoConfig(params=params, seed=seed))
 
     # The first heartbeat round is planted in every membership view, and
-    # the P^2 join refreshes of cluster formation fall due while every
-    # store is still empty: dropped unfired, no message and no event.
+    # a formation join into an empty store owes no refresh.
     t_form = time.perf_counter()
     dep.warm_up(params.join_refresh_delay_max + 1.0)
     formation_wall = time.perf_counter() - t_form

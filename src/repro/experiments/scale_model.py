@@ -56,10 +56,9 @@ def scale_params(n_providers: int) -> SorrentoParams:
         refresh_cycle=120.0,
         migration_interval=600.0,
         ring_vnodes=vnodes,
-        # Cluster formation queues P^2 join refreshes (every provider
-        # toward every joined peer).  The suite lets them fall due during
-        # warm-up — so the window can be short — and preloads afterwards:
-        # each falls due in an empty store and is dropped unfired.
+        # A join into an empty store owes no refresh, so formation before
+        # the preload schedules none; a short delay keeps the suite's
+        # warm-up (delay + 1 s) short.
         join_refresh_delay_max=2.0,
     )
 

@@ -216,7 +216,7 @@ class Simulator:
 
     def draw_seq(self) -> int:
         """The ``seq`` a schedule call would draw, for an entry kept off
-        the heap (a board's, a queued refresh's)."""
+        the heap (a board's)."""
         self._seq += 1
         return self._seq
 
@@ -229,10 +229,6 @@ class Simulator:
         cb.state = SUCCEEDED
         cb.fn, cb.a, cb.b = fn, a, b
         self._schedule_at(cb, when, priority, lane, seq)
-
-    def fell_due(self, key: tuple) -> bool:
-        """Whether ``key`` precedes the dispatching one (between runs: ``now``)."""
-        return key < (self._key or (self.now, 3))
 
     def reply(self, deadline: float) -> Reply:
         """An answer slot that fires with ``None`` after ``deadline``

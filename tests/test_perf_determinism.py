@@ -52,13 +52,18 @@ from repro.workloads.smallfile import session_loop
 #: no deliveries either, so the row counts only joins after formation
 #: (a restart's) and is gone where there are none.  With the row left
 #: out the digests are again the ones recorded before (``GOLDEN``'s,
-#: which now has no such row, is exactly that digest).
+#: which now has no such row, is exactly that digest).  All three (and
+#: ``GOLDEN_COST``) were re-recorded once more when a join into an empty
+#: store stopped owing a refresh: formation's joins found every store
+#: empty, and the refreshes the first segments re-armed re-sent rows the
+#: preload had planted (``GOLDEN``: messages_sent 3137 -> 3136, one
+#: ``loc_refresh`` fewer; previous digest e3fd767c…b1b499).
 GOLDEN = {
     "clock": 9.509108141,
     "sessions": 153,
-    "messages_sent": 3137,
+    "messages_sent": 3136,
     "metrics_sha256":
-        "e3fd767c6e6d10d9d159795f42979cc22e91c5352207d78e94ddd89b81b1b499",
+        "453469c4c08c947e3ab5945cbb4b203c04d93afc1701c5c7f8311b687837fce9",
 }
 
 
@@ -78,8 +83,11 @@ GOLDEN = {
 #: tombstones popped from the heap and started counting answer slots
 #: retired unfired: an answered slot now leaves its timeout value's queue
 #: when the next slot of that value opens, not 5 s later, so the window
-#: also counts the answers of its last 5 s.
-GOLDEN_COST = {"events": 6030, "swept_timers": 1529, "messages": 3107}
+#: also counts the answers of its last 5 s.  6 030 -> 6 023 events and
+#: 3 107 -> 3 106 messages when a join into an empty store stopped owing
+#: a refresh: the window's one redundant ``loc_refresh`` and the
+#: supervision it set off are gone.
+GOLDEN_COST = {"events": 6023, "swept_timers": 1529, "messages": 3106}
 MAX_EVENTS_PER_SESSION = 60
 
 
@@ -195,16 +203,21 @@ def run_faulted_scenario(seed=11, n_clients=2, duration=6.0):
 #: location cache (previously sessions=47, messages_sent=1041) and with
 #: the kernel's same-instant delivery-lane tie-break (pre-lane:
 #: sessions=50, messages_sent=1098).  A drift here means injected faults
-#: (or the hooks they flow through) changed behaviour.
+#: (or the hooks they flow through) changed behaviour.  Re-recorded when
+#: a join into an empty store stopped owing a refresh: formation's joins
+#: no longer draw from each provider's RNG, so its later draws fall
+#: elsewhere — here the restarted spare's refresh jitter, whose two
+#: ``loc_refresh`` batches now land inside the run (previously
+#: messages_sent=1057).
 GOLDEN_FAULTS = {
     "clock": 12.509108141,
     "sessions": 48,
-    "messages_sent": 1057,
+    "messages_sent": 1059,
     "messages_dropped": 16,
     "messages_duplicated": 9,
     "fault_events": 8,
     "metrics_sha256":
-        "515afe5e96b0925618d62e116c1db2fe046ec0d10f75931b96a657ac86cbc28a",
+        "5a35f41fe5f744b25c5933d91bec687251c7656eaa0a3d7c017f415d51f9858f",
 }
 
 
@@ -286,16 +299,21 @@ def run_raid_scenario(seed=11, duration=12.0):
 #: 48 B reply header, 16 B per hint entry), and the 2 read and 5 write
 #: failures are failed pieces of answered calls rather than RPC errors;
 #: clock, requests, messages_sent and disk_errors did not move.
+#: Re-recorded when a join into an empty store stopped owing a refresh:
+#: the populate's rows are no longer re-sent by join refreshes (31 -> 15
+#: ``loc_refresh`` batches) and formation's joins no longer draw from the
+#: providers' RNGs, so the faulty disk meets another request stream
+#: (previously disk_errors=16, messages_sent=2928).
 GOLDEN_RAID = {
     "clock": 18.5,
     "requests": 149,
     "progress_sha256":
-        "4ca6cc74b20637a432971579e742ead1abbf1e0c57d04320ae933f9fe7b62896",
-    "disk_errors": 16,
-    "messages_sent": 2928,
+        "2ff39ecb5f9ddffe6e1478cfd62c6789450f1d155218c027d7c52f23b8716ad0",
+    "disk_errors": 15,
+    "messages_sent": 2912,
     "fault_events": 2,
     "metrics_sha256":
-        "4f57b58607789c706b5de575cebc46f04c1eed4946a245c2c217eef06394d975",
+        "29b632dca06d9124cc76a0c3b51a3de27a97291eeacc25b7a6d1513e20cf7630",
 }
 
 

@@ -4,9 +4,10 @@ The first heartbeat round lands on every board, and one callback, once
 the round is sent, joins each view's senders in arrival-key order
 (``MembershipManager.expect`` / ``form``).  The reference is grown
 formation — every first-round copy a join delivery — reached by patching
-the planting out (``expect`` a no-op).  A provider's join refreshes wait
-in one queue (``LocationOwner.on_join``); its reference is one
-``node.defer`` per join, as the refresh was scheduled before the queue.
+the planting out (``expect`` a no-op).  A join into an empty store owes
+no refresh (``LocationOwner.on_join``); one into a non-empty store is a
+callback at the joiner's arrival plus the drawn delay, whose reference
+is a ``node.defer`` made where the join is delivered.
 """
 
 import hashlib
@@ -16,13 +17,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.cluster import small_cluster
+from repro.cluster import Node, small_cluster
 from repro.core import SorrentoConfig, SorrentoDeployment
+from repro.core.client import SorrentoError
+from repro.core.hashing import HashRing
 from repro.core.location import LocationOwner
 from repro.core.membership import MembershipManager
 from repro.core.segment import SYNTHETIC, StoredSegment
 from repro.network.switch import LinkFault
 from repro.sim.parallel import PartitionMap
+from repro.tools.inspector import ClusterInspector
 from repro.workloads.smallfile import session_loop
 
 
@@ -140,10 +144,37 @@ def test_a_partitioned_build_grows():
     assert all(m.node.board[1] is m.members for _h, m in _views(dep))
 
 
-# ------------------------------------------- the queue against defer
+# ------------------------------------------- what a join owes its joiner
+def test_a_join_into_an_empty_store_owes_no_refresh():
+    """Formation joins find every store empty, so nothing is owed: the
+    preload plants each row at its home, and no ``loc_refresh`` re-sends
+    one, nor does a re-sent row set off a supervision check (at this
+    seed no provider's staggered first refresh cycle falls before
+    t = 40 s).  The tables are exact all the same."""
+    deferred = []
+    dep = SorrentoDeployment(small_cluster(8), SorrentoConfig(n_providers=8))
+    dep.warm_up(8)
+    dep.preload_files(((f"/pre/f{i}", 12_000) for i in range(200)),
+                      degree=2)
+    defer = Node.defer
+
+    def recording_defer(self, delay, fn, arg):
+        deferred.append(fn.__name__)
+        defer(self, delay, fn, arg)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Node, "defer", recording_defer)
+        dep.sim.run(until=40.0)
+    assert dep.metrics.scope("client")["loc_refresh"].oneways == 0
+    assert "_supervise" not in deferred
+    assert ClusterInspector(dep).location_audit() == {"missing": [],
+                                                      "ghost": []}
+
+
 def _deferred_on_join(self, hostid):
-    """The join refresh as it was scheduled before the queue."""
-    if hostid == self.node.hostid:
+    """The reference: a ``node.defer`` per join into a non-empty store,
+    scheduled where the join is delivered (grown formation)."""
+    if hostid == self.node.hostid or self.store.empty:
         return
     delay = self.rng.random() * self.params.join_refresh_delay_max
     self.node.defer(delay, self._refresh_toward, hostid)
@@ -158,29 +189,47 @@ _OPS = st.lists(st.one_of(
     st.tuples(_T, st.just("crash"), _P, st.just(0)),
     st.tuples(_T, st.just("restart"), _P, st.just(0)),
     st.tuples(_T, st.just("add"), st.just("s04"), st.just(0)),
+    st.tuples(_T, st.just("write"), st.just("c00"), st.integers(1, 3)),
 ), max_size=10)
 
 
 def _refreshes(ops):
-    """Every join refresh that sends, with its full key, on four grown
-    providers under ``ops``; and each provider's RNG state at the end."""
+    """Four grown providers and a client under ``ops``, run to 60 s (every
+    join refresh due, no refresh cycle yet): every join refresh that
+    fires, with its full key; each provider's RNG state; and the rows
+    missing at their homes — a live owner's committed segment that a
+    client wrote (the planted ones were never announced) whose home, by
+    the live members, holds no row for it.  A home restarted before its
+    peers gave it up is left out: no peer saw it leave or join, so none
+    owes it a refresh, and its table waits for the refresh cycle."""
     dep = SorrentoDeployment(small_cluster(4, n_compute=1),
                              SorrentoConfig(seed=3, n_providers=4))
-    sim, sent, rng = dep.sim, [], random.Random(11)
+    client = dep.clients_on_compute(1)[0]
+    sim, fired, rng = dep.sim, [], random.Random(11)
+    planted, unseen = set(), set()
 
     def watch(p):
         def toward(joiner, refresh=p.owner._refresh_toward):
-            members = p.membership.live_providers()
-            if joiner in members and p.owner._by_home(members).get(joiner):
-                sent.append((sim._key[:4], p.node.hostid, joiner))
+            fired.append((sim._key[:4], p.node.hostid, joiner))
             refresh(joiner)
         p.owner._refresh_toward = toward
 
+    def write(path, nbytes):
+        try:
+            fh = yield from client.open(path, "w", create=True)
+            yield from client.write(fh, 0, nbytes)
+            yield from client.close(fh)
+        except SorrentoError:
+            pass
+
     def apply(op, _b):
-        _t, kind, host, k = op
+        t, kind, host, k = op
         if kind == "add":
             if host not in dep.providers:
                 watch(dep.add_provider(small_cluster(5).storage_nodes[4]))
+            return
+        if kind == "write":
+            sim.process(write(f"/w{t!r}", k * 40_000))
             return
         p, node = dep.providers[host], dep.nodes[host]
         if kind == "plant":
@@ -189,13 +238,17 @@ def _refreshes(ops):
                                     last_access=sim.now)
                 seg.extents.set_range(0, 4096, SYNTHETIC)
                 p.store.plant(seg)
+                planted.add(seg.segid)
         elif kind == "wipe":
             p.store.wipe()
         elif kind == "lose" and p.store.committed_segments():
             p.store.lose_segment(p.store.committed_segments()[0].segid)
         elif kind == "crash":
             node.crash()
-        elif kind == "restart":
+        elif kind == "restart" and not node.alive:
+            if any(host in q.membership.members
+                   for q in dep.providers.values() if q.node.alive):
+                unseen.add(host)
             node.restart()
 
     for p in dep.providers.values():
@@ -203,7 +256,16 @@ def _refreshes(ops):
     for op in sorted(ops):
         sim.call_at(op[0], apply, op, None)
     sim.run(until=60.0)
-    return sent, {h: p.rng.getstate() for h, p in sorted(dep.providers.items())}
+    live = sorted(h for h, p in dep.providers.items() if p.node.alive)
+    ring = HashRing(dep.params.ring_vnodes)
+    missing = [
+        (seg.segid, h) for h in live
+        for seg in dep.providers[h].store.committed_segments()
+        if seg.segid not in planted
+        and (home := ring.home_host(seg.segid, live)) not in unseen
+        and dep.providers[home].home.table.record(seg.segid, h) is None]
+    rngs = {h: p.rng.getstate() for h, p in sorted(dep.providers.items())}
+    return fired, rngs, missing
 
 
 @given(_OPS)
@@ -211,16 +273,21 @@ def _refreshes(ops):
           (4.0, "wipe", "s00", 0), (9.0, "plant", "s00", 2)])
 @example([(2.0, "plant", "s02", 4), (3.0, "crash", "s02", 0),
           (12.0, "restart", "s02", 0), (14.0, "add", "s04", 0)])
+@example([(9.0, "write", "c00", 3), (12.0, "crash", "s01", 0),
+          (22.0, "restart", "s01", 0), (24.0, "add", "s04", 0),
+          (26.0, "write", "c00", 2)])
 @settings(max_examples=25, deadline=None)
-def test_the_queue_fires_what_a_deferral_per_join_sent(ops):
-    """Empty and refilled stores, lost segments, crashes and restarts
-    (joins after a death verdict) and a provider added at runtime: the
-    queue fires every refresh a deferral per join fired that sends
-    something, under the same ``(when, priority, lane, seq)``, and each
-    provider's RNG ends where it did."""
+def test_a_join_refreshes_exactly_the_non_empty_stores(ops):
+    """Writes, empty and refilled stores, lost segments, crashes and
+    restarts (joins after a death verdict) and a provider added at
+    runtime: no written segment lacks its home row before one refresh
+    cycle has passed, and the join refreshes that fire are a deferral
+    per join into a non-empty store, under the same ``(when, priority,
+    lane, seq)``, with each provider's RNG ending where it did."""
     with pytest.MonkeyPatch.context() as mp:
         _grown(mp)
         got = _refreshes(ops)
         mp.setattr(LocationOwner, "on_join", _deferred_on_join)
         want = _refreshes(ops)
+    assert got[2] == []
     assert got == want

@@ -84,13 +84,15 @@ def test_formation_refreshes_from_callbacks_what_the_full_scans_sent():
 
     for provider in dep.providers.values():
         watch(provider)
+    deferred_calls = [p.node._deferred for p in dep.providers.values()]
     dep.sim.run(until=2.0)
     # Every view is complete and nearly every refresh still pending —
-    # in its provider's queue, one heap entry per queue, no process: only
-    # the daemon loops are alive.
-    queued = sum(len(p.owner._joins) for p in dep.providers.values())
-    assert queued > 20 * 19 * 0.8
-    assert dep.sim.pending_events < queued
+    # each one slotted callback on the heap, no process: only the daemon
+    # loops are alive.
+    pending = sum(getattr(cb, "fn", None) in deferred_calls
+                  and cb.a[0].__name__ == "checked_refresh_toward"
+                  for *_key, cb in dep.sim._heap)
+    assert pending > 20 * 19 * 0.8
     for provider in dep.providers.values():
         assert len(provider.membership.live_providers()) == 20
         assert len(provider.node._procs) <= DAEMON_LOOPS
